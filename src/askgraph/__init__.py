@@ -31,21 +31,19 @@ from .wordgraph import (  # noqa: F401
     word_neighborhood,
 )
 from .interaction import (  # noqa: F401
+    EdgeCounts,
     InteractionGraph,
     MetricsReport,
-    SimpleGraph,
-    SplitGraphs,
+    NodeTable,
     build_interaction_graph,
     ccdf,
     clustering,
     compute_metrics,
     degree_ratio_cdf,
-    degree_vector,
     mean_local_clustering_vs_degree,
     mean_reciprocity_by_outdegree,
+    node_table,
     reciprocity,
-    split_graph,
-    to_simple,
     top_overlap,
 )
 from .segmentation import (  # noqa: F401
@@ -53,6 +51,7 @@ from .segmentation import (  # noqa: F401
     LabelFile,
     UserContentStats,
     classify_user,
+    content_table,
     group_report,
     labeled_report,
     load_label_file,

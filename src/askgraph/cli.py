@@ -38,9 +38,11 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def load_config(path: str | Path) -> dict[str, str]:
-    """Flat key=value config file; '#' comments and blank lines ignored."""
-    values: dict[str, str] = {}
+def load_config(path: str | Path) -> dict[str, tuple[int, str]]:
+    """Flat key=value config file; '#' comments and blank lines ignored.
+
+    Maps each key to the line it was last set on and its value."""
+    values: dict[str, tuple[int, str]] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -49,7 +51,7 @@ def load_config(path: str | Path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"config line {line_no}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            values[key.strip()] = (line_no, value.strip())
     return values
 
 
@@ -121,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill argparse defaults from the config file; explicit flags win."""
+    """Fill argparse defaults from the config file; explicit flags win.
+
+    A key that is not an option of the command is an error."""
     if not getattr(args, "config", None):
         return
     values = load_config(args.config)
@@ -129,13 +133,21 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
     casts = {
         "threshold": float, "cap": int, "top_k": int, "tol": float,
         "max_iter": int, "n_users": int, "like_rate": float,
-        "seed": int, "budget": int,
+        "seed": int, "budget": int, "labels": lambda path: [path],
     }
-    for key, value in values.items():
+    options = set(vars(args)) - {"command", "config"}
+    for key, (line_no, value) in values.items():
         attr = key.replace("-", "_")
-        if attr in explicit or not hasattr(args, attr):
+        if attr not in options:
+            raise ValueError(
+                f"config line {line_no}: unknown key {key!r} for {args.command}"
+            )
+        if attr in explicit:
             continue
-        setattr(args, attr, casts.get(attr, str)(value))
+        try:
+            setattr(args, attr, casts.get(attr, str)(value))
+        except ValueError as exc:
+            raise ValueError(f"config line {line_no}: {key}: {exc}") from exc
 
 
 def _load_inputs(args):
@@ -164,12 +176,10 @@ def _select_words(corp, lexicon, polarity, args):
 
 
 def _build_interaction(corp, neg_set, args):
-    graph = _stage(
+    return _stage(
         "build_interaction_graph", inter_mod.build_interaction_graph,
         corp, neg_set, top_k=args.top_k,
     )
-    splits = _stage("split_graph", inter_mod.split_graph, graph)
-    return graph, splits
 
 
 def cmd_stats(args) -> None:
@@ -195,30 +205,28 @@ def cmd_words(args) -> None:
 def cmd_graph(args) -> None:
     corp, neg, _pos = _load_inputs(args)
     _, _, _, neg_set = _select_words(corp, neg, "negative", args)
-    graph, _splits = _build_interaction(corp, neg_set, args)
+    graph = _build_interaction(corp, neg_set, args)
     reports.write_interaction_graph(Path(args.out) / "interaction_edges.csv", graph)
 
 
 def cmd_metrics(args) -> None:
     corp, neg, _pos = _load_inputs(args)
     _, _, _, neg_set = _select_words(corp, neg, "negative", args)
-    graph, splits = _build_interaction(corp, neg_set, args)
-    report = _stage("compute_metrics", inter_mod.compute_metrics, corp, graph, splits)
+    graph = _build_interaction(corp, neg_set, args)
+    table = _stage("node_table", inter_mod.node_table, graph)
+    report = _stage("compute_metrics", inter_mod.compute_metrics, corp, table)
     reports.write_metrics(args.out, report)
 
 
-def _segment(args, corp, neg_set, pos_set, splits, simple):
-    labels = _stage("classify", seg_mod.classify_corpus, corp, neg_set, pos_set)
-    report = _stage(
-        "group_report", seg_mod.group_report,
-        corp, labels, neg_set, pos_set, splits, simple,
-    )
+def _segment(args, corp, neg_set, pos_set, table):
+    content = _stage("content_table", seg_mod.content_table, corp, neg_set, pos_set)
+    labels = _stage("classify", seg_mod.classify_corpus, content)
+    report = _stage("group_report", seg_mod.group_report, corp, labels, content, table)
     label_rows = []
     for label_path in getattr(args, "labels", []):
         lf = _stage("load_label_file", seg_mod.load_label_file, label_path)
         label_rows.append(_stage(
-            "labeled_report", seg_mod.labeled_report,
-            corp, lf, neg_set, pos_set, splits, simple,
+            "labeled_report", seg_mod.labeled_report, corp, lf, content, table,
         ))
     return report, label_rows
 
@@ -227,9 +235,9 @@ def cmd_segment(args) -> None:
     corp, neg, pos = _load_inputs(args)
     _, _, _, neg_set = _select_words(corp, neg, "negative", args)
     _, _, _, pos_set = _select_words(corp, pos, "positive", args)
-    graph, splits = _build_interaction(corp, neg_set, args)
-    simple = inter_mod.to_simple(graph)
-    report, label_rows = _segment(args, corp, neg_set, pos_set, splits, simple)
+    graph = _build_interaction(corp, neg_set, args)
+    table = _stage("node_table", inter_mod.node_table, graph)
+    report, label_rows = _segment(args, corp, neg_set, pos_set, table)
     reports.write_group_report(Path(args.out) / "group_report.csv", report, label_rows)
 
 
@@ -326,14 +334,14 @@ def cmd_pipeline(args) -> None:
     stats = _stage("corpus_stats", corpus_mod.corpus_stats, corp, neg, pos)
     reports.write_corpus_stats(out / "corpus_stats.json", stats)
 
-    graph, splits = _build_interaction(corp, neg_set, args)
+    graph = _build_interaction(corp, neg_set, args)
     reports.write_interaction_graph(out / "interaction_edges.csv", graph)
 
-    metrics = _stage("compute_metrics", inter_mod.compute_metrics, corp, graph, splits)
+    table = _stage("node_table", inter_mod.node_table, graph)
+    metrics = _stage("compute_metrics", inter_mod.compute_metrics, corp, table)
     reports.write_metrics(out, metrics)
 
-    simple = inter_mod.to_simple(graph)
-    report, label_rows = _segment(args, corp, neg_set, pos_set, splits, simple)
+    report, label_rows = _segment(args, corp, neg_set, pos_set, table)
     reports.write_group_report(out / "group_report.csv", report, label_rows)
 
 
@@ -354,8 +362,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
-    _apply_config(args, argv)
     try:
+        _stage("load_config", _apply_config, args, argv)
         _COMMANDS[args.command](args)
     except StageError as exc:
         print(f"askgraph: error {exc}", file=sys.stderr)

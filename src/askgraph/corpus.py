@@ -126,8 +126,11 @@ def _parse_question(obj: dict, line_no: int) -> Question:
             raise CorpusFormatError(line_no, "duplicate liker ids on one question")
         likers = tuple(likers_raw)
     like_count = obj.get("like_count", len(likers))
-    if not isinstance(like_count, int) or like_count < 0:
+    if not isinstance(like_count, int) or isinstance(like_count, bool) or like_count < 0:
         raise CorpusFormatError(line_no, "like_count must be a nonnegative integer")
+    answer = obj.get("answer", "")
+    if not isinstance(answer, str):
+        raise CorpusFormatError(line_no, "answer must be a string")
     if likers_raw is not None and like_count != len(likers):
         raise CorpusFormatError(
             line_no, f"like_count {like_count} does not match {len(likers)} likers"
@@ -136,7 +139,7 @@ def _parse_question(obj: dict, line_no: int) -> Question:
         text=text,
         likers=likers,
         like_count=like_count,
-        answer=str(obj.get("answer", "")),
+        answer=answer,
     )
 
 
@@ -166,11 +169,14 @@ def load_corpus(path: str | Path) -> Corpus:
             questions_raw = obj.get("questions", [])
             if not isinstance(questions_raw, list):
                 raise CorpusFormatError(line_no, "'questions' must be an array")
+            fully_sampled = obj.get("fully_sampled", True)
+            if not isinstance(fully_sampled, bool):
+                raise CorpusFormatError(line_no, "'fully_sampled' must be true or false")
             questions = _sort_questions(_parse_question(q, line_no) for q in questions_raw)
             profiles[owner] = Profile(
                 owner=owner,
                 questions=questions,
-                fully_sampled=bool(obj.get("fully_sampled", True)),
+                fully_sampled=fully_sampled,
             )
     return Corpus(profiles=profiles)
 

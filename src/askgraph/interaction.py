@@ -9,7 +9,7 @@ Only fully-sampled users participate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .corpus import Corpus, tokenize
@@ -24,49 +24,43 @@ class InteractionGraph:
 
 
 @dataclass(frozen=True)
-class DirectedGraph:
-    """Scalar-weighted directed graph (one component of the split)."""
+class EdgeCounts:
+    """Per-node counts over one component of the graph: the negative
+    weights, the non-negative weights, or their sum (merged). An edge
+    belongs to a component when its weight there is positive."""
+
+    in_deg: dict[str, int]  # weighted
+    out_deg: dict[str, int]  # weighted
+    out_edges: dict[str, int]  # unweighted
+    recip_out: dict[str, int]  # out-edges whose reverse is in the component
+    node_reciprocity: dict[str, float]  # recip_out / out_edges, 0 without out-edges
+
+
+@dataclass(frozen=True)
+class NodeTable:
+    """Every per-node graph fact the metric battery and the group rows read.
+
+    Built once per graph by `node_table`; metrics and group means are
+    reductions over it."""
 
     nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], int]
-
-    def successors(self) -> dict[str, set[str]]:
-        out: dict[str, set[str]] = {u: set() for u in self.nodes}
-        for (i, j) in self.edges:
-            out[i].add(j)
-        return out
-
-
-@dataclass(frozen=True)
-class SplitGraphs:
-    u_neg: DirectedGraph
-    u_nonneg: DirectedGraph
-
-
-@dataclass(frozen=True)
-class DegreeVector:
-    direction: str  # "in" | "out"
-    weighted: bool
-    values: dict[str, float]
-
-
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Undirected binarized view of the interaction graph."""
-
-    nodes: tuple[str, ...]
-    neighbors: dict[str, set[str]] = field(default_factory=dict)
+    neg: EdgeCounts
+    nonneg: EdgeCounts
+    merged: EdgeCounts
+    degree: dict[str, int]  # undirected, binarized
+    local_clustering: dict[str, float]
+    closed_triples: int  # triangles counted once per corner
+    connected_triples: int
 
     @property
-    def n_edges(self) -> int:
-        return sum(len(v) for v in self.neighbors.values()) // 2
+    def global_clustering(self) -> float:
+        """Transitivity: 3 * triangles / connected triples."""
+        return self.closed_triples / self.connected_triples if self.connected_triples else 0.0
 
-
-@dataclass(frozen=True)
-class ClusteringResult:
-    global_coefficient: float
-    mean_local: float
-    per_node: dict[str, float]
+    @property
+    def mean_local_clustering(self) -> float:
+        n = len(self.nodes)
+        return sum(self.local_clustering.values()) / n if n else 0.0
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,8 @@ class MetricsReport:
     overlap_curve: list[tuple[float, float]]  # (x percent, overlap percent)
     ratio_cdf: list[tuple[float, float]]
     within_20pct: float
-    clustering: ClusteringResult
+    clustering_global: float
+    clustering_mean_local: float
     clustering_vs_degree: list[tuple[int, float]]
     recip_vs_outdeg: dict[str, list[tuple[int, int, float, int]]]
     likes_answers_corr_below: Optional[float]
@@ -113,35 +108,73 @@ def build_interaction_graph(
     )
 
 
-def split_graph(graph: InteractionGraph) -> SplitGraphs:
-    """Componentwise split into negative / non-negative matrices; zero
-    entries dropped."""
-    neg = {k: w[0] for k, w in graph.edges.items() if w[0] > 0}
-    nonneg = {k: w[1] for k, w in graph.edges.items() if w[1] > 0}
-    return SplitGraphs(
-        u_neg=DirectedGraph(nodes=graph.nodes, edges=neg),
-        u_nonneg=DirectedGraph(nodes=graph.nodes, edges=nonneg),
+def node_table(graph: InteractionGraph) -> NodeTable:
+    """One pass over the edges and one triangle scan give every per-node
+    fact: per component weighted in/out-degree, out-edge and reciprocated
+    out-edge counts and per-node reciprocity, then undirected degree and
+    local clustering with the global triple counts."""
+    nodes = graph.nodes
+    edges = graph.edges
+    # per component (neg, nonneg, merged): in_deg, out_deg, out_edges, recip_out
+    columns = [[dict.fromkeys(nodes, 0) for _ in range(4)] for _ in range(3)]
+    neighbors: dict[str, set[str]] = {u: set() for u in nodes}
+    for (i, j), weights in edges.items():
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+        back = edges.get((j, i), (0, 0))
+        for (in_deg, out_deg, out_edges, recip_out), w, w_back in zip(
+            columns, (*weights, sum(weights)), (*back, sum(back))
+        ):
+            if w:
+                in_deg[j] += w
+                out_deg[i] += w
+                out_edges[i] += 1
+                recip_out[i] += w_back > 0
+    neg, nonneg, merged = (
+        EdgeCounts(
+            in_deg=in_deg,
+            out_deg=out_deg,
+            out_edges=out_edges,
+            recip_out=recip_out,
+            node_reciprocity={
+                u: (recip_out[u] / out_edges[u]) if out_edges[u] else 0.0 for u in nodes
+            },
+        )
+        for in_deg, out_deg, out_edges, recip_out in columns
+    )
+    local, closed, connected = clustering(neighbors)
+    return NodeTable(
+        nodes=nodes,
+        neg=neg,
+        nonneg=nonneg,
+        merged=merged,
+        degree={u: len(neighbors[u]) for u in nodes},
+        local_clustering=local,
+        closed_triples=closed,
+        connected_triples=connected,
     )
 
 
-def merge_splits(splits: SplitGraphs) -> dict[tuple[str, str], tuple[int, int]]:
-    """Inverse of split_graph, for round-trip checking."""
-    merged: dict[tuple[str, str], list[int]] = {}
-    for (key, w) in splits.u_neg.edges.items():
-        merged.setdefault(key, [0, 0])[0] = w
-    for (key, w) in splits.u_nonneg.edges.items():
-        merged.setdefault(key, [0, 0])[1] = w
-    return {k: (v[0], v[1]) for k, v in merged.items()}
+def clustering(neighbors: dict[str, set[str]]) -> tuple[dict[str, float], int, int]:
+    """The triangle scan over an undirected neighbor map (no self-loops).
 
-
-def degree_vector(graph: DirectedGraph, direction: str, weighted: bool) -> DegreeVector:
-    if direction not in ("in", "out"):
-        raise ValueError("direction must be 'in' or 'out'")
-    values: dict[str, float] = {u: 0 for u in graph.nodes}
-    for (i, j), w in graph.edges.items():
-        node = j if direction == "in" else i
-        values[node] += w if weighted else 1
-    return DegreeVector(direction=direction, weighted=weighted, values=values)
+    Returns local clustering per node (0 when degree < 2), the closed-triple
+    count (each triangle once per corner) and the connected-triple count.
+    """
+    per_node: dict[str, float] = {}
+    closed_triples = 0
+    total_triples = 0
+    for u, nbrs in neighbors.items():
+        k = len(nbrs)
+        if k < 2:
+            per_node[u] = 0.0
+            continue
+        # each link between two neighbors of u is seen from both of its ends
+        links = sum(len(nbrs & neighbors[v]) for v in nbrs) // 2
+        per_node[u] = 2.0 * links / (k * (k - 1))
+        closed_triples += links
+        total_triples += k * (k - 1) // 2
+    return per_node, closed_triples, total_triples
 
 
 def ccdf(values: list[float]) -> list[tuple[float, float]]:
@@ -164,81 +197,55 @@ def ccdf(values: list[float]) -> list[tuple[float, float]]:
     return curve
 
 
-def reciprocity(graph: DirectedGraph) -> float:
-    """Fraction of directed edges whose reverse also exists (binarized)."""
-    if not graph.edges:
+def reciprocity(counts: EdgeCounts) -> float:
+    """Fraction of a component's edges whose reverse is also in it."""
+    n_edges = sum(counts.out_edges.values())
+    if not n_edges:
         raise ValueError("reciprocity is undefined for a zero-edge graph")
-    present = set(graph.edges)
-    reciprocated = sum(1 for (i, j) in present if (j, i) in present)
-    return reciprocated / len(present)
+    return sum(counts.recip_out.values()) / n_edges
 
 
-def node_reciprocity(graph: DirectedGraph) -> dict[str, float]:
-    """Per node: fraction of its out-edges that are reciprocated.
-
-    Nodes with no out-edges are assigned 0 (callers that need to exclude
-    them can filter on out-degree).
-    """
-    present = set(graph.edges)
-    out_edges: dict[str, int] = {u: 0 for u in graph.nodes}
-    recip: dict[str, int] = {u: 0 for u in graph.nodes}
-    for (i, j) in present:
-        out_edges[i] += 1
-        if (j, i) in present:
-            recip[i] += 1
-    return {u: (recip[u] / out_edges[u]) if out_edges[u] else 0.0 for u in graph.nodes}
-
-
-def mean_reciprocity_by_outdegree(graph: DirectedGraph) -> list[tuple[int, int, float, int]]:
+def mean_reciprocity_by_outdegree(counts: EdgeCounts) -> list[tuple[int, int, float, int]]:
     """Bin nodes by unweighted out-degree into powers-of-2 bins [1,2),[2,4),...
     and average per-node reciprocity in each bin.
 
     Returns rows (bin_lo, bin_hi, mean_reciprocity, n_nodes); empty bins and
     out-degree-0 nodes are omitted.
     """
-    if not graph.edges:
-        return []
-    out_deg = degree_vector(graph, "out", weighted=False).values
-    per_node = node_reciprocity(graph)
     bins: dict[int, list[float]] = {}
-    for u in graph.nodes:
-        d = int(out_deg[u])
+    for u, d in counts.out_edges.items():
         if d < 1:
             continue
-        bins.setdefault(d.bit_length() - 1, []).append(per_node[u])
+        bins.setdefault(d.bit_length() - 1, []).append(counts.node_reciprocity[u])
     return [
         (1 << b, 1 << (b + 1), sum(vals) / len(vals), len(vals))
         for b, vals in sorted(bins.items())
     ]
 
 
-def top_overlap(in_deg: DegreeVector, out_deg: DegreeVector, x: float) -> float:
+def top_overlap(in_deg: dict[str, int], out_deg: dict[str, int], x: float) -> float:
     """Percentage of common users among the top x% by in-degree and the top
     x% by out-degree (set size ceil(x% * N), ties by UserId ascending)."""
     if not (0 < x <= 100):
         raise ValueError("x must be in (0, 100]")
-    nodes = sorted(in_deg.values)
+    nodes = sorted(in_deg)
     if not nodes:
         raise ValueError("empty node set")
-    if set(out_deg.values) != set(in_deg.values):
+    if set(out_deg) != set(in_deg):
         raise ValueError("in- and out-degree vectors cover different node sets")
     m = math.ceil(x / 100 * len(nodes))
-    top_in = set(sorted(nodes, key=lambda u: (-in_deg.values[u], u))[:m])
-    top_out = set(sorted(nodes, key=lambda u: (-out_deg.values[u], u))[:m])
+    top_in = set(sorted(nodes, key=lambda u: (-in_deg[u], u))[:m])
+    top_out = set(sorted(nodes, key=lambda u: (-out_deg[u], u))[:m])
     return 100.0 * len(top_in & top_out) / m
 
 
 def degree_ratio_cdf(
-    out_deg: DegreeVector, in_deg: DegreeVector
+    out_deg: dict[str, int], in_deg: dict[str, int]
 ) -> tuple[list[tuple[float, float]], float]:
     """CDF of out-degree/in-degree over nodes with positive in-degree, plus
     the fraction of those nodes with ratio inside the multiplicative band
     [0.8, 1.25]."""
-    ratios = sorted(
-        out_deg.values[u] / in_deg.values[u]
-        for u in in_deg.values
-        if in_deg.values[u] > 0
-    )
+    ratios = sorted(out_deg[u] / in_deg[u] for u in in_deg if in_deg[u] > 0)
     if not ratios:
         raise ValueError("no node with positive in-degree")
     n = len(ratios)
@@ -253,52 +260,11 @@ def degree_ratio_cdf(
     return curve, within
 
 
-def to_simple(graph: InteractionGraph) -> SimpleGraph:
-    """Binarize and symmetrize: an undirected edge wherever a like exists in
-    either direction."""
-    neighbors: dict[str, set[str]] = {u: set() for u in graph.nodes}
-    for (i, j) in graph.edges:
-        neighbors[i].add(j)
-        neighbors[j].add(i)
-    return SimpleGraph(nodes=graph.nodes, neighbors=neighbors)
-
-
-def clustering(simple: SimpleGraph) -> ClusteringResult:
-    """Local clustering per node (0 when degree < 2), their mean, and global
-    transitivity 3*triangles / connected-triples."""
-    per_node: dict[str, float] = {}
-    closed_triples = 0  # summed over centers: each triangle counted 3x
-    total_triples = 0
-    for u in simple.nodes:
-        nbrs = simple.neighbors.get(u, set())
-        k = len(nbrs)
-        if k < 2:
-            per_node[u] = 0.0
-            continue
-        links = 0
-        nbr_list = list(nbrs)
-        for a in range(len(nbr_list)):
-            na = simple.neighbors[nbr_list[a]]
-            for b in range(a + 1, len(nbr_list)):
-                if nbr_list[b] in na:
-                    links += 1
-        per_node[u] = 2.0 * links / (k * (k - 1))
-        closed_triples += links
-        total_triples += k * (k - 1) // 2
-    n = len(simple.nodes)
-    mean_local = sum(per_node.values()) / n if n else 0.0
-    global_coefficient = closed_triples / total_triples if total_triples else 0.0
-    return ClusteringResult(
-        global_coefficient=global_coefficient, mean_local=mean_local, per_node=per_node
-    )
-
-
-def mean_local_clustering_vs_degree(simple: SimpleGraph) -> list[tuple[int, float]]:
+def mean_local_clustering_vs_degree(table: NodeTable) -> list[tuple[int, float]]:
     """Average local clustering over nodes grouped by degree, ascending."""
-    result = clustering(simple)
     groups: dict[int, list[float]] = {}
-    for u in simple.nodes:
-        groups.setdefault(len(simple.neighbors.get(u, set())), []).append(result.per_node[u])
+    for u in table.nodes:
+        groups.setdefault(table.degree[u], []).append(table.local_clustering[u])
     return [(d, sum(vals) / len(vals)) for d, vals in sorted(groups.items())]
 
 
@@ -342,53 +308,47 @@ def likes_answers_correlation(
 
 def compute_metrics(
     corpus: Corpus,
-    graph: InteractionGraph,
-    splits: SplitGraphs,
+    table: NodeTable,
     overlap_points: tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100),
     likes_split: int = 50,
 ) -> MetricsReport:
-    """Full metric battery over a built interaction graph."""
-    merged = DirectedGraph(
-        nodes=graph.nodes, edges={k: sum(w) for k, w in graph.edges.items()}
-    )
+    """Full metric battery: reductions over a graph's node table."""
 
-    def safe_recip(g: DirectedGraph) -> float:
-        return reciprocity(g) if g.edges else 0.0
+    def safe_recip(counts: EdgeCounts) -> float:
+        return reciprocity(counts) if any(counts.out_edges.values()) else 0.0
 
     ccdf_curves: dict[str, list[tuple[float, float]]] = {}
-    for name, g in (("neg", splits.u_neg), ("nonneg", splits.u_nonneg)):
-        for direction in ("in", "out"):
-            deg = degree_vector(g, direction, weighted=True)
-            positive = [v for v in deg.values.values() if v > 0]
+    for name, counts in (("neg", table.neg), ("nonneg", table.nonneg)):
+        for direction, deg in (("in", counts.in_deg), ("out", counts.out_deg)):
+            positive = [v for v in deg.values() if v > 0]
             if positive:
                 ccdf_curves[f"{name}_{direction}"] = ccdf(positive)
 
-    in_deg = degree_vector(merged, "in", weighted=True)
-    out_deg = degree_vector(merged, "out", weighted=True)
+    in_deg = table.merged.in_deg
+    out_deg = table.merged.out_deg
     overlap_curve = (
-        [(x, top_overlap(in_deg, out_deg, x)) for x in overlap_points] if merged.nodes else []
+        [(x, top_overlap(in_deg, out_deg, x)) for x in overlap_points] if table.nodes else []
     )
     try:
         ratio_cdf, within = degree_ratio_cdf(out_deg, in_deg)
     except ValueError:
         ratio_cdf, within = [], 0.0
 
-    simple = to_simple(graph)
-    clust = clustering(simple)
     corr_below, corr_above = likes_answers_correlation(corpus, split=likes_split)
     return MetricsReport(
-        mean_reciprocity=safe_recip(merged),
-        neg_reciprocity=safe_recip(splits.u_neg),
-        nonneg_reciprocity=safe_recip(splits.u_nonneg),
+        mean_reciprocity=safe_recip(table.merged),
+        neg_reciprocity=safe_recip(table.neg),
+        nonneg_reciprocity=safe_recip(table.nonneg),
         ccdf_curves=ccdf_curves,
         overlap_curve=overlap_curve,
         ratio_cdf=ratio_cdf,
         within_20pct=within,
-        clustering=clust,
-        clustering_vs_degree=mean_local_clustering_vs_degree(simple),
+        clustering_global=table.global_clustering,
+        clustering_mean_local=table.mean_local_clustering,
+        clustering_vs_degree=mean_local_clustering_vs_degree(table),
         recip_vs_outdeg={
-            "neg": mean_reciprocity_by_outdegree(splits.u_neg),
-            "nonneg": mean_reciprocity_by_outdegree(splits.u_nonneg),
+            "neg": mean_reciprocity_by_outdegree(table.neg),
+            "nonneg": mean_reciprocity_by_outdegree(table.nonneg),
         },
         likes_answers_corr_below=corr_below,
         likes_answers_corr_above=corr_above,

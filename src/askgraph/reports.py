@@ -130,8 +130,8 @@ def write_metrics(out_dir: str | Path, report: MetricsReport) -> None:
             "neg_reciprocity": report.neg_reciprocity,
             "nonneg_reciprocity": report.nonneg_reciprocity,
             "within_20pct": report.within_20pct,
-            "clustering_global": report.clustering.global_coefficient,
-            "clustering_mean_local": report.clustering.mean_local,
+            "clustering_global": report.clustering_global,
+            "clustering_mean_local": report.clustering_mean_local,
             "likes_answers_corr_below": report.likes_answers_corr_below,
             "likes_answers_corr_above": report.likes_answers_corr_above,
         },

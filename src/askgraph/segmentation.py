@@ -12,13 +12,7 @@ from pathlib import Path
 from typing import Optional
 
 from .corpus import Corpus, Profile, tokenize
-from .interaction import (
-    SimpleGraph,
-    SplitGraphs,
-    clustering,
-    degree_vector,
-    node_reciprocity,
-)
+from .interaction import NodeTable
 from .wordgraph import WordSet
 
 GROUPS = ("HN", "HP", "PN", "OTHR")
@@ -105,10 +99,14 @@ def classify_user(stats: UserContentStats) -> str:
     return "OTHR"
 
 
-def classify_corpus(corpus: Corpus, neg: WordSet, pos: WordSet) -> dict[str, str]:
-    return {
-        p.owner: classify_user(user_content_stats(p, neg, pos)) for p in corpus
-    }
+def content_table(corpus: Corpus, neg: WordSet, pos: WordSet) -> dict[str, UserContentStats]:
+    """Content counts for every profile, computed once per run; the
+    classification and every group and label row read them."""
+    return {p.owner: user_content_stats(p, neg, pos) for p in corpus}
+
+
+def classify_corpus(content: dict[str, UserContentStats]) -> dict[str, str]:
+    return {user: classify_user(stats) for user, stats in content.items()}
 
 
 def load_label_file(path: str | Path) -> LabelFile:
@@ -141,40 +139,36 @@ def _aggregate(
     name: str,
     members: list[str],
     corpus: Corpus,
-    neg_ws: WordSet,
-    pos_ws: WordSet,
-    splits: SplitGraphs,
-    simple: SimpleGraph,
+    content: dict[str, UserContentStats],
+    table: NodeTable,
     unresolved: tuple[str, ...] = (),
 ) -> GroupRow:
-    neg_recip = node_reciprocity(splits.u_neg)
-    nonneg_recip = node_reciprocity(splits.u_nonneg)
-    neg_in = degree_vector(splits.u_neg, "in", weighted=True).values
-    neg_out = degree_vector(splits.u_neg, "out", weighted=True).values
-    nonneg_in = degree_vector(splits.u_nonneg, "in", weighted=True).values
-    nonneg_out = degree_vector(splits.u_nonneg, "out", weighted=True).values
-    local_clust = clustering(simple).per_node
+    """Means over members; members outside the graph count as 0 in every
+    graph column."""
 
-    content = [user_content_stats(corpus[u], neg_ws, pos_ws) for u in members]
+    def mean_of(column: dict) -> Optional[float]:
+        return _mean([column.get(u, 0.0) for u in members])
+
+    stats = [content[u] for u in members]
     total_likes = [float(corpus[u].total_likes) for u in members]
-    total_answers = sum(s.n_answers for s in content)
+    total_answers = sum(s.n_answers for s in stats)
     return GroupRow(
         name=name,
         count=len(members),
-        mean_neg_reciprocity=_mean([neg_recip.get(u, 0.0) for u in members]),
-        mean_nonneg_reciprocity=_mean([nonneg_recip.get(u, 0.0) for u in members]),
-        mean_neg_in_degree=_mean([neg_in.get(u, 0.0) for u in members]),
-        mean_nonneg_in_degree=_mean([nonneg_in.get(u, 0.0) for u in members]),
-        mean_neg_out_degree=_mean([neg_out.get(u, 0.0) for u in members]),
-        mean_nonneg_out_degree=_mean([nonneg_out.get(u, 0.0) for u in members]),
+        mean_neg_reciprocity=mean_of(table.neg.node_reciprocity),
+        mean_nonneg_reciprocity=mean_of(table.nonneg.node_reciprocity),
+        mean_neg_in_degree=mean_of(table.neg.in_deg),
+        mean_nonneg_in_degree=mean_of(table.nonneg.in_deg),
+        mean_neg_out_degree=mean_of(table.neg.out_deg),
+        mean_nonneg_out_degree=mean_of(table.nonneg.out_deg),
         mean_total_likes=_mean(total_likes),
         likes_per_answer=(sum(total_likes) / total_answers) if total_answers else None,
-        mean_local_clustering=_mean([local_clust.get(u, 0.0) for u in members]),
-        mean_answers=_mean([float(s.n_answers) for s in content]),
-        mean_neg_questions=_mean([float(s.n_neg_questions) for s in content]),
-        mean_pos_questions=_mean([float(s.n_pos_questions) for s in content]),
-        mean_neg_words=_mean([float(s.n_neg_words) for s in content]),
-        mean_pos_words=_mean([float(s.n_pos_words) for s in content]),
+        mean_local_clustering=mean_of(table.local_clustering),
+        mean_answers=_mean([float(s.n_answers) for s in stats]),
+        mean_neg_questions=_mean([float(s.n_neg_questions) for s in stats]),
+        mean_pos_questions=_mean([float(s.n_pos_questions) for s in stats]),
+        mean_neg_words=_mean([float(s.n_neg_words) for s in stats]),
+        mean_pos_words=_mean([float(s.n_pos_words) for s in stats]),
         unresolved_ids=unresolved,
     )
 
@@ -182,28 +176,22 @@ def _aggregate(
 def group_report(
     corpus: Corpus,
     labels: dict[str, str],
-    neg_ws: WordSet,
-    pos_ws: WordSet,
-    splits: SplitGraphs,
-    simple: SimpleGraph,
+    content: dict[str, UserContentStats],
+    table: NodeTable,
 ) -> GroupReport:
     """One aggregate row per group. Empty groups get count 0 and null means."""
     members: dict[str, list[str]] = {g: [] for g in GROUPS}
     for user, group in sorted(labels.items()):
         members[group].append(user)
-    rows = tuple(
-        _aggregate(g, members[g], corpus, neg_ws, pos_ws, splits, simple) for g in GROUPS
-    )
+    rows = tuple(_aggregate(g, members[g], corpus, content, table) for g in GROUPS)
     return GroupReport(rows=rows)
 
 
 def labeled_report(
     corpus: Corpus,
     label_file: LabelFile,
-    neg_ws: WordSet,
-    pos_ws: WordSet,
-    splits: SplitGraphs,
-    simple: SimpleGraph,
+    content: dict[str, UserContentStats],
+    table: NodeTable,
 ) -> GroupRow:
     """Aggregate row over an externally labeled user set; unknown ids are
     reported, not fatal."""
@@ -211,6 +199,4 @@ def labeled_report(
     unresolved = tuple(sorted(u for u in label_file.user_ids if u not in corpus))
     if not resolved:
         raise ValueError(f"label set {label_file.label!r} has no users in the corpus")
-    return _aggregate(
-        label_file.label, resolved, corpus, neg_ws, pos_ws, splits, simple, unresolved
-    )
+    return _aggregate(label_file.label, resolved, corpus, content, table, unresolved)

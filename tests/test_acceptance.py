@@ -17,16 +17,10 @@ import scipy.sparse as sp
 from askgraph.cli import main as cli_main
 from askgraph.corpus import Corpus, Profile, Question
 from askgraph.interaction import (
-    DegreeVector,
-    DirectedGraph,
     InteractionGraph,
-    SimpleGraph,
     ccdf,
-    clustering,
-    degree_vector,
-    merge_splits,
+    node_table,
     reciprocity,
-    split_graph,
     top_overlap,
 )
 from askgraph.segmentation import GROUPS, UserContentStats, classify_user
@@ -168,6 +162,15 @@ def brute_force_reciprocity(g):
     return recip / count
 
 
+def neg_graph(nodes, edges):
+    """A graph whose negative component carries the given scalar weights."""
+    return InteractionGraph(nodes=nodes, edges={e: (w, 0) for e, w in edges.items()}, top_k=15)
+
+
+def neg_reciprocity(g):
+    return reciprocity(node_table(g).neg)
+
+
 def test_criterion_3_reciprocity_oracle(capfd):
     with criterion(3, "reciprocity oracle", capfd):
         rng = random.Random(303)
@@ -182,27 +185,34 @@ def test_criterion_3_reciprocity_oracle(capfd):
             }
             if not edges:
                 edges[(nodes[0], nodes[1])] = 1
-            g = DirectedGraph(nodes=nodes, edges=edges)
-            assert reciprocity(g) == brute_force_reciprocity(g)
+            g = neg_graph(nodes, edges)
+            assert neg_reciprocity(g) == brute_force_reciprocity(g)
 
-        two_cycle = DirectedGraph(("a", "b"), {("a", "b"): 1, ("b", "a"): 1})
-        assert reciprocity(two_cycle) == 1.0
-        single = DirectedGraph(("a", "b"), {("a", "b"): 1})
-        assert reciprocity(single) == 0.0
-        mixed = DirectedGraph(
+        two_cycle = neg_graph(("a", "b"), {("a", "b"): 1, ("b", "a"): 1})
+        assert neg_reciprocity(two_cycle) == 1.0
+        single = neg_graph(("a", "b"), {("a", "b"): 1})
+        assert neg_reciprocity(single) == 0.0
+        mixed = neg_graph(
             ("a", "b", "c"), {("a", "b"): 1, ("b", "a"): 1, ("a", "c"): 1}
         )
-        assert reciprocity(mixed) == pytest.approx(2 / 3)
+        assert neg_reciprocity(mixed) == pytest.approx(2 / 3)
 
 
 # --- criterion 4: clustering oracle ---------------------------------------
 
-def simple_from_pairs(pairs, nodes):
-    neighbors = {n: set() for n in nodes}
-    for a, b in pairs:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    return SimpleGraph(nodes=tuple(nodes), neighbors=neighbors)
+class SimpleView:
+    """Undirected neighbor sets of a graph, as the oracle reads them."""
+
+    def __init__(self, graph):
+        self.nodes = graph.nodes
+        self.neighbors = {n: set() for n in graph.nodes}
+        for a, b in graph.edges:
+            self.neighbors[a].add(b)
+            self.neighbors[b].add(a)
+
+
+def graph_from_pairs(pairs, nodes):
+    return InteractionGraph(nodes=tuple(nodes), edges={p: (1, 0) for p in pairs}, top_k=15)
 
 
 def triple_enumeration_oracle(simple):
@@ -242,14 +252,13 @@ def triple_enumeration_oracle(simple):
 
 def test_criterion_4_clustering_oracle(capfd):
     with criterion(4, "clustering oracle", capfd):
-        tri = simple_from_pairs([("a", "b"), ("b", "c"), ("a", "c")], "abc")
-        r = clustering(tri)
-        assert r.global_coefficient == 1.0 and r.mean_local == 1.0
+        tri = node_table(graph_from_pairs([("a", "b"), ("b", "c"), ("a", "c")], "abc"))
+        assert tri.global_clustering == 1.0 and tri.mean_local_clustering == 1.0
 
-        k4_minus = simple_from_pairs(
+        k4_minus = graph_from_pairs(
             [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")], "abcd"
         )
-        assert clustering(k4_minus).mean_local == pytest.approx(5 / 6, abs=1e-12)
+        assert node_table(k4_minus).mean_local_clustering == pytest.approx(5 / 6, abs=1e-12)
 
         rng = random.Random(404)
         for _ in range(50):
@@ -261,11 +270,11 @@ def test_criterion_4_clustering_oracle(capfd):
                 for j in range(i + 1, n)
                 if rng.random() < 3.0 / n
             ]
-            simple = simple_from_pairs(pairs, nodes)
-            r = clustering(simple)
-            global_oracle, mean_local_oracle = triple_enumeration_oracle(simple)
-            assert r.global_coefficient == pytest.approx(global_oracle, abs=1e-12)
-            assert r.mean_local == pytest.approx(mean_local_oracle, abs=1e-12)
+            g = graph_from_pairs(pairs, nodes)
+            t = node_table(g)
+            global_oracle, mean_local_oracle = triple_enumeration_oracle(SimpleView(g))
+            assert t.global_clustering == pytest.approx(global_oracle, abs=1e-12)
+            assert t.mean_local_clustering == pytest.approx(mean_local_oracle, abs=1e-12)
 
 
 # --- criterion 5: segmentation decision table -----------------------------
@@ -313,9 +322,9 @@ def test_criterion_6_planted_structure_recovery(capfd):
         corp, planted = generate_corpus(params)
         neg_ws = vocab_word_set(params.neg_vocab, "negative")
         pos_ws = vocab_word_set(params.pos_vocab, "positive")
-        from askgraph.segmentation import classify_corpus
+        from askgraph.segmentation import classify_corpus, content_table
 
-        predicted = classify_corpus(corp, neg_ws, pos_ws)
+        predicted = classify_corpus(content_table(corp, neg_ws, pos_ws))
         assert predicted == planted  # zero label errors
         counts = {g: sum(1 for v in planted.values() if v == g) for g in GROUPS}
         assert counts == {"HN": 100, "HP": 200, "PN": 200, "OTHR": 500}
@@ -390,27 +399,24 @@ def test_criterion_8_metric_shapes(capfd):
             from askgraph.interaction import build_interaction_graph
 
             graph = build_interaction_graph(corp, vocab_word_set(("ugly", "hate"), "negative"))
-            splits = split_graph(graph)
+            t = node_table(graph)
 
-            assert merge_splits(splits) == graph.edges
+            for u in graph.nodes:  # neg + nonneg degree sums equal merged
+                assert t.neg.in_deg[u] + t.nonneg.in_deg[u] == t.merged.in_deg[u]
+                assert t.neg.out_deg[u] + t.nonneg.out_deg[u] == t.merged.out_deg[u]
 
-            for g in (splits.u_neg, splits.u_nonneg):
-                in_sum = sum(degree_vector(g, "in", True).values.values())
-                out_sum = sum(degree_vector(g, "out", True).values.values())
+            for counts in (t.neg, t.nonneg):
+                in_sum = sum(counts.in_deg.values())
+                out_sum = sum(counts.out_deg.values())
                 assert in_sum == out_sum
-                values = [v for v in degree_vector(g, "in", True).values.values() if v > 0]
+                values = [v for v in counts.in_deg.values() if v > 0]
                 if values:
                     curve = ccdf(values)
                     assert curve[0][1] == 1.0
                     fracs = [f for _, f in curve]
                     assert fracs == sorted(fracs, reverse=True)
 
-            merged = DirectedGraph(
-                nodes=graph.nodes, edges={k: sum(w) for k, w in graph.edges.items()}
-            )
-            in_deg = degree_vector(merged, "in", True)
-            out_deg = degree_vector(merged, "out", True)
-            assert top_overlap(in_deg, out_deg, 100) == 100.0
+            assert top_overlap(t.merged.in_deg, t.merged.out_deg, 100) == 100.0
 
 
 # --- criterion 9: end-to-end determinism ----------------------------------

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from askgraph import interaction, segmentation
 from askgraph.cli import load_config, main
 
 DATA = Path(__file__).parent / "data"
@@ -38,6 +39,30 @@ class TestArgs:
         rc = run("stats", "--config", cfg, "--out", tmp_path)
         assert rc == 0
         assert (tmp_path / "corpus_stats.json").exists()
+
+    def test_config_labels_names_one_file(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"corpus={DEMO}\nlabels={LABELS}\n", encoding="utf-8")
+        assert run("segment", "--config", cfg, "--out", tmp_path) == 0
+        lines = (tmp_path / "group_report.csv").read_text().splitlines()
+        assert len(lines) == 1 + 4 + 1
+        assert lines[-1].startswith("cutting,")
+
+    @pytest.mark.parametrize("command", ["stats", "pipeline"])
+    def test_config_unknown_key_names_key_and_line(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"corpus={DEMO}\n# typo below\ntreshold=0.9\n", encoding="utf-8")
+        assert run(command, "--config", cfg, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "[load_config]" in err
+        assert "line 3" in err and "'treshold'" in err
+        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
+
+    def test_config_bad_value_names_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"corpus={DEMO}\nthreshold=abc\n", encoding="utf-8")
+        assert run("stats", "--config", cfg, "--out", tmp_path) == 1
+        assert "[load_config] config line 2: threshold:" in capsys.readouterr().err
 
     def test_load_config_rejects_bad_lines(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -121,3 +146,23 @@ class TestDeterminism:
     def test_no_partial_files_on_success(self, tmp_path):
         assert run("metrics", "--corpus", DEMO, "--out", tmp_path) == 0
         assert not list(tmp_path.glob("*.partial"))
+
+
+class TestComputeOnce:
+    def test_pipeline_scans_triangles_once_and_counts_content_once(self, tmp_path, monkeypatch):
+        calls = {"clustering": 0, "user_content_stats": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(interaction, "clustering")
+        counting(segmentation, "user_content_stats")
+        assert run("pipeline", "--corpus", DEMO, "--labels", LABELS, "--out", tmp_path) == 0
+        n_profiles = sum(1 for line in DEMO.read_text().splitlines() if line.strip())
+        assert calls == {"clustering": 1, "user_content_stats": n_profiles}

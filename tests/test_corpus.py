@@ -102,6 +102,31 @@ class TestLoadCorpus:
             load_corpus(path)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("profile_fields,question_fields", [
+        ({"fully_sampled": "false"}, {}),
+        ({"fully_sampled": 0}, {}),
+        ({}, {"answer": None}),
+        ({}, {"answer": 3}),
+        ({}, {"like_count": True, "likers": ["b"]}),
+    ], ids=["sampled-string", "sampled-int", "answer-null", "answer-int", "likes-bool"])
+    def test_mistyped_field_reports_line(self, tmp_path, profile_fields, question_fields):
+        bad = {
+            "owner": "b",
+            "questions": [{"text": "hi", **question_fields}],
+            **profile_fields,
+        }
+        path = write_corpus_file(tmp_path, [{"owner": "a", "questions": []}, bad])
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert exc.value.line_no == 2
+
+    def test_absent_optional_fields_take_defaults(self, tmp_path):
+        path = write_corpus_file(tmp_path, [{"owner": "a", "questions": [{"text": "hi"}]}])
+        profile = load_corpus(path)["a"]
+        assert profile.fully_sampled is True
+        assert profile.questions[0].answer == ""
+        assert profile.questions[0].like_count == 0
+
     def test_save_load_round_trip_bytes(self, tmp_path):
         path = write_corpus_file(tmp_path, [{
             "owner": "a",

@@ -6,22 +6,16 @@ from hypothesis import strategies as st
 
 from askgraph.corpus import Corpus, Profile, Question
 from askgraph.interaction import (
-    DegreeVector,
-    DirectedGraph,
+    InteractionGraph,
     build_interaction_graph,
     ccdf,
-    clustering,
     compute_metrics,
     degree_ratio_cdf,
-    degree_vector,
     likes_answers_correlation,
     mean_local_clustering_vs_degree,
     mean_reciprocity_by_outdegree,
-    merge_splits,
-    node_reciprocity,
+    node_table,
     reciprocity,
-    split_graph,
-    to_simple,
     top_overlap,
 )
 from askgraph.synth import vocab_word_set
@@ -43,8 +37,11 @@ def profile(owner, questions, fully_sampled=True):
 
 
 def digraph(edges, nodes=None):
+    """A graph whose negative component carries the given scalar weights."""
     node_set = nodes or sorted({n for e in edges for n in e})
-    return DirectedGraph(nodes=tuple(node_set), edges=dict(edges))
+    return InteractionGraph(
+        nodes=tuple(node_set), edges={e: (w, 0) for e, w in edges.items()}, top_k=15
+    )
 
 
 class TestBuildInteractionGraph:
@@ -106,57 +103,55 @@ class TestBuildInteractionGraph:
 
 
 class TestSplitGraph:
+    """The neg/nonneg split of each edge, as the node table counts it."""
+
     def test_componentwise(self):
         corp = corpus_of([
             profile("u1", []),
             profile("u2", [("ugly a", ["u1"]), ("ugly b", ["u1"]), ("ok", ["u1"])]),
             profile("u3", [("clean", ["u1"])]),
         ])
-        g = build_interaction_graph(corp, NEG_WS)
-        s = split_graph(g)
-        assert s.u_neg.edges == {("u1", "u2"): 2}
-        assert s.u_nonneg.edges == {("u1", "u2"): 1, ("u1", "u3"): 1}
+        t = node_table(build_interaction_graph(corp, NEG_WS))
+        assert t.neg.out_edges == {"u1": 1, "u2": 0, "u3": 0}
+        assert t.neg.in_deg == {"u1": 0, "u2": 2, "u3": 0}
+        assert t.nonneg.out_edges == {"u1": 2, "u2": 0, "u3": 0}
+        assert t.nonneg.in_deg == {"u1": 0, "u2": 1, "u3": 1}
 
     def test_merge_round_trip(self):
+        # neg + nonneg degree sums equal the merged component's
         corp = corpus_of([
             profile("u1", []),
             profile("u2", [("ugly", ["u1"]), ("ok", ["u1"])]),
             profile("u3", [("hate", ["u2"])]),
         ])
-        g = build_interaction_graph(corp, NEG_WS)
-        assert merge_splits(split_graph(g)) == g.edges
+        t = node_table(build_interaction_graph(corp, NEG_WS))
+        for u in t.nodes:
+            assert t.neg.in_deg[u] + t.nonneg.in_deg[u] == t.merged.in_deg[u]
+            assert t.neg.out_deg[u] + t.nonneg.out_deg[u] == t.merged.out_deg[u]
 
     def test_weight_sums_preserved(self):
         g_edges = {("a", "b"): (2, 3), ("b", "c"): (0, 4), ("c", "a"): (5, 0)}
-        from askgraph.interaction import InteractionGraph
-        g = InteractionGraph(nodes=("a", "b", "c"), edges=g_edges, top_k=15)
-        s = split_graph(g)
-        total = sum(w for w in s.u_neg.edges.values()) + sum(
-            w for w in s.u_nonneg.edges.values()
-        )
+        t = node_table(InteractionGraph(nodes=("a", "b", "c"), edges=g_edges, top_k=15))
+        total = sum(t.neg.out_deg.values()) + sum(t.nonneg.out_deg.values())
         assert total == sum(a + b for a, b in g_edges.values())
 
 
-class TestDegreeVector:
+class TestDegrees:
     def test_star_weighted_in_degree(self):
         corp = corpus_of([
             profile("hub", [("ugly one", ["a", "b", "c"]), ("ugly two", ["a", "b", "c"])]),
             profile("a", []), profile("b", []), profile("c", []),
         ])
-        g = build_interaction_graph(corp, NEG_WS)
-        s = split_graph(g)
-        deg = degree_vector(s.u_neg, "in", weighted=True)
-        assert deg.values["hub"] == 6
+        t = node_table(build_interaction_graph(corp, NEG_WS))
+        assert t.neg.in_deg["hub"] == 6
 
     def test_empty_graph_all_zero(self):
-        g = digraph({}, nodes=["a", "b"])
-        assert all(v == 0 for v in degree_vector(g, "out", True).values.values())
+        t = node_table(digraph({}, nodes=["a", "b"]))
+        assert all(v == 0 for v in t.neg.out_deg.values())
 
     def test_flow_conservation(self):
-        g = digraph({("a", "b"): 3, ("b", "c"): 2, ("c", "a"): 7})
-        in_sum = sum(degree_vector(g, "in", True).values.values())
-        out_sum = sum(degree_vector(g, "out", True).values.values())
-        assert in_sum == out_sum
+        t = node_table(digraph({("a", "b"): 3, ("b", "c"): 2, ("c", "a"): 7}))
+        assert sum(t.neg.in_deg.values()) == sum(t.neg.out_deg.values())
 
 
 class TestCcdf:
@@ -178,20 +173,24 @@ class TestCcdf:
         assert fracs == sorted(fracs, reverse=True)
 
 
+def neg_reciprocity(g):
+    return reciprocity(node_table(g).neg)
+
+
 class TestReciprocity:
     def test_two_cycle(self):
-        assert reciprocity(digraph({("a", "b"): 1, ("b", "a"): 1})) == 1.0
+        assert neg_reciprocity(digraph({("a", "b"): 1, ("b", "a"): 1})) == 1.0
 
     def test_single_edge(self):
-        assert reciprocity(digraph({("a", "b"): 1})) == 0.0
+        assert neg_reciprocity(digraph({("a", "b"): 1})) == 0.0
 
     def test_two_thirds(self):
         g = digraph({("a", "b"): 1, ("b", "a"): 1, ("a", "c"): 1})
-        assert reciprocity(g) == pytest.approx(2 / 3)
+        assert neg_reciprocity(g) == pytest.approx(2 / 3)
 
     def test_zero_edges_rejected(self):
         with pytest.raises(ValueError):
-            reciprocity(digraph({}, nodes=["a"]))
+            neg_reciprocity(digraph({}, nodes=["a"]))
 
     def brute_force(self, g):
         count = recip = 0
@@ -217,46 +216,44 @@ class TestReciprocity:
         if not edges:
             edges[(nodes[0], nodes[1])] = 1
         g = digraph(edges, nodes=nodes)
-        assert reciprocity(g) == self.brute_force(g)
+        assert neg_reciprocity(g) == self.brute_force(g)
 
 
 class TestReciprocityByOutdegree:
     def test_two_cycle_single_bin(self):
-        g = digraph({("a", "b"): 1, ("b", "a"): 1})
-        assert mean_reciprocity_by_outdegree(g) == [(1, 2, 1.0, 2)]
+        t = node_table(digraph({("a", "b"): 1, ("b", "a"): 1}))
+        assert mean_reciprocity_by_outdegree(t.neg) == [(1, 2, 1.0, 2)]
 
     def test_hand_counts(self):
-        g = digraph({("a", "b"): 1, ("a", "c"): 1, ("b", "a"): 1})
-        per = node_reciprocity(g)
+        t = node_table(digraph({("a", "b"): 1, ("a", "c"): 1, ("b", "a"): 1}))
+        per = t.neg.node_reciprocity
         assert per["a"] == 0.5 and per["b"] == 1.0
 
     def test_zero_outdegree_excluded(self):
-        g = digraph({("a", "b"): 1})
-        rows = mean_reciprocity_by_outdegree(g)
+        t = node_table(digraph({("a", "b"): 1}))
+        rows = mean_reciprocity_by_outdegree(t.neg)
         assert sum(n for _, _, _, n in rows) == 1  # only node a binned
 
 
 class TestTopOverlap:
     def test_identical_rankings(self):
         vals = {f"n{i}": float(i) for i in range(10)}
-        in_deg = DegreeVector("in", True, dict(vals))
-        out_deg = DegreeVector("out", True, dict(vals))
         for x in (1, 10, 50, 100):
-            assert top_overlap(in_deg, out_deg, x) == 100.0
+            assert top_overlap(vals, dict(vals), x) == 100.0
 
     def test_anti_correlated(self):
         n = 100
-        in_deg = DegreeVector("in", True, {f"n{i:03d}": float(i) for i in range(n)})
-        out_deg = DegreeVector("out", True, {f"n{i:03d}": float(n - i) for i in range(n)})
+        in_deg = {f"n{i:03d}": float(i) for i in range(n)}
+        out_deg = {f"n{i:03d}": float(n - i) for i in range(n)}
         assert top_overlap(in_deg, out_deg, 10) == 0.0
 
     def test_full_sets_always_100(self):
-        in_deg = DegreeVector("in", True, {"a": 1.0, "b": 5.0, "c": 0.0})
-        out_deg = DegreeVector("out", True, {"a": 9.0, "b": 0.0, "c": 2.0})
+        in_deg = {"a": 1.0, "b": 5.0, "c": 0.0}
+        out_deg = {"a": 9.0, "b": 0.0, "c": 2.0}
         assert top_overlap(in_deg, out_deg, 100) == 100.0
 
     def test_empty_rejected(self):
-        empty = DegreeVector("in", True, {})
+        empty = {}
         with pytest.raises(ValueError):
             top_overlap(empty, empty, 10)
 
@@ -264,15 +261,13 @@ class TestTopOverlap:
 class TestDegreeRatioCdf:
     def test_all_balanced(self):
         deg = {f"n{i}": float(i + 1) for i in range(5)}
-        curve, within = degree_ratio_cdf(
-            DegreeVector("out", True, deg), DegreeVector("in", True, deg)
-        )
+        curve, within = degree_ratio_cdf(deg, deg)
         assert within == 1.0
         assert curve == [(1.0, 1.0)]
 
     def test_ratio_outside_band(self):
-        out_deg = DegreeVector("out", True, {"a": 4.0})
-        in_deg = DegreeVector("in", True, {"a": 2.0})
+        out_deg = {"a": 4.0}
+        in_deg = {"a": 2.0}
         _, within = degree_ratio_cdf(out_deg, in_deg)
         assert within == 0.0
 
@@ -281,9 +276,7 @@ class TestDegreeRatioCdf:
         rng = random.Random(7)
         out_vals = {f"n{i}": float(rng.randint(0, 10)) for i in range(10)}
         in_vals = {f"n{i}": float(rng.randint(0, 10)) for i in range(10)}
-        curve, _ = degree_ratio_cdf(
-            DegreeVector("out", True, out_vals), DegreeVector("in", True, in_vals)
-        )
+        curve, _ = degree_ratio_cdf(out_vals, in_vals)
         ratios = sorted(
             out_vals[u] / in_vals[u] for u in in_vals if in_vals[u] > 0
         )
@@ -291,56 +284,62 @@ class TestDegreeRatioCdf:
             assert frac == pytest.approx(sum(1 for x in ratios if x <= r) / len(ratios))
 
     def test_no_positive_in_degree_rejected(self):
-        zero = DegreeVector("in", True, {"a": 0.0})
-        out = DegreeVector("out", True, {"a": 1.0})
+        zero = {"a": 0.0}
+        out = {"a": 1.0}
         with pytest.raises(ValueError):
             degree_ratio_cdf(out, zero)
 
 
+def graph_from_pairs(pairs, nodes=None):
+    """One negative edge per pair, in the given direction."""
+    node_set = nodes or sorted({n for p in pairs for n in p})
+    return InteractionGraph(
+        nodes=tuple(node_set), edges={p: (1, 0) for p in pairs}, top_k=15
+    )
+
+
 class TestToSimple:
-    def make(self, edges):
-        from askgraph.interaction import InteractionGraph
-        nodes = tuple(sorted({n for e in edges for n in e}))
-        return InteractionGraph(nodes=nodes, edges={e: (1, 0) for e in edges}, top_k=15)
+    """The binarized undirected view: a<->b is one undirected edge."""
 
     def test_single_direction(self):
-        s = to_simple(self.make([("a", "b")]))
-        assert s.neighbors["a"] == {"b"} and s.neighbors["b"] == {"a"}
+        t = node_table(graph_from_pairs([("a", "b")]))
+        assert t.degree == {"a": 1, "b": 1}
 
     def test_bidirectional_merges(self):
-        s = to_simple(self.make([("a", "b"), ("b", "a")]))
-        assert s.n_edges == 1
+        t = node_table(graph_from_pairs([("a", "b"), ("b", "a")]))
+        assert t.degree == {"a": 1, "b": 1}
 
     def test_edge_count_bound(self):
-        g = self.make([("a", "b"), ("b", "a"), ("a", "c"), ("c", "b")])
-        assert to_simple(g).n_edges <= len(g.edges)
+        g = graph_from_pairs([("a", "b"), ("b", "a"), ("a", "c"), ("c", "b")])
+        assert sum(node_table(g).degree.values()) // 2 <= len(g.edges)
 
 
-def simple_from_pairs(pairs, nodes=None):
-    from askgraph.interaction import SimpleGraph
-    node_set = nodes or sorted({n for p in pairs for n in p})
-    neighbors = {n: set() for n in node_set}
-    for a, b in pairs:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    return SimpleGraph(nodes=tuple(node_set), neighbors=neighbors)
+class SimpleView:
+    """Undirected neighbor sets of a graph, as the oracle reads them."""
+
+    def __init__(self, graph):
+        self.nodes = graph.nodes
+        self.neighbors = {n: set() for n in graph.nodes}
+        for a, b in graph.edges:
+            self.neighbors[a].add(b)
+            self.neighbors[b].add(a)
 
 
 class TestClustering:
     def test_triangle(self):
-        r = clustering(simple_from_pairs([("a", "b"), ("b", "c"), ("a", "c")]))
-        assert r.global_coefficient == 1.0
-        assert r.mean_local == 1.0
+        t = node_table(graph_from_pairs([("a", "b"), ("b", "c"), ("a", "c")]))
+        assert t.global_clustering == 1.0
+        assert t.mean_local_clustering == 1.0
 
     def test_k4_minus_edge(self):
         pairs = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
-        r = clustering(simple_from_pairs(pairs))
-        assert r.mean_local == pytest.approx(5 / 6, abs=1e-12)
+        t = node_table(graph_from_pairs(pairs))
+        assert t.mean_local_clustering == pytest.approx(5 / 6, abs=1e-12)
 
     def test_path_of_three(self):
-        r = clustering(simple_from_pairs([("a", "b"), ("b", "c")]))
-        assert r.global_coefficient == 0.0
-        assert r.mean_local == 0.0
+        t = node_table(graph_from_pairs([("a", "b"), ("b", "c")]))
+        assert t.global_clustering == 0.0
+        assert t.mean_local_clustering == 0.0
 
     def oracle(self, simple):
         """Triple enumeration over unordered node triples."""
@@ -389,22 +388,22 @@ class TestClustering:
             for b in nodes[i + 1:]
             if rng.random() < 0.25
         ]
-        simple = simple_from_pairs(pairs, nodes=nodes)
-        r = clustering(simple)
-        g_oracle, ml_oracle = self.oracle(simple)
-        assert r.global_coefficient == pytest.approx(g_oracle, abs=1e-12)
-        assert r.mean_local == pytest.approx(ml_oracle, abs=1e-12)
+        g = graph_from_pairs(pairs, nodes=nodes)
+        t = node_table(g)
+        g_oracle, ml_oracle = self.oracle(SimpleView(g))
+        assert t.global_clustering == pytest.approx(g_oracle, abs=1e-12)
+        assert t.mean_local_clustering == pytest.approx(ml_oracle, abs=1e-12)
 
 
 class TestClusteringVsDegree:
     def test_triangle_single_point(self):
-        s = simple_from_pairs([("a", "b"), ("b", "c"), ("a", "c")])
-        assert mean_local_clustering_vs_degree(s) == [(2, 1.0)]
+        t = node_table(graph_from_pairs([("a", "b"), ("b", "c"), ("a", "c")]))
+        assert mean_local_clustering_vs_degree(t) == [(2, 1.0)]
 
     def test_star(self):
         pairs = [("hub", f"l{i}") for i in range(4)]
-        s = simple_from_pairs(pairs)
-        assert mean_local_clustering_vs_degree(s) == [(1, 0.0), (4, 0.0)]
+        t = node_table(graph_from_pairs(pairs))
+        assert mean_local_clustering_vs_degree(t) == [(1, 0.0), (4, 0.0)]
 
 
 class TestLikesAnswersCorrelation:
@@ -445,7 +444,7 @@ class TestComputeMetrics:
             profile("u3", [("nice", ["u1"])]),
         ])
         g = build_interaction_graph(corp, NEG_WS)
-        report = compute_metrics(corp, g, split_graph(g))
+        report = compute_metrics(corp, node_table(g))
         assert 0.0 <= report.mean_reciprocity <= 1.0
         for curve in report.ccdf_curves.values():
             assert curve[0][1] == 1.0

@@ -3,13 +3,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from askgraph.corpus import Corpus, Profile, Question
-from askgraph.interaction import build_interaction_graph, split_graph, to_simple
+from askgraph.interaction import build_interaction_graph, node_table
 from askgraph.segmentation import (
     GROUPS,
     LabelFile,
     UserContentStats,
     classify_corpus,
     classify_user,
+    content_table,
     group_report,
     labeled_report,
     load_label_file,
@@ -94,9 +95,9 @@ class TestClassifyUser:
         assert classify_user(stats(neg, pos)) in GROUPS
 
 
-def build_graphs(corp):
-    g = build_interaction_graph(corp, NEG)
-    return split_graph(g), to_simple(g)
+def build_tables(corp):
+    """The per-user content table and the graph's node table."""
+    return content_table(corp, NEG, POS), node_table(build_interaction_graph(corp, NEG))
 
 
 class TestGroupReport:
@@ -109,9 +110,9 @@ class TestGroupReport:
 
     def test_counts_partition_corpus(self):
         corp = self.make_corpus()
-        labels = classify_corpus(corp, NEG, POS)
-        splits, simple = build_graphs(corp)
-        report = group_report(corp, labels, NEG, POS, splits, simple)
+        content, table = build_tables(corp)
+        labels = classify_corpus(content)
+        report = group_report(corp, labels, content, table)
         assert sum(r.count for r in report.rows) == len(corp)
         assert report.row("HN").count == 1
         assert report.row("HP").count == 1
@@ -120,26 +121,26 @@ class TestGroupReport:
 
     def test_empty_group_has_null_means(self):
         corp = self.make_corpus()
-        labels = classify_corpus(corp, NEG, POS)
-        splits, simple = build_graphs(corp)
-        row = group_report(corp, labels, NEG, POS, splits, simple).row("PN")
+        content, table = build_tables(corp)
+        labels = classify_corpus(content)
+        row = group_report(corp, labels, content, table).row("PN")
         assert row.count == 0
         assert row.mean_neg_in_degree is None
         assert row.likes_per_answer is None
 
     def test_single_user_corpus(self):
         corp = Corpus({"a": profile("a", ["hello"])})
-        labels = classify_corpus(corp, NEG, POS)
-        splits, simple = build_graphs(corp)
-        report = group_report(corp, labels, NEG, POS, splits, simple)
+        content, table = build_tables(corp)
+        labels = classify_corpus(content)
+        report = group_report(corp, labels, content, table)
         assert report.row("OTHR").count == 1
         assert sum(r.count for r in report.rows) == 1
 
     def test_group_means_match_brute_force(self):
         corp = self.make_corpus()
-        labels = classify_corpus(corp, NEG, POS)
-        splits, simple = build_graphs(corp)
-        report = group_report(corp, labels, NEG, POS, splits, simple)
+        content, table = build_tables(corp)
+        labels = classify_corpus(content)
+        report = group_report(corp, labels, content, table)
         for row in report.rows:
             members = [u for u, g in labels.items() if g == row.name]
             if not members:
@@ -151,9 +152,9 @@ class TestGroupReport:
 
     def test_group_totals_reconstruct_corpus_totals(self):
         corp = self.make_corpus()
-        labels = classify_corpus(corp, NEG, POS)
-        splits, simple = build_graphs(corp)
-        report = group_report(corp, labels, NEG, POS, splits, simple)
+        content, table = build_tables(corp)
+        labels = classify_corpus(content)
+        report = group_report(corp, labels, content, table)
         total = sum(
             r.count * r.mean_answers for r in report.rows if r.count
         )
@@ -166,27 +167,27 @@ class TestLabeledReport:
             profile("a", ["ugly x", "nice y"]),
             profile("b", ["hello"]),
         ]})
-        splits, simple = build_graphs(corp)
+        content, table = build_tables(corp)
         lf = LabelFile(label="cutting", user_ids=frozenset({"a"}))
-        row = labeled_report(corp, lf, NEG, POS, splits, simple)
+        row = labeled_report(corp, lf, content, table)
         assert row.count == 1
         assert row.mean_neg_questions == 1.0
         assert row.unresolved_ids == ()
 
     def test_unknown_ids_reported(self):
         corp = Corpus({"a": profile("a", ["ugly x"])})
-        splits, simple = build_graphs(corp)
+        content, table = build_tables(corp)
         lf = LabelFile(label="cutting", user_ids=frozenset({"a", "ghost"}))
-        row = labeled_report(corp, lf, NEG, POS, splits, simple)
+        row = labeled_report(corp, lf, content, table)
         assert row.count == 1
         assert row.unresolved_ids == ("ghost",)
 
     def test_empty_intersection_rejected(self):
         corp = Corpus({"a": profile("a", ["hello"])})
-        splits, simple = build_graphs(corp)
+        content, table = build_tables(corp)
         lf = LabelFile(label="cutting", user_ids=frozenset({"ghost"}))
         with pytest.raises(ValueError):
-            labeled_report(corp, lf, NEG, POS, splits, simple)
+            labeled_report(corp, lf, content, table)
 
 
 class TestLabelFileIO:

@@ -3,7 +3,7 @@ import io
 import pytest
 
 from askgraph.corpus import Corpus, Profile, Question, save_corpus
-from askgraph.segmentation import classify_corpus
+from askgraph.segmentation import classify_corpus, content_table
 from askgraph.synth import (
     GenParams,
     SplitMix64,
@@ -84,17 +84,17 @@ class TestGenerateCorpus:
     def test_all_hn_mix_classifies_hn(self):
         p = params(n_users=10, group_mix={"HN": 1.0})
         corp, labels = generate_corpus(p)
-        pred = classify_corpus(
+        pred = classify_corpus(content_table(
             corp, vocab_word_set(NEG_VOCAB, "negative"), vocab_word_set(POS_VOCAB, "positive")
-        )
+        ))
         assert set(pred.values()) == {"HN"}
         assert pred == labels
 
     def test_planted_labels_recovered(self):
         corp, labels = generate_corpus(params(n_users=100))
-        pred = classify_corpus(
+        pred = classify_corpus(content_table(
             corp, vocab_word_set(NEG_VOCAB, "negative"), vocab_word_set(POS_VOCAB, "positive")
-        )
+        ))
         assert pred == labels
 
     def test_infeasible_params_rejected(self):
