@@ -8,12 +8,13 @@ from .corpus import (  # noqa: F401
     Lexicon,
     Profile,
     Question,
-    TaggedQuestion,
+    TaggedCorpus,
     corpus_stats,
+    hit_counts,
     load_corpus,
     load_lexicon,
     save_corpus,
-    tag_question,
+    tag_corpus,
     tokenize,
 )
 from .wordgraph import (  # noqa: F401
@@ -25,7 +26,6 @@ from .wordgraph import (  # noqa: F401
     build_bipartite,
     cooccurrence_distribution,
     eigenvector_centrality,
-    project_users,
     project_words,
     select_top_words,
     word_neighborhood,

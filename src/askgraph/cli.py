@@ -1,6 +1,10 @@
 """Command-line front end: one subcommand per analysis, plus `pipeline` to
 run everything in order.
 
+An analysis command is a tuple of output writers over one `_Run`, whose
+stages are computed on first use and cached, so `pipeline` is the union of
+the other commands' writers and never computes a stage twice.
+
 All outputs are plain CSV / JSON / text files written atomically. Identical
 inputs always produce byte-identical outputs; randomness exists only in
 `synth` and `crawl-sim`, which require an explicit --seed.
@@ -9,7 +13,7 @@ inputs always produce byte-identical outputs; randomness exists only in
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
 from pathlib import Path
 
@@ -150,121 +154,180 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
             raise ValueError(f"config line {line_no}: {key}: {exc}") from exc
 
 
-def _load_inputs(args):
-    if not args.corpus:
-        raise ValueError("--corpus is required (flag or config)")
-    corp = _stage("load_corpus", corpus_mod.load_corpus, args.corpus)
-    neg_path = args.neg_lexicon or bundled_lexicon_path("negative")
-    pos_path = args.pos_lexicon or bundled_lexicon_path("positive")
-    neg = _stage("load_lexicon", corpus_mod.load_lexicon, neg_path, "negative")
-    pos = _stage("load_lexicon", corpus_mod.load_lexicon, pos_path, "positive")
-    return corp, neg, pos
+def _staged(name: str):
+    """Make a method a stage: it runs under `_stage` with the error name
+    `name` on first use, and its result is cached on the instance."""
+
+    def decorate(method):
+        @functools.wraps(method)
+        def compute(self):
+            return _stage(name, method, self)
+
+        return functools.cached_property(compute)
+
+    return decorate
 
 
-def _select_words(corp, lexicon, polarity, args):
-    bip = _stage("build_bipartite", wg_mod.build_bipartite, corp, lexicon)
-    graph = _stage("project_words", wg_mod.project_words, bip)
-    scores = _stage(
-        "eigenvector_centrality", wg_mod.eigenvector_centrality,
-        graph, tol=args.tol, max_iter=args.max_iter,
-    )
-    word_set = _stage(
-        "select_top_words", wg_mod.select_top_words,
-        scores, polarity, threshold=args.threshold, cap=args.cap,
-    )
-    return bip, graph, scores, word_set
+class _Words:
+    """The word-selection stages of one polarity."""
 
+    def __init__(self, run: _Run, polarity: str):
+        self.run = run
+        self.polarity = polarity
 
-def _build_interaction(corp, neg_set, args):
-    return _stage(
-        "build_interaction_graph", inter_mod.build_interaction_graph,
-        corp, neg_set, top_k=args.top_k,
-    )
+    @_staged("build_bipartite")
+    def bipartite(self):
+        return wg_mod.build_bipartite(self.run.tagged, self.run.lexicons[self.polarity])
 
+    @_staged("project_words")
+    def graph(self):
+        return wg_mod.project_words(self.bipartite)
 
-def cmd_stats(args) -> None:
-    corp, neg, pos = _load_inputs(args)
-    stats = _stage("corpus_stats", corpus_mod.corpus_stats, corp, neg, pos)
-    reports.write_corpus_stats(Path(args.out) / "corpus_stats.json", stats)
+    @_staged("eigenvector_centrality")
+    def scores(self):
+        args = self.run.args
+        return wg_mod.eigenvector_centrality(self.graph, tol=args.tol, max_iter=args.max_iter)
 
-
-def cmd_words(args) -> None:
-    corp, neg, pos = _load_inputs(args)
-    out = Path(args.out)
-    for polarity, lexicon in (("negative", neg), ("positive", pos)):
-        _, graph, scores, word_set = _select_words(corp, lexicon, polarity, args)
-        reports.write_word_set(out / f"wordset_{polarity}.txt", word_set,
-                               args.threshold, args.cap)
-        reports.write_word_graph(
-            out / f"wordgraph_{polarity}_edges.csv",
-            out / f"wordgraph_{polarity}_nodes.csv",
-            graph, scores,
+    @_staged("select_top_words")
+    def word_set(self):
+        args = self.run.args
+        return wg_mod.select_top_words(
+            self.scores, self.polarity, threshold=args.threshold, cap=args.cap
         )
 
 
-def cmd_graph(args) -> None:
-    corp, neg, _pos = _load_inputs(args)
-    _, _, _, neg_set = _select_words(corp, neg, "negative", args)
-    graph = _build_interaction(corp, neg_set, args)
-    reports.write_interaction_graph(Path(args.out) / "interaction_edges.csv", graph)
+class _Run:
+    """The stages and output writers of one analysis command. Each stage is
+    computed on first use and cached, so writers share every stage they read."""
+
+    def __init__(self, args: argparse.Namespace):
+        if not args.corpus:
+            raise ValueError("--corpus is required (flag or config)")
+        self.args = args
+        self.out = Path(args.out)
+        self.words = {polarity: _Words(self, polarity) for polarity in ("negative", "positive")}
+
+    @_staged("load_corpus")
+    def corpus(self):
+        return corpus_mod.load_corpus(self.args.corpus)
+
+    @_staged("load_lexicon")
+    def lexicons(self):
+        paths = {"negative": self.args.neg_lexicon, "positive": self.args.pos_lexicon}
+        return {
+            polarity: corpus_mod.load_lexicon(path or bundled_lexicon_path(polarity), polarity)
+            for polarity, path in paths.items()
+        }
+
+    @_staged("tag_corpus")
+    def tagged(self):
+        corpus = self.corpus
+        vocab = self.lexicons["negative"].words | self.lexicons["positive"].words
+        if self.args.command == "cooccur":
+            vocab |= {self.args.word}
+        return corpus_mod.tag_corpus(corpus, vocab)
+
+    @_staged("corpus_stats")
+    def stats(self):
+        return corpus_mod.corpus_stats(
+            self.tagged, self.lexicons["negative"], self.lexicons["positive"]
+        )
+
+    @_staged("build_interaction_graph")
+    def interaction(self):
+        return inter_mod.build_interaction_graph(
+            self.tagged, self.words["negative"].word_set, top_k=self.args.top_k
+        )
+
+    @_staged("node_table")
+    def table(self):
+        return inter_mod.node_table(self.interaction)
+
+    @_staged("compute_metrics")
+    def metrics(self):
+        return inter_mod.compute_metrics(self.corpus, self.table)
+
+    @_staged("content_table")
+    def content(self):
+        return seg_mod.content_table(
+            self.tagged, self.words["negative"].word_set, self.words["positive"].word_set
+        )
+
+    @_staged("classify")
+    def labels(self):
+        return seg_mod.classify_corpus(self.content)
+
+    @_staged("group_report")
+    def groups(self):
+        return seg_mod.group_report(self.corpus, self.labels, self.content, self.table)
+
+    @_staged("load_label_file")
+    def label_files(self):
+        return [seg_mod.load_label_file(path) for path in self.args.labels]
+
+    @_staged("labeled_report")
+    def label_rows(self):
+        return [
+            seg_mod.labeled_report(self.corpus, label_file, self.content, self.table)
+            for label_file in self.label_files
+        ]
+
+    @_staged("cooccurrence_distribution")
+    def cooccurrence(self):
+        words = self.words[self.args.polarity].word_set
+        return wg_mod.cooccurrence_distribution(self.tagged, self.args.word, words)
+
+    @_staged("word_neighborhood")
+    def neighborhood(self):
+        words = self.words[self.args.polarity]
+        return wg_mod.word_neighborhood(words.graph, self.args.word, words.scores)
+
+    def write_stats(self) -> None:
+        reports.write_corpus_stats(self.out / "corpus_stats.json", self.stats)
+
+    def write_words(self) -> None:
+        for polarity, words in self.words.items():
+            reports.write_word_set(self.out / f"wordset_{polarity}.txt", words.word_set,
+                                   self.args.threshold, self.args.cap)
+            reports.write_word_graph(
+                self.out / f"wordgraph_{polarity}_edges.csv",
+                self.out / f"wordgraph_{polarity}_nodes.csv",
+                words.graph, words.scores,
+            )
+
+    def write_graph(self) -> None:
+        reports.write_interaction_graph(self.out / "interaction_edges.csv", self.interaction)
+
+    def write_metrics(self) -> None:
+        reports.write_metrics(self.out, self.metrics)
+
+    def write_segment(self) -> None:
+        reports.write_group_report(self.out / "group_report.csv", self.groups, self.label_rows)
+
+    def write_cooccur(self) -> None:
+        reports.write_frequency_vector(self.out / f"cooccur_{self.args.word}.csv",
+                                       self.cooccurrence)
+
+    def write_neighborhood(self) -> None:
+        reports.write_neighborhood(self.out / f"neighborhood_{self.args.word}.csv",
+                                   self.args.word, self.neighborhood)
 
 
-def cmd_metrics(args) -> None:
-    corp, neg, _pos = _load_inputs(args)
-    _, _, _, neg_set = _select_words(corp, neg, "negative", args)
-    graph = _build_interaction(corp, neg_set, args)
-    table = _stage("node_table", inter_mod.node_table, graph)
-    report = _stage("compute_metrics", inter_mod.compute_metrics, corp, table)
-    reports.write_metrics(args.out, report)
-
-
-def _segment(args, corp, neg_set, pos_set, table):
-    content = _stage("content_table", seg_mod.content_table, corp, neg_set, pos_set)
-    labels = _stage("classify", seg_mod.classify_corpus, content)
-    report = _stage("group_report", seg_mod.group_report, corp, labels, content, table)
-    label_rows = []
-    for label_path in getattr(args, "labels", []):
-        lf = _stage("load_label_file", seg_mod.load_label_file, label_path)
-        label_rows.append(_stage(
-            "labeled_report", seg_mod.labeled_report, corp, lf, content, table,
-        ))
-    return report, label_rows
-
-
-def cmd_segment(args) -> None:
-    corp, neg, pos = _load_inputs(args)
-    _, _, _, neg_set = _select_words(corp, neg, "negative", args)
-    _, _, _, pos_set = _select_words(corp, pos, "positive", args)
-    graph = _build_interaction(corp, neg_set, args)
-    table = _stage("node_table", inter_mod.node_table, graph)
-    report, label_rows = _segment(args, corp, neg_set, pos_set, table)
-    reports.write_group_report(Path(args.out) / "group_report.csv", report, label_rows)
-
-
-def cmd_cooccur(args) -> None:
-    corp, neg, pos = _load_inputs(args)
-    lexicon = neg if args.polarity == "negative" else pos
-    _, _, _, word_set = _select_words(corp, lexicon, args.polarity, args)
-    vector = _stage(
-        "cooccurrence_distribution", wg_mod.cooccurrence_distribution,
-        corp, args.word, word_set,
-    )
-    reports.write_frequency_vector(Path(args.out) / f"cooccur_{args.word}.csv", vector)
-
-
-def cmd_neighborhood(args) -> None:
-    corp, neg, pos = _load_inputs(args)
-    lexicon = neg if args.polarity == "negative" else pos
-    _, graph, scores, _ = _select_words(corp, lexicon, args.polarity, args)
-    records = _stage("word_neighborhood", wg_mod.word_neighborhood, graph, args.word, scores)
-    reports.write_neighborhood(Path(args.out) / f"neighborhood_{args.word}.csv",
-                               args.word, records)
-
-
-def _atomic_save_corpus(corp, path: Path) -> None:
-    partial = path.with_name(path.name + ".partial")
-    corpus_mod.save_corpus(corp, partial)
-    os.replace(partial, path)
+# Each analysis command is the tuple of output writers it runs, in order.
+_WRITERS = {
+    "stats": (_Run.write_stats,),
+    "words": (_Run.write_words,),
+    "graph": (_Run.write_graph,),
+    "metrics": (_Run.write_metrics,),
+    "segment": (_Run.write_segment,),
+    "cooccur": (_Run.write_cooccur,),
+    "neighborhood": (_Run.write_neighborhood,),
+}
+_WRITERS["pipeline"] = tuple(
+    write
+    for command in ("words", "stats", "graph", "metrics", "segment")
+    for write in _WRITERS[command]
+)
 
 
 def cmd_synth(args) -> None:
@@ -294,7 +357,7 @@ def cmd_synth(args) -> None:
     corp, labels = _stage("generate_corpus", synth_mod.generate_corpus, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_save_corpus(corp, out / "corpus.jsonl")
+    corpus_mod.save_corpus(corp, out / "corpus.jsonl")
     for group in synth_mod.GROUP_ORDER:
         members = [u for u, g in labels.items() if g == group]
         reports.write_label_file(out / f"labels_{group}.txt", group, members)
@@ -308,7 +371,7 @@ def cmd_crawl_sim(args) -> None:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_save_corpus(sampled.corpus, out / "sampled_corpus.jsonl")
+    corpus_mod.save_corpus(sampled.corpus, out / "sampled_corpus.jsonl")
     with reports.atomic_write(out / "crawl_order.txt") as fh:
         for uid in sampled.crawl_order:
             fh.write(uid + "\n")
@@ -317,45 +380,9 @@ def cmd_crawl_sim(args) -> None:
             fh.write(uid + "\n")
 
 
-def cmd_pipeline(args) -> None:
-    out = Path(args.out)
-    corp, neg, pos = _load_inputs(args)
-
-    _, neg_graph, neg_scores, neg_set = _select_words(corp, neg, "negative", args)
-    reports.write_word_set(out / "wordset_negative.txt", neg_set, args.threshold, args.cap)
-    reports.write_word_graph(out / "wordgraph_negative_edges.csv",
-                             out / "wordgraph_negative_nodes.csv", neg_graph, neg_scores)
-
-    _, pos_graph, pos_scores, pos_set = _select_words(corp, pos, "positive", args)
-    reports.write_word_set(out / "wordset_positive.txt", pos_set, args.threshold, args.cap)
-    reports.write_word_graph(out / "wordgraph_positive_edges.csv",
-                             out / "wordgraph_positive_nodes.csv", pos_graph, pos_scores)
-
-    stats = _stage("corpus_stats", corpus_mod.corpus_stats, corp, neg, pos)
-    reports.write_corpus_stats(out / "corpus_stats.json", stats)
-
-    graph = _build_interaction(corp, neg_set, args)
-    reports.write_interaction_graph(out / "interaction_edges.csv", graph)
-
-    table = _stage("node_table", inter_mod.node_table, graph)
-    metrics = _stage("compute_metrics", inter_mod.compute_metrics, corp, table)
-    reports.write_metrics(out, metrics)
-
-    report, label_rows = _segment(args, corp, neg_set, pos_set, table)
-    reports.write_group_report(out / "group_report.csv", report, label_rows)
-
-
 _COMMANDS = {
-    "stats": cmd_stats,
-    "words": cmd_words,
-    "graph": cmd_graph,
-    "metrics": cmd_metrics,
-    "segment": cmd_segment,
-    "cooccur": cmd_cooccur,
-    "neighborhood": cmd_neighborhood,
     "synth": cmd_synth,
     "crawl-sim": cmd_crawl_sim,
-    "pipeline": cmd_pipeline,
 }
 
 
@@ -364,7 +391,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _stage("load_config", _apply_config, args, argv)
-        _COMMANDS[args.command](args)
+        if args.command in _COMMANDS:
+            _COMMANDS[args.command](args)
+        else:
+            run = _Run(args)
+            for write in _WRITERS[args.command]:
+                write(run)
     except StageError as exc:
         print(f"askgraph: error {exc}", file=sys.stderr)
         return 1

@@ -1,19 +1,22 @@
-"""Corpus and lexicon loading, tokenization, and question tagging.
+"""Corpus and lexicon loading, tokenization, and the tagged corpus.
 
 The corpus file format is line-delimited JSON: one profile object per line
 with fields ``owner`` (string), ``fully_sampled`` (bool) and ``questions``
 (array of ``{text, answer, likers, like_count}``). Questions are normalized
 to like_count-descending order on load.
+
+`tag_corpus` is the only caller of `tokenize`: every analysis reads the
+lexicon hits it keeps per question.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Container, Iterable
 
 
 class CorpusFormatError(ValueError):
@@ -87,11 +90,15 @@ class Lexicon:
 
 
 @dataclass(frozen=True)
-class TaggedQuestion:
-    is_negative: bool
-    is_positive: bool
-    neg_words: Counter
-    pos_words: Counter
+class TaggedCorpus(Corpus):
+    """A corpus with the vocabulary words of each question's text.
+
+    `hits[owner][i]` holds the tokens of question i of that profile that are
+    in `vocab`, in occurrence order (so repeated words count), as the
+    vocabulary's own string objects. Answers are never scanned."""
+
+    vocab: frozenset[str] = frozenset()
+    hits: dict[str, tuple[tuple[str, ...], ...]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -182,13 +189,15 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a Corpus in the canonical line-delimited format.
+    """Write a Corpus in the canonical line-delimited format, atomically
+    (`<path>.partial`, then a rename).
 
     Output is deterministic: fixed key order, compact separators, question
     order as stored (like_count descending). load_corpus(save_corpus(c))
     round-trips byte-identically.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    partial = Path(path).with_name(Path(path).name + ".partial")
+    with open(partial, "w", encoding="utf-8") as fh:
         for profile in corpus:
             record = {
                 "owner": profile.owner,
@@ -205,6 +214,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             }
             fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
+    os.replace(partial, path)
 
 
 def load_lexicon(path: str | Path, polarity: str) -> Lexicon:
@@ -225,53 +235,57 @@ def load_lexicon(path: str | Path, polarity: str) -> Lexicon:
     return Lexicon(polarity=polarity, words=frozenset(words))
 
 
-def tag_question(question: Question, neg: Lexicon, pos: Lexicon) -> TaggedQuestion:
-    """Tag a question by lexicon membership of its text tokens.
+def tag_corpus(corpus: Corpus, vocab: Iterable[str]) -> TaggedCorpus:
+    """Tokenize each question once and keep its tokens that are in `vocab`.
 
-    Only the question text is scanned; answers are never inspected. Word
-    counts are occurrence counts (multisets), not distinct types.
-    """
-    tokens = tokenize(question.text)
-    neg_words = Counter(t for t in tokens if t in neg)
-    pos_words = Counter(t for t in tokens if t in pos)
-    return TaggedQuestion(
-        is_negative=bool(neg_words),
-        is_positive=bool(pos_words),
-        neg_words=neg_words,
-        pos_words=pos_words,
-    )
+    A corpus already tagged over a superset of `vocab` is returned as it is,
+    so every consumer can tag its input and a run tokenizes only once."""
+    vocab = frozenset(vocab)
+    if isinstance(corpus, TaggedCorpus) and vocab <= corpus.vocab:
+        return corpus
+    index = {w: w for w in vocab}
+    hits = {
+        p.owner: tuple(
+            tuple([index[t] for t in tokenize(q.text) if t in index]) for q in p.questions
+        )
+        for p in corpus
+    }
+    return TaggedCorpus(profiles=corpus.profiles, vocab=vocab, hits=hits)
+
+
+def hit_counts(
+    hits: tuple[tuple[str, ...], ...], neg: Container[str], pos: Container[str]
+) -> tuple[int, int, int, int]:
+    """Negative questions, positive questions, negative words and positive
+    words over the tagged words of a profile's questions."""
+    n_neg_q = n_pos_q = n_neg_w = n_pos_w = 0
+    for words in hits:
+        neg_w = sum(w in neg for w in words)
+        pos_w = sum(w in pos for w in words)
+        n_neg_q += neg_w > 0
+        n_pos_q += pos_w > 0
+        n_neg_w += neg_w
+        n_pos_w += pos_w
+    return n_neg_q, n_pos_q, n_neg_w, n_pos_w
 
 
 def corpus_stats(corpus: Corpus, neg: Lexicon, pos: Lexicon) -> CorpusStats:
-    """Per-user averages of answer counts and tagged question/word counts."""
-    n = len(corpus)
-    if n == 0:
-        raise ValueError("corpus_stats requires a non-empty corpus")
-    total_answers = 0
-    total_neg_q = total_pos_q = 0
-    total_neg_w = total_pos_w = 0
-    users_with_neg = users_with_3neg = users_with_pos = 0
-    for profile in corpus:
-        neg_q = pos_q = 0
-        for question in profile.questions:
-            tagged = tag_question(question, neg, pos)
-            neg_q += tagged.is_negative
-            pos_q += tagged.is_positive
-            total_neg_w += sum(tagged.neg_words.values())
-            total_pos_w += sum(tagged.pos_words.values())
-        total_answers += len(profile.questions)
-        total_neg_q += neg_q
-        total_pos_q += pos_q
-        users_with_neg += neg_q >= 1
-        users_with_3neg += neg_q >= 3
-        users_with_pos += pos_q >= 1
+    """Per-user averages of answer counts and tagged question/word counts,
+    over fully sampled profiles (frontier stubs are not users)."""
+    hits = tag_corpus(corpus, neg.words | pos.words).hits
+    users = [p.owner for p in corpus if p.fully_sampled]
+    if not users:
+        raise ValueError("corpus_stats requires a fully sampled profile")
+    n = len(users)
+    counts = [hit_counts(hits[u], neg.words, pos.words) for u in users]
+    neg_q, pos_q, neg_w, pos_w = (sum(column) for column in zip(*counts))
     return CorpusStats(
-        avg_answers_per_user=total_answers / n,
-        avg_neg_questions=total_neg_q / n,
-        avg_pos_questions=total_pos_q / n,
-        avg_neg_words=total_neg_w / n,
-        avg_pos_words=total_pos_w / n,
-        pct_users_with_neg_q=100.0 * users_with_neg / n,
-        pct_users_with_3plus_neg_q=100.0 * users_with_3neg / n,
-        pct_users_with_pos_q=100.0 * users_with_pos / n,
+        avg_answers_per_user=sum(len(hits[u]) for u in users) / n,
+        avg_neg_questions=neg_q / n,
+        avg_pos_questions=pos_q / n,
+        avg_neg_words=neg_w / n,
+        avg_pos_words=pos_w / n,
+        pct_users_with_neg_q=100.0 * sum(c[0] >= 1 for c in counts) / n,
+        pct_users_with_3plus_neg_q=100.0 * sum(c[0] >= 3 for c in counts) / n,
+        pct_users_with_pos_q=100.0 * sum(c[1] >= 1 for c in counts) / n,
     )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .corpus import Corpus, tokenize
+from .corpus import Corpus, tag_corpus
 from .wordgraph import WordSet
 
 
@@ -91,11 +91,11 @@ def build_interaction_graph(
     """
     nodes = tuple(sorted(p.owner for p in corpus if p.fully_sampled))
     node_set = set(nodes)
+    hits = tag_corpus(corpus, neg_words.words).hits
     edges: dict[tuple[str, str], list[int]] = {}
     for j in nodes:
-        for question in corpus[j].questions[:top_k]:
-            is_neg = any(t in neg_words for t in tokenize(question.text))
-            slot = 0 if is_neg else 1
+        for question, words in zip(corpus[j].questions[:top_k], hits[j]):
+            slot = 0 if any(w in neg_words for w in words) else 1
             for i in question.likers:
                 if i == j or i not in node_set:
                     continue
@@ -285,8 +285,9 @@ def _pearson(xs: list[float], ys: list[float]) -> Optional[float]:
 def likes_answers_correlation(
     corpus: Corpus, split: int = 50
 ) -> tuple[Optional[float], Optional[float]]:
-    """Pearson correlation of (answered questions, total likes) per profile,
-    computed separately below and at-or-above the question-count split.
+    """Pearson correlation of (answered questions, total likes) per fully
+    sampled profile, computed separately below and at-or-above the
+    question-count split.
 
     A side with fewer than 2 profiles or zero variance yields None.
     """
@@ -295,6 +296,8 @@ def likes_answers_correlation(
     above_x: list[float] = []
     above_y: list[float] = []
     for profile in corpus:
+        if not profile.fully_sampled:
+            continue
         n_q = len(profile.questions)
         likes = profile.total_likes
         if n_q < split:

@@ -10,6 +10,7 @@ import csv
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -138,47 +139,14 @@ def write_metrics(out_dir: str | Path, report: MetricsReport) -> None:
     )
 
 
-_GROUP_COLUMNS = [
-    "group",
-    "count",
-    "mean_neg_reciprocity",
-    "mean_nonneg_reciprocity",
-    "mean_neg_in_degree",
-    "mean_nonneg_in_degree",
-    "mean_neg_out_degree",
-    "mean_nonneg_out_degree",
-    "mean_total_likes",
-    "likes_per_answer",
-    "mean_local_clustering",
-    "mean_answers",
-    "mean_neg_questions",
-    "mean_pos_questions",
-    "mean_neg_words",
-    "mean_pos_words",
-    "unresolved_ids",
-]
+# group_report.csv has one column per GroupRow field, in field order.
+_GROUP_COLUMNS = ["group"] + [f.name for f in fields(GroupRow)[1:]]
 
 
 def _group_row_values(row: GroupRow) -> list:
-    return [
-        row.name,
-        row.count,
-        row.mean_neg_reciprocity,
-        row.mean_nonneg_reciprocity,
-        row.mean_neg_in_degree,
-        row.mean_nonneg_in_degree,
-        row.mean_neg_out_degree,
-        row.mean_nonneg_out_degree,
-        row.mean_total_likes,
-        row.likes_per_answer,
-        row.mean_local_clustering,
-        row.mean_answers,
-        row.mean_neg_questions,
-        row.mean_pos_questions,
-        row.mean_neg_words,
-        row.mean_pos_words,
-        ";".join(row.unresolved_ids),
-    ]
+    values = {f.name: getattr(row, f.name) for f in fields(GroupRow)}
+    values["unresolved_ids"] = ";".join(row.unresolved_ids)
+    return list(values.values())
 
 
 def write_group_report(

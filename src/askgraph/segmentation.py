@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .corpus import Corpus, Profile, tokenize
+from .corpus import Corpus, hit_counts, tag_corpus
 from .interaction import NodeTable
 from .wordgraph import WordSet
 
@@ -65,24 +65,12 @@ class LabelFile:
     user_ids: frozenset[str]
 
 
-def user_content_stats(profile: Profile, neg: WordSet, pos: WordSet) -> UserContentStats:
-    """Counts over ALL answered questions on the profile (not just top-k)."""
-    n_neg_q = n_pos_q = n_neg_w = n_pos_w = 0
-    for question in profile.questions:
-        tokens = tokenize(question.text)
-        neg_hits = sum(1 for t in tokens if t in neg)
-        pos_hits = sum(1 for t in tokens if t in pos)
-        n_neg_q += neg_hits > 0
-        n_pos_q += pos_hits > 0
-        n_neg_w += neg_hits
-        n_pos_w += pos_hits
-    return UserContentStats(
-        n_answers=len(profile.questions),
-        n_neg_questions=n_neg_q,
-        n_pos_questions=n_pos_q,
-        n_neg_words=n_neg_w,
-        n_pos_words=n_pos_w,
-    )
+def user_content_stats(
+    hits: tuple[tuple[str, ...], ...], neg: WordSet, pos: WordSet
+) -> UserContentStats:
+    """Counts over ALL answered questions on a profile (not just top-k),
+    given the tagged words of each of its questions."""
+    return UserContentStats(len(hits), *hit_counts(hits, neg, pos))
 
 
 def classify_user(stats: UserContentStats) -> str:
@@ -100,9 +88,13 @@ def classify_user(stats: UserContentStats) -> str:
 
 
 def content_table(corpus: Corpus, neg: WordSet, pos: WordSet) -> dict[str, UserContentStats]:
-    """Content counts for every profile, computed once per run; the
-    classification and every group and label row read them."""
-    return {p.owner: user_content_stats(p, neg, pos) for p in corpus}
+    """Content counts for every fully sampled profile (frontier stubs are
+    not users), computed once per run; the classification and every group
+    and label row read them."""
+    hits = tag_corpus(corpus, {*neg.words, *pos.words}).hits
+    return {
+        p.owner: user_content_stats(hits[p.owner], neg, pos) for p in corpus if p.fully_sampled
+    }
 
 
 def classify_corpus(content: dict[str, UserContentStats]) -> dict[str, str]:
@@ -193,10 +185,12 @@ def labeled_report(
     content: dict[str, UserContentStats],
     table: NodeTable,
 ) -> GroupRow:
-    """Aggregate row over an externally labeled user set; unknown ids are
-    reported, not fatal."""
-    resolved = sorted(u for u in label_file.user_ids if u in corpus)
-    unresolved = tuple(sorted(u for u in label_file.user_ids if u not in corpus))
+    """Aggregate row over an externally labeled user set; ids without a
+    fully sampled profile are reported as unresolved, not fatal."""
+    resolved = sorted(u for u in label_file.user_ids if u in content)
+    unresolved = tuple(sorted(u for u in label_file.user_ids if u not in content))
     if not resolved:
-        raise ValueError(f"label set {label_file.label!r} has no users in the corpus")
+        raise ValueError(
+            f"label set {label_file.label!r} has no fully sampled users in the corpus"
+        )
     return _aggregate(label_file.label, resolved, corpus, content, table, unresolved)

@@ -1,4 +1,4 @@
-"""Word/user bipartite graph, one-mode projections, and centrality-based
+"""Word/user bipartite graph, its word projection, and centrality-based
 word selection.
 
 The incidence matrix is binary at profile granularity: a word is linked to
@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .corpus import Corpus, Lexicon, tokenize
+from .corpus import Corpus, Lexicon, tag_corpus
 
 
 class ConvergenceError(RuntimeError):
@@ -50,7 +50,6 @@ class OneModeGraph:
             raise KeyError(f"node {name!r} not in graph") from None
 
 
-# the word-word and user-user projections share one representation
 WordGraph = OneModeGraph
 
 
@@ -91,15 +90,11 @@ def build_bipartite(corpus: Corpus, lexicon: Lexicon) -> BipartiteGraph:
     words = tuple(sorted(lexicon.words))
     users = tuple(sorted(corpus.profiles))
     word_index = {w: i for i, w in enumerate(words)}
+    hits = tag_corpus(corpus, lexicon.words).hits
     rows: list[int] = []
     cols: list[int] = []
     for col, user in enumerate(users):
-        seen: set[int] = set()
-        for question in corpus[user].questions:
-            for token in tokenize(question.text):
-                idx = word_index.get(token)
-                if idx is not None:
-                    seen.add(idx)
+        seen = {word_index[w] for question in hits[user] for w in question if w in word_index}
         rows.extend(seen)
         cols.extend([col] * len(seen))
     incidence = sp.csr_matrix(
@@ -109,21 +104,13 @@ def build_bipartite(corpus: Corpus, lexicon: Lexicon) -> BipartiteGraph:
     return BipartiteGraph(words=words, users=users, incidence=incidence)
 
 
-def _project(matrix: sp.csr_matrix, nodes: tuple[str, ...]) -> OneModeGraph:
-    adjacency = (matrix @ matrix.T).tocsr()
-    adjacency.setdiag(0)
-    adjacency.eliminate_zeros()
-    return OneModeGraph(nodes=nodes, adjacency=adjacency)
-
-
 def project_words(bipartite: BipartiteGraph) -> WordGraph:
     """Word-word projection: weights count profiles sharing both words."""
-    return _project(bipartite.incidence, bipartite.words)
-
-
-def project_users(bipartite: BipartiteGraph) -> OneModeGraph:
-    """User-user projection: weights count words shared between profiles."""
-    return _project(bipartite.incidence.T.tocsr(), bipartite.users)
+    incidence = bipartite.incidence
+    adjacency = (incidence @ incidence.T).tocsr()
+    adjacency.setdiag(0)
+    adjacency.eliminate_zeros()
+    return OneModeGraph(nodes=bipartite.words, adjacency=adjacency)
 
 
 def eigenvector_centrality(
@@ -222,15 +209,15 @@ def cooccurrence_distribution(corpus: Corpus, core: str, word_set: WordSet) -> F
     tracked = set(word_set.words)
     totals = {w: 0 for w in word_set.words}
     n_matching = 0
-    for profile in corpus:
+    for profile_hits in tag_corpus(corpus, {core, *tracked}).hits.values():
         counts = {w: 0 for w in word_set.words}
         has_core = False
-        for question in profile.questions:
-            for token in tokenize(question.text):
-                if token == core:
+        for question in profile_hits:
+            for word in question:
+                if word == core:
                     has_core = True
-                if token in tracked:
-                    counts[token] += 1
+                if word in tracked:
+                    counts[word] += 1
         if has_core:
             n_matching += 1
             for w, c in counts.items():

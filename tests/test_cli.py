@@ -1,13 +1,16 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from askgraph import interaction, segmentation
+from askgraph import corpus, interaction, segmentation, wordgraph
 from askgraph.cli import load_config, main
+from askgraph.data import bundled_lexicon_path
 
 DATA = Path(__file__).parent / "data"
 DEMO = DATA / "demo_corpus.jsonl"
+DEMO_QUESTIONS = sum(len(p.questions) for p in corpus.load_corpus(DEMO))
 LABELS = DATA / "demo_labels_cutting.txt"
 
 
@@ -107,6 +110,14 @@ class TestSubcommands:
         assert run("cooccur", "--corpus", DEMO, "--word", top, "--out", tmp_path) == 0
         assert (tmp_path / f"cooccur_{top}.csv").exists()
 
+    def test_cooccur_word_outside_both_lexicons(self, tmp_path):
+        lexicons = corpus.load_lexicon(bundled_lexicon_path("negative"), "negative").words
+        lexicons |= corpus.load_lexicon(bundled_lexicon_path("positive"), "positive").words
+        assert "movie" not in lexicons
+        assert run("cooccur", "--corpus", DEMO, "--word", "movie", "--out", tmp_path) == 0
+        rows = (tmp_path / "cooccur_movie.csv").read_text().splitlines()[1:]
+        assert rows and any(float(row.split(",")[1]) > 0 for row in rows)
+
     def test_neighborhood(self, tmp_path):
         run("words", "--corpus", DEMO, "--out", tmp_path)
         top = (tmp_path / "wordset_negative.txt").read_text().splitlines()[3].split()[0]
@@ -166,3 +177,67 @@ class TestComputeOnce:
         assert run("pipeline", "--corpus", DEMO, "--labels", LABELS, "--out", tmp_path) == 0
         n_profiles = sum(1 for line in DEMO.read_text().splitlines() if line.strip())
         assert calls == {"clustering": 1, "user_content_stats": n_profiles}
+
+    @staticmethod
+    def count_tokenize(monkeypatch):
+        """Count calls through every askgraph module binding of `tokenize`."""
+        calls = []
+        original = corpus.tokenize
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "askgraph" and getattr(module, "tokenize", None) is original:
+                monkeypatch.setattr(module, "tokenize", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ("pipeline", "--labels", LABELS),
+        ("segment", "--labels", LABELS),
+        ("cooccur", "--word", "movie"),
+    ])
+    def test_each_question_is_tokenized_once(self, tmp_path, monkeypatch, argv):
+        calls = self.count_tokenize(monkeypatch)
+        assert run(*argv, "--corpus", DEMO, "--out", tmp_path) == 0
+        assert len(calls) == DEMO_QUESTIONS == 855
+
+    def test_pipeline_builds_each_graph_once(self, tmp_path, monkeypatch):
+        calls = []
+        for module, name in ((wordgraph, "build_bipartite"),
+                             (interaction, "build_interaction_graph")):
+            original = getattr(module, name)
+
+            def wrapper(corp, words, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, words.polarity))
+                return _original(corp, words, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        assert run("pipeline", "--corpus", DEMO, "--out", tmp_path) == 0
+        assert sorted(calls) == [
+            ("build_bipartite", "negative"),
+            ("build_bipartite", "positive"),
+            ("build_interaction_graph", "negative"),
+        ]
+
+
+class TestFrontierStubs:
+    def test_per_user_statistics_cover_fully_sampled_profiles(self, tmp_path):
+        """A 100-profile crawl of a 1000-user corpus has 851 frontier stubs;
+        they are not users."""
+        assert run("synth", "--seed", 1, "--n-users", 1000, "--questions", "11-18",
+                   "--mix", "HN:.1,HP:.2,PN:.2,OTHR:.5", "--out", tmp_path / "synth") == 0
+        assert run("crawl-sim", "--corpus", tmp_path / "synth" / "corpus.jsonl",
+                   "--seeds", "u00000", "--budget", 100, "--seed", 1,
+                   "--out", tmp_path / "crawl") == 0
+        sampled = corpus.load_corpus(tmp_path / "crawl" / "sampled_corpus.jsonl")
+        assert (len(sampled), sum(not p.fully_sampled for p in sampled)) == (951, 851)
+
+        out = tmp_path / "out"
+        assert run("pipeline", "--corpus", tmp_path / "crawl" / "sampled_corpus.jsonl",
+                   "--out", out) == 0
+        stats = json.loads((out / "corpus_stats.json").read_text())
+        assert 11 <= stats["avg_answers_per_user"] <= 18
+        rows = (out / "group_report.csv").read_text().splitlines()[1:]
+        assert sum(int(row.split(",")[1]) for row in rows) == 100

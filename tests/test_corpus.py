@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import askgraph.corpus as corpus_mod
 from askgraph.corpus import (
     Corpus,
     CorpusFormatError,
@@ -15,7 +17,7 @@ from askgraph.corpus import (
     load_corpus,
     load_lexicon,
     save_corpus,
-    tag_question,
+    tag_corpus,
     tokenize,
 )
 from askgraph.data import bundled_lexicon_path
@@ -180,23 +182,69 @@ NEG = Lexicon("negative", frozenset({"ugly", "fat"}))
 POS = Lexicon("positive", frozenset({"nice", "beautiful"}))
 
 
+VOCAB = NEG.words | POS.words
+
+
+def tag(question):
+    """The tagged words of one question, with its negative/positive flags."""
+    corp = Corpus({"a": Profile(owner="a", questions=(question,))})
+    (words,) = tag_corpus(corp, VOCAB).hits["a"]
+    return words, any(w in NEG for w in words), any(w in POS for w in words)
+
+
 class TestTagQuestion:
+    """Tagging through `tag_corpus`, one question at a time."""
+
     def test_repeated_word_counts_occurrences(self):
-        t = tag_question(Question("you are ugly ugly"), NEG, POS)
-        assert t.is_negative and not t.is_positive
-        assert t.neg_words == {"ugly": 2}
+        words, is_negative, is_positive = tag(Question("you are ugly ugly"))
+        assert is_negative and not is_positive
+        assert Counter(w for w in words if w in NEG) == {"ugly": 2}
 
     def test_positive_only(self):
-        t = tag_question(Question("nice day"), NEG, POS)
-        assert not t.is_negative and t.is_positive
+        _, is_negative, is_positive = tag(Question("nice day"))
+        assert not is_negative and is_positive
 
     def test_both_flags(self):
-        t = tag_question(Question("fat but beautiful"), NEG, POS)
-        assert t.is_negative and t.is_positive
+        _, is_negative, is_positive = tag(Question("fat but beautiful"))
+        assert is_negative and is_positive
 
     def test_answer_never_scanned(self):
-        t = tag_question(Question("hello there", answer="you ugly"), NEG, POS)
-        assert not t.is_negative
+        _, is_negative, _ = tag(Question("hello there", answer="you ugly"))
+        assert not is_negative
+
+
+class TestTagCorpus:
+    def test_hits_keep_order_and_share_the_vocabulary_strings(self):
+        corp = Corpus({"a": Profile(owner="a", questions=(
+            Question("Fat and UGLY, so fat"), Question("plain"), Question("other"),
+        ))})
+        vocab = {"".join(["f", "at"]), "ugly"}
+        hits = tag_corpus(corp, vocab).hits["a"]
+        assert hits == (("fat", "ugly", "fat"), (), ())
+        (fat,) = (w for w in vocab if w == "fat")
+        assert hits[0][0] is fat and hits[0][2] is fat
+        assert hits[1] is hits[2]  # questions without a hit share one empty tuple
+
+    def test_tokenizes_each_question_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            corpus_mod, "tokenize", lambda text: calls.append(text) or tokenize(text)
+        )
+        corp = Corpus({
+            "a": Profile(owner="a", questions=(Question("ugly"), Question("nice"))),
+            "b": Profile(owner="b", questions=(Question("fat"),)),
+        })
+        tagged = tag_corpus(corp, VOCAB)
+        assert sorted(calls) == ["fat", "nice", "ugly"]
+        assert tagged.hits == {"a": (("ugly",), ("nice",)), "b": (("fat",),)}
+
+    def test_tagged_corpus_is_reused_for_a_smaller_vocabulary(self):
+        corp = Corpus({"a": Profile(owner="a", questions=(Question("ugly nice"),))})
+        tagged = tag_corpus(corp, VOCAB)
+        assert tag_corpus(tagged, NEG.words) is tagged
+        assert tagged["a"] is corp["a"] and len(tagged) == 1
+        wider = tag_corpus(tagged, VOCAB | {"day"})
+        assert wider is not tagged and wider.vocab == VOCAB | {"day"}
 
 
 def make_profile(owner, texts, likes_each=0):
@@ -231,6 +279,15 @@ class TestCorpusStats:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             corpus_stats(Corpus({}), NEG, POS)
+
+    def test_frontier_stubs_are_not_users(self):
+        stub = Profile(owner="s", questions=(), fully_sampled=False)
+        corp = Corpus({"a": make_profile("a", ["you ugly", "nice"]), "s": stub})
+        stats = corpus_stats(corp, NEG, POS)
+        assert stats.avg_answers_per_user == 2.0
+        assert stats.pct_users_with_neg_q == 100.0
+        with pytest.raises(ValueError):
+            corpus_stats(Corpus({"s": stub}), NEG, POS)
 
     def test_neg_questions_bounded_by_answers(self):
         corp = Corpus({

@@ -435,6 +435,12 @@ class TestLikesAnswersCorrelation:
         below, above = likes_answers_correlation(corp, split=50)
         assert below is None and above is None
 
+    def test_frontier_stubs_left_out(self):
+        corp = self.make_corpus([(2, 3), (5, 3)])
+        stub = Profile(owner="s", questions=(), fully_sampled=False)
+        with_stub = Corpus({**corp.profiles, "s": stub})
+        assert likes_answers_correlation(with_stub) == likes_answers_correlation(corp)
+
 
 class TestComputeMetrics:
     def test_full_report_on_small_corpus(self):

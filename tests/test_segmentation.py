@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from askgraph.corpus import Corpus, Profile, Question
+from askgraph.corpus import Corpus, Profile, Question, tag_corpus
 from askgraph.interaction import build_interaction_graph, node_table
 from askgraph.segmentation import (
     GROUPS,
@@ -37,23 +37,29 @@ def profile(owner, texts, fully_sampled=True):
     )
 
 
+def content_of(p):
+    """`user_content_stats` over the tagged words of one profile."""
+    hits = tag_corpus(Corpus({p.owner: p}), {*NEG.words, *POS.words}).hits[p.owner]
+    return user_content_stats(hits, NEG, POS)
+
+
 class TestUserContentStats:
     def test_hand_count(self):
         p = profile("a", ["you ugly", "hi", "nice one"])
-        s = user_content_stats(p, NEG, POS)
+        s = content_of(p)
         assert (s.n_answers, s.n_neg_questions, s.n_pos_questions,
                 s.n_neg_words, s.n_pos_words) == (3, 1, 1, 1, 1)
 
     def test_empty_profile(self):
-        s = user_content_stats(profile("a", []), NEG, POS)
+        s = content_of(profile("a", []))
         assert s == stats(0, 0)
 
     def test_dual_flag_question(self):
-        s = user_content_stats(profile("a", ["ugly but nice"]), NEG, POS)
+        s = content_of(profile("a", ["ugly but nice"]))
         assert s.n_neg_questions == 1 and s.n_pos_questions == 1
 
     def test_word_occurrences_counted(self):
-        s = user_content_stats(profile("a", ["ugly ugly hate"]), NEG, POS)
+        s = content_of(profile("a", ["ugly ugly hate"]))
         assert s.n_neg_words == 3 and s.n_neg_questions == 1
 
 
@@ -146,7 +152,7 @@ class TestGroupReport:
             if not members:
                 continue
             expected = sum(
-                user_content_stats(corp[u], NEG, POS).n_neg_questions for u in members
+                content_of(corp[u]).n_neg_questions for u in members
             ) / len(members)
             assert row.mean_neg_questions == pytest.approx(expected)
 
@@ -181,6 +187,19 @@ class TestLabeledReport:
         row = labeled_report(corp, lf, content, table)
         assert row.count == 1
         assert row.unresolved_ids == ("ghost",)
+
+    def test_frontier_stub_ids_are_unresolved(self):
+        corp = Corpus({p.owner: p for p in [
+            profile("a", ["ugly x"]),
+            profile("s", [], fully_sampled=False),
+        ]})
+        content, table = build_tables(corp)
+        assert set(content) == {"a"}
+        assert classify_corpus(content) == {"a": "OTHR"}
+        lf = LabelFile(label="cutting", user_ids=frozenset({"a", "s"}))
+        row = labeled_report(corp, lf, content, table)
+        assert row.count == 1
+        assert row.unresolved_ids == ("s",)
 
     def test_empty_intersection_rejected(self):
         corp = Corpus({"a": profile("a", ["hello"])})

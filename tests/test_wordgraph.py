@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askgraph.corpus import Corpus, Lexicon, Profile, Question
+from askgraph.corpus import Corpus, Lexicon, Profile, Question, tag_corpus
 from askgraph.wordgraph import (
     BipartiteGraph,
     CentralityScores,
@@ -12,7 +12,6 @@ from askgraph.wordgraph import (
     build_bipartite,
     cooccurrence_distribution,
     eigenvector_centrality,
-    project_users,
     project_words,
     select_top_words,
     word_neighborhood,
@@ -92,17 +91,6 @@ class TestProjections:
     def test_all_zero(self):
         bip = bipartite_from_dense(np.zeros((3, 4)))
         assert project_words(bip).adjacency.nnz == 0
-
-    def test_user_projection(self):
-        bip = bipartite_from_dense([[1, 1, 0], [0, 1, 1]])
-        ug = project_users(bip)
-        dense = ug.adjacency.toarray()
-        assert dense[0, 1] == 1 and dense[1, 2] == 1 and dense[0, 2] == 0
-
-    def test_single_user(self):
-        bip = bipartite_from_dense([[1], [1]])
-        assert project_users(bip).adjacency.shape == (1, 1)
-        assert project_users(bip).adjacency.nnz == 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**63 - 1))
@@ -253,6 +241,16 @@ class TestCooccurrenceDistribution:
                 va.n_profiles + vb.n_profiles
             )
             assert mu == pytest.approx(expected)
+
+    def test_core_outside_the_tagged_vocabulary(self):
+        corp = Corpus({
+            "a": profile_with("a", "cut ugly ugly"),
+            "b": profile_with("b", "hate"),
+        })
+        tagged = tag_corpus(corp, {"ugly", "hate"})
+        vec = cooccurrence_distribution(tagged, "cut", self.WS)
+        assert vec.n_profiles == 1
+        assert dict(vec.entries)["ugly"] == 2.0
 
     def test_no_matching_profile_raises(self):
         corp = Corpus({"a": profile_with("a", "nothing here")})
