@@ -1,7 +1,8 @@
-import io
+import hashlib
 
 import pytest
 
+from askgraph.cli import main
 from askgraph.corpus import Corpus, Profile, Question, save_corpus
 from askgraph.segmentation import classify_corpus, content_table
 from askgraph.synth import (
@@ -58,6 +59,45 @@ class TestSplitMix64:
         pop = [f"x{i}" for i in range(20)]
         out = rng.sample(pop, 10)
         assert len(set(out)) == 10
+
+
+# sha256 of every file `synth --seed 1 --n-users 2000` writes with CLI
+# defaults. Any change to the RNG stream, the draw order or the sampler moves
+# at least the corpus hash.
+PINNED_N2000 = {
+    "corpus.jsonl": "6286444f825fe153f5302078cae7bb8b8856c9d06cc9945f658172be59a14686",
+    "labels_HN.txt": "c7fb29f387a442c036a8d0bb15b1087a72f1c6cfcaebd90979f545cdd7e4bb6a",
+    "labels_HP.txt": "f989ba79cb0f3d8095a8b0a8ca00280a1629e6d0224c7e59e9af39a71517770f",
+    "labels_OTHR.txt": "cd78f092eb3e7bc3c8e4b6b22eebd431a7d15cf4867ae77770182908d122b793",
+    "labels_PN.txt": "b0fcde79042c39b214a5f27253d24d255b35698d8e546f4c053a98df5ee1bd31",
+}
+
+# Tiny corpora at like-rate 10 (up to 20 likers drawn per question): every
+# question's liker sample is all or nearly all of the n - 1 other users, and
+# each corpus has an owner at the first and at the last id.
+PINNED_SMALL = {
+    1: "34059bf33b0adac82b93cd65c79c423610330106bcdc55232990fea2cf39793c",
+    2: "a0336db4e9c68da4ecdfe95d33ab510d7a14ead78ee218c60db65363e2bd7b7f",
+    3: "80c799bdd804f2b37464cf159e2cced7b057070de33728d00dec79ce9804373a",
+    7: "9b364b8fc4dc31dd84fb09e137168276f44025ae31c12d311574876c5e681a8b",
+}
+
+
+def sha256_files(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+
+
+class TestPinnedBytes:
+    def test_synth_seed1_n2000(self, tmp_path):
+        assert main(["synth", "--seed", "1", "--n-users", "2000", "--out", str(tmp_path)]) == 0
+        assert sha256_files(tmp_path) == PINNED_N2000
+
+    @pytest.mark.parametrize("n_users", sorted(PINNED_SMALL))
+    def test_tiny_corpora_at_high_like_rate(self, tmp_path, n_users):
+        argv = ["synth", "--seed", "1", "--n-users", str(n_users), "--like-rate", "10",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert sha256_files(tmp_path)["corpus.jsonl"] == PINNED_SMALL[n_users]
 
 
 class TestQuota:
