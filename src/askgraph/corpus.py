@@ -188,6 +188,15 @@ def load_corpus(path: str | Path) -> Corpus:
     return Corpus(profiles=profiles)
 
 
+def _question_record(q: Question) -> dict:
+    record = {"text": q.text, "answer": q.answer, "likers": list(q.likers),
+              "like_count": q.like_count}
+    if q.like_count and not q.likers:
+        # a count read without liker ids: an empty list would contradict it
+        del record["likers"]
+    return record
+
+
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a Corpus in the canonical line-delimited format, atomically
     (`<path>.partial`, then a rename).
@@ -202,15 +211,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             record = {
                 "owner": profile.owner,
                 "fully_sampled": profile.fully_sampled,
-                "questions": [
-                    {
-                        "text": q.text,
-                        "answer": q.answer,
-                        "likers": list(q.likers),
-                        "like_count": q.like_count,
-                    }
-                    for q in profile.questions
-                ],
+                "questions": [_question_record(q) for q in profile.questions],
             }
             fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")

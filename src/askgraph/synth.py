@@ -8,26 +8,48 @@ reproducible bit-for-bit across platforms and implementations.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+
+import numpy as np
 
 from .corpus import Corpus, Profile, Question
 from .wordgraph import WordSet
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
-    """Portable 64-bit RNG: splitmix64 state advance and finalizer."""
+    """Portable 64-bit RNG: splitmix64 state advance and finalizer.
+
+    The i-th output is mix(seed + i * gamma) mod 2**64, so outputs are
+    computed in blocks with numpy uint64 arithmetic (which wraps mod 2**64)
+    and handed out as plain ints."""
+
+    _BLOCK = 4096
+    _STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = seed & _MASK64  # state after the last buffered output
+        self._buf: list[int] = []  # buffered outputs, next one last
+
+    def _refill(self) -> None:
+        z = self._STEPS + np.uint64(self._state)
+        z ^= z >> 30
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> 27
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> 31
+        self._buf = z[::-1].tolist()
+        self._state = (self._state + self._BLOCK * _GAMMA) & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
+        try:
+            return self._buf.pop()
+        except IndexError:
+            self._refill()
+            return self._buf.pop()
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
@@ -45,15 +67,25 @@ class SplitMix64:
             raise ValueError("empty range")
         return lo + self.randbelow(hi - lo + 1)
 
-    def sample(self, population: list[str], k: int) -> list[str]:
-        """k distinct elements, order of draw preserved."""
-        if k > len(population):
+    def sample(self, population: list[str], k: int, skip: int | None = None) -> list[str]:
+        """k distinct elements, order of draw preserved, leaving out the
+        element at index `skip` if one is given.
+
+        Each draw is the position among the elements still available, as if
+        they were copied into a list and popped; it is mapped to its index
+        by stepping past the sorted indices already taken. O(k^2)."""
+        taken = [] if skip is None else [skip]
+        if k > len(population) - len(taken):
             raise ValueError("sample larger than population")
-        pool = list(population)
         out = []
         for _ in range(k):
-            idx = self.randbelow(len(pool))
-            out.append(pool.pop(idx))
+            idx = self.randbelow(len(population) - len(taken))
+            for t in taken:
+                if t > idx:
+                    break
+                idx += 1
+            insort(taken, idx)
+            out.append(population[idx])
         return out
 
 
@@ -183,7 +215,8 @@ def generate_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
     max_likes = max(0, round(2 * params.like_rate))
 
     profiles: dict[str, Profile] = {}
-    for owner in user_ids:
+    n_others = params.n_users - 1
+    for pos, owner in enumerate(user_ids):
         label = labels[owner]
         n_q = max(rng.randint(lo, hi), _MIN_QUESTIONS[label])
         n_neg, n_pos = _question_counts(label, n_q, rng)
@@ -192,11 +225,10 @@ def generate_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
             + [_make_text(params.pos_vocab, filler, rng) for _ in range(n_pos)]
             + [_neutral_text(filler, rng) for _ in range(n_q - n_neg - n_pos)]
         )
-        others = [u for u in user_ids if u != owner]
         questions = []
         for text in texts:
-            n_likes = rng.randint(0, max_likes) if max_likes and others else 0
-            likers = tuple(rng.sample(others, min(n_likes, len(others))))
+            n_likes = rng.randint(0, max_likes) if max_likes and n_others else 0
+            likers = tuple(rng.sample(user_ids, min(n_likes, n_others), skip=pos))
             questions.append(
                 Question(text=text, likers=likers, like_count=len(likers))
             )

@@ -2,7 +2,7 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import askgraph.corpus as corpus_mod
@@ -144,6 +144,56 @@ class TestLoadCorpus:
         second = tmp_path / "second.jsonl"
         save_corpus(load_corpus(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_like_count_without_likers_round_trips(self, tmp_path):
+        path = write_corpus_file(tmp_path, [{"owner": "a", "questions": [
+            {"text": "hi", "like_count": 3},
+        ]}])
+        out = tmp_path / "saved.jsonl"
+        save_corpus(load_corpus(path), out)
+        assert load_corpus(out)["a"].questions == (Question("hi", (), 3),)
+
+
+# Text that stresses the line format: line breaks JSON must escape, separators
+# a reader might split on (U+2028, U+2029, U+0085), and edge whitespace.
+_TRICKY = st.sampled_from("\r\n\u2028\u2029\x85 \t\ufeff")
+_TEXT = st.one_of(
+    st.text(max_size=10),
+    st.tuples(st.text(max_size=5), _TRICKY, st.text(max_size=5)).map("".join),
+)
+
+
+@st.composite
+def questions(draw):
+    likers = draw(st.lists(_TEXT, unique=True, max_size=4))
+    # a record may give like_count without likers; the loader keeps the count
+    like_count = len(likers) if likers else draw(st.sampled_from([0, 0, 3]))
+    return Question(text=draw(_TEXT), likers=tuple(likers), like_count=like_count,
+                    answer=draw(_TEXT))
+
+
+@st.composite
+def corpora(draw):
+    owners = draw(st.lists(_TEXT.filter(bool), unique=True, max_size=5))
+    profiles = {}
+    for owner in owners:
+        qs = draw(st.lists(questions(), max_size=4))
+        qs.sort(key=lambda q: -q.like_count)  # the order load_corpus normalizes to
+        profiles[owner] = Profile(owner, tuple(qs), fully_sampled=draw(st.booleans()))
+    return Corpus(profiles)
+
+
+class TestSaveLoadRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(corpora())
+    def test_round_trip(self, tmp_path_factory, corpus):
+        d = tmp_path_factory.getbasetemp()
+        first, second = d / "first.jsonl", d / "second.jsonl"
+        save_corpus(corpus, first)
+        loaded = load_corpus(first)
+        assert list(loaded.profiles.items()) == list(corpus.profiles.items())
+        save_corpus(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestLoadLexicon:

@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from askgraph.cli import main
 from askgraph.corpus import Corpus, Profile, Question, save_corpus
@@ -59,6 +61,50 @@ class TestSplitMix64:
         pop = [f"x{i}" for i in range(20)]
         out = rng.sample(pop, 10)
         assert len(set(out)) == 10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64 + 5])
+    def test_block_stream_matches_scalar_splitmix64(self, seed):
+        # 10,000 draws cross two block boundaries
+        rng = SplitMix64(seed)
+        assert [rng.next_u64() for _ in range(10_000)] == scalar_splitmix64(seed, 10_000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 40),
+        data=st.data(),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_sample_matches_copy_and_pop(self, n, data, seed):
+        skip = data.draw(st.one_of(st.none(), st.integers(0, n - 1)) if n else st.none())
+        k = data.draw(st.integers(0, n - (skip is not None)))
+        pop = [f"x{i}" for i in range(n)]
+        new, old = SplitMix64(seed), SplitMix64(seed)
+        assert new.sample(pop, k, skip) == copy_and_pop_sample(old, pop, k, skip)
+        assert new.next_u64() == old.next_u64()
+
+    @pytest.mark.parametrize("n,k,skip", [(0, 1, None), (3, 4, None), (3, 3, 0), (1, 1, 0)])
+    def test_sample_larger_than_available_rejected(self, n, k, skip):
+        with pytest.raises(ValueError, match="larger than population"):
+            SplitMix64(1).sample([f"x{i}" for i in range(n)], k, skip)
+
+
+def scalar_splitmix64(seed, count):
+    """Reference splitmix64, one state advance per output."""
+    mask = (1 << 64) - 1
+    state, out = seed & mask, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def copy_and_pop_sample(rng, population, k, skip):
+    """The sampler the index arithmetic replaces: copy the available
+    elements into a pool and pop each drawn position."""
+    pool = [x for i, x in enumerate(population) if i != skip]
+    return [pool.pop(rng.randbelow(len(pool))) for _ in range(k)]
 
 
 # sha256 of every file `synth --seed 1 --n-users 2000` writes with CLI
