@@ -184,11 +184,14 @@ def corpora(draw):
 
 
 class TestSaveLoadRoundTrip:
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("round_trip")
+
     @settings(max_examples=150, deadline=None)
     @given(corpora())
-    def test_round_trip(self, tmp_path_factory, corpus):
-        d = tmp_path_factory.getbasetemp()
-        first, second = d / "first.jsonl", d / "second.jsonl"
+    def test_round_trip(self, out_dir, corpus):
+        first, second = out_dir / "first.jsonl", out_dir / "second.jsonl"
         save_corpus(corpus, first)
         loaded = load_corpus(first)
         assert list(loaded.profiles.items()) == list(corpus.profiles.items())
