@@ -1,9 +1,9 @@
-"""Command-line front end: one subcommand per analysis, plus `pipeline` to
-run everything in order.
+"""Command-line front end: one subcommand per analysis, `pipeline` to run
+them all in order, and `synth` / `crawl-sim` for synthetic corpora.
 
-An analysis command is a tuple of output writers over one `_Run`, whose
-stages are computed on first use and cached, so `pipeline` is the union of
-the other commands' writers and never computes a stage twice.
+Every command is a tuple of output writers over one `_Run`, whose stages
+are computed on first use and cached, so `pipeline` is the union of the
+analysis commands' writers and never computes a stage twice.
 
 All outputs are plain CSV / JSON / text files written atomically. Identical
 inputs always produce byte-identical outputs; randomness exists only in
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import weakref
 from pathlib import Path
 
 from . import __version__
@@ -59,27 +60,27 @@ def load_config(path: str | Path) -> dict[str, tuple[int, str]]:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser, need_corpus: bool = True) -> None:
-    if need_corpus:
-        parser.add_argument("--corpus", help="corpus file (line-delimited JSON profiles)")
-    parser.add_argument("--neg-lexicon", help="negative lexicon (default: bundled)")
-    parser.add_argument("--pos-lexicon", help="positive lexicon (default: bundled)")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--config", help="flat key=value config file (flags override)")
-    parser.add_argument("--threshold", type=float, default=0.5,
-                        help="centrality threshold for word selection")
-    parser.add_argument("--cap", type=int, default=80, help="max words per word set")
-    parser.add_argument("--top-k", type=int, default=15,
-                        help="most-liked questions considered per profile")
-    parser.add_argument("--tol", type=float, default=1e-10, help="centrality tolerance")
-    parser.add_argument("--max-iter", type=int, default=10000,
-                        help="centrality iteration limit")
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that rejects abbreviated flags and maps each of its
+    option strings to the action that declares it, so that a config key is
+    parsed by the declaration of the flag it names."""
+
+    def __init__(self, **kwargs):
+        self.options: dict[str, argparse.Action] = {}
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        action = super().add_argument(*args, **kwargs)
+        self.options.update(dict.fromkeys(action.option_strings, action))
+        return action
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="askgraph")
+def build_parser() -> _Parser:
+    """The top-level parser; `commands` maps each subcommand to its parser."""
+    parser = _Parser(prog="askgraph")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     for name, help_text in [
         ("stats", "corpus-level question/word statistics"),
@@ -92,13 +93,23 @@ def build_parser() -> argparse.ArgumentParser:
         ("pipeline", "run every stage in order"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p.add_argument("--corpus", help="corpus file (line-delimited JSON profiles)")
+        p.add_argument("--neg-lexicon", help="negative lexicon (default: bundled)")
+        p.add_argument("--pos-lexicon", help="positive lexicon (default: bundled)")
+        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--config", help="flat key=value config file (flags override)")
+        p.add_argument("--threshold", type=float, default=0.5,
+                       help="centrality threshold for word selection")
+        p.add_argument("--cap", type=int, default=80, help="max words per word set")
+        p.add_argument("--top-k", type=int, default=15,
+                       help="most-liked questions considered per profile")
+        p.add_argument("--tol", type=float, default=1e-10, help="centrality tolerance")
+        p.add_argument("--max-iter", type=int, default=10000,
+                       help="centrality iteration limit")
         if name in ("cooccur", "neighborhood"):
             p.add_argument("--word", required=True, help="core word")
-            p.add_argument(
-                "--polarity", choices=["negative", "positive"], default="negative",
-                help="which lexicon/word set to analyze against",
-            )
+            p.add_argument("--polarity", choices=["negative", "positive"], default="negative",
+                           help="which lexicon/word set to analyze against")
         if name in ("segment", "pipeline"):
             p.add_argument("--labels", action="append", default=[],
                            help="label file (repeatable)")
@@ -113,8 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--questions", default="5-20",
                    help="questions per user: fixed int or lo-hi range")
     p.add_argument("--like-rate", type=float, default=2.0)
-    p.add_argument("--neg-vocab", help="file with negative vocabulary (default: bundled lexicon)")
-    p.add_argument("--pos-vocab", help="file with positive vocabulary (default: bundled lexicon)")
+    p.add_argument("--neg-vocab", dest="neg_lexicon", metavar="NEG_VOCAB",
+                   help="file with negative vocabulary (default: bundled lexicon)")
+    p.add_argument("--pos-vocab", dest="pos_lexicon", metavar="POS_VOCAB",
+                   help="file with positive vocabulary (default: bundled lexicon)")
 
     p = sub.add_parser("crawl-sim", help="simulate a snowball crawl over a ground-truth corpus")
     p.add_argument("--corpus", required=True, help="ground-truth corpus file")
@@ -126,32 +139,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill argparse defaults from the config file; explicit flags win.
+def _apply_config(parser: _Parser, args: argparse.Namespace, argv: list[str]) -> None:
+    """Fill options from the config file; explicit flags win.
 
-    A key that is not an option of the command is an error."""
+    A key names an option of the command (`top_k` or `top-k` for `--top-k`),
+    and its value is parsed and checked exactly as that flag's would be."""
     if not getattr(args, "config", None):
         return
     values = load_config(args.config)
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
-    casts = {
-        "threshold": float, "cap": int, "top_k": int, "tol": float,
-        "max_iter": int, "n_users": int, "like_rate": float,
-        "seed": int, "budget": int, "labels": lambda path: [path],
-    }
-    options = set(vars(args)) - {"command", "config"}
+    options = parser.options
+    explicit = {options[a].dest for a in (a.partition("=")[0] for a in argv) if a in options}
     for key, (line_no, value) in values.items():
-        attr = key.replace("-", "_")
-        if attr not in options:
-            raise ValueError(
-                f"config line {line_no}: unknown key {key!r} for {args.command}"
-            )
-        if attr in explicit:
+        action = options.get("--" + key.replace("_", "-"))
+        if action is None or action.dest in ("help", "config"):
+            raise ValueError(f"config line {line_no}: unknown key {key!r} for {args.command}")
+        if action.dest in explicit:
             continue
         try:
-            setattr(args, attr, casts.get(attr, str)(value))
+            value = action.type(value) if action.type else value
+            if action.choices is not None and value not in action.choices:
+                choices = ", ".join(map(repr, action.choices))
+                raise ValueError(f"invalid choice: {value!r} (choose from {choices})")
         except ValueError as exc:
             raise ValueError(f"config line {line_no}: {key}: {exc}") from exc
+        action(parser, args, value, action.option_strings[0])
 
 
 def _staged(name: str):
@@ -172,7 +183,9 @@ class _Words:
     """The word-selection stages of one polarity."""
 
     def __init__(self, run: _Run, polarity: str):
-        self.run = run
+        # a proxy, so that a run and its word stages form no reference cycle
+        # and a run's stages are freed as soon as the command returns
+        self.run = weakref.proxy(run)
         self.polarity = polarity
 
     @_staged("build_bipartite")
@@ -197,11 +210,11 @@ class _Words:
 
 
 class _Run:
-    """The stages and output writers of one analysis command. Each stage is
-    computed on first use and cached, so writers share every stage they read."""
+    """The stages and output writers of one command. Each stage is computed
+    on first use and cached, so writers share every stage they read."""
 
     def __init__(self, args: argparse.Namespace):
-        if not args.corpus:
+        if "corpus" in vars(args) and not args.corpus:
             raise ValueError("--corpus is required (flag or config)")
         self.args = args
         self.out = Path(args.out)
@@ -282,6 +295,32 @@ class _Run:
         words = self.words[self.args.polarity]
         return wg_mod.word_neighborhood(words.graph, self.args.word, words.scores)
 
+    @_staged("generate_corpus")
+    def synthetic(self):
+        args = self.args
+        if "-" in args.questions.lstrip("-"):
+            lo, _, hi = args.questions.partition("-")
+            questions = (int(lo), int(hi))
+        else:
+            questions = (int(args.questions),) * 2
+        pairs = (part.partition(":") for part in args.mix.split(","))
+        mix = {group.strip(): float(frac) for group, _, frac in pairs}
+        params = synth_mod.GenParams(
+            n_users=args.n_users,
+            group_mix=mix,
+            questions_per_user=questions,
+            like_rate=args.like_rate,
+            neg_vocab=tuple(sorted(self.lexicons["negative"].words)),
+            pos_vocab=tuple(sorted(self.lexicons["positive"].words)),
+            rng_seed=args.seed,
+        )
+        return synth_mod.generate_corpus(params)
+
+    @_staged("snowball_sample")
+    def crawl(self):
+        seeds = [s for s in self.args.seeds.split(",") if s]
+        return synth_mod.snowball_sample(self.corpus, seeds, self.args.budget)
+
     def write_stats(self) -> None:
         reports.write_corpus_stats(self.out / "corpus_stats.json", self.stats)
 
@@ -312,8 +351,23 @@ class _Run:
         reports.write_neighborhood(self.out / f"neighborhood_{self.args.word}.csv",
                                    self.args.word, self.neighborhood)
 
+    def write_synth(self) -> None:
+        corpus, labels = self.synthetic
+        corpus_mod.save_corpus(corpus, self.out / "corpus.jsonl")
+        for group in synth_mod.GROUP_ORDER:
+            members = [u for u, g in labels.items() if g == group]
+            reports.write_label_file(self.out / f"labels_{group}.txt", group, members)
 
-# Each analysis command is the tuple of output writers it runs, in order.
+    def write_crawl(self) -> None:
+        sampled = self.crawl
+        corpus_mod.save_corpus(sampled.corpus, self.out / "sampled_corpus.jsonl")
+        with reports.atomic_write(self.out / "crawl_order.txt") as fh:
+            fh.writelines(uid + "\n" for uid in sampled.crawl_order)
+        with reports.atomic_write(self.out / "frontier.txt") as fh:
+            fh.writelines(uid + "\n" for uid in sorted(sampled.frontier))
+
+
+# Each command is the tuple of output writers it runs, in order.
 _WRITERS = {
     "stats": (_Run.write_stats,),
     "words": (_Run.write_words,),
@@ -322,6 +376,8 @@ _WRITERS = {
     "segment": (_Run.write_segment,),
     "cooccur": (_Run.write_cooccur,),
     "neighborhood": (_Run.write_neighborhood,),
+    "synth": (_Run.write_synth,),
+    "crawl-sim": (_Run.write_crawl,),
 }
 _WRITERS["pipeline"] = tuple(
     write
@@ -330,73 +386,15 @@ _WRITERS["pipeline"] = tuple(
 )
 
 
-def cmd_synth(args) -> None:
-    def vocab(path, polarity):
-        lex = corpus_mod.load_lexicon(path or bundled_lexicon_path(polarity), polarity)
-        return tuple(sorted(lex.words))
-
-    if isinstance(args.questions, str) and "-" in args.questions.lstrip("-"):
-        lo, _, hi = args.questions.partition("-")
-        questions = (int(lo), int(hi))
-    else:
-        k = int(args.questions)
-        questions = (k, k)
-    mix = {}
-    for part in args.mix.split(","):
-        group, _, frac = part.partition(":")
-        mix[group.strip()] = float(frac)
-    params = synth_mod.GenParams(
-        n_users=args.n_users,
-        group_mix=mix,
-        questions_per_user=questions,
-        like_rate=args.like_rate,
-        neg_vocab=vocab(args.neg_vocab, "negative"),
-        pos_vocab=vocab(args.pos_vocab, "positive"),
-        rng_seed=args.seed,
-    )
-    corp, labels = _stage("generate_corpus", synth_mod.generate_corpus, params)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    corpus_mod.save_corpus(corp, out / "corpus.jsonl")
-    for group in synth_mod.GROUP_ORDER:
-        members = [u for u, g in labels.items() if g == group]
-        reports.write_label_file(out / f"labels_{group}.txt", group, members)
-
-
-def cmd_crawl_sim(args) -> None:
-    ground_truth = _stage("load_corpus", corpus_mod.load_corpus, args.corpus)
-    seeds = [s for s in args.seeds.split(",") if s]
-    sampled = _stage(
-        "snowball_sample", synth_mod.snowball_sample, ground_truth, seeds, args.budget
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    corpus_mod.save_corpus(sampled.corpus, out / "sampled_corpus.jsonl")
-    with reports.atomic_write(out / "crawl_order.txt") as fh:
-        for uid in sampled.crawl_order:
-            fh.write(uid + "\n")
-    with reports.atomic_write(out / "frontier.txt") as fh:
-        for uid in sorted(sampled.frontier):
-            fh.write(uid + "\n")
-
-
-_COMMANDS = {
-    "synth": cmd_synth,
-    "crawl-sim": cmd_crawl_sim,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        _stage("load_config", _apply_config, args, argv)
-        if args.command in _COMMANDS:
-            _COMMANDS[args.command](args)
-        else:
-            run = _Run(args)
-            for write in _WRITERS[args.command]:
-                write(run)
+        _stage("load_config", _apply_config, parser.commands[args.command], args, argv)
+        run = _Run(args)
+        for write in _WRITERS[args.command]:
+            write(run)
     except StageError as exc:
         print(f"askgraph: error {exc}", file=sys.stderr)
         return 1

@@ -150,11 +150,20 @@ def _parse_question(obj: dict, line_no: int) -> Question:
     )
 
 
+def _check_encodable(obj, line_no: int) -> None:
+    try:
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        surrogate = exc.object[exc.start:exc.end]
+        raise CorpusFormatError(line_no, f"lone surrogate {surrogate!r} in a string") from exc
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Parse a line-delimited profile file into a Corpus.
 
     Raises CorpusFormatError (with the offending line number) on malformed
-    records, duplicate owners, or like_count/likers mismatches.
+    records, duplicate owners, like_count/likers mismatches, or strings
+    holding a lone surrogate (which no UTF-8 output can encode).
     """
     profiles: dict[str, Profile] = {}
     with open(path, encoding="utf-8") as fh:
@@ -166,6 +175,10 @@ def load_corpus(path: str | Path) -> Corpus:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(line_no, f"invalid JSON: {exc}") from exc
+            # the file is decoded as UTF-8, so a surrogate can only come from
+            # a JSON \u escape: only lines with one need the encoding check
+            if "\\u" in line:
+                _check_encodable(obj, line_no)
             if not isinstance(obj, dict):
                 raise CorpusFormatError(line_no, "profile record must be an object")
             owner = obj.get("owner")
@@ -199,13 +212,14 @@ def _question_record(q: Question) -> dict:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a Corpus in the canonical line-delimited format, atomically
-    (`<path>.partial`, then a rename).
+    (`<path>.partial`, then a rename), creating its directory if needed.
 
     Output is deterministic: fixed key order, compact separators, question
     order as stored (like_count descending). load_corpus(save_corpus(c))
     round-trips byte-identically.
     """
     partial = Path(path).with_name(Path(path).name + ".partial")
+    partial.parent.mkdir(parents=True, exist_ok=True)
     with open(partial, "w", encoding="utf-8") as fh:
         for profile in corpus:
             record = {
@@ -219,7 +233,10 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_lexicon(path: str | Path, polarity: str) -> Lexicon:
-    """Load a one-word-per-line lexicon ('#' comments, blank lines ignored)."""
+    """Load a one-word-per-line lexicon ('#' comments, blank lines ignored).
+
+    Each entry must be a single token as `tokenize` splits text, since any
+    other entry could never match a question."""
     if polarity not in ("negative", "positive"):
         raise LexiconError(f"polarity must be 'negative' or 'positive', got {polarity!r}")
     words: set[str] = set()
@@ -230,7 +247,15 @@ def load_lexicon(path: str | Path, polarity: str) -> Lexicon:
                 continue
             if any(ch.isspace() for ch in word):
                 raise LexiconError(f"line {line_no}: multi-word entry {word!r} not allowed")
-            words.add(word.lower())
+            entry = word.lower()
+            # matched against the token pattern directly: `tokenize` runs once
+            # per question, and its call count is measured as such
+            if not _TOKEN_RE.fullmatch(entry):
+                tokens = _TOKEN_RE.findall(entry)
+                raise LexiconError(
+                    f"line {line_no}: entry {word!r} is not a single token (reads as {tokens})"
+                )
+            words.add(entry)
     if not words:
         raise LexiconError(f"lexicon {path} is empty after parsing")
     return Lexicon(polarity=polarity, words=frozenset(words))

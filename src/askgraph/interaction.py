@@ -16,8 +16,18 @@ from .corpus import Corpus, tag_corpus
 from .wordgraph import WordSet
 
 
+# The metric battery's fixed parameters: the top-x% points of the in/out
+# overlap curve, and the answered-question count that splits the
+# likes/answers correlation.
+OVERLAP_POINTS = (1, 2, 5, 10, 20, 50, 100)
+LIKES_SPLIT = 50
+
+
 @dataclass(frozen=True)
 class InteractionGraph:
+    """The like graph: sorted node ids, and the edges keyed (src, dst) and
+    stored in sorted key order, which is the order they are written in."""
+
     nodes: tuple[str, ...]
     edges: dict[tuple[str, str], tuple[int, int]]  # (src, dst) -> (n_neg, n_nonneg)
     top_k: int
@@ -89,6 +99,8 @@ def build_interaction_graph(
     contribute. Self-likes and likers without a fully-sampled profile in the
     corpus are skipped.
     """
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     nodes = tuple(sorted(p.owner for p in corpus if p.fully_sampled))
     node_set = set(nodes)
     hits = tag_corpus(corpus, neg_words.words).hits
@@ -283,7 +295,7 @@ def _pearson(xs: list[float], ys: list[float]) -> Optional[float]:
 
 
 def likes_answers_correlation(
-    corpus: Corpus, split: int = 50
+    corpus: Corpus, split: int = LIKES_SPLIT
 ) -> tuple[Optional[float], Optional[float]]:
     """Pearson correlation of (answered questions, total likes) per fully
     sampled profile, computed separately below and at-or-above the
@@ -309,12 +321,7 @@ def likes_answers_correlation(
     return _pearson(below_x, below_y), _pearson(above_x, above_y)
 
 
-def compute_metrics(
-    corpus: Corpus,
-    table: NodeTable,
-    overlap_points: tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100),
-    likes_split: int = 50,
-) -> MetricsReport:
+def compute_metrics(corpus: Corpus, table: NodeTable) -> MetricsReport:
     """Full metric battery: reductions over a graph's node table."""
 
     def safe_recip(counts: EdgeCounts) -> float:
@@ -330,14 +337,14 @@ def compute_metrics(
     in_deg = table.merged.in_deg
     out_deg = table.merged.out_deg
     overlap_curve = (
-        [(x, top_overlap(in_deg, out_deg, x)) for x in overlap_points] if table.nodes else []
+        [(x, top_overlap(in_deg, out_deg, x)) for x in OVERLAP_POINTS] if table.nodes else []
     )
     try:
         ratio_cdf, within = degree_ratio_cdf(out_deg, in_deg)
     except ValueError:
         ratio_cdf, within = [], 0.0
 
-    corr_below, corr_above = likes_answers_correlation(corpus, split=likes_split)
+    corr_below, corr_above = likes_answers_correlation(corpus)
     return MetricsReport(
         mean_reciprocity=safe_recip(table.merged),
         neg_reciprocity=safe_recip(table.neg),

@@ -88,13 +88,11 @@ def write_word_graph(
 
 
 def write_interaction_graph(path: str | Path, graph: InteractionGraph) -> None:
+    """One row per edge, in the graph's stored (sorted) edge order."""
     write_csv(
         path,
         ["src", "dst", "n_neg", "n_nonneg"],
-        (
-            (i, j, w[0], w[1])
-            for (i, j), w in sorted(graph.edges.items())
-        ),
+        ((i, j, w[0], w[1]) for (i, j), w in graph.edges.items()),
     )
 
 

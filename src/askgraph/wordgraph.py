@@ -171,6 +171,8 @@ def select_top_words(
 ) -> WordSet:
     """Keep words with score strictly above threshold, at most `cap` of them,
     ordered by descending score with lexicographic tie-break."""
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     candidates = [(w, s) for w, s in scores.scores.items() if s > threshold]
     candidates.sort(key=lambda ws: (-ws[1], ws[0]))
     selected = candidates[:cap]

@@ -67,6 +67,50 @@ class TestArgs:
         assert run("stats", "--config", cfg, "--out", tmp_path) == 1
         assert "[load_config] config line 2: threshold:" in capsys.readouterr().err
 
+    def test_config_value_outside_choices_names_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"corpus={DEMO}\npolarity=neutral\n", encoding="utf-8")
+        assert run("cooccur", "--config", cfg, "--word", "ugly", "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "askgraph: error [load_config] config line 2: polarity: invalid choice: "
+            "'neutral' (choose from 'negative', 'positive')\n"
+        )
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_abbreviated_flag_rejected_next_to_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"corpus={DEMO}\nthreshold=0.99\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            run("words", "--config", cfg, "--thresh", 0.5, "--out", tmp_path)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --thresh" in capsys.readouterr().err
+        assert not list(tmp_path.glob("wordset_*"))
+
+    @pytest.mark.parametrize("flag", [("--threshold", "0.4"), ("--threshold=0.4",)])
+    def test_explicit_flag_beats_config(self, tmp_path, flag):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"corpus={DEMO}\nthreshold=0.99\n", encoding="utf-8")
+        assert run("words", "--config", cfg, *flag, "--out", tmp_path) == 0
+        lines = (tmp_path / "wordset_negative.txt").read_text().splitlines()
+        assert lines[1] == "# threshold: 0.4"
+
+    def test_missing_corpus_message(self, tmp_path, capsys):
+        assert run("stats", "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "askgraph: error [stats] --corpus is required (flag or config)\n"
+        )
+
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("command,flag,stage", [
+        ("words", "--cap", "select_top_words"),
+        ("graph", "--top-k", "build_interaction_graph"),
+    ])
+    def test_size_below_one_fails_at_its_stage(self, tmp_path, capsys, command, flag,
+                                                 stage, value):
+        assert run(command, "--corpus", DEMO, flag, value, "--out", tmp_path) == 1
+        assert capsys.readouterr().err.startswith(f"askgraph: error [{stage}] ")
+        assert not list(tmp_path.iterdir())
+
     def test_load_config_rejects_bad_lines(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("not a pair\n", encoding="utf-8")
@@ -136,6 +180,35 @@ class TestSubcommands:
         order = (tmp_path / "crawl" / "crawl_order.txt").read_text().splitlines()
         assert order[0] == seed_user
         assert len(order) <= 10
+
+    @pytest.mark.parametrize("argv,stage", [
+        (("--neg-vocab", "nope.txt"), "load_lexicon"),
+        (("--mix", "HN:x"), "generate_corpus"),
+        (("--questions", "11-x"), "generate_corpus"),
+        (("--n-users", 0), "generate_corpus"),
+    ])
+    def test_synth_errors_name_their_stage(self, tmp_path, capsys, argv, stage):
+        argv = [tmp_path / a if a == "nope.txt" else a for a in argv]
+        assert run("synth", "--seed", 1, *argv, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith(f"askgraph: error [{stage}] ")
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_config_vocab_key_names_the_vocab_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"neg_vocab={tmp_path / 'nope.txt'}\n", encoding="utf-8")
+        assert run("synth", "--seed", 1, "--config", cfg, "--out", tmp_path / "out") == 1
+        assert "askgraph: error [load_lexicon] [Errno 2]" in capsys.readouterr().err
+
+    def test_crawl_sim_rejects_lone_surrogate(self, tmp_path, capsys):
+        ground_truth = tmp_path / "corpus.jsonl"
+        ground_truth.write_text(
+            '{"owner":"a","questions":[{"text":"x \\ud800","likers":["b"]}]}\n'
+            '{"owner":"b"}\n', encoding="utf-8")
+        out = tmp_path / "crawl"
+        assert run("crawl-sim", "--corpus", ground_truth, "--seeds", "a", "--budget", 3,
+                   "--seed", 1, "--out", out) == 1
+        assert capsys.readouterr().err.startswith("askgraph: error [load_corpus] line 1: ")
+        assert not list(out.glob("sampled_corpus.jsonl*"))
 
     def test_synth_requires_seed(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -122,6 +123,16 @@ class TestLoadCorpus:
             load_corpus(path)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("text", ["x \\ud800", "\\udfff", "\\ud83d\\ud83d"])
+    def test_lone_surrogate_escape_reports_line(self, tmp_path, text):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"owner": "a", "questions": [{"text": "\\ud83d\\ude00 \\u00e9"}]}\n'
+                        '{"owner": "b", "questions": [{"text": "%s"}]}\n' % text,
+                        encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match="lone surrogate") as exc:
+            load_corpus(path)
+        assert exc.value.line_no == 2
+
     def test_absent_optional_fields_take_defaults(self, tmp_path):
         path = write_corpus_file(tmp_path, [{"owner": "a", "questions": [{"text": "hi"}]}])
         profile = load_corpus(path)["a"]
@@ -218,6 +229,13 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="multi-word"):
             load_lexicon(path, "negative")
 
+    @pytest.mark.parametrize("entry", ["bad-word", "İstanbul", "_x", "x."])
+    def test_entry_that_is_not_one_token_rejected_with_line(self, tmp_path, entry):
+        path = tmp_path / "lex.txt"
+        path.write_text(f"# header\nugly\n{entry}\n", encoding="utf-8")
+        with pytest.raises(LexiconError, match=f"^line 3: entry {entry!r} is not a single"):
+            load_lexicon(path, "negative")
+
     @pytest.mark.parametrize("polarity", ["negative", "positive"])
     def test_bundled_lexicon_size_matches_file(self, polarity):
         path = bundled_lexicon_path(polarity)
@@ -229,6 +247,48 @@ class TestLoadLexicon:
         }
         assert len(lex) == len(expected)
         assert len(lex) > 100
+
+
+# Lexicon entries: plain words, and text mixing the characters that join
+# tokens (' and *), split them (- _ .), or change under lowercasing (U+0130
+# lowercases to "i" plus a combining dot, which splits a token).
+_ENTRIES = st.one_of(
+    st.from_regex(r"[a-zA-Z0-9'*]{1,6}", fullmatch=True),
+    st.text(st.one_of(st.sampled_from("aZ9'*-_.İΣé\u0301"), st.characters(exclude_categories=["Cs"])),
+            min_size=1, max_size=6),
+).filter(lambda e: not e.startswith("#") and not any(c.isspace() for c in e))
+# Punctuation and whitespace around an entry in a question; ' and * are
+# token characters, so they are not punctuation here.
+_GAP = st.text(st.characters(categories=["P", "Z"], exclude_characters="'*"), max_size=3)
+
+
+class TestLexiconEntriesMatchTokens:
+    @pytest.fixture(scope="class")
+    def lex_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("lexicon")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ENTRIES, min_size=1, max_size=4), _GAP, _GAP)
+    def test_accepted_entries_are_tagged_and_rejected_ones_name_their_line(
+        self, lex_dir, entries, before, after
+    ):
+        """An entry is accepted exactly when `tag_corpus` finds it, as written
+        in the file, in a question that is that entry inside punctuation."""
+
+        def found(entry):
+            corp = Corpus({"u": Profile("u", (Question(before + entry + after),))})
+            return tag_corpus(corp, {entry.lower()}).hits["u"] == ((entry.lower(),),)
+
+        path = lex_dir / "lex.txt"
+        path.write_text("# header\n" + "\n".join(entries) + "\n", encoding="utf-8")
+        try:
+            lex = load_lexicon(path, "negative")
+        except LexiconError as exc:
+            bad = int(re.match(r"line (\d+): ", str(exc)).group(1)) - 2
+            assert all(found(e) for e in entries[:bad]) and not found(entries[bad])
+        else:
+            assert lex.words == {e.lower() for e in entries}
+            assert all(found(e) for e in entries)
 
 
 NEG = Lexicon("negative", frozenset({"ugly", "fat"}))

@@ -101,6 +101,12 @@ class TestBuildInteractionGraph:
         g = build_interaction_graph(corp, NEG_WS, top_k=2)
         assert g.edges[("u1", "u2")] == (0, 2)
 
+    @pytest.mark.parametrize("top_k", [0, -3])
+    def test_top_k_below_one_raises(self, top_k):
+        corp = corpus_of([profile("u1", []), profile("u2", [("ugly", ["u1"])])])
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            build_interaction_graph(corp, NEG_WS, top_k=top_k)
+
 
 class TestSplitGraph:
     """The neg/nonneg split of each edge, as the node table counts it."""

@@ -181,6 +181,12 @@ class TestSelectTopWords:
         large = select_top_words(scores, "negative", cap=20).words
         assert large[:10] == small
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_raises(self, cap):
+        scores = CentralityScores({f"w{i}": 0.6 + i * 0.001 for i in range(30)})
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            select_top_words(scores, "negative", cap=cap)
+
     def test_ties_broken_lexicographically(self):
         scores = CentralityScores({"b": 0.9, "a": 0.9, "c": 1.0})
         ws = select_top_words(scores, "negative")
