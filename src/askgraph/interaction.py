@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from itertools import chain, repeat
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
+
+import numpy as np
+import scipy.sparse as sp
 
 from .corpus import Corpus, tag_corpus
 from .wordgraph import WordSet
@@ -23,14 +29,57 @@ OVERLAP_POINTS = (1, 2, 5, 10, 20, 50, 100)
 LIKES_SPLIT = 50
 
 
-@dataclass(frozen=True)
 class InteractionGraph:
-    """The like graph: sorted node ids, and the edges keyed (src, dst) and
-    stored in sorted key order, which is the order they are written in."""
+    """The like graph over sorted node ids, as int edge arrays.
 
-    nodes: tuple[str, ...]
-    edges: dict[tuple[str, str], tuple[int, int]]  # (src, dst) -> (n_neg, n_nonneg)
-    top_k: int
+    Edge e runs from `nodes[src[e]]` to `nodes[dst[e]]` and carries
+    `weights[e] = (n_neg, n_nonneg)`. Edges are stored sorted by
+    (src, dst) index, which for sorted ids is their string-key order and the
+    order they are written in.
+
+    `InteractionGraph(nodes, {(src_id, dst_id): (n_neg, n_nonneg)}, top_k)`
+    builds one from an edge mapping; `edges` reads it back as one."""
+
+    def __init__(
+        self,
+        nodes: Sequence[str],
+        edges: Mapping[tuple[str, str], tuple[int, int]],
+        top_k: int,
+    ):
+        index = {u: k for k, u in enumerate(nodes)}
+        pairs = np.array([(index[i], index[j]) for i, j in edges], dtype=np.int64).reshape(-1, 2)
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            raise ValueError("the like graph has no self-loops")
+        codes = pairs[:, 0] * len(index) + pairs[:, 1]
+        weights = np.array(list(edges.values()), dtype=np.int64).reshape(-1, 2)
+        order = np.argsort(codes)  # the codes are distinct
+        self._set(tuple(nodes), codes[order], weights[order], top_k)
+
+    @classmethod
+    def _from_codes(cls, nodes, codes, weights, top_k) -> "InteractionGraph":
+        graph = cls.__new__(cls)
+        graph._set(nodes, codes, weights, top_k)
+        return graph
+
+    def _set(self, nodes, codes, weights, top_k) -> None:
+        self.nodes: tuple[str, ...] = nodes
+        self.src, self.dst = np.divmod(codes, max(len(nodes), 1))
+        self.weights: np.ndarray = weights  # (E, 2): n_neg, n_nonneg
+        self.top_k = top_k
+
+    def edge_rows(self) -> Iterator[tuple[str, str, int, int]]:
+        """(src_id, dst_id, n_neg, n_nonneg) per edge, in stored order."""
+        names = self.nodes
+        return zip(
+            [names[i] for i in self.src.tolist()],
+            [names[j] for j in self.dst.tolist()],
+            *self.weights.T.tolist(),
+        )
+
+    @cached_property
+    def edges(self) -> Mapping[tuple[str, str], tuple[int, int]]:
+        """Read-only `{(src_id, dst_id): (n_neg, n_nonneg)}` in stored order."""
+        return MappingProxyType({(i, j): (neg, nonneg) for i, j, neg, nonneg in self.edge_rows()})
 
 
 @dataclass(frozen=True)
@@ -102,91 +151,130 @@ def build_interaction_graph(
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     nodes = tuple(sorted(p.owner for p in corpus if p.fully_sampled))
-    node_set = set(nodes)
+    index = {u: k for k, u in enumerate(nodes)}
     hits = tag_corpus(corpus, neg_words.words).hits
-    edges: dict[tuple[str, str], list[int]] = {}
-    for j in nodes:
-        for question, words in zip(corpus[j].questions[:top_k], hits[j]):
-            slot = 0 if any(w in neg_words for w in words) else 1
-            for i in question.likers:
-                if i == j or i not in node_set:
-                    continue
-                weight = edges.setdefault((i, j), [0, 0])
-                weight[slot] += 1
-    return InteractionGraph(
-        nodes=nodes,
-        edges={k: (v[0], v[1]) for k, v in sorted(edges.items())},
-        top_k=top_k,
+    neg = neg_words.scores.keys()
+    top = [corpus[u].questions[:top_k] for u in nodes]
+    questions = list(chain.from_iterable(top))
+    n_likers = np.array([len(q.likers) for q in questions], dtype=np.int64)
+    # one entry per like: liker index (-1 without a fully sampled profile),
+    # owner index and whether the question is non-negative
+    likers = np.fromiter(
+        map(index.get, chain.from_iterable(q.likers for q in questions), repeat(-1)),
+        dtype=np.int64,
+        count=int(n_likers.sum()),
     )
+    n_questions = np.array([len(qs) for qs in top], dtype=np.int64)
+    owners = np.repeat(np.repeat(np.arange(len(nodes)), n_questions), n_likers)
+    nonneg = np.repeat(
+        np.array([neg.isdisjoint(words) for u in nodes for words in hits[u][:top_k]], dtype=bool),
+        n_likers,
+    )
+    keep = (likers >= 0) & (likers != owners)
+    codes, edge_of_like = np.unique(likers[keep] * len(nodes) + owners[keep], return_inverse=True)
+    weights = np.bincount(2 * edge_of_like + nonneg[keep], minlength=2 * len(codes)).reshape(-1, 2)
+    return InteractionGraph._from_codes(nodes, codes, weights, top_k)
 
 
 def node_table(graph: InteractionGraph) -> NodeTable:
-    """One pass over the edges and one triangle scan give every per-node
-    fact: per component weighted in/out-degree, out-edge and reciprocated
-    out-edge counts and per-node reciprocity, then undirected degree and
-    local clustering with the global triple counts."""
+    """Counts over the edge arrays and one triangle kernel give every
+    per-node fact: per component weighted in/out-degree, out-edge and
+    reciprocated out-edge counts and per-node reciprocity, then undirected
+    degree and local clustering with the global triple counts."""
     nodes = graph.nodes
-    edges = graph.edges
-    # per component (neg, nonneg, merged): in_deg, out_deg, out_edges, recip_out
-    columns = [[dict.fromkeys(nodes, 0) for _ in range(4)] for _ in range(3)]
-    neighbors: dict[str, set[str]] = {u: set() for u in nodes}
-    for (i, j), weights in edges.items():
-        neighbors[i].add(j)
-        neighbors[j].add(i)
-        back = edges.get((j, i), (0, 0))
-        for (in_deg, out_deg, out_edges, recip_out), w, w_back in zip(
-            columns, (*weights, sum(weights)), (*back, sum(back))
-        ):
-            if w:
-                in_deg[j] += w
-                out_deg[i] += w
-                out_edges[i] += 1
-                recip_out[i] += w_back > 0
-    neg, nonneg, merged = (
-        EdgeCounts(
-            in_deg=in_deg,
-            out_deg=out_deg,
-            out_edges=out_edges,
-            recip_out=recip_out,
-            node_reciprocity={
-                u: (recip_out[u] / out_edges[u]) if out_edges[u] else 0.0 for u in nodes
-            },
+    n = len(nodes)
+    src, dst, weights = graph.src, graph.dst, graph.weights
+    # the reverse of each edge, found among the sorted edge codes (a miss
+    # past the last code is clamped, then fails the equality test)
+    codes = src * n + dst
+    reverse = dst * n + src
+    back = np.searchsorted(codes, reverse)
+    back[back == len(codes)] = 0
+    back_weights = np.where((codes[back] == reverse)[:, None], weights[back], 0)
+
+    def column(values: np.ndarray) -> dict:
+        return dict(zip(nodes, values.tolist()))
+
+    def counts(w: np.ndarray, w_back: np.ndarray) -> EdgeCounts:
+        present = w > 0
+        out_edges = np.bincount(src[present], minlength=n)
+        recip_out = np.bincount(src[present & (w_back > 0)], minlength=n)
+        return EdgeCounts(
+            in_deg=column(np.bincount(dst, weights=w, minlength=n).astype(np.int64)),
+            out_deg=column(np.bincount(src, weights=w, minlength=n).astype(np.int64)),
+            out_edges=column(out_edges),
+            recip_out=column(recip_out),
+            node_reciprocity=column(
+                np.divide(recip_out, out_edges, out=np.zeros(n), where=out_edges > 0)
+            ),
         )
-        for in_deg, out_deg, out_edges, recip_out in columns
+
+    neg, nonneg, merged = (
+        counts(w, w_back)
+        for w, w_back in zip(
+            (*weights.T, weights.sum(axis=1)), (*back_weights.T, back_weights.sum(axis=1))
+        )
     )
-    local, closed, connected = clustering(neighbors)
+    # binary undirected adjacency: a reciprocated pair is one undirected edge
+    adjacency = sp.csr_matrix(
+        (np.ones(2 * len(src), dtype=np.int64), (np.r_[src, dst], np.r_[dst, src])),
+        shape=(n, n),
+    )
+    adjacency.data[:] = 1
+    local, closed, connected = clustering(adjacency)
     return NodeTable(
         nodes=nodes,
         neg=neg,
         nonneg=nonneg,
         merged=merged,
-        degree={u: len(neighbors[u]) for u in nodes},
-        local_clustering=local,
+        degree=column(np.diff(adjacency.indptr)),
+        local_clustering=column(local),
         closed_triples=closed,
         connected_triples=connected,
     )
 
 
-def clustering(neighbors: dict[str, set[str]]) -> tuple[dict[str, float], int, int]:
-    """The triangle scan over an undirected neighbor map (no self-loops).
+# Rows per block of the triangle kernel's sparse products, which bounds the
+# memory their intermediate wedge counts take.
+_BLOCK_ROWS = 64
+
+
+def _row_sums(m: sp.spmatrix) -> np.ndarray:
+    return np.asarray(m.sum(axis=1)).ravel()
+
+
+def clustering(adjacency: sp.csr_matrix) -> tuple[np.ndarray, int, int]:
+    """Triangle counts over a binary undirected CSR adjacency (symmetric,
+    canonical, no self-loops).
 
     Returns local clustering per node (0 when degree < 2), the closed-triple
     count (each triangle once per corner) and the connected-triple count.
+
+    Nodes are ranked by (degree, index) and each edge is kept once, from its
+    lower- to its higher-ranked end: `L = triu(S, 1)` in rank order. Every
+    triangle a < b < c is then one entry of `M = (L @ L) ∘ L` at (a, c) and
+    one of `(Lᵀ @ L) ∘ L` at (b, c), so a node's link count (the triangles
+    through it) is `rowsum(M) + colsum(M) + rowsum((Lᵀ @ L) ∘ L)`. Ranking by
+    degree keeps the rows of L, and so the wedges the products enumerate,
+    short.
     """
-    per_node: dict[str, float] = {}
-    closed_triples = 0
-    total_triples = 0
-    for u, nbrs in neighbors.items():
-        k = len(nbrs)
-        if k < 2:
-            per_node[u] = 0.0
-            continue
-        # each link between two neighbors of u is seen from both of its ends
-        links = sum(len(nbrs & neighbors[v]) for v in nbrs) // 2
-        per_node[u] = 2.0 * links / (k * (k - 1))
-        closed_triples += links
-        total_triples += k * (k - 1) // 2
-    return per_node, closed_triples, total_triples
+    n = adjacency.shape[0]
+    degree = np.diff(adjacency.indptr)
+    order = np.argsort(degree, kind="stable")
+    upper = sp.triu(adjacency[order][:, order], 1, format="csr")
+    upper_t = upper.T.tocsr()
+    links = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        rows = upper[block]
+        closing = (rows @ upper).multiply(rows)  # lowest corner in the block
+        links[block] += _row_sums(closing)
+        links += np.asarray(closing.sum(axis=0)).ravel()
+        links[block] += _row_sums((upper_t[block] @ upper).multiply(rows))  # middle corner
+    links[order] = links.copy()
+    pairs = degree.astype(np.int64) * (degree - 1)
+    local = np.divide(2.0 * links, pairs, out=np.zeros(n), where=pairs > 0)
+    return local, int(links.sum()), int(pairs.sum()) // 2
 
 
 def ccdf(values: list[float]) -> list[tuple[float, float]]:
@@ -238,17 +326,28 @@ def mean_reciprocity_by_outdegree(counts: EdgeCounts) -> list[tuple[int, int, fl
 def top_overlap(in_deg: dict[str, int], out_deg: dict[str, int], x: float) -> float:
     """Percentage of common users among the top x% by in-degree and the top
     x% by out-degree (set size ceil(x% * N), ties by UserId ascending)."""
-    if not (0 < x <= 100):
+    return _top_overlaps(in_deg, out_deg, (x,))[0]
+
+
+def _top_overlaps(
+    in_deg: dict[str, int], out_deg: dict[str, int], points: Sequence[float]
+) -> list[float]:
+    """`top_overlap` at each of `points`, ranking the nodes once per degree."""
+    if not all(0 < x <= 100 for x in points):
         raise ValueError("x must be in (0, 100]")
     nodes = sorted(in_deg)
     if not nodes:
         raise ValueError("empty node set")
     if set(out_deg) != set(in_deg):
         raise ValueError("in- and out-degree vectors cover different node sets")
-    m = math.ceil(x / 100 * len(nodes))
-    top_in = set(sorted(nodes, key=lambda u: (-in_deg[u], u))[:m])
-    top_out = set(sorted(nodes, key=lambda u: (-out_deg[u], u))[:m])
-    return 100.0 * len(top_in & top_out) / m
+    # a stable sort of the sorted ids, descending by degree, breaks ties by id
+    by_in = sorted(nodes, key=in_deg.__getitem__, reverse=True)
+    by_out = sorted(nodes, key=out_deg.__getitem__, reverse=True)
+    overlaps = []
+    for x in points:
+        m = math.ceil(x / 100 * len(nodes))
+        overlaps.append(100.0 * len(set(by_in[:m]).intersection(by_out[:m])) / m)
+    return overlaps
 
 
 def degree_ratio_cdf(
@@ -298,8 +397,8 @@ def likes_answers_correlation(
     corpus: Corpus, split: int = LIKES_SPLIT
 ) -> tuple[Optional[float], Optional[float]]:
     """Pearson correlation of (answered questions, total likes) per fully
-    sampled profile, computed separately below and at-or-above the
-    question-count split.
+    sampled profile in owner order, computed separately below and
+    at-or-above the question-count split.
 
     A side with fewer than 2 profiles or zero variance yields None.
     """
@@ -307,7 +406,8 @@ def likes_answers_correlation(
     below_y: list[float] = []
     above_x: list[float] = []
     above_y: list[float] = []
-    for profile in corpus:
+    for owner in sorted(corpus.profiles):
+        profile = corpus[owner]
         if not profile.fully_sampled:
             continue
         n_q = len(profile.questions)
@@ -337,7 +437,9 @@ def compute_metrics(corpus: Corpus, table: NodeTable) -> MetricsReport:
     in_deg = table.merged.in_deg
     out_deg = table.merged.out_deg
     overlap_curve = (
-        [(x, top_overlap(in_deg, out_deg, x)) for x in OVERLAP_POINTS] if table.nodes else []
+        list(zip(OVERLAP_POINTS, _top_overlaps(in_deg, out_deg, OVERLAP_POINTS)))
+        if table.nodes
+        else []
     )
     try:
         ratio_cdf, within = degree_ratio_cdf(out_deg, in_deg)

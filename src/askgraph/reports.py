@@ -14,6 +14,9 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Optional
 
+import numpy as np
+import scipy.sparse as sp
+
 from .corpus import CorpusStats
 from .interaction import InteractionGraph, MetricsReport
 from .segmentation import GroupReport, GroupRow
@@ -32,20 +35,12 @@ def atomic_write(path: str | Path):
     os.replace(partial, path)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """The csv module writes None as an empty cell and a float as its repr."""
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_json(path: str | Path, payload) -> None:
@@ -60,10 +55,10 @@ def write_word_set(
     """One `word score` per line with a '#' metadata header."""
     with atomic_write(path) as fh:
         fh.write(f"# polarity: {word_set.polarity}\n")
-        fh.write(f"# threshold: {_fmt(threshold)}\n")
+        fh.write(f"# threshold: {threshold!r}\n")
         fh.write(f"# cap: {cap}\n")
         for word in word_set.words:
-            fh.write(f"{word} {_fmt(word_set.scores[word])}\n")
+            fh.write(f"{word} {word_set.scores[word]!r}\n")
 
 
 def write_word_graph(
@@ -72,14 +67,23 @@ def write_word_graph(
     graph: WordGraph,
     scores: CentralityScores,
 ) -> None:
-    """CSV edge list (word_a, word_b, weight) plus node centrality table."""
-    coo = graph.adjacency.tocoo()
-    edges = sorted(
-        (graph.nodes[i], graph.nodes[j], int(w))
-        for i, j, w in zip(coo.row, coo.col, coo.data)
-        if i < j
+    """CSV edge list (word_a, word_b, weight) plus node centrality table.
+
+    The nodes are sorted, so the upper triangle in row-major order lists
+    the edges in (word_a, word_b) order."""
+    upper = sp.triu(graph.adjacency, 1, format="csr")
+    upper.sort_indices()
+    names = graph.nodes
+    rows = np.repeat(np.arange(len(names)), np.diff(upper.indptr))
+    write_csv(
+        edges_path,
+        ["word_a", "word_b", "weight"],
+        zip(
+            [names[i] for i in rows.tolist()],
+            [names[j] for j in upper.indices.tolist()],
+            upper.data.tolist(),
+        ),
     )
-    write_csv(edges_path, ["word_a", "word_b", "weight"], edges)
     write_csv(
         nodes_path,
         ["word", "centrality"],
@@ -89,11 +93,7 @@ def write_word_graph(
 
 def write_interaction_graph(path: str | Path, graph: InteractionGraph) -> None:
     """One row per edge, in the graph's stored (sorted) edge order."""
-    write_csv(
-        path,
-        ["src", "dst", "n_neg", "n_nonneg"],
-        ((i, j, w[0], w[1]) for (i, j), w in graph.edges.items()),
-    )
+    write_csv(path, ["src", "dst", "n_neg", "n_nonneg"], graph.edge_rows())
 
 
 def write_corpus_stats(path: str | Path, stats: CorpusStats) -> None:

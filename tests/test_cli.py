@@ -1,8 +1,11 @@
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from askgraph import corpus, interaction, segmentation, wordgraph
 from askgraph.cli import load_config, main
@@ -314,3 +317,35 @@ class TestFrontierStubs:
         assert 11 <= stats["avg_answers_per_user"] <= 18
         rows = (out / "group_report.csv").read_text().splitlines()[1:]
         assert sum(int(row.split(",")[1]) for row in rows) == 100
+
+
+class TestProfileOrder:
+    @pytest.fixture(scope="class")
+    def synth_run(self, tmp_path_factory):
+        """A corpus with users on both sides of the likes/answers split, and
+        the pipeline outputs of its profile lines in file order."""
+        root = tmp_path_factory.mktemp("order")
+        assert run("synth", "--seed", 5, "--n-users", 300, "--questions", "30-70",
+                   "--mix", "HN:.1,HP:.2,PN:.2,OTHR:.5", "--out", root / "synth") == 0
+        assert run("pipeline", "--corpus", root / "synth" / "corpus.jsonl",
+                   "--labels", root / "synth" / "labels_HN.txt", "--out", root / "out") == 0
+        return root, outputs(root / "out")
+
+    # a shrunk permutation says no more than the first failing one
+    @settings(max_examples=10, deadline=None, phases=[Phase.generate])
+    @given(data=st.data())
+    def test_outputs_invariant_under_profile_permutation(self, synth_run, data):
+        root, expected = synth_run
+        lines = (root / "synth" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        shuffled = data.draw(st.permutations(lines))
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus_path = Path(tmp) / "corpus.jsonl"
+            corpus_path.write_text("\n".join(shuffled) + "\n", encoding="utf-8")
+            assert run("pipeline", "--corpus", corpus_path,
+                       "--labels", root / "synth" / "labels_HN.txt",
+                       "--out", Path(tmp) / "out") == 0
+            assert outputs(Path(tmp) / "out") == expected
+
+
+def outputs(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askgraph.corpus import Corpus, Profile, Question
+from askgraph.corpus import Corpus, Profile, Question, tokenize
 from askgraph.interaction import (
     InteractionGraph,
     build_interaction_graph,
@@ -106,6 +106,65 @@ class TestBuildInteractionGraph:
         corp = corpus_of([profile("u1", []), profile("u2", [("ugly", ["u1"])])])
         with pytest.raises(ValueError, match="top_k must be >= 1"):
             build_interaction_graph(corp, NEG_WS, top_k=top_k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference_builder(self, data):
+        # ids whose string order differs from their numeric order, and
+        # likers that are owners, frontier stubs or absent from the corpus
+        owners = data.draw(st.lists(st.sampled_from(USER_POOL), unique=True, max_size=7))
+        likers = st.lists(st.sampled_from(USER_POOL + ("ghost",)), unique=True, max_size=5)
+        questions = st.lists(st.tuples(st.sampled_from(TEXTS), likers), max_size=6)
+        corp = corpus_of([
+            profile(u, data.draw(questions), fully_sampled=data.draw(st.booleans()))
+            for u in owners
+        ])
+        top_k = data.draw(st.integers(1, 4))
+        g = build_interaction_graph(corp, NEG_WS, top_k=top_k)
+        nodes, edges = reference_build(corp, NEG_WS, top_k)
+        assert g.nodes == nodes
+        assert list(g.edges.items()) == list(edges.items())
+        assert g.weights.shape == (len(edges), 2)
+
+
+USER_POOL = ("u1", "u2", "u10", "u9", "a", "B")
+TEXTS = ("ugly one", "I hate it", "fine", "ok then", "")
+
+
+def reference_build(corpus, neg_words, top_k):
+    """The like graph as plain dicts: sorted node ids, and the edge weights
+    keyed (liker, owner) in sorted key order."""
+    nodes = tuple(sorted(p.owner for p in corpus if p.fully_sampled))
+    edges = {}
+    for j in nodes:
+        for question in corpus[j].questions[:top_k]:
+            slot = 0 if any(w in neg_words for w in tokenize(question.text)) else 1
+            for i in question.likers:
+                if i != j and i in nodes:
+                    edges.setdefault((i, j), [0, 0])[slot] += 1
+    return nodes, {e: tuple(w) for e, w in sorted(edges.items())}
+
+
+class TestInteractionGraphFromEdges:
+    def test_edges_read_back_in_index_order(self):
+        g = InteractionGraph(
+            nodes=("b", "a", "c"), edges={("c", "a"): (1, 2), ("b", "c"): (0, 1)}, top_k=15
+        )
+        assert list(g.edges.items()) == [(("b", "c"), (0, 1)), (("c", "a"), (1, 2))]
+        assert g.src.tolist() == [0, 2] and g.dst.tolist() == [2, 1]
+
+    def test_edges_view_is_read_only(self):
+        g = digraph({("a", "b"): 1})
+        with pytest.raises(TypeError):
+            g.edges[("b", "a")] = (1, 0)
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="self-loops"):
+            digraph({("a", "a"): 1})
+
+    def test_unknown_node_rejected(self):
+        with pytest.raises(KeyError):
+            digraph({("a", "z"): 1}, nodes=["a", "b"])
 
 
 class TestSplitGraph:

@@ -56,3 +56,48 @@ def test_node_table_matches_networkx(graph):
         else:
             with pytest.raises(ValueError):
                 reciprocity(counts)
+
+
+def hub_digraph(rng):
+    """130-300 nodes: sparse random edges plus a few hubs at random ids, so
+    that ranking nodes by degree reorders them, and the triangle kernel
+    spans several row blocks."""
+    n = rng.randint(130, 300)
+    nodes = tuple(f"n{i:03d}" for i in range(n))
+    pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}
+    for hub in rng.sample(range(n), 4):
+        for v in rng.sample(range(n), rng.randint(n // 5, n // 2)):
+            pairs.add((hub, v) if rng.random() < 0.5 else (v, hub))
+    edges = {
+        (nodes[a], nodes[b]): rng.choice(((1, 0), (0, 2), (3, 1)))
+        for a, b in sorted(pairs)
+        if a != b
+    }
+    return InteractionGraph(nodes=nodes, edges=edges, top_k=15)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_node_table_matches_networkx_on_hub_graphs(seed):
+    import random
+
+    graph = hub_digraph(random.Random(seed))
+    t = node_table(graph)
+    undirected = nx_component(graph, None).to_undirected()
+    degrees = [undirected.degree(u) for u in graph.nodes]
+    assert degrees != sorted(degrees)  # the kernel reorders the nodes
+
+    local = nx.clustering(undirected)
+    triangles = nx.triangles(undirected)
+    for u in graph.nodes:
+        assert t.degree[u] == undirected.degree(u)
+        assert t.local_clustering[u] == pytest.approx(local[u], abs=1e-12)
+    assert t.closed_triples == sum(triangles.values())
+    assert t.global_clustering == pytest.approx(nx.transitivity(undirected), abs=1e-12)
+    for counts, slot in ((t.neg, 0), (t.nonneg, 1), (t.merged, None)):
+        d = nx_component(graph, slot)
+        for u in graph.nodes:
+            assert counts.in_deg[u] == d.in_degree(u, weight="weight")
+            assert counts.out_deg[u] == d.out_degree(u, weight="weight")
+            assert counts.out_edges[u] == d.out_degree(u)
+        assert reciprocity(counts) == pytest.approx(nx.reciprocity(d), abs=1e-12)
