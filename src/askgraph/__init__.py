@@ -19,9 +19,7 @@ from .corpus import (  # noqa: F401
 )
 from .wordgraph import (  # noqa: F401
     BipartiteGraph,
-    CentralityScores,
     OneModeGraph,
-    WordGraph,
     WordSet,
     build_bipartite,
     cooccurrence_distribution,
@@ -44,7 +42,7 @@ from .interaction import (  # noqa: F401
     mean_reciprocity_by_outdegree,
     node_table,
     reciprocity,
-    top_overlap,
+    top_overlaps,
 )
 from .segmentation import (  # noqa: F401
     GroupReport,

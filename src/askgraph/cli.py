@@ -361,9 +361,9 @@ class _Run:
     def write_crawl(self) -> None:
         sampled = self.crawl
         corpus_mod.save_corpus(sampled.corpus, self.out / "sampled_corpus.jsonl")
-        with reports.atomic_write(self.out / "crawl_order.txt") as fh:
+        with corpus_mod.atomic_write(self.out / "crawl_order.txt") as fh:
             fh.writelines(uid + "\n" for uid in sampled.crawl_order)
-        with reports.atomic_write(self.out / "frontier.txt") as fh:
+        with corpus_mod.atomic_write(self.out / "frontier.txt") as fh:
             fh.writelines(uid + "\n" for uid in sorted(sampled.frontier))
 
 

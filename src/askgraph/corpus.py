@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Container, Iterable
@@ -210,17 +211,28 @@ def _question_record(q: Question) -> dict:
     return record
 
 
+@contextmanager
+def atomic_write(path: str | Path):
+    """Yield a text handle on `<path>.partial`, creating its directory if
+    needed; rename over `path` on clean exit, leave the partial file on
+    failure."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".partial")
+    with open(partial, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+    os.replace(partial, path)
+
+
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a Corpus in the canonical line-delimited format, atomically
-    (`<path>.partial`, then a rename), creating its directory if needed.
+    """Write a Corpus in the canonical line-delimited format, through
+    `atomic_write`.
 
     Output is deterministic: fixed key order, compact separators, question
     order as stored (like_count descending). load_corpus(save_corpus(c))
     round-trips byte-identically.
     """
-    partial = Path(path).with_name(Path(path).name + ".partial")
-    partial.parent.mkdir(parents=True, exist_ok=True)
-    with open(partial, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for profile in corpus:
             record = {
                 "owner": profile.owner,
@@ -229,7 +241,6 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             }
             fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
-    os.replace(partial, path)
 
 
 def load_lexicon(path: str | Path, polarity: str) -> Lexicon:

@@ -86,28 +86,31 @@ class InteractionGraph:
 class EdgeCounts:
     """Per-node counts over one component of the graph: the negative
     weights, the non-negative weights, or their sum (merged). An edge
-    belongs to a component when its weight there is positive."""
+    belongs to a component when its weight there is positive. Each column
+    is an array aligned with `NodeTable.nodes`."""
 
-    in_deg: dict[str, int]  # weighted
-    out_deg: dict[str, int]  # weighted
-    out_edges: dict[str, int]  # unweighted
-    recip_out: dict[str, int]  # out-edges whose reverse is in the component
-    node_reciprocity: dict[str, float]  # recip_out / out_edges, 0 without out-edges
+    in_deg: np.ndarray  # weighted
+    out_deg: np.ndarray  # weighted
+    out_edges: np.ndarray  # unweighted
+    recip_out: np.ndarray  # out-edges whose reverse is in the component
+    node_reciprocity: np.ndarray  # recip_out / out_edges, 0 without out-edges
 
 
 @dataclass(frozen=True)
 class NodeTable:
-    """Every per-node graph fact the metric battery and the group rows read.
+    """Every per-node graph fact the metric battery and the group rows read,
+    as arrays aligned with the sorted node ids.
 
     Built once per graph by `node_table`; metrics and group means are
-    reductions over it."""
+    reductions over it. A mean reduces `.tolist()` of a column with `sum`,
+    so it adds Python floats left to right in sorted-id order."""
 
     nodes: tuple[str, ...]
     neg: EdgeCounts
     nonneg: EdgeCounts
     merged: EdgeCounts
-    degree: dict[str, int]  # undirected, binarized
-    local_clustering: dict[str, float]
+    degree: np.ndarray  # undirected, binarized
+    local_clustering: np.ndarray
     closed_triples: int  # triangles counted once per corner
     connected_triples: int
 
@@ -119,7 +122,7 @@ class NodeTable:
     @property
     def mean_local_clustering(self) -> float:
         n = len(self.nodes)
-        return sum(self.local_clustering.values()) / n if n else 0.0
+        return sum(self.local_clustering.tolist()) / n if n else 0.0
 
 
 @dataclass(frozen=True)
@@ -192,21 +195,16 @@ def node_table(graph: InteractionGraph) -> NodeTable:
     back[back == len(codes)] = 0
     back_weights = np.where((codes[back] == reverse)[:, None], weights[back], 0)
 
-    def column(values: np.ndarray) -> dict:
-        return dict(zip(nodes, values.tolist()))
-
     def counts(w: np.ndarray, w_back: np.ndarray) -> EdgeCounts:
         present = w > 0
         out_edges = np.bincount(src[present], minlength=n)
         recip_out = np.bincount(src[present & (w_back > 0)], minlength=n)
         return EdgeCounts(
-            in_deg=column(np.bincount(dst, weights=w, minlength=n).astype(np.int64)),
-            out_deg=column(np.bincount(src, weights=w, minlength=n).astype(np.int64)),
-            out_edges=column(out_edges),
-            recip_out=column(recip_out),
-            node_reciprocity=column(
-                np.divide(recip_out, out_edges, out=np.zeros(n), where=out_edges > 0)
-            ),
+            in_deg=np.bincount(dst, weights=w, minlength=n).astype(np.int64),
+            out_deg=np.bincount(src, weights=w, minlength=n).astype(np.int64),
+            out_edges=out_edges,
+            recip_out=recip_out,
+            node_reciprocity=np.divide(recip_out, out_edges, out=np.zeros(n), where=out_edges > 0),
         )
 
     neg, nonneg, merged = (
@@ -227,8 +225,8 @@ def node_table(graph: InteractionGraph) -> NodeTable:
         neg=neg,
         nonneg=nonneg,
         merged=merged,
-        degree=column(np.diff(adjacency.indptr)),
-        local_clustering=column(local),
+        degree=np.diff(adjacency.indptr),
+        local_clustering=local,
         closed_triples=closed,
         connected_triples=connected,
     )
@@ -277,32 +275,42 @@ def clustering(adjacency: sp.csr_matrix) -> tuple[np.ndarray, int, int]:
     return local, int(links.sum()), int(pairs.sum()) // 2
 
 
-def ccdf(values: list[float]) -> list[tuple[float, float]]:
+def _cumulative_counts(values: np.ndarray) -> tuple[list, list[int]]:
+    """The distinct values ascending, each with the number of values at or
+    below it."""
+    distinct, counts = np.unique(values, return_counts=True)
+    return distinct.tolist(), np.cumsum(counts).tolist()
+
+
+def ccdf(values: np.ndarray) -> list[tuple[float, float]]:
     """Points (k, fraction of values >= k) for each distinct k ascending.
 
     The first point is always (min, 1.0) and the curve is monotone
     non-increasing.
     """
-    if not values:
+    if not len(values):
         raise ValueError("ccdf requires a non-empty value list")
-    n = len(values)
-    ordered = sorted(values)
-    curve: list[tuple[float, float]] = []
-    i = 0
-    while i < n:
-        k = ordered[i]
-        curve.append((k, (n - i) / n))
-        while i < n and ordered[i] == k:
-            i += 1
-    return curve
+    distinct, at_or_below = _cumulative_counts(values)
+    n = at_or_below[-1]
+    return [(k, (n - below) / n) for k, below in zip(distinct, [0, *at_or_below[:-1]])]
+
+
+def _group_means(keys: np.ndarray, values: np.ndarray) -> tuple[list, list[float], list[int]]:
+    """The distinct keys ascending, each with the mean of its values and
+    their number. `bincount` adds each group's values in input order, as
+    `sum` over them would."""
+    distinct, group = np.unique(keys, return_inverse=True)
+    sizes = np.bincount(group, minlength=len(distinct))
+    sums = np.bincount(group, weights=values, minlength=len(distinct))
+    return distinct.tolist(), (sums / sizes).tolist(), sizes.tolist()
 
 
 def reciprocity(counts: EdgeCounts) -> float:
     """Fraction of a component's edges whose reverse is also in it."""
-    n_edges = sum(counts.out_edges.values())
+    n_edges = int(counts.out_edges.sum())
     if not n_edges:
         raise ValueError("reciprocity is undefined for a zero-edge graph")
-    return sum(counts.recip_out.values()) / n_edges
+    return int(counts.recip_out.sum()) / n_edges
 
 
 def mean_reciprocity_by_outdegree(counts: EdgeCounts) -> list[tuple[int, int, float, int]]:
@@ -312,71 +320,55 @@ def mean_reciprocity_by_outdegree(counts: EdgeCounts) -> list[tuple[int, int, fl
     Returns rows (bin_lo, bin_hi, mean_reciprocity, n_nodes); empty bins and
     out-degree-0 nodes are omitted.
     """
-    bins: dict[int, list[float]] = {}
-    for u, d in counts.out_edges.items():
-        if d < 1:
-            continue
-        bins.setdefault(d.bit_length() - 1, []).append(counts.node_reciprocity[u])
+    has_out = counts.out_edges > 0
+    # d = m·2^e with m in [0.5, 1), exactly, so e - 1 = floor(log2 d)
+    bins = np.frexp(counts.out_edges[has_out])[1] - 1
     return [
-        (1 << b, 1 << (b + 1), sum(vals) / len(vals), len(vals))
-        for b, vals in sorted(bins.items())
+        (1 << b, 1 << (b + 1), mean, size)
+        for b, mean, size in zip(*_group_means(bins, counts.node_reciprocity[has_out]))
     ]
 
 
-def top_overlap(in_deg: dict[str, int], out_deg: dict[str, int], x: float) -> float:
+def top_overlaps(in_deg: np.ndarray, out_deg: np.ndarray, points: Sequence[float]) -> list[float]:
     """Percentage of common users among the top x% by in-degree and the top
-    x% by out-degree (set size ceil(x% * N), ties by UserId ascending)."""
-    return _top_overlaps(in_deg, out_deg, (x,))[0]
-
-
-def _top_overlaps(
-    in_deg: dict[str, int], out_deg: dict[str, int], points: Sequence[float]
-) -> list[float]:
-    """`top_overlap` at each of `points`, ranking the nodes once per degree."""
+    x% by out-degree, for each x in `points` (set size ceil(x% * N), ties by
+    UserId ascending: the degrees are aligned with the sorted ids)."""
     if not all(0 < x <= 100 for x in points):
         raise ValueError("x must be in (0, 100]")
-    nodes = sorted(in_deg)
-    if not nodes:
+    n = len(in_deg)
+    if not n:
         raise ValueError("empty node set")
-    if set(out_deg) != set(in_deg):
-        raise ValueError("in- and out-degree vectors cover different node sets")
-    # a stable sort of the sorted ids, descending by degree, breaks ties by id
-    by_in = sorted(nodes, key=in_deg.__getitem__, reverse=True)
-    by_out = sorted(nodes, key=out_deg.__getitem__, reverse=True)
-    overlaps = []
-    for x in points:
-        m = math.ceil(x / 100 * len(nodes))
-        overlaps.append(100.0 * len(set(by_in[:m]).intersection(by_out[:m])) / m)
-    return overlaps
+
+    def rank(deg: np.ndarray) -> np.ndarray:
+        # a stable sort of the sorted ids, descending by degree, breaks ties by id
+        return np.argsort(np.argsort(-deg, kind="stable"))
+
+    # a node is in both top-m sets exactly when m exceeds both its ranks
+    in_both = np.sort(np.maximum(rank(in_deg), rank(out_deg)))
+    sizes = [math.ceil(x / 100 * n) for x in points]
+    return [100.0 * int(np.searchsorted(in_both, m)) / m for m in sizes]
 
 
 def degree_ratio_cdf(
-    out_deg: dict[str, int], in_deg: dict[str, int]
+    out_deg: np.ndarray, in_deg: np.ndarray
 ) -> tuple[list[tuple[float, float]], float]:
     """CDF of out-degree/in-degree over nodes with positive in-degree, plus
     the fraction of those nodes with ratio inside the multiplicative band
     [0.8, 1.25]."""
-    ratios = sorted(out_deg[u] / in_deg[u] for u in in_deg if in_deg[u] > 0)
-    if not ratios:
+    has_in = in_deg > 0
+    if not has_in.any():
         raise ValueError("no node with positive in-degree")
+    ratios = out_deg[has_in] / in_deg[has_in]
     n = len(ratios)
-    curve: list[tuple[float, float]] = []
-    i = 0
-    while i < n:
-        r = ratios[i]
-        while i < n and ratios[i] == r:
-            i += 1
-        curve.append((r, i / n))
-    within = sum(1 for r in ratios if 0.8 <= r <= 1.25) / n
-    return curve, within
+    distinct, at_or_below = _cumulative_counts(ratios)
+    within = np.count_nonzero((0.8 <= ratios) & (ratios <= 1.25)) / n
+    return [(r, count / n) for r, count in zip(distinct, at_or_below)], within
 
 
 def mean_local_clustering_vs_degree(table: NodeTable) -> list[tuple[int, float]]:
     """Average local clustering over nodes grouped by degree, ascending."""
-    groups: dict[int, list[float]] = {}
-    for u in table.nodes:
-        groups.setdefault(table.degree[u], []).append(table.local_clustering[u])
-    return [(d, sum(vals) / len(vals)) for d, vals in sorted(groups.items())]
+    degrees, means, _ = _group_means(table.degree, table.local_clustering)
+    return list(zip(degrees, means))
 
 
 def _pearson(xs: list[float], ys: list[float]) -> Optional[float]:
@@ -425,19 +417,19 @@ def compute_metrics(corpus: Corpus, table: NodeTable) -> MetricsReport:
     """Full metric battery: reductions over a graph's node table."""
 
     def safe_recip(counts: EdgeCounts) -> float:
-        return reciprocity(counts) if any(counts.out_edges.values()) else 0.0
+        return reciprocity(counts) if counts.out_edges.any() else 0.0
 
     ccdf_curves: dict[str, list[tuple[float, float]]] = {}
     for name, counts in (("neg", table.neg), ("nonneg", table.nonneg)):
         for direction, deg in (("in", counts.in_deg), ("out", counts.out_deg)):
-            positive = [v for v in deg.values() if v > 0]
-            if positive:
+            positive = deg[deg > 0]
+            if len(positive):
                 ccdf_curves[f"{name}_{direction}"] = ccdf(positive)
 
     in_deg = table.merged.in_deg
     out_deg = table.merged.out_deg
     overlap_curve = (
-        list(zip(OVERLAP_POINTS, _top_overlaps(in_deg, out_deg, OVERLAP_POINTS)))
+        list(zip(OVERLAP_POINTS, top_overlaps(in_deg, out_deg, OVERLAP_POINTS)))
         if table.nodes
         else []
     )

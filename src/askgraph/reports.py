@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Optional
@@ -17,22 +15,10 @@ from typing import Iterable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import CorpusStats
+from .corpus import CorpusStats, atomic_write
 from .interaction import InteractionGraph, MetricsReport
 from .segmentation import GroupReport, GroupRow
-from .wordgraph import CentralityScores, WordGraph, WordSet
-
-
-@contextmanager
-def atomic_write(path: str | Path):
-    """Yield a text handle on `<path>.partial`; rename over `path` on clean
-    exit, leave the partial file on failure."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    partial = path.with_name(path.name + ".partial")
-    with open(partial, "w", encoding="utf-8", newline="") as fh:
-        yield fh
-    os.replace(partial, path)
+from .wordgraph import OneModeGraph, WordSet
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
@@ -64,8 +50,8 @@ def write_word_set(
 def write_word_graph(
     edges_path: str | Path,
     nodes_path: str | Path,
-    graph: WordGraph,
-    scores: CentralityScores,
+    graph: OneModeGraph,
+    scores: dict[str, float],
 ) -> None:
     """CSV edge list (word_a, word_b, weight) plus node centrality table.
 
@@ -87,7 +73,7 @@ def write_word_graph(
     write_csv(
         nodes_path,
         ["word", "centrality"],
-        ((w, scores.scores[w]) for w in graph.nodes),
+        ((w, scores[w]) for w in graph.nodes),
     )
 
 

@@ -7,9 +7,12 @@ classification applies the precedence HN -> PN -> HP -> OTHR.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .corpus import Corpus, hit_counts, tag_corpus
 from .interaction import NodeTable
@@ -135,11 +138,13 @@ def _aggregate(
     table: NodeTable,
     unresolved: tuple[str, ...] = (),
 ) -> GroupRow:
-    """Means over members; members outside the graph count as 0 in every
-    graph column."""
+    """Means over members, which are fully sampled users and so graph nodes:
+    each graph column is read at the members' positions among the sorted
+    node ids."""
+    rows = [bisect_left(table.nodes, u) for u in members]
 
-    def mean_of(column: dict) -> Optional[float]:
-        return _mean([column.get(u, 0.0) for u in members])
+    def mean_of(column: np.ndarray) -> Optional[float]:
+        return _mean(column[rows].tolist())
 
     stats = [content[u] for u in members]
     total_likes = [float(corpus[u].total_likes) for u in members]

@@ -249,6 +249,8 @@ def snowball_sample(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if not seeds:
+        raise ValueError("a crawl needs at least one seed user")
     for seed in seeds:
         if seed not in ground_truth:
             raise ValueError(f"seed {seed!r} not in ground truth")

@@ -50,17 +50,6 @@ class OneModeGraph:
             raise KeyError(f"node {name!r} not in graph") from None
 
 
-WordGraph = OneModeGraph
-
-
-@dataclass(frozen=True)
-class CentralityScores:
-    scores: dict[str, float]
-
-    def __getitem__(self, node: str) -> float:
-        return self.scores[node]
-
-
 @dataclass(frozen=True)
 class WordSet:
     polarity: str
@@ -104,7 +93,7 @@ def build_bipartite(corpus: Corpus, lexicon: Lexicon) -> BipartiteGraph:
     return BipartiteGraph(words=words, users=users, incidence=incidence)
 
 
-def project_words(bipartite: BipartiteGraph) -> WordGraph:
+def project_words(bipartite: BipartiteGraph) -> OneModeGraph:
     """Word-word projection: weights count profiles sharing both words."""
     incidence = bipartite.incidence
     adjacency = (incidence @ incidence.T).tocsr()
@@ -115,8 +104,9 @@ def project_words(bipartite: BipartiteGraph) -> WordGraph:
 
 def eigenvector_centrality(
     graph: OneModeGraph, tol: float = 1e-10, max_iter: int = 10000
-) -> CentralityScores:
-    """Power iteration from a uniform start vector, rescaled to max entry 1.
+) -> dict[str, float]:
+    """Power iteration from a uniform start vector, rescaled to max entry 1;
+    returns each node's score, in node order.
 
     Iteration runs per connected component so scores never mix across
     components; only components whose dominant eigenvalue attains the global
@@ -130,7 +120,7 @@ def eigenvector_centrality(
     n = len(graph.nodes)
     values = np.zeros(n)
     if n == 0 or graph.adjacency.nnz == 0:
-        return CentralityScores(scores={w: 0.0 for w in graph.nodes})
+        return dict.fromkeys(graph.nodes, 0.0)
 
     n_comp, labels = connected_components(graph.adjacency, directed=False)
     results: list[tuple[float, np.ndarray, np.ndarray]] = []  # (eigenvalue, idx, vector)
@@ -163,17 +153,17 @@ def eigenvector_centrality(
         for eigenvalue, idx, v in results:
             if eigenvalue >= top * (1.0 - 1e-12):
                 values[idx] = v / v.max()
-    return CentralityScores(scores={w: float(values[i]) for i, w in enumerate(graph.nodes)})
+    return dict(zip(graph.nodes, values.tolist()))
 
 
 def select_top_words(
-    scores: CentralityScores, polarity: str, threshold: float = 0.5, cap: int = 80
+    scores: dict[str, float], polarity: str, threshold: float = 0.5, cap: int = 80
 ) -> WordSet:
     """Keep words with score strictly above threshold, at most `cap` of them,
     ordered by descending score with lexicographic tie-break."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    candidates = [(w, s) for w, s in scores.scores.items() if s > threshold]
+    candidates = [(w, s) for w, s in scores.items() if s > threshold]
     candidates.sort(key=lambda ws: (-ws[1], ws[0]))
     selected = candidates[:cap]
     if not selected:
@@ -188,14 +178,14 @@ def select_top_words(
 
 
 def word_neighborhood(
-    graph: WordGraph, core: str, scores: CentralityScores
+    graph: OneModeGraph, core: str, scores: dict[str, float]
 ) -> list[tuple[str, int, float]]:
     """Edges incident to `core`: (neighbor, shared-profile weight, neighbor
     centrality), sorted by descending weight then neighbor name."""
     i = graph.node_index(core)
     row = graph.adjacency.getrow(i)
     records = [
-        (graph.nodes[j], int(w), scores.scores.get(graph.nodes[j], 0.0))
+        (graph.nodes[j], int(w), scores.get(graph.nodes[j], 0.0))
         for j, w in zip(row.indices, row.data)
     ]
     records.sort(key=lambda r: (-r[1], r[0]))

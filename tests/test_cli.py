@@ -213,6 +213,20 @@ class TestSubcommands:
         assert capsys.readouterr().err.startswith("askgraph: error [load_corpus] line 1: ")
         assert not list(out.glob("sampled_corpus.jsonl*"))
 
+    @pytest.mark.parametrize("seeds", [",", ""])
+    def test_crawl_sim_rejects_empty_seed_list(self, tmp_path, capsys, seeds):
+        ground_truth = tmp_path / "corpus.jsonl"
+        ground_truth.write_text(
+            '{"owner":"a","questions":[{"text":"x","likers":["b"]}]}\n'
+            '{"owner":"b"}\n', encoding="utf-8")
+        out = tmp_path / "crawl"
+        assert run("crawl-sim", "--corpus", ground_truth, "--seeds", seeds, "--budget", 3,
+                   "--seed", 1, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "askgraph: error [snowball_sample] a crawl needs at least one seed user\n"
+        )
+        assert not out.exists()
+
     def test_synth_requires_seed(self, capsys):
         with pytest.raises(SystemExit):
             run("synth", "--n-users", 10)
@@ -345,6 +359,26 @@ class TestProfileOrder:
                        "--labels", root / "synth" / "labels_HN.txt",
                        "--out", Path(tmp) / "out") == 0
             assert outputs(Path(tmp) / "out") == expected
+
+
+class TestCrawlOracle:
+    def test_full_crawl_gives_ground_truth_outputs(self, tmp_path):
+        """A crawl whose budget covers every user reachable from its seed
+        recovers the ground truth, so every pipeline output is the same."""
+        synth = tmp_path / "synth"
+        assert run("synth", "--seed", 3, "--n-users", 300, "--questions", "30-70",
+                   "--like-rate", 5.0, "--out", synth) == 0
+        assert run("crawl-sim", "--corpus", synth / "corpus.jsonl", "--seeds", "u00001",
+                   "--budget", 1000, "--seed", 1, "--out", tmp_path / "crawl") == 0
+        crawled = (tmp_path / "crawl" / "crawl_order.txt").read_text().splitlines()
+        assert (tmp_path / "crawl" / "frontier.txt").read_text() == ""
+        assert len(crawled) == len(set(crawled)) == 300
+
+        for corpus_path, out in ((synth / "corpus.jsonl", "truth"),
+                                 (tmp_path / "crawl" / "sampled_corpus.jsonl", "sampled")):
+            assert run("pipeline", "--corpus", corpus_path, "--labels", synth / "labels_HN.txt",
+                       "--out", tmp_path / out) == 0
+        assert outputs(tmp_path / "sampled") == outputs(tmp_path / "truth")
 
 
 def outputs(out_dir):

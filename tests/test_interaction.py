@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from askgraph.interaction import (
     mean_reciprocity_by_outdegree,
     node_table,
     reciprocity,
-    top_overlap,
+    top_overlaps,
 )
 from askgraph.synth import vocab_word_set
 
@@ -34,6 +35,11 @@ def profile(owner, questions, fully_sampled=True):
     )
     qs = tuple(sorted(qs, key=lambda q: -q.like_count))
     return Profile(owner=owner, questions=qs, fully_sampled=fully_sampled)
+
+
+def by_id(t, column):
+    """A node-table column as {node id: value}."""
+    return dict(zip(t.nodes, column.tolist()))
 
 
 def digraph(edges, nodes=None):
@@ -177,10 +183,10 @@ class TestSplitGraph:
             profile("u3", [("clean", ["u1"])]),
         ])
         t = node_table(build_interaction_graph(corp, NEG_WS))
-        assert t.neg.out_edges == {"u1": 1, "u2": 0, "u3": 0}
-        assert t.neg.in_deg == {"u1": 0, "u2": 2, "u3": 0}
-        assert t.nonneg.out_edges == {"u1": 2, "u2": 0, "u3": 0}
-        assert t.nonneg.in_deg == {"u1": 0, "u2": 1, "u3": 1}
+        assert by_id(t, t.neg.out_edges) == {"u1": 1, "u2": 0, "u3": 0}
+        assert by_id(t, t.neg.in_deg) == {"u1": 0, "u2": 2, "u3": 0}
+        assert by_id(t, t.nonneg.out_edges) == {"u1": 2, "u2": 0, "u3": 0}
+        assert by_id(t, t.nonneg.in_deg) == {"u1": 0, "u2": 1, "u3": 1}
 
     def test_merge_round_trip(self):
         # neg + nonneg degree sums equal the merged component's
@@ -190,14 +196,14 @@ class TestSplitGraph:
             profile("u3", [("hate", ["u2"])]),
         ])
         t = node_table(build_interaction_graph(corp, NEG_WS))
-        for u in t.nodes:
-            assert t.neg.in_deg[u] + t.nonneg.in_deg[u] == t.merged.in_deg[u]
-            assert t.neg.out_deg[u] + t.nonneg.out_deg[u] == t.merged.out_deg[u]
+        for i in range(len(t.nodes)):
+            assert t.neg.in_deg[i] + t.nonneg.in_deg[i] == t.merged.in_deg[i]
+            assert t.neg.out_deg[i] + t.nonneg.out_deg[i] == t.merged.out_deg[i]
 
     def test_weight_sums_preserved(self):
         g_edges = {("a", "b"): (2, 3), ("b", "c"): (0, 4), ("c", "a"): (5, 0)}
         t = node_table(InteractionGraph(nodes=("a", "b", "c"), edges=g_edges, top_k=15))
-        total = sum(t.neg.out_deg.values()) + sum(t.nonneg.out_deg.values())
+        total = sum(t.neg.out_deg.tolist()) + sum(t.nonneg.out_deg.tolist())
         assert total == sum(a + b for a, b in g_edges.values())
 
 
@@ -208,15 +214,15 @@ class TestDegrees:
             profile("a", []), profile("b", []), profile("c", []),
         ])
         t = node_table(build_interaction_graph(corp, NEG_WS))
-        assert t.neg.in_deg["hub"] == 6
+        assert by_id(t, t.neg.in_deg)["hub"] == 6
 
     def test_empty_graph_all_zero(self):
         t = node_table(digraph({}, nodes=["a", "b"]))
-        assert all(v == 0 for v in t.neg.out_deg.values())
+        assert all(v == 0 for v in t.neg.out_deg.tolist())
 
     def test_flow_conservation(self):
         t = node_table(digraph({("a", "b"): 3, ("b", "c"): 2, ("c", "a"): 7}))
-        assert sum(t.neg.in_deg.values()) == sum(t.neg.out_deg.values())
+        assert sum(t.neg.in_deg.tolist()) == sum(t.neg.out_deg.tolist())
 
 
 class TestCcdf:
@@ -291,7 +297,7 @@ class TestReciprocityByOutdegree:
 
     def test_hand_counts(self):
         t = node_table(digraph({("a", "b"): 1, ("a", "c"): 1, ("b", "a"): 1}))
-        per = t.neg.node_reciprocity
+        per = by_id(t, t.neg.node_reciprocity)
         assert per["a"] == 0.5 and per["b"] == 1.0
 
     def test_zero_outdegree_excluded(self):
@@ -302,55 +308,55 @@ class TestReciprocityByOutdegree:
 
 class TestTopOverlap:
     def test_identical_rankings(self):
-        vals = {f"n{i}": float(i) for i in range(10)}
+        vals = np.array([float(i) for i in range(10)])
         for x in (1, 10, 50, 100):
-            assert top_overlap(vals, dict(vals), x) == 100.0
+            assert top_overlaps(vals, vals.copy(), (x,)) == [100.0]
 
     def test_anti_correlated(self):
         n = 100
-        in_deg = {f"n{i:03d}": float(i) for i in range(n)}
-        out_deg = {f"n{i:03d}": float(n - i) for i in range(n)}
-        assert top_overlap(in_deg, out_deg, 10) == 0.0
+        in_deg = np.array([float(i) for i in range(n)])
+        out_deg = np.array([float(n - i) for i in range(n)])
+        assert top_overlaps(in_deg, out_deg, (10,)) == [0.0]
 
     def test_full_sets_always_100(self):
-        in_deg = {"a": 1.0, "b": 5.0, "c": 0.0}
-        out_deg = {"a": 9.0, "b": 0.0, "c": 2.0}
-        assert top_overlap(in_deg, out_deg, 100) == 100.0
+        in_deg = np.array([1.0, 5.0, 0.0])  # a, b, c
+        out_deg = np.array([9.0, 0.0, 2.0])
+        assert top_overlaps(in_deg, out_deg, (100,)) == [100.0]
 
     def test_empty_rejected(self):
-        empty = {}
+        empty = np.array([])
         with pytest.raises(ValueError):
-            top_overlap(empty, empty, 10)
+            top_overlaps(empty, empty, (10,))
 
 
 class TestDegreeRatioCdf:
     def test_all_balanced(self):
-        deg = {f"n{i}": float(i + 1) for i in range(5)}
+        deg = np.array([float(i + 1) for i in range(5)])
         curve, within = degree_ratio_cdf(deg, deg)
         assert within == 1.0
         assert curve == [(1.0, 1.0)]
 
     def test_ratio_outside_band(self):
-        out_deg = {"a": 4.0}
-        in_deg = {"a": 2.0}
+        out_deg = np.array([4.0])
+        in_deg = np.array([2.0])
         _, within = degree_ratio_cdf(out_deg, in_deg)
         assert within == 0.0
 
     def test_matches_sort_oracle(self):
         import random
         rng = random.Random(7)
-        out_vals = {f"n{i}": float(rng.randint(0, 10)) for i in range(10)}
-        in_vals = {f"n{i}": float(rng.randint(0, 10)) for i in range(10)}
+        out_vals = np.array([float(rng.randint(0, 10)) for i in range(10)])
+        in_vals = np.array([float(rng.randint(0, 10)) for i in range(10)])
         curve, _ = degree_ratio_cdf(out_vals, in_vals)
         ratios = sorted(
-            out_vals[u] / in_vals[u] for u in in_vals if in_vals[u] > 0
+            o / i for o, i in zip(out_vals.tolist(), in_vals.tolist()) if i > 0
         )
         for r, frac in curve:
             assert frac == pytest.approx(sum(1 for x in ratios if x <= r) / len(ratios))
 
     def test_no_positive_in_degree_rejected(self):
-        zero = {"a": 0.0}
-        out = {"a": 1.0}
+        zero = np.array([0.0])
+        out = np.array([1.0])
         with pytest.raises(ValueError):
             degree_ratio_cdf(out, zero)
 
@@ -368,15 +374,15 @@ class TestToSimple:
 
     def test_single_direction(self):
         t = node_table(graph_from_pairs([("a", "b")]))
-        assert t.degree == {"a": 1, "b": 1}
+        assert by_id(t, t.degree) == {"a": 1, "b": 1}
 
     def test_bidirectional_merges(self):
         t = node_table(graph_from_pairs([("a", "b"), ("b", "a")]))
-        assert t.degree == {"a": 1, "b": 1}
+        assert by_id(t, t.degree) == {"a": 1, "b": 1}
 
     def test_edge_count_bound(self):
         g = graph_from_pairs([("a", "b"), ("b", "a"), ("a", "c"), ("c", "b")])
-        assert sum(node_table(g).degree.values()) // 2 <= len(g.edges)
+        assert sum(node_table(g).degree.tolist()) // 2 <= len(g.edges)
 
 
 class SimpleView:
@@ -469,6 +475,66 @@ class TestClusteringVsDegree:
         pairs = [("hub", f"l{i}") for i in range(4)]
         t = node_table(graph_from_pairs(pairs))
         assert mean_local_clustering_vs_degree(t) == [(1, 0.0), (4, 0.0)]
+
+
+def reference_reductions(t):
+    """The per-id loops the array reductions replaced, over dict views of
+    the node table: the distinct-value CDF loops, the group-by-mean loops
+    and the set intersections of the top-x% overlap."""
+    in_deg, out_deg = by_id(t, t.merged.in_deg), by_id(t, t.merged.out_deg)
+    degree, local = by_id(t, t.degree), by_id(t, t.local_clustering)
+    out_edges, recip = by_id(t, t.neg.out_edges), by_id(t, t.neg.node_reciprocity)
+
+    ordered = sorted(v for v in by_id(t, t.neg.in_deg).values() if v > 0)
+    ccdf_curve, i = [], 0
+    while i < len(ordered):
+        ccdf_curve.append((ordered[i], (len(ordered) - i) / len(ordered)))
+        i += ordered.count(ordered[i])
+
+    ratios = sorted(out_deg[u] / in_deg[u] for u in in_deg if in_deg[u] > 0)
+    ratio_curve = [(r, sum(x <= r for x in ratios) / len(ratios)) for r in sorted(set(ratios))]
+    within = sum(1 for r in ratios if 0.8 <= r <= 1.25) / len(ratios)
+
+    bins, groups = {}, {}
+    for u in t.nodes:
+        if out_edges[u]:
+            bins.setdefault(out_edges[u].bit_length() - 1, []).append(recip[u])
+        groups.setdefault(degree[u], []).append(local[u])
+    by_outdeg = [(1 << b, 2 << b, sum(v) / len(v), len(v)) for b, v in sorted(bins.items())]
+    by_degree = [(d, sum(v) / len(v)) for d, v in sorted(groups.items())]
+
+    by_in = sorted(t.nodes, key=in_deg.__getitem__, reverse=True)
+    by_out = sorted(t.nodes, key=out_deg.__getitem__, reverse=True)
+    sizes = [math.ceil(x / 100 * len(t.nodes)) for x in (1, 2, 5, 10, 20, 50, 100)]
+    overlaps = [100.0 * len(set(by_in[:m]) & set(by_out[:m])) / m for m in sizes]
+    return ccdf_curve, (ratio_curve, within), by_outdeg, by_degree, overlaps
+
+
+class TestReductionsMatchLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_equal_to_the_bit(self, seed):
+        """Equal, not close: each reduction adds the same floats in the
+        same order as the loop it replaced."""
+        import random
+        rng = random.Random(seed)
+        n = rng.randint(2, 90)
+        nodes = [f"n{i:02d}" for i in range(n)]
+        density = rng.uniform(0.02, 0.3)
+        edges = {
+            (a, b): (rng.randint(0, 2), rng.randint(1, 3))
+            for a in nodes for b in nodes if a != b and rng.random() < density
+        }
+        edges.setdefault((nodes[0], nodes[1]), (1, 1))
+        t = node_table(InteractionGraph(nodes=tuple(nodes), edges=edges, top_k=15))
+        positive = t.neg.in_deg[t.neg.in_deg > 0]
+        assert reference_reductions(t) == (
+            ccdf(positive) if len(positive) else [],
+            degree_ratio_cdf(t.merged.out_deg, t.merged.in_deg),
+            mean_reciprocity_by_outdegree(t.neg),
+            mean_local_clustering_vs_degree(t),
+            top_overlaps(t.merged.in_deg, t.merged.out_deg, (1, 2, 5, 10, 20, 50, 100)),
+        )
 
 
 class TestLikesAnswersCorrelation:

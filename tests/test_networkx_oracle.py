@@ -1,10 +1,14 @@
-"""The node table checked against networkx on random directed graphs."""
+"""The node table and the word layer checked against networkx on random
+graphs."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from askgraph.interaction import InteractionGraph, node_table, reciprocity
+from askgraph.wordgraph import BipartiteGraph, OneModeGraph, eigenvector_centrality, project_words
 
 nx = pytest.importorskip("networkx")
 
@@ -39,18 +43,18 @@ def test_node_table_matches_networkx(graph):
     undirected = nx_component(graph, None).to_undirected()
 
     local = nx.clustering(undirected)
-    for u in graph.nodes:
-        assert t.local_clustering[u] == pytest.approx(local[u], abs=1e-12)
-        assert t.degree[u] == undirected.degree(u)
+    for i, u in enumerate(graph.nodes):
+        assert t.local_clustering[i] == pytest.approx(local[u], abs=1e-12)
+        assert t.degree[i] == undirected.degree(u)
     assert t.mean_local_clustering == pytest.approx(nx.average_clustering(undirected), abs=1e-12)
     assert t.global_clustering == pytest.approx(nx.transitivity(undirected), abs=1e-12)
 
     for counts, slot in ((t.neg, 0), (t.nonneg, 1), (t.merged, None)):
         d = nx_component(graph, slot)
-        for u in graph.nodes:
-            assert counts.in_deg[u] == d.in_degree(u, weight="weight")
-            assert counts.out_deg[u] == d.out_degree(u, weight="weight")
-            assert counts.out_edges[u] == d.out_degree(u)
+        for i, u in enumerate(graph.nodes):
+            assert counts.in_deg[i] == d.in_degree(u, weight="weight")
+            assert counts.out_deg[i] == d.out_degree(u, weight="weight")
+            assert counts.out_edges[i] == d.out_degree(u)
         if d.number_of_edges():
             assert reciprocity(counts) == pytest.approx(nx.reciprocity(d), abs=1e-12)
         else:
@@ -89,15 +93,137 @@ def test_node_table_matches_networkx_on_hub_graphs(seed):
 
     local = nx.clustering(undirected)
     triangles = nx.triangles(undirected)
-    for u in graph.nodes:
-        assert t.degree[u] == undirected.degree(u)
-        assert t.local_clustering[u] == pytest.approx(local[u], abs=1e-12)
+    for i, u in enumerate(graph.nodes):
+        assert t.degree[i] == undirected.degree(u)
+        assert t.local_clustering[i] == pytest.approx(local[u], abs=1e-12)
     assert t.closed_triples == sum(triangles.values())
     assert t.global_clustering == pytest.approx(nx.transitivity(undirected), abs=1e-12)
     for counts, slot in ((t.neg, 0), (t.nonneg, 1), (t.merged, None)):
         d = nx_component(graph, slot)
-        for u in graph.nodes:
-            assert counts.in_deg[u] == d.in_degree(u, weight="weight")
-            assert counts.out_deg[u] == d.out_degree(u, weight="weight")
-            assert counts.out_edges[u] == d.out_degree(u)
+        for i, u in enumerate(graph.nodes):
+            assert counts.in_deg[i] == d.in_degree(u, weight="weight")
+            assert counts.out_deg[i] == d.out_degree(u, weight="weight")
+            assert counts.out_edges[i] == d.out_degree(u)
         assert reciprocity(counts) == pytest.approx(nx.reciprocity(d), abs=1e-12)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """1-12 words by 1-10 users, each word on any set of users."""
+    words = tuple(f"w{i:02d}" for i in range(draw(st.integers(1, 12))))
+    users = tuple(f"u{j:02d}" for j in range(draw(st.integers(1, 10))))
+    links = draw(st.sets(st.tuples(st.integers(0, len(words) - 1),
+                                   st.integers(0, len(users) - 1))))
+    rows, cols = zip(*sorted(links)) if links else ((), ())
+    incidence = sp.csr_matrix(
+        (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(len(words), len(users))
+    )
+    return BipartiteGraph(words=words, users=users, incidence=incidence)
+
+
+def nx_bipartite(bipartite):
+    b = nx.Graph()
+    b.add_nodes_from(bipartite.words)
+    b.add_nodes_from(bipartite.users)
+    coo = bipartite.incidence.tocoo()
+    b.add_edges_from(
+        (bipartite.words[i], bipartite.users[j]) for i, j in zip(coo.row, coo.col)
+    )
+    return b
+
+
+def nx_word_graph(graph):
+    g = nx.Graph()
+    g.add_nodes_from(graph.nodes)
+    coo = sp.triu(graph.adjacency, 1).tocoo()
+    g.add_weighted_edges_from(
+        (graph.nodes[i], graph.nodes[j], int(w)) for i, j, w in zip(coo.row, coo.col, coo.data)
+    )
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(bipartite_graphs())
+def test_projection_matches_networkx(bipartite):
+    graph = project_words(bipartite)
+    expected = nx.bipartite.weighted_projected_graph(nx_bipartite(bipartite), bipartite.words)
+    dense = graph.adjacency.toarray()
+    for i, a in enumerate(graph.nodes):
+        for j, b in enumerate(graph.nodes):
+            weight = expected[a][b]["weight"] if expected.has_edge(a, b) else 0
+            assert dense[i, j] == weight
+
+
+# two word pairs on two users: tied dominant components, both kept
+TIED = BipartiteGraph(
+    words=("w00", "w01", "w02", "w03"),
+    users=("u00", "u01"),
+    incidence=sp.csr_matrix(np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int64)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bipartite_graphs())
+@example(TIED)
+def test_centrality_matches_networkx_on_dominant_components(bipartite):
+    graph = project_words(bipartite)
+    scores = eigenvector_centrality(graph)
+    g = nx_word_graph(graph)
+    components = [c for c in nx.connected_components(g) if len(c) > 1]
+    # a component's dominant eigenvalue, from a dense symmetric solver
+    spectral = [
+        np.linalg.eigvalsh(nx.to_numpy_array(g.subgraph(c), weight="weight"))[-1]
+        for c in components
+    ]
+    top = max(spectral, default=0.0)
+    expected = dict.fromkeys(graph.nodes, 0.0)
+    for component, eigenvalue in zip(components, spectral):
+        if eigenvalue < top * (1 - 1e-9):
+            continue
+        if len(component) == 2:
+            # ARPACK cannot solve a 2 x 2 system; a single edge scores 1 at both ends
+            vector = dict.fromkeys(component, 1.0)
+        else:
+            vector = nx.eigenvector_centrality_numpy(g.subgraph(component), weight="weight")
+        peak = max(vector.values())
+        expected.update((u, x / peak) for u, x in vector.items())
+    assert list(scores) == list(graph.nodes)
+    for u in graph.nodes:
+        assert scores[u] == pytest.approx(expected[u], abs=1e-7)
+
+
+def labelled_graph(n, edges, names):
+    """The word graph of an abstract weighted graph on 0..n-1 whose node v is
+    named names[v]: nodes are sorted by name, as `build_bipartite` sorts them."""
+    order = sorted(range(n), key=names.__getitem__)
+    position = {v: k for k, v in enumerate(order)}
+    rows = [position[a] for a, b in edges] + [position[b] for a, b in edges]
+    cols = [position[b] for a, b in edges] + [position[a] for a, b in edges]
+    weights = list(edges.values()) * 2
+    adjacency = sp.csr_matrix(
+        (np.array(weights, dtype=np.int64), (rows, cols)), shape=(n, n)
+    )
+    return OneModeGraph(nodes=tuple(names[v] for v in order), adjacency=adjacency)
+
+
+@st.composite
+def renamed_graphs(draw):
+    """A weighted graph on 1-15 nodes under two bijective namings."""
+    n = draw(st.integers(1, 15))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    edges = draw(st.dictionaries(pair, st.integers(1, 4), max_size=40)) if n > 1 else {}
+    name = st.text("abcdefghij", min_size=1, max_size=4)
+    names = draw(st.lists(name, min_size=n, max_size=n, unique=True))
+    renamed = draw(st.lists(name, min_size=n, max_size=n, unique=True))
+    return n, edges, names, renamed
+
+
+@settings(max_examples=150, deadline=None)
+@given(renamed_graphs())
+def test_centrality_invariant_under_relabelling(case):
+    n, edges, names, renamed = case
+    tol = 1e-10
+    scores = eigenvector_centrality(labelled_graph(n, edges, names), tol=tol)
+    scores_renamed = eigenvector_centrality(labelled_graph(n, edges, renamed), tol=tol)
+    for v in range(n):
+        assert scores_renamed[renamed[v]] == pytest.approx(scores[names[v]], abs=tol)

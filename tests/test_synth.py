@@ -249,6 +249,10 @@ class TestSnowballSample:
         with pytest.raises(ValueError, match="not in ground truth"):
             snowball_sample(chain_corpus(), ["zzz"], budget=1)
 
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            snowball_sample(chain_corpus(), [], budget=1)
+
     def test_levels_visited_in_userid_order(self):
         corp = Corpus({
             "s": Profile("s", (Question("q", likers=("z", "b", "m"), like_count=3),)),

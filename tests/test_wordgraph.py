@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from askgraph.corpus import Corpus, Lexicon, Profile, Question, tag_corpus
 from askgraph.wordgraph import (
     BipartiteGraph,
-    CentralityScores,
     OneModeGraph,
     build_bipartite,
     cooccurrence_distribution,
@@ -139,7 +138,7 @@ class TestEigenvectorCentrality:
 
     def test_zero_edge_graph_scores_zero(self):
         g = graph_from_edges(["a", "b"], [])
-        assert eigenvector_centrality(g).scores == {"a": 0.0, "b": 0.0}
+        assert eigenvector_centrality(g) == {"a": 0.0, "b": 0.0}
 
     def test_isolated_node_is_exactly_zero(self):
         g = graph_from_edges(["a", "b", "c"], [("a", "b", 1)])
@@ -165,36 +164,36 @@ class TestEigenvectorCentrality:
 
 class TestSelectTopWords:
     def test_strict_threshold(self):
-        scores = CentralityScores({"a": 1.0, "b": 0.6, "c": 0.5, "d": 0.0})
+        scores = {"a": 1.0, "b": 0.6, "c": 0.5, "d": 0.0}
         ws = select_top_words(scores, "negative", threshold=0.5, cap=80)
         assert ws.words == ("a", "b")
 
     def test_cap_applied_after_threshold(self):
-        scores = CentralityScores({f"w{i:03d}": 0.6 + i * 1e-4 for i in range(200)})
+        scores = {f"w{i:03d}": 0.6 + i * 1e-4 for i in range(200)}
         ws = select_top_words(scores, "negative", threshold=0.5, cap=80)
         assert len(ws) == 80
         assert ws.words[0] == "w199"
 
     def test_cap_monotonicity(self):
-        scores = CentralityScores({f"w{i}": 0.6 + i * 0.001 for i in range(30)})
+        scores = {f"w{i}": 0.6 + i * 0.001 for i in range(30)}
         small = select_top_words(scores, "negative", cap=10).words
         large = select_top_words(scores, "negative", cap=20).words
         assert large[:10] == small
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_cap_below_one_raises(self, cap):
-        scores = CentralityScores({f"w{i}": 0.6 + i * 0.001 for i in range(30)})
+        scores = {f"w{i}": 0.6 + i * 0.001 for i in range(30)}
         with pytest.raises(ValueError, match="cap must be >= 1"):
             select_top_words(scores, "negative", cap=cap)
 
     def test_ties_broken_lexicographically(self):
-        scores = CentralityScores({"b": 0.9, "a": 0.9, "c": 1.0})
+        scores = {"b": 0.9, "a": 0.9, "c": 1.0}
         ws = select_top_words(scores, "negative")
         assert ws.words == ("c", "a", "b")
 
     def test_empty_result_raises(self):
         with pytest.raises(ValueError, match="threshold"):
-            select_top_words(CentralityScores({"a": 0.2}), "negative")
+            select_top_words({"a": 0.2}, "negative")
 
 
 class TestWordNeighborhood:
