@@ -3,14 +3,16 @@
 __version__ = "0.1.0"
 
 from .corpus import (  # noqa: F401
+    ContentTable,
     Corpus,
     CorpusStats,
     Lexicon,
     Profile,
     Question,
     TaggedCorpus,
+    content_table,
     corpus_stats,
-    hit_counts,
+    lexicon_word,
     load_corpus,
     load_lexicon,
     save_corpus,
@@ -47,13 +49,10 @@ from .interaction import (  # noqa: F401
 from .segmentation import (  # noqa: F401
     GroupReport,
     LabelFile,
-    UserContentStats,
     classify_user,
-    content_table,
     group_report,
     labeled_report,
     load_label_file,
-    user_content_stats,
 )
 from .synth import (  # noqa: F401
     GenParams,

@@ -216,6 +216,8 @@ class _Run:
     def __init__(self, args: argparse.Namespace):
         if "corpus" in vars(args) and not args.corpus:
             raise ValueError("--corpus is required (flag or config)")
+        if "word" in vars(args):
+            args.word = corpus_mod.lexicon_word(args.word, "--word")
         self.args = args
         self.out = Path(args.out)
         self.words = {polarity: _Words(self, polarity) for polarity in ("negative", "positive")}
@@ -262,7 +264,7 @@ class _Run:
 
     @_staged("content_table")
     def content(self):
-        return seg_mod.content_table(
+        return corpus_mod.content_table(
             self.tagged, self.words["negative"].word_set, self.words["positive"].word_set
         )
 
@@ -272,7 +274,7 @@ class _Run:
 
     @_staged("group_report")
     def groups(self):
-        return seg_mod.group_report(self.corpus, self.labels, self.content, self.table)
+        return seg_mod.group_report(self.labels, self.content, self.table)
 
     @_staged("load_label_file")
     def label_files(self):
@@ -281,7 +283,7 @@ class _Run:
     @_staged("labeled_report")
     def label_rows(self):
         return [
-            seg_mod.labeled_report(self.corpus, label_file, self.content, self.table)
+            seg_mod.labeled_report(label_file, self.content, self.table)
             for label_file in self.label_files
         ]
 
@@ -303,8 +305,11 @@ class _Run:
             questions = (int(lo), int(hi))
         else:
             questions = (int(args.questions),) * 2
-        pairs = (part.partition(":") for part in args.mix.split(","))
-        mix = {group.strip(): float(frac) for group, _, frac in pairs}
+        mix: dict[str, float] = {}
+        for group, _, frac in (part.partition(":") for part in args.mix.split(",")):
+            if group.strip() in mix:
+                raise ValueError(f"--mix repeats group {group.strip()!r}")
+            mix[group.strip()] = float(frac)
         params = synth_mod.GenParams(
             n_users=args.n_users,
             group_mix=mix,

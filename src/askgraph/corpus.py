@@ -5,8 +5,8 @@ with fields ``owner`` (string), ``fully_sampled`` (bool) and ``questions``
 (array of ``{text, answer, likers, like_count}``). Questions are normalized
 to like_count-descending order on load.
 
-`tag_corpus` is the only caller of `tokenize`: every analysis reads the
-lexicon hits it keeps per question.
+`tag_corpus` is the only caller of `tokenize`: every text analysis is a
+reduction over the question x vocabulary count matrix it builds.
 """
 
 from __future__ import annotations
@@ -15,9 +15,13 @@ import json
 import os
 import re
 from contextlib import contextmanager
+from itertools import chain
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Container, Iterable
+from typing import Collection, Iterable
+
+import numpy as np
+import scipy.sparse as sp
 
 
 class CorpusFormatError(ValueError):
@@ -89,17 +93,48 @@ class Lexicon:
     def __contains__(self, word: str) -> bool:
         return word in self.words
 
+    def __iter__(self):
+        return iter(self.words)
+
+
+@dataclass(frozen=True, kw_only=True)
+class TaggedCorpus(Corpus):
+    """A corpus with the vocabulary word counts of each question's text.
+
+    Row r of `counts` (questions x `vocab`, int64, duplicates summed) is a
+    question of profile `owners[owner[r]]`: the rows run profile by profile
+    in sorted owner order, each profile's questions in stored order. Answers
+    are never scanned."""
+
+    vocab: tuple[str, ...]  # sorted
+    owners: tuple[str, ...]  # sorted
+    owner: np.ndarray
+    counts: sp.csr_matrix
+
+    def word_counts(self, words: Collection[str]) -> np.ndarray:
+        """Occurrences of `words` in each question. Words outside `vocab`
+        count 0, so tag the corpus over `words` first."""
+        return self.counts @ np.array([w in words for w in self.vocab], dtype=np.int64)
+
+    def per_profile(self, values: np.ndarray) -> np.ndarray:
+        """Sum of a per-question int array over each profile's questions,
+        aligned with `owners`."""
+        return np.bincount(self.owner, weights=values, minlength=len(self.owners)).astype(np.int64)
+
 
 @dataclass(frozen=True)
-class TaggedCorpus(Corpus):
-    """A corpus with the vocabulary words of each question's text.
+class ContentTable:
+    """Counts over ALL answered questions of each fully sampled profile
+    (frontier stubs are not users), as arrays aligned with `users`, the
+    sorted user ids, which are also the like graph's node ids."""
 
-    `hits[owner][i]` holds the tokens of question i of that profile that are
-    in `vocab`, in occurrence order (so repeated words count), as the
-    vocabulary's own string objects. Answers are never scanned."""
-
-    vocab: frozenset[str] = frozenset()
-    hits: dict[str, tuple[tuple[str, ...], ...]] = field(default_factory=dict)
+    users: tuple[str, ...]
+    total_likes: np.ndarray
+    n_answers: np.ndarray
+    n_neg_questions: np.ndarray
+    n_pos_questions: np.ndarray
+    n_neg_words: np.ndarray
+    n_pos_words: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -243,11 +278,22 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             fh.write("\n")
 
 
-def load_lexicon(path: str | Path, polarity: str) -> Lexicon:
-    """Load a one-word-per-line lexicon ('#' comments, blank lines ignored).
+def lexicon_word(word: str, name: str = "entry") -> str:
+    """`word` lowercased, as a lexicon entry or a core word is read. It must
+    be a single token as `tokenize` splits text, since any other word could
+    never match a question; `name` says what the word is in the error."""
+    entry = word.lower()
+    # matched against the token pattern directly: `tokenize` runs once per
+    # question, and its call count is measured as such
+    if not _TOKEN_RE.fullmatch(entry):
+        tokens = _TOKEN_RE.findall(entry)
+        raise LexiconError(f"{name} {word!r} is not a single token (reads as {tokens})")
+    return entry
 
-    Each entry must be a single token as `tokenize` splits text, since any
-    other entry could never match a question."""
+
+def load_lexicon(path: str | Path, polarity: str) -> Lexicon:
+    """Load a one-word-per-line lexicon ('#' comments, blank lines ignored);
+    each entry is read by `lexicon_word`."""
     if polarity not in ("negative", "positive"):
         raise LexiconError(f"polarity must be 'negative' or 'positive', got {polarity!r}")
     words: set[str] = set()
@@ -258,71 +304,80 @@ def load_lexicon(path: str | Path, polarity: str) -> Lexicon:
                 continue
             if any(ch.isspace() for ch in word):
                 raise LexiconError(f"line {line_no}: multi-word entry {word!r} not allowed")
-            entry = word.lower()
-            # matched against the token pattern directly: `tokenize` runs once
-            # per question, and its call count is measured as such
-            if not _TOKEN_RE.fullmatch(entry):
-                tokens = _TOKEN_RE.findall(entry)
-                raise LexiconError(
-                    f"line {line_no}: entry {word!r} is not a single token (reads as {tokens})"
-                )
-            words.add(entry)
+            try:
+                words.add(lexicon_word(word))
+            except LexiconError as exc:
+                raise LexiconError(f"line {line_no}: {exc}") from None
     if not words:
         raise LexiconError(f"lexicon {path} is empty after parsing")
     return Lexicon(polarity=polarity, words=frozenset(words))
 
 
 def tag_corpus(corpus: Corpus, vocab: Iterable[str]) -> TaggedCorpus:
-    """Tokenize each question once and keep its tokens that are in `vocab`.
+    """Tokenize each question once and count its tokens that are in `vocab`.
 
     A corpus already tagged over a superset of `vocab` is returned as it is,
     so every consumer can tag its input and a run tokenizes only once."""
     vocab = frozenset(vocab)
-    if isinstance(corpus, TaggedCorpus) and vocab <= corpus.vocab:
+    if isinstance(corpus, TaggedCorpus) and vocab.issubset(corpus.vocab):
         return corpus
-    index = {w: w for w in vocab}
-    hits = {
-        p.owner: tuple(
-            tuple([index[t] for t in tokenize(q.text) if t in index]) for q in p.questions
-        )
-        for p in corpus
-    }
-    return TaggedCorpus(profiles=corpus.profiles, vocab=vocab, hits=hits)
+    words = tuple(sorted(vocab))
+    index = {w: i for i, w in enumerate(words)}
+    owners = tuple(sorted(corpus.profiles))
+    questions = [corpus[u].questions for u in owners]
+    # one tuple per question (the empty one is shared): a list each would
+    # leave the garbage collector hundreds of thousands of objects to scan
+    ids = [
+        tuple([index[t] for t in tokenize(q.text) if t in index])
+        for qs in questions for q in qs
+    ]
+    indptr = np.cumsum([0, *map(len, ids)], dtype=np.int64)
+    indices = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=int(indptr[-1]))
+    counts = sp.csr_matrix(
+        (np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(len(ids), len(words))
+    )
+    counts.sum_duplicates()
+    owner = np.repeat(np.arange(len(owners)), [len(qs) for qs in questions])
+    return TaggedCorpus(profiles=corpus.profiles, vocab=words, owners=owners, owner=owner,
+                        counts=counts)
 
 
-def hit_counts(
-    hits: tuple[tuple[str, ...], ...], neg: Container[str], pos: Container[str]
-) -> tuple[int, int, int, int]:
-    """Negative questions, positive questions, negative words and positive
-    words over the tagged words of a profile's questions."""
-    n_neg_q = n_pos_q = n_neg_w = n_pos_w = 0
-    for words in hits:
-        neg_w = sum(w in neg for w in words)
-        pos_w = sum(w in pos for w in words)
-        n_neg_q += neg_w > 0
-        n_pos_q += pos_w > 0
-        n_neg_w += neg_w
-        n_pos_w += pos_w
-    return n_neg_q, n_pos_q, n_neg_w, n_pos_w
+def content_table(corpus: Corpus, neg: Collection[str], pos: Collection[str]) -> ContentTable:
+    """Answered questions, total likes, and the questions holding and the
+    occurrences of `neg` and `pos` words, per fully sampled profile."""
+    tagged = tag_corpus(corpus, {*neg, *pos})
+    users = np.flatnonzero([corpus[u].fully_sampled for u in tagged.owners])
+    neg_w = tagged.word_counts(neg)
+    pos_w = tagged.word_counts(pos)
+    return ContentTable(
+        users=tuple(tagged.owners[i] for i in users),
+        total_likes=np.array([corpus[tagged.owners[i]].total_likes for i in users], dtype=np.int64),
+        n_answers=np.bincount(tagged.owner, minlength=len(tagged.owners))[users],
+        n_neg_questions=tagged.per_profile(neg_w > 0)[users],
+        n_pos_questions=tagged.per_profile(pos_w > 0)[users],
+        n_neg_words=tagged.per_profile(neg_w)[users],
+        n_pos_words=tagged.per_profile(pos_w)[users],
+    )
 
 
 def corpus_stats(corpus: Corpus, neg: Lexicon, pos: Lexicon) -> CorpusStats:
     """Per-user averages of answer counts and tagged question/word counts,
     over fully sampled profiles (frontier stubs are not users)."""
-    hits = tag_corpus(corpus, neg.words | pos.words).hits
-    users = [p.owner for p in corpus if p.fully_sampled]
-    if not users:
+    table = content_table(corpus, neg, pos)
+    n = len(table.users)
+    if not n:
         raise ValueError("corpus_stats requires a fully sampled profile")
-    n = len(users)
-    counts = [hit_counts(hits[u], neg.words, pos.words) for u in users]
-    neg_q, pos_q, neg_w, pos_w = (sum(column) for column in zip(*counts))
+
+    def total(column: np.ndarray) -> int:
+        return int(column.sum())
+
     return CorpusStats(
-        avg_answers_per_user=sum(len(hits[u]) for u in users) / n,
-        avg_neg_questions=neg_q / n,
-        avg_pos_questions=pos_q / n,
-        avg_neg_words=neg_w / n,
-        avg_pos_words=pos_w / n,
-        pct_users_with_neg_q=100.0 * sum(c[0] >= 1 for c in counts) / n,
-        pct_users_with_3plus_neg_q=100.0 * sum(c[0] >= 3 for c in counts) / n,
-        pct_users_with_pos_q=100.0 * sum(c[1] >= 1 for c in counts) / n,
+        avg_answers_per_user=total(table.n_answers) / n,
+        avg_neg_questions=total(table.n_neg_questions) / n,
+        avg_pos_questions=total(table.n_pos_questions) / n,
+        avg_neg_words=total(table.n_neg_words) / n,
+        avg_pos_words=total(table.n_pos_words) / n,
+        pct_users_with_neg_q=100.0 * total(table.n_neg_questions >= 1) / n,
+        pct_users_with_3plus_neg_q=100.0 * total(table.n_neg_questions >= 3) / n,
+        pct_users_with_pos_q=100.0 * total(table.n_pos_questions >= 1) / n,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -153,11 +153,14 @@ def build_interaction_graph(
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    nodes = tuple(sorted(p.owner for p in corpus if p.fully_sampled))
+    tagged = tag_corpus(corpus, neg_words.words)
+    sampled = np.array([corpus[u].fully_sampled for u in tagged.owners], dtype=bool)
+    nodes = tuple(compress(tagged.owners, sampled))
     index = {u: k for k, u in enumerate(nodes)}
-    hits = tag_corpus(corpus, neg_words.words).hits
-    neg = neg_words.scores.keys()
     top = [corpus[u].questions[:top_k] for u in nodes]
+    # the tagged rows of the same questions: each profile's first top_k
+    first_row = np.searchsorted(tagged.owner, tagged.owner)
+    top_rows = sampled[tagged.owner] & (np.arange(len(tagged.owner)) - first_row < top_k)
     questions = list(chain.from_iterable(top))
     n_likers = np.array([len(q.likers) for q in questions], dtype=np.int64)
     # one entry per like: liker index (-1 without a fully sampled profile),
@@ -169,10 +172,7 @@ def build_interaction_graph(
     )
     n_questions = np.array([len(qs) for qs in top], dtype=np.int64)
     owners = np.repeat(np.repeat(np.arange(len(nodes)), n_questions), n_likers)
-    nonneg = np.repeat(
-        np.array([neg.isdisjoint(words) for u in nodes for words in hits[u][:top_k]], dtype=bool),
-        n_likers,
-    )
+    nonneg = np.repeat(tagged.word_counts(neg_words)[top_rows] == 0, n_likers)
     keep = (likers >= 0) & (likers != owners)
     codes, edge_of_like = np.unique(likers[keep] * len(nodes) + owners[keep], return_inverse=True)
     weights = np.bincount(2 * edge_of_like + nonneg[keep], minlength=2 * len(codes)).reshape(-1, 2)

@@ -14,20 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus, hit_counts, tag_corpus
+# content_table builds the table that classification and the group rows read
+from .corpus import ContentTable, content_table  # noqa: F401
 from .interaction import NodeTable
-from .wordgraph import WordSet
 
 GROUPS = ("HN", "HP", "PN", "OTHR")
-
-
-@dataclass(frozen=True)
-class UserContentStats:
-    n_answers: int
-    n_neg_questions: int
-    n_pos_questions: int
-    n_neg_words: int
-    n_pos_words: int
 
 
 @dataclass(frozen=True)
@@ -68,19 +59,10 @@ class LabelFile:
     user_ids: frozenset[str]
 
 
-def user_content_stats(
-    hits: tuple[tuple[str, ...], ...], neg: WordSet, pos: WordSet
-) -> UserContentStats:
-    """Counts over ALL answered questions on a profile (not just top-k),
-    given the tagged words of each of its questions."""
-    return UserContentStats(len(hits), *hit_counts(hits, neg, pos))
-
-
-def classify_user(stats: UserContentStats) -> str:
+def classify_user(n_neg_questions: int, n_pos_questions: int) -> str:
     """Total partition over (n_neg_questions, n_pos_questions) with the
     precedence HN -> PN -> HP -> OTHR."""
-    neg = stats.n_neg_questions
-    pos = stats.n_pos_questions
+    neg, pos = n_neg_questions, n_pos_questions
     if neg >= 3 and pos == 0:
         return "HN"
     if neg >= 3 and pos > 4:
@@ -90,18 +72,9 @@ def classify_user(stats: UserContentStats) -> str:
     return "OTHR"
 
 
-def content_table(corpus: Corpus, neg: WordSet, pos: WordSet) -> dict[str, UserContentStats]:
-    """Content counts for every fully sampled profile (frontier stubs are
-    not users), computed once per run; the classification and every group
-    and label row read them."""
-    hits = tag_corpus(corpus, {*neg.words, *pos.words}).hits
-    return {
-        p.owner: user_content_stats(hits[p.owner], neg, pos) for p in corpus if p.fully_sampled
-    }
-
-
-def classify_corpus(content: dict[str, UserContentStats]) -> dict[str, str]:
-    return {user: classify_user(stats) for user, stats in content.items()}
+def classify_corpus(content: ContentTable) -> dict[str, str]:
+    counts = zip(content.n_neg_questions.tolist(), content.n_pos_questions.tolist())
+    return {user: classify_user(*c) for user, c in zip(content.users, counts)}
 
 
 def load_label_file(path: str | Path) -> LabelFile:
@@ -126,29 +99,23 @@ def load_label_file(path: str | Path) -> LabelFile:
     return LabelFile(label=label, user_ids=frozenset(ids))
 
 
-def _mean(values: list[float]) -> Optional[float]:
-    return sum(values) / len(values) if values else None
-
-
 def _aggregate(
     name: str,
     members: list[str],
-    corpus: Corpus,
-    content: dict[str, UserContentStats],
+    content: ContentTable,
     table: NodeTable,
     unresolved: tuple[str, ...] = (),
 ) -> GroupRow:
     """Means over members, which are fully sampled users and so graph nodes:
-    each graph column is read at the members' positions among the sorted
-    node ids."""
+    content users and node ids are the same sorted list, so every column is
+    read at the members' positions in it."""
     rows = [bisect_left(table.nodes, u) for u in members]
 
     def mean_of(column: np.ndarray) -> Optional[float]:
-        return _mean(column[rows].tolist())
+        return sum(column[rows].tolist()) / len(rows) if rows else None
 
-    stats = [content[u] for u in members]
-    total_likes = [float(corpus[u].total_likes) for u in members]
-    total_answers = sum(s.n_answers for s in stats)
+    total_answers = sum(content.n_answers[rows].tolist())
+    total_likes = sum(content.total_likes[rows].tolist())
     return GroupRow(
         name=name,
         count=len(members),
@@ -158,44 +125,34 @@ def _aggregate(
         mean_nonneg_in_degree=mean_of(table.nonneg.in_deg),
         mean_neg_out_degree=mean_of(table.neg.out_deg),
         mean_nonneg_out_degree=mean_of(table.nonneg.out_deg),
-        mean_total_likes=_mean(total_likes),
-        likes_per_answer=(sum(total_likes) / total_answers) if total_answers else None,
+        mean_total_likes=mean_of(content.total_likes),
+        likes_per_answer=total_likes / total_answers if total_answers else None,
         mean_local_clustering=mean_of(table.local_clustering),
-        mean_answers=_mean([float(s.n_answers) for s in stats]),
-        mean_neg_questions=_mean([float(s.n_neg_questions) for s in stats]),
-        mean_pos_questions=_mean([float(s.n_pos_questions) for s in stats]),
-        mean_neg_words=_mean([float(s.n_neg_words) for s in stats]),
-        mean_pos_words=_mean([float(s.n_pos_words) for s in stats]),
+        mean_answers=mean_of(content.n_answers),
+        mean_neg_questions=mean_of(content.n_neg_questions),
+        mean_pos_questions=mean_of(content.n_pos_questions),
+        mean_neg_words=mean_of(content.n_neg_words),
+        mean_pos_words=mean_of(content.n_pos_words),
         unresolved_ids=unresolved,
     )
 
 
-def group_report(
-    corpus: Corpus,
-    labels: dict[str, str],
-    content: dict[str, UserContentStats],
-    table: NodeTable,
-) -> GroupReport:
+def group_report(labels: dict[str, str], content: ContentTable, table: NodeTable) -> GroupReport:
     """One aggregate row per group. Empty groups get count 0 and null means."""
     members: dict[str, list[str]] = {g: [] for g in GROUPS}
     for user, group in sorted(labels.items()):
         members[group].append(user)
-    rows = tuple(_aggregate(g, members[g], corpus, content, table) for g in GROUPS)
-    return GroupReport(rows=rows)
+    return GroupReport(rows=tuple(_aggregate(g, members[g], content, table) for g in GROUPS))
 
 
-def labeled_report(
-    corpus: Corpus,
-    label_file: LabelFile,
-    content: dict[str, UserContentStats],
-    table: NodeTable,
-) -> GroupRow:
+def labeled_report(label_file: LabelFile, content: ContentTable, table: NodeTable) -> GroupRow:
     """Aggregate row over an externally labeled user set; ids without a
     fully sampled profile are reported as unresolved, not fatal."""
-    resolved = sorted(u for u in label_file.user_ids if u in content)
-    unresolved = tuple(sorted(u for u in label_file.user_ids if u not in content))
+    users = set(content.users)
+    resolved = sorted(label_file.user_ids & users)
+    unresolved = tuple(sorted(label_file.user_ids - users))
     if not resolved:
         raise ValueError(
             f"label set {label_file.label!r} has no fully sampled users in the corpus"
         )
-    return _aggregate(label_file.label, resolved, corpus, content, table, unresolved)
+    return _aggregate(label_file.label, resolved, content, table, unresolved)

@@ -76,21 +76,15 @@ class FrequencyVector:
 def build_bipartite(corpus: Corpus, lexicon: Lexicon) -> BipartiteGraph:
     """B[w][u] = 1 iff word w (from the lexicon) occurs in any question on
     u's profile. Words never observed keep all-zero rows."""
+    tagged = tag_corpus(corpus, lexicon.words)
     words = tuple(sorted(lexicon.words))
-    users = tuple(sorted(corpus.profiles))
-    word_index = {w: i for i, w in enumerate(words)}
-    hits = tag_corpus(corpus, lexicon.words).hits
-    rows: list[int] = []
-    cols: list[int] = []
-    for col, user in enumerate(users):
-        seen = {word_index[w] for question in hits[user] for w in question if w in word_index}
-        rows.extend(seen)
-        cols.extend([col] * len(seen))
+    found = tagged.counts[:, np.searchsorted(tagged.vocab, words)].tocoo()
     incidence = sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)),
-        shape=(len(words), len(users)),
+        (np.ones(found.nnz, dtype=np.int64), (found.col, tagged.owner[found.row])),
+        shape=(len(words), len(tagged.owners)),
     )
-    return BipartiteGraph(words=words, users=users, incidence=incidence)
+    incidence.data[:] = 1  # the conversion summed the questions sharing a word
+    return BipartiteGraph(words=words, users=tagged.owners, incidence=incidence)
 
 
 def project_words(bipartite: BipartiteGraph) -> OneModeGraph:
@@ -198,23 +192,12 @@ def cooccurrence_distribution(corpus: Corpus, core: str, word_set: WordSet) -> F
     the x-axis is constant across plots."""
     if len(word_set) == 0:
         raise ValueError("word set is empty")
-    tracked = set(word_set.words)
-    totals = {w: 0 for w in word_set.words}
-    n_matching = 0
-    for profile_hits in tag_corpus(corpus, {core, *tracked}).hits.values():
-        counts = {w: 0 for w in word_set.words}
-        has_core = False
-        for question in profile_hits:
-            for word in question:
-                if word == core:
-                    has_core = True
-                if word in tracked:
-                    counts[word] += 1
-        if has_core:
-            n_matching += 1
-            for w, c in counts.items():
-                totals[w] += c
+    tagged = tag_corpus(corpus, {core, *word_set.words})
+    matching = tagged.per_profile(tagged.word_counts({core})) > 0
+    n_matching = int(matching.sum())
     if n_matching == 0:
         raise ValueError(f"no profile contains the word {core!r}")
-    entries = tuple((w, totals[w] / n_matching) for w in word_set.words)
+    totals = tagged.counts.T @ matching[tagged.owner].astype(np.int64)
+    columns = np.searchsorted(tagged.vocab, word_set.words)
+    entries = tuple(zip(word_set.words, (totals[columns] / n_matching).tolist()))
     return FrequencyVector(core=core, entries=entries, n_profiles=n_matching)

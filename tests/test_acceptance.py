@@ -23,7 +23,7 @@ from askgraph.interaction import (
     reciprocity,
     top_overlaps,
 )
-from askgraph.segmentation import GROUPS, UserContentStats, classify_user
+from askgraph.segmentation import GROUPS, classify_user
 from askgraph.synth import GenParams, generate_corpus, snowball_sample, vocab_word_set
 from askgraph.wordgraph import (
     BipartiteGraph,
@@ -286,13 +286,11 @@ def test_criterion_5_segmentation_decision_table(capfd):
             (3, 11, "PN"), (3, 3, "OTHR"), (2, 0, "OTHR"), (5, 0, "HN"),
         ]
         for neg, pos, expected in cases:
-            s = UserContentStats(neg + pos, neg, pos, neg, pos)
-            assert classify_user(s) == expected, (neg, pos)
+            assert classify_user(neg, pos) == expected, (neg, pos)
 
         for neg in range(13):
             for pos in range(13):
-                s = UserContentStats(neg + pos, neg, pos, neg, pos)
-                label = classify_user(s)
+                label = classify_user(neg, pos)
                 assert label in GROUPS
                 matches = []
                 if neg >= 3 and pos == 0:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from askgraph import corpus, interaction, segmentation, wordgraph
+from askgraph import corpus, interaction, wordgraph
 from askgraph.cli import load_config, main
 from askgraph.data import bundled_lexicon_path
 
@@ -196,6 +196,40 @@ class TestSubcommands:
         assert capsys.readouterr().err.startswith(f"askgraph: error [{stage}] ")
         assert not (tmp_path / "out").exists()
 
+    def test_synth_rejects_a_repeated_mix_group(self, tmp_path, capsys):
+        # the mix sums to 1 only if the repeated HN is silently dropped
+        assert run("synth", "--seed", 1, "--n-users", 50, "--mix", "HN:0.5,HN:0.5,OTHR:0.5",
+                   "--questions", "11-18", "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            "askgraph: error [generate_corpus] --mix repeats group 'HN'\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["cooccur", "neighborhood"])
+    def test_word_is_read_as_a_lexicon_entry(self, tmp_path, command):
+        for word, out in (("ugly", "lower"), ("Ugly", "mixed"), ("UGLY", "upper")):
+            assert run(command, "--corpus", DEMO, "--word", word, "--out", tmp_path / out) == 0
+        name = f"{command}_ugly.csv"
+        lower = (tmp_path / "lower" / name).read_bytes()
+        assert (tmp_path / "mixed" / name).read_bytes() == lower
+        assert (tmp_path / "upper" / name).read_bytes() == lower
+
+    @pytest.mark.parametrize("command", ["cooccur", "neighborhood"])
+    def test_non_token_word_fails_like_a_lexicon_entry(self, tmp_path, capsys, command):
+        lexicon = tmp_path / "neg.txt"
+        lexicon.write_text("ugly\nbad-word\n", encoding="utf-8")
+        assert run(command, "--corpus", DEMO, "--neg-lexicon", lexicon, "--word", "ugly",
+                   "--out", tmp_path / "a") == 1
+        entry_error = capsys.readouterr().err
+        assert entry_error == ("askgraph: error [load_lexicon] line 2: entry 'bad-word' "
+                               "is not a single token (reads as ['bad', 'word'])\n")
+        assert run(command, "--corpus", DEMO, "--word", "bad-word", "--out", tmp_path / "b") == 1
+        assert capsys.readouterr().err == (
+            f"askgraph: error [{command}] --word 'bad-word' "
+            "is not a single token (reads as ['bad', 'word'])\n"
+        )
+        assert not (tmp_path / "b").exists()
+
     def test_synth_config_vocab_key_names_the_vocab_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text(f"neg_vocab={tmp_path / 'nope.txt'}\n", encoding="utf-8")
@@ -251,22 +285,28 @@ class TestDeterminism:
 
 class TestComputeOnce:
     def test_pipeline_scans_triangles_once_and_counts_content_once(self, tmp_path, monkeypatch):
-        calls = {"clustering": 0, "user_content_stats": 0}
+        clustering = []
+        original = interaction.clustering
+        monkeypatch.setattr(
+            interaction, "clustering", lambda *a, **k: clustering.append(1) or original(*a, **k)
+        )
+        # content_table through every askgraph module binding, by vocabulary
+        vocabularies = []
+        original_content = corpus.content_table
 
-        def counting(module, name):
-            original = getattr(module, name)
+        def content_table(corp, neg, pos):
+            vocabularies.append((type(neg).__name__, type(pos).__name__))
+            return original_content(corp, neg, pos)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(interaction, "clustering")
-        counting(segmentation, "user_content_stats")
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "askgraph" and (
+                getattr(module, "content_table", None) is original_content
+            ):
+                monkeypatch.setattr(module, "content_table", content_table)
         assert run("pipeline", "--corpus", DEMO, "--labels", LABELS, "--out", tmp_path) == 0
-        n_profiles = sum(1 for line in DEMO.read_text().splitlines() if line.strip())
-        assert calls == {"clustering": 1, "user_content_stats": n_profiles}
+        assert len(clustering) == 1
+        # once over the lexicons (corpus_stats), once over the word sets
+        assert sorted(vocabularies) == [("Lexicon", "Lexicon"), ("WordSet", "WordSet")]
 
     @staticmethod
     def count_tokenize(monkeypatch):

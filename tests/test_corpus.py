@@ -2,6 +2,7 @@ import json
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -252,6 +253,14 @@ class TestLoadLexicon:
 # Lexicon entries: plain words, and text mixing the characters that join
 # tokens (' and *), split them (- _ .), or change under lowercasing (U+0130
 # lowercases to "i" plus a combining dot, which splits a token).
+def row_counts(tagged):
+    """Each question's tagged words with their occurrence counts, by row."""
+    return [
+        Counter(dict(zip([tagged.vocab[j] for j in row.indices], row.data.tolist())))
+        for row in tagged.counts
+    ]
+
+
 _ENTRIES = st.one_of(
     st.from_regex(r"[a-zA-Z0-9'*]{1,6}", fullmatch=True),
     st.text(st.one_of(st.sampled_from("aZ9'*-_.İΣé\u0301"), st.characters(exclude_categories=["Cs"])),
@@ -277,7 +286,7 @@ class TestLexiconEntriesMatchTokens:
 
         def found(entry):
             corp = Corpus({"u": Profile("u", (Question(before + entry + after),))})
-            return tag_corpus(corp, {entry.lower()}).hits["u"] == ((entry.lower(),),)
+            return row_counts(tag_corpus(corp, {entry.lower()})) == [{entry.lower(): 1}]
 
         path = lex_dir / "lex.txt"
         path.write_text("# header\n" + "\n".join(entries) + "\n", encoding="utf-8")
@@ -301,7 +310,7 @@ VOCAB = NEG.words | POS.words
 def tag(question):
     """The tagged words of one question, with its negative/positive flags."""
     corp = Corpus({"a": Profile(owner="a", questions=(question,))})
-    (words,) = tag_corpus(corp, VOCAB).hits["a"]
+    (words,) = row_counts(tag_corpus(corp, VOCAB))
     return words, any(w in NEG for w in words), any(w in POS for w in words)
 
 
@@ -311,7 +320,7 @@ class TestTagQuestion:
     def test_repeated_word_counts_occurrences(self):
         words, is_negative, is_positive = tag(Question("you are ugly ugly"))
         assert is_negative and not is_positive
-        assert Counter(w for w in words if w in NEG) == {"ugly": 2}
+        assert Counter({w: c for w, c in words.items() if w in NEG}) == {"ugly": 2}
 
     def test_positive_only(self):
         _, is_negative, is_positive = tag(Question("nice day"))
@@ -327,16 +336,13 @@ class TestTagQuestion:
 
 
 class TestTagCorpus:
-    def test_hits_keep_order_and_share_the_vocabulary_strings(self):
+    def test_rows_count_each_questions_words(self):
         corp = Corpus({"a": Profile(owner="a", questions=(
             Question("Fat and UGLY, so fat"), Question("plain"), Question("other"),
         ))})
-        vocab = {"".join(["f", "at"]), "ugly"}
-        hits = tag_corpus(corp, vocab).hits["a"]
-        assert hits == (("fat", "ugly", "fat"), (), ())
-        (fat,) = (w for w in vocab if w == "fat")
-        assert hits[0][0] is fat and hits[0][2] is fat
-        assert hits[1] is hits[2]  # questions without a hit share one empty tuple
+        tagged = tag_corpus(corp, {"fat", "ugly"})
+        assert row_counts(tagged) == [{"fat": 2, "ugly": 1}, {}, {}]
+        assert tagged.counts.dtype == np.int64 and tagged.counts.has_canonical_format
 
     def test_tokenizes_each_question_once(self, monkeypatch):
         calls = []
@@ -349,7 +355,8 @@ class TestTagCorpus:
         })
         tagged = tag_corpus(corp, VOCAB)
         assert sorted(calls) == ["fat", "nice", "ugly"]
-        assert tagged.hits == {"a": (("ugly",), ("nice",)), "b": (("fat",),)}
+        assert tagged.owners == ("a", "b") and tagged.owner.tolist() == [0, 0, 1]
+        assert row_counts(tagged) == [{"ugly": 1}, {"nice": 1}, {"fat": 1}]
 
     def test_tagged_corpus_is_reused_for_a_smaller_vocabulary(self):
         corp = Corpus({"a": Profile(owner="a", questions=(Question("ugly nice"),))})
@@ -357,7 +364,7 @@ class TestTagCorpus:
         assert tag_corpus(tagged, NEG.words) is tagged
         assert tagged["a"] is corp["a"] and len(tagged) == 1
         wider = tag_corpus(tagged, VOCAB | {"day"})
-        assert wider is not tagged and wider.vocab == VOCAB | {"day"}
+        assert wider is not tagged and wider.vocab == tuple(sorted(VOCAB | {"day"}))
 
 
 def make_profile(owner, texts, likes_each=0):

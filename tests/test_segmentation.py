@@ -1,32 +1,25 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from askgraph.corpus import Corpus, Profile, Question, tag_corpus
+from askgraph.corpus import Corpus, Profile, Question
 from askgraph.interaction import build_interaction_graph, node_table
 from askgraph.segmentation import (
     GROUPS,
     LabelFile,
-    UserContentStats,
     classify_corpus,
     classify_user,
     content_table,
     group_report,
     labeled_report,
     load_label_file,
-    user_content_stats,
 )
 from askgraph.synth import vocab_word_set
 
 NEG = vocab_word_set(["ugly", "hate"], "negative")
 POS = vocab_word_set(["nice", "sweet"], "positive")
-
-
-def stats(neg, pos):
-    return UserContentStats(
-        n_answers=neg + pos, n_neg_questions=neg, n_pos_questions=pos,
-        n_neg_words=neg, n_pos_words=pos,
-    )
 
 
 def profile(owner, texts, fully_sampled=True):
@@ -37,10 +30,13 @@ def profile(owner, texts, fully_sampled=True):
     )
 
 
+COLUMNS = ("n_answers", "n_neg_questions", "n_pos_questions", "n_neg_words", "n_pos_words")
+
+
 def content_of(p):
-    """`user_content_stats` over the tagged words of one profile."""
-    hits = tag_corpus(Corpus({p.owner: p}), {*NEG.words, *POS.words}).hits[p.owner]
-    return user_content_stats(hits, NEG, POS)
+    """The `content_table` row of one profile."""
+    table = content_table(Corpus({p.owner: p}), NEG, POS)
+    return SimpleNamespace(**{c: int(getattr(table, c)[0]) for c in COLUMNS})
 
 
 class TestUserContentStats:
@@ -52,7 +48,7 @@ class TestUserContentStats:
 
     def test_empty_profile(self):
         s = content_of(profile("a", []))
-        assert s == stats(0, 0)
+        assert vars(s) == dict.fromkeys(COLUMNS, 0)
 
     def test_dual_flag_question(self):
         s = content_of(profile("a", ["ugly but nice"]))
@@ -75,12 +71,12 @@ class TestClassifyUser:
         (5, 0, "HN"),
     ])
     def test_decision_table(self, neg, pos, expected):
-        assert classify_user(stats(neg, pos)) == expected
+        assert classify_user(neg, pos) == expected
 
     def test_exhaustive_sweep_total_partition(self):
         for neg in range(13):
             for pos in range(13):
-                label = classify_user(stats(neg, pos))
+                label = classify_user(neg, pos)
                 assert label in GROUPS
                 # re-derive by explicit precedence
                 if neg >= 3 and pos == 0:
@@ -93,12 +89,12 @@ class TestClassifyUser:
                     assert label == "OTHR"
 
     def test_boundary_monotonicity(self):
-        assert classify_user(stats(2, 0)) == "OTHR"
-        assert classify_user(stats(3, 0)) == "HN"
+        assert classify_user(2, 0) == "OTHR"
+        assert classify_user(3, 0) == "HN"
 
     @given(st.integers(0, 100), st.integers(0, 100))
     def test_total_function(self, neg, pos):
-        assert classify_user(stats(neg, pos)) in GROUPS
+        assert classify_user(neg, pos) in GROUPS
 
 
 def build_tables(corp):
@@ -118,7 +114,7 @@ class TestGroupReport:
         corp = self.make_corpus()
         content, table = build_tables(corp)
         labels = classify_corpus(content)
-        report = group_report(corp, labels, content, table)
+        report = group_report(labels, content, table)
         assert sum(r.count for r in report.rows) == len(corp)
         assert report.row("HN").count == 1
         assert report.row("HP").count == 1
@@ -129,7 +125,7 @@ class TestGroupReport:
         corp = self.make_corpus()
         content, table = build_tables(corp)
         labels = classify_corpus(content)
-        row = group_report(corp, labels, content, table).row("PN")
+        row = group_report(labels, content, table).row("PN")
         assert row.count == 0
         assert row.mean_neg_in_degree is None
         assert row.likes_per_answer is None
@@ -138,7 +134,7 @@ class TestGroupReport:
         corp = Corpus({"a": profile("a", ["hello"])})
         content, table = build_tables(corp)
         labels = classify_corpus(content)
-        report = group_report(corp, labels, content, table)
+        report = group_report(labels, content, table)
         assert report.row("OTHR").count == 1
         assert sum(r.count for r in report.rows) == 1
 
@@ -146,7 +142,7 @@ class TestGroupReport:
         corp = self.make_corpus()
         content, table = build_tables(corp)
         labels = classify_corpus(content)
-        report = group_report(corp, labels, content, table)
+        report = group_report(labels, content, table)
         for row in report.rows:
             members = [u for u, g in labels.items() if g == row.name]
             if not members:
@@ -160,7 +156,7 @@ class TestGroupReport:
         corp = self.make_corpus()
         content, table = build_tables(corp)
         labels = classify_corpus(content)
-        report = group_report(corp, labels, content, table)
+        report = group_report(labels, content, table)
         total = sum(
             r.count * r.mean_answers for r in report.rows if r.count
         )
@@ -175,7 +171,7 @@ class TestLabeledReport:
         ]})
         content, table = build_tables(corp)
         lf = LabelFile(label="cutting", user_ids=frozenset({"a"}))
-        row = labeled_report(corp, lf, content, table)
+        row = labeled_report(lf, content, table)
         assert row.count == 1
         assert row.mean_neg_questions == 1.0
         assert row.unresolved_ids == ()
@@ -184,7 +180,7 @@ class TestLabeledReport:
         corp = Corpus({"a": profile("a", ["ugly x"])})
         content, table = build_tables(corp)
         lf = LabelFile(label="cutting", user_ids=frozenset({"a", "ghost"}))
-        row = labeled_report(corp, lf, content, table)
+        row = labeled_report(lf, content, table)
         assert row.count == 1
         assert row.unresolved_ids == ("ghost",)
 
@@ -194,10 +190,10 @@ class TestLabeledReport:
             profile("s", [], fully_sampled=False),
         ]})
         content, table = build_tables(corp)
-        assert set(content) == {"a"}
+        assert content.users == ("a",)
         assert classify_corpus(content) == {"a": "OTHR"}
         lf = LabelFile(label="cutting", user_ids=frozenset({"a", "s"}))
-        row = labeled_report(corp, lf, content, table)
+        row = labeled_report(lf, content, table)
         assert row.count == 1
         assert row.unresolved_ids == ("s",)
 
@@ -206,7 +202,7 @@ class TestLabeledReport:
         content, table = build_tables(corp)
         lf = LabelFile(label="cutting", user_ids=frozenset({"ghost"}))
         with pytest.raises(ValueError):
-            labeled_report(corp, lf, content, table)
+            labeled_report(lf, content, table)
 
 
 class TestLabelFileIO:
