@@ -15,8 +15,8 @@ import json
 import os
 import re
 from contextlib import contextmanager
-from itertools import chain
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Collection, Iterable
 
