@@ -260,7 +260,7 @@ class _Run:
 
     @_staged("compute_metrics")
     def metrics(self):
-        return inter_mod.compute_metrics(self.corpus, self.table)
+        return inter_mod.compute_metrics(self.tagged, self.table)
 
     @_staged("content_table")
     def content(self):

@@ -5,8 +5,9 @@ with fields ``owner`` (string), ``fully_sampled`` (bool) and ``questions``
 (array of ``{text, answer, likers, like_count}``). Questions are normalized
 to like_count-descending order on load.
 
-`tag_corpus` is the only caller of `tokenize`: every text analysis is a
-reduction over the question x vocabulary count matrix it builds.
+`tag_corpus` is the only analysis code that reads `Profile` and `Question`
+objects, and the only caller of `tokenize`: every analysis is a reduction
+over the question and profile columns it builds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Collection, Iterable
 
@@ -99,17 +100,26 @@ class Lexicon:
 
 @dataclass(frozen=True, kw_only=True)
 class TaggedCorpus(Corpus):
-    """A corpus with the vocabulary word counts of each question's text.
+    """A corpus as columns: per question its vocabulary word counts and its
+    likers, per profile its sampling flag and like total.
 
     Row r of `counts` (questions x `vocab`, int64, duplicates summed) is a
     question of profile `owners[owner[r]]`: the rows run profile by profile
-    in sorted owner order, each profile's questions in stored order. Answers
-    are never scanned."""
+    in sorted owner order, each profile's questions in stored order. Row r's
+    likers are `liker[liker_ptr[r]:liker_ptr[r + 1]]`, each the liker's
+    position in `owners`, or -1 when the liker has no profile. A user is an
+    owner whose `sampled` flag is set (frontier stubs are not users), and
+    `total_likes` sums each owner's `like_count`s, which may exceed its
+    known likers. Answers are never scanned."""
 
     vocab: tuple[str, ...]  # sorted
     owners: tuple[str, ...]  # sorted
     owner: np.ndarray
     counts: sp.csr_matrix
+    sampled: np.ndarray  # bool, per owner
+    total_likes: np.ndarray  # int64, per owner
+    liker_ptr: np.ndarray  # int64, per row plus one
+    liker: np.ndarray  # int32
 
     def word_counts(self, words: Collection[str]) -> np.ndarray:
         """Occurrences of `words` in each question. Words outside `vocab`
@@ -314,7 +324,8 @@ def load_lexicon(path: str | Path, polarity: str) -> Lexicon:
 
 
 def tag_corpus(corpus: Corpus, vocab: Iterable[str]) -> TaggedCorpus:
-    """Tokenize each question once and count its tokens that are in `vocab`.
+    """Tokenize each question once and count its tokens that are in `vocab`;
+    take its likers and each profile's sampling flag and like total along.
 
     A corpus already tagged over a superset of `vocab` is returned as it is,
     so every consumer can tag its input and a run tokenizes only once."""
@@ -324,34 +335,45 @@ def tag_corpus(corpus: Corpus, vocab: Iterable[str]) -> TaggedCorpus:
     words = tuple(sorted(vocab))
     index = {w: i for i, w in enumerate(words)}
     owners = tuple(sorted(corpus.profiles))
-    questions = [corpus[u].questions for u in owners]
+    position = {u: k for k, u in enumerate(owners)}
+    profiles = [corpus[u] for u in owners]
+    questions = [q for p in profiles for q in p.questions]
     # one tuple per question (the empty one is shared): a list each would
     # leave the garbage collector hundreds of thousands of objects to scan
-    ids = [
-        tuple([index[t] for t in tokenize(q.text) if t in index])
-        for qs in questions for q in qs
-    ]
+    ids = [tuple([index[t] for t in tokenize(q.text) if t in index]) for q in questions]
     indptr = np.cumsum([0, *map(len, ids)], dtype=np.int64)
     indices = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=int(indptr[-1]))
     counts = sp.csr_matrix(
         (np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(len(ids), len(words))
     )
     counts.sum_duplicates()
-    owner = np.repeat(np.arange(len(owners)), [len(qs) for qs in questions])
-    return TaggedCorpus(profiles=corpus.profiles, vocab=words, owners=owners, owner=owner,
-                        counts=counts)
+    likers = [q.likers for q in questions]
+    liker_ptr = np.cumsum([0, *map(len, likers)], dtype=np.int64)
+    positions = map(position.get, chain.from_iterable(likers), repeat(-1))
+    liker = np.fromiter(positions, np.int32, int(liker_ptr[-1]))
+    return TaggedCorpus(
+        profiles=corpus.profiles,
+        vocab=words,
+        owners=owners,
+        owner=np.repeat(np.arange(len(owners)), [len(p.questions) for p in profiles]),
+        counts=counts,
+        sampled=np.array([p.fully_sampled for p in profiles], dtype=bool),
+        total_likes=np.array([p.total_likes for p in profiles], dtype=np.int64),
+        liker_ptr=liker_ptr,
+        liker=liker,
+    )
 
 
 def content_table(corpus: Corpus, neg: Collection[str], pos: Collection[str]) -> ContentTable:
     """Answered questions, total likes, and the questions holding and the
     occurrences of `neg` and `pos` words, per fully sampled profile."""
     tagged = tag_corpus(corpus, {*neg, *pos})
-    users = np.flatnonzero([corpus[u].fully_sampled for u in tagged.owners])
+    users = np.flatnonzero(tagged.sampled)
     neg_w = tagged.word_counts(neg)
     pos_w = tagged.word_counts(pos)
     return ContentTable(
         users=tuple(tagged.owners[i] for i in users),
-        total_likes=np.array([corpus[tagged.owners[i]].total_likes for i in users], dtype=np.int64),
+        total_likes=tagged.total_likes[users],
         n_answers=np.bincount(tagged.owner, minlength=len(tagged.owners))[users],
         n_neg_questions=tagged.per_profile(neg_w > 0)[users],
         n_pos_questions=tagged.per_profile(pos_w > 0)[users],

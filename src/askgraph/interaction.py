@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import compress
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -37,15 +37,19 @@ class InteractionGraph:
     (src, dst) index, which for sorted ids is their string-key order and the
     order they are written in.
 
-    `InteractionGraph(nodes, {(src_id, dst_id): (n_neg, n_nonneg)}, top_k)`
+    `InteractionGraph.from_edges(nodes, {(src_id, dst_id): (n_neg, n_nonneg)})`
     builds one from an edge mapping; `edges` reads it back as one."""
 
-    def __init__(
-        self,
-        nodes: Sequence[str],
-        edges: Mapping[tuple[str, str], tuple[int, int]],
-        top_k: int,
-    ):
+    def __init__(self, nodes: tuple[str, ...], codes: np.ndarray, weights: np.ndarray):
+        """Edges from sorted, distinct int64 codes `src * n + dst` and weights."""
+        self.nodes = nodes
+        self.src, self.dst = np.divmod(codes, max(len(nodes), 1))
+        self.weights = weights  # (E, 2): n_neg, n_nonneg
+
+    @classmethod
+    def from_edges(
+        cls, nodes: Sequence[str], edges: Mapping[tuple[str, str], tuple[int, int]]
+    ) -> "InteractionGraph":
         index = {u: k for k, u in enumerate(nodes)}
         pairs = np.array([(index[i], index[j]) for i, j in edges], dtype=np.int64).reshape(-1, 2)
         if np.any(pairs[:, 0] == pairs[:, 1]):
@@ -53,19 +57,7 @@ class InteractionGraph:
         codes = pairs[:, 0] * len(index) + pairs[:, 1]
         weights = np.array(list(edges.values()), dtype=np.int64).reshape(-1, 2)
         order = np.argsort(codes)  # the codes are distinct
-        self._set(tuple(nodes), codes[order], weights[order], top_k)
-
-    @classmethod
-    def _from_codes(cls, nodes, codes, weights, top_k) -> "InteractionGraph":
-        graph = cls.__new__(cls)
-        graph._set(nodes, codes, weights, top_k)
-        return graph
-
-    def _set(self, nodes, codes, weights, top_k) -> None:
-        self.nodes: tuple[str, ...] = nodes
-        self.src, self.dst = np.divmod(codes, max(len(nodes), 1))
-        self.weights: np.ndarray = weights  # (E, 2): n_neg, n_nonneg
-        self.top_k = top_k
+        return cls(tuple(nodes), codes[order], weights[order])
 
     def edge_rows(self) -> Iterator[tuple[str, str, int, int]]:
         """(src_id, dst_id, n_neg, n_nonneg) per edge, in stored order."""
@@ -154,29 +146,23 @@ def build_interaction_graph(
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     tagged = tag_corpus(corpus, neg_words.words)
-    sampled = np.array([corpus[u].fully_sampled for u in tagged.owners], dtype=bool)
+    sampled = tagged.sampled
     nodes = tuple(compress(tagged.owners, sampled))
-    index = {u: k for k, u in enumerate(nodes)}
-    top = [corpus[u].questions[:top_k] for u in nodes]
-    # the tagged rows of the same questions: each profile's first top_k
-    first_row = np.searchsorted(tagged.owner, tagged.owner)
-    top_rows = sampled[tagged.owner] & (np.arange(len(tagged.owner)) - first_row < top_k)
-    questions = list(chain.from_iterable(top))
-    n_likers = np.array([len(q.likers) for q in questions], dtype=np.int64)
-    # one entry per like: liker index (-1 without a fully sampled profile),
-    # owner index and whether the question is non-negative
-    likers = np.fromiter(
-        map(index.get, chain.from_iterable(q.likers for q in questions), repeat(-1)),
-        dtype=np.int64,
-        count=int(n_likers.sum()),
+    node = np.cumsum(sampled, dtype=np.int64) - 1  # each sampled owner's node index
+    rows = np.arange(len(tagged.owner))
+    top = sampled[tagged.owner] & (rows - np.searchsorted(tagged.owner, tagged.owner) < top_k)
+    # one entry per like: its question row, liker and owner; a liker without
+    # a profile (-1) reads the False appended to `sampled`
+    row = np.repeat(rows, np.diff(tagged.liker_ptr))
+    liker, owner = tagged.liker, tagged.owner[row]
+    keep = top[row] & np.append(sampled, False)[liker] & (liker != owner)
+    nonneg = (tagged.word_counts(neg_words) == 0)[row[keep]]
+    # int64 codes: n * n overflows int32 past 46,340 nodes
+    codes, edge_of_like = np.unique(
+        node[liker[keep]] * len(nodes) + node[owner[keep]], return_inverse=True
     )
-    n_questions = np.array([len(qs) for qs in top], dtype=np.int64)
-    owners = np.repeat(np.repeat(np.arange(len(nodes)), n_questions), n_likers)
-    nonneg = np.repeat(tagged.word_counts(neg_words)[top_rows] == 0, n_likers)
-    keep = (likers >= 0) & (likers != owners)
-    codes, edge_of_like = np.unique(likers[keep] * len(nodes) + owners[keep], return_inverse=True)
-    weights = np.bincount(2 * edge_of_like + nonneg[keep], minlength=2 * len(codes)).reshape(-1, 2)
-    return InteractionGraph._from_codes(nodes, codes, weights, top_k)
+    weights = np.bincount(2 * edge_of_like + nonneg, minlength=2 * len(codes)).reshape(-1, 2)
+    return InteractionGraph(nodes, codes, weights)
 
 
 def node_table(graph: InteractionGraph) -> NodeTable:
@@ -394,23 +380,14 @@ def likes_answers_correlation(
 
     A side with fewer than 2 profiles or zero variance yields None.
     """
-    below_x: list[float] = []
-    below_y: list[float] = []
-    above_x: list[float] = []
-    above_y: list[float] = []
-    for owner in sorted(corpus.profiles):
-        profile = corpus[owner]
-        if not profile.fully_sampled:
-            continue
-        n_q = len(profile.questions)
-        likes = profile.total_likes
-        if n_q < split:
-            below_x.append(n_q)
-            below_y.append(likes)
-        else:
-            above_x.append(n_q)
-            above_y.append(likes)
-    return _pearson(below_x, below_y), _pearson(above_x, above_y)
+    tagged = tag_corpus(corpus, ())
+    answers = np.bincount(tagged.owner, minlength=len(tagged.owners))[tagged.sampled]
+    likes = tagged.total_likes[tagged.sampled]
+    below = answers < split
+    return (
+        _pearson(answers[below].tolist(), likes[below].tolist()),
+        _pearson(answers[~below].tolist(), likes[~below].tolist()),
+    )
 
 
 def compute_metrics(corpus: Corpus, table: NodeTable) -> MetricsReport:

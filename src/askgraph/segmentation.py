@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-# content_table builds the table that classification and the group rows read
-from .corpus import ContentTable, content_table  # noqa: F401
+from .corpus import ContentTable
 from .interaction import NodeTable
 
 GROUPS = ("HN", "HP", "PN", "OTHR")

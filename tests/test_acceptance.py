@@ -164,7 +164,7 @@ def brute_force_reciprocity(g):
 
 def neg_graph(nodes, edges):
     """A graph whose negative component carries the given scalar weights."""
-    return InteractionGraph(nodes=nodes, edges={e: (w, 0) for e, w in edges.items()}, top_k=15)
+    return InteractionGraph.from_edges(nodes=nodes, edges={e: (w, 0) for e, w in edges.items()})
 
 
 def neg_reciprocity(g):
@@ -212,7 +212,7 @@ class SimpleView:
 
 
 def graph_from_pairs(pairs, nodes):
-    return InteractionGraph(nodes=tuple(nodes), edges={p: (1, 0) for p in pairs}, top_k=15)
+    return InteractionGraph.from_edges(nodes=tuple(nodes), edges={p: (1, 0) for p in pairs})
 
 
 def triple_enumeration_oracle(simple):
@@ -320,7 +320,8 @@ def test_criterion_6_planted_structure_recovery(capfd):
         corp, planted = generate_corpus(params)
         neg_ws = vocab_word_set(params.neg_vocab, "negative")
         pos_ws = vocab_word_set(params.pos_vocab, "positive")
-        from askgraph.segmentation import classify_corpus, content_table
+        from askgraph.corpus import content_table
+        from askgraph.segmentation import classify_corpus
 
         predicted = classify_corpus(content_table(corp, neg_ws, pos_ws))
         assert predicted == planted  # zero label errors

@@ -45,8 +45,8 @@ def by_id(t, column):
 def digraph(edges, nodes=None):
     """A graph whose negative component carries the given scalar weights."""
     node_set = nodes or sorted({n for e in edges for n in e})
-    return InteractionGraph(
-        nodes=tuple(node_set), edges={e: (w, 0) for e, w in edges.items()}, top_k=15
+    return InteractionGraph.from_edges(
+        nodes=tuple(node_set), edges={e: (w, 0) for e, w in edges.items()}
     )
 
 
@@ -113,6 +113,15 @@ class TestBuildInteractionGraph:
         with pytest.raises(ValueError, match="top_k must be >= 1"):
             build_interaction_graph(corp, NEG_WS, top_k=top_k)
 
+    def test_edge_codes_do_not_overflow_int32(self):
+        # 46,400² exceeds 2³¹: the one like, between the two highest ids,
+        # has the largest edge code
+        ids = [f"u{i:05d}" for i in range(46_400)]
+        profiles = [profile(u, []) for u in ids[:-2]]
+        profiles += [profile(ids[-2], [("fine", [ids[-1]])]), profile(ids[-1], [])]
+        g = build_interaction_graph(corpus_of(profiles), NEG_WS)
+        assert list(g.edge_rows()) == [(ids[-1], ids[-2], 0, 1)]
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_reference_builder(self, data):
@@ -153,8 +162,8 @@ def reference_build(corpus, neg_words, top_k):
 
 class TestInteractionGraphFromEdges:
     def test_edges_read_back_in_index_order(self):
-        g = InteractionGraph(
-            nodes=("b", "a", "c"), edges={("c", "a"): (1, 2), ("b", "c"): (0, 1)}, top_k=15
+        g = InteractionGraph.from_edges(
+            nodes=("b", "a", "c"), edges={("c", "a"): (1, 2), ("b", "c"): (0, 1)}
         )
         assert list(g.edges.items()) == [(("b", "c"), (0, 1)), (("c", "a"), (1, 2))]
         assert g.src.tolist() == [0, 2] and g.dst.tolist() == [2, 1]
@@ -202,7 +211,7 @@ class TestSplitGraph:
 
     def test_weight_sums_preserved(self):
         g_edges = {("a", "b"): (2, 3), ("b", "c"): (0, 4), ("c", "a"): (5, 0)}
-        t = node_table(InteractionGraph(nodes=("a", "b", "c"), edges=g_edges, top_k=15))
+        t = node_table(InteractionGraph.from_edges(nodes=("a", "b", "c"), edges=g_edges))
         total = sum(t.neg.out_deg.tolist()) + sum(t.nonneg.out_deg.tolist())
         assert total == sum(a + b for a, b in g_edges.values())
 
@@ -364,8 +373,8 @@ class TestDegreeRatioCdf:
 def graph_from_pairs(pairs, nodes=None):
     """One negative edge per pair, in the given direction."""
     node_set = nodes or sorted({n for p in pairs for n in p})
-    return InteractionGraph(
-        nodes=tuple(node_set), edges={p: (1, 0) for p in pairs}, top_k=15
+    return InteractionGraph.from_edges(
+        nodes=tuple(node_set), edges={p: (1, 0) for p in pairs}
     )
 
 
@@ -526,7 +535,7 @@ class TestReductionsMatchLoops:
             for a in nodes for b in nodes if a != b and rng.random() < density
         }
         edges.setdefault((nodes[0], nodes[1]), (1, 1))
-        t = node_table(InteractionGraph(nodes=tuple(nodes), edges=edges, top_k=15))
+        t = node_table(InteractionGraph.from_edges(nodes=tuple(nodes), edges=edges))
         positive = t.neg.in_deg[t.neg.in_deg > 0]
         assert reference_reductions(t) == (
             ccdf(positive) if len(positive) else [],

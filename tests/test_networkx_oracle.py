@@ -22,7 +22,7 @@ def weighted_digraphs(draw):
     chosen = draw(st.sets(st.sampled_from(pairs), max_size=60)) if pairs else set()
     weights = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda w: sum(w) > 0)
     edges = {pair: draw(weights) for pair in sorted(chosen)}
-    return InteractionGraph(nodes=nodes, edges=edges, top_k=15)
+    return InteractionGraph.from_edges(nodes=nodes, edges=edges)
 
 
 def nx_component(graph, slot):
@@ -77,7 +77,7 @@ def hub_digraph(rng):
         for a, b in sorted(pairs)
         if a != b
     }
-    return InteractionGraph(nodes=nodes, edges=edges, top_k=15)
+    return InteractionGraph.from_edges(nodes=nodes, edges=edges)
 
 
 @settings(max_examples=10, deadline=None)

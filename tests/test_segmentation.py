@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from askgraph.corpus import Corpus, Profile, Question
+from askgraph.corpus import Corpus, Profile, Question, content_table
 from askgraph.interaction import build_interaction_graph, node_table
 from askgraph.segmentation import (
     GROUPS,
     LabelFile,
     classify_corpus,
     classify_user,
-    content_table,
     group_report,
     labeled_report,
     load_label_file,

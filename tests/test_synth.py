@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from askgraph.cli import main
-from askgraph.corpus import Corpus, Profile, Question, save_corpus
-from askgraph.segmentation import classify_corpus, content_table
+from askgraph.corpus import Corpus, Profile, Question, content_table, save_corpus
+from askgraph.segmentation import classify_corpus
 from askgraph.synth import (
     GenParams,
     SplitMix64,

@@ -1,6 +1,8 @@
-"""Every text analysis reduced from the tagged count matrix equals the
-per-question string-hit loops it replaced, kept here as references."""
+"""Every analysis reduced from the tagged columns equals the per-question
+and per-profile loops it replaced, kept here as references, and reads no
+profile object."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -19,7 +21,13 @@ from askgraph.corpus import (
     tag_corpus,
     tokenize,
 )
-from askgraph.interaction import build_interaction_graph
+from askgraph.interaction import (
+    _pearson,
+    build_interaction_graph,
+    compute_metrics,
+    likes_answers_correlation,
+    node_table,
+)
 from askgraph.synth import vocab_word_set
 from askgraph.wordgraph import build_bipartite, cooccurrence_distribution
 
@@ -116,6 +124,23 @@ def reference_weights(corpus, neg_words, top_k):
     return {edge: tuple(w) for edge, w in sorted(weights.items())}
 
 
+def reference_likes_answers_correlation(corpus, split=50):
+    below_x, below_y, above_x, above_y = [], [], [], []
+    for owner in sorted(corpus.profiles):
+        profile = corpus[owner]
+        if not profile.fully_sampled:
+            continue
+        n_q = len(profile.questions)
+        likes = profile.total_likes
+        if n_q < split:
+            below_x.append(n_q)
+            below_y.append(likes)
+        else:
+            above_x.append(n_q)
+            above_y.append(likes)
+    return _pearson(below_x, below_y), _pearson(above_x, above_y)
+
+
 # --- random corpora -------------------------------------------------------
 
 _SPELLINGS = st.sampled_from(WORDS + ["ugly's", "f*t", "ni_ce", "ÜGLY", "x"]).flatmap(
@@ -126,7 +151,11 @@ _TEXTS = st.lists(st.tuples(_SPELLINGS, _SEPARATORS), max_size=8).map(
     lambda parts: "".join(w + s for w, s in parts)
 )
 _QUESTIONS = st.lists(
-    st.tuples(_TEXTS, st.lists(st.sampled_from(USERS + ["ghost"]), unique=True, max_size=4)),
+    st.tuples(
+        _TEXTS,
+        st.lists(st.sampled_from(USERS + ["ghost"]), unique=True, max_size=4),
+        st.one_of(st.none(), st.integers(1, 60)),
+    ),
     max_size=6,
 )
 
@@ -136,9 +165,12 @@ def corpora(draw):
     owners = draw(st.lists(st.sampled_from(USERS), min_size=1, unique=True))
     profiles = {}
     for owner in owners:
+        # a like count without liker ids, as `load_corpus` accepts it, when
+        # `unlisted` is drawn
         questions = tuple(
             Question(text=t, likers=tuple(likers), like_count=len(likers))
-            for t, likers in draw(_QUESTIONS)
+            if unlisted is None else Question(text=t, like_count=unlisted)
+            for t, likers, unlisted in draw(_QUESTIONS)
         )
         # frontier stubs usually have no questions, but may
         profiles[owner] = Profile(owner, questions, fully_sampled=draw(st.booleans()))
@@ -228,3 +260,61 @@ def test_interaction_weights_match_the_question_loop(corpus, pretag, top_k):
     graph = build_interaction_graph(tagged_or_plain(corpus, pretag), NEG_WS, top_k=top_k)
     assert graph.nodes == tuple(sorted(p.owner for p in corpus if p.fully_sampled))
     assert dict(graph.edges) == reference_weights(corpus, NEG_WS, top_k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora(), st.booleans(), st.integers(1, 6))
+def test_like_columns_match_the_question_loops(corpus, pretag, split):
+    tagged = tag_corpus(tagged_or_plain(corpus, pretag), ())
+    owners = sorted(corpus.profiles)
+    assert tagged.sampled.tolist() == [corpus[u].fully_sampled for u in owners]
+    assert tagged.total_likes.dtype == np.int64
+    assert tagged.total_likes.tolist() == [
+        sum(q.like_count for q in corpus[u].questions) for u in owners
+    ]
+    assert tagged.liker.dtype == np.int32 and tagged.liker_ptr.dtype == np.int64
+    ptr = tagged.liker_ptr.tolist()
+    assert [tagged.liker[a:b].tolist() for a, b in zip(ptr, ptr[1:])] == [
+        [owners.index(v) if v in corpus.profiles else -1 for v in q.likers]
+        for u in owners for q in corpus[u].questions
+    ]
+    assert likes_answers_correlation(tagged, split) == (
+        reference_likes_answers_correlation(corpus, split)
+    )
+
+
+def outcome(fn, *args):
+    """`fn(*args)`, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def columns(value):
+    """A dataclass's fields, with arrays as lists so they compare by `==`."""
+    return [
+        v.tolist() if isinstance(v, np.ndarray) else v
+        for v in (getattr(value, f.name) for f in dataclasses.fields(value))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora(), st.sampled_from(WORDS + ["zzz"]), st.integers(1, 4))
+def test_analyses_read_only_the_tagged_columns(corpus, core, top_k):
+    tagged = tag_corpus(corpus, [*WORDS, "zzz"])
+
+    def results(c):
+        graph = build_interaction_graph(c, NEG_WS, top_k=top_k)
+        bipartite = build_bipartite(c, NEG)
+        return [
+            graph.nodes,
+            list(graph.edge_rows()),
+            columns(content_table(c, NEG_WS, POS_WS)),
+            outcome(corpus_stats, c, NEG, POS),
+            compute_metrics(c, node_table(graph)),
+            (bipartite.words, bipartite.users, bipartite.incidence.toarray().tolist()),
+            outcome(cooccurrence_distribution, c, core, POS_WS),
+        ]
+
+    assert results(dataclasses.replace(tagged, profiles={})) == results(tagged)
