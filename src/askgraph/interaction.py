@@ -150,6 +150,7 @@ def build_interaction_graph(
     nodes = tuple(compress(tagged.owners, sampled))
     node = np.cumsum(sampled, dtype=np.int64) - 1  # each sampled owner's node index
     rows = np.arange(len(tagged.owner))
+    # each sampled profile's first top_k rows, its most-liked questions
     top = sampled[tagged.owner] & (rows - np.searchsorted(tagged.owner, tagged.owner) < top_k)
     # one entry per like: its question row, liker and owner; a liker without
     # a profile (-1) reads the False appended to `sampled`
