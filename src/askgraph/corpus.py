@@ -5,9 +5,12 @@ with fields ``owner`` (string), ``fully_sampled`` (bool) and ``questions``
 (array of ``{text, answer, likers, like_count}``). Questions are normalized
 to like_count-descending order on load.
 
-`tag_corpus` is the only analysis code that reads `Profile` and `Question`
-objects, and the only caller of `tokenize`: every analysis is a reduction
-over the question and profile columns it builds.
+A `Corpus` is columns, one entry per question and per profile, built once
+by whatever builds the corpus: `Corpus.from_records` (which `load_corpus`
+feeds line by line), `generate_corpus` and `snowball_sample`.
+`Corpus.records` is the one read-back. `tag_corpus` adds each question's
+vocabulary word counts and is the only caller of `tokenize`: every analysis
+is a reduction over these columns.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ import json
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,40 +50,109 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class Question:
-    text: str
-    likers: tuple[str, ...] = ()
-    like_count: int = 0
-    answer: str = ""  # stored for fidelity, never analyzed
-
-
-@dataclass(frozen=True)
-class Profile:
-    owner: str
-    questions: tuple[Question, ...] = ()
-    fully_sampled: bool = True
-
-    @property
-    def total_likes(self) -> int:
-        return sum(q.like_count for q in self.questions)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    profiles: dict[str, Profile] = field(default_factory=dict)
+    """Profiles and their questions as columns.
+
+    `owners` are the profile owners, sorted. A user is an owner whose
+    `sampled` flag is set (frontier stubs are not users), and `total_likes`
+    sums each owner's `like_count`s, which may exceed its listed likers.
+    `order` lists the owners' positions in the order `save_corpus` writes
+    them: file order for a loaded corpus, generation order for a synthetic
+    one, crawl order then the sorted frontier for a crawl.
+
+    Row r is a question of profile `owners[owner[r]]`: the rows run profile
+    by profile in sorted owner order, each profile's questions by descending
+    `like_count`, ties in input order. Row r's likers are
+    `liker[liker_ptr[r]:liker_ptr[r + 1]]`, each an index into `owners`
+    followed by `strangers`, the sorted liker ids without a profile.
+    Answers are stored, never analyzed."""
+
+    owners: tuple[str, ...]
+    strangers: tuple[str, ...]
+    order: np.ndarray  # int64, per owner
+    sampled: np.ndarray  # bool, per owner
+    total_likes: np.ndarray  # int64, per owner
+    owner: np.ndarray  # int64, per row
+    texts: tuple[str, ...]
+    answers: tuple[str, ...]
+    like_count: np.ndarray  # int64, per row
+    liker_ptr: np.ndarray  # int64, per row plus one
+    liker: np.ndarray  # int32
 
     def __len__(self) -> int:
-        return len(self.profiles)
+        return len(self.owners)
 
-    def __contains__(self, user_id: str) -> bool:
-        return user_id in self.profiles
+    @classmethod
+    def from_records(cls, records: Iterable[object]) -> Corpus:
+        """A corpus of profile records as the corpus file holds them, in
+        that order. A malformed record raises CorpusFormatError with its
+        1-based position as the line."""
+        return _parse_records(enumerate(records, start=1))
 
-    def __getitem__(self, user_id: str) -> Profile:
-        return self.profiles[user_id]
+    @classmethod
+    def from_rows(cls, ids: list[str], owner_code: Sequence[int], sampled: Sequence[bool],
+                  row_code: Sequence[int], texts: Sequence[str], answers: Sequence[str],
+                  like_count: Sequence[int], n_likers: Sequence[int],
+                  liker_code: Sequence[int]) -> Corpus:
+        """A corpus of profiles in save order (owner code, an index into `ids`,
+        and sampling flag) and of question rows (owner code, text, answer,
+        like count, number of likers, in input order per profile), the likers'
+        codes in `liker_code`. `Corpus` puts them in its own order."""
+        owner_code = np.asarray(owner_code, dtype=np.int64)
+        by_id = ids.__getitem__
+        ranked = (sorted(owner_code.tolist(), key=by_id)
+                  + sorted(set(range(len(ids))) - set(owner_code.tolist()), key=by_id))
+        position = np.empty(len(ids), dtype=np.int64)
+        position[ranked] = np.arange(len(ids))
+        order = position[owner_code]
+        owner = position[np.asarray(row_code, dtype=np.int64)]
+        like_count = np.asarray(like_count, dtype=np.int64)
+        liker_ptr = np.concatenate(([0], np.cumsum(n_likers, dtype=np.int64)))
+        liker = position[np.asarray(liker_code, dtype=np.int64)].astype(np.int32)
+        # a stable sort keeps each profile's like-count ties in input order
+        rows = np.lexsort((-like_count, owner))
+        texts = [texts[r] for r in rows.tolist()]
+        answers = [answers[r] for r in rows.tolist()]
+        owner, like_count = owner[rows], like_count[rows]
+        lengths = np.diff(liker_ptr)[rows]
+        ends = np.cumsum(lengths)  # each row's likers, moved as a block
+        liker = liker[np.repeat(liker_ptr[rows] - ends + lengths, lengths)
+                      + np.arange(liker_ptr[-1])]
+        liker_ptr = np.concatenate(([0], ends))
+        n = len(order)
+        flags = np.zeros(n, dtype=bool)
+        flags[order] = np.asarray(sampled, dtype=bool)
+        likes = np.concatenate(([0], np.cumsum(like_count)))[np.searchsorted(owner, range(n + 1))]
+        return cls(
+            owners=tuple(ids[c] for c in ranked[:n]), strangers=tuple(ids[c] for c in ranked[n:]),
+            order=order, sampled=flags, total_likes=np.diff(likes), owner=owner,
+            texts=tuple(texts), answers=tuple(answers), like_count=like_count,
+            liker_ptr=liker_ptr, liker=liker,
+        )
 
-    def __iter__(self):
-        return iter(self.profiles.values())
+    def records(self) -> Iterator[dict]:
+        """Each profile as a corpus file record, in `order`."""
+        ids = self.owners + self.strangers
+        rows = np.searchsorted(self.owner, range(len(self.owners) + 1)).tolist()
+        texts, answers, likes = self.texts, self.answers, self.like_count.tolist()
+        ptr, liker, sampled = self.liker_ptr.tolist(), self.liker.tolist(), self.sampled.tolist()
+        for k in self.order.tolist():
+            questions = []
+            for r in range(rows[k], rows[k + 1]):
+                question = {"text": texts[r], "answer": answers[r],
+                            "likers": [ids[i] for i in liker[ptr[r]:ptr[r + 1]]],
+                            "like_count": likes[r]}
+                if likes[r] and ptr[r] == ptr[r + 1]:
+                    # a count read without liker ids: an empty list would contradict it
+                    del question["likers"]
+                questions.append(question)
+            yield {"owner": ids[k], "fully_sampled": sampled[k], "questions": questions}
+
+    def per_profile(self, values: np.ndarray) -> np.ndarray:
+        """Sum of a per-question int array over each profile's questions,
+        aligned with `owners`."""
+        return np.bincount(self.owner, weights=values, minlength=len(self.owners)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -98,38 +170,19 @@ class Lexicon:
         return iter(self.words)
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False)
 class TaggedCorpus(Corpus):
-    """A corpus as columns: per question its vocabulary word counts and its
-    likers, per profile its sampling flag and like total.
-
-    Row r of `counts` (questions x `vocab`, int64, duplicates summed) is a
-    question of profile `owners[owner[r]]`: the rows run profile by profile
-    in sorted owner order, each profile's questions in stored order. Row r's
-    likers are `liker[liker_ptr[r]:liker_ptr[r + 1]]`, each the liker's
-    position in `owners`, or -1 when the liker has no profile. A user is an
-    owner whose `sampled` flag is set (frontier stubs are not users), and
-    `total_likes` sums each owner's `like_count`s, which may exceed its
-    known likers. Answers are never scanned."""
+    """A corpus with each question's vocabulary word counts: row r of
+    `counts` (questions x `vocab`, int64, duplicates summed) is row r of the
+    corpus."""
 
     vocab: tuple[str, ...]  # sorted
-    owners: tuple[str, ...]  # sorted
-    owner: np.ndarray
     counts: sp.csr_matrix
-    sampled: np.ndarray  # bool, per owner
-    total_likes: np.ndarray  # int64, per owner
-    liker_ptr: np.ndarray  # int64, per row plus one
-    liker: np.ndarray  # int32
 
     def word_counts(self, words: Collection[str]) -> np.ndarray:
         """Occurrences of `words` in each question. Words outside `vocab`
         count 0, so tag the corpus over `words` first."""
         return self.counts @ np.array([w in words for w in self.vocab], dtype=np.int64)
-
-    def per_profile(self, values: np.ndarray) -> np.ndarray:
-        """Sum of a per-question int array over each profile's questions,
-        aligned with `owners`."""
-        return np.bincount(self.owner, weights=values, minlength=len(self.owners)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -159,49 +212,88 @@ class CorpusStats:
     pct_users_with_pos_q: float
 
 
-def _sort_questions(questions: Iterable[Question]) -> tuple[Question, ...]:
-    # stable sort: like_count descending, ties keep input order
-    return tuple(sorted(questions, key=lambda q: -q.like_count))
+def _parse_records(numbered: Iterable[tuple[int, object]]) -> Corpus:
+    """The corpus of (line number, profile record) pairs: each record is
+    checked, and its owner and likers are interned as they are read."""
+    code: dict[str, int] = {}  # every id read, numbered in order of first sight
+    intern = code.setdefault
+    seen: set[str] = set()
+    owner_code, sampled, n_rows, texts, answers = [], [], [], [], []
+    like_count, n_likers, liker_code = [], [], []
+    for line_no, obj in numbered:
+        if not isinstance(obj, dict):
+            raise CorpusFormatError(line_no, "profile record must be an object")
+        owner = obj.get("owner")
+        if not isinstance(owner, str) or not owner:
+            raise CorpusFormatError(line_no, "missing or empty 'owner'")
+        if owner in seen:
+            raise CorpusFormatError(line_no, f"duplicate owner id {owner!r}")
+        questions = obj.get("questions", [])
+        if not isinstance(questions, list):
+            raise CorpusFormatError(line_no, "'questions' must be an array")
+        fully_sampled = obj.get("fully_sampled", True)
+        if not isinstance(fully_sampled, bool):
+            raise CorpusFormatError(line_no, "'fully_sampled' must be true or false")
+        start = len(like_count)
+        for question in questions:
+            if not isinstance(question, dict) or "text" not in question:
+                raise CorpusFormatError(
+                    line_no, "question record must be an object with a 'text' field"
+                )
+            text = question["text"]
+            if not isinstance(text, str):
+                raise CorpusFormatError(line_no, "question text must be a string")
+            listed = question.get("likers")
+            likers = () if listed is None else listed
+            if listed is not None:
+                if not isinstance(likers, list) or not all(map(isinstance, likers, repeat(str))):
+                    raise CorpusFormatError(line_no, "likers must be an array of strings")
+                if len(set(likers)) != len(likers):
+                    raise CorpusFormatError(line_no, "duplicate liker ids on one question")
+            likes = question.get("like_count", len(likers))
+            if not isinstance(likes, int) or isinstance(likes, bool) or likes < 0:
+                raise CorpusFormatError(line_no, "like_count must be a nonnegative integer")
+            answer = question.get("answer", "")
+            if not isinstance(answer, str):
+                raise CorpusFormatError(line_no, "answer must be a string")
+            if listed is not None and likes != len(likers):
+                raise CorpusFormatError(
+                    line_no, f"like_count {likes} does not match {len(likers)} likers"
+                )
+            texts.append(text)
+            answers.append(answer)
+            like_count.append(likes)
+            n_likers.append(len(likers))
+            liker_code += [intern(x, len(code)) for x in likers]
+        if sum(like_count[start:]) >= 1 << 63:
+            raise CorpusFormatError(line_no, "like counts sum past the int64 range")
+        seen.add(owner)
+        owner_code.append(intern(owner, len(code)))
+        sampled.append(fully_sampled)
+        n_rows.append(len(questions))
+    return Corpus.from_rows(list(code), owner_code, sampled, np.repeat(owner_code, n_rows),
+                            texts, answers, like_count, n_likers, liker_code)
 
 
-def _parse_question(obj: dict, line_no: int) -> Question:
-    if not isinstance(obj, dict) or "text" not in obj:
-        raise CorpusFormatError(line_no, "question record must be an object with a 'text' field")
-    text = obj["text"]
-    if not isinstance(text, str):
-        raise CorpusFormatError(line_no, "question text must be a string")
-    likers_raw = obj.get("likers")
-    likers: tuple[str, ...] = ()
-    if likers_raw is not None:
-        if not isinstance(likers_raw, list) or not all(isinstance(x, str) for x in likers_raw):
-            raise CorpusFormatError(line_no, "likers must be an array of strings")
-        if len(set(likers_raw)) != len(likers_raw):
-            raise CorpusFormatError(line_no, "duplicate liker ids on one question")
-        likers = tuple(likers_raw)
-    like_count = obj.get("like_count", len(likers))
-    if not isinstance(like_count, int) or isinstance(like_count, bool) or like_count < 0:
-        raise CorpusFormatError(line_no, "like_count must be a nonnegative integer")
-    answer = obj.get("answer", "")
-    if not isinstance(answer, str):
-        raise CorpusFormatError(line_no, "answer must be a string")
-    if likers_raw is not None and like_count != len(likers):
-        raise CorpusFormatError(
-            line_no, f"like_count {like_count} does not match {len(likers)} likers"
-        )
-    return Question(
-        text=text,
-        likers=likers,
-        like_count=like_count,
-        answer=answer,
-    )
-
-
-def _check_encodable(obj, line_no: int) -> None:
-    try:
-        json.dumps(obj, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        surrogate = exc.object[exc.start:exc.end]
-        raise CorpusFormatError(line_no, f"lone surrogate {surrogate!r} in a string") from exc
+def _numbered_records(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
+    """Each non-blank line's number and decoded JSON value."""
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(line_no, f"invalid JSON: {exc}") from exc
+        # the file is decoded as UTF-8, so a surrogate can only come from
+        # a JSON \u escape: only lines with one need the encoding check
+        try:
+            if "\\u" in line:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            surrogate = exc.object[exc.start:exc.end]
+            raise CorpusFormatError(line_no, f"lone surrogate {surrogate!r} in a string") from exc
+        yield line_no, obj
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -211,49 +303,8 @@ def load_corpus(path: str | Path) -> Corpus:
     records, duplicate owners, like_count/likers mismatches, or strings
     holding a lone surrogate (which no UTF-8 output can encode).
     """
-    profiles: dict[str, Profile] = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(line_no, f"invalid JSON: {exc}") from exc
-            # the file is decoded as UTF-8, so a surrogate can only come from
-            # a JSON \u escape: only lines with one need the encoding check
-            if "\\u" in line:
-                _check_encodable(obj, line_no)
-            if not isinstance(obj, dict):
-                raise CorpusFormatError(line_no, "profile record must be an object")
-            owner = obj.get("owner")
-            if not isinstance(owner, str) or not owner:
-                raise CorpusFormatError(line_no, "missing or empty 'owner'")
-            if owner in profiles:
-                raise CorpusFormatError(line_no, f"duplicate owner id {owner!r}")
-            questions_raw = obj.get("questions", [])
-            if not isinstance(questions_raw, list):
-                raise CorpusFormatError(line_no, "'questions' must be an array")
-            fully_sampled = obj.get("fully_sampled", True)
-            if not isinstance(fully_sampled, bool):
-                raise CorpusFormatError(line_no, "'fully_sampled' must be true or false")
-            questions = _sort_questions(_parse_question(q, line_no) for q in questions_raw)
-            profiles[owner] = Profile(
-                owner=owner,
-                questions=questions,
-                fully_sampled=fully_sampled,
-            )
-    return Corpus(profiles=profiles)
-
-
-def _question_record(q: Question) -> dict:
-    record = {"text": q.text, "answer": q.answer, "likers": list(q.likers),
-              "like_count": q.like_count}
-    if q.like_count and not q.likers:
-        # a count read without liker ids: an empty list would contradict it
-        del record["likers"]
-    return record
+        return _parse_records(_numbered_records(fh))
 
 
 @contextmanager
@@ -270,20 +321,15 @@ def atomic_write(path: str | Path):
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a Corpus in the canonical line-delimited format, through
-    `atomic_write`.
+    """Write `corpus.records()` in the canonical line-delimited format,
+    through `atomic_write`.
 
     Output is deterministic: fixed key order, compact separators, question
     order as stored (like_count descending). load_corpus(save_corpus(c))
     round-trips byte-identically.
     """
     with atomic_write(path) as fh:
-        for profile in corpus:
-            record = {
-                "owner": profile.owner,
-                "fully_sampled": profile.fully_sampled,
-                "questions": [_question_record(q) for q in profile.questions],
-            }
+        for record in corpus.records():
             fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
 
@@ -324,8 +370,7 @@ def load_lexicon(path: str | Path, polarity: str) -> Lexicon:
 
 
 def tag_corpus(corpus: Corpus, vocab: Iterable[str]) -> TaggedCorpus:
-    """Tokenize each question once and count its tokens that are in `vocab`;
-    take its likers and each profile's sampling flag and like total along.
+    """Tokenize each question once and count its tokens that are in `vocab`.
 
     A corpus already tagged over a superset of `vocab` is returned as it is,
     so every consumer can tag its input and a run tokenizes only once."""
@@ -334,34 +379,17 @@ def tag_corpus(corpus: Corpus, vocab: Iterable[str]) -> TaggedCorpus:
         return corpus
     words = tuple(sorted(vocab))
     index = {w: i for i, w in enumerate(words)}
-    owners = tuple(sorted(corpus.profiles))
-    position = {u: k for k, u in enumerate(owners)}
-    profiles = [corpus[u] for u in owners]
-    questions = [q for p in profiles for q in p.questions]
     # one tuple per question (the empty one is shared): a list each would
     # leave the garbage collector hundreds of thousands of objects to scan
-    ids = [tuple([index[t] for t in tokenize(q.text) if t in index]) for q in questions]
+    ids = [tuple([index[t] for t in tokenize(text) if t in index]) for text in corpus.texts]
     indptr = np.cumsum([0, *map(len, ids)], dtype=np.int64)
     indices = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=int(indptr[-1]))
     counts = sp.csr_matrix(
         (np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(len(ids), len(words))
     )
     counts.sum_duplicates()
-    likers = [q.likers for q in questions]
-    liker_ptr = np.cumsum([0, *map(len, likers)], dtype=np.int64)
-    positions = map(position.get, chain.from_iterable(likers), repeat(-1))
-    liker = np.fromiter(positions, np.int32, int(liker_ptr[-1]))
-    return TaggedCorpus(
-        profiles=corpus.profiles,
-        vocab=words,
-        owners=owners,
-        owner=np.repeat(np.arange(len(owners)), [len(p.questions) for p in profiles]),
-        counts=counts,
-        sampled=np.array([p.fully_sampled for p in profiles], dtype=bool),
-        total_likes=np.array([p.total_likes for p in profiles], dtype=np.int64),
-        liker_ptr=liker_ptr,
-        liker=liker,
-    )
+    columns = {f.name: getattr(corpus, f.name) for f in fields(Corpus)}
+    return TaggedCorpus(**columns, vocab=words, counts=counts)
 
 
 def content_table(corpus: Corpus, neg: Collection[str], pos: Collection[str]) -> ContentTable:

@@ -153,10 +153,10 @@ def build_interaction_graph(
     # each sampled profile's first top_k rows, its most-liked questions
     top = sampled[tagged.owner] & (rows - np.searchsorted(tagged.owner, tagged.owner) < top_k)
     # one entry per like: its question row, liker and owner; a liker without
-    # a profile (-1) reads the False appended to `sampled`
+    # a profile (a stranger) reads the False padded onto `sampled`
     row = np.repeat(rows, np.diff(tagged.liker_ptr))
     liker, owner = tagged.liker, tagged.owner[row]
-    keep = top[row] & np.append(sampled, False)[liker] & (liker != owner)
+    keep = top[row] & np.pad(sampled, (0, len(tagged.strangers)))[liker] & (liker != owner)
     nonneg = (tagged.word_counts(neg_words) == 0)[row[keep]]
     # int64 codes: n * n overflows int32 past 46,340 nodes
     codes, edge_of_like = np.unique(
@@ -381,9 +381,8 @@ def likes_answers_correlation(
 
     A side with fewer than 2 profiles or zero variance yields None.
     """
-    tagged = tag_corpus(corpus, ())
-    answers = np.bincount(tagged.owner, minlength=len(tagged.owners))[tagged.sampled]
-    likes = tagged.total_likes[tagged.sampled]
+    answers = np.bincount(corpus.owner, minlength=len(corpus.owners))[corpus.sampled]
+    likes = corpus.total_likes[corpus.sampled]
     below = answers < split
     return (
         _pearson(answers[below].tolist(), likes[below].tolist()),

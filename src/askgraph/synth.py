@@ -8,12 +8,13 @@ reproducible bit-for-bit across platforms and implementations.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Profile, Question
+from .corpus import Corpus
 from .wordgraph import WordSet
 
 _MASK64 = (1 << 64) - 1
@@ -67,7 +68,7 @@ class SplitMix64:
             raise ValueError("empty range")
         return lo + self.randbelow(hi - lo + 1)
 
-    def sample(self, population: list[str], k: int, skip: int | None = None) -> list[str]:
+    def sample(self, population: Sequence, k: int, skip: int | None = None) -> list:
         """k distinct elements, order of draw preserved, leaving out the
         element at index `skip` if one is given.
 
@@ -214,27 +215,28 @@ def generate_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
     lo, hi = params.questions_per_user
     max_likes = max(0, round(2 * params.like_rate))
 
-    profiles: dict[str, Profile] = {}
+    texts, n_rows, like_count, liker_code = [], [], [], []
+    population = range(params.n_users)
     n_others = params.n_users - 1
     for pos, owner in enumerate(user_ids):
         label = labels[owner]
         n_q = max(rng.randint(lo, hi), _MIN_QUESTIONS[label])
         n_neg, n_pos = _question_counts(label, n_q, rng)
-        texts = (
+        texts += (
             [_make_text(params.neg_vocab, filler, rng) for _ in range(n_neg)]
             + [_make_text(params.pos_vocab, filler, rng) for _ in range(n_pos)]
             + [_neutral_text(filler, rng) for _ in range(n_q - n_neg - n_pos)]
         )
-        questions = []
-        for text in texts:
+        for _ in range(n_q):
             n_likes = rng.randint(0, max_likes) if max_likes and n_others else 0
-            likers = tuple(rng.sample(user_ids, min(n_likes, n_others), skip=pos))
-            questions.append(
-                Question(text=text, likers=likers, like_count=len(likers))
-            )
-        questions.sort(key=lambda q: -q.like_count)
-        profiles[owner] = Profile(owner=owner, questions=tuple(questions), fully_sampled=True)
-    return Corpus(profiles=profiles), labels
+            likers = rng.sample(population, min(n_likes, n_others), skip=pos)
+            like_count.append(len(likers))
+            liker_code += likers
+        n_rows.append(n_q)
+    corpus = Corpus.from_rows(user_ids, population, [True] * len(population),
+                              np.repeat(population, n_rows), texts, [""] * len(texts),
+                              like_count, like_count, liker_code)
+    return corpus, labels
 
 
 def snowball_sample(
@@ -246,47 +248,58 @@ def snowball_sample(
     liker lists). The crawl stops when `budget` nodes are crawled or the
     frontier empties. Frontier nodes are included as empty stub profiles
     flagged not fully sampled. Each BFS level is visited in UserId order.
+
+    The ground truth must be closed: a liker that is not a fully sampled
+    profile raises ValueError, naming the first such id in sorted order.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if not seeds:
         raise ValueError("a crawl needs at least one seed user")
-    for seed in seeds:
-        if seed not in ground_truth:
+    gt, n = ground_truth, len(ground_truth)
+    starts = [bisect_left(gt.owners, seed) for seed in seeds]
+    for seed, k in zip(seeds, starts):
+        if k == n or gt.owners[k] != seed:
             raise ValueError(f"seed {seed!r} not in ground truth")
-        if ground_truth[seed].total_likes == 0:
+        if gt.total_likes[k] == 0:
             raise ValueError(f"seed {seed!r} has zero liked questions")
+        if not gt.sampled[k]:
+            raise ValueError(f"seed {seed!r} is not a fully sampled profile")
+    # crawling a profile reveals its likers' profiles, so each must be fully sampled
+    open_ids = np.unique(gt.liker[~np.pad(gt.sampled, (0, len(gt.strangers)))[gt.liker]])
+    if len(open_ids):
+        first = min((gt.owners + gt.strangers)[i] for i in open_ids.tolist())
+        raise ValueError(f"ground truth is not closed: liker {first!r} is not a fully sampled "
+                         "profile")
 
-    crawled: set[str] = set()
-    crawl_order: list[str] = []
-    enqueued: set[str] = set(seeds)
-    level: list[str] = sorted(set(seeds))
-    next_level: set[str] = set()
-    while len(crawled) < budget and level:
-        for node in level:
-            if len(crawled) >= budget:
-                break
-            crawled.add(node)
-            crawl_order.append(node)
-            for question in ground_truth[node].questions:
-                for liker in question.likers:
-                    if liker not in enqueued:
-                        enqueued.add(liker)
-                        next_level.add(liker)
-        level = sorted(next_level - crawled)
-        next_level = set()
+    # where each profile's likers start; ids are sorted, so index order is
+    # UserId order
+    likers = gt.liker_ptr[np.searchsorted(gt.owner, range(n + 1))]
+    enqueued = np.zeros(n, dtype=bool)
+    enqueued[starts] = True
+    level, crawl = np.unique(starts), []
+    while len(crawl) < budget and len(level):
+        level = level[: budget - len(crawl)].tolist()
+        crawl += level
+        found = np.unique(np.concatenate([gt.liker[likers[v]:likers[v + 1]] for v in level]))
+        level = found[~enqueued[found]]
+        enqueued[level] = True
 
-    frontier = frozenset(enqueued - crawled)
-    profiles: dict[str, Profile] = {}
-    for node in crawl_order:
-        gt = ground_truth[node]
-        profiles[node] = Profile(owner=node, questions=gt.questions, fully_sampled=True)
-    for node in sorted(frontier):
-        profiles[node] = Profile(owner=node, questions=(), fully_sampled=False)
+    crawled = np.isin(np.arange(n), crawl)
+    frontier = np.flatnonzero(enqueued & ~crawled).tolist()
+    local = np.cumsum(enqueued) - 1  # each enqueued profile's position in the sample
+    keep = crawled[gt.owner]  # the crawled profiles' rows
+    rows = np.flatnonzero(keep).tolist()
+    corpus = Corpus.from_rows(
+        [gt.owners[v] for v in np.flatnonzero(enqueued).tolist()], local[crawl + frontier],
+        [True] * len(crawl) + [False] * len(frontier), local[gt.owner[keep]],
+        [gt.texts[r] for r in rows], [gt.answers[r] for r in rows], gt.like_count[keep],
+        np.diff(gt.liker_ptr)[keep], local[gt.liker[np.repeat(keep, np.diff(gt.liker_ptr))]],
+    )
     return SampledCorpus(
-        corpus=Corpus(profiles=profiles),
-        crawl_order=tuple(crawl_order),
-        frontier=frontier,
+        corpus=corpus,
+        crawl_order=tuple(gt.owners[v] for v in crawl),
+        frontier=frozenset(gt.owners[v] for v in frontier),
     )
 
 

@@ -15,7 +15,6 @@ import pytest
 import scipy.sparse as sp
 
 from askgraph.cli import main as cli_main
-from askgraph.corpus import Corpus, Profile, Question
 from askgraph.interaction import (
     InteractionGraph,
     ccdf,
@@ -332,12 +331,16 @@ def test_criterion_6_planted_structure_recovery(capfd):
 
 # --- criterion 7: snowball properties -------------------------------------
 
-def ground_truth_out_edges(corpus, liker):
+def profiles(corpus):
+    return {record["owner"]: record for record in corpus.records()}
+
+
+def ground_truth_out_edges(profiles, liker):
     return {
-        p.owner
-        for p in corpus
-        for q in p.questions
-        if liker in q.likers
+        p["owner"]
+        for p in profiles.values()
+        for q in p["questions"]
+        if liker in q["likers"]
     }
 
 
@@ -356,24 +359,25 @@ def test_criterion_7_snowball_properties(capfd):
                 rng_seed=7000 + trial,
             )
             gt, _ = generate_corpus(params)
-            candidates = [p.owner for p in gt if p.total_likes > 0]
+            candidates = [u for u, likes in zip(gt.owners, gt.total_likes) if likes > 0]
             seeds = rng.sample(candidates, min(2, len(candidates)))
             budget = rng.choice([3, n // 2, n])
             sampled = snowball_sample(gt, seeds, budget)
+            gt_profiles, sample_profiles = profiles(gt), profiles(sampled.corpus)
 
             for node in sampled.crawl_order:
-                assert [q.likers for q in sampled.corpus[node].questions] == [
-                    q.likers for q in gt[node].questions
+                assert [q["likers"] for q in sample_profiles[node]["questions"]] == [
+                    q["likers"] for q in gt_profiles[node]["questions"]
                 ]
                 crawled = set(sampled.crawl_order)
                 sample_out = {
-                    p.owner
-                    for p in sampled.corpus
-                    if p.fully_sampled
-                    for q in p.questions
-                    if node in q.likers
+                    p["owner"]
+                    for p in sample_profiles.values()
+                    if p["fully_sampled"]
+                    for q in p["questions"]
+                    if node in q["likers"]
                 }
-                assert sample_out <= ground_truth_out_edges(gt, node)
+                assert sample_out <= ground_truth_out_edges(gt_profiles, node)
 
             if budget >= n:
                 assert sampled.frontier == frozenset()

@@ -13,7 +13,7 @@ from askgraph.data import bundled_lexicon_path
 
 DATA = Path(__file__).parent / "data"
 DEMO = DATA / "demo_corpus.jsonl"
-DEMO_QUESTIONS = sum(len(p.questions) for p in corpus.load_corpus(DEMO))
+DEMO_QUESTIONS = sum(len(p["questions"]) for p in corpus.load_corpus(DEMO).records())
 LABELS = DATA / "demo_labels_cutting.txt"
 
 
@@ -261,6 +261,29 @@ class TestSubcommands:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("budget", [2, 10])
+    @pytest.mark.parametrize("records,offender", [
+        # a liker with no profile
+        (['{"owner":"a","questions":[{"text":"x","likers":["b"]}]}',
+          '{"owner":"b","questions":[{"text":"y","likers":["zz"]}]}'], "zz"),
+        # a frontier stub the crawl reaches
+        (['{"owner":"a","questions":[{"text":"x","likers":["c"]}]}',
+          '{"owner":"c","fully_sampled":false,"questions":[]}'], "c"),
+    ], ids=["liker-without-profile", "stub-liker"])
+    def test_crawl_sim_rejects_a_ground_truth_that_is_not_closed(
+        self, tmp_path, capsys, records, offender, budget
+    ):
+        ground_truth = tmp_path / "corpus.jsonl"
+        ground_truth.write_text("\n".join(records) + "\n", encoding="utf-8")
+        out = tmp_path / "crawl"
+        assert run("crawl-sim", "--corpus", ground_truth, "--seeds", "a", "--budget", budget,
+                   "--seed", 1, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "askgraph: error [snowball_sample] ground truth is not closed: "
+            f"liker {offender!r} is not a fully sampled profile\n"
+        )
+        assert not out.exists()
+
     def test_synth_requires_seed(self, capsys):
         with pytest.raises(SystemExit):
             run("synth", "--n-users", 10)
@@ -333,6 +356,11 @@ class TestComputeOnce:
         assert run(*argv, "--corpus", DEMO, "--out", tmp_path) == 0
         assert len(calls) == DEMO_QUESTIONS == 855
 
+    def test_likes_answers_correlation_tokenizes_nothing(self, monkeypatch):
+        calls = self.count_tokenize(monkeypatch)
+        interaction.likes_answers_correlation(corpus.load_corpus(DEMO))
+        assert calls == []
+
     def test_pipeline_builds_each_graph_once(self, tmp_path, monkeypatch):
         calls = []
         for module, name in ((wordgraph, "build_bipartite"),
@@ -362,7 +390,8 @@ class TestFrontierStubs:
                    "--seeds", "u00000", "--budget", 100, "--seed", 1,
                    "--out", tmp_path / "crawl") == 0
         sampled = corpus.load_corpus(tmp_path / "crawl" / "sampled_corpus.jsonl")
-        assert (len(sampled), sum(not p.fully_sampled for p in sampled)) == (951, 851)
+        stubs = sum(not p["fully_sampled"] for p in sampled.records())
+        assert (len(sampled), stubs) == (951, 851)
 
         out = tmp_path / "out"
         assert run("pipeline", "--corpus", tmp_path / "crawl" / "sampled_corpus.jsonl",

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import askgraph.corpus as corpus_mod
+from askgraph.cli import main
 from askgraph.corpus import (
     Corpus,
     CorpusFormatError,
     Lexicon,
     LexiconError,
-    Profile,
-    Question,
     corpus_stats,
     load_corpus,
     load_lexicon,
@@ -29,6 +29,11 @@ def write_corpus_file(tmp_path, records, name="corpus.jsonl"):
     path = tmp_path / name
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
     return path
+
+
+def profiles(corpus):
+    """The corpus's profile records by owner."""
+    return {record["owner"]: record for record in corpus.records()}
 
 
 class TestTokenize:
@@ -62,7 +67,7 @@ class TestLoadCorpus:
         }])
         corp = load_corpus(path)
         assert len(corp) == 1
-        texts = [q.text for q in corp["alice"].questions]
+        texts = [q["text"] for q in profiles(corp)["alice"]["questions"]]
         assert texts == ["second", "first"]
 
     def test_tie_keeps_input_order(self, tmp_path):
@@ -73,7 +78,7 @@ class TestLoadCorpus:
                 {"text": "y", "likers": ["c"], "like_count": 1},
             ],
         }])
-        assert [q.text for q in load_corpus(path)["a"].questions] == ["x", "y"]
+        assert [q["text"] for q in profiles(load_corpus(path))["a"]["questions"]] == ["x", "y"]
 
     def test_empty_file_is_valid(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -112,7 +117,9 @@ class TestLoadCorpus:
         ({}, {"answer": None}),
         ({}, {"answer": 3}),
         ({}, {"like_count": True, "likers": ["b"]}),
-    ], ids=["sampled-string", "sampled-int", "answer-null", "answer-int", "likes-bool"])
+        ({}, {"like_count": 2**63}),
+    ], ids=["sampled-string", "sampled-int", "answer-null", "answer-int", "likes-bool",
+            "likes-past-int64"])
     def test_mistyped_field_reports_line(self, tmp_path, profile_fields, question_fields):
         bad = {
             "owner": "b",
@@ -134,12 +141,22 @@ class TestLoadCorpus:
             load_corpus(path)
         assert exc.value.line_no == 2
 
+    def test_like_total_past_int64_reports_line(self, tmp_path):
+        half = {"text": "hi", "like_count": 2**62}
+        path = write_corpus_file(tmp_path, [
+            {"owner": "a", "questions": [half]},
+            {"owner": "b", "questions": [half, half]},
+        ])
+        with pytest.raises(CorpusFormatError, match="sum past the int64 range") as exc:
+            load_corpus(path)
+        assert exc.value.line_no == 2
+
     def test_absent_optional_fields_take_defaults(self, tmp_path):
         path = write_corpus_file(tmp_path, [{"owner": "a", "questions": [{"text": "hi"}]}])
-        profile = load_corpus(path)["a"]
-        assert profile.fully_sampled is True
-        assert profile.questions[0].answer == ""
-        assert profile.questions[0].like_count == 0
+        profile = profiles(load_corpus(path))["a"]
+        assert profile["fully_sampled"] is True
+        assert profile["questions"][0]["answer"] == ""
+        assert profile["questions"][0]["like_count"] == 0
 
     def test_save_load_round_trip_bytes(self, tmp_path):
         path = write_corpus_file(tmp_path, [{
@@ -163,7 +180,26 @@ class TestLoadCorpus:
         ]}])
         out = tmp_path / "saved.jsonl"
         save_corpus(load_corpus(path), out)
-        assert load_corpus(out)["a"].questions == (Question("hi", (), 3),)
+        assert profiles(load_corpus(out))["a"]["questions"] == [
+            {"text": "hi", "answer": "", "like_count": 3}
+        ]
+
+
+class TestLoadedCorpusMemory:
+    def test_loaded_corpus_retains_under_twice_the_file_size(self, tmp_path):
+        """Columns, not an object per question: the loaded synth corpus
+        (n=2000, seed 1) holds less memory than twice its file's bytes."""
+        assert main(["synth", "--seed", "1", "--n-users", "2000", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "corpus.jsonl"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            corp = load_corpus(path)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(corp) == 2000
+        assert retained < 2 * path.stat().st_size
 
 
 # Text that stresses the line format: line breaks JSON must escape, separators
@@ -180,19 +216,24 @@ def questions(draw):
     likers = draw(st.lists(_TEXT, unique=True, max_size=4))
     # a record may give like_count without likers; the loader keeps the count
     like_count = len(likers) if likers else draw(st.sampled_from([0, 0, 3]))
-    return Question(text=draw(_TEXT), likers=tuple(likers), like_count=like_count,
-                    answer=draw(_TEXT))
+    question = {"text": draw(_TEXT), "answer": draw(_TEXT), "likers": likers,
+                "like_count": like_count}
+    if like_count and not likers:
+        del question["likers"]  # as `records` reads such a question back
+    return question
 
 
 @st.composite
 def corpora(draw):
+    """Profile records as `records` reads them back, with unsorted owners
+    and questions in the order the loader normalizes to."""
     owners = draw(st.lists(_TEXT.filter(bool), unique=True, max_size=5))
-    profiles = {}
+    records = []
     for owner in owners:
         qs = draw(st.lists(questions(), max_size=4))
-        qs.sort(key=lambda q: -q.like_count)  # the order load_corpus normalizes to
-        profiles[owner] = Profile(owner, tuple(qs), fully_sampled=draw(st.booleans()))
-    return Corpus(profiles)
+        qs.sort(key=lambda q: -q["like_count"])  # the order load_corpus normalizes to
+        records.append({"owner": owner, "fully_sampled": draw(st.booleans()), "questions": qs})
+    return records
 
 
 class TestSaveLoadRoundTrip:
@@ -202,11 +243,13 @@ class TestSaveLoadRoundTrip:
 
     @settings(max_examples=150, deadline=None)
     @given(corpora())
-    def test_round_trip(self, out_dir, corpus):
+    def test_round_trip(self, out_dir, records):
+        corpus = Corpus.from_records(records)
+        assert list(corpus.records()) == records
         first, second = out_dir / "first.jsonl", out_dir / "second.jsonl"
         save_corpus(corpus, first)
         loaded = load_corpus(first)
-        assert list(loaded.profiles.items()) == list(corpus.profiles.items())
+        assert list(loaded.records()) == records
         save_corpus(loaded, second)
         assert second.read_bytes() == first.read_bytes()
 
@@ -285,7 +328,8 @@ class TestLexiconEntriesMatchTokens:
         in the file, in a question that is that entry inside punctuation."""
 
         def found(entry):
-            corp = Corpus({"u": Profile("u", (Question(before + entry + after),))})
+            question = {"text": before + entry + after}
+            corp = Corpus.from_records([{"owner": "u", "questions": [question]}])
             return row_counts(tag_corpus(corp, {entry.lower()})) == [{entry.lower(): 1}]
 
         path = lex_dir / "lex.txt"
@@ -308,8 +352,9 @@ VOCAB = NEG.words | POS.words
 
 
 def tag(question):
-    """The tagged words of one question, with its negative/positive flags."""
-    corp = Corpus({"a": Profile(owner="a", questions=(question,))})
+    """The tagged words of one question record, with its negative/positive
+    flags."""
+    corp = Corpus.from_records([{"owner": "a", "questions": [question]}])
     (words,) = row_counts(tag_corpus(corp, VOCAB))
     return words, any(w in NEG for w in words), any(w in POS for w in words)
 
@@ -318,28 +363,26 @@ class TestTagQuestion:
     """Tagging through `tag_corpus`, one question at a time."""
 
     def test_repeated_word_counts_occurrences(self):
-        words, is_negative, is_positive = tag(Question("you are ugly ugly"))
+        words, is_negative, is_positive = tag({"text": "you are ugly ugly"})
         assert is_negative and not is_positive
         assert Counter({w: c for w, c in words.items() if w in NEG}) == {"ugly": 2}
 
     def test_positive_only(self):
-        _, is_negative, is_positive = tag(Question("nice day"))
+        _, is_negative, is_positive = tag({"text": "nice day"})
         assert not is_negative and is_positive
 
     def test_both_flags(self):
-        _, is_negative, is_positive = tag(Question("fat but beautiful"))
+        _, is_negative, is_positive = tag({"text": "fat but beautiful"})
         assert is_negative and is_positive
 
     def test_answer_never_scanned(self):
-        _, is_negative, _ = tag(Question("hello there", answer="you ugly"))
+        _, is_negative, _ = tag({"text": "hello there", "answer": "you ugly"})
         assert not is_negative
 
 
 class TestTagCorpus:
     def test_rows_count_each_questions_words(self):
-        corp = Corpus({"a": Profile(owner="a", questions=(
-            Question("Fat and UGLY, so fat"), Question("plain"), Question("other"),
-        ))})
+        corp = Corpus.from_records([make_profile("a", ["Fat and UGLY, so fat", "plain", "other"])])
         tagged = tag_corpus(corp, {"fat", "ugly"})
         assert row_counts(tagged) == [{"fat": 2, "ugly": 1}, {}, {}]
         assert tagged.counts.dtype == np.int64 and tagged.counts.has_canonical_format
@@ -349,46 +392,44 @@ class TestTagCorpus:
         monkeypatch.setattr(
             corpus_mod, "tokenize", lambda text: calls.append(text) or tokenize(text)
         )
-        corp = Corpus({
-            "a": Profile(owner="a", questions=(Question("ugly"), Question("nice"))),
-            "b": Profile(owner="b", questions=(Question("fat"),)),
-        })
+        corp = Corpus.from_records([
+            make_profile("a", ["ugly", "nice"]), make_profile("b", ["fat"]),
+        ])
         tagged = tag_corpus(corp, VOCAB)
         assert sorted(calls) == ["fat", "nice", "ugly"]
         assert tagged.owners == ("a", "b") and tagged.owner.tolist() == [0, 0, 1]
         assert row_counts(tagged) == [{"ugly": 1}, {"nice": 1}, {"fat": 1}]
 
     def test_tagged_corpus_is_reused_for_a_smaller_vocabulary(self):
-        corp = Corpus({"a": Profile(owner="a", questions=(Question("ugly nice"),))})
+        corp = Corpus.from_records([make_profile("a", ["ugly nice"])])
         tagged = tag_corpus(corp, VOCAB)
         assert tag_corpus(tagged, NEG.words) is tagged
-        assert tagged["a"] is corp["a"] and len(tagged) == 1
+        assert tagged.texts is corp.texts and len(tagged) == 1
         wider = tag_corpus(tagged, VOCAB | {"day"})
         assert wider is not tagged and wider.vocab == tuple(sorted(VOCAB | {"day"}))
 
 
-def make_profile(owner, texts, likes_each=0):
-    questions = tuple(
-        Question(text=t, likers=tuple(f"l{i}_{k}" for k in range(likes_each)),
-                 like_count=likes_each)
+def make_profile(owner, texts, likes_each=0, fully_sampled=True):
+    questions = [
+        {"text": t, "likers": [f"l{i}_{k}" for k in range(likes_each)]}
         for i, t in enumerate(texts)
-    )
-    return Profile(owner=owner, questions=questions)
+    ]
+    return {"owner": owner, "fully_sampled": fully_sampled, "questions": questions}
 
 
 class TestCorpusStats:
     def test_single_empty_profile(self):
-        corp = Corpus({"a": make_profile("a", [])})
+        corp = Corpus.from_records([make_profile("a", [])])
         stats = corpus_stats(corp, NEG, POS)
         assert stats.avg_answers_per_user == 0
         assert stats.avg_neg_questions == 0
         assert stats.pct_users_with_pos_q == 0
 
     def test_hand_counted_averages(self):
-        corp = Corpus({
-            "a": make_profile("a", ["you ugly", "so fat ugly"]),
-            "b": make_profile("b", ["nice one"]),
-        })
+        corp = Corpus.from_records([
+            make_profile("a", ["you ugly", "so fat ugly"]),
+            make_profile("b", ["nice one"]),
+        ])
         stats = corpus_stats(corp, NEG, POS)
         assert stats.avg_neg_questions == 1.0
         assert stats.pct_users_with_neg_q == 50.0
@@ -398,20 +439,20 @@ class TestCorpusStats:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            corpus_stats(Corpus({}), NEG, POS)
+            corpus_stats(Corpus.from_records([]), NEG, POS)
 
     def test_frontier_stubs_are_not_users(self):
-        stub = Profile(owner="s", questions=(), fully_sampled=False)
-        corp = Corpus({"a": make_profile("a", ["you ugly", "nice"]), "s": stub})
+        stub = make_profile("s", [], fully_sampled=False)
+        corp = Corpus.from_records([make_profile("a", ["you ugly", "nice"]), stub])
         stats = corpus_stats(corp, NEG, POS)
         assert stats.avg_answers_per_user == 2.0
         assert stats.pct_users_with_neg_q == 100.0
         with pytest.raises(ValueError):
-            corpus_stats(Corpus({"s": stub}), NEG, POS)
+            corpus_stats(Corpus.from_records([stub]), NEG, POS)
 
     def test_neg_questions_bounded_by_answers(self):
-        corp = Corpus({
-            "a": make_profile("a", ["ugly fat ugly", "ugly", "hello"]),
-        })
+        corp = Corpus.from_records([
+            make_profile("a", ["ugly fat ugly", "ugly", "hello"]),
+        ])
         stats = corpus_stats(corp, NEG, POS)
         assert stats.avg_neg_questions <= stats.avg_answers_per_user

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askgraph.corpus import Corpus, Profile, Question, tokenize
+from askgraph.corpus import Corpus, tokenize
 from askgraph.interaction import (
     InteractionGraph,
     build_interaction_graph,
@@ -25,16 +25,12 @@ NEG_WS = vocab_word_set(["ugly", "hate"], "negative")
 
 
 def corpus_of(profiles):
-    return Corpus({p.owner: p for p in profiles})
+    return Corpus.from_records(profiles)
 
 
 def profile(owner, questions, fully_sampled=True):
-    qs = tuple(
-        Question(text=t, likers=tuple(likers), like_count=len(likers))
-        for t, likers in questions
-    )
-    qs = tuple(sorted(qs, key=lambda q: -q.like_count))
-    return Profile(owner=owner, questions=qs, fully_sampled=fully_sampled)
+    qs = [{"text": t, "likers": list(likers)} for t, likers in questions]
+    return {"owner": owner, "fully_sampled": fully_sampled, "questions": qs}
 
 
 def by_id(t, column):
@@ -107,6 +103,19 @@ class TestBuildInteractionGraph:
         g = build_interaction_graph(corp, NEG_WS, top_k=2)
         assert g.edges[("u1", "u2")] == (0, 2)
 
+    def test_top_k_takes_the_most_liked_of_records_in_any_order(self):
+        # stored with the one-like question first: the constructor sorts
+        corp = Corpus.from_records([
+            {"owner": "a", "questions": [
+                {"text": "fine", "likers": ["b"], "like_count": 1},
+                {"text": "fine too", "likers": ["c", "b"], "like_count": 2},
+            ]},
+            {"owner": "b"},
+            {"owner": "c"},
+        ])
+        g = build_interaction_graph(corp, NEG_WS, top_k=1)
+        assert g.edges == {("b", "a"): (0, 1), ("c", "a"): (0, 1)}
+
     @pytest.mark.parametrize("top_k", [0, -3])
     def test_top_k_below_one_raises(self, top_k):
         corp = corpus_of([profile("u1", []), profile("u2", [("ugly", ["u1"])])])
@@ -149,12 +158,13 @@ TEXTS = ("ugly one", "I hate it", "fine", "ok then", "")
 def reference_build(corpus, neg_words, top_k):
     """The like graph as plain dicts: sorted node ids, and the edge weights
     keyed (liker, owner) in sorted key order."""
-    nodes = tuple(sorted(p.owner for p in corpus if p.fully_sampled))
+    profiles = {p["owner"]: p for p in corpus.records()}
+    nodes = tuple(sorted(u for u, p in profiles.items() if p["fully_sampled"]))
     edges = {}
     for j in nodes:
-        for question in corpus[j].questions[:top_k]:
-            slot = 0 if any(w in neg_words for w in tokenize(question.text)) else 1
-            for i in question.likers:
+        for question in profiles[j]["questions"][:top_k]:
+            slot = 0 if any(w in neg_words for w in tokenize(question["text"])) else 1
+            for i in question.get("likers", []):
                 if i != j and i in nodes:
                     edges.setdefault((i, j), [0, 0])[slot] += 1
     return nodes, {e: tuple(w) for e, w in sorted(edges.items())}
@@ -547,16 +557,15 @@ class TestReductionsMatchLoops:
 
 
 class TestLikesAnswersCorrelation:
+    def records(self, counts_likes):
+        return [
+            {"owner": f"u{i}",
+             "questions": [{"text": f"q{j}", "like_count": likes_per_q} for j in range(n_q)]}
+            for i, (n_q, likes_per_q) in enumerate(counts_likes)
+        ]
+
     def make_corpus(self, counts_likes):
-        profiles = {}
-        for i, (n_q, likes_per_q) in enumerate(counts_likes):
-            owner = f"u{i}"
-            qs = tuple(
-                Question(text=f"q{j}", likers=(), like_count=likes_per_q)
-                for j in range(n_q)
-            )
-            profiles[owner] = Profile(owner=owner, questions=qs)
-        return Corpus(profiles)
+        return Corpus.from_records(self.records(counts_likes))
 
     def test_perfectly_linear(self):
         corp = self.make_corpus([(2, 3), (5, 3), (10, 3), (60, 3), (70, 3), (80, 3)])
@@ -577,8 +586,8 @@ class TestLikesAnswersCorrelation:
 
     def test_frontier_stubs_left_out(self):
         corp = self.make_corpus([(2, 3), (5, 3)])
-        stub = Profile(owner="s", questions=(), fully_sampled=False)
-        with_stub = Corpus({**corp.profiles, "s": stub})
+        stub = {"owner": "s", "fully_sampled": False, "questions": []}
+        with_stub = Corpus.from_records([*self.records([(2, 3), (5, 3)]), stub])
         assert likes_answers_correlation(with_stub) == likes_answers_correlation(corp)
 
 

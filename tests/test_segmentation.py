@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from askgraph.corpus import Corpus, Profile, Question, content_table
+from askgraph.corpus import Corpus, content_table
 from askgraph.interaction import build_interaction_graph, node_table
 from askgraph.segmentation import (
     GROUPS,
@@ -22,11 +22,11 @@ POS = vocab_word_set(["nice", "sweet"], "positive")
 
 
 def profile(owner, texts, fully_sampled=True):
-    return Profile(
-        owner=owner,
-        questions=tuple(Question(text=t) for t in texts),
-        fully_sampled=fully_sampled,
-    )
+    return {
+        "owner": owner,
+        "questions": [{"text": t} for t in texts],
+        "fully_sampled": fully_sampled,
+    }
 
 
 COLUMNS = ("n_answers", "n_neg_questions", "n_pos_questions", "n_neg_words", "n_pos_words")
@@ -34,7 +34,7 @@ COLUMNS = ("n_answers", "n_neg_questions", "n_pos_questions", "n_neg_words", "n_
 
 def content_of(p):
     """The `content_table` row of one profile."""
-    table = content_table(Corpus({p.owner: p}), NEG, POS)
+    table = content_table(Corpus.from_records([p]), NEG, POS)
     return SimpleNamespace(**{c: int(getattr(table, c)[0]) for c in COLUMNS})
 
 
@@ -103,11 +103,11 @@ def build_tables(corp):
 
 class TestGroupReport:
     def make_corpus(self):
-        return Corpus({p.owner: p for p in [
+        return Corpus.from_records([
             profile("hn1", ["ugly a", "ugly b", "hate c"]),
             profile("hp1", [f"nice {i}" for i in range(11)]),
             profile("oth", ["hello there"]),
-        ]})
+        ])
 
     def test_counts_partition_corpus(self):
         corp = self.make_corpus()
@@ -130,7 +130,7 @@ class TestGroupReport:
         assert row.likes_per_answer is None
 
     def test_single_user_corpus(self):
-        corp = Corpus({"a": profile("a", ["hello"])})
+        corp = Corpus.from_records([profile("a", ["hello"])])
         content, table = build_tables(corp)
         labels = classify_corpus(content)
         report = group_report(labels, content, table)
@@ -142,12 +142,13 @@ class TestGroupReport:
         content, table = build_tables(corp)
         labels = classify_corpus(content)
         report = group_report(labels, content, table)
+        profiles = {p["owner"]: p for p in corp.records()}
         for row in report.rows:
             members = [u for u, g in labels.items() if g == row.name]
             if not members:
                 continue
             expected = sum(
-                content_of(corp[u]).n_neg_questions for u in members
+                content_of(profiles[u]).n_neg_questions for u in members
             ) / len(members)
             assert row.mean_neg_questions == pytest.approx(expected)
 
@@ -159,15 +160,15 @@ class TestGroupReport:
         total = sum(
             r.count * r.mean_answers for r in report.rows if r.count
         )
-        assert total == pytest.approx(sum(len(p.questions) for p in corp))
+        assert total == pytest.approx(sum(len(p["questions"]) for p in corp.records()))
 
 
 class TestLabeledReport:
     def test_single_known_user(self):
-        corp = Corpus({p.owner: p for p in [
+        corp = Corpus.from_records([
             profile("a", ["ugly x", "nice y"]),
             profile("b", ["hello"]),
-        ]})
+        ])
         content, table = build_tables(corp)
         lf = LabelFile(label="cutting", user_ids=frozenset({"a"}))
         row = labeled_report(lf, content, table)
@@ -176,7 +177,7 @@ class TestLabeledReport:
         assert row.unresolved_ids == ()
 
     def test_unknown_ids_reported(self):
-        corp = Corpus({"a": profile("a", ["ugly x"])})
+        corp = Corpus.from_records([profile("a", ["ugly x"])])
         content, table = build_tables(corp)
         lf = LabelFile(label="cutting", user_ids=frozenset({"a", "ghost"}))
         row = labeled_report(lf, content, table)
@@ -184,10 +185,10 @@ class TestLabeledReport:
         assert row.unresolved_ids == ("ghost",)
 
     def test_frontier_stub_ids_are_unresolved(self):
-        corp = Corpus({p.owner: p for p in [
+        corp = Corpus.from_records([
             profile("a", ["ugly x"]),
             profile("s", [], fully_sampled=False),
-        ]})
+        ])
         content, table = build_tables(corp)
         assert content.users == ("a",)
         assert classify_corpus(content) == {"a": "OTHR"}
@@ -197,7 +198,7 @@ class TestLabeledReport:
         assert row.unresolved_ids == ("s",)
 
     def test_empty_intersection_rejected(self):
-        corp = Corpus({"a": profile("a", ["hello"])})
+        corp = Corpus.from_records([profile("a", ["hello"])])
         content, table = build_tables(corp)
         lf = LabelFile(label="cutting", user_ids=frozenset({"ghost"}))
         with pytest.raises(ValueError):

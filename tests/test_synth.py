@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from askgraph.cli import main
-from askgraph.corpus import Corpus, Profile, Question, content_table, save_corpus
+from askgraph.corpus import Corpus, content_table, save_corpus
 from askgraph.segmentation import classify_corpus
 from askgraph.synth import (
     GenParams,
@@ -196,27 +196,32 @@ class TestGenerateCorpus:
 
     def test_questions_sorted_by_likes(self):
         corp, _ = generate_corpus(params(n_users=10))
-        for p in corp:
-            likes = [q.like_count for q in p.questions]
+        for p in corp.records():
+            likes = [q["like_count"] for q in p["questions"]]
             assert likes == sorted(likes, reverse=True)
+
+
+def profile(owner, *likers):
+    """A record with one question per list of likers."""
+    return {"owner": owner,
+            "questions": [{"text": f"q on {owner}", "likers": list(q)} for q in likers]}
+
+
+def profiles(corpus):
+    """The corpus's profile records by owner."""
+    return {record["owner"]: record for record in corpus.records()}
 
 
 def chain_corpus():
     """b likes a's question; c likes b's question."""
-    return Corpus({
-        "a": Profile("a", (Question("q on a", likers=("b",), like_count=1),)),
-        "b": Profile("b", (Question("q on b", likers=("c",), like_count=1),)),
-        "c": Profile("c", (Question("q on c", likers=(), like_count=0),)),
-    })
+    return Corpus.from_records([profile("a", ["b"]), profile("b", ["c"]), profile("c", [])])
 
 
 class TestSnowballSample:
     def test_full_clique_crawled(self):
-        corp = Corpus({
-            u: Profile(u, (Question("q", likers=tuple(sorted({"a", "b", "c"} - {u})),
-                                    like_count=2),))
-            for u in ("a", "b", "c")
-        })
+        corp = Corpus.from_records([
+            profile(u, sorted({"a", "b", "c"} - {u})) for u in ("a", "b", "c")
+        ])
         s = snowball_sample(corp, ["a"], budget=3)
         assert set(s.crawl_order) == {"a", "b", "c"}
         assert s.frontier == frozenset()
@@ -225,8 +230,8 @@ class TestSnowballSample:
         s = snowball_sample(chain_corpus(), ["a"], budget=2)
         assert s.crawl_order == ("a", "b")
         assert s.frontier == frozenset({"c"})
-        assert not s.corpus["c"].fully_sampled
-        assert s.corpus["a"].fully_sampled
+        assert not profiles(s.corpus)["c"]["fully_sampled"]
+        assert profiles(s.corpus)["a"]["fully_sampled"]
 
     def test_budget_covers_reachable_set(self):
         s = snowball_sample(chain_corpus(), ["a"], budget=100)
@@ -237,8 +242,8 @@ class TestSnowballSample:
         gt = chain_corpus()
         s = snowball_sample(gt, ["a"], budget=2)
         for node in s.crawl_order:
-            sampled_likers = [q.likers for q in s.corpus[node].questions]
-            truth_likers = [q.likers for q in gt[node].questions]
+            sampled_likers = [q["likers"] for q in profiles(s.corpus)[node]["questions"]]
+            truth_likers = [q["likers"] for q in profiles(gt)[node]["questions"]]
             assert sampled_likers == truth_likers
 
     def test_seed_with_zero_likes_rejected(self):
@@ -253,12 +258,27 @@ class TestSnowballSample:
         with pytest.raises(ValueError, match="at least one seed"):
             snowball_sample(chain_corpus(), [], budget=1)
 
+    @pytest.mark.parametrize("budget", [1, 2, 100])
+    def test_open_ground_truth_rejected_whatever_the_budget(self, budget):
+        # "m" has no profile and "d" is a stub; "d" comes first in sorted order
+        corp = Corpus.from_records([
+            profile("a", ["b"]), profile("b", ["m"], ["d"]),
+            {"owner": "d", "fully_sampled": False},
+        ])
+        with pytest.raises(ValueError, match="^ground truth is not closed: liker 'd' is not"):
+            snowball_sample(corp, ["a"], budget)
+
+    def test_stub_seed_rejected(self):
+        corp = Corpus.from_records([
+            {"owner": "a", "fully_sampled": False, "questions": [{"text": "q", "likers": ["b"]}]},
+            profile("b", []),
+        ])
+        with pytest.raises(ValueError, match="seed 'a' is not a fully sampled profile"):
+            snowball_sample(corp, ["a"], budget=2)
+
     def test_levels_visited_in_userid_order(self):
-        corp = Corpus({
-            "s": Profile("s", (Question("q", likers=("z", "b", "m"), like_count=3),)),
-            "z": Profile("z", (Question("q", likers=(), like_count=0),)),
-            "b": Profile("b", (Question("q", likers=(), like_count=0),)),
-            "m": Profile("m", (Question("q", likers=(), like_count=0),)),
-        })
+        corp = Corpus.from_records([
+            profile("s", ["z", "b", "m"]), profile("z", []), profile("b", []), profile("m", []),
+        ])
         s = snowball_sample(corp, ["s"], budget=4)
         assert s.crawl_order == ("s", "b", "m", "z")

@@ -1,9 +1,13 @@
-"""Every analysis reduced from the tagged columns equals the per-question
-and per-profile loops it replaced, kept here as references, and reads no
-profile object."""
+"""The corpus columns equal the ones the object model built, and every
+analysis reduced from them equals the per-question and per-profile loops it
+replaced, kept here as references over plain profile records."""
 
 import dataclasses
+import json
+import tempfile
 from collections import Counter
+from itertools import chain, repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +18,10 @@ from askgraph.corpus import (
     Corpus,
     CorpusStats,
     Lexicon,
-    Profile,
-    Question,
     content_table,
     corpus_stats,
+    load_corpus,
+    save_corpus,
     tag_corpus,
     tokenize,
 )
@@ -28,7 +32,7 @@ from askgraph.interaction import (
     likes_answers_correlation,
     node_table,
 )
-from askgraph.synth import vocab_word_set
+from askgraph.synth import GenParams, generate_corpus, snowball_sample, vocab_word_set
 from askgraph.wordgraph import build_bipartite, cooccurrence_distribution
 
 NEG = Lexicon("negative", frozenset({"ugly", "fat", "hate", "cool"}))
@@ -39,13 +43,79 @@ POS_WS = vocab_word_set(["nice", "cool", "day"], "positive")
 USERS = ["u0", "u1", "u2", "u3", "u4", "u5"]
 
 
+# --- the object-model references ------------------------------------------
+
+def like_count(question):
+    return question.get("like_count", len(question.get("likers", [])))
+
+
+def normalized(records):
+    """Each profile record by owner, its questions by descending like count
+    with ties in record order, as the object model stored them."""
+    return {
+        r["owner"]: {
+            "fully_sampled": r.get("fully_sampled", True),
+            "questions": sorted(r.get("questions", []), key=lambda q: -like_count(q)),
+        }
+        for r in records
+    }
+
+
+def reference_columns(records):
+    """The columns `tag_corpus` built from the object model: rows profile by
+    profile in sorted owner order, likers as positions in `owners` or -1."""
+    profiles = normalized(records)
+    owners = tuple(sorted(profiles))
+    position = {u: k for k, u in enumerate(owners)}
+    questions = [q for u in owners for q in profiles[u]["questions"]]
+    likers = [q.get("likers", []) for q in questions]
+    liker_ptr = np.cumsum([0, *map(len, likers)], dtype=np.int64)
+    positions = map(position.get, chain.from_iterable(likers), repeat(-1))
+    return dict(
+        owners=owners,
+        owner=np.repeat(np.arange(len(owners)),
+                        [len(profiles[u]["questions"]) for u in owners]).tolist(),
+        sampled=[profiles[u]["fully_sampled"] for u in owners],
+        total_likes=[sum(like_count(q) for q in profiles[u]["questions"]) for u in owners],
+        liker_ptr=liker_ptr.tolist(),
+        liker=np.fromiter(positions, np.int32, int(liker_ptr[-1])).tolist(),
+        liker_ids=list(chain.from_iterable(likers)),
+        texts=[q["text"] for q in questions],
+        answers=[q.get("answer", "") for q in questions],
+        like_count=[like_count(q) for q in questions],
+    )
+
+
+def corpus_columns(corpus):
+    """The same columns read from a `Corpus`: a stranger's index reads -1."""
+    n = len(corpus.owners)
+    assert corpus.owner.dtype == np.int64 and corpus.like_count.dtype == np.int64
+    assert corpus.sampled.dtype == bool and corpus.total_likes.dtype == np.int64
+    assert corpus.liker.dtype == np.int32 and corpus.liker_ptr.dtype == np.int64
+    assert list(corpus.strangers) == sorted(corpus.strangers)
+    assert not set(corpus.strangers) & set(corpus.owners)
+    ids = corpus.owners + corpus.strangers
+    return dict(
+        owners=corpus.owners,
+        owner=corpus.owner.tolist(),
+        sampled=corpus.sampled.tolist(),
+        total_likes=corpus.total_likes.tolist(),
+        liker_ptr=corpus.liker_ptr.tolist(),
+        liker=np.where(corpus.liker < n, corpus.liker, -1).tolist(),
+        liker_ids=[ids[i] for i in corpus.liker.tolist()],
+        texts=list(corpus.texts),
+        answers=list(corpus.answers),
+        like_count=corpus.like_count.tolist(),
+    )
+
+
 # --- the string-hit references --------------------------------------------
 
-def reference_hits(corpus, vocab):
+def reference_hits(profiles, vocab):
     """The tokens of each question that are in `vocab`, in occurrence order."""
     return {
-        p.owner: tuple(tuple(t for t in tokenize(q.text) if t in vocab) for q in p.questions)
-        for p in corpus
+        u: tuple(tuple(t for t in tokenize(q["text"]) if t in vocab) for q in p["questions"])
+        for u, p in profiles.items()
     }
 
 
@@ -61,16 +131,17 @@ def hit_counts(hits, neg, pos):
     return n_neg_q, n_pos_q, n_neg_w, n_pos_w
 
 
-def reference_content(corpus, neg, pos):
-    hits = reference_hits(corpus, {*neg, *pos})
+def reference_content(profiles, neg, pos):
+    hits = reference_hits(profiles, {*neg, *pos})
     return {
-        u: (corpus[u].total_likes, len(hits[u]), *hit_counts(hits[u], neg, pos))
-        for u in sorted(corpus.profiles) if corpus[u].fully_sampled
+        u: (sum(like_count(q) for q in profiles[u]["questions"]), len(hits[u]),
+            *hit_counts(hits[u], neg, pos))
+        for u in sorted(profiles) if profiles[u]["fully_sampled"]
     }
 
 
-def reference_corpus_stats(corpus, neg, pos):
-    rows = list(reference_content(corpus, neg, pos).values())
+def reference_corpus_stats(profiles, neg, pos):
+    rows = list(reference_content(profiles, neg, pos).values())
     n = len(rows)
     return CorpusStats(
         avg_answers_per_user=sum(r[1] for r in rows) / n,
@@ -84,16 +155,16 @@ def reference_corpus_stats(corpus, neg, pos):
     )
 
 
-def reference_incidence(corpus, lexicon):
-    hits = reference_hits(corpus, lexicon.words)
+def reference_incidence(profiles, lexicon):
+    hits = reference_hits(profiles, lexicon.words)
     return {(w, u) for u, questions in hits.items() for q in questions for w in q}
 
 
-def reference_cooccurrence(corpus, core, word_set):
+def reference_cooccurrence(profiles, core, word_set):
     tracked = set(word_set.words)
     totals = {w: 0 for w in word_set.words}
     n_matching = 0
-    for profile_hits in reference_hits(corpus, {core, *tracked}).values():
+    for profile_hits in reference_hits(profiles, {core, *tracked}).values():
         counts = {w: 0 for w in word_set.words}
         has_core = False
         for question in profile_hits:
@@ -111,27 +182,27 @@ def reference_cooccurrence(corpus, core, word_set):
     return tuple((w, totals[w] / n_matching) for w in word_set.words), n_matching
 
 
-def reference_weights(corpus, neg_words, top_k):
-    users = {p.owner for p in corpus if p.fully_sampled}
-    hits = reference_hits(corpus, neg_words.words)
+def reference_weights(profiles, neg_words, top_k):
+    users = {u for u, p in profiles.items() if p["fully_sampled"]}
+    hits = reference_hits(profiles, neg_words.words)
     weights = {}
     for owner in sorted(users):
-        for q, words in zip(corpus[owner].questions[:top_k], hits[owner][:top_k]):
+        for q, words in zip(profiles[owner]["questions"][:top_k], hits[owner][:top_k]):
             nonneg = not any(w in neg_words for w in words)
-            for liker in q.likers:
+            for liker in q.get("likers", []):
                 if liker in users and liker != owner:
                     weights.setdefault((liker, owner), [0, 0])[nonneg] += 1
     return {edge: tuple(w) for edge, w in sorted(weights.items())}
 
 
-def reference_likes_answers_correlation(corpus, split=50):
+def reference_likes_answers_correlation(profiles, split=50):
     below_x, below_y, above_x, above_y = [], [], [], []
-    for owner in sorted(corpus.profiles):
-        profile = corpus[owner]
-        if not profile.fully_sampled:
+    for owner in sorted(profiles):
+        profile = profiles[owner]
+        if not profile["fully_sampled"]:
             continue
-        n_q = len(profile.questions)
-        likes = profile.total_likes
+        n_q = len(profile["questions"])
+        likes = sum(like_count(q) for q in profile["questions"])
         if n_q < split:
             below_x.append(n_q)
             below_y.append(likes)
@@ -162,20 +233,22 @@ _QUESTIONS = st.lists(
 
 @st.composite
 def corpora(draw):
+    """Profile records: owners in drawn order, not sorted, and questions in
+    any like-count order, since the rows must not depend on either."""
     owners = draw(st.lists(st.sampled_from(USERS), min_size=1, unique=True))
-    profiles = {}
+    records = []
     for owner in owners:
         # a like count without liker ids, as `load_corpus` accepts it, when
-        # `unlisted` is drawn
-        questions = tuple(
-            Question(text=t, likers=tuple(likers), like_count=len(likers))
-            if unlisted is None else Question(text=t, like_count=unlisted)
+        # `unlisted` is drawn; "ghost" likes without a profile
+        questions = [
+            {"text": t, "likers": likers} if unlisted is None
+            else {"text": t, "answer": t[::-1], "like_count": unlisted}
             for t, likers, unlisted in draw(_QUESTIONS)
-        )
+        ]
         # frontier stubs usually have no questions, but may
-        profiles[owner] = Profile(owner, questions, fully_sampled=draw(st.booleans()))
-    # owners in drawn order, not sorted: the matrix rows must not depend on it
-    return Corpus(profiles)
+        records.append({"owner": owner, "fully_sampled": draw(st.booleans()),
+                        "questions": questions})
+    return records
 
 
 def tagged_or_plain(corpus, pretag):
@@ -188,11 +261,52 @@ def tagged_or_plain(corpus, pretag):
 
 @settings(max_examples=100, deadline=None)
 @given(corpora())
-def test_counts_rows_are_the_string_hits(corpus):
+def test_columns_match_the_object_built_reference(records):
+    """`from_records` builds the columns the object model did; they survive a
+    save and load, and `records` reads the records back as saved."""
+    expected = reference_columns(records)
+    corpus = Corpus.from_records(records)
+    assert corpus_columns(corpus) == expected
+    assert [p["owner"] for p in corpus.records()] == [r["owner"] for r in records]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        save_corpus(corpus, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == list(corpus.records())
+        assert corpus_columns(load_corpus(path)) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 2**32), st.integers(1, 40), st.data())
+def test_crawl_columns_match_the_object_built_reference(n_users, seed, budget, data):
+    """A crawl's columns are those of its profile records: the crawled ground
+    truth records in crawl order, then a stub per frontier id, sorted."""
+    gt, _ = generate_corpus(GenParams(
+        n_users=n_users, group_mix={"OTHR": 1.0}, questions_per_user=(0, 4), like_rate=1.5,
+        neg_vocab=("ugly",), pos_vocab=("nice",), rng_seed=seed,
+    ))
+    liked = [u for u, likes in zip(gt.owners, gt.total_likes.tolist()) if likes]
+    if not liked:
+        return
+    seeds = data.draw(st.lists(st.sampled_from(liked), min_size=1, max_size=3))
+    sample = snowball_sample(gt, seeds, budget)
+    truth = {r["owner"]: r for r in gt.records()}
+    records = [truth[u] for u in sample.crawl_order] + [
+        {"owner": u, "fully_sampled": False, "questions": []} for u in sorted(sample.frontier)
+    ]
+    assert list(sample.corpus.records()) == records
+    assert corpus_columns(sample.corpus) == reference_columns(records)
+    assert sample.corpus.strangers == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora())
+def test_counts_rows_are_the_string_hits(records):
+    corpus = Corpus.from_records(records)
     tagged = tag_corpus(corpus, WORDS)
-    hits = reference_hits(corpus, set(WORDS))
+    hits = reference_hits(normalized(records), set(WORDS))
     assert tagged.vocab == tuple(WORDS)
-    assert tagged.owners == tuple(sorted(corpus.profiles))
+    assert tagged.owners == tuple(sorted(hits))
     rows = [(k, words) for k, u in enumerate(tagged.owners) for words in hits[u]]
     assert tagged.owner.tolist() == [k for k, _ in rows]
     counts = tagged.counts
@@ -208,18 +322,19 @@ def test_counts_rows_are_the_string_hits(corpus):
 
 @settings(max_examples=100, deadline=None)
 @given(corpora(), st.booleans())
-def test_content_table_and_corpus_stats_match_hit_counts(corpus, pretag):
+def test_content_table_and_corpus_stats_match_hit_counts(records, pretag):
+    corpus, profiles = Corpus.from_records(records), normalized(records)
     for neg, pos in ((NEG, POS), (NEG_WS, POS_WS)):
         table = content_table(tagged_or_plain(corpus, pretag), neg, pos)
-        expected = reference_content(corpus, neg, pos)
+        expected = reference_content(profiles, neg, pos)
         assert table.users == tuple(expected)
         columns = (table.total_likes, table.n_answers, table.n_neg_questions,
                    table.n_pos_questions, table.n_neg_words, table.n_pos_words)
         assert all(c.dtype == np.int64 for c in columns)
         assert [tuple(r) for r in zip(*(c.tolist() for c in columns))] == list(expected.values())
-    if any(p.fully_sampled for p in corpus):
+    if any(p["fully_sampled"] for p in profiles.values()):
         stats = corpus_stats(tagged_or_plain(corpus, pretag), NEG, POS)
-        assert stats == reference_corpus_stats(corpus, NEG, POS)
+        assert stats == reference_corpus_stats(profiles, NEG, POS)
     else:
         with pytest.raises(ValueError, match="fully sampled"):
             corpus_stats(tagged_or_plain(corpus, pretag), NEG, POS)
@@ -227,24 +342,26 @@ def test_content_table_and_corpus_stats_match_hit_counts(corpus, pretag):
 
 @settings(max_examples=100, deadline=None)
 @given(corpora(), st.booleans())
-def test_bipartite_incidence_matches_string_hits(corpus, pretag):
+def test_bipartite_incidence_matches_string_hits(records, pretag):
+    corpus, profiles = Corpus.from_records(records), normalized(records)
     for lexicon in (NEG, POS):
         b = build_bipartite(tagged_or_plain(corpus, pretag), lexicon)
         assert b.words == tuple(sorted(lexicon.words))
-        assert b.users == tuple(sorted(corpus.profiles))
+        assert b.users == tuple(sorted(profiles))
         b.incidence.check_format(full_check=True)
         assert b.incidence.dtype == np.int64 and b.incidence.has_canonical_format
         dense = b.incidence.toarray()
         assert set(dense.ravel().tolist()) <= {0, 1}
         linked = {(b.words[i], b.users[j]) for i, j in zip(*np.nonzero(dense))}
-        assert linked == reference_incidence(corpus, lexicon)
+        assert linked == reference_incidence(profiles, lexicon)
 
 
 @settings(max_examples=100, deadline=None)
 @given(corpora(), st.booleans(), st.sampled_from(WORDS + ["zzz"]))
-def test_cooccurrence_matches_the_profile_loop(corpus, pretag, core):
+def test_cooccurrence_matches_the_profile_loop(records, pretag, core):
+    corpus, profiles = Corpus.from_records(records), normalized(records)
     for word_set in (NEG_WS, POS_WS):
-        expected = reference_cooccurrence(corpus, core, word_set)
+        expected = reference_cooccurrence(profiles, core, word_set)
         if expected is None:
             with pytest.raises(ValueError, match="no profile contains"):
                 cooccurrence_distribution(tagged_or_plain(corpus, pretag), core, word_set)
@@ -256,30 +373,34 @@ def test_cooccurrence_matches_the_profile_loop(corpus, pretag, core):
 
 @settings(max_examples=100, deadline=None)
 @given(corpora(), st.booleans(), st.integers(1, 4))
-def test_interaction_weights_match_the_question_loop(corpus, pretag, top_k):
+def test_interaction_weights_match_the_question_loop(records, pretag, top_k):
+    corpus, profiles = Corpus.from_records(records), normalized(records)
     graph = build_interaction_graph(tagged_or_plain(corpus, pretag), NEG_WS, top_k=top_k)
-    assert graph.nodes == tuple(sorted(p.owner for p in corpus if p.fully_sampled))
-    assert dict(graph.edges) == reference_weights(corpus, NEG_WS, top_k)
+    assert graph.nodes == tuple(sorted(u for u, p in profiles.items() if p["fully_sampled"]))
+    assert dict(graph.edges) == reference_weights(profiles, NEG_WS, top_k)
 
 
 @settings(max_examples=100, deadline=None)
 @given(corpora(), st.booleans(), st.integers(1, 6))
-def test_like_columns_match_the_question_loops(corpus, pretag, split):
+def test_like_columns_match_the_question_loops(records, pretag, split):
+    corpus, profiles = Corpus.from_records(records), normalized(records)
     tagged = tag_corpus(tagged_or_plain(corpus, pretag), ())
-    owners = sorted(corpus.profiles)
-    assert tagged.sampled.tolist() == [corpus[u].fully_sampled for u in owners]
+    owners = sorted(profiles)
+    assert tagged.sampled.tolist() == [profiles[u]["fully_sampled"] for u in owners]
     assert tagged.total_likes.dtype == np.int64
     assert tagged.total_likes.tolist() == [
-        sum(q.like_count for q in corpus[u].questions) for u in owners
+        sum(like_count(q) for q in profiles[u]["questions"]) for u in owners
     ]
     assert tagged.liker.dtype == np.int32 and tagged.liker_ptr.dtype == np.int64
+    # a liker without a profile reads as -1
+    liker = np.where(tagged.liker < len(owners), tagged.liker, -1)
     ptr = tagged.liker_ptr.tolist()
-    assert [tagged.liker[a:b].tolist() for a, b in zip(ptr, ptr[1:])] == [
-        [owners.index(v) if v in corpus.profiles else -1 for v in q.likers]
-        for u in owners for q in corpus[u].questions
+    assert [liker[a:b].tolist() for a, b in zip(ptr, ptr[1:])] == [
+        [owners.index(v) if v in profiles else -1 for v in q.get("likers", [])]
+        for u in owners for q in profiles[u]["questions"]
     ]
     assert likes_answers_correlation(tagged, split) == (
-        reference_likes_answers_correlation(corpus, split)
+        reference_likes_answers_correlation(profiles, split)
     )
 
 
@@ -301,8 +422,10 @@ def columns(value):
 
 @settings(max_examples=100, deadline=None)
 @given(corpora(), st.sampled_from(WORDS + ["zzz"]), st.integers(1, 4))
-def test_analyses_read_only_the_tagged_columns(corpus, core, top_k):
-    tagged = tag_corpus(corpus, [*WORDS, "zzz"])
+def test_analyses_read_only_the_tagged_columns(records, core, top_k):
+    """Blank text: a tagged corpus's analyses read the counts, not the
+    questions."""
+    tagged = tag_corpus(Corpus.from_records(records), [*WORDS, "zzz"])
 
     def results(c):
         graph = build_interaction_graph(c, NEG_WS, top_k=top_k)
@@ -317,4 +440,5 @@ def test_analyses_read_only_the_tagged_columns(corpus, core, top_k):
             outcome(cooccurrence_distribution, c, core, POS_WS),
         ]
 
-    assert results(dataclasses.replace(tagged, profiles={})) == results(tagged)
+    blank = ("",) * len(tagged.texts)
+    assert results(dataclasses.replace(tagged, texts=blank, answers=blank)) == results(tagged)

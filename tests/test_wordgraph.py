@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askgraph.corpus import Corpus, Lexicon, Profile, Question, tag_corpus
+from askgraph.corpus import Corpus, Lexicon, tag_corpus
 from askgraph.wordgraph import (
     BipartiteGraph,
     OneModeGraph,
@@ -19,7 +19,7 @@ from askgraph.synth import vocab_word_set
 
 
 def profile_with(owner, *texts):
-    return Profile(owner=owner, questions=tuple(Question(text=t) for t in texts))
+    return {"owner": owner, "questions": [{"text": t} for t in texts]}
 
 
 def bipartite_from_dense(matrix, words=None, users=None):
@@ -56,10 +56,10 @@ class TestBuildBipartite:
     LEX = Lexicon("negative", frozenset({"ugly", "fat", "hate"}))
 
     def test_hand_construction(self):
-        corp = Corpus({
-            "u1": profile_with("u1", "ugly fat"),
-            "u2": profile_with("u2", "ugly"),
-        })
+        corp = Corpus.from_records([
+            profile_with("u1", "ugly fat"),
+            profile_with("u2", "ugly"),
+        ])
         bip = build_bipartite(corp, self.LEX)
         dense = bip.incidence.toarray()
         row = {w: dense[i] for i, w in enumerate(bip.words)}
@@ -69,12 +69,12 @@ class TestBuildBipartite:
         assert (row["hate"] == 0).all()
 
     def test_empty_corpus(self):
-        bip = build_bipartite(Corpus({}), self.LEX)
+        bip = build_bipartite(Corpus.from_records([]), self.LEX)
         assert bip.incidence.nnz == 0
         assert len(bip.words) == 3
 
     def test_incidence_is_binary(self):
-        corp = Corpus({"u1": profile_with("u1", "ugly ugly ugly ugly ugly")})
+        corp = Corpus.from_records([profile_with("u1", "ugly ugly ugly ugly ugly")])
         bip = build_bipartite(corp, self.LEX)
         assert bip.incidence.max() == 1
 
@@ -217,30 +217,30 @@ class TestCooccurrenceDistribution:
     WS = vocab_word_set(["ugly", "hate", "cut"], "negative")
 
     def test_single_profile(self):
-        corp = Corpus({"a": profile_with("a", "cut ugly ugly hate")})
+        corp = Corpus.from_records([profile_with("a", "cut ugly ugly hate")])
         vec = cooccurrence_distribution(corp, "cut", self.WS)
         d = dict(vec.entries)
         assert d["ugly"] == 2.0 and d["hate"] == 1.0
 
     def test_average_over_matching_profiles(self):
-        corp = Corpus({
-            "a": profile_with("a", "cut ugly ugly"),
-            "b": profile_with("b", "cut plain"),
-            "c": profile_with("c", "ugly ugly ugly"),  # no core, excluded
-        })
+        corp = Corpus.from_records([
+            profile_with("a", "cut ugly ugly"),
+            profile_with("b", "cut plain"),
+            profile_with("c", "ugly ugly ugly"),  # no core, excluded
+        ])
         vec = cooccurrence_distribution(corp, "cut", self.WS)
         assert dict(vec.entries)["ugly"] == 1.0
         assert vec.n_profiles == 2
 
     def test_union_is_weighted_mean(self):
-        set_a = {"a": profile_with("a", "cut ugly")}
-        set_b = {
-            "b": profile_with("b", "cut hate hate"),
-            "c": profile_with("c", "cut"),
-        }
-        va = cooccurrence_distribution(Corpus(dict(set_a)), "cut", self.WS)
-        vb = cooccurrence_distribution(Corpus(dict(set_b)), "cut", self.WS)
-        vu = cooccurrence_distribution(Corpus({**set_a, **set_b}), "cut", self.WS)
+        set_a = [profile_with("a", "cut ugly")]
+        set_b = [
+            profile_with("b", "cut hate hate"),
+            profile_with("c", "cut"),
+        ]
+        va = cooccurrence_distribution(Corpus.from_records(set_a), "cut", self.WS)
+        vb = cooccurrence_distribution(Corpus.from_records(set_b), "cut", self.WS)
+        vu = cooccurrence_distribution(Corpus.from_records([*set_a, *set_b]), "cut", self.WS)
         for (w, mu), (_, ma), (_, mb) in zip(vu.entries, va.entries, vb.entries):
             expected = (ma * va.n_profiles + mb * vb.n_profiles) / (
                 va.n_profiles + vb.n_profiles
@@ -248,16 +248,16 @@ class TestCooccurrenceDistribution:
             assert mu == pytest.approx(expected)
 
     def test_core_outside_the_tagged_vocabulary(self):
-        corp = Corpus({
-            "a": profile_with("a", "cut ugly ugly"),
-            "b": profile_with("b", "hate"),
-        })
+        corp = Corpus.from_records([
+            profile_with("a", "cut ugly ugly"),
+            profile_with("b", "hate"),
+        ])
         tagged = tag_corpus(corp, {"ugly", "hate"})
         vec = cooccurrence_distribution(tagged, "cut", self.WS)
         assert vec.n_profiles == 1
         assert dict(vec.entries)["ugly"] == 2.0
 
     def test_no_matching_profile_raises(self):
-        corp = Corpus({"a": profile_with("a", "nothing here")})
+        corp = Corpus.from_records([profile_with("a", "nothing here")])
         with pytest.raises(ValueError, match="no profile"):
             cooccurrence_distribution(corp, "cut", self.WS)
