@@ -1,0 +1,72 @@
+"""Large-n digest gate: the 16,000-profile synth + pipeline output tree.
+
+Runs `synth --seed 1 --n-users 16000 --questions 11-18 --like-rate 2.0
+--mix HN:.1,HP:.2,PN:.2,OTHR:.5`, then `pipeline` over its corpus with the
+four planted label files, and compares the sha256 of the whole output tree
+(sorted relative file names plus bytes, as perfbench digests its outputs)
+with the digest pinned below. The goldens and the perfbench digests cover
+corpora of at most 2,000 profiles; this one reaches the code paths that
+only run at scale, such as a like graph of about 460,000 edges and a
+triangle kernel that runs in hundreds of row blocks.
+
+Run it from the repository root; it takes about 10 s and exits 1 when the
+digest differs:
+
+    python3 benchmarks/large_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from askgraph.cli import main as askgraph  # noqa: E402
+from askgraph.synth import GROUP_ORDER  # noqa: E402
+
+EXPECTED = "872d8b8a9b8a7183bb67952e4587898cdd33212dc0302cacdafd9e9e31d26cd8"
+
+SYNTH = ["synth", "--seed", "1", "--n-users", "16000", "--questions", "11-18",
+         "--like-rate", "2.0", "--mix", "HN:.1,HP:.2,PN:.2,OTHR:.5"]
+
+
+def tree_digest(path: Path) -> str:
+    """sha256 over the sorted relative file names and their bytes."""
+    h = hashlib.sha256()
+    for rel, p in sorted((p.relative_to(path).as_posix(), p) for p in path.rglob("*")
+                         if p.is_file()):
+        data = p.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        synth, out = work / "synth", work / "pipeline"
+        labels = [arg for group in GROUP_ORDER
+                  for arg in ("--labels", str(synth / f"labels_{group}.txt"))]
+        for argv in (SYNTH + ["--out", str(synth)],
+                     ["pipeline", "--corpus", str(synth / "corpus.jsonl"), *labels,
+                      "--out", str(out)]):
+            start = time.perf_counter()
+            if askgraph(argv) != 0:
+                print(f"{argv[0]} failed", file=sys.stderr)
+                return 1
+            print(f"{argv[0]}: {time.perf_counter() - start:.1f} s")
+        digest = tree_digest(work)
+    print(f"digest {digest}")
+    if digest != EXPECTED:
+        print(f"expected {EXPECTED}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

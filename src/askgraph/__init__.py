@@ -19,5 +19,5 @@ from .segmentation import (  # noqa: F401
     GroupReport, LabelFile, classify_user, group_report, labeled_report, load_label_file,
 )
 from .synth import (  # noqa: F401
-    GenParams, SampledCorpus, SplitMix64, generate_corpus, snowball_sample, vocab_word_set,
+    GenParams, SampledCorpus, SplitMix64, generate_corpus, snowball_sample,
 )

@@ -1,9 +1,10 @@
 """Command-line front end: one subcommand per analysis, `pipeline` to run
 them all in order, and `synth` / `crawl-sim` for synthetic corpora.
 
-Every command is a tuple of output writers over one `_Run`, whose stages
-are computed on first use and cached, so `pipeline` is the union of the
-analysis commands' writers and never computes a stage twice.
+Every command is a sequence of (output file, content) pairs over one
+`_Run`, whose stages are computed on first use and cached, so `pipeline`,
+the concatenation of the analysis commands' outputs, never computes a stage
+twice. Each file is written as a stage of its own, named by the file.
 
 All outputs are plain CSV / JSON / text files written atomically. Identical
 inputs always produce byte-identical outputs; randomness exists only in
@@ -17,6 +18,7 @@ import functools
 import sys
 import weakref
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from . import corpus as corpus_mod
@@ -210,8 +212,8 @@ class _Words:
 
 
 class _Run:
-    """The stages and output writers of one command. Each stage is computed
-    on first use and cached, so writers share every stage they read."""
+    """The stages of one command. Each stage is computed on first use and
+    cached, so the command's outputs share every stage they read."""
 
     def __init__(self, args: argparse.Namespace):
         if "corpus" in vars(args) and not args.corpus:
@@ -326,69 +328,49 @@ class _Run:
         seeds = [s for s in self.args.seeds.split(",") if s]
         return synth_mod.snowball_sample(self.corpus, seeds, self.args.budget)
 
-    def write_stats(self) -> None:
-        reports.write_corpus_stats(self.out / "corpus_stats.json", self.stats)
 
-    def write_words(self) -> None:
-        for polarity, words in self.words.items():
-            reports.write_word_set(self.out / f"wordset_{polarity}.txt", words.word_set,
-                                   self.args.threshold, self.args.cap)
-            reports.write_word_graph(
-                self.out / f"wordgraph_{polarity}_edges.csv",
-                self.out / f"wordgraph_{polarity}_nodes.csv",
-                words.graph, words.scores,
-            )
-
-    def write_graph(self) -> None:
-        reports.write_interaction_graph(self.out / "interaction_edges.csv", self.interaction)
-
-    def write_metrics(self) -> None:
-        reports.write_metrics(self.out, self.metrics)
-
-    def write_segment(self) -> None:
-        reports.write_group_report(self.out / "group_report.csv", self.groups, self.label_rows)
-
-    def write_cooccur(self) -> None:
-        reports.write_frequency_vector(self.out / f"cooccur_{self.args.word}.csv",
-                                       self.cooccurrence)
-
-    def write_neighborhood(self) -> None:
-        reports.write_neighborhood(self.out / f"neighborhood_{self.args.word}.csv",
-                                   self.args.word, self.neighborhood)
-
-    def write_synth(self) -> None:
-        corpus, labels = self.synthetic
-        corpus_mod.save_corpus(corpus, self.out / "corpus.jsonl")
+def _outputs(run: _Run, command: str) -> Iterator[tuple[str, object]]:
+    """The (file name, content) pairs `command` writes, in order. Each
+    content is read from the run's stages only when its pair is reached, and
+    `reports.write_output` writes it in the format its suffix names."""
+    args = run.args
+    if command == "pipeline":
+        for part in ("words", "stats", "graph", "metrics", "segment"):
+            yield from _outputs(run, part)
+    elif command == "stats":
+        yield "corpus_stats.json", vars(run.stats)
+    elif command == "words":
+        for polarity, words in run.words.items():
+            yield (f"wordset_{polarity}.txt",
+                   reports.word_set_lines(words.word_set, args.threshold, args.cap))
+            yield (f"wordgraph_{polarity}_edges.csv",
+                   (["word_a", "word_b", "weight"], reports.word_graph_edges(words.graph)))
+            yield f"wordgraph_{polarity}_nodes.csv", (["word", "centrality"], words.scores.items())
+    elif command == "graph":
+        yield "interaction_edges.csv", (["src", "dst", "n_neg", "n_nonneg"],
+                                        run.interaction.edge_rows())
+    elif command == "metrics":
+        yield from reports.metrics_outputs(run.metrics)
+    elif command == "segment":
+        yield "group_report.csv", reports.group_table(run.groups, run.label_rows)
+    elif command == "cooccur":
+        yield f"cooccur_{args.word}.csv", (["word", "mean_frequency"], run.cooccurrence.entries)
+    elif command == "neighborhood":
+        yield f"neighborhood_{args.word}.csv", (
+            ["core", "neighbor", "weight", "neighbor_centrality"],
+            ((args.word, *record) for record in run.neighborhood),
+        )
+    elif command == "synth":
+        corpus, labels = run.synthetic
+        yield "corpus.jsonl", corpus
         for group in synth_mod.GROUP_ORDER:
-            members = [u for u, g in labels.items() if g == group]
-            reports.write_label_file(self.out / f"labels_{group}.txt", group, members)
-
-    def write_crawl(self) -> None:
-        sampled = self.crawl
-        corpus_mod.save_corpus(sampled.corpus, self.out / "sampled_corpus.jsonl")
-        with corpus_mod.atomic_write(self.out / "crawl_order.txt") as fh:
-            fh.writelines(uid + "\n" for uid in sampled.crawl_order)
-        with corpus_mod.atomic_write(self.out / "frontier.txt") as fh:
-            fh.writelines(uid + "\n" for uid in sorted(sampled.frontier))
-
-
-# Each command is the tuple of output writers it runs, in order.
-_WRITERS = {
-    "stats": (_Run.write_stats,),
-    "words": (_Run.write_words,),
-    "graph": (_Run.write_graph,),
-    "metrics": (_Run.write_metrics,),
-    "segment": (_Run.write_segment,),
-    "cooccur": (_Run.write_cooccur,),
-    "neighborhood": (_Run.write_neighborhood,),
-    "synth": (_Run.write_synth,),
-    "crawl-sim": (_Run.write_crawl,),
-}
-_WRITERS["pipeline"] = tuple(
-    write
-    for command in ("words", "stats", "graph", "metrics", "segment")
-    for write in _WRITERS[command]
-)
+            members = sorted(u for u, g in labels.items() if g == group)
+            yield f"labels_{group}.txt", [f"label: {group}", *members]
+    elif command == "crawl-sim":
+        sampled = run.crawl
+        yield "sampled_corpus.jsonl", sampled.corpus
+        yield "crawl_order.txt", sampled.crawl_order
+        yield "frontier.txt", sorted(sampled.frontier)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -398,8 +380,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _stage("load_config", _apply_config, parser.commands[args.command], args, argv)
         run = _Run(args)
-        for write in _WRITERS[args.command]:
-            write(run)
+        for name, content in _outputs(run, args.command):
+            _stage(name, reports.write_output, run.out / name, content)
     except StageError as exc:
         print(f"askgraph: error {exc}", file=sys.stderr)
         return 1

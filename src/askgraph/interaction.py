@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
-from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,10 +33,7 @@ class InteractionGraph:
     Edge e runs from `nodes[src[e]]` to `nodes[dst[e]]` and carries
     `weights[e] = (n_neg, n_nonneg)`. Edges are stored sorted by
     (src, dst) index, which for sorted ids is their string-key order and the
-    order they are written in.
-
-    `InteractionGraph.from_edges(nodes, {(src_id, dst_id): (n_neg, n_nonneg)})`
-    builds one from an edge mapping; `edges` reads it back as one."""
+    order they are written in."""
 
     def __init__(self, nodes: tuple[str, ...], codes: np.ndarray, weights: np.ndarray):
         """Edges from sorted, distinct int64 codes `src * n + dst` and weights."""
@@ -46,32 +41,15 @@ class InteractionGraph:
         self.src, self.dst = np.divmod(codes, max(len(nodes), 1))
         self.weights = weights  # (E, 2): n_neg, n_nonneg
 
-    @classmethod
-    def from_edges(
-        cls, nodes: Sequence[str], edges: Mapping[tuple[str, str], tuple[int, int]]
-    ) -> "InteractionGraph":
-        index = {u: k for k, u in enumerate(nodes)}
-        pairs = np.array([(index[i], index[j]) for i, j in edges], dtype=np.int64).reshape(-1, 2)
-        if np.any(pairs[:, 0] == pairs[:, 1]):
-            raise ValueError("the like graph has no self-loops")
-        codes = pairs[:, 0] * len(index) + pairs[:, 1]
-        weights = np.array(list(edges.values()), dtype=np.int64).reshape(-1, 2)
-        order = np.argsort(codes)  # the codes are distinct
-        return cls(tuple(nodes), codes[order], weights[order])
-
     def edge_rows(self) -> Iterator[tuple[str, str, int, int]]:
-        """(src_id, dst_id, n_neg, n_nonneg) per edge, in stored order."""
+        """(src_id, dst_id, n_neg, n_nonneg) per edge, in stored order. A
+        generator, so the row lists are freed once the rows are read."""
         names = self.nodes
-        return zip(
+        yield from zip(
             [names[i] for i in self.src.tolist()],
             [names[j] for j in self.dst.tolist()],
             *self.weights.T.tolist(),
         )
-
-    @cached_property
-    def edges(self) -> Mapping[tuple[str, str], tuple[int, int]]:
-        """Read-only `{(src_id, dst_id): (n_neg, n_nonneg)}` in stored order."""
-        return MappingProxyType({(i, j): (neg, nonneg) for i, j, neg, nonneg in self.edge_rows()})
 
 
 @dataclass(frozen=True)

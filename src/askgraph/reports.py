@@ -1,4 +1,5 @@
-"""File emitters for tables, curves, and graph exports.
+"""Output files: one writer per format, chosen by the file's suffix, and the
+row formatters of the outputs that need one.
 
 All writes are atomic (temp file + rename); a failed write leaves a
 `.partial` file behind instead of a truncated output.
@@ -10,15 +11,30 @@ import csv
 import json
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import CorpusStats, atomic_write
-from .interaction import InteractionGraph, MetricsReport
+from .corpus import atomic_write, save_corpus
+from .interaction import MetricsReport
 from .segmentation import GroupReport, GroupRow
 from .wordgraph import OneModeGraph, WordSet
+
+
+def write_output(path: str | Path, content) -> None:
+    """Write `content` in the format the file's suffix names: a corpus to
+    `.jsonl`, a JSON payload to `.json`, a (header, rows) pair to `.csv`,
+    and lines of text to any other file."""
+    suffix = Path(path).suffix
+    if suffix == ".jsonl":
+        save_corpus(content, path)
+    elif suffix == ".json":
+        write_json(path, content)
+    elif suffix == ".csv":
+        write_csv(path, *content)
+    else:
+        write_lines(path, content)
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
@@ -35,96 +51,53 @@ def write_json(path: str | Path, payload) -> None:
         fh.write("\n")
 
 
-def write_word_set(
-    path: str | Path, word_set: WordSet, threshold: float, cap: int
-) -> None:
-    """One `word score` per line with a '#' metadata header."""
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     with atomic_write(path) as fh:
-        fh.write(f"# polarity: {word_set.polarity}\n")
-        fh.write(f"# threshold: {threshold!r}\n")
-        fh.write(f"# cap: {cap}\n")
-        for word in word_set.words:
-            fh.write(f"{word} {word_set.scores[word]!r}\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
-def write_word_graph(
-    edges_path: str | Path,
-    nodes_path: str | Path,
-    graph: OneModeGraph,
-    scores: dict[str, float],
-) -> None:
-    """CSV edge list (word_a, word_b, weight) plus node centrality table.
+def word_set_lines(word_set: WordSet, threshold: float, cap: int) -> Iterator[str]:
+    """One `word score` per line under a '#' metadata header."""
+    yield f"# polarity: {word_set.polarity}"
+    yield f"# threshold: {threshold!r}"
+    yield f"# cap: {cap}"
+    for word in word_set.words:
+        yield f"{word} {word_set.scores[word]!r}"
 
-    The nodes are sorted, so the upper triangle in row-major order lists
-    the edges in (word_a, word_b) order."""
+
+def word_graph_edges(graph: OneModeGraph) -> Iterator[tuple[str, str, int]]:
+    """(word_a, word_b, weight) per edge. The nodes are sorted, so the upper
+    triangle in row-major order lists the edges in (word_a, word_b) order."""
     upper = sp.triu(graph.adjacency, 1, format="csr")
     upper.sort_indices()
     names = graph.nodes
     rows = np.repeat(np.arange(len(names)), np.diff(upper.indptr))
-    write_csv(
-        edges_path,
-        ["word_a", "word_b", "weight"],
-        zip(
-            [names[i] for i in rows.tolist()],
-            [names[j] for j in upper.indices.tolist()],
-            upper.data.tolist(),
-        ),
-    )
-    write_csv(
-        nodes_path,
-        ["word", "centrality"],
-        ((w, scores[w]) for w in graph.nodes),
+    yield from zip(
+        [names[i] for i in rows.tolist()],
+        [names[j] for j in upper.indices.tolist()],
+        upper.data.tolist(),
     )
 
 
-def write_interaction_graph(path: str | Path, graph: InteractionGraph) -> None:
-    """One row per edge, in the graph's stored (sorted) edge order."""
-    write_csv(path, ["src", "dst", "n_neg", "n_nonneg"], graph.edge_rows())
-
-
-def write_corpus_stats(path: str | Path, stats: CorpusStats) -> None:
-    write_json(path, vars(stats))
-
-
-def write_metrics(out_dir: str | Path, report: MetricsReport) -> None:
-    """One CSV per figure analogue plus a JSON summary."""
-    out_dir = Path(out_dir)
-    for name, curve in sorted(report.ccdf_curves.items()):
-        write_csv(out_dir / f"ccdf_{name}.csv", ["k", "fraction_ge_k"], curve)
-    write_csv(out_dir / "overlap.csv", ["x_percent", "overlap_percent"], report.overlap_curve)
-    write_csv(out_dir / "ratio_cdf.csv", ["ratio", "cdf"], report.ratio_cdf)
-    recip_rows = [
-        (name, lo, hi, mean, n)
-        for name in ("neg", "nonneg")
-        for (lo, hi, mean, n) in report.recip_vs_outdeg[name]
+def metrics_outputs(report: MetricsReport) -> list[tuple[str, object]]:
+    """One CSV per figure analogue plus a JSON summary of the scalar metrics."""
+    ccdfs = [(f"ccdf_{name}.csv", (["k", "fraction_ge_k"], curve))
+             for name, curve in sorted(report.ccdf_curves.items())]
+    recip_rows = (
+        (name, *row) for name in ("neg", "nonneg") for row in report.recip_vs_outdeg[name]
+    )
+    return ccdfs + [
+        ("overlap.csv", (["x_percent", "overlap_percent"], report.overlap_curve)),
+        ("ratio_cdf.csv", (["ratio", "cdf"], report.ratio_cdf)),
+        ("recip_vs_outdeg.csv", (
+            ["graph", "outdeg_bin_lo", "outdeg_bin_hi", "mean_reciprocity", "n_nodes"],
+            recip_rows,
+        )),
+        ("clustering_vs_degree.csv",
+         (["degree", "mean_local_clustering"], report.clustering_vs_degree)),
+        ("metrics.json",
+         {k: v for k, v in vars(report).items() if not isinstance(v, (list, dict))}),
     ]
-    write_csv(
-        out_dir / "recip_vs_outdeg.csv",
-        ["graph", "outdeg_bin_lo", "outdeg_bin_hi", "mean_reciprocity", "n_nodes"],
-        recip_rows,
-    )
-    write_csv(
-        out_dir / "clustering_vs_degree.csv",
-        ["degree", "mean_local_clustering"],
-        report.clustering_vs_degree,
-    )
-    write_json(
-        out_dir / "metrics.json",
-        {
-            "mean_reciprocity": report.mean_reciprocity,
-            "neg_reciprocity": report.neg_reciprocity,
-            "nonneg_reciprocity": report.nonneg_reciprocity,
-            "within_20pct": report.within_20pct,
-            "clustering_global": report.clustering_global,
-            "clustering_mean_local": report.clustering_mean_local,
-            "likes_answers_corr_below": report.likes_answers_corr_below,
-            "likes_answers_corr_above": report.likes_answers_corr_above,
-        },
-    )
-
-
-# group_report.csv has one column per GroupRow field, in field order.
-_GROUP_COLUMNS = ["group"] + [f.name for f in fields(GroupRow)[1:]]
 
 
 def _group_row_values(row: GroupRow) -> list:
@@ -133,35 +106,8 @@ def _group_row_values(row: GroupRow) -> list:
     return list(values.values())
 
 
-def write_group_report(
-    path: str | Path, report: GroupReport, label_rows: Optional[list[GroupRow]] = None
-) -> None:
-    """Fixed-column CSV: one row per group, then one row per label set.
-    Undefined means are emitted as empty cells, never as zeros."""
-    rows = [_group_row_values(r) for r in report.rows]
-    for extra in label_rows or []:
-        rows.append(_group_row_values(extra))
-    write_csv(path, _GROUP_COLUMNS, rows)
-
-
-def write_label_file(path: str | Path, label: str, user_ids: Iterable[str]) -> None:
-    with atomic_write(path) as fh:
-        fh.write(f"label: {label}\n")
-        for uid in sorted(user_ids):
-            fh.write(f"{uid}\n")
-
-
-def write_frequency_vector(path: str | Path, vector) -> None:
-    write_csv(
-        path,
-        ["word", "mean_frequency"],
-        vector.entries,
-    )
-
-
-def write_neighborhood(path: str | Path, core: str, records: list[tuple[str, int, float]]) -> None:
-    write_csv(
-        path,
-        ["core", "neighbor", "weight", "neighbor_centrality"],
-        ((core, n, w, c) for n, w, c in records),
-    )
+def group_table(report: GroupReport, label_rows: list[GroupRow]) -> tuple[list[str], Iterator]:
+    """One column per GroupRow field, in field order; one row per group,
+    then one row per label set. Undefined means are empty cells, never zeros."""
+    header = ["group"] + [f.name for f in fields(GroupRow)[1:]]
+    return header, map(_group_row_values, [*report.rows, *label_rows])

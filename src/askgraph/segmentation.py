@@ -45,12 +45,6 @@ class GroupRow:
 class GroupReport:
     rows: tuple[GroupRow, ...]
 
-    def row(self, name: str) -> GroupRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class LabelFile:

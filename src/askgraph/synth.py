@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .wordgraph import WordSet
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -301,10 +300,3 @@ def snowball_sample(
         crawl_order=tuple(gt.owners[v] for v in crawl),
         frontier=frozenset(gt.owners[v] for v in frontier),
     )
-
-
-def vocab_word_set(words: tuple[str, ...] | list[str], polarity: str) -> WordSet:
-    """Wrap a plain vocabulary as a WordSet (unit scores), for use by the
-    segmentation and interaction modules on synthetic data."""
-    ordered = tuple(sorted(set(words)))
-    return WordSet(polarity=polarity, words=ordered, scores={w: 1.0 for w in ordered})

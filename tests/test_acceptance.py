@@ -16,20 +16,20 @@ import scipy.sparse as sp
 
 from askgraph.cli import main as cli_main
 from askgraph.interaction import (
-    InteractionGraph,
     ccdf,
     node_table,
     reciprocity,
     top_overlaps,
 )
 from askgraph.segmentation import GROUPS, classify_user
-from askgraph.synth import GenParams, generate_corpus, snowball_sample, vocab_word_set
+from askgraph.synth import GenParams, generate_corpus, snowball_sample
 from askgraph.wordgraph import (
     BipartiteGraph,
     OneModeGraph,
     eigenvector_centrality,
     project_words,
 )
+from helpers import edge_map, like_graph, vocab_word_set
 
 DATA = Path(__file__).parent / "data"
 _SUITE_START = time.monotonic()
@@ -152,18 +152,19 @@ def test_criterion_2_centrality_oracle(capfd):
 
 def brute_force_reciprocity(g):
     count = recip = 0
+    edges = edge_map(g)
     for i in g.nodes:
         for j in g.nodes:
-            if (i, j) in g.edges:
+            if (i, j) in edges:
                 count += 1
-                if (j, i) in g.edges:
+                if (j, i) in edges:
                     recip += 1
     return recip / count
 
 
 def neg_graph(nodes, edges):
     """A graph whose negative component carries the given scalar weights."""
-    return InteractionGraph.from_edges(nodes=nodes, edges={e: (w, 0) for e, w in edges.items()})
+    return like_graph(nodes=nodes, edges={e: (w, 0) for e, w in edges.items()})
 
 
 def neg_reciprocity(g):
@@ -205,13 +206,13 @@ class SimpleView:
     def __init__(self, graph):
         self.nodes = graph.nodes
         self.neighbors = {n: set() for n in graph.nodes}
-        for a, b in graph.edges:
+        for a, b in edge_map(graph):
             self.neighbors[a].add(b)
             self.neighbors[b].add(a)
 
 
 def graph_from_pairs(pairs, nodes):
-    return InteractionGraph.from_edges(nodes=tuple(nodes), edges={p: (1, 0) for p in pairs})
+    return like_graph(nodes=tuple(nodes), edges={p: (1, 0) for p in pairs})
 
 
 def triple_enumeration_oracle(simple):

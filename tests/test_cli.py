@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import tempfile
@@ -287,6 +288,61 @@ class TestSubcommands:
     def test_synth_requires_seed(self, capsys):
         with pytest.raises(SystemExit):
             run("synth", "--n-users", 10)
+
+    def test_failed_write_names_its_file(self, tmp_path, capsys):
+        (tmp_path / "corpus_stats.json").mkdir()
+        assert run("stats", "--corpus", DEMO, "--out", tmp_path) == 1
+        assert capsys.readouterr().err.startswith("askgraph: error [corpus_stats.json] ")
+        assert (tmp_path / "corpus_stats.json.partial").is_file()
+
+
+# The files each analysis command writes, as listed in the README.
+COMMAND_OUTPUTS = {
+    "stats": {"corpus_stats.json"},
+    "words": {f"wordset_{p}.txt" for p in ("negative", "positive")}
+    | {f"wordgraph_{p}_{t}.csv" for p in ("negative", "positive") for t in ("edges", "nodes")},
+    "graph": {"interaction_edges.csv"},
+    "metrics": {"metrics.json", "overlap.csv", "ratio_cdf.csv", "recip_vs_outdeg.csv",
+                "clustering_vs_degree.csv"}
+    | {f"ccdf_{g}_{d}.csv" for g in ("neg", "nonneg") for d in ("in", "out")},
+    "segment": {"group_report.csv"},
+}
+
+# sha256 of the single-word outputs on the demo corpus with CLI defaults.
+PINNED_WORD_OUTPUTS = {
+    ("cooccur", "ugly", "negative"):
+        "6c42ea8df35bfadafeec4beb602bf880391eec8fda4d9f9d87a3a291de17c47e",
+    ("neighborhood", "ugly", "negative"):
+        "66d4525ecbb738602e554352c2775f1af6504233170db9cfb70fec984844758f",
+    ("neighborhood", "nice", "positive"):
+        "7ad9e0ee0411d16597ec3e7235f05a67ff8f4fc9e5ade38831894f1bf8e631c3",
+}
+
+
+class TestCommandOutputs:
+    @pytest.fixture(scope="class")
+    def pipeline_out(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("pipeline")
+        assert run("pipeline", "--corpus", DEMO, "--labels", LABELS, "--out", out) == 0
+        return outputs(out)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_OUTPUTS))
+    def test_command_writes_its_files_as_pipeline_does(self, tmp_path, pipeline_out, command):
+        labels = ("--labels", LABELS) if command == "segment" else ()
+        assert run(command, "--corpus", DEMO, *labels, "--out", tmp_path) == 0
+        written = outputs(tmp_path)
+        assert set(written) == COMMAND_OUTPUTS[command]
+        for name, data in written.items():
+            assert data == pipeline_out[name], name
+
+    @pytest.mark.parametrize("command,word,polarity", sorted(PINNED_WORD_OUTPUTS))
+    def test_word_output_bytes_are_pinned(self, tmp_path, command, word, polarity):
+        assert run(command, "--corpus", DEMO, "--word", word, "--polarity", polarity,
+                   "--out", tmp_path) == 0
+        written = outputs(tmp_path)
+        assert list(written) == [f"{command}_{word}.csv"]
+        digest = hashlib.sha256(written[f"{command}_{word}.csv"]).hexdigest()
+        assert digest == PINNED_WORD_OUTPUTS[command, word, polarity]
 
 
 class TestDeterminism:

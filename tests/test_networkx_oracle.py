@@ -7,8 +7,9 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from askgraph.interaction import InteractionGraph, node_table, reciprocity
+from askgraph.interaction import node_table, reciprocity
 from askgraph.wordgraph import BipartiteGraph, OneModeGraph, eigenvector_centrality, project_words
+from helpers import edge_map, like_graph
 
 nx = pytest.importorskip("networkx")
 
@@ -22,14 +23,14 @@ def weighted_digraphs(draw):
     chosen = draw(st.sets(st.sampled_from(pairs), max_size=60)) if pairs else set()
     weights = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda w: sum(w) > 0)
     edges = {pair: draw(weights) for pair in sorted(chosen)}
-    return InteractionGraph.from_edges(nodes=nodes, edges=edges)
+    return like_graph(nodes=nodes, edges=edges)
 
 
 def nx_component(graph, slot):
     """networkx digraph of one component: weight slot 0, 1, or None for both."""
     d = nx.DiGraph()
     d.add_nodes_from(graph.nodes)
-    for (i, j), w in graph.edges.items():
+    for (i, j), w in edge_map(graph).items():
         weight = sum(w) if slot is None else w[slot]
         if weight:
             d.add_edge(i, j, weight=weight)
@@ -77,7 +78,7 @@ def hub_digraph(rng):
         for a, b in sorted(pairs)
         if a != b
     }
-    return InteractionGraph.from_edges(nodes=nodes, edges=edges)
+    return like_graph(nodes=nodes, edges=edges)
 
 
 @settings(max_examples=10, deadline=None)

@@ -15,7 +15,7 @@ from askgraph.segmentation import (
     labeled_report,
     load_label_file,
 )
-from askgraph.synth import vocab_word_set
+from helpers import group_row, vocab_word_set
 
 NEG = vocab_word_set(["ugly", "hate"], "negative")
 POS = vocab_word_set(["nice", "sweet"], "positive")
@@ -115,16 +115,16 @@ class TestGroupReport:
         labels = classify_corpus(content)
         report = group_report(labels, content, table)
         assert sum(r.count for r in report.rows) == len(corp)
-        assert report.row("HN").count == 1
-        assert report.row("HP").count == 1
-        assert report.row("OTHR").count == 1
-        assert report.row("PN").count == 0
+        assert group_row(report, "HN").count == 1
+        assert group_row(report, "HP").count == 1
+        assert group_row(report, "OTHR").count == 1
+        assert group_row(report, "PN").count == 0
 
     def test_empty_group_has_null_means(self):
         corp = self.make_corpus()
         content, table = build_tables(corp)
         labels = classify_corpus(content)
-        row = group_report(labels, content, table).row("PN")
+        row = group_row(group_report(labels, content, table), "PN")
         assert row.count == 0
         assert row.mean_neg_in_degree is None
         assert row.likes_per_answer is None
@@ -134,7 +134,7 @@ class TestGroupReport:
         content, table = build_tables(corp)
         labels = classify_corpus(content)
         report = group_report(labels, content, table)
-        assert report.row("OTHR").count == 1
+        assert group_row(report, "OTHR").count == 1
         assert sum(r.count for r in report.rows) == 1
 
     def test_group_means_match_brute_force(self):

@@ -13,8 +13,8 @@ from askgraph.synth import (
     generate_corpus,
     quota_counts,
     snowball_sample,
-    vocab_word_set,
 )
+from helpers import vocab_word_set
 
 NEG_VOCAB = ("ugly", "hate", "stupid", "fat")
 POS_VOCAB = ("nice", "sweet", "lovely", "cool")

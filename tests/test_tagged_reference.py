@@ -32,8 +32,9 @@ from askgraph.interaction import (
     likes_answers_correlation,
     node_table,
 )
-from askgraph.synth import GenParams, generate_corpus, snowball_sample, vocab_word_set
+from askgraph.synth import GenParams, generate_corpus, snowball_sample
 from askgraph.wordgraph import build_bipartite, cooccurrence_distribution
+from helpers import edge_map, vocab_word_set
 
 NEG = Lexicon("negative", frozenset({"ugly", "fat", "hate", "cool"}))
 POS = Lexicon("positive", frozenset({"nice", "sweet", "cool"}))  # "cool" is in both
@@ -377,7 +378,7 @@ def test_interaction_weights_match_the_question_loop(records, pretag, top_k):
     corpus, profiles = Corpus.from_records(records), normalized(records)
     graph = build_interaction_graph(tagged_or_plain(corpus, pretag), NEG_WS, top_k=top_k)
     assert graph.nodes == tuple(sorted(u for u, p in profiles.items() if p["fully_sampled"]))
-    assert dict(graph.edges) == reference_weights(profiles, NEG_WS, top_k)
+    assert dict(edge_map(graph)) == reference_weights(profiles, NEG_WS, top_k)
 
 
 @settings(max_examples=100, deadline=None)

@@ -15,7 +15,7 @@ from askgraph.wordgraph import (
     select_top_words,
     word_neighborhood,
 )
-from askgraph.synth import vocab_word_set
+from helpers import vocab_word_set
 
 
 def profile_with(owner, *texts):
