@@ -112,14 +112,15 @@ class Corpus:
         liker = position[np.asarray(liker_code, dtype=np.int64)].astype(np.int32)
         # a stable sort keeps each profile's like-count ties in input order
         rows = np.lexsort((-like_count, owner))
-        texts = [texts[r] for r in rows.tolist()]
-        answers = [answers[r] for r in rows.tolist()]
-        owner, like_count = owner[rows], like_count[rows]
-        lengths = np.diff(liker_ptr)[rows]
-        ends = np.cumsum(lengths)  # each row's likers, moved as a block
-        liker = liker[np.repeat(liker_ptr[rows] - ends + lengths, lengths)
-                      + np.arange(liker_ptr[-1])]
-        liker_ptr = np.concatenate(([0], ends))
+        if (rows != np.arange(len(rows))).any():  # rows already in order stay as they are
+            texts = [texts[r] for r in rows.tolist()]
+            answers = [answers[r] for r in rows.tolist()]
+            owner, like_count = owner[rows], like_count[rows]
+            lengths = np.diff(liker_ptr)[rows]
+            ends = np.cumsum(lengths)  # each row's likers, moved as a block
+            liker = liker[np.repeat(liker_ptr[rows] - ends + lengths, lengths)
+                          + np.arange(liker_ptr[-1])]
+            liker_ptr = np.concatenate(([0], ends))
         n = len(order)
         flags = np.zeros(n, dtype=bool)
         flags[order] = np.asarray(sampled, dtype=bool)

@@ -152,92 +152,175 @@ def node_table(graph: InteractionGraph) -> NodeTable:
     nodes = graph.nodes
     n = len(nodes)
     src, dst, weights = graph.src, graph.dst, graph.weights
-    # the reverse of each edge, found among the sorted edge codes (a miss
-    # past the last code is clamped, then fails the equality test)
-    codes = src * n + dst
-    reverse = dst * n + src
-    back = np.searchsorted(codes, reverse)
-    back[back == len(codes)] = 0
-    back_weights = np.where((codes[back] == reverse)[:, None], weights[back], 0)
+    edge, back = _reverse_edges(src, dst, n)
 
-    def counts(w: np.ndarray, w_back: np.ndarray) -> EdgeCounts:
-        present = w > 0
+    def counts(present: np.ndarray, in_deg: np.ndarray, out_deg: np.ndarray) -> EdgeCounts:
         out_edges = np.bincount(src[present], minlength=n)
-        recip_out = np.bincount(src[present & (w_back > 0)], minlength=n)
+        recip_out = np.bincount(src[edge[present[edge] & present[back]]], minlength=n)
         return EdgeCounts(
-            in_deg=np.bincount(dst, weights=w, minlength=n).astype(np.int64),
-            out_deg=np.bincount(src, weights=w, minlength=n).astype(np.int64),
+            in_deg=in_deg,
+            out_deg=out_deg,
             out_edges=out_edges,
             recip_out=recip_out,
             node_reciprocity=np.divide(recip_out, out_edges, out=np.zeros(n), where=out_edges > 0),
         )
 
-    neg, nonneg, merged = (
-        counts(w, w_back)
-        for w, w_back in zip(
-            (*weights.T, weights.sum(axis=1)), (*back_weights.T, back_weights.sum(axis=1))
-        )
+    def weighted(ends: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.bincount(ends, weights=w, minlength=n).astype(np.int64)
+
+    neg, nonneg = (
+        counts(w > 0, weighted(dst, w), weighted(src, w)) for w in (weights[:, 0], weights[:, 1])
     )
-    # binary undirected adjacency: a reciprocated pair is one undirected edge
-    adjacency = sp.csr_matrix(
-        (np.ones(2 * len(src), dtype=np.int64), (np.r_[src, dst], np.r_[dst, src])),
-        shape=(n, n),
+    # the weights are like counts, so an edge is in the merged component
+    # when it is in either, and its merged degrees are their sums
+    merged = counts(
+        (weights[:, 0] > 0) | (weights[:, 1] > 0),
+        neg.in_deg + nonneg.in_deg,
+        neg.out_deg + nonneg.out_deg,
     )
-    adjacency.data[:] = 1
-    local, closed, connected = clustering(adjacency)
+    # binary undirected degree: a reciprocated pair is one undirected edge
+    degree = (
+        np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
+        - np.bincount(src[edge], minlength=n)
+    )
+    local, closed, connected = clustering(src, dst, degree)
     return NodeTable(
         nodes=nodes,
         neg=neg,
         nonneg=nonneg,
         merged=merged,
-        degree=np.diff(adjacency.indptr),
+        degree=degree,
         local_clustering=local,
         closed_triples=closed,
         connected_triples=connected,
     )
 
 
-# Rows per block of the triangle kernel's sparse products, which bounds the
-# memory their intermediate wedge counts take.
-_BLOCK_ROWS = 64
+def _reverse_edges(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge whose reverse is also an edge, ascending, and the index of
+    that reverse. Those edges' codes are the ones that occur twice among the
+    codes of all edges and of their reverses, sorted together."""
+    # int64 codes: n * n overflows int32 past 46,340 nodes
+    codes = np.empty(2 * len(src), dtype=np.int64)
+    np.multiply(src, n, out=codes[:len(src)])
+    codes[:len(src)] += dst
+    np.multiply(dst, n, out=codes[len(src):])
+    codes[len(src):] += src
+    codes.sort()
+    twice = codes[1:][codes[1:] == codes[:-1]]
+    del codes
+    codes = src * n + dst
+    return np.searchsorted(codes, twice), np.searchsorted(codes, twice % n * n + twice // n)
 
 
-def _row_sums(m: sp.spmatrix) -> np.ndarray:
+def _wedge_budget(n: int) -> int:
+    """The most wedges (candidate entries of a sparse product) one row block
+    of the triangle kernel enumerates on n nodes, unless one row alone has
+    more; it bounds the memory of the block's intermediate product. Each
+    block's product also fills dense accumulators of length n, so a budget
+    below a few wedges per node would save no memory and cost time."""
+    return max(1 << 16, 4 * n)
+
+
+def _row_blocks(work: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges [lo, hi) covering `work` (each row's wedges),
+    each as long as its wedges fit the budget, and at least one row."""
+    budget = _wedge_budget(len(work))
+    ends = np.cumsum(work)
+    lo = 0
+    while lo < len(work):
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, start + budget, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _rows(m: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows lo..hi-1 of `m`, sharing its index and data arrays."""
+    start, end = m.indptr[lo], m.indptr[hi]
+    return sp.csr_matrix(
+        (m.data[start:end], m.indices[start:end], m.indptr[lo:hi + 1] - start),
+        shape=(hi - lo, m.shape[1]),
+    )
+
+
+def _masked_product(left: sp.csr_matrix, right: sp.csr_matrix, mask: sp.csr_matrix) -> sp.csr_matrix:
+    """`(left @ right) ∘ mask` for 0/1 CSR matrices, in blocks of rows sized
+    by the wedges `left @ right` enumerates: row i's are its entries' row
+    lengths in `right`, summed."""
+    work = left @ np.diff(right.indptr).astype(np.int64)
+    blocks = [
+        (_rows(left, lo, hi) @ right).multiply(_rows(mask, lo, hi)).tocsr()
+        for lo, hi in _row_blocks(work)
+    ]
+    return sp.vstack(blocks, format="csr") if blocks else mask  # no rows, no blocks
+
+
+def _row_sums(m: sp.csr_matrix) -> np.ndarray:
     return np.asarray(m.sum(axis=1)).ravel()
 
 
-def clustering(adjacency: sp.csr_matrix) -> tuple[np.ndarray, int, int]:
-    """Triangle counts over a binary undirected CSR adjacency (symmetric,
-    canonical, no self-loops).
+def clustering(src: np.ndarray, dst: np.ndarray, degree: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Triangle counts over the undirected graph whose edges are the pairs
+    (src[e], dst[e]), with node degrees `degree`. There is no self-loop, and
+    a pair may be listed once in each direction.
 
     Returns local clustering per node (0 when degree < 2), the closed-triple
     count (each triangle once per corner) and the connected-triple count.
 
     Nodes are ranked by (degree, index) and each edge is kept once, from its
-    lower- to its higher-ranked end: `L = triu(S, 1)` in rank order. Every
-    triangle a < b < c is then one entry of `M = (L @ L) ∘ L` at (a, c) and
-    one of `(Lᵀ @ L) ∘ L` at (b, c), so a node's link count (the triangles
-    through it) is `rowsum(M) + colsum(M) + rowsum((Lᵀ @ L) ∘ L)`. Ranking by
-    degree keeps the rows of L, and so the wedges the products enumerate,
-    short.
+    lower- to its higher-ranked end: the upper-triangular 0/1 matrix L in
+    rank order. Every triangle a < b < c is then one entry of
+    `M = (L @ L) ∘ L` at (a, c), found through b, which counts its lowest
+    (`rowsum(M)`) and highest (`colsum(M)`) corners. Its middle corner b is
+    one entry of `(Lᵀ @ pattern(M)) ∘ L` at (b, c), as L[a, b] and L[b, c]
+    are set and (a, c) is in M. That product expands, for each entry (a, b)
+    of L, row a of M, which is far shorter than row a of L. Ranking by
+    degree keeps the rows of L, and so the wedges `L @ L` enumerates, short.
+    Both products run in row blocks of a bounded number of wedges: the
+    row-blocked masked product of Wolf et al., "Fast Linear Algebra-Based
+    Triangle Counting with KokkosKernels" (HPEC 2017), and Davis, "Graph
+    Algorithms via SuiteSparse:GraphBLAS: Triangle Counting and K-truss"
+    (HPEC 2018).
     """
-    n = adjacency.shape[0]
-    degree = np.diff(adjacency.indptr)
-    order = np.argsort(degree, kind="stable")
-    upper = sp.triu(adjacency[order][:, order], 1, format="csr")
-    upper_t = upper.T.tocsr()
-    links = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, _BLOCK_ROWS):
-        block = slice(lo, lo + _BLOCK_ROWS)
-        rows = upper[block]
-        closing = (rows @ upper).multiply(rows)  # lowest corner in the block
-        links[block] += _row_sums(closing)
-        links += np.asarray(closing.sum(axis=0)).ravel()
-        links[block] += _row_sums((upper_t[block] @ upper).multiply(rows))  # middle corner
-    links[order] = links.copy()
+    n = len(degree)
+    rank = np.empty(n, dtype=np.int32)
+    rank[np.argsort(degree, kind="stable")] = np.arange(n, dtype=np.int32)
+    upper = _upper(rank, src, dst)
+    closing = _masked_product(upper, upper, upper)
+    pattern = sp.csr_matrix(
+        (upper.data[:closing.nnz], closing.indices, closing.indptr), shape=(n, n)
+    )
+    # Lᵀ as CSR is L's CSC structure; it shares L's all-ones data
+    lower = upper.tocsc()
+    lower = sp.csr_matrix((upper.data, lower.indices, lower.indptr), shape=(n, n))
+    links = (
+        _row_sums(closing)
+        + np.bincount(closing.indices, weights=closing.data, minlength=n).astype(np.int64)
+        + _row_sums(_masked_product(lower, pattern, upper))
+    )[rank]
     pairs = degree.astype(np.int64) * (degree - 1)
     local = np.divide(2.0 * links, pairs, out=np.zeros(n), where=pairs > 0)
     return local, int(links.sum()), int(pairs.sum()) // 2
+
+
+def _upper(rank: np.ndarray, src: np.ndarray, dst: np.ndarray) -> sp.csr_matrix:
+    """The upper-triangular 0/1 CSR matrix over the ranks, with a 1 at each
+    edge {rank[src[e]], rank[dst[e]]}, int32 indices and all-ones int32
+    data."""
+    n = len(rank)
+    a, b = rank[src], rank[dst]
+    # int64 keys: n * n overflows int32 past 46,340 nodes
+    keys = np.minimum(a, b).astype(np.int64)
+    keys *= n
+    keys += np.maximum(a, b)
+    del a, b
+    keys.sort()
+    if len(keys):  # a reciprocated pair gives its key twice
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(np.int32)
+    indices = np.remainder(keys, n, out=keys).astype(np.int32)
+    return sp.csr_matrix((np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n))
 
 
 def _cumulative_counts(values: np.ndarray) -> tuple[list, list[int]]:

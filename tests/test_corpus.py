@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import tracemalloc
 from collections import Counter
@@ -184,6 +185,29 @@ class TestLoadCorpus:
             {"text": "hi", "answer": "", "like_count": 3}
         ]
 
+
+    def test_rows_in_order_load_as_a_shuffled_copy(self, tmp_path):
+        """A synth file is already in order, so its rows are kept as read. A
+        copy with the profiles shuffled, each listing its questions by
+        ascending like count (ties in file order), is permuted on load into
+        the same columns."""
+        assert main(["synth", "--seed", "3", "--n-users", "150", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "corpus.jsonl"
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        random.Random(5).shuffle(records)
+        for record in records:
+            record["questions"].sort(key=lambda q: q["like_count"])
+        in_order = load_corpus(path)
+        shuffled = load_corpus(write_corpus_file(tmp_path, records, "shuffled.jsonl"))
+        assert in_order.liker_ptr[-1] > 0 and len(set(in_order.like_count.tolist())) > 1
+        for column in ("owners", "strangers", "sampled", "total_likes", "owner", "texts",
+                       "answers", "like_count", "liker_ptr", "liker"):
+            expected, actual = getattr(in_order, column), getattr(shuffled, column)
+            if isinstance(expected, np.ndarray):
+                assert actual.dtype == expected.dtype, column
+                assert np.array_equal(actual, expected), column
+            else:
+                assert actual == expected, column
 
 class TestLoadedCorpusMemory:
     def test_loaded_corpus_retains_under_twice_the_file_size(self, tmp_path):

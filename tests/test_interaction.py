@@ -1,11 +1,14 @@
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askgraph.corpus import Corpus, tokenize
+from askgraph.cli import main
+from askgraph.corpus import Corpus, load_corpus, tokenize
 from askgraph.interaction import (
     build_interaction_graph,
     ccdf,
@@ -554,6 +557,51 @@ class TestReductionsMatchLoops:
             mean_local_clustering_vs_degree(t),
             top_overlaps(t.merged.in_deg, t.merged.out_deg, (1, 2, 5, 10, 20, 50, 100)),
         )
+
+
+class TestNodeTableAtScale:
+    def test_past_46340_nodes(self):
+        """46,400² exceeds 2³¹: a reciprocated pair and a triangle among the
+        highest ids (and the highest degree ranks) are exact only if every
+        edge and rank-pair key is formed in int64."""
+        nodes = tuple(f"n{i:05d}" for i in range(46_400))
+        a, b, c, low = nodes[-1], nodes[-2], nodes[-3], nodes[0]
+        edges = {(a, b): (1, 0), (b, a): (0, 2), (b, c): (1, 1), (c, a): (2, 0), (low, a): (0, 1)}
+        t = node_table(like_graph(nodes, edges))
+        assert by_id(t, t.degree) == {**dict.fromkeys(nodes, 0), a: 3, b: 2, c: 2, low: 1}
+        # a <-> b is reciprocated only in the merged component
+        assert {u: r for u, r in by_id(t, t.merged.recip_out).items() if r} == {a: 1, b: 1}
+        assert {u: r for u, r in by_id(t, t.merged.node_reciprocity).items() if r} == {
+            a: 1.0, b: 0.5
+        }
+        assert not t.neg.recip_out.any() and not t.nonneg.recip_out.any()
+        assert {u: x for u, x in by_id(t, t.local_clustering).items() if x} == {
+            a: 2 / 6, b: 1.0, c: 1.0
+        }
+        assert (t.closed_triples, t.connected_triples) == (3, 5)
+
+    def test_transient_memory_under_two_and_a_half_graphs(self, tmp_path):
+        """The like graph of synth n=2000 (seed 1, the scale recipe; 57,219
+        edges): `node_table` peaks less than 2.5 times its edge arrays'
+        bytes above where it starts."""
+        recipe = ["--seed", "1", "--n-users", "2000", "--questions", "11-18",
+                  "--like-rate", "2.0", "--mix", "HN:.1,HP:.2,PN:.2,OTHR:.5"]
+        assert main(["synth", *recipe, "--out", str(tmp_path)]) == 0
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["graph", "--corpus", str(corpus), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "interaction_edges.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        edges = {(i, j): (int(neg), int(nonneg)) for i, j, neg, nonneg in rows}
+        g = like_graph(load_corpus(corpus).owners, edges)
+        assert len(g.src) == 57_219
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            node_table(g)
+            transient = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert transient <= 2.5 * (g.src.nbytes + g.dst.nbytes + g.weights.nbytes)
 
 
 class TestLikesAnswersCorrelation:
