@@ -65,8 +65,8 @@ def test_node_table_matches_networkx(graph):
 
 def hub_digraph(rng):
     """130-300 nodes: sparse random edges plus a few hubs at random ids, so
-    that ranking nodes by degree reorders them, and the triangle kernel
-    spans several row blocks."""
+    that ranking nodes by degree reorders them. Each fits one row block of
+    the triangle kernel; `test_triangle_blocks.py` reruns them in many."""
     n = rng.randint(130, 300)
     nodes = tuple(f"n{i:03d}" for i in range(n))
     pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}
