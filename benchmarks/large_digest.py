@@ -1,13 +1,15 @@
-"""Large-n digest gate: the 16,000-profile synth + pipeline output tree.
+"""Large-n digest gate: the 16,000-profile synth, pipeline and crawl outputs.
 
 Runs `synth --seed 1 --n-users 16000 --questions 11-18 --like-rate 2.0
 --mix HN:.1,HP:.2,PN:.2,OTHR:.5`, then `pipeline` over its corpus with the
-four planted label files, and compares the sha256 of the whole output tree
-(sorted relative file names plus bytes, as perfbench digests its outputs)
-with the digest pinned below. The goldens and the perfbench digests cover
-corpora of at most 2,000 profiles; this one reaches the code paths that
-only run at scale, such as a like graph of about 460,000 edges and a
-triangle kernel that runs in hundreds of row blocks.
+four planted label files, and a `crawl-sim` of the same corpus from seeds
+`u00001,u12345` with budget 4,000 (4,000 profiles crawled, 11,988 left in
+the frontier). It compares the sha256 of the whole output tree (sorted
+relative file names plus bytes, as perfbench digests its outputs) with the
+digest pinned below. The goldens and the perfbench digests cover corpora
+of at most 2,000 profiles; this one reaches the code paths that only run
+at scale, such as a like graph of about 460,000 edges and a triangle
+kernel that runs in hundreds of row blocks.
 
 Run it from the repository root; it takes about 10 s and exits 1 when the
 digest differs:
@@ -29,8 +31,9 @@ sys.path.insert(0, str(ROOT / "src"))
 from askgraph.cli import main as askgraph  # noqa: E402
 from askgraph.synth import GROUP_ORDER  # noqa: E402
 
-EXPECTED = "872d8b8a9b8a7183bb67952e4587898cdd33212dc0302cacdafd9e9e31d26cd8"
+EXPECTED = "703daeb66a62728dce21adac80e3f32d90f269e9f26f35873dfd441e7216b063"
 
+CRAWL = ["crawl-sim", "--seeds", "u00001,u12345", "--budget", "4000", "--seed", "1"]
 SYNTH = ["synth", "--seed", "1", "--n-users", "16000", "--questions", "11-18",
          "--like-rate", "2.0", "--mix", "HN:.1,HP:.2,PN:.2,OTHR:.5"]
 
@@ -49,17 +52,21 @@ def tree_digest(path: Path) -> str:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        synth, out = work / "synth", work / "pipeline"
+        synth, out, crawl = work / "synth", work / "pipeline", work / "crawl"
         labels = [arg for group in GROUP_ORDER
                   for arg in ("--labels", str(synth / f"labels_{group}.txt"))]
         for argv in (SYNTH + ["--out", str(synth)],
                      ["pipeline", "--corpus", str(synth / "corpus.jsonl"), *labels,
-                      "--out", str(out)]):
+                      "--out", str(out)],
+                     CRAWL + ["--corpus", str(synth / "corpus.jsonl"), "--out", str(crawl)]):
             start = time.perf_counter()
             if askgraph(argv) != 0:
                 print(f"{argv[0]} failed", file=sys.stderr)
                 return 1
             print(f"{argv[0]}: {time.perf_counter() - start:.1f} s")
+        crawled = len((crawl / "crawl_order.txt").read_text().splitlines())
+        stubs = len((crawl / "frontier.txt").read_text().splitlines())
+        print(f"crawl-sim: {crawled} profiles crawled, {stubs} in the frontier")
         digest = tree_digest(work)
     print(f"digest {digest}")
     if digest != EXPECTED:

@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .corpus import (  # noqa: F401
-    ContentTable, Corpus, CorpusStats, Lexicon, TaggedCorpus, content_table, corpus_stats,
+    ContentTable, Corpus, CorpusStats, TaggedCorpus, content_table, corpus_stats,
     lexicon_word, load_corpus, load_lexicon, save_corpus, tag_corpus, tokenize,
 )
 from .wordgraph import (  # noqa: F401
@@ -16,8 +16,8 @@ from .interaction import (  # noqa: F401
     mean_reciprocity_by_outdegree, node_table, reciprocity, top_overlaps,
 )
 from .segmentation import (  # noqa: F401
-    GroupReport, LabelFile, classify_user, group_report, labeled_report, load_label_file,
+    LabelFile, classify_user, group_report, labeled_report, load_label_file,
 )
 from .synth import (  # noqa: F401
-    GenParams, SampledCorpus, SplitMix64, generate_corpus, snowball_sample,
+    GenParams, SplitMix64, generate_corpus, snowball_sample,
 )

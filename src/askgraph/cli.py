@@ -232,14 +232,14 @@ class _Run:
     def lexicons(self):
         paths = {"negative": self.args.neg_lexicon, "positive": self.args.pos_lexicon}
         return {
-            polarity: corpus_mod.load_lexicon(path or bundled_lexicon_path(polarity), polarity)
+            polarity: corpus_mod.load_lexicon(path or bundled_lexicon_path(polarity))
             for polarity, path in paths.items()
         }
 
     @_staged("tag_corpus")
     def tagged(self):
         corpus = self.corpus
-        vocab = self.lexicons["negative"].words | self.lexicons["positive"].words
+        vocab = self.lexicons["negative"] | self.lexicons["positive"]
         if self.args.command == "cooccur":
             vocab |= {self.args.word}
         return corpus_mod.tag_corpus(corpus, vocab)
@@ -317,8 +317,8 @@ class _Run:
             group_mix=mix,
             questions_per_user=questions,
             like_rate=args.like_rate,
-            neg_vocab=tuple(sorted(self.lexicons["negative"].words)),
-            pos_vocab=tuple(sorted(self.lexicons["positive"].words)),
+            neg_vocab=tuple(sorted(self.lexicons["negative"])),
+            pos_vocab=tuple(sorted(self.lexicons["positive"])),
             rng_seed=args.seed,
         )
         return synth_mod.generate_corpus(params)
@@ -367,10 +367,12 @@ def _outputs(run: _Run, command: str) -> Iterator[tuple[str, object]]:
             members = sorted(u for u, g in labels.items() if g == group)
             yield f"labels_{group}.txt", [f"label: {group}", *members]
     elif command == "crawl-sim":
-        sampled = run.crawl
-        yield "sampled_corpus.jsonl", sampled.corpus
-        yield "crawl_order.txt", sampled.crawl_order
-        yield "frontier.txt", sorted(sampled.frontier)
+        sample = run.crawl
+        # the sample's order is the crawl order, then the sorted frontier
+        profiles = [(sample.owners[k], sample.sampled[k]) for k in sample.order.tolist()]
+        yield "sampled_corpus.jsonl", sample
+        yield "crawl_order.txt", [owner for owner, crawled in profiles if crawled]
+        yield "frontier.txt", [owner for owner, crawled in profiles if not crawled]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,7 +10,8 @@ by whatever builds the corpus: `Corpus.from_records` (which `load_corpus`
 feeds line by line), `generate_corpus` and `snowball_sample`.
 `Corpus.records` is the one read-back. `tag_corpus` adds each question's
 vocabulary word counts and is the only caller of `tokenize`: every analysis
-is a reduction over these columns.
+is a reduction over these columns. A lexicon is the frozenset of its
+words, and a run keys its two lexicons by polarity.
 """
 
 from __future__ import annotations
@@ -154,21 +155,6 @@ class Corpus:
         """Sum of a per-question int array over each profile's questions,
         aligned with `owners`."""
         return np.bincount(self.owner, weights=values, minlength=len(self.owners)).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class Lexicon:
-    polarity: str  # "negative" | "positive"
-    words: frozenset[str]
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.words
-
-    def __iter__(self):
-        return iter(self.words)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,11 +334,9 @@ def lexicon_word(word: str, name: str = "entry") -> str:
     return entry
 
 
-def load_lexicon(path: str | Path, polarity: str) -> Lexicon:
-    """Load a one-word-per-line lexicon ('#' comments, blank lines ignored);
-    each entry is read by `lexicon_word`."""
-    if polarity not in ("negative", "positive"):
-        raise LexiconError(f"polarity must be 'negative' or 'positive', got {polarity!r}")
+def load_lexicon(path: str | Path) -> frozenset[str]:
+    """The words of a one-word-per-line lexicon ('#' comments, blank lines
+    ignored); each entry is read by `lexicon_word`."""
     words: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -367,7 +351,7 @@ def load_lexicon(path: str | Path, polarity: str) -> Lexicon:
                 raise LexiconError(f"line {line_no}: {exc}") from None
     if not words:
         raise LexiconError(f"lexicon {path} is empty after parsing")
-    return Lexicon(polarity=polarity, words=frozenset(words))
+    return frozenset(words)
 
 
 def tag_corpus(corpus: Corpus, vocab: Iterable[str]) -> TaggedCorpus:
@@ -411,7 +395,7 @@ def content_table(corpus: Corpus, neg: Collection[str], pos: Collection[str]) ->
     )
 
 
-def corpus_stats(corpus: Corpus, neg: Lexicon, pos: Lexicon) -> CorpusStats:
+def corpus_stats(corpus: Corpus, neg: Collection[str], pos: Collection[str]) -> CorpusStats:
     """Per-user averages of answer counts and tagged question/word counts,
     over fully sampled profiles (frontier stubs are not users)."""
     table = content_table(corpus, neg, pos)

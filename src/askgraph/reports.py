@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .corpus import atomic_write, save_corpus
 from .interaction import MetricsReport
-from .segmentation import GroupReport, GroupRow
+from .segmentation import GroupRow
 from .wordgraph import OneModeGraph, WordSet
 
 
@@ -106,8 +106,10 @@ def _group_row_values(row: GroupRow) -> list:
     return list(values.values())
 
 
-def group_table(report: GroupReport, label_rows: list[GroupRow]) -> tuple[list[str], Iterator]:
+def group_table(
+    group_rows: tuple[GroupRow, ...], label_rows: list[GroupRow]
+) -> tuple[list[str], Iterator]:
     """One column per GroupRow field, in field order; one row per group,
     then one row per label set. Undefined means are empty cells, never zeros."""
     header = ["group"] + [f.name for f in fields(GroupRow)[1:]]
-    return header, map(_group_row_values, [*report.rows, *label_rows])
+    return header, map(_group_row_values, [*group_rows, *label_rows])

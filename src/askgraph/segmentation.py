@@ -42,11 +42,6 @@ class GroupRow:
 
 
 @dataclass(frozen=True)
-class GroupReport:
-    rows: tuple[GroupRow, ...]
-
-
-@dataclass(frozen=True)
 class LabelFile:
     label: str
     user_ids: frozenset[str]
@@ -130,12 +125,15 @@ def _aggregate(
     )
 
 
-def group_report(labels: dict[str, str], content: ContentTable, table: NodeTable) -> GroupReport:
-    """One aggregate row per group. Empty groups get count 0 and null means."""
+def group_report(
+    labels: dict[str, str], content: ContentTable, table: NodeTable
+) -> tuple[GroupRow, ...]:
+    """One aggregate row per group, in `GROUPS` order. Empty groups get
+    count 0 and null means."""
     members: dict[str, list[str]] = {g: [] for g in GROUPS}
     for user, group in sorted(labels.items()):
         members[group].append(user)
-    return GroupReport(rows=tuple(_aggregate(g, members[g], content, table) for g in GROUPS))
+    return tuple(_aggregate(g, members[g], content, table) for g in GROUPS)
 
 
 def labeled_report(label_file: LabelFile, content: ContentTable, table: NodeTable) -> GroupRow:

@@ -142,13 +142,6 @@ class GenParams:
             raise ValueError("pos_vocab required when HP or PN fraction > 0")
 
 
-@dataclass(frozen=True)
-class SampledCorpus:
-    corpus: Corpus
-    crawl_order: tuple[str, ...]
-    frontier: frozenset[str]
-
-
 def quota_counts(mix: dict[str, float], n: int) -> dict[str, int]:
     """Largest-remainder allocation of n users to groups; deterministic."""
     floors = {g: int(mix.get(g, 0.0) * n) for g in GROUP_ORDER}
@@ -238,15 +231,15 @@ def generate_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
     return corpus, labels
 
 
-def snowball_sample(
-    ground_truth: Corpus, seeds: list[str], budget: int
-) -> SampledCorpus:
+def snowball_sample(ground_truth: Corpus, seeds: list[str], budget: int) -> Corpus:
     """Breadth-first crawl over the likers-of-my-questions relation.
 
     Crawling a node reveals its full profile (all questions with complete
     liker lists). The crawl stops when `budget` nodes are crawled or the
     frontier empties. Frontier nodes are included as empty stub profiles
     flagged not fully sampled. Each BFS level is visited in UserId order.
+    The sample's `order` lists the crawled profiles in crawl order, then
+    the frontier sorted, and `sampled` tells the two apart.
 
     The ground truth must be closed: a liker that is not a fully sampled
     profile raises ValueError, naming the first such id in sorted order.
@@ -289,14 +282,9 @@ def snowball_sample(
     local = np.cumsum(enqueued) - 1  # each enqueued profile's position in the sample
     keep = crawled[gt.owner]  # the crawled profiles' rows
     rows = np.flatnonzero(keep).tolist()
-    corpus = Corpus.from_rows(
+    return Corpus.from_rows(
         [gt.owners[v] for v in np.flatnonzero(enqueued).tolist()], local[crawl + frontier],
         [True] * len(crawl) + [False] * len(frontier), local[gt.owner[keep]],
         [gt.texts[r] for r in rows], [gt.answers[r] for r in rows], gt.like_count[keep],
         np.diff(gt.liker_ptr)[keep], local[gt.liker[np.repeat(keep, np.diff(gt.liker_ptr))]],
-    )
-    return SampledCorpus(
-        corpus=corpus,
-        crawl_order=tuple(gt.owners[v] for v in crawl),
-        frontier=frozenset(gt.owners[v] for v in frontier),
     )

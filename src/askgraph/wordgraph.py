@@ -9,12 +9,13 @@ projected edge weights count shared profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .corpus import Corpus, Lexicon, tag_corpus
+from .corpus import Corpus, tag_corpus
 
 
 class ConvergenceError(RuntimeError):
@@ -47,7 +48,7 @@ class OneModeGraph:
         try:
             return self.nodes.index(name)
         except ValueError:
-            raise KeyError(f"node {name!r} not in graph") from None
+            raise ValueError(f"node {name!r} not in graph") from None
 
 
 @dataclass(frozen=True)
@@ -68,16 +69,15 @@ class WordSet:
 
 @dataclass(frozen=True)
 class FrequencyVector:
-    core: str
     entries: tuple[tuple[str, float], ...]  # fixed to the WordSet order
     n_profiles: int
 
 
-def build_bipartite(corpus: Corpus, lexicon: Lexicon) -> BipartiteGraph:
+def build_bipartite(corpus: Corpus, lexicon: Collection[str]) -> BipartiteGraph:
     """B[w][u] = 1 iff word w (from the lexicon) occurs in any question on
     u's profile. Words never observed keep all-zero rows."""
-    tagged = tag_corpus(corpus, lexicon.words)
-    words = tuple(sorted(lexicon.words))
+    tagged = tag_corpus(corpus, lexicon)
+    words = tuple(sorted(lexicon))
     found = tagged.counts[:, np.searchsorted(tagged.vocab, words)].tocoo()
     incidence = sp.csr_matrix(
         (np.ones(found.nnz, dtype=np.int64), (found.col, tagged.owner[found.row])),
@@ -200,4 +200,4 @@ def cooccurrence_distribution(corpus: Corpus, core: str, word_set: WordSet) -> F
     totals = tagged.counts.T @ matching[tagged.owner].astype(np.int64)
     columns = np.searchsorted(tagged.vocab, word_set.words)
     entries = tuple(zip(word_set.words, (totals[columns] / n_matching).tolist()))
-    return FrequencyVector(core=core, entries=entries, n_profiles=n_matching)
+    return FrequencyVector(entries=entries, n_profiles=n_matching)

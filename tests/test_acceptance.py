@@ -2,7 +2,8 @@
 
 The per-criterion lines print outside pytest's capture, so any `pytest`
 invocation shows them. Expected values come from independent oracles (triple
-loops, dense power iteration, brute-force enumeration) in this module.
+loops, dense power iteration, brute-force enumeration) in this module and
+in `helpers`.
 """
 
 import random
@@ -18,7 +19,6 @@ from askgraph.cli import main as cli_main
 from askgraph.interaction import (
     ccdf,
     node_table,
-    reciprocity,
     top_overlaps,
 )
 from askgraph.segmentation import GROUPS, classify_user
@@ -29,7 +29,17 @@ from askgraph.wordgraph import (
     eigenvector_centrality,
     project_words,
 )
-from helpers import edge_map, like_graph, vocab_word_set
+from helpers import (
+    SimpleView,
+    brute_force_reciprocity,
+    crawl_order,
+    frontier,
+    graph_from_pairs,
+    like_graph,
+    neg_reciprocity,
+    triple_enumeration_oracle,
+    vocab_word_set,
+)
 
 DATA = Path(__file__).parent / "data"
 _SUITE_START = time.monotonic()
@@ -150,25 +160,9 @@ def test_criterion_2_centrality_oracle(capfd):
 
 # --- criterion 3: reciprocity oracle --------------------------------------
 
-def brute_force_reciprocity(g):
-    count = recip = 0
-    edges = edge_map(g)
-    for i in g.nodes:
-        for j in g.nodes:
-            if (i, j) in edges:
-                count += 1
-                if (j, i) in edges:
-                    recip += 1
-    return recip / count
-
-
 def neg_graph(nodes, edges):
     """A graph whose negative component carries the given scalar weights."""
     return like_graph(nodes=nodes, edges={e: (w, 0) for e, w in edges.items()})
-
-
-def neg_reciprocity(g):
-    return reciprocity(node_table(g).neg)
 
 
 def test_criterion_3_reciprocity_oracle(capfd):
@@ -199,56 +193,6 @@ def test_criterion_3_reciprocity_oracle(capfd):
 
 
 # --- criterion 4: clustering oracle ---------------------------------------
-
-class SimpleView:
-    """Undirected neighbor sets of a graph, as the oracle reads them."""
-
-    def __init__(self, graph):
-        self.nodes = graph.nodes
-        self.neighbors = {n: set() for n in graph.nodes}
-        for a, b in edge_map(graph):
-            self.neighbors[a].add(b)
-            self.neighbors[b].add(a)
-
-
-def graph_from_pairs(pairs, nodes):
-    return like_graph(nodes=tuple(nodes), edges={p: (1, 0) for p in pairs})
-
-
-def triple_enumeration_oracle(simple):
-    nodes = list(simple.nodes)
-    triangles = open_plus_closed = 0
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            for k in range(j + 1, len(nodes)):
-                a, b, c = nodes[i], nodes[j], nodes[k]
-                edges = (
-                    (b in simple.neighbors[a])
-                    + (c in simple.neighbors[b])
-                    + (c in simple.neighbors[a])
-                )
-                if edges == 3:
-                    triangles += 1
-                    open_plus_closed += 3
-                elif edges == 2:
-                    open_plus_closed += 1
-    global_c = 3 * triangles / open_plus_closed if open_plus_closed else 0.0
-    locals_ = []
-    for u in nodes:
-        nbrs = list(simple.neighbors[u])
-        deg = len(nbrs)
-        if deg < 2:
-            locals_.append(0.0)
-            continue
-        links = sum(
-            1
-            for x in range(deg)
-            for y in range(x + 1, deg)
-            if nbrs[y] in simple.neighbors[nbrs[x]]
-        )
-        locals_.append(2 * links / (deg * (deg - 1)))
-    return global_c, sum(locals_) / len(nodes)
-
 
 def test_criterion_4_clustering_oracle(capfd):
     with criterion(4, "clustering oracle", capfd):
@@ -364,13 +308,13 @@ def test_criterion_7_snowball_properties(capfd):
             seeds = rng.sample(candidates, min(2, len(candidates)))
             budget = rng.choice([3, n // 2, n])
             sampled = snowball_sample(gt, seeds, budget)
-            gt_profiles, sample_profiles = profiles(gt), profiles(sampled.corpus)
+            gt_profiles, sample_profiles = profiles(gt), profiles(sampled)
 
-            for node in sampled.crawl_order:
+            for node in crawl_order(sampled):
                 assert [q["likers"] for q in sample_profiles[node]["questions"]] == [
                     q["likers"] for q in gt_profiles[node]["questions"]
                 ]
-                crawled = set(sampled.crawl_order)
+                crawled = set(crawl_order(sampled))
                 sample_out = {
                     p["owner"]
                     for p in sample_profiles.values()
@@ -381,7 +325,7 @@ def test_criterion_7_snowball_properties(capfd):
                 assert sample_out <= ground_truth_out_edges(gt_profiles, node)
 
             if budget >= n:
-                assert sampled.frontier == frozenset()
+                assert frontier(sampled) == frozenset()
 
 
 # --- criterion 8: metric shape properties ---------------------------------

@@ -159,8 +159,8 @@ class TestSubcommands:
         assert (tmp_path / f"cooccur_{top}.csv").exists()
 
     def test_cooccur_word_outside_both_lexicons(self, tmp_path):
-        lexicons = corpus.load_lexicon(bundled_lexicon_path("negative"), "negative").words
-        lexicons |= corpus.load_lexicon(bundled_lexicon_path("positive"), "positive").words
+        lexicons = corpus.load_lexicon(bundled_lexicon_path("negative"))
+        lexicons |= corpus.load_lexicon(bundled_lexicon_path("positive"))
         assert "movie" not in lexicons
         assert run("cooccur", "--corpus", DEMO, "--word", "movie", "--out", tmp_path) == 0
         rows = (tmp_path / "cooccur_movie.csv").read_text().splitlines()[1:]
@@ -184,6 +184,23 @@ class TestSubcommands:
         order = (tmp_path / "crawl" / "crawl_order.txt").read_text().splitlines()
         assert order[0] == seed_user
         assert len(order) <= 10
+
+    def test_crawl_files_list_the_sampled_corpus_profiles(self, tmp_path):
+        """crawl_order.txt lists the fully sampled profiles of the sampled
+        corpus in file order, and frontier.txt the rest, on a crawl that
+        leaves a frontier."""
+        assert run("synth", "--seed", 3, "--n-users", 300, "--out", tmp_path) == 0
+        crawl = tmp_path / "crawl"
+        assert run("crawl-sim", "--corpus", tmp_path / "corpus.jsonl",
+                   "--seeds", "u00001,u00005", "--budget", 120, "--seed", 1,
+                   "--out", crawl) == 0
+        lines = (crawl / "sampled_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        crawled = [r["owner"] for r in records if r["fully_sampled"]]
+        stubs = [r["owner"] for r in records if not r["fully_sampled"]]
+        assert (len(crawled), len(stubs)) == (120, 180)
+        assert (crawl / "crawl_order.txt").read_text().splitlines() == crawled
+        assert (crawl / "frontier.txt").read_text().splitlines() == stubs
 
     @pytest.mark.parametrize("argv,stage", [
         (("--neg-vocab", "nope.txt"), "load_lexicon"),
@@ -285,6 +302,14 @@ class TestSubcommands:
         )
         assert not out.exists()
 
+    def test_missing_core_word_is_named_unquoted(self, tmp_path, capsys):
+        assert run("neighborhood", "--corpus", DEMO, "--word", "zzz",
+                   "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "askgraph: error [word_neighborhood] node 'zzz' not in graph\n"
+        )
+        assert not list(tmp_path.iterdir())
+
     def test_synth_requires_seed(self, capsys):
         with pytest.raises(SystemExit):
             run("synth", "--n-users", 10)
@@ -362,6 +387,19 @@ class TestDeterminism:
         assert not list(tmp_path.glob("*.partial"))
 
 
+def vocabulary_names(out):
+    """Each vocabulary a demo run reads, by what it is: the bundled lexicons,
+    and the word sets the run wrote to `out`, all four distinct."""
+    names = {}
+    for polarity in ("negative", "positive"):
+        lines = (out / f"wordset_{polarity}.txt").read_text().splitlines()
+        word_set = frozenset(line.split()[0] for line in lines if not line.startswith("#"))
+        names[word_set] = f"{polarity} word set"
+        names[corpus.load_lexicon(bundled_lexicon_path(polarity))] = f"{polarity} lexicon"
+    assert len(names) == 4
+    return names
+
+
 class TestComputeOnce:
     def test_pipeline_scans_triangles_once_and_counts_content_once(self, tmp_path, monkeypatch):
         clustering = []
@@ -374,7 +412,7 @@ class TestComputeOnce:
         original_content = corpus.content_table
 
         def content_table(corp, neg, pos):
-            vocabularies.append((type(neg).__name__, type(pos).__name__))
+            vocabularies.append((frozenset(neg), frozenset(pos)))
             return original_content(corp, neg, pos)
 
         for name, module in list(sys.modules.items()):
@@ -385,7 +423,11 @@ class TestComputeOnce:
         assert run("pipeline", "--corpus", DEMO, "--labels", LABELS, "--out", tmp_path) == 0
         assert len(clustering) == 1
         # once over the lexicons (corpus_stats), once over the word sets
-        assert sorted(vocabularies) == [("Lexicon", "Lexicon"), ("WordSet", "WordSet")]
+        names = vocabulary_names(tmp_path)
+        assert sorted((names[neg], names[pos]) for neg, pos in vocabularies) == [
+            ("negative lexicon", "positive lexicon"),
+            ("negative word set", "positive word set"),
+        ]
 
     @staticmethod
     def count_tokenize(monkeypatch):
@@ -424,15 +466,16 @@ class TestComputeOnce:
             original = getattr(module, name)
 
             def wrapper(corp, words, *args, _name=name, _original=original, **kwargs):
-                calls.append((_name, words.polarity))
+                calls.append((_name, frozenset(words)))
                 return _original(corp, words, *args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
         assert run("pipeline", "--corpus", DEMO, "--out", tmp_path) == 0
-        assert sorted(calls) == [
-            ("build_bipartite", "negative"),
-            ("build_bipartite", "positive"),
-            ("build_interaction_graph", "negative"),
+        names = vocabulary_names(tmp_path)
+        assert sorted((name, names[words]) for name, words in calls) == [
+            ("build_bipartite", "negative lexicon"),
+            ("build_bipartite", "positive lexicon"),
+            ("build_interaction_graph", "negative word set"),
         ]
 
 

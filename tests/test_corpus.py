@@ -14,7 +14,6 @@ from askgraph.cli import main
 from askgraph.corpus import (
     Corpus,
     CorpusFormatError,
-    Lexicon,
     LexiconError,
     corpus_stats,
     load_corpus,
@@ -282,32 +281,32 @@ class TestLoadLexicon:
     def test_lowercase_dedup(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("Hate\nhate\nugly\n", encoding="utf-8")
-        lex = load_lexicon(path, "negative")
-        assert lex.words == frozenset({"hate", "ugly"})
+        lex = load_lexicon(path)
+        assert lex == frozenset({"hate", "ugly"})
 
     def test_comments_only_is_empty(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("# nothing here\n\n# nope\n", encoding="utf-8")
         with pytest.raises(LexiconError, match="empty"):
-            load_lexicon(path, "negative")
+            load_lexicon(path)
 
     def test_multiword_entry_rejected(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("ugly\nso bad\n", encoding="utf-8")
         with pytest.raises(LexiconError, match="multi-word"):
-            load_lexicon(path, "negative")
+            load_lexicon(path)
 
     @pytest.mark.parametrize("entry", ["bad-word", "İstanbul", "_x", "x."])
     def test_entry_that_is_not_one_token_rejected_with_line(self, tmp_path, entry):
         path = tmp_path / "lex.txt"
         path.write_text(f"# header\nugly\n{entry}\n", encoding="utf-8")
         with pytest.raises(LexiconError, match=f"^line 3: entry {entry!r} is not a single"):
-            load_lexicon(path, "negative")
+            load_lexicon(path)
 
     @pytest.mark.parametrize("polarity", ["negative", "positive"])
     def test_bundled_lexicon_size_matches_file(self, polarity):
         path = bundled_lexicon_path(polarity)
-        lex = load_lexicon(path, polarity)
+        lex = load_lexicon(path)
         expected = {
             line.strip().lower()
             for line in path.read_text(encoding="utf-8").splitlines()
@@ -359,20 +358,20 @@ class TestLexiconEntriesMatchTokens:
         path = lex_dir / "lex.txt"
         path.write_text("# header\n" + "\n".join(entries) + "\n", encoding="utf-8")
         try:
-            lex = load_lexicon(path, "negative")
+            lex = load_lexicon(path)
         except LexiconError as exc:
             bad = int(re.match(r"line (\d+): ", str(exc)).group(1)) - 2
             assert all(found(e) for e in entries[:bad]) and not found(entries[bad])
         else:
-            assert lex.words == {e.lower() for e in entries}
+            assert lex == {e.lower() for e in entries}
             assert all(found(e) for e in entries)
 
 
-NEG = Lexicon("negative", frozenset({"ugly", "fat"}))
-POS = Lexicon("positive", frozenset({"nice", "beautiful"}))
+NEG = frozenset({"ugly", "fat"})
+POS = frozenset({"nice", "beautiful"})
 
 
-VOCAB = NEG.words | POS.words
+VOCAB = NEG | POS
 
 
 def tag(question):
@@ -427,7 +426,7 @@ class TestTagCorpus:
     def test_tagged_corpus_is_reused_for_a_smaller_vocabulary(self):
         corp = Corpus.from_records([make_profile("a", ["ugly nice"])])
         tagged = tag_corpus(corp, VOCAB)
-        assert tag_corpus(tagged, NEG.words) is tagged
+        assert tag_corpus(tagged, NEG) is tagged
         assert tagged.texts is corp.texts and len(tagged) == 1
         wider = tag_corpus(tagged, VOCAB | {"day"})
         assert wider is not tagged and wider.vocab == tuple(sorted(VOCAB | {"day"}))

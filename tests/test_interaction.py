@@ -18,10 +18,18 @@ from askgraph.interaction import (
     mean_local_clustering_vs_degree,
     mean_reciprocity_by_outdegree,
     node_table,
-    reciprocity,
     top_overlaps,
 )
-from helpers import edge_map, like_graph, vocab_word_set
+from helpers import (
+    SimpleView,
+    brute_force_reciprocity,
+    edge_map,
+    graph_from_pairs,
+    like_graph,
+    neg_reciprocity,
+    triple_enumeration_oracle,
+    vocab_word_set,
+)
 
 NEG_WS = vocab_word_set(["ugly", "hate"], "negative")
 
@@ -265,10 +273,6 @@ class TestCcdf:
         assert fracs == sorted(fracs, reverse=True)
 
 
-def neg_reciprocity(g):
-    return reciprocity(node_table(g).neg)
-
-
 class TestReciprocity:
     def test_two_cycle(self):
         assert neg_reciprocity(digraph({("a", "b"): 1, ("b", "a"): 1})) == 1.0
@@ -284,17 +288,6 @@ class TestReciprocity:
         with pytest.raises(ValueError):
             neg_reciprocity(digraph({}, nodes=["a"]))
 
-    def brute_force(self, g):
-        count = recip = 0
-        edges = edge_map(g)
-        for i in g.nodes:
-            for j in g.nodes:
-                if (i, j) in edges:
-                    count += 1
-                    if (j, i) in edges:
-                        recip += 1
-        return recip / count
-
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32))
     def test_matches_ordered_pair_brute_force(self, seed):
@@ -309,7 +302,7 @@ class TestReciprocity:
         if not edges:
             edges[(nodes[0], nodes[1])] = 1
         g = digraph(edges, nodes=nodes)
-        assert neg_reciprocity(g) == self.brute_force(g)
+        assert neg_reciprocity(g) == brute_force_reciprocity(g)
 
 
 class TestReciprocityByOutdegree:
@@ -383,14 +376,6 @@ class TestDegreeRatioCdf:
             degree_ratio_cdf(out, zero)
 
 
-def graph_from_pairs(pairs, nodes=None):
-    """One negative edge per pair, in the given direction."""
-    node_set = nodes or sorted({n for p in pairs for n in p})
-    return like_graph(
-        nodes=tuple(node_set), edges={p: (1, 0) for p in pairs}
-    )
-
-
 class TestToSimple:
     """The binarized undirected view: a<->b is one undirected edge."""
 
@@ -405,17 +390,6 @@ class TestToSimple:
     def test_edge_count_bound(self):
         g = graph_from_pairs([("a", "b"), ("b", "a"), ("a", "c"), ("c", "b")])
         assert sum(node_table(g).degree.tolist()) // 2 <= len(edge_map(g))
-
-
-class SimpleView:
-    """Undirected neighbor sets of a graph, as the oracle reads them."""
-
-    def __init__(self, graph):
-        self.nodes = graph.nodes
-        self.neighbors = {n: set() for n in graph.nodes}
-        for a, b in edge_map(graph):
-            self.neighbors[a].add(b)
-            self.neighbors[b].add(a)
 
 
 class TestClustering:
@@ -434,41 +408,6 @@ class TestClustering:
         assert t.global_clustering == 0.0
         assert t.mean_local_clustering == 0.0
 
-    def oracle(self, simple):
-        """Triple enumeration over unordered node triples."""
-        nodes = list(simple.nodes)
-        triangles = 0
-        triples = 0
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                for k in range(j + 1, len(nodes)):
-                    a, b, c = nodes[i], nodes[j], nodes[k]
-                    ab = b in simple.neighbors[a]
-                    bc = c in simple.neighbors[b]
-                    ac = c in simple.neighbors[a]
-                    n_edges = ab + bc + ac
-                    if n_edges == 3:
-                        triangles += 1
-                        triples += 3
-                    elif n_edges == 2:
-                        triples += 1
-        globl = 3 * triangles / triples if triples else 0.0
-        locals_ = []
-        for u in nodes:
-            nbrs = list(simple.neighbors[u])
-            k = len(nbrs)
-            if k < 2:
-                locals_.append(0.0)
-                continue
-            links = sum(
-                1
-                for x in range(len(nbrs))
-                for y in range(x + 1, len(nbrs))
-                if nbrs[y] in simple.neighbors[nbrs[x]]
-            )
-            locals_.append(2 * links / (k * (k - 1)))
-        return globl, sum(locals_) / len(nodes)
-
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32))
     def test_matches_triple_enumeration(self, seed):
@@ -483,7 +422,7 @@ class TestClustering:
         ]
         g = graph_from_pairs(pairs, nodes=nodes)
         t = node_table(g)
-        g_oracle, ml_oracle = self.oracle(SimpleView(g))
+        g_oracle, ml_oracle = triple_enumeration_oracle(SimpleView(g))
         assert t.global_clustering == pytest.approx(g_oracle, abs=1e-12)
         assert t.mean_local_clustering == pytest.approx(ml_oracle, abs=1e-12)
 

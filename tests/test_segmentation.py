@@ -114,7 +114,7 @@ class TestGroupReport:
         content, table = build_tables(corp)
         labels = classify_corpus(content)
         report = group_report(labels, content, table)
-        assert sum(r.count for r in report.rows) == len(corp)
+        assert sum(r.count for r in report) == len(corp)
         assert group_row(report, "HN").count == 1
         assert group_row(report, "HP").count == 1
         assert group_row(report, "OTHR").count == 1
@@ -135,7 +135,7 @@ class TestGroupReport:
         labels = classify_corpus(content)
         report = group_report(labels, content, table)
         assert group_row(report, "OTHR").count == 1
-        assert sum(r.count for r in report.rows) == 1
+        assert sum(r.count for r in report) == 1
 
     def test_group_means_match_brute_force(self):
         corp = self.make_corpus()
@@ -143,7 +143,7 @@ class TestGroupReport:
         labels = classify_corpus(content)
         report = group_report(labels, content, table)
         profiles = {p["owner"]: p for p in corp.records()}
-        for row in report.rows:
+        for row in report:
             members = [u for u, g in labels.items() if g == row.name]
             if not members:
                 continue
@@ -158,7 +158,7 @@ class TestGroupReport:
         labels = classify_corpus(content)
         report = group_report(labels, content, table)
         total = sum(
-            r.count * r.mean_answers for r in report.rows if r.count
+            r.count * r.mean_answers for r in report if r.count
         )
         assert total == pytest.approx(sum(len(p["questions"]) for p in corp.records()))
 

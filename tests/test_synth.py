@@ -14,7 +14,7 @@ from askgraph.synth import (
     quota_counts,
     snowball_sample,
 )
-from helpers import vocab_word_set
+from helpers import crawl_order, frontier, vocab_word_set
 
 NEG_VOCAB = ("ugly", "hate", "stupid", "fat")
 POS_VOCAB = ("nice", "sweet", "lovely", "cool")
@@ -223,26 +223,26 @@ class TestSnowballSample:
             profile(u, sorted({"a", "b", "c"} - {u})) for u in ("a", "b", "c")
         ])
         s = snowball_sample(corp, ["a"], budget=3)
-        assert set(s.crawl_order) == {"a", "b", "c"}
-        assert s.frontier == frozenset()
+        assert set(crawl_order(s)) == {"a", "b", "c"}
+        assert frontier(s) == frozenset()
 
     def test_chain_bfs_trace(self):
         s = snowball_sample(chain_corpus(), ["a"], budget=2)
-        assert s.crawl_order == ("a", "b")
-        assert s.frontier == frozenset({"c"})
-        assert not profiles(s.corpus)["c"]["fully_sampled"]
-        assert profiles(s.corpus)["a"]["fully_sampled"]
+        assert crawl_order(s) == ("a", "b")
+        assert frontier(s) == frozenset({"c"})
+        assert not profiles(s)["c"]["fully_sampled"]
+        assert profiles(s)["a"]["fully_sampled"]
 
     def test_budget_covers_reachable_set(self):
         s = snowball_sample(chain_corpus(), ["a"], budget=100)
-        assert s.frontier == frozenset()
-        assert s.crawl_order == ("a", "b", "c")
+        assert frontier(s) == frozenset()
+        assert crawl_order(s) == ("a", "b", "c")
 
     def test_crawled_in_edges_match_ground_truth(self):
         gt = chain_corpus()
         s = snowball_sample(gt, ["a"], budget=2)
-        for node in s.crawl_order:
-            sampled_likers = [q["likers"] for q in profiles(s.corpus)[node]["questions"]]
+        for node in crawl_order(s):
+            sampled_likers = [q["likers"] for q in profiles(s)[node]["questions"]]
             truth_likers = [q["likers"] for q in profiles(gt)[node]["questions"]]
             assert sampled_likers == truth_likers
 
@@ -281,4 +281,4 @@ class TestSnowballSample:
             profile("s", ["z", "b", "m"]), profile("z", []), profile("b", []), profile("m", []),
         ])
         s = snowball_sample(corp, ["s"], budget=4)
-        assert s.crawl_order == ("s", "b", "m", "z")
+        assert crawl_order(s) == ("s", "b", "m", "z")

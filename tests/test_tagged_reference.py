@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from askgraph.corpus import (
     Corpus,
     CorpusStats,
-    Lexicon,
     content_table,
     corpus_stats,
     load_corpus,
@@ -34,11 +33,11 @@ from askgraph.interaction import (
 )
 from askgraph.synth import GenParams, generate_corpus, snowball_sample
 from askgraph.wordgraph import build_bipartite, cooccurrence_distribution
-from helpers import edge_map, vocab_word_set
+from helpers import crawl_order, edge_map, frontier, vocab_word_set
 
-NEG = Lexicon("negative", frozenset({"ugly", "fat", "hate", "cool"}))
-POS = Lexicon("positive", frozenset({"nice", "sweet", "cool"}))  # "cool" is in both
-WORDS = sorted(NEG.words | POS.words | {"day", "movie"})
+NEG = frozenset({"ugly", "fat", "hate", "cool"})
+POS = frozenset({"nice", "sweet", "cool"})  # "cool" is in both
+WORDS = sorted(NEG | POS | {"day", "movie"})
 NEG_WS = vocab_word_set(["ugly", "fat", "cool"], "negative")
 POS_WS = vocab_word_set(["nice", "cool", "day"], "positive")
 USERS = ["u0", "u1", "u2", "u3", "u4", "u5"]
@@ -157,7 +156,7 @@ def reference_corpus_stats(profiles, neg, pos):
 
 
 def reference_incidence(profiles, lexicon):
-    hits = reference_hits(profiles, lexicon.words)
+    hits = reference_hits(profiles, lexicon)
     return {(w, u) for u, questions in hits.items() for q in questions for w in q}
 
 
@@ -292,12 +291,12 @@ def test_crawl_columns_match_the_object_built_reference(n_users, seed, budget, d
     seeds = data.draw(st.lists(st.sampled_from(liked), min_size=1, max_size=3))
     sample = snowball_sample(gt, seeds, budget)
     truth = {r["owner"]: r for r in gt.records()}
-    records = [truth[u] for u in sample.crawl_order] + [
-        {"owner": u, "fully_sampled": False, "questions": []} for u in sorted(sample.frontier)
+    records = [truth[u] for u in crawl_order(sample)] + [
+        {"owner": u, "fully_sampled": False, "questions": []} for u in sorted(frontier(sample))
     ]
-    assert list(sample.corpus.records()) == records
-    assert corpus_columns(sample.corpus) == reference_columns(records)
-    assert sample.corpus.strangers == ()
+    assert list(sample.records()) == records
+    assert corpus_columns(sample) == reference_columns(records)
+    assert sample.strangers == ()
 
 
 @settings(max_examples=100, deadline=None)
@@ -347,7 +346,7 @@ def test_bipartite_incidence_matches_string_hits(records, pretag):
     corpus, profiles = Corpus.from_records(records), normalized(records)
     for lexicon in (NEG, POS):
         b = build_bipartite(tagged_or_plain(corpus, pretag), lexicon)
-        assert b.words == tuple(sorted(lexicon.words))
+        assert b.words == tuple(sorted(lexicon))
         assert b.users == tuple(sorted(profiles))
         b.incidence.check_format(full_check=True)
         assert b.incidence.dtype == np.int64 and b.incidence.has_canonical_format

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askgraph.corpus import Corpus, Lexicon, tag_corpus
+from askgraph.corpus import Corpus, tag_corpus
 from askgraph.wordgraph import (
     BipartiteGraph,
     OneModeGraph,
@@ -53,7 +53,7 @@ def naive_projection(dense):
 
 
 class TestBuildBipartite:
-    LEX = Lexicon("negative", frozenset({"ugly", "fat", "hate"}))
+    LEX = frozenset({"ugly", "fat", "hate"})
 
     def test_hand_construction(self):
         corp = Corpus.from_records([
@@ -209,7 +209,7 @@ class TestWordNeighborhood:
 
     def test_missing_core_raises(self):
         g = graph_from_edges("ab", [("a", "b", 1)])
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^node 'zzz' not in graph$"):
             word_neighborhood(g, "zzz", eigenvector_centrality(g))
 
 
