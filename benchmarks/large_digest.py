@@ -29,7 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from askgraph.cli import main as askgraph  # noqa: E402
-from askgraph.synth import GROUP_ORDER  # noqa: E402
+from askgraph.segmentation import GROUPS  # noqa: E402
 
 EXPECTED = "703daeb66a62728dce21adac80e3f32d90f269e9f26f35873dfd441e7216b063"
 
@@ -53,7 +53,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         synth, out, crawl = work / "synth", work / "pipeline", work / "crawl"
-        labels = [arg for group in GROUP_ORDER
+        labels = [arg for group in GROUPS
                   for arg in ("--labels", str(synth / f"labels_{group}.txt"))]
         for argv in (SYNTH + ["--out", str(synth)],
                      ["pipeline", "--corpus", str(synth / "corpus.jsonl"), *labels,

@@ -12,12 +12,12 @@ prints one row:
 - the graph's edges, the upper-triangular matrix L's entries (undirected
   edges), the closing matrix M's entries (edges that close a triangle at
   their lowest and highest corner) and the row blocks of each of the
-  triangle kernel's two products. The last three read `-` for a kernel
-  without those stages.
+  triangle kernel's two products.
 
-Run it from the repository root. It is not a CI step: n=256,000 takes a few
-minutes and about 2 GB. `--work DIR` keeps each corpus in `DIR/n<N>/` and
-reuses it on the next run:
+Run it from the repository root. The defaults take a few minutes and about
+2 GB at n=256,000; CI runs `--sizes 2000` as a smoke test of the private
+stages it wraps. `--work DIR` keeps each corpus in `DIR/n<N>/` and reuses it
+on the next run:
 
     python3 benchmarks/node_table_scale.py [--sizes 16000 64000] [--work DIR]
 """
@@ -53,9 +53,7 @@ def like_graph(n: int, work: Path) -> interaction.InteractionGraph:
 
 def kernel_sizes(graph: interaction.InteractionGraph) -> tuple[str, str]:
     """nnz(M) and the block count of each product, from one more call with
-    the kernel's private stages wrapped; `-` where the kernel has none."""
-    if not hasattr(interaction, "_masked_product"):
-        return "-", "-"
+    the kernel's private stages wrapped."""
     products, blocks = [], []
     masked_product, row_blocks = interaction._masked_product, interaction._row_blocks
 

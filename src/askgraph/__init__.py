@@ -7,7 +7,7 @@ from .corpus import (  # noqa: F401
     lexicon_word, load_corpus, load_lexicon, save_corpus, tag_corpus, tokenize,
 )
 from .wordgraph import (  # noqa: F401
-    BipartiteGraph, OneModeGraph, WordSet, build_bipartite, cooccurrence_distribution,
+    BipartiteGraph, OneModeGraph, build_bipartite, cooccurrence_distribution,
     eigenvector_centrality, project_words, select_top_words, word_neighborhood,
 )
 from .interaction import (  # noqa: F401

@@ -205,10 +205,7 @@ class _Words:
 
     @_staged("select_top_words")
     def word_set(self):
-        args = self.run.args
-        return wg_mod.select_top_words(
-            self.scores, self.polarity, threshold=args.threshold, cap=args.cap
-        )
+        return wg_mod.select_top_words(self.scores, self.run.args.threshold, self.run.args.cap)
 
 
 class _Run:
@@ -341,8 +338,8 @@ def _outputs(run: _Run, command: str) -> Iterator[tuple[str, object]]:
         yield "corpus_stats.json", vars(run.stats)
     elif command == "words":
         for polarity, words in run.words.items():
-            yield (f"wordset_{polarity}.txt",
-                   reports.word_set_lines(words.word_set, args.threshold, args.cap))
+            yield (f"wordset_{polarity}.txt", reports.word_set_lines(
+                polarity, words.word_set, words.scores, args.threshold, args.cap))
             yield (f"wordgraph_{polarity}_edges.csv",
                    (["word_a", "word_b", "weight"], reports.word_graph_edges(words.graph)))
             yield f"wordgraph_{polarity}_nodes.csv", (["word", "centrality"], words.scores.items())
@@ -363,7 +360,7 @@ def _outputs(run: _Run, command: str) -> Iterator[tuple[str, object]]:
     elif command == "synth":
         corpus, labels = run.synthetic
         yield "corpus.jsonl", corpus
-        for group in synth_mod.GROUP_ORDER:
+        for group in seg_mod.GROUPS:
             members = sorted(u for u, g in labels.items() if g == group)
             yield f"labels_{group}.txt", [f"label: {group}", *members]
     elif command == "crawl-sim":

@@ -169,6 +169,7 @@ class TaggedCorpus(Corpus):
     def word_counts(self, words: Collection[str]) -> np.ndarray:
         """Occurrences of `words` in each question. Words outside `vocab`
         count 0, so tag the corpus over `words` first."""
+        words = frozenset(words)
         return self.counts @ np.array([w in words for w in self.vocab], dtype=np.int64)
 
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus, tag_corpus
-from .wordgraph import WordSet
 
 
 # The metric battery's fixed parameters: the top-x% points of the in/out
@@ -113,7 +112,7 @@ class MetricsReport:
 
 
 def build_interaction_graph(
-    corpus: Corpus, neg_words: WordSet, top_k: int = 15
+    corpus: Corpus, neg_words: Collection[str], top_k: int = 15
 ) -> InteractionGraph:
     """Build the directed like graph over fully-sampled users.
 
@@ -123,7 +122,7 @@ def build_interaction_graph(
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    tagged = tag_corpus(corpus, neg_words.words)
+    tagged = tag_corpus(corpus, neg_words)
     sampled = tagged.sampled
     nodes = tuple(compress(tagged.owners, sampled))
     node = np.cumsum(sampled, dtype=np.int64) - 1  # each sampled owner's node index

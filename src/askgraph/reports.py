@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from .corpus import atomic_write, save_corpus
 from .interaction import MetricsReport
 from .segmentation import GroupRow
-from .wordgraph import OneModeGraph, WordSet
+from .wordgraph import OneModeGraph
 
 
 def write_output(path: str | Path, content) -> None:
@@ -56,13 +56,16 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
-def word_set_lines(word_set: WordSet, threshold: float, cap: int) -> Iterator[str]:
-    """One `word score` per line under a '#' metadata header."""
-    yield f"# polarity: {word_set.polarity}"
+def word_set_lines(
+    polarity: str, words: tuple[str, ...], scores: dict[str, float], threshold: float, cap: int
+) -> Iterator[str]:
+    """One `word score` per line of the word set `words`, each score read
+    from the centrality dict `scores`, under a '#' metadata header."""
+    yield f"# polarity: {polarity}"
     yield f"# threshold: {threshold!r}"
     yield f"# cap: {cap}"
-    for word in word_set.words:
-        yield f"{word} {word_set.scores[word]!r}"
+    for word in words:
+        yield f"{word} {scores[word]!r}"
 
 
 def word_graph_edges(graph: OneModeGraph) -> Iterator[tuple[str, str, int]]:

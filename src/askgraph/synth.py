@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus
+from .segmentation import GROUPS
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -89,8 +90,6 @@ class SplitMix64:
         return out
 
 
-GROUP_ORDER = ("HN", "HP", "PN", "OTHR")
-
 # minimum questions needed to realize each planted label
 _MIN_QUESTIONS = {"HN": 3, "HP": 11, "PN": 8, "OTHR": 0}
 
@@ -115,17 +114,19 @@ class GenParams:
     def validate(self) -> None:
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
-        if set(self.group_mix) - set(GROUP_ORDER):
-            raise ValueError(f"unknown groups in mix: {set(self.group_mix) - set(GROUP_ORDER)}")
+        if set(self.group_mix) - set(GROUPS):
+            raise ValueError(f"unknown groups in mix: {set(self.group_mix) - set(GROUPS)}")
         if abs(sum(self.group_mix.values()) - 1.0) > 1e-12:
             raise ValueError("group mix must sum to 1")
-        if any(f < 0 for f in self.group_mix.values()):
+        if any(not f >= 0 for f in self.group_mix.values()):  # NaN included
             raise ValueError("group mix fractions must be nonnegative")
         lo, hi = self.questions_per_user
         if lo < 0 or hi < lo:
             raise ValueError("invalid questions_per_user range")
-        if self.like_rate < 0:
+        if not self.like_rate >= 0:  # NaN included
             raise ValueError("like_rate must be nonnegative")
+        if self.like_rate == float("inf"):
+            raise ValueError("like_rate must be finite")
         for group, needed in _MIN_QUESTIONS.items():
             if self.group_mix.get(group, 0.0) > 0 and hi < needed:
                 raise ValueError(
@@ -144,11 +145,11 @@ class GenParams:
 
 def quota_counts(mix: dict[str, float], n: int) -> dict[str, int]:
     """Largest-remainder allocation of n users to groups; deterministic."""
-    floors = {g: int(mix.get(g, 0.0) * n) for g in GROUP_ORDER}
+    floors = {g: int(mix.get(g, 0.0) * n) for g in GROUPS}
     remainder = n - sum(floors.values())
     fractional = sorted(
-        GROUP_ORDER,
-        key=lambda g: (-(mix.get(g, 0.0) * n - floors[g]), GROUP_ORDER.index(g)),
+        GROUPS,
+        key=lambda g: (-(mix.get(g, 0.0) * n - floors[g]), GROUPS.index(g)),
     )
     for g in fractional[:remainder]:
         floors[g] += 1
@@ -197,7 +198,7 @@ def generate_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
     labels: dict[str, str] = {}
     user_ids = [f"u{i:05d}" for i in range(params.n_users)]
     i = 0
-    for group in GROUP_ORDER:
+    for group in GROUPS:
         for _ in range(counts[group]):
             labels[user_ids[i]] = group
             i += 1

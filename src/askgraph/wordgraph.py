@@ -3,7 +3,8 @@ word selection.
 
 The incidence matrix is binary at profile granularity: a word is linked to
 a user if it appears in at least one question on that user's profile, so
-projected edge weights count shared profiles.
+projected edge weights count shared profiles. A word set is the tuple of
+its selected words, whose scores stay in the centrality dict.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Binary word x user incidence matrix (rows words, cols users)."""
+    """Binary word x user incidence matrix: rows are `words`, columns are
+    the `owners` of the corpus it was built from, in order."""
 
     words: tuple[str, ...]
-    users: tuple[str, ...]
-    incidence: sp.csr_matrix  # shape (len(words), len(users)), dtype int64, entries {0,1}
+    incidence: sp.csr_matrix  # shape (len(words), len(owners)), dtype int64, entries {0,1}
 
 
 @dataclass(frozen=True)
@@ -52,24 +53,8 @@ class OneModeGraph:
 
 
 @dataclass(frozen=True)
-class WordSet:
-    polarity: str
-    words: tuple[str, ...]  # descending score, ties lexicographic
-    scores: dict[str, float]
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.scores
-
-    def __iter__(self):
-        return iter(self.words)
-
-
-@dataclass(frozen=True)
 class FrequencyVector:
-    entries: tuple[tuple[str, float], ...]  # fixed to the WordSet order
+    entries: tuple[tuple[str, float], ...]  # fixed to the word set's order
     n_profiles: int
 
 
@@ -84,7 +69,7 @@ def build_bipartite(corpus: Corpus, lexicon: Collection[str]) -> BipartiteGraph:
         shape=(len(words), len(tagged.owners)),
     )
     incidence.data[:] = 1  # the conversion summed the questions sharing a word
-    return BipartiteGraph(words=words, users=tagged.owners, incidence=incidence)
+    return BipartiteGraph(words=words, incidence=incidence)
 
 
 def project_words(bipartite: BipartiteGraph) -> OneModeGraph:
@@ -107,7 +92,7 @@ def eigenvector_centrality(
     maximum keep nonzero scores (ties within 1e-12 relative all survive).
     Isolated nodes and zero-edge graphs score exactly 0.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -151,12 +136,14 @@ def eigenvector_centrality(
 
 
 def select_top_words(
-    scores: dict[str, float], polarity: str, threshold: float = 0.5, cap: int = 80
-) -> WordSet:
-    """Keep words with score strictly above threshold, at most `cap` of them,
-    ordered by descending score with lexicographic tie-break."""
+    scores: dict[str, float], threshold: float = 0.5, cap: int = 80
+) -> tuple[str, ...]:
+    """The word set: words with score strictly above threshold, at most `cap`
+    of them, ordered by descending score with lexicographic tie-break."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
+    if np.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     candidates = [(w, s) for w, s in scores.items() if s > threshold]
     candidates.sort(key=lambda ws: (-ws[1], ws[0]))
     selected = candidates[:cap]
@@ -164,11 +151,7 @@ def select_top_words(
         raise ValueError(
             f"no words with centrality > {threshold}; threshold too high for this corpus"
         )
-    return WordSet(
-        polarity=polarity,
-        words=tuple(w for w, _ in selected),
-        scores={w: s for w, s in selected},
-    )
+    return tuple(w for w, _ in selected)
 
 
 def word_neighborhood(
@@ -186,18 +169,20 @@ def word_neighborhood(
     return records
 
 
-def cooccurrence_distribution(corpus: Corpus, core: str, word_set: WordSet) -> FrequencyVector:
+def cooccurrence_distribution(
+    corpus: Corpus, core: str, word_set: tuple[str, ...]
+) -> FrequencyVector:
     """Mean occurrence count of each selected word over profiles whose
-    question tokens contain `core`. Entry order follows the WordSet order so
-    the x-axis is constant across plots."""
-    if len(word_set) == 0:
+    question tokens contain `core`. Entry order follows the word set's order
+    so the x-axis is constant across plots."""
+    if not word_set:
         raise ValueError("word set is empty")
-    tagged = tag_corpus(corpus, {core, *word_set.words})
+    tagged = tag_corpus(corpus, {core, *word_set})
     matching = tagged.per_profile(tagged.word_counts({core})) > 0
     n_matching = int(matching.sum())
     if n_matching == 0:
         raise ValueError(f"no profile contains the word {core!r}")
     totals = tagged.counts.T @ matching[tagged.owner].astype(np.int64)
-    columns = np.searchsorted(tagged.vocab, word_set.words)
-    entries = tuple(zip(word_set.words, (totals[columns] / n_matching).tolist()))
+    columns = np.searchsorted(tagged.vocab, word_set)
+    entries = tuple(zip(word_set, (totals[columns] / n_matching).tolist()))
     return FrequencyVector(entries=entries, n_profiles=n_matching)

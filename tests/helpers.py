@@ -13,7 +13,6 @@ import numpy as np
 from askgraph.corpus import Corpus
 from askgraph.interaction import InteractionGraph, node_table, reciprocity
 from askgraph.segmentation import GroupRow
-from askgraph.wordgraph import WordSet
 
 
 def like_graph(
@@ -42,10 +41,10 @@ def graph_from_pairs(pairs, nodes=None) -> InteractionGraph:
     return like_graph(nodes=tuple(node_set), edges={p: (1, 0) for p in pairs})
 
 
-def vocab_word_set(words: tuple[str, ...] | list[str], polarity: str) -> WordSet:
-    """A plain vocabulary as a WordSet with unit scores."""
-    ordered = tuple(sorted(set(words)))
-    return WordSet(polarity=polarity, words=ordered, scores={w: 1.0 for w in ordered})
+def vocab_word_set(words: tuple[str, ...] | list[str]) -> tuple[str, ...]:
+    """A plain vocabulary as a word set: its words sorted, as equal scores
+    order them."""
+    return tuple(sorted(set(words)))
 
 
 def group_row(rows: Sequence[GroupRow], name: str) -> GroupRow:

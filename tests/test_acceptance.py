@@ -87,7 +87,6 @@ def test_criterion_1_projection_oracle(capfd):
             ]
             bip = BipartiteGraph(
                 words=tuple(f"w{i}" for i in range(n_words)),
-                users=tuple(f"u{j}" for j in range(n_users)),
                 incidence=sp.csr_matrix(np.array(dense, dtype=np.int64)),
             )
             produced = project_words(bip).adjacency.toarray()
@@ -262,8 +261,8 @@ def test_criterion_6_planted_structure_recovery(capfd):
             rng_seed=600,
         )
         corp, planted = generate_corpus(params)
-        neg_ws = vocab_word_set(params.neg_vocab, "negative")
-        pos_ws = vocab_word_set(params.pos_vocab, "positive")
+        neg_ws = vocab_word_set(params.neg_vocab)
+        pos_ws = vocab_word_set(params.pos_vocab)
         from askgraph.corpus import content_table
         from askgraph.segmentation import classify_corpus
 
@@ -346,7 +345,7 @@ def test_criterion_8_metric_shapes(capfd):
             corp, _ = generate_corpus(params)
             from askgraph.interaction import build_interaction_graph
 
-            graph = build_interaction_graph(corp, vocab_word_set(("ugly", "hate"), "negative"))
+            graph = build_interaction_graph(corp, vocab_word_set(("ugly", "hate")))
             t = node_table(graph)
 
             for i in range(len(graph.nodes)):  # neg + nonneg degree sums equal merged

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import sys
@@ -115,6 +116,23 @@ class TestArgs:
         assert capsys.readouterr().err.startswith(f"askgraph: error [{stage}] ")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv,message", [
+        (("words", "--corpus", DEMO, "--tol", "nan"),
+         "[eigenvector_centrality] tol must be positive"),
+        (("words", "--corpus", DEMO, "--threshold", "nan"),
+         "[select_top_words] threshold must not be NaN"),
+        (("synth", "--seed", 1, "--like-rate", "nan"),
+         "[generate_corpus] like_rate must be nonnegative"),
+        (("synth", "--seed", 1, "--like-rate", "inf"),
+         "[generate_corpus] like_rate must be finite"),
+        (("synth", "--seed", 1, "--mix", "HN:nan,HP:.2,PN:.2,OTHR:.6"),
+         "[generate_corpus] group mix fractions must be nonnegative"),
+    ])
+    def test_non_finite_number_is_named(self, tmp_path, capsys, argv, message):
+        assert run(*argv, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"askgraph: error {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_load_config_rejects_bad_lines(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("not a pair\n", encoding="utf-8")
@@ -133,6 +151,22 @@ class TestSubcommands:
         for name in ("wordset_negative.txt", "wordset_positive.txt",
                      "wordgraph_negative_edges.csv", "wordgraph_positive_nodes.csv"):
             assert (tmp_path / name).exists()
+
+    def test_word_set_file_matches_the_nodes_csv(self, tmp_path):
+        synth = tmp_path / "synth"
+        assert run("synth", "--seed", 3, "--n-users", 60, "--questions", "11-18",
+                   "--out", synth) == 0
+        assert run("words", "--corpus", synth / "corpus.jsonl", "--cap", 5,
+                   "--threshold", 0.2, "--out", tmp_path) == 0
+        for polarity in ("negative", "positive"):
+            with open(tmp_path / f"wordgraph_{polarity}_nodes.csv", newline="") as fh:
+                nodes = list(csv.reader(fh))[1:]
+            above = sorted(((-float(text), word), text) for word, text in nodes
+                           if float(text) > 0.2)
+            assert len(above) > 5  # the cap binds
+            lines = (tmp_path / f"wordset_{polarity}.txt").read_text().splitlines()
+            assert lines[:3] == [f"# polarity: {polarity}", "# threshold: 0.2", "# cap: 5"]
+            assert lines[3:] == [f"{word} {text}" for (_, word), text in above[:5]]
 
     def test_graph(self, tmp_path):
         assert run("graph", "--corpus", DEMO, "--out", tmp_path) == 0

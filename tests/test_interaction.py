@@ -31,7 +31,7 @@ from helpers import (
     vocab_word_set,
 )
 
-NEG_WS = vocab_word_set(["ugly", "hate"], "negative")
+NEG_WS = vocab_word_set(["ugly", "hate"])
 
 
 def corpus_of(profiles):

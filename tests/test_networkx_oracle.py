@@ -112,24 +112,23 @@ def test_node_table_matches_networkx_on_hub_graphs(seed):
 def bipartite_graphs(draw):
     """1-12 words by 1-10 users, each word on any set of users."""
     words = tuple(f"w{i:02d}" for i in range(draw(st.integers(1, 12))))
-    users = tuple(f"u{j:02d}" for j in range(draw(st.integers(1, 10))))
+    n_users = draw(st.integers(1, 10))
     links = draw(st.sets(st.tuples(st.integers(0, len(words) - 1),
-                                   st.integers(0, len(users) - 1))))
+                                   st.integers(0, n_users - 1))))
     rows, cols = zip(*sorted(links)) if links else ((), ())
     incidence = sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(len(words), len(users))
+        (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(len(words), n_users)
     )
-    return BipartiteGraph(words=words, users=users, incidence=incidence)
+    return BipartiteGraph(words=words, incidence=incidence)
 
 
 def nx_bipartite(bipartite):
+    """Words are named by their strings, users by their column numbers."""
     b = nx.Graph()
     b.add_nodes_from(bipartite.words)
-    b.add_nodes_from(bipartite.users)
+    b.add_nodes_from(range(bipartite.incidence.shape[1]))
     coo = bipartite.incidence.tocoo()
-    b.add_edges_from(
-        (bipartite.words[i], bipartite.users[j]) for i, j in zip(coo.row, coo.col)
-    )
+    b.add_edges_from((bipartite.words[i], int(j)) for i, j in zip(coo.row, coo.col))
     return b
 
 
@@ -158,7 +157,6 @@ def test_projection_matches_networkx(bipartite):
 # two word pairs on two users: tied dominant components, both kept
 TIED = BipartiteGraph(
     words=("w00", "w01", "w02", "w03"),
-    users=("u00", "u01"),
     incidence=sp.csr_matrix(np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int64)),
 )
 

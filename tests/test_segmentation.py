@@ -17,8 +17,8 @@ from askgraph.segmentation import (
 )
 from helpers import group_row, vocab_word_set
 
-NEG = vocab_word_set(["ugly", "hate"], "negative")
-POS = vocab_word_set(["nice", "sweet"], "positive")
+NEG = vocab_word_set(["ugly", "hate"])
+POS = vocab_word_set(["nice", "sweet"])
 
 
 def profile(owner, texts, fully_sampled=True):

@@ -171,7 +171,7 @@ class TestGenerateCorpus:
         p = params(n_users=10, group_mix={"HN": 1.0})
         corp, labels = generate_corpus(p)
         pred = classify_corpus(content_table(
-            corp, vocab_word_set(NEG_VOCAB, "negative"), vocab_word_set(POS_VOCAB, "positive")
+            corp, vocab_word_set(NEG_VOCAB), vocab_word_set(POS_VOCAB)
         ))
         assert set(pred.values()) == {"HN"}
         assert pred == labels
@@ -179,7 +179,7 @@ class TestGenerateCorpus:
     def test_planted_labels_recovered(self):
         corp, labels = generate_corpus(params(n_users=100))
         pred = classify_corpus(content_table(
-            corp, vocab_word_set(NEG_VOCAB, "negative"), vocab_word_set(POS_VOCAB, "positive")
+            corp, vocab_word_set(NEG_VOCAB), vocab_word_set(POS_VOCAB)
         ))
         assert pred == labels
 

@@ -38,8 +38,8 @@ from helpers import crawl_order, edge_map, frontier, vocab_word_set
 NEG = frozenset({"ugly", "fat", "hate", "cool"})
 POS = frozenset({"nice", "sweet", "cool"})  # "cool" is in both
 WORDS = sorted(NEG | POS | {"day", "movie"})
-NEG_WS = vocab_word_set(["ugly", "fat", "cool"], "negative")
-POS_WS = vocab_word_set(["nice", "cool", "day"], "positive")
+NEG_WS = vocab_word_set(["ugly", "fat", "cool"])
+POS_WS = vocab_word_set(["nice", "cool", "day"])
 USERS = ["u0", "u1", "u2", "u3", "u4", "u5"]
 
 
@@ -161,11 +161,11 @@ def reference_incidence(profiles, lexicon):
 
 
 def reference_cooccurrence(profiles, core, word_set):
-    tracked = set(word_set.words)
-    totals = {w: 0 for w in word_set.words}
+    tracked = set(word_set)
+    totals = {w: 0 for w in word_set}
     n_matching = 0
     for profile_hits in reference_hits(profiles, {core, *tracked}).values():
-        counts = {w: 0 for w in word_set.words}
+        counts = {w: 0 for w in word_set}
         has_core = False
         for question in profile_hits:
             for word in question:
@@ -179,12 +179,12 @@ def reference_cooccurrence(profiles, core, word_set):
                 totals[w] += c
     if n_matching == 0:
         return None
-    return tuple((w, totals[w] / n_matching) for w in word_set.words), n_matching
+    return tuple((w, totals[w] / n_matching) for w in word_set), n_matching
 
 
 def reference_weights(profiles, neg_words, top_k):
     users = {u for u, p in profiles.items() if p["fully_sampled"]}
-    hits = reference_hits(profiles, neg_words.words)
+    hits = reference_hits(profiles, neg_words)
     weights = {}
     for owner in sorted(users):
         for q, words in zip(profiles[owner]["questions"][:top_k], hits[owner][:top_k]):
@@ -347,12 +347,13 @@ def test_bipartite_incidence_matches_string_hits(records, pretag):
     for lexicon in (NEG, POS):
         b = build_bipartite(tagged_or_plain(corpus, pretag), lexicon)
         assert b.words == tuple(sorted(lexicon))
-        assert b.users == tuple(sorted(profiles))
+        assert corpus.owners == tuple(sorted(profiles))
+        assert b.incidence.shape == (len(lexicon), len(corpus.owners))
         b.incidence.check_format(full_check=True)
         assert b.incidence.dtype == np.int64 and b.incidence.has_canonical_format
         dense = b.incidence.toarray()
         assert set(dense.ravel().tolist()) <= {0, 1}
-        linked = {(b.words[i], b.users[j]) for i, j in zip(*np.nonzero(dense))}
+        linked = {(b.words[i], corpus.owners[j]) for i, j in zip(*np.nonzero(dense))}
         assert linked == reference_incidence(profiles, lexicon)
 
 
@@ -436,7 +437,7 @@ def test_analyses_read_only_the_tagged_columns(records, core, top_k):
             columns(content_table(c, NEG_WS, POS_WS)),
             outcome(corpus_stats, c, NEG, POS),
             compute_metrics(c, node_table(graph)),
-            (bipartite.words, bipartite.users, bipartite.incidence.toarray().tolist()),
+            (bipartite.words, c.owners, bipartite.incidence.toarray().tolist()),
             outcome(cooccurrence_distribution, c, core, POS_WS),
         ]
 

@@ -22,12 +22,10 @@ def profile_with(owner, *texts):
     return {"owner": owner, "questions": [{"text": t} for t in texts]}
 
 
-def bipartite_from_dense(matrix, words=None, users=None):
+def bipartite_from_dense(matrix):
     matrix = np.asarray(matrix, dtype=np.int64)
-    words = words or tuple(f"w{i}" for i in range(matrix.shape[0]))
-    users = users or tuple(f"u{j}" for j in range(matrix.shape[1]))
-    return BipartiteGraph(words=tuple(words), users=tuple(users),
-                          incidence=sp.csr_matrix(matrix))
+    words = tuple(f"w{i}" for i in range(matrix.shape[0]))
+    return BipartiteGraph(words=words, incidence=sp.csr_matrix(matrix))
 
 
 def graph_from_edges(nodes, edges):
@@ -63,7 +61,8 @@ class TestBuildBipartite:
         bip = build_bipartite(corp, self.LEX)
         dense = bip.incidence.toarray()
         row = {w: dense[i] for i, w in enumerate(bip.words)}
-        u = {name: bip.users.index(name) for name in ("u1", "u2")}
+        assert bip.incidence.shape == (3, len(corp.owners))
+        u = {name: corp.owners.index(name) for name in ("u1", "u2")}
         assert row["ugly"][u["u1"]] == 1 and row["ugly"][u["u2"]] == 1
         assert row["fat"][u["u1"]] == 1 and row["fat"][u["u2"]] == 0
         assert (row["hate"] == 0).all()
@@ -165,35 +164,33 @@ class TestEigenvectorCentrality:
 class TestSelectTopWords:
     def test_strict_threshold(self):
         scores = {"a": 1.0, "b": 0.6, "c": 0.5, "d": 0.0}
-        ws = select_top_words(scores, "negative", threshold=0.5, cap=80)
-        assert ws.words == ("a", "b")
+        assert select_top_words(scores, threshold=0.5, cap=80) == ("a", "b")
 
     def test_cap_applied_after_threshold(self):
         scores = {f"w{i:03d}": 0.6 + i * 1e-4 for i in range(200)}
-        ws = select_top_words(scores, "negative", threshold=0.5, cap=80)
+        ws = select_top_words(scores, threshold=0.5, cap=80)
         assert len(ws) == 80
-        assert ws.words[0] == "w199"
+        assert ws[0] == "w199"
 
     def test_cap_monotonicity(self):
         scores = {f"w{i}": 0.6 + i * 0.001 for i in range(30)}
-        small = select_top_words(scores, "negative", cap=10).words
-        large = select_top_words(scores, "negative", cap=20).words
+        small = select_top_words(scores, cap=10)
+        large = select_top_words(scores, cap=20)
         assert large[:10] == small
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_cap_below_one_raises(self, cap):
         scores = {f"w{i}": 0.6 + i * 0.001 for i in range(30)}
         with pytest.raises(ValueError, match="cap must be >= 1"):
-            select_top_words(scores, "negative", cap=cap)
+            select_top_words(scores, cap=cap)
 
     def test_ties_broken_lexicographically(self):
         scores = {"b": 0.9, "a": 0.9, "c": 1.0}
-        ws = select_top_words(scores, "negative")
-        assert ws.words == ("c", "a", "b")
+        assert select_top_words(scores) == ("c", "a", "b")
 
     def test_empty_result_raises(self):
         with pytest.raises(ValueError, match="threshold"):
-            select_top_words({"a": 0.2}, "negative")
+            select_top_words({"a": 0.2})
 
 
 class TestWordNeighborhood:
@@ -214,7 +211,7 @@ class TestWordNeighborhood:
 
 
 class TestCooccurrenceDistribution:
-    WS = vocab_word_set(["ugly", "hate", "cut"], "negative")
+    WS = vocab_word_set(["ugly", "hate", "cut"])
 
     def test_single_profile(self):
         corp = Corpus.from_records([profile_with("a", "cut ugly ugly hate")])
