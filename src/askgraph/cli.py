@@ -299,16 +299,20 @@ class _Run:
     @_staged("generate_corpus")
     def synthetic(self):
         args = self.args
+        where = f"--questions {args.questions!r}"
         if "-" in args.questions.lstrip("-"):
             lo, _, hi = args.questions.partition("-")
-            questions = (int(lo), int(hi))
+            questions = (_number(int, where, lo), _number(int, where, hi))
         else:
-            questions = (int(args.questions),) * 2
+            questions = (_number(int, where, args.questions),) * 2
         mix: dict[str, float] = {}
-        for group, _, frac in (part.partition(":") for part in args.mix.split(",")):
+        for part in args.mix.split(","):
+            group, colon, frac = part.partition(":")
+            if not colon:
+                raise ValueError(f"--mix entry {part!r} is not GROUP:FRACTION")
             if group.strip() in mix:
                 raise ValueError(f"--mix repeats group {group.strip()!r}")
-            mix[group.strip()] = float(frac)
+            mix[group.strip()] = _number(float, f"--mix entry {part!r}", frac)
         params = synth_mod.GenParams(
             n_users=args.n_users,
             group_mix=mix,
@@ -324,6 +328,16 @@ class _Run:
     def crawl(self):
         seeds = [s for s in self.args.seeds.split(",") if s]
         return synth_mod.snowball_sample(self.corpus, seeds, self.args.budget)
+
+
+def _number(kind: type, where: str, part: str) -> int | float:
+    """`part` of a flag's value read as an int or a float; a ValueError
+    names `where` it is (the flag and its value) and the part."""
+    try:
+        return kind(part)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: {part!r} is not {what}") from None
 
 
 def _outputs(run: _Run, command: str) -> Iterator[tuple[str, object]]:

@@ -8,7 +8,8 @@ to like_count-descending order on load.
 A `Corpus` is columns, one entry per question and per profile, built once
 by whatever builds the corpus: `Corpus.from_records` (which `load_corpus`
 feeds line by line), `generate_corpus` and `snowball_sample`.
-`Corpus.records` is the one read-back. `tag_corpus` adds each question's
+`save_corpus` is the one read-back: it writes each profile's line straight
+from the columns. `tag_corpus` adds each question's
 vocabulary word counts and is the only caller of `tokenize`: every analysis
 is a reduction over these columns. A lexicon is the frozenset of its
 words, and a run keys its two lexicons by polarity.
@@ -22,6 +23,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -132,24 +134,6 @@ class Corpus:
             texts=tuple(texts), answers=tuple(answers), like_count=like_count,
             liker_ptr=liker_ptr, liker=liker,
         )
-
-    def records(self) -> Iterator[dict]:
-        """Each profile as a corpus file record, in `order`."""
-        ids = self.owners + self.strangers
-        rows = np.searchsorted(self.owner, range(len(self.owners) + 1)).tolist()
-        texts, answers, likes = self.texts, self.answers, self.like_count.tolist()
-        ptr, liker, sampled = self.liker_ptr.tolist(), self.liker.tolist(), self.sampled.tolist()
-        for k in self.order.tolist():
-            questions = []
-            for r in range(rows[k], rows[k + 1]):
-                question = {"text": texts[r], "answer": answers[r],
-                            "likers": [ids[i] for i in liker[ptr[r]:ptr[r + 1]]],
-                            "like_count": likes[r]}
-                if likes[r] and ptr[r] == ptr[r + 1]:
-                    # a count read without liker ids: an empty list would contradict it
-                    del question["likers"]
-                questions.append(question)
-            yield {"owner": ids[k], "fully_sampled": sampled[k], "questions": questions}
 
     def per_profile(self, values: np.ndarray) -> np.ndarray:
         """Sum of a per-question int array over each profile's questions,
@@ -309,17 +293,39 @@ def atomic_write(path: str | Path):
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write `corpus.records()` in the canonical line-delimited format,
+    """Write each profile in `order` as one line of the corpus file format,
     through `atomic_write`.
 
     Output is deterministic: fixed key order, compact separators, question
-    order as stored (like_count descending). load_corpus(save_corpus(c))
-    round-trips byte-identically.
+    order as stored (like_count descending), and each string encoded as
+    `json.dumps(..., ensure_ascii=False)` encodes it. A question read with a
+    like count but no liker ids is written without `likers`, since an empty
+    list would contradict its count. load_corpus(save_corpus(c)) round-trips
+    byte-identically. Each line is built from the columns as it is written.
     """
+    ids = [encode_basestring(x) for x in corpus.owners + corpus.strangers]
+    # each liker's encoded id, and where each profile's likers start and
+    # how many each row has: no list holds an int object per liker
+    names = np.array(ids, dtype=object)[corpus.liker].tolist()
+    rows = np.searchsorted(corpus.owner, range(len(corpus.owners) + 1))
+    first, rows = corpus.liker_ptr[rows].tolist(), rows.tolist()
+    n_likers, likes = np.diff(corpus.liker_ptr).tolist(), corpus.like_count.tolist()
+    texts, answers, sampled = corpus.texts, corpus.answers, corpus.sampled.tolist()
     with atomic_write(path) as fh:
-        for record in corpus.records():
-            fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
+        for k in corpus.order.tolist():
+            questions, start = [], first[k]
+            for r in range(rows[k], rows[k + 1]):
+                end = start + n_likers[r]
+                text, answer = encode_basestring(texts[r]), encode_basestring(answers[r])
+                head = f'{{"text":{text},"answer":{answer}'
+                if likes[r] and start == end:
+                    questions.append(f'{head},"like_count":{likes[r]}}}')
+                else:
+                    listed = ",".join(names[start:end])
+                    questions.append(f'{head},"likers":[{listed}],"like_count":{likes[r]}}}')
+                start = end
+            fh.write(f'{{"owner":{ids[k]},"fully_sampled":{"true" if sampled[k] else "false"},'
+                     f'"questions":[{",".join(questions)}]}}\n')
 
 
 def lexicon_word(word: str, name: str = "entry") -> str:

@@ -3,14 +3,17 @@ snowball-crawl simulator over ground-truth corpora.
 
 All randomness flows through a splitmix64 generator (state advance by the
 golden-gamma constant, two xor-multiply finalizer rounds) so corpora are
-reproducible bit-for-bit across platforms and implementations.
+reproducible bit-for-bit across platforms and implementations. Output i of
+the stream is a pure function of seed + (i + 1) * gamma, so `generate_corpus`
+draws as scalars only the counts that decide where later draws lie, and
+computes every other draw from its stream position, all at once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -19,38 +22,78 @@ from .segmentation import GROUPS
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# randbelow(m) rejects only outputs >= 2**64 - (2**64 % m), so for every
+# modulus up to 2**32 an output below this is accepted
+_SUSPECT = (1 << 64) - (1 << 32)
+_CHUNK = 1 << 12  # runs of draws, or texts, handled per numpy pass: small temporaries
+
+
+def _mix(seed: int, positions: np.ndarray) -> np.ndarray:
+    """The stream's outputs at `positions` (uint64): the finalizer of the
+    state seed + (position + 1) * gamma, mod 2**64 as numpy uint64 wraps."""
+    z = positions.astype(np.uint64)
+    z += np.uint64(1)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    return z
+
+
+def _below(seed: int, positions: np.ndarray, moduli) -> np.ndarray:
+    """The outputs at `positions` mod `moduli`, as int64: randbelow's value
+    where the output is not rejected."""
+    return (_mix(seed, positions) % np.asarray(moduli, dtype=np.uint64)).astype(np.int64)
 
 
 class SplitMix64:
     """Portable 64-bit RNG: splitmix64 state advance and finalizer.
 
-    The i-th output is mix(seed + i * gamma) mod 2**64, so outputs are
-    computed in blocks with numpy uint64 arithmetic (which wraps mod 2**64)
-    and handed out as plain ints."""
+    Outputs are computed in blocks by `_mix` into `out` and handed out as
+    plain ints, `out[at]` next. Each block notes the stream positions of its
+    outputs at or above `suspect`, by default `_SUSPECT`, below which a
+    `randbelow` of a modulus up to 2**32 rejects nothing. Up to the next of
+    those (`clean`), a caller may read draws from `out` directly, since no
+    rejection can come between them."""
 
     _BLOCK = 4096
-    _STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64  # state after the last buffered output
-        self._buf: list[int] = []  # buffered outputs, next one last
+    def __init__(self, seed: int, suspect: int = _SUSPECT):
+        self.seed = seed & _MASK64
+        self.suspect = suspect
+        self.out = array("Q")  # computed outputs from stream position `base` on
+        self.base = 0
+        self.at = 0  # index in `out` of the next output
+        self._suspects: list[int] = []  # stream positions of suspect outputs, ascending
 
-    def _refill(self) -> None:
-        z = self._STEPS + np.uint64(self._state)
-        z ^= z >> 30
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> 27
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> 31
-        self._buf = z[::-1].tolist()
-        self._state = (self._state + self._BLOCK * _GAMMA) & _MASK64
+    def extend(self, count: int = 1) -> None:
+        """Compute outputs until at least `count` are not yet drawn, dropping
+        the drawn ones."""
+        missing = count - (len(self.out) - self.at)
+        if missing <= 0:
+            return
+        end = self.base + len(self.out)
+        z = _mix(self.seed, np.arange(end, end + -(-missing // self._BLOCK) * self._BLOCK,
+                                      dtype=np.uint64))
+        self.base += self.at
+        self._suspects = (self._suspects[bisect_left(self._suspects, self.base):]
+                          + (np.flatnonzero(z >= self.suspect) + end).tolist())
+        self.out = self.out[self.at:] + array("Q", z.tobytes())
+        self.at = 0
+
+    def clean(self) -> int:
+        """The index in `out` of the next suspect output, or len(out)."""
+        k = bisect_left(self._suspects, self.base + self.at)
+        return self._suspects[k] - self.base if k < len(self._suspects) else len(self.out)
 
     def next_u64(self) -> int:
-        try:
-            return self._buf.pop()
-        except IndexError:
-            self._refill()
-            return self._buf.pop()
+        if self.at == len(self.out):
+            self.extend()
+        self.at += 1
+        return self.out[self.at - 1]
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
@@ -68,26 +111,29 @@ class SplitMix64:
             raise ValueError("empty range")
         return lo + self.randbelow(hi - lo + 1)
 
-    def sample(self, population: Sequence, k: int, skip: int | None = None) -> list:
-        """k distinct elements, order of draw preserved, leaving out the
-        element at index `skip` if one is given.
 
-        Each draw is the position among the elements still available, as if
-        they were copied into a list and popped; it is mapped to its index
-        by stepping past the sorted indices already taken. O(k^2)."""
-        taken = [] if skip is None else [skip]
-        if k > len(population) - len(taken):
-            raise ValueError("sample larger than population")
-        out = []
-        for _ in range(k):
-            idx = self.randbelow(len(population) - len(taken))
-            for t in taken:
-                if t > idx:
-                    break
-                idx += 1
-            insort(taken, idx)
-            out.append(population[idx])
-        return out
+def _draws(seed: int, starts: np.ndarray, lengths: np.ndarray, moduli: np.ndarray,
+           exact: list[int], step: int = 0) -> np.ndarray:
+    """The randbelow values of runs of draws, flat in run order, as int64.
+
+    Run r holds `lengths[r]` draws from stream position `starts[r]` on, its
+    j-th being randbelow(moduli[r] - step * j). A run whose start is -1 was
+    drawn one value at a time, and its values are the next ones in `exact`."""
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    out = np.empty(int(bounds[-1]), dtype=np.int64)
+    exact = np.array(exact, dtype=np.int64)
+    used = 0
+    for r in range(0, len(starts), _CHUNK):
+        end = min(r + _CHUNK, len(starts))
+        lo, hi = bounds[r], bounds[end]
+        count = lengths[r:end]
+        within = np.arange(hi - lo) - np.repeat(bounds[r:end] - lo, count)
+        out[lo:hi] = _below(seed, np.repeat(starts[r:end], count) + within,
+                            np.repeat(moduli[r:end], count) - step * within)
+        drawn = lo + np.flatnonzero(np.repeat(starts[r:end] < 0, count))
+        out[drawn] = exact[used:used + len(drawn)]
+        used += len(drawn)
+    return out
 
 
 # minimum questions needed to realize each planted label
@@ -174,62 +220,213 @@ def _question_counts(label: str, n_q: int, rng: SplitMix64) -> tuple[int, int]:
     return neg, pos
 
 
-def _make_text(vocab: tuple[str, ...], filler: tuple[str, ...], rng: SplitMix64) -> str:
-    words = [filler[rng.randbelow(len(filler))] for _ in range(rng.randint(2, 5))]
-    for _ in range(rng.randint(1, 2)):
-        words.append(vocab[rng.randbelow(len(vocab))])
-    return " ".join(words)
-
-
-def _neutral_text(filler: tuple[str, ...], rng: SplitMix64) -> str:
-    return " ".join(filler[rng.randbelow(len(filler))] for _ in range(rng.randint(3, 6)))
-
-
 def generate_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
     """Deterministically generate a corpus whose users classify exactly to
     their planted group labels.
 
     Returns the corpus and the planted label per user. Group sizes follow
     largest-remainder quotas, not sampling.
+
+    Each user draws, in order: a question count, its negative and positive
+    question counts, then each question's text (negative, positive, then
+    neutral ones: a count of filler words, the filler picks, and for a
+    tagged text a count of vocabulary words and their picks), then for each
+    question a like count and that many distinct likers other than itself.
+    `_walk` draws the counts and notes where each text and each question's
+    likes start; the rest is computed from those positions.
     """
     params.validate()
-    rng = SplitMix64(params.rng_seed)
     counts = quota_counts(params.group_mix, params.n_users)
-    labels: dict[str, str] = {}
     user_ids = [f"u{i:05d}" for i in range(params.n_users)]
-    i = 0
-    for group in GROUPS:
-        for _ in range(counts[group]):
-            labels[user_ids[i]] = group
-            i += 1
-
+    planted = [group for group in GROUPS for _ in range(counts[group])]
     vocab_taboo = set(params.neg_vocab) | set(params.pos_vocab)
     filler = tuple(w for w in _FILLER if w not in vocab_taboo)
-    lo, hi = params.questions_per_user
-    max_likes = max(0, round(2 * params.like_rate))
-
-    texts, n_rows, like_count, liker_code = [], [], [], []
-    population = range(params.n_users)
-    n_others = params.n_users - 1
-    for pos, owner in enumerate(user_ids):
-        label = labels[owner]
-        n_q = max(rng.randint(lo, hi), _MIN_QUESTIONS[label])
-        n_neg, n_pos = _question_counts(label, n_q, rng)
-        texts += (
-            [_make_text(params.neg_vocab, filler, rng) for _ in range(n_neg)]
-            + [_make_text(params.pos_vocab, filler, rng) for _ in range(n_pos)]
-            + [_neutral_text(filler, rng) for _ in range(n_q - n_neg - n_pos)]
-        )
-        for _ in range(n_q):
-            n_likes = rng.randint(0, max_likes) if max_likes and n_others else 0
-            likers = rng.sample(population, min(n_likes, n_others), skip=pos)
-            like_count.append(len(likers))
-            liker_code += likers
-        n_rows.append(n_q)
+    vocabs = (filler, params.neg_vocab, params.pos_vocab)  # the word picks' kinds 0, 1, 2
+    walk = _walk(params, planted, [len(v) for v in vocabs])
+    texts = _texts(params.rng_seed, vocabs, walk)
+    like_count, liker = _likes(params.rng_seed, walk)
+    population = np.arange(params.n_users)
     corpus = Corpus.from_rows(user_ids, population, [True] * len(population),
-                              np.repeat(population, n_rows), texts, [""] * len(texts),
-                              like_count, like_count, liker_code)
-    return corpus, labels
+                              np.repeat(population, walk.n_rows), texts, [""] * len(texts),
+                              like_count, like_count, liker)
+    return corpus, dict(zip(user_ids, planted))
+
+
+@dataclass(frozen=True)
+class _Walk:
+    """What `_walk` notes, in draw order. A text or a question's likes whose
+    position is -1 was drawn one value at a time, and its counts and values
+    are listed instead."""
+
+    n_rows: np.ndarray  # per user: its question count
+    n_neg: np.ndarray  # per user: its negative questions, which come first
+    n_pos: np.ndarray  # per user: its positive questions, which come next
+    text_at: np.ndarray  # per text: the stream position of its first count draw
+    text_exact: list[int]  # filler and vocabulary word counts of the texts at -1
+    pick_exact: list[int]  # their word picks
+    like_span: int  # the like-count modulus, or 0 if no like count is drawn
+    like_at: np.ndarray  # per question, if like_span: the position of its like-count draw
+    like_exact: list[int]  # like counts of the questions at -1
+    liker_exact: list[int]  # their liker draws
+
+
+def _walk(params: GenParams, planted: list[str], modulus: list[int]) -> _Walk:
+    """Walk the stream in draw order, drawing every count as a scalar.
+
+    A text, or a question's likes, whose most draws hold no suspect output
+    is read straight from the computed outputs: only its position is noted,
+    since its counts and picks follow from it. Any other is drawn one value
+    at a time with `randint` and `randbelow`, which step past a rejected
+    output, and its counts and values are noted instead."""
+    lo, hi = params.questions_per_user
+    n_others = params.n_users - 1
+    drawn_likes = max(0, round(2 * params.like_rate))
+    like_span = drawn_likes + 1 if drawn_likes and n_others else 0  # the like-count modulus
+    max_likes = min(drawn_likes, n_others)  # a question's most likers
+    # no output below this is rejected by any modulus the walk draws from:
+    # the ones that grow with the params, and the fixed ones (at most 5),
+    # which `_SUSPECT` covers
+    rng = SplitMix64(params.rng_seed,
+                     min(_SUSPECT, (1 << 64) - max(hi - lo + 1, like_span, n_others, *modulus)))
+    randint, randbelow = rng.randint, rng.randbelow
+    n_rows, n_negs, n_poss = array("q"), array("q"), array("q")
+    text_at, like_at = array("q"), array("q")
+    text_exact: list[int] = []
+    pick_exact: list[int] = []
+    like_exact: list[int] = []
+    liker_exact: list[int] = []
+
+    def exact_picks(least: int, most: int, kind: int) -> int:
+        count = randint(least, most)
+        pick_exact.extend([randbelow(modulus[kind]) for _ in range(count)])
+        return count
+
+    for label in planted:
+        n_q = max(randint(lo, hi), _MIN_QUESTIONS[label])
+        n_neg, n_pos = _question_counts(label, n_q, rng)
+        n_rows.append(n_q)
+        n_negs.append(n_neg)
+        n_poss.append(n_pos)
+        # room for all the user's draws: a text takes at most 9 (a neutral
+        # one 7) and a question's likes at most 1 + max_likes; a text or
+        # likes whose draws could reach the next suspect output (or the end
+        # of `out`) is drawn one value at a time
+        rng.extend(n_q * (10 + max_likes))
+        out, base, i, clean = rng.out, rng.base, rng.at, rng.clean()
+        for t in range(n_neg + n_pos):
+            if i + 9 > clean:
+                rng.at = i
+                text_exact += (exact_picks(2, 5, 0), exact_picks(1, 2, 1 if t < n_neg else 2))
+                text_at.append(-1)
+                out, base, i, clean = rng.out, rng.base, rng.at, rng.clean()
+            else:
+                text_at.append(base + i)
+                i += 3 + out[i] % 4
+                i += 2 + out[i] % 2
+        for _ in range(n_q - n_neg - n_pos):
+            if i + 7 > clean:
+                rng.at = i
+                text_exact += (exact_picks(3, 6, 0), 0)
+                text_at.append(-1)
+                out, base, i, clean = rng.out, rng.base, rng.at, rng.clean()
+            else:
+                text_at.append(base + i)
+                i += 4 + out[i] % 4
+        for _ in range(n_q if like_span else 0):
+            if i + 1 + max_likes > clean:
+                rng.at = i
+                k = min(randint(0, drawn_likes), n_others)
+                liker_exact.extend([randbelow(n_others - j) for j in range(k)])
+                like_exact.append(k)
+                like_at.append(-1)
+                out, base, i, clean = rng.out, rng.base, rng.at, rng.clean()
+            else:
+                like_at.append(base + i)
+                k = out[i] % like_span
+                i += 1 + (k if k < n_others else n_others)  # min() costs more
+        rng.at = i
+    n_rows, n_negs, n_poss, text_at, like_at = (
+        np.frombuffer(a, dtype=np.int64) for a in (n_rows, n_negs, n_poss, text_at, like_at))
+    return _Walk(n_rows, n_negs, n_poss, text_at, text_exact, pick_exact, like_span, like_at,
+                 like_exact, liker_exact)
+
+
+def _texts(seed: int, vocabs: tuple[tuple[str, ...], ...], walk: _Walk) -> list[str]:
+    """Each text: its filler picks from the position after its first count
+    draw, then for a tagged text its vocabulary picks from the one after
+    its second."""
+    at = walk.text_at
+    kind = np.repeat(np.tile([1, 2, 0], len(walk.n_rows)),  # 0 neutral, 1 negative, 2 positive
+                     np.column_stack((walk.n_neg, walk.n_pos,
+                                      walk.n_rows - walk.n_neg - walk.n_pos)).ravel())
+    n_filler = np.where(kind == 0, 3, 2) + _below(seed, at, 4)
+    vocab_at = at + 1 + n_filler
+    n_vocab = np.where(kind == 0, 0, 1 + _below(seed, vocab_at, 2))
+    starts = np.column_stack((at + 1, vocab_at + 1))  # two runs per text, the second maybe empty
+    counts = np.column_stack((n_filler, n_vocab))
+    starts[at < 0] = -1
+    counts[at < 0] = np.reshape(walk.text_exact, (-1, 2))
+    kinds = np.column_stack((np.zeros_like(kind), kind)).ravel()
+    modulus = np.array([len(v) for v in vocabs])
+    ids = _draws(seed, starts.ravel(), counts.ravel(), modulus[kinds], walk.pick_exact)
+    ids += np.repeat(np.cumsum([0, *modulus[:-1]])[kinds], counts.ravel())  # the kind's first id
+    return _join(sum(vocabs, ()), ids, counts.sum(axis=1))
+
+
+def _join(words: tuple[str, ...], ids: np.ndarray, n_words: np.ndarray) -> list[str]:
+    """The texts of `n_words` (each at least 1) consecutive word ids each,
+    their words joined by spaces. Each `_CHUNK` of texts is joined as one
+    string and cut at its texts' ends."""
+    width = np.array([len(w) + 1 for w in words])  # a word and the space after it
+    words = np.array(words, dtype=object)
+    ends = np.cumsum(n_words)
+    texts: list[str] = []
+    for t in range(0, len(n_words), _CHUNK):
+        first = int(ends[t - 1]) if t else 0
+        piece = ids[first:ends[min(t + _CHUNK, len(ends)) - 1]]
+        line = " ".join(words[piece].tolist())
+        stops = np.cumsum(width[piece])[ends[t:t + _CHUNK] - first - 1]
+        starts = np.concatenate(([0], stops[:-1]))
+        texts += map(line.__getitem__, map(slice, starts.tolist(), (stops - 1).tolist()))
+    return texts
+
+
+def _likes(seed: int, walk: _Walk) -> tuple[np.ndarray, np.ndarray]:
+    """Each question's like count and likers (flat, indices into the users):
+    its liker draws follow its like-count draw."""
+    n_others, at = len(walk.n_rows) - 1, walk.like_at
+    if not walk.like_span:
+        return np.zeros(int(walk.n_rows.sum()), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    like_count = np.minimum(_below(seed, at, walk.like_span), n_others)
+    like_count[at < 0] = walk.like_exact
+    draws = _draws(seed, np.where(at < 0, -1, at + 1), like_count,
+                   np.full(len(at), n_others), walk.liker_exact, step=1)
+    owner = np.repeat(np.arange(len(walk.n_rows)), walk.n_rows)
+    return like_count, _likers(owner, like_count, draws)
+
+
+def _likers(owner: np.ndarray, like_count: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Each question's likers, flat: its j-th draw is the position among
+    the users other than its owner and its first j likers, mapped to the
+    user's index by stepping past those, in ascending order, one column j
+    at a time across all questions."""
+    ptr = np.concatenate(([0], np.cumsum(like_count)))
+    by_count = np.argsort(-like_count, kind="stable")  # questions with a j-th liker come first
+    first = ptr[:-1][by_count]
+    n_with = np.bincount(like_count, minlength=1)[::-1].cumsum()[::-1]  # [j]: count >= j
+    taken = np.empty((int(n_with[1]) if len(n_with) > 1 else 0, len(n_with)), dtype=np.int32)
+    taken[:, 0] = owner[by_count[:len(taken)]]
+    liker = np.empty(int(ptr[-1]), dtype=np.int64)
+    for j in range(1, len(n_with)):
+        rows = int(n_with[j])
+        at = first[:rows] + (j - 1)
+        index = draws[at]
+        for column in taken[:rows, :j].T:  # each row ascending
+            index += column <= index
+        liker[at] = index
+        taken[:rows, j] = index
+        taken[:rows, :j + 1].sort(axis=1)
+    return liker
 
 
 def snowball_sample(ground_truth: Corpus, seeds: list[str], budget: int) -> Corpus:

@@ -94,6 +94,8 @@ def eigenvector_centrality(
     """
     if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
+    if tol == float("inf"):
+        raise ValueError("tol must be finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     n = len(graph.nodes)

@@ -1,18 +1,22 @@
 """Test-only constructors, views and oracles of askgraph's types: a like
 graph built from and read back as an edge mapping, a plain vocabulary as a
-word set, a group row by name, a crawl's crawl order and frontier, and the
-brute-force reciprocity and clustering oracles of the node table."""
+word set, a group row by name, a crawl's crawl order and frontier, a
+corpus's profile records, the scalar synthetic generator and its sampler,
+and the brute-force reciprocity and clustering oracles of the node table."""
 
 from __future__ import annotations
 
+from bisect import insort
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from askgraph import synth
 from askgraph.corpus import Corpus
 from askgraph.interaction import InteractionGraph, node_table, reciprocity
-from askgraph.segmentation import GroupRow
+from askgraph.segmentation import GROUPS, GroupRow
+from askgraph.synth import GenParams, SplitMix64
 
 
 def like_graph(
@@ -62,6 +66,104 @@ def crawl_order(sample: Corpus) -> tuple[str, ...]:
 def frontier(sample: Corpus) -> frozenset[str]:
     """A crawl's frontier: its profiles that were not crawled."""
     return frozenset(sample.owners[k] for k in np.flatnonzero(~sample.sampled).tolist())
+
+
+def corpus_records(corpus: Corpus) -> Iterator[dict]:
+    """Each profile as a corpus file record, in `order`: the objects whose
+    `json.dumps(..., ensure_ascii=False, separators=(",", ":"))` are the
+    lines `save_corpus` writes."""
+    ids = corpus.owners + corpus.strangers
+    rows = np.searchsorted(corpus.owner, range(len(corpus.owners) + 1)).tolist()
+    texts, answers, likes = corpus.texts, corpus.answers, corpus.like_count.tolist()
+    ptr, liker = corpus.liker_ptr.tolist(), corpus.liker.tolist()
+    sampled = corpus.sampled.tolist()
+    for k in corpus.order.tolist():
+        questions = []
+        for r in range(rows[k], rows[k + 1]):
+            question = {"text": texts[r], "answer": answers[r],
+                        "likers": [ids[i] for i in liker[ptr[r]:ptr[r + 1]]],
+                        "like_count": likes[r]}
+            if likes[r] and ptr[r] == ptr[r + 1]:
+                # a count read without liker ids: an empty list would contradict it
+                del question["likers"]
+            questions.append(question)
+        yield {"owner": ids[k], "fully_sampled": sampled[k], "questions": questions}
+
+
+def sample(rng: SplitMix64, population: Sequence, k: int, skip: int | None = None) -> list:
+    """k distinct elements, order of draw preserved, leaving out the element
+    at index `skip` if one is given.
+
+    Each draw is the position among the elements still available, as if
+    they were copied into a list and popped; it is mapped to its index by
+    stepping past the sorted indices already taken. O(k^2)."""
+    taken = [] if skip is None else [skip]
+    if k > len(population) - len(taken):
+        raise ValueError("sample larger than population")
+    out = []
+    for _ in range(k):
+        idx = rng.randbelow(len(population) - len(taken))
+        for t in taken:
+            if t > idx:
+                break
+            idx += 1
+        insort(taken, idx)
+        out.append(population[idx])
+    return out
+
+
+def _make_text(vocab: tuple[str, ...], filler: tuple[str, ...], rng: SplitMix64) -> str:
+    words = [filler[rng.randbelow(len(filler))] for _ in range(rng.randint(2, 5))]
+    for _ in range(rng.randint(1, 2)):
+        words.append(vocab[rng.randbelow(len(vocab))])
+    return " ".join(words)
+
+
+def _neutral_text(filler: tuple[str, ...], rng: SplitMix64) -> str:
+    return " ".join(filler[rng.randbelow(len(filler))] for _ in range(rng.randint(3, 6)))
+
+
+def scalar_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
+    """`generate_corpus` as one scalar loop: every draw through `randbelow`,
+    in draw order."""
+    params.validate()
+    rng = SplitMix64(params.rng_seed)
+    counts = synth.quota_counts(params.group_mix, params.n_users)
+    labels: dict[str, str] = {}
+    user_ids = [f"u{i:05d}" for i in range(params.n_users)]
+    i = 0
+    for group in GROUPS:
+        for _ in range(counts[group]):
+            labels[user_ids[i]] = group
+            i += 1
+
+    vocab_taboo = set(params.neg_vocab) | set(params.pos_vocab)
+    filler = tuple(w for w in synth._FILLER if w not in vocab_taboo)
+    lo, hi = params.questions_per_user
+    max_likes = max(0, round(2 * params.like_rate))
+
+    texts, n_rows, like_count, liker_code = [], [], [], []
+    population = range(params.n_users)
+    n_others = params.n_users - 1
+    for pos, owner in enumerate(user_ids):
+        label = labels[owner]
+        n_q = max(rng.randint(lo, hi), synth._MIN_QUESTIONS[label])
+        n_neg, n_pos = synth._question_counts(label, n_q, rng)
+        texts += (
+            [_make_text(params.neg_vocab, filler, rng) for _ in range(n_neg)]
+            + [_make_text(params.pos_vocab, filler, rng) for _ in range(n_pos)]
+            + [_neutral_text(filler, rng) for _ in range(n_q - n_neg - n_pos)]
+        )
+        for _ in range(n_q):
+            n_likes = rng.randint(0, max_likes) if max_likes and n_others else 0
+            likers = sample(rng, population, min(n_likes, n_others), skip=pos)
+            like_count.append(len(likers))
+            liker_code += likers
+        n_rows.append(n_q)
+    corpus = Corpus.from_rows(user_ids, population, [True] * len(population),
+                              np.repeat(population, n_rows), texts, [""] * len(texts),
+                              like_count, like_count, liker_code)
+    return corpus, labels
 
 
 def neg_reciprocity(g: InteractionGraph) -> float:

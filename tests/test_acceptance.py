@@ -32,6 +32,7 @@ from askgraph.wordgraph import (
 from helpers import (
     SimpleView,
     brute_force_reciprocity,
+    corpus_records,
     crawl_order,
     frontier,
     graph_from_pairs,
@@ -276,7 +277,7 @@ def test_criterion_6_planted_structure_recovery(capfd):
 # --- criterion 7: snowball properties -------------------------------------
 
 def profiles(corpus):
-    return {record["owner"]: record for record in corpus.records()}
+    return {record["owner"]: record for record in corpus_records(corpus)}
 
 
 def ground_truth_out_edges(profiles, liker):

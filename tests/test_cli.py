@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from askgraph import corpus, interaction, wordgraph
 from askgraph.cli import load_config, main
 from askgraph.data import bundled_lexicon_path
+from helpers import corpus_records
 
 DATA = Path(__file__).parent / "data"
 DEMO = DATA / "demo_corpus.jsonl"
-DEMO_QUESTIONS = sum(len(p["questions"]) for p in corpus.load_corpus(DEMO).records())
+DEMO_QUESTIONS = sum(len(p["questions"]) for p in corpus_records(corpus.load_corpus(DEMO)))
 LABELS = DATA / "demo_labels_cutting.txt"
 
 
@@ -127,6 +128,8 @@ class TestArgs:
          "[generate_corpus] like_rate must be finite"),
         (("synth", "--seed", 1, "--mix", "HN:nan,HP:.2,PN:.2,OTHR:.6"),
          "[generate_corpus] group mix fractions must be nonnegative"),
+        (("words", "--corpus", DEMO, "--tol", "inf"),
+         "[eigenvector_centrality] tol must be finite"),
     ])
     def test_non_finite_number_is_named(self, tmp_path, capsys, argv, message):
         assert run(*argv, "--out", tmp_path / "out") == 1
@@ -246,6 +249,17 @@ class TestSubcommands:
         argv = [tmp_path / a if a == "nope.txt" else a for a in argv]
         assert run("synth", "--seed", 1, *argv, "--out", tmp_path / "out") == 1
         assert capsys.readouterr().err.startswith(f"askgraph: error [{stage}] ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--questions", "5-"), "--questions '5-': '' is not an integer"),
+        (("--questions", "x"), "--questions 'x': 'x' is not an integer"),
+        (("--mix", "HN:.5,OTHR:.5,HP"), "--mix entry 'HP' is not GROUP:FRACTION"),
+        (("--mix", "HN:.5,OTHR:half"), "--mix entry 'OTHR:half': 'half' is not a number"),
+    ])
+    def test_synth_parse_errors_name_the_flag(self, tmp_path, capsys, argv, message):
+        assert run("synth", "--seed", 1, *argv, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"askgraph: error [generate_corpus] {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_synth_rejects_a_repeated_mix_group(self, tmp_path, capsys):
@@ -523,7 +537,7 @@ class TestFrontierStubs:
                    "--seeds", "u00000", "--budget", 100, "--seed", 1,
                    "--out", tmp_path / "crawl") == 0
         sampled = corpus.load_corpus(tmp_path / "crawl" / "sampled_corpus.jsonl")
-        stubs = sum(not p["fully_sampled"] for p in sampled.records())
+        stubs = sum(not p["fully_sampled"] for p in corpus_records(sampled))
         assert (len(sampled), stubs) == (951, 851)
 
         out = tmp_path / "out"

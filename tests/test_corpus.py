@@ -23,6 +23,7 @@ from askgraph.corpus import (
     tokenize,
 )
 from askgraph.data import bundled_lexicon_path
+from helpers import corpus_records
 
 
 def write_corpus_file(tmp_path, records, name="corpus.jsonl"):
@@ -33,7 +34,7 @@ def write_corpus_file(tmp_path, records, name="corpus.jsonl"):
 
 def profiles(corpus):
     """The corpus's profile records by owner."""
-    return {record["owner"]: record for record in corpus.records()}
+    return {record["owner"]: record for record in corpus_records(corpus)}
 
 
 class TestTokenize:
@@ -242,13 +243,13 @@ def questions(draw):
     question = {"text": draw(_TEXT), "answer": draw(_TEXT), "likers": likers,
                 "like_count": like_count}
     if like_count and not likers:
-        del question["likers"]  # as `records` reads such a question back
+        del question["likers"]  # as `corpus_records` reads such a question back
     return question
 
 
 @st.composite
 def corpora(draw):
-    """Profile records as `records` reads them back, with unsorted owners
+    """Profile records as `corpus_records` reads them back, with unsorted owners
     and questions in the order the loader normalizes to."""
     owners = draw(st.lists(_TEXT.filter(bool), unique=True, max_size=5))
     records = []
@@ -268,13 +269,25 @@ class TestSaveLoadRoundTrip:
     @given(corpora())
     def test_round_trip(self, out_dir, records):
         corpus = Corpus.from_records(records)
-        assert list(corpus.records()) == records
+        assert list(corpus_records(corpus)) == records
         first, second = out_dir / "first.jsonl", out_dir / "second.jsonl"
         save_corpus(corpus, first)
         loaded = load_corpus(first)
-        assert list(loaded.records()) == records
+        assert list(corpus_records(loaded)) == records
         save_corpus(loaded, second)
         assert second.read_bytes() == first.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpora())
+    def test_each_line_is_the_json_of_its_record(self, out_dir, records):
+        """`save_corpus` encodes from the columns what `json.dumps` encodes
+        from the record objects."""
+        corpus = Corpus.from_records(records)
+        path = out_dir / "lines.jsonl"
+        save_corpus(corpus, path)
+        expected = [json.dumps(r, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+                    for r in corpus_records(corpus)]
+        assert path.read_bytes().split(b"\n") == [*expected, b""]
 
 
 class TestLoadLexicon:

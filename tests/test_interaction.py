@@ -23,6 +23,7 @@ from askgraph.interaction import (
 from helpers import (
     SimpleView,
     brute_force_reciprocity,
+    corpus_records,
     edge_map,
     graph_from_pairs,
     like_graph,
@@ -168,7 +169,7 @@ TEXTS = ("ugly one", "I hate it", "fine", "ok then", "")
 def reference_build(corpus, neg_words, top_k):
     """The like graph as plain dicts: sorted node ids, and the edge weights
     keyed (liker, owner) in sorted key order."""
-    profiles = {p["owner"]: p for p in corpus.records()}
+    profiles = {p["owner"]: p for p in corpus_records(corpus)}
     nodes = tuple(sorted(u for u, p in profiles.items() if p["fully_sampled"]))
     edges = {}
     for j in nodes:

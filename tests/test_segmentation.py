@@ -15,7 +15,7 @@ from askgraph.segmentation import (
     labeled_report,
     load_label_file,
 )
-from helpers import group_row, vocab_word_set
+from helpers import corpus_records, group_row, vocab_word_set
 
 NEG = vocab_word_set(["ugly", "hate"])
 POS = vocab_word_set(["nice", "sweet"])
@@ -142,7 +142,7 @@ class TestGroupReport:
         content, table = build_tables(corp)
         labels = classify_corpus(content)
         report = group_report(labels, content, table)
-        profiles = {p["owner"]: p for p in corp.records()}
+        profiles = {p["owner"]: p for p in corpus_records(corp)}
         for row in report:
             members = [u for u, g in labels.items() if g == row.name]
             if not members:
@@ -160,7 +160,7 @@ class TestGroupReport:
         total = sum(
             r.count * r.mean_answers for r in report if r.count
         )
-        assert total == pytest.approx(sum(len(p["questions"]) for p in corp.records()))
+        assert total == pytest.approx(sum(len(p["questions"]) for p in corpus_records(corp)))
 
 
 class TestLabeledReport:

@@ -1,11 +1,15 @@
+import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from askgraph import synth
 from askgraph.cli import main
-from askgraph.corpus import Corpus, content_table, save_corpus
+from askgraph.corpus import Corpus, content_table, load_lexicon, save_corpus
+from askgraph.data import bundled_lexicon_path
 from askgraph.segmentation import classify_corpus
 from askgraph.synth import (
     GenParams,
@@ -14,7 +18,9 @@ from askgraph.synth import (
     quota_counts,
     snowball_sample,
 )
-from helpers import crawl_order, frontier, vocab_word_set
+from helpers import (
+    corpus_records, crawl_order, frontier, sample, scalar_corpus, vocab_word_set,
+)
 
 NEG_VOCAB = ("ugly", "hate", "stupid", "fat")
 POS_VOCAB = ("nice", "sweet", "lovely", "cool")
@@ -59,7 +65,7 @@ class TestSplitMix64:
     def test_sample_distinct(self):
         rng = SplitMix64(5)
         pop = [f"x{i}" for i in range(20)]
-        out = rng.sample(pop, 10)
+        out = sample(rng, pop, 10)
         assert len(set(out)) == 10
 
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64 + 5])
@@ -79,13 +85,13 @@ class TestSplitMix64:
         k = data.draw(st.integers(0, n - (skip is not None)))
         pop = [f"x{i}" for i in range(n)]
         new, old = SplitMix64(seed), SplitMix64(seed)
-        assert new.sample(pop, k, skip) == copy_and_pop_sample(old, pop, k, skip)
+        assert sample(new, pop, k, skip) == copy_and_pop_sample(old, pop, k, skip)
         assert new.next_u64() == old.next_u64()
 
     @pytest.mark.parametrize("n,k,skip", [(0, 1, None), (3, 4, None), (3, 3, 0), (1, 1, 0)])
     def test_sample_larger_than_available_rejected(self, n, k, skip):
         with pytest.raises(ValueError, match="larger than population"):
-            SplitMix64(1).sample([f"x{i}" for i in range(n)], k, skip)
+            sample(SplitMix64(1), [f"x{i}" for i in range(n)], k, skip)
 
 
 def scalar_splitmix64(seed, count):
@@ -196,9 +202,92 @@ class TestGenerateCorpus:
 
     def test_questions_sorted_by_likes(self):
         corp, _ = generate_corpus(params(n_users=10))
-        for p in corp.records():
+        for p in corpus_records(corp):
             likes = [q["like_count"] for q in p["questions"]]
             assert likes == sorted(likes, reverse=True)
+
+
+def columns(corpus):
+    """Every column of a corpus; arrays with their dtype."""
+    out = {}
+    for f in dataclasses.fields(Corpus):
+        value = getattr(corpus, f.name)
+        out[f.name] = (value.dtype.str, value.tolist()) if isinstance(value, np.ndarray) else value
+    return out
+
+
+BUNDLED = tuple(
+    tuple(sorted(load_lexicon(bundled_lexicon_path(p)))) for p in ("negative", "positive")
+)
+MIXES = [
+    {"OTHR": 1.0},
+    {"HN": 1.0},
+    {"HP": 0.5, "PN": 0.5},
+    {"HN": 0.25, "HP": 0.25, "PN": 0.25, "OTHR": 0.25},
+    {"HN": 0.1, "HP": 0.2, "PN": 0.2, "OTHR": 0.5},
+]
+
+
+@st.composite
+def gen_params(draw):
+    """Feasible generator parameters: up to 80 users, question ranges from
+    0 up, like rates from none to 20 likers drawn, vocabularies that take
+    words out of the filler."""
+    mix = draw(st.sampled_from(MIXES))
+    least = max(synth._MIN_QUESTIONS[g] for g in mix)
+    lo = draw(st.integers(0, 16))
+    hi = draw(st.integers(max(lo, least), max(lo, least) + 6))
+    neg, pos = draw(st.sampled_from([(NEG_VOCAB, POS_VOCAB), (("you", "ugly"), ("nice", "day")),
+                                     BUNDLED]))
+    return GenParams(
+        n_users=draw(st.integers(1, 80)), group_mix=mix, questions_per_user=(lo, hi),
+        like_rate=draw(st.sampled_from([0.0, 0.3, 2.0, 7.5, 10.0])), neg_vocab=neg,
+        pos_vocab=pos, rng_seed=draw(st.integers(0, 2**65)),
+    )
+
+
+def assert_matches_scalar_loop(p):
+    corpus, labels = generate_corpus(p)
+    expected, expected_labels = scalar_corpus(p)
+    assert columns(corpus) == columns(expected)
+    assert list(labels.items()) == list(expected_labels.items())
+
+
+class TestScalarOracle:
+    """`generate_corpus` against the scalar loop it replaced, which draws
+    every value through `randbelow` in draw order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gen_params())
+    @example(params(n_users=1, group_mix={"OTHR": 1.0}, questions_per_user=(0, 3)))
+    @example(params(n_users=2, like_rate=10.0))
+    def test_columns_match_the_scalar_loop(self, p):
+        assert_matches_scalar_loop(p)
+
+    @pytest.mark.parametrize("suspect", [1 << 63, (1 << 64) - (1 << 60)])
+    def test_exact_path_matches_the_scalar_loop(self, monkeypatch, suspect):
+        # a lower threshold sends many texts and likes down the path that
+        # draws one value at a time; the outputs must not change
+        monkeypatch.setattr(synth, "_SUSPECT", suspect)
+        walks = []
+        walk = synth._walk
+
+        def noted_walk(*args):
+            walks.append(walk(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(synth, "_walk", noted_walk)
+        for n_users, rate, seed in [(60, 2.0, 1), (7, 10.0, 2), (2, 7.5, 3), (1, 2.0, 4)]:
+            assert_matches_scalar_loop(params(n_users=n_users, like_rate=rate, rng_seed=seed,
+                                              neg_vocab=BUNDLED[0], pos_vocab=BUNDLED[1]))
+        texts_at, likes_at = walks[0].text_at, walks[0].like_at
+        assert (texts_at < 0).any() and (likes_at < 0).any()
+        if suspect > 1 << 63:
+            assert (texts_at >= 0).any() and (likes_at >= 0).any()
+
+    def test_rejected_draws_match_the_scalar_loop(self):
+        # a like-count modulus of 2**63 + 1 rejects about half of its draws
+        assert_matches_scalar_loop(params(n_users=6, like_rate=2.0**62, questions_per_user=(11, 13)))
 
 
 def profile(owner, *likers):
@@ -209,7 +298,7 @@ def profile(owner, *likers):
 
 def profiles(corpus):
     """The corpus's profile records by owner."""
-    return {record["owner"]: record for record in corpus.records()}
+    return {record["owner"]: record for record in corpus_records(corpus)}
 
 
 def chain_corpus():

@@ -33,7 +33,7 @@ from askgraph.interaction import (
 )
 from askgraph.synth import GenParams, generate_corpus, snowball_sample
 from askgraph.wordgraph import build_bipartite, cooccurrence_distribution
-from helpers import crawl_order, edge_map, frontier, vocab_word_set
+from helpers import corpus_records, crawl_order, edge_map, frontier, vocab_word_set
 
 NEG = frozenset({"ugly", "fat", "hate", "cool"})
 POS = frozenset({"nice", "sweet", "cool"})  # "cool" is in both
@@ -267,12 +267,12 @@ def test_columns_match_the_object_built_reference(records):
     expected = reference_columns(records)
     corpus = Corpus.from_records(records)
     assert corpus_columns(corpus) == expected
-    assert [p["owner"] for p in corpus.records()] == [r["owner"] for r in records]
+    assert [p["owner"] for p in corpus_records(corpus)] == [r["owner"] for r in records]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         save_corpus(corpus, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line) for line in lines] == list(corpus.records())
+        assert [json.loads(line) for line in lines] == list(corpus_records(corpus))
         assert corpus_columns(load_corpus(path)) == expected
 
 
@@ -290,11 +290,11 @@ def test_crawl_columns_match_the_object_built_reference(n_users, seed, budget, d
         return
     seeds = data.draw(st.lists(st.sampled_from(liked), min_size=1, max_size=3))
     sample = snowball_sample(gt, seeds, budget)
-    truth = {r["owner"]: r for r in gt.records()}
+    truth = {r["owner"]: r for r in corpus_records(gt)}
     records = [truth[u] for u in crawl_order(sample)] + [
         {"owner": u, "fully_sampled": False, "questions": []} for u in sorted(frontier(sample))
     ]
-    assert list(sample.records()) == records
+    assert list(corpus_records(sample)) == records
     assert corpus_columns(sample) == reference_columns(records)
     assert sample.strangers == ()
 
