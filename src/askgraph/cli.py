@@ -327,7 +327,13 @@ class _Run:
     @_staged("snowball_sample")
     def crawl(self):
         seeds = [s for s in self.args.seeds.split(",") if s]
-        return synth_mod.snowball_sample(self.corpus, seeds, self.args.budget)
+        sample = synth_mod.snowball_sample(self.corpus, seeds, self.args.budget)
+        for owner in sample.owners:
+            # a line break as `str.splitlines` reads one, before the '.'
+            if len(f"{owner}.".splitlines()) > 1:
+                raise ValueError(f"id {owner!r} holds a line break, and crawl_order.txt and "
+                                 "frontier.txt hold one id per line")
+        return sample
 
 
 def _number(kind: type, where: str, part: str) -> int | float:
@@ -354,12 +360,13 @@ def _outputs(run: _Run, command: str) -> Iterator[tuple[str, object]]:
         for polarity, words in run.words.items():
             yield (f"wordset_{polarity}.txt", reports.word_set_lines(
                 polarity, words.word_set, words.scores, args.threshold, args.cap))
-            yield (f"wordgraph_{polarity}_edges.csv",
-                   (["word_a", "word_b", "weight"], reports.word_graph_edges(words.graph)))
+            yield f"wordgraph_{polarity}_edges.csv", reports.word_graph_edges(words.graph)
             yield f"wordgraph_{polarity}_nodes.csv", (["word", "centrality"], words.scores.items())
     elif command == "graph":
-        yield "interaction_edges.csv", (["src", "dst", "n_neg", "n_nonneg"],
-                                        run.interaction.edge_rows())
+        graph = run.interaction
+        yield "interaction_edges.csv", reports.EdgeTable(
+            ["src", "dst", "n_neg", "n_nonneg"], graph.nodes, graph.src, graph.dst,
+            tuple(graph.weights.T))
     elif command == "metrics":
         yield from reports.metrics_outputs(run.metrics)
     elif command == "segment":

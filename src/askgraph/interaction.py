@@ -40,16 +40,6 @@ class InteractionGraph:
         self.src, self.dst = np.divmod(codes, max(len(nodes), 1))
         self.weights = weights  # (E, 2): n_neg, n_nonneg
 
-    def edge_rows(self) -> Iterator[tuple[str, str, int, int]]:
-        """(src_id, dst_id, n_neg, n_nonneg) per edge, in stored order. A
-        generator, so the row lists are freed once the rows are read."""
-        names = self.nodes
-        yield from zip(
-            [names[i] for i in self.src.tolist()],
-            [names[j] for j in self.dst.tolist()],
-            *self.weights.T.tolist(),
-        )
-
 
 @dataclass(frozen=True)
 class EdgeCounts:

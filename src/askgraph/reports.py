@@ -1,5 +1,6 @@
 """Output files: one writer per format, chosen by the file's suffix, and the
-row formatters of the outputs that need one.
+row formatters of the outputs that need one. Edge lists are written from
+their graphs' columns by `write_edges`.
 
 All writes are atomic (temp file + rename); a failed write leaves a
 `.partial` file behind instead of a truncated output.
@@ -9,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -22,15 +24,34 @@ from .segmentation import GroupRow
 from .wordgraph import OneModeGraph
 
 
+# edges per block of `write_edges`
+EDGE_BLOCK = 4096
+
+
+@dataclass(frozen=True)
+class EdgeTable:
+    """An edge list as columns: edge e runs from `names[src[e]]` to
+    `names[dst[e]]` and carries `weights[c][e]` in weight column c. Its CSV
+    has one row per edge, the names first, under `header`."""
+
+    header: list[str]
+    names: tuple[str, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    weights: tuple[np.ndarray, ...]  # one array of counts per weight column, at least one
+
+
 def write_output(path: str | Path, content) -> None:
     """Write `content` in the format the file's suffix names: a corpus to
-    `.jsonl`, a JSON payload to `.json`, a (header, rows) pair to `.csv`,
-    and lines of text to any other file."""
+    `.jsonl`, a JSON payload to `.json`, an edge table or a (header, rows)
+    pair to `.csv`, and lines of text to any other file."""
     suffix = Path(path).suffix
     if suffix == ".jsonl":
         save_corpus(content, path)
     elif suffix == ".json":
         write_json(path, content)
+    elif isinstance(content, EdgeTable):
+        write_edges(path, content)
     elif suffix == ".csv":
         write_csv(path, *content)
     else:
@@ -43,6 +64,46 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> 
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_edges(path: str | Path, table: EdgeTable) -> None:
+    """The bytes `write_csv` writes for the rows (source name, target name,
+    weights...), built from the columns one block of EDGE_BLOCK edges at a
+    time, so no list holds an object per edge.
+
+    Each name is encoded once by `csv.writer` itself, as the first field of a
+    two-field row: a row of one empty field would be written as `""`. Each
+    weight column is formatted once per distinct value. Every encoded cell
+    ends with the separator that follows it, so a row is the join of its
+    cells."""
+    encoded: list[str] = []
+    csv.writer(SimpleNamespace(write=encoded.append)).writerows((n, "") for n in table.names)
+    names = np.array([line[:-2] for line in encoded], dtype=object)  # 'name,' less '\r\n'
+    values = [_distinct(column) for column in table.weights]
+    ends = [","] * (len(values) - 1) + ["\r\n"]
+    texts = [np.array([f"{v}{end}" for v in distinct.tolist()], dtype=object)
+             for distinct, end in zip(values, ends)]
+    cells = np.empty((2 + len(values), EDGE_BLOCK), dtype=object)  # one column per edge
+    with atomic_write(path) as fh:
+        csv.writer(fh).writerow(table.header)
+        for start in range(0, len(table.src), EDGE_BLOCK):
+            block = slice(start, start + EDGE_BLOCK)
+            src = table.src[block]
+            rows = cells[:, : len(src)]
+            rows[0] = names[src]
+            rows[1] = names[table.dst[block]]
+            for row, column, distinct, text in zip(rows[2:], table.weights, values, texts):
+                row[:] = text[np.searchsorted(distinct, column[block])]
+            fh.write("".join(rows.T.ravel().tolist()))
+
+
+def _distinct(column: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a non-negative int array: read off a
+    bincount when its largest value is below its length, since sorting a
+    copy of a long array of small counts costs more, else by a sort."""
+    if len(column) and column.max() < len(column):
+        return np.flatnonzero(np.bincount(column))
+    return np.unique(column)
 
 
 def write_json(path: str | Path, payload) -> None:
@@ -68,18 +129,14 @@ def word_set_lines(
         yield f"{word} {scores[word]!r}"
 
 
-def word_graph_edges(graph: OneModeGraph) -> Iterator[tuple[str, str, int]]:
+def word_graph_edges(graph: OneModeGraph) -> EdgeTable:
     """(word_a, word_b, weight) per edge. The nodes are sorted, so the upper
     triangle in row-major order lists the edges in (word_a, word_b) order."""
     upper = sp.triu(graph.adjacency, 1, format="csr")
     upper.sort_indices()
-    names = graph.nodes
-    rows = np.repeat(np.arange(len(names)), np.diff(upper.indptr))
-    yield from zip(
-        [names[i] for i in rows.tolist()],
-        [names[j] for j in upper.indices.tolist()],
-        upper.data.tolist(),
-    )
+    rows = np.repeat(np.arange(len(graph.nodes)), np.diff(upper.indptr))
+    return EdgeTable(["word_a", "word_b", "weight"], graph.nodes, rows, upper.indices,
+                     (upper.data,))
 
 
 def metrics_outputs(report: MetricsReport) -> list[tuple[str, object]]:

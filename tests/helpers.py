@@ -1,8 +1,9 @@
 """Test-only constructors, views and oracles of askgraph's types: a like
-graph built from and read back as an edge mapping, a plain vocabulary as a
-word set, a group row by name, a crawl's crawl order and frontier, a
-corpus's profile records, the scalar synthetic generator and its sampler,
-and the brute-force reciprocity and clustering oracles of the node table."""
+graph built from an edge mapping and read back as edge rows or a mapping, a
+plain vocabulary as a word set, a group row by name, a crawl's crawl order
+and frontier, a corpus's profile records, the scalar synthetic generator
+and its sampler, and the brute-force reciprocity and clustering oracles of
+the node table."""
 
 from __future__ import annotations
 
@@ -33,9 +34,17 @@ def like_graph(
     return InteractionGraph(tuple(nodes), codes[order], weights[order])
 
 
+def edge_rows(graph: InteractionGraph) -> list[tuple[str, str, int, int]]:
+    """(src_id, dst_id, n_neg, n_nonneg) per edge, in stored order: the rows
+    of `interaction_edges.csv`."""
+    names = graph.nodes
+    return [(names[i], names[j], neg, nonneg) for i, j, (neg, nonneg)
+            in zip(graph.src.tolist(), graph.dst.tolist(), graph.weights.tolist())]
+
+
 def edge_map(graph: InteractionGraph) -> Mapping[tuple[str, str], tuple[int, int]]:
     """Read-only `{(src_id, dst_id): (n_neg, n_nonneg)}` in stored order."""
-    return MappingProxyType({(i, j): (neg, nonneg) for i, j, neg, nonneg in graph.edge_rows()})
+    return MappingProxyType({(i, j): (neg, nonneg) for i, j, neg, nonneg in edge_rows(graph)})
 
 
 def graph_from_pairs(pairs, nodes=None) -> InteractionGraph:

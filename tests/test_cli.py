@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -350,6 +352,26 @@ class TestSubcommands:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("budget", [5, 1], ids=["crawled", "frontier"])
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x1c", "\x85", "\u2028"])
+    def test_crawl_sim_rejects_an_id_holding_a_line_break(self, tmp_path, capsys, brk, budget):
+        """crawl_order.txt and frontier.txt hold one id per line, so an id
+        that `str.splitlines` splits fails before any file is written."""
+        ground_truth = tmp_path / "corpus.jsonl"
+        owner = f"a{brk}b"
+        records = [{"owner": owner, "questions": [{"text": "x", "likers": ["c"]}]},
+                   {"owner": "c", "questions": [{"text": "y", "likers": [owner]}]}]
+        ground_truth.write_text("".join(json.dumps(r) + "\n" for r in records),
+                                encoding="utf-8")
+        out = tmp_path / "crawl"
+        assert run("crawl-sim", "--corpus", ground_truth, "--seeds", "c", "--budget", budget,
+                   "--seed", 1, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"askgraph: error [snowball_sample] id {owner!r} holds a line break, and "
+            "crawl_order.txt and frontier.txt hold one id per line\n"
+        )
+        assert not out.exists()
+
     def test_missing_core_word_is_named_unquoted(self, tmp_path, capsys):
         assert run("neighborhood", "--corpus", DEMO, "--word", "zzz",
                    "--out", tmp_path) == 1
@@ -575,6 +597,50 @@ class TestProfileOrder:
                        "--labels", root / "synth" / "labels_HN.txt",
                        "--out", Path(tmp) / "out") == 0
             assert outputs(Path(tmp) / "out") == expected
+
+
+class TestRenamedOwners:
+    """Owner ids as a real crawl has them, with characters the CSV writer
+    quotes, spaces and non-ASCII text, and answers as long as questions."""
+
+    @pytest.fixture(scope="class")
+    def synth_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("renamed")
+        assert run("synth", "--seed", 4, "--n-users", 300, "--out", root / "synth") == 0
+        source = corpus.load_corpus(root / "synth" / "corpus.jsonl")
+        assert run("pipeline", "--corpus", root / "synth" / "corpus.jsonl",
+                   "--out", root / "out") == 0
+        return source, outputs(root / "out")
+
+    def test_renamed_owners_give_the_same_rows(self, tmp_path, synth_run):
+        source, expected = synth_run
+        # a common prefix and suffix around ids of one length keeps their order
+        rename = {u: f' "{u}", ü字 ' for u in source.owners}
+        renamed = tuple(rename[u] for u in source.owners)
+        assert list(renamed) == sorted(renamed)
+        corpus.save_corpus(dataclasses.replace(source, owners=renamed), tmp_path / "c.jsonl")
+        assert run("pipeline", "--corpus", tmp_path / "c.jsonl", "--out", tmp_path / "out") == 0
+        written = outputs(tmp_path / "out")
+        back = {v: u for u, v in rename.items()}
+
+        def parsed(data):
+            return list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+
+        edges = written.pop("interaction_edges.csv")
+        assert b'" ""u' in edges  # each id is quoted, its quote doubled
+        header, *rows = parsed(edges)
+        assert len(rows) > 100
+        assert [header] + [[back[i], back[j], *w] for i, j, *w in rows] == parsed(
+            expected["interaction_edges.csv"])
+        # no other output names a user
+        assert written == {k: v for k, v in expected.items() if k != "interaction_edges.csv"}
+
+    def test_answers_equal_to_questions_change_no_output(self, tmp_path, synth_run):
+        source, expected = synth_run
+        copy = dataclasses.replace(source, answers=source.texts)
+        corpus.save_corpus(copy, tmp_path / "c.jsonl")
+        assert run("pipeline", "--corpus", tmp_path / "c.jsonl", "--out", tmp_path / "out") == 0
+        assert outputs(tmp_path / "out") == expected
 
 
 class TestCrawlOracle:

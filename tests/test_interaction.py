@@ -25,6 +25,7 @@ from helpers import (
     brute_force_reciprocity,
     corpus_records,
     edge_map,
+    edge_rows,
     graph_from_pairs,
     like_graph,
     neg_reciprocity,
@@ -140,7 +141,7 @@ class TestBuildInteractionGraph:
         profiles = [profile(u, []) for u in ids[:-2]]
         profiles += [profile(ids[-2], [("fine", [ids[-1]])]), profile(ids[-1], [])]
         g = build_interaction_graph(corpus_of(profiles), NEG_WS)
-        assert list(g.edge_rows()) == [(ids[-1], ids[-2], 0, 1)]
+        assert edge_rows(g) == [(ids[-1], ids[-2], 0, 1)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -33,7 +33,7 @@ from askgraph.interaction import (
 )
 from askgraph.synth import GenParams, generate_corpus, snowball_sample
 from askgraph.wordgraph import build_bipartite, cooccurrence_distribution
-from helpers import corpus_records, crawl_order, edge_map, frontier, vocab_word_set
+from helpers import corpus_records, crawl_order, edge_map, edge_rows, frontier, vocab_word_set
 
 NEG = frozenset({"ugly", "fat", "hate", "cool"})
 POS = frozenset({"nice", "sweet", "cool"})  # "cool" is in both
@@ -433,7 +433,7 @@ def test_analyses_read_only_the_tagged_columns(records, core, top_k):
         bipartite = build_bipartite(c, NEG)
         return [
             graph.nodes,
-            list(graph.edge_rows()),
+            edge_rows(graph),
             columns(content_table(c, NEG_WS, POS_WS)),
             outcome(corpus_stats, c, NEG, POS),
             compute_metrics(c, node_table(graph)),
