@@ -11,8 +11,10 @@ of at most 2,000 profiles; this one reaches the code paths that only run
 at scale, such as a like graph of about 460,000 edges and a triangle
 kernel that runs in hundreds of row blocks.
 
-Run it from the repository root; it takes about 10 s and exits 1 when the
-digest differs:
+Each command's line gives its seconds and how far it raised the process's
+peak RSS (`ru_maxrss`, which never falls, so a command that stays under an
+earlier one's peak reads +0 MB). Run it from the repository root; it takes
+about 10 s and exits 1 when the digest differs:
 
     python3 benchmarks/large_digest.py
 """
@@ -20,6 +22,7 @@ digest differs:
 from __future__ import annotations
 
 import hashlib
+import resource
 import sys
 import tempfile
 import time
@@ -60,10 +63,13 @@ def main() -> int:
                       "--out", str(out)],
                      CRAWL + ["--corpus", str(synth / "corpus.jsonl"), "--out", str(crawl)]):
             start = time.perf_counter()
+            peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             if askgraph(argv) != 0:
                 print(f"{argv[0]} failed", file=sys.stderr)
                 return 1
-            print(f"{argv[0]}: {time.perf_counter() - start:.1f} s")
+            rise_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb
+            print(f"{argv[0]}: {time.perf_counter() - start:.1f} s, "
+                  f"peak RSS +{rise_kb / 1024:.0f} MB")
         crawled = len((crawl / "crawl_order.txt").read_text().splitlines())
         stubs = len((crawl / "frontier.txt").read_text().splitlines())
         print(f"crawl-sim: {crawled} profiles crawled, {stubs} in the frontier")

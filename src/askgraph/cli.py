@@ -192,7 +192,7 @@ class _Words:
 
     @_staged("build_bipartite")
     def bipartite(self):
-        return wg_mod.build_bipartite(self.run.tagged, self.run.lexicons[self.polarity])
+        return wg_mod.build_bipartite(self.run.corpus, self.run.lexicons[self.polarity])
 
     @_staged("project_words")
     def graph(self):
@@ -223,7 +223,15 @@ class _Run:
 
     @_staged("load_corpus")
     def corpus(self):
-        return corpus_mod.load_corpus(self.args.corpus)
+        """The `--corpus` file. An analysis reads only question word counts,
+        so it loads the corpus tagged over both lexicons (and `--word` for
+        `cooccur`), keeping no text; `crawl-sim` writes the text it loads."""
+        if self.args.command == "crawl-sim":
+            return corpus_mod.load_corpus(self.args.corpus)
+        vocab = self.lexicons["negative"] | self.lexicons["positive"]
+        if self.args.command == "cooccur":
+            vocab |= {self.args.word}
+        return corpus_mod.load_corpus(self.args.corpus, vocab)
 
     @_staged("load_lexicon")
     def lexicons(self):
@@ -233,24 +241,16 @@ class _Run:
             for polarity, path in paths.items()
         }
 
-    @_staged("tag_corpus")
-    def tagged(self):
-        corpus = self.corpus
-        vocab = self.lexicons["negative"] | self.lexicons["positive"]
-        if self.args.command == "cooccur":
-            vocab |= {self.args.word}
-        return corpus_mod.tag_corpus(corpus, vocab)
-
     @_staged("corpus_stats")
     def stats(self):
         return corpus_mod.corpus_stats(
-            self.tagged, self.lexicons["negative"], self.lexicons["positive"]
+            self.corpus, self.lexicons["negative"], self.lexicons["positive"]
         )
 
     @_staged("build_interaction_graph")
     def interaction(self):
         return inter_mod.build_interaction_graph(
-            self.tagged, self.words["negative"].word_set, top_k=self.args.top_k
+            self.corpus, self.words["negative"].word_set, top_k=self.args.top_k
         )
 
     @_staged("node_table")
@@ -259,12 +259,12 @@ class _Run:
 
     @_staged("compute_metrics")
     def metrics(self):
-        return inter_mod.compute_metrics(self.tagged, self.table)
+        return inter_mod.compute_metrics(self.corpus, self.table)
 
     @_staged("content_table")
     def content(self):
         return corpus_mod.content_table(
-            self.tagged, self.words["negative"].word_set, self.words["positive"].word_set
+            self.corpus, self.words["negative"].word_set, self.words["positive"].word_set
         )
 
     @_staged("classify")
@@ -289,7 +289,7 @@ class _Run:
     @_staged("cooccurrence_distribution")
     def cooccurrence(self):
         words = self.words[self.args.polarity].word_set
-        return wg_mod.cooccurrence_distribution(self.tagged, self.args.word, words)
+        return wg_mod.cooccurrence_distribution(self.corpus, self.args.word, words)
 
     @_staged("word_neighborhood")
     def neighborhood(self):

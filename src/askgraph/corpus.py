@@ -9,8 +9,9 @@ A `Corpus` is columns, one entry per question and per profile, built once
 by whatever builds the corpus: `Corpus.from_records` (which `load_corpus`
 feeds line by line), `generate_corpus` and `snowball_sample`.
 `save_corpus` is the one read-back: it writes each profile's line straight
-from the columns. `tag_corpus` adds each question's
-vocabulary word counts and is the only caller of `tokenize`: every analysis
+from the columns. Each question's vocabulary word counts are added by
+`tag_corpus`, or by `load_corpus` given the vocabulary, which then keeps
+no text: these two are the only callers of `tokenize`, and every analysis
 is a reduction over these columns. A lexicon is the frozenset of its
 words, and a run keys its two lexicons by polarity.
 """
@@ -20,9 +21,10 @@ from __future__ import annotations
 import json
 import os
 import re
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
@@ -69,7 +71,8 @@ class Corpus:
     `like_count`, ties in input order. Row r's likers are
     `liker[liker_ptr[r]:liker_ptr[r + 1]]`, each an index into `owners`
     followed by `strangers`, the sorted liker ids without a profile.
-    Answers are stored, never analyzed."""
+    Answers are stored, never analyzed. A corpus loaded with a vocabulary
+    is a `TaggedCorpus` whose `texts` and `answers` are None."""
 
     owners: tuple[str, ...]
     strangers: tuple[str, ...]
@@ -77,8 +80,8 @@ class Corpus:
     sampled: np.ndarray  # bool, per owner
     total_likes: np.ndarray  # int64, per owner
     owner: np.ndarray  # int64, per row
-    texts: tuple[str, ...]
-    answers: tuple[str, ...]
+    texts: tuple[str, ...] | None
+    answers: tuple[str, ...] | None
     like_count: np.ndarray  # int64, per row
     liker_ptr: np.ndarray  # int64, per row plus one
     liker: np.ndarray  # int32
@@ -95,13 +98,18 @@ class Corpus:
 
     @classmethod
     def from_rows(cls, ids: list[str], owner_code: Sequence[int], sampled: Sequence[bool],
-                  row_code: Sequence[int], texts: Sequence[str], answers: Sequence[str],
-                  like_count: Sequence[int], n_likers: Sequence[int],
-                  liker_code: Sequence[int]) -> Corpus:
+                  row_code: Sequence[int], texts: Sequence[str] | None,
+                  answers: Sequence[str] | None, like_count: Sequence[int],
+                  n_likers: Sequence[int], liker_code: Sequence[int],
+                  tags: tuple[tuple[str, ...], sp.csr_matrix] | None = None) -> Corpus:
         """A corpus of profiles in save order (owner code, an index into `ids`,
         and sampling flag) and of question rows (owner code, text, answer,
         like count, number of likers, in input order per profile), the likers'
-        codes in `liker_code`. `Corpus` puts them in its own order."""
+        codes in `liker_code`. `Corpus` puts them in its own order.
+
+        `tags`, a vocabulary and the rows' counts over it in input order,
+        makes the result the `TaggedCorpus` of those counts; texts and
+        answers are then None, and the corpus holds no text."""
         owner_code = np.asarray(owner_code, dtype=np.int64)
         by_id = ids.__getitem__
         ranked = (sorted(owner_code.tolist(), key=by_id)
@@ -116,8 +124,11 @@ class Corpus:
         # a stable sort keeps each profile's like-count ties in input order
         rows = np.lexsort((-like_count, owner))
         if (rows != np.arange(len(rows))).any():  # rows already in order stay as they are
-            texts = [texts[r] for r in rows.tolist()]
-            answers = [answers[r] for r in rows.tolist()]
+            if tags is None:
+                texts = [texts[r] for r in rows.tolist()]
+                answers = [answers[r] for r in rows.tolist()]
+            else:
+                tags = (tags[0], tags[1][rows])
             owner, like_count = owner[rows], like_count[rows]
             lengths = np.diff(liker_ptr)[rows]
             ends = np.cumsum(lengths)  # each row's likers, moved as a block
@@ -128,12 +139,15 @@ class Corpus:
         flags = np.zeros(n, dtype=bool)
         flags[order] = np.asarray(sampled, dtype=bool)
         likes = np.concatenate(([0], np.cumsum(like_count)))[np.searchsorted(owner, range(n + 1))]
-        return cls(
+        columns = dict(
             owners=tuple(ids[c] for c in ranked[:n]), strangers=tuple(ids[c] for c in ranked[n:]),
             order=order, sampled=flags, total_likes=np.diff(likes), owner=owner,
-            texts=tuple(texts), answers=tuple(answers), like_count=like_count,
-            liker_ptr=liker_ptr, liker=liker,
+            like_count=like_count, liker_ptr=liker_ptr, liker=liker,
         )
+        if tags is None:
+            return cls(**columns, texts=tuple(texts), answers=tuple(answers))
+        vocab, counts = tags
+        return TaggedCorpus(**columns, texts=None, answers=None, vocab=vocab, counts=counts)
 
     def per_profile(self, values: np.ndarray) -> np.ndarray:
         """Sum of a per-question int array over each profile's questions,
@@ -145,7 +159,7 @@ class Corpus:
 class TaggedCorpus(Corpus):
     """A corpus with each question's vocabulary word counts: row r of
     `counts` (questions x `vocab`, int64, duplicates summed) is row r of the
-    corpus."""
+    corpus. Its `texts` and `answers` are None when it was loaded tagged."""
 
     vocab: tuple[str, ...]  # sorted
     counts: sp.csr_matrix
@@ -184,14 +198,47 @@ class CorpusStats:
     pct_users_with_pos_q: float
 
 
-def _parse_records(numbered: Iterable[tuple[int, object]]) -> Corpus:
+class _WordCounts:
+    """The vocabulary word counts of texts added one at a time: each text is
+    tokenized once, and only its ids in `vocab` (sorted) are kept, in two
+    arrays: `word` holds the ids of every text, and `ends` where each text's
+    ids end. No object per text or per id is kept."""
+
+    def __init__(self, vocab: tuple[str, ...]):
+        self.vocab = vocab
+        self.index = {w: i for i, w in enumerate(vocab)}
+        self.ends, self.word = array("q"), array("q")
+
+    def add(self, text: str) -> None:
+        index = self.index
+        self.word.fromlist([index[t] for t in tokenize(text) if t in index])
+        self.ends.append(len(self.word))
+
+    def matrix(self) -> sp.csr_matrix:
+        """The texts x `vocab` int64 counts, a row per text in the order
+        added, duplicates summed."""
+        indptr = np.concatenate(([0], np.frombuffer(self.ends, dtype=np.int64)))
+        indices = np.frombuffer(self.word, dtype=np.int64)
+        counts = sp.csr_matrix((np.ones(len(indices), dtype=np.int64), indices, indptr),
+                               shape=(len(self.ends), len(self.vocab)))
+        counts.sum_duplicates()
+        return counts
+
+
+def _parse_records(numbered: Iterable[tuple[int, object]],
+                   vocab: tuple[str, ...] | None = None) -> Corpus:
     """The corpus of (line number, profile record) pairs: each record is
-    checked, and its owner and likers are interned as they are read."""
+    checked, and its owner and likers are interned as they are read.
+
+    Given a sorted `vocab`, each question is tokenized once it passes its
+    checks and only its vocabulary ids are kept: the result is the
+    `TaggedCorpus` over `vocab`, which holds no text."""
     code: dict[str, int] = {}  # every id read, numbered in order of first sight
     intern = code.setdefault
     seen: set[str] = set()
     owner_code, sampled, n_rows, texts, answers = [], [], [], [], []
     like_count, n_likers, liker_code = [], [], []
+    tagger = None if vocab is None else _WordCounts(vocab)
     for line_no, obj in numbered:
         if not isinstance(obj, dict):
             raise CorpusFormatError(line_no, "profile record must be an object")
@@ -232,8 +279,11 @@ def _parse_records(numbered: Iterable[tuple[int, object]]) -> Corpus:
                 raise CorpusFormatError(
                     line_no, f"like_count {likes} does not match {len(likers)} likers"
                 )
-            texts.append(text)
-            answers.append(answer)
+            if tagger is None:
+                texts.append(text)
+                answers.append(answer)
+            else:
+                tagger.add(text)
             like_count.append(likes)
             n_likers.append(len(likers))
             liker_code += [intern(x, len(code)) for x in likers]
@@ -243,8 +293,12 @@ def _parse_records(numbered: Iterable[tuple[int, object]]) -> Corpus:
         owner_code.append(intern(owner, len(code)))
         sampled.append(fully_sampled)
         n_rows.append(len(questions))
-    return Corpus.from_rows(list(code), owner_code, sampled, np.repeat(owner_code, n_rows),
-                            texts, answers, like_count, n_likers, liker_code)
+    row_code = np.repeat(owner_code, n_rows)
+    if tagger is None:
+        return Corpus.from_rows(list(code), owner_code, sampled, row_code,
+                                texts, answers, like_count, n_likers, liker_code)
+    return Corpus.from_rows(list(code), owner_code, sampled, row_code, None, None,
+                            like_count, n_likers, liker_code, (vocab, tagger.matrix()))
 
 
 def _numbered_records(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
@@ -268,15 +322,22 @@ def _numbered_records(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
         yield line_no, obj
 
 
-def load_corpus(path: str | Path) -> Corpus:
+def load_corpus(path: str | Path, vocab: Iterable[str] | None = None) -> Corpus:
     """Parse a line-delimited profile file into a Corpus.
+
+    Given a `vocab`, the result is `tag_corpus(load_corpus(path), vocab)`
+    without the texts and answers: each question is tokenized as it is
+    read, and only its vocabulary word counts are kept. Such a corpus cannot
+    be saved or tagged over other words.
 
     Raises CorpusFormatError (with the offending line number) on malformed
     records, duplicate owners, like_count/likers mismatches, or strings
-    holding a lone surrogate (which no UTF-8 output can encode).
+    holding a lone surrogate (which no UTF-8 output can encode), the same
+    errors with or without a `vocab`.
     """
+    words = None if vocab is None else tuple(sorted(frozenset(vocab)))
     with open(path, encoding="utf-8") as fh:
-        return _parse_records(_numbered_records(fh))
+        return _parse_records(_numbered_records(fh), words)
 
 
 @contextmanager
@@ -302,7 +363,10 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     like count but no liker ids is written without `likers`, since an empty
     list would contradict its count. load_corpus(save_corpus(c)) round-trips
     byte-identically. Each line is built from the columns as it is written.
+    A corpus loaded without its text raises ValueError.
     """
+    if corpus.texts is None:
+        raise ValueError("the corpus was loaded without its question text, so it cannot be saved")
     ids = [encode_basestring(x) for x in corpus.owners + corpus.strangers]
     # each liker's encoded id, and where each profile's likers start and
     # how many each row has: no list holds an int object per liker
@@ -365,23 +429,21 @@ def tag_corpus(corpus: Corpus, vocab: Iterable[str]) -> TaggedCorpus:
     """Tokenize each question once and count its tokens that are in `vocab`.
 
     A corpus already tagged over a superset of `vocab` is returned as it is,
-    so every consumer can tag its input and a run tokenizes only once."""
+    so every consumer can tag its input and a run tokenizes only once. A
+    corpus loaded without its text can be tagged over no other words: it
+    raises ValueError."""
     vocab = frozenset(vocab)
     if isinstance(corpus, TaggedCorpus) and vocab.issubset(corpus.vocab):
         return corpus
-    words = tuple(sorted(vocab))
-    index = {w: i for i, w in enumerate(words)}
-    # one tuple per question (the empty one is shared): a list each would
-    # leave the garbage collector hundreds of thousands of objects to scan
-    ids = [tuple([index[t] for t in tokenize(text) if t in index]) for text in corpus.texts]
-    indptr = np.cumsum([0, *map(len, ids)], dtype=np.int64)
-    indices = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=int(indptr[-1]))
-    counts = sp.csr_matrix(
-        (np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(len(ids), len(words))
-    )
-    counts.sum_duplicates()
+    if corpus.texts is None:
+        missing = sorted(vocab.difference(corpus.vocab))
+        raise ValueError(f"the corpus was loaded without its question text, tagged over "
+                         f"{len(corpus.vocab)} words, and cannot be tagged over {missing}")
+    tagger = _WordCounts(tuple(sorted(vocab)))
+    for text in corpus.texts:
+        tagger.add(text)
     columns = {f.name: getattr(corpus, f.name) for f in fields(Corpus)}
-    return TaggedCorpus(**columns, vocab=words, counts=counts)
+    return TaggedCorpus(**columns, vocab=tagger.vocab, counts=tagger.matrix())
 
 
 def content_table(corpus: Corpus, neg: Collection[str], pos: Collection[str]) -> ContentTable:

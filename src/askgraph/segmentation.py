@@ -138,10 +138,16 @@ def group_report(
 
 def labeled_report(label_file: LabelFile, content: ContentTable, table: NodeTable) -> GroupRow:
     """Aggregate row over an externally labeled user set; ids without a
-    fully sampled profile are reported as unresolved, not fatal."""
+    fully sampled profile are reported as unresolved, not fatal. An
+    unresolved id holding ';' is an error, since group_report.csv joins the
+    unresolved ids with ';'."""
     users = set(content.users)
     resolved = sorted(label_file.user_ids & users)
     unresolved = tuple(sorted(label_file.user_ids - users))
+    for user_id in unresolved:
+        if ";" in user_id:
+            raise ValueError(f"unresolved id {user_id!r} of label set {label_file.label!r} "
+                             "holds ';', which separates the unresolved ids in group_report.csv")
     if not resolved:
         raise ValueError(
             f"label set {label_file.label!r} has no fully sampled users in the corpus"

@@ -102,6 +102,15 @@ class TestArgs:
         lines = (tmp_path / "wordset_negative.txt").read_text().splitlines()
         assert lines[1] == "# threshold: 0.4"
 
+    def test_lexicon_error_is_reported_before_a_corpus_error(self, tmp_path, capsys):
+        """An analysis reads its lexicons before the corpus, since it loads
+        the corpus tagged over them."""
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n", encoding="utf-8")
+        assert run("stats", "--corpus", bad, "--neg-lexicon", tmp_path / "nope.txt",
+                   "--out", tmp_path) == 1
+        assert "askgraph: error [load_lexicon] [Errno 2]" in capsys.readouterr().err
+
     def test_missing_corpus_message(self, tmp_path, capsys):
         assert run("stats", "--out", tmp_path) == 1
         assert capsys.readouterr().err == (
@@ -189,6 +198,19 @@ class TestSubcommands:
         lines = (tmp_path / "group_report.csv").read_text().splitlines()
         assert len(lines) == 1 + 4 + 1  # header, four groups, one label row
         assert lines[-1].startswith("cutting,")
+
+    def test_unresolved_id_holding_a_semicolon_fails(self, tmp_path, capsys):
+        """group_report.csv joins the unresolved ids with ';', so an id
+        holding one would read as two."""
+        labels = tmp_path / "labels.txt"
+        labels.write_text(LABELS.read_text(encoding="utf-8") + "x;y\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("segment", "--corpus", DEMO, "--labels", labels, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "askgraph: error [labeled_report] unresolved id 'x;y' of label set 'cutting' "
+            "holds ';', which separates the unresolved ids in group_report.csv\n"
+        )
+        assert not out.exists()
 
     def test_cooccur(self, tmp_path):
         # pick a word guaranteed present: the top selected negative word
@@ -523,6 +545,26 @@ class TestComputeOnce:
         calls = self.count_tokenize(monkeypatch)
         assert run(*argv, "--corpus", DEMO, "--out", tmp_path) == 0
         assert len(calls) == DEMO_QUESTIONS == 855
+
+    @pytest.mark.parametrize("argv", [
+        ("stats",), ("words",), ("graph",), ("metrics",), ("segment",), ("pipeline",),
+        ("cooccur", "--word", "movie"), ("neighborhood", "--word", "ugly"),
+    ])
+    def test_analysis_loads_the_corpus_tagged_without_text(self, tmp_path, monkeypatch, argv):
+        loaded = []
+        original = corpus.load_corpus
+
+        def recording(path, vocab=None):
+            loaded.append(original(path, vocab))
+            return loaded[-1]
+
+        monkeypatch.setattr(corpus, "load_corpus", recording)
+        assert run(*argv, "--corpus", DEMO, "--out", tmp_path) == 0
+        (tagged,) = loaded
+        assert tagged.texts is None and tagged.answers is None
+        vocab = corpus.load_lexicon(bundled_lexicon_path("negative")) | corpus.load_lexicon(
+            bundled_lexicon_path("positive"))
+        assert set(tagged.vocab) == (vocab | {"movie"} if argv[0] == "cooccur" else vocab)
 
     def test_likes_answers_correlation_tokenizes_nothing(self, monkeypatch):
         calls = self.count_tokenize(monkeypatch)

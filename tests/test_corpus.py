@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from askgraph.corpus import (
     Corpus,
     CorpusFormatError,
     LexiconError,
+    TaggedCorpus,
     corpus_stats,
     load_corpus,
     load_lexicon,
@@ -35,6 +37,19 @@ def write_corpus_file(tmp_path, records, name="corpus.jsonl"):
 def profiles(corpus):
     """The corpus's profile records by owner."""
     return {record["owner"]: record for record in corpus_records(corpus)}
+
+
+def format_error(path):
+    """The CorpusFormatError that loading `path` raises: the same message
+    and line whether the corpus is loaded with its text or tagged."""
+    errors = []
+    for vocab in (None, {"hi", "x", "ugly"}):
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path, vocab)
+        errors.append(exc.value)
+    text, tagged = errors
+    assert (str(tagged), tagged.line_no) == (str(text), text.line_no)
+    return text
 
 
 class TestTokenize:
@@ -93,24 +108,19 @@ class TestLoadCorpus:
                 {"text": "hi", "likers": ["a", "c"], "like_count": 3},
             ]},
         ])
-        with pytest.raises(CorpusFormatError) as exc:
-            load_corpus(path)
-        assert exc.value.line_no == 2
+        assert format_error(path).line_no == 2
 
     def test_duplicate_owner_rejected(self, tmp_path):
         path = write_corpus_file(tmp_path, [
             {"owner": "a", "questions": []},
             {"owner": "a", "questions": []},
         ])
-        with pytest.raises(CorpusFormatError, match="duplicate owner"):
-            load_corpus(path)
+        assert "duplicate owner" in str(format_error(path))
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"owner": "a", "questions": []}\nnot json\n', encoding="utf-8")
-        with pytest.raises(CorpusFormatError) as exc:
-            load_corpus(path)
-        assert exc.value.line_no == 2
+        assert format_error(path).line_no == 2
 
     @pytest.mark.parametrize("profile_fields,question_fields", [
         ({"fully_sampled": "false"}, {}),
@@ -128,9 +138,7 @@ class TestLoadCorpus:
             **profile_fields,
         }
         path = write_corpus_file(tmp_path, [{"owner": "a", "questions": []}, bad])
-        with pytest.raises(CorpusFormatError) as exc:
-            load_corpus(path)
-        assert exc.value.line_no == 2
+        assert format_error(path).line_no == 2
 
     @pytest.mark.parametrize("text", ["x \\ud800", "\\udfff", "\\ud83d\\ud83d"])
     def test_lone_surrogate_escape_reports_line(self, tmp_path, text):
@@ -138,9 +146,8 @@ class TestLoadCorpus:
         path.write_text('{"owner": "a", "questions": [{"text": "\\ud83d\\ude00 \\u00e9"}]}\n'
                         '{"owner": "b", "questions": [{"text": "%s"}]}\n' % text,
                         encoding="utf-8")
-        with pytest.raises(CorpusFormatError, match="lone surrogate") as exc:
-            load_corpus(path)
-        assert exc.value.line_no == 2
+        error = format_error(path)
+        assert "lone surrogate" in str(error) and error.line_no == 2
 
     def test_like_total_past_int64_reports_line(self, tmp_path):
         half = {"text": "hi", "like_count": 2**62}
@@ -148,9 +155,8 @@ class TestLoadCorpus:
             {"owner": "a", "questions": [half]},
             {"owner": "b", "questions": [half, half]},
         ])
-        with pytest.raises(CorpusFormatError, match="sum past the int64 range") as exc:
-            load_corpus(path)
-        assert exc.value.line_no == 2
+        error = format_error(path)
+        assert "sum past the int64 range" in str(error) and error.line_no == 2
 
     def test_absent_optional_fields_take_defaults(self, tmp_path):
         path = write_corpus_file(tmp_path, [{"owner": "a", "questions": [{"text": "hi"}]}])
@@ -225,6 +231,29 @@ class TestLoadedCorpusMemory:
         assert len(corp) == 2000
         assert retained < 2 * path.stat().st_size
 
+    def test_tagged_load_retains_under_half_of_a_text_load_and_tag(self, tmp_path):
+        """Loading tagged keeps no text: the tagged synth corpus (n=2000,
+        seed 1) holds less than half the memory of the loaded corpus and
+        its `tag_corpus` result together."""
+        assert main(["synth", "--seed", "1", "--n-users", "2000", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "corpus.jsonl"
+        vocab = load_lexicon(bundled_lexicon_path("negative")) | load_lexicon(
+            bundled_lexicon_path("positive"))
+
+        def retained(load):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                corp = load()
+                return corp, tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        text, text_bytes = retained(lambda: tag_corpus(load_corpus(path), vocab))
+        tagged, tagged_bytes = retained(lambda: load_corpus(path, vocab))
+        assert tagged.texts is None and len(tagged) == len(text) == 2000
+        assert tagged_bytes < text_bytes / 2
+
 
 # Text that stresses the line format: line breaks JSON must escape, separators
 # a reader might split on (U+2028, U+2029, U+0085), and edge whitespace.
@@ -236,11 +265,11 @@ _TEXT = st.one_of(
 
 
 @st.composite
-def questions(draw):
+def questions(draw, text=_TEXT):
     likers = draw(st.lists(_TEXT, unique=True, max_size=4))
     # a record may give like_count without likers; the loader keeps the count
     like_count = len(likers) if likers else draw(st.sampled_from([0, 0, 3]))
-    question = {"text": draw(_TEXT), "answer": draw(_TEXT), "likers": likers,
+    question = {"text": draw(text), "answer": draw(_TEXT), "likers": likers,
                 "like_count": like_count}
     if like_count and not likers:
         del question["likers"]  # as `corpus_records` reads such a question back
@@ -248,13 +277,14 @@ def questions(draw):
 
 
 @st.composite
-def corpora(draw):
+def corpora(draw, text=_TEXT):
     """Profile records as `corpus_records` reads them back, with unsorted owners
-    and questions in the order the loader normalizes to."""
+    and questions in the order the loader normalizes to, their texts drawn
+    from `text`."""
     owners = draw(st.lists(_TEXT.filter(bool), unique=True, max_size=5))
     records = []
     for owner in owners:
-        qs = draw(st.lists(questions(), max_size=4))
+        qs = draw(st.lists(questions(text), max_size=4))
         qs.sort(key=lambda q: -q["like_count"])  # the order load_corpus normalizes to
         records.append({"owner": owner, "fully_sampled": draw(st.booleans()), "questions": qs})
     return records
@@ -288,6 +318,61 @@ class TestSaveLoadRoundTrip:
         expected = [json.dumps(r, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
                     for r in corpus_records(corpus)]
         assert path.read_bytes().split(b"\n") == [*expected, b""]
+
+
+# Question text holding vocabulary words, in any case and next to other text.
+_WORDS = ("ugly", "Fat", "nice", "f**k", "don't", "ÉTÉ")
+_TAGGED_TEXT = st.lists(st.one_of(st.sampled_from(_WORDS), _TEXT), max_size=6).map(" ".join)
+# Vocabularies of those words and of words no question holds.
+_VOCABS = st.sets(st.sampled_from([w.lower() for w in _WORDS] + ["absent", "zzz"]))
+
+
+class TestTaggedLoad:
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("tagged_load")
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpora(_TAGGED_TEXT), _VOCABS, st.randoms(use_true_random=False))
+    def test_tagged_load_is_tag_corpus_of_the_text_load(self, out_dir, records, vocab, rng):
+        """Loading over `vocab` gives every column `tag_corpus` of the text
+        load gives, `vocab` and `counts` included, with owners and like
+        counts in any order in the file."""
+        for record in records:
+            rng.shuffle(record["questions"])
+        path = write_corpus_file(out_dir, records)
+        expected, actual = tag_corpus(load_corpus(path), vocab), load_corpus(path, vocab)
+        assert isinstance(actual, TaggedCorpus)
+        assert actual.texts is None and actual.answers is None
+        assert actual.vocab == expected.vocab == tuple(sorted(vocab))
+        for field in fields(Corpus):
+            if field.name not in ("texts", "answers"):
+                value, want = getattr(actual, field.name), getattr(expected, field.name)
+                if isinstance(want, np.ndarray):
+                    assert value.dtype == want.dtype and np.array_equal(value, want), field.name
+                else:
+                    assert value == want, field.name
+        assert actual.counts.shape == expected.counts.shape
+        assert actual.counts.dtype == expected.counts.dtype == np.int64
+        assert actual.counts.has_canonical_format
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(actual.counts, part), getattr(expected.counts, part))
+
+    def test_corpus_without_text_is_not_saved(self, tmp_path):
+        path = write_corpus_file(tmp_path, [make_profile("a", ["ugly day"])])
+        out = tmp_path / "saved.jsonl"
+        with pytest.raises(ValueError, match="without its question text"):
+            save_corpus(load_corpus(path, VOCAB), out)
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_corpus_without_text_is_tagged_over_its_vocabulary_only(self, tmp_path):
+        path = write_corpus_file(tmp_path, [make_profile("a", ["ugly day", "nice"])])
+        tagged = load_corpus(path, VOCAB)
+        assert tag_corpus(tagged, NEG) is tagged
+        with pytest.raises(ValueError, match=r"cannot be tagged over \['day'\]"):
+            tag_corpus(tagged, VOCAB | {"day"})
+        with pytest.raises(ValueError, match="without its question text"):
+            corpus_stats(tagged, NEG, {"day"})
 
 
 class TestLoadLexicon:
