@@ -11,10 +11,10 @@ of at most 2,000 profiles; this one reaches the code paths that only run
 at scale, such as a like graph of about 460,000 edges and a triangle
 kernel that runs in hundreds of row blocks.
 
-Each command's line gives its seconds and how far it raised the process's
-peak RSS (`ru_maxrss`, which never falls, so a command that stays under an
-earlier one's peak reads +0 MB). Run it from the repository root; it takes
-about 10 s and exits 1 when the digest differs:
+Each command runs in a fresh Python process, so its line gives its own
+seconds and that process's peak RSS (`ru_maxrss`, which includes about
+62 MB of interpreter, numpy and scipy). Run it from the repository root;
+it takes about 10 s and exits 1 when a command fails or the digest differs:
 
     python3 benchmarks/large_digest.py
 """
@@ -22,16 +22,15 @@ about 10 s and exits 1 when the digest differs:
 from __future__ import annotations
 
 import hashlib
-import resource
+import os
+import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from askgraph.cli import main as askgraph  # noqa: E402
 from askgraph.segmentation import GROUPS  # noqa: E402
 
 EXPECTED = "703daeb66a62728dce21adac80e3f32d90f269e9f26f35873dfd441e7216b063"
@@ -39,6 +38,17 @@ EXPECTED = "703daeb66a62728dce21adac80e3f32d90f269e9f26f35873dfd441e7216b063"
 CRAWL = ["crawl-sim", "--seeds", "u00001,u12345", "--budget", "4000", "--seed", "1"]
 SYNTH = ["synth", "--seed", "1", "--n-users", "16000", "--questions", "11-18",
          "--like-rate", "2.0", "--mix", "HN:.1,HP:.2,PN:.2,OTHR:.5"]
+
+# one command in a fresh interpreter; its last stdout line is the command's
+# seconds and the process's peak RSS in KiB
+CHILD = """
+import resource, sys, time
+from askgraph.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
 
 
 def tree_digest(path: Path) -> str:
@@ -52,6 +62,21 @@ def tree_digest(path: Path) -> str:
     return h.hexdigest()
 
 
+def run(argv: list[str]) -> bool:
+    """Run one askgraph command in its own process and print its line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    child = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+                           stdout=subprocess.PIPE, text=True)
+    if child.returncode != 0:
+        print(f"{argv[0]} failed", file=sys.stderr)
+        return False
+    seconds, peak_kb = child.stdout.split()[-2:]
+    print(f"{argv[0]}: {float(seconds):.1f} s, peak RSS {int(peak_kb) / 1024:.0f} MB", flush=True)
+    return True
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -62,14 +87,8 @@ def main() -> int:
                      ["pipeline", "--corpus", str(synth / "corpus.jsonl"), *labels,
                       "--out", str(out)],
                      CRAWL + ["--corpus", str(synth / "corpus.jsonl"), "--out", str(crawl)]):
-            start = time.perf_counter()
-            peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            if askgraph(argv) != 0:
-                print(f"{argv[0]} failed", file=sys.stderr)
+            if not run(argv):
                 return 1
-            rise_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb
-            print(f"{argv[0]}: {time.perf_counter() - start:.1f} s, "
-                  f"peak RSS +{rise_kb / 1024:.0f} MB")
         crawled = len((crawl / "crawl_order.txt").read_text().splitlines())
         stubs = len((crawl / "frontier.txt").read_text().splitlines())
         print(f"crawl-sim: {crawled} profiles crawled, {stubs} in the frontier")

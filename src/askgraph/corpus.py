@@ -55,6 +55,13 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def flat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i], starts[i] + 1, ..., starts[i] + lengths[i] - 1,
+    one after another, as one int64 array."""
+    ends = np.cumsum(lengths, dtype=np.int64)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """Profiles and their questions as columns.
@@ -105,7 +112,9 @@ class Corpus:
         """A corpus of profiles in save order (owner code, an index into `ids`,
         and sampling flag) and of question rows (owner code, text, answer,
         like count, number of likers, in input order per profile), the likers'
-        codes in `liker_code`. `Corpus` puts them in its own order.
+        codes in `liker_code`. Rows already in `Corpus` order, as a synthetic
+        corpus's and a saved file's are, are kept as they are; others (a
+        loaded file out of order) are put in that order.
 
         `tags`, a vocabulary and the rows' counts over it in input order,
         makes the result the `TaggedCorpus` of those counts; texts and
@@ -120,21 +129,22 @@ class Corpus:
         owner = position[np.asarray(row_code, dtype=np.int64)]
         like_count = np.asarray(like_count, dtype=np.int64)
         liker_ptr = np.concatenate(([0], np.cumsum(n_likers, dtype=np.int64)))
-        liker = position[np.asarray(liker_code, dtype=np.int64)].astype(np.int32)
+        liker = position.astype(np.int32)[liker_code]
+        # a row that comes before its predecessor means the rows need sorting;
         # a stable sort keeps each profile's like-count ties in input order
-        rows = np.lexsort((-like_count, owner))
-        if (rows != np.arange(len(rows))).any():  # rows already in order stay as they are
+        back = owner[1:] < owner[:-1]
+        back |= (owner[1:] == owner[:-1]) & (like_count[1:] > like_count[:-1])
+        if back.any():
+            rows = np.lexsort((-like_count, owner))
             if tags is None:
-                texts = [texts[r] for r in rows.tolist()]
-                answers = [answers[r] for r in rows.tolist()]
+                texts = tuple(map(texts.__getitem__, rows))
+                answers = tuple(map(answers.__getitem__, rows))
             else:
                 tags = (tags[0], tags[1][rows])
             owner, like_count = owner[rows], like_count[rows]
             lengths = np.diff(liker_ptr)[rows]
-            ends = np.cumsum(lengths)  # each row's likers, moved as a block
-            liker = liker[np.repeat(liker_ptr[rows] - ends + lengths, lengths)
-                          + np.arange(liker_ptr[-1])]
-            liker_ptr = np.concatenate(([0], ends))
+            liker = liker[flat_ranges(liker_ptr[rows], lengths)]  # each row's likers as a block
+            liker_ptr = np.concatenate(([0], np.cumsum(lengths)))
         n = len(order)
         flags = np.zeros(n, dtype=bool)
         flags[order] = np.asarray(sampled, dtype=bool)
@@ -237,7 +247,7 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
     intern = code.setdefault
     seen: set[str] = set()
     owner_code, sampled, n_rows, texts, answers = [], [], [], [], []
-    like_count, n_likers, liker_code = [], [], []
+    like_count, n_likers, liker_code = array("q"), array("q"), array("q")
     tagger = None if vocab is None else _WordCounts(vocab)
     for line_no, obj in numbered:
         if not isinstance(obj, dict):
@@ -253,7 +263,7 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
         fully_sampled = obj.get("fully_sampled", True)
         if not isinstance(fully_sampled, bool):
             raise CorpusFormatError(line_no, "'fully_sampled' must be true or false")
-        start = len(like_count)
+        likes_each = []  # the profile's like counts, stored once their total fits int64
         for question in questions:
             if not isinstance(question, dict) or "text" not in question:
                 raise CorpusFormatError(
@@ -284,17 +294,21 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
                 answers.append(answer)
             else:
                 tagger.add(text)
-            like_count.append(likes)
+            likes_each.append(likes)
             n_likers.append(len(likers))
-            liker_code += [intern(x, len(code)) for x in likers]
-        if sum(like_count[start:]) >= 1 << 63:
+            liker_code.fromlist([intern(x, len(code)) for x in likers])
+        if sum(likes_each) >= 1 << 63:
             raise CorpusFormatError(line_no, "like counts sum past the int64 range")
+        like_count.fromlist(likes_each)
         seen.add(owner)
         owner_code.append(intern(owner, len(code)))
         sampled.append(fully_sampled)
         n_rows.append(len(questions))
     row_code = np.repeat(owner_code, n_rows)
+    like_count, n_likers, liker_code = (
+        np.frombuffer(a, dtype=np.int64) for a in (like_count, n_likers, liker_code))
     if tagger is None:
+        texts, answers = tuple(texts), tuple(answers)  # the lists go before the columns come
         return Corpus.from_rows(list(code), owner_code, sampled, row_code,
                                 texts, answers, like_count, n_likers, liker_code)
     return Corpus.from_rows(list(code), owner_code, sampled, row_code, None, None,

@@ -6,7 +6,7 @@ golden-gamma constant, two xor-multiply finalizer rounds) so corpora are
 reproducible bit-for-bit across platforms and implementations. Output i of
 the stream is a pure function of seed + (i + 1) * gamma, so `generate_corpus`
 draws as scalars only the counts that decide where later draws lie, and
-computes every other draw from its stream position, all at once.
+computes every other draw from its stream position, in numpy passes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, flat_ranges
 from .segmentation import GROUPS
 
 _MASK64 = (1 << 64) - 1
@@ -233,7 +233,8 @@ def generate_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
     tagged text a count of vocabulary words and their picks), then for each
     question a like count and that many distinct likers other than itself.
     `_walk` draws the counts and notes where each text and each question's
-    likes start; the rest is computed from those positions.
+    likes start; the rest is computed from those positions, the likes
+    first, then the texts in the corpus's row order.
     """
     params.validate()
     counts = quota_counts(params.group_mix, params.n_users)
@@ -242,28 +243,25 @@ def generate_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
     vocab_taboo = set(params.neg_vocab) | set(params.pos_vocab)
     filler = tuple(w for w in _FILLER if w not in vocab_taboo)
     vocabs = (filler, params.neg_vocab, params.pos_vocab)  # the word picks' kinds 0, 1, 2
-    walk = _walk(params, planted, [len(v) for v in vocabs])
-    texts = _texts(params.rng_seed, vocabs, walk)
-    like_count, liker = _likes(params.rng_seed, walk)
-    population = np.arange(params.n_users)
-    corpus = Corpus.from_rows(user_ids, population, [True] * len(population),
-                              np.repeat(population, walk.n_rows), texts, [""] * len(texts),
-                              like_count, like_count, liker)
+    users = np.array(sorted(range(params.n_users), key=user_ids.__getitem__))  # by id
+    row_code, texts, like_count, liker = _corpus_rows(
+        params.rng_seed, vocabs, _walk(params, planted, [len(v) for v in vocabs]), users)
+    corpus = Corpus.from_rows(user_ids, range(params.n_users), [True] * params.n_users,
+                              row_code, texts, ("",) * len(texts), like_count, like_count, liker)
     return corpus, dict(zip(user_ids, planted))
 
 
 @dataclass(frozen=True)
 class _Walk:
     """What `_walk` notes, in draw order. A text or a question's likes whose
-    position is -1 was drawn one value at a time, and its counts and values
-    are listed instead."""
+    position is -1 was drawn one value at a time, and its values are noted
+    instead: a text's by its index, a question's likes listed."""
 
     n_rows: np.ndarray  # per user: its question count
     n_neg: np.ndarray  # per user: its negative questions, which come first
     n_pos: np.ndarray  # per user: its positive questions, which come next
     text_at: np.ndarray  # per text: the stream position of its first count draw
-    text_exact: list[int]  # filler and vocabulary word counts of the texts at -1
-    pick_exact: list[int]  # their word picks
+    text_exact: dict[int, tuple[list[int], list[int]]]  # per text at -1: its word picks
     like_span: int  # the like-count modulus, or 0 if no like count is drawn
     like_at: np.ndarray  # per question, if like_span: the position of its like-count draw
     like_exact: list[int]  # like counts of the questions at -1
@@ -291,15 +289,12 @@ def _walk(params: GenParams, planted: list[str], modulus: list[int]) -> _Walk:
     randint, randbelow = rng.randint, rng.randbelow
     n_rows, n_negs, n_poss = array("q"), array("q"), array("q")
     text_at, like_at = array("q"), array("q")
-    text_exact: list[int] = []
-    pick_exact: list[int] = []
+    text_exact: dict[int, tuple[list[int], list[int]]] = {}
     like_exact: list[int] = []
     liker_exact: list[int] = []
 
-    def exact_picks(least: int, most: int, kind: int) -> int:
-        count = randint(least, most)
-        pick_exact.extend([randbelow(modulus[kind]) for _ in range(count)])
-        return count
+    def exact_picks(least: int, most: int, kind: int) -> list[int]:
+        return [randbelow(modulus[kind]) for _ in range(randint(least, most))]
 
     for label in planted:
         n_q = max(randint(lo, hi), _MIN_QUESTIONS[label])
@@ -316,7 +311,8 @@ def _walk(params: GenParams, planted: list[str], modulus: list[int]) -> _Walk:
         for t in range(n_neg + n_pos):
             if i + 9 > clean:
                 rng.at = i
-                text_exact += (exact_picks(2, 5, 0), exact_picks(1, 2, 1 if t < n_neg else 2))
+                text_exact[len(text_at)] = (exact_picks(2, 5, 0),
+                                            exact_picks(1, 2, 1 if t < n_neg else 2))
                 text_at.append(-1)
                 out, base, i, clean = rng.out, rng.base, rng.at, rng.clean()
             else:
@@ -326,7 +322,7 @@ def _walk(params: GenParams, planted: list[str], modulus: list[int]) -> _Walk:
         for _ in range(n_q - n_neg - n_pos):
             if i + 7 > clean:
                 rng.at = i
-                text_exact += (exact_picks(3, 6, 0), 0)
+                text_exact[len(text_at)] = (exact_picks(3, 6, 0), [])
                 text_at.append(-1)
                 out, base, i, clean = rng.out, rng.base, rng.at, rng.clean()
             else:
@@ -347,28 +343,62 @@ def _walk(params: GenParams, planted: list[str], modulus: list[int]) -> _Walk:
         rng.at = i
     n_rows, n_negs, n_poss, text_at, like_at = (
         np.frombuffer(a, dtype=np.int64) for a in (n_rows, n_negs, n_poss, text_at, like_at))
-    return _Walk(n_rows, n_negs, n_poss, text_at, text_exact, pick_exact, like_span, like_at,
-                 like_exact, liker_exact)
+    return _Walk(n_rows, n_negs, n_poss, text_at, text_exact, like_span, like_at, like_exact,
+                 liker_exact)
 
 
-def _texts(seed: int, vocabs: tuple[tuple[str, ...], ...], walk: _Walk) -> list[str]:
-    """Each text: its filler picks from the position after its first count
-    draw, then for a tagged text its vocabulary picks from the one after
-    its second."""
-    at = walk.text_at
-    kind = np.repeat(np.tile([1, 2, 0], len(walk.n_rows)),  # 0 neutral, 1 negative, 2 positive
-                     np.column_stack((walk.n_neg, walk.n_pos,
-                                      walk.n_rows - walk.n_neg - walk.n_pos)).ravel())
+def _corpus_rows(seed: int, vocabs: tuple[tuple[str, ...], ...], walk: _Walk,
+                 users: np.ndarray) -> tuple[np.ndarray, tuple[str, ...], np.ndarray, np.ndarray]:
+    """The questions of `users` in the corpus's row order: user by user,
+    each user's by descending like count, ties in draw order. Returns each
+    row's user, text and like count, and the rows' likers (flat, indices
+    into the users). The likes are drawn first. Then, block by block, the
+    users whose first rows fall in one `_CHUNK` of rows have their rows
+    ordered, their texts drawn and joined in that order and their likers
+    moved, so no temporary holds more than one block's words or likers."""
+    like_count, liker = _likes(seed, walk)
+    first_row = np.concatenate(([0], np.cumsum(walk.n_rows)))  # per user, in draw order
+    first_liker = np.concatenate(([0], np.cumsum(like_count)))  # per row, in draw order
+    n_rows = walk.n_rows[users]
+    # a block starts at each user whose first row starts a new `_CHUNK` of rows
+    cuts = np.flatnonzero(np.diff((np.cumsum(n_rows) - n_rows) // _CHUNK)) + 1
+    row_count, row_liker = np.empty_like(like_count), np.empty_like(liker)
+    texts: list[str] = []
+    likers_done = 0
+    for block, count in zip(np.split(users, cuts), np.split(n_rows, cuts)):
+        rows = flat_ranges(first_row[block], count)  # the block's rows, in draw order
+        kind = np.repeat(np.tile([1, 2, 0], len(block)),  # 0 neutral, 1 negative, 2 positive
+                         np.column_stack((walk.n_neg[block], walk.n_pos[block],
+                                          count - walk.n_neg[block] - walk.n_pos[block])).ravel())
+        by_likes = np.lexsort((-like_count[rows], np.repeat(np.arange(len(block)), count)))
+        rows, kind = rows[by_likes], kind[by_likes]
+        row_count[len(texts):len(texts) + len(rows)] = like_count[rows]
+        texts += _texts(seed, vocabs, walk, rows, kind)
+        moved = liker[flat_ranges(first_liker[rows], like_count[rows])]
+        row_liker[likers_done:likers_done + len(moved)] = moved
+        likers_done += len(moved)
+    return np.repeat(users, n_rows), tuple(texts), row_count, row_liker
+
+
+def _texts(seed: int, vocabs: tuple[tuple[str, ...], ...], walk: _Walk, rows: np.ndarray,
+           kind: np.ndarray) -> list[str]:
+    """The texts of `rows`, of `kind` each (0 neutral, 1 negative, 2
+    positive): a text's filler picks from the position after its first
+    count draw, then for a tagged text its vocabulary picks from the one
+    after its second."""
+    at = walk.text_at[rows]
     n_filler = np.where(kind == 0, 3, 2) + _below(seed, at, 4)
     vocab_at = at + 1 + n_filler
     n_vocab = np.where(kind == 0, 0, 1 + _below(seed, vocab_at, 2))
     starts = np.column_stack((at + 1, vocab_at + 1))  # two runs per text, the second maybe empty
     counts = np.column_stack((n_filler, n_vocab))
+    exact = [walk.text_exact[r] for r in rows[at < 0].tolist()]
     starts[at < 0] = -1
-    counts[at < 0] = np.reshape(walk.text_exact, (-1, 2))
+    counts[at < 0] = np.reshape([(len(f), len(v)) for f, v in exact], (-1, 2))
     kinds = np.column_stack((np.zeros_like(kind), kind)).ravel()
     modulus = np.array([len(v) for v in vocabs])
-    ids = _draws(seed, starts.ravel(), counts.ravel(), modulus[kinds], walk.pick_exact)
+    ids = _draws(seed, starts.ravel(), counts.ravel(), modulus[kinds],
+                 [pick for f, v in exact for pick in f + v])
     ids += np.repeat(np.cumsum([0, *modulus[:-1]])[kinds], counts.ravel())  # the kind's first id
     return _join(sum(vocabs, ()), ids, counts.sum(axis=1))
 
@@ -396,7 +426,7 @@ def _likes(seed: int, walk: _Walk) -> tuple[np.ndarray, np.ndarray]:
     its liker draws follow its like-count draw."""
     n_others, at = len(walk.n_rows) - 1, walk.like_at
     if not walk.like_span:
-        return np.zeros(int(walk.n_rows.sum()), dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.zeros(int(walk.n_rows.sum()), dtype=np.int64), np.zeros(0, dtype=np.int32)
     like_count = np.minimum(_below(seed, at, walk.like_span), n_others)
     like_count[at < 0] = walk.like_exact
     draws = _draws(seed, np.where(at < 0, -1, at + 1), like_count,
@@ -416,7 +446,7 @@ def _likers(owner: np.ndarray, like_count: np.ndarray, draws: np.ndarray) -> np.
     n_with = np.bincount(like_count, minlength=1)[::-1].cumsum()[::-1]  # [j]: count >= j
     taken = np.empty((int(n_with[1]) if len(n_with) > 1 else 0, len(n_with)), dtype=np.int32)
     taken[:, 0] = owner[by_count[:len(taken)]]
-    liker = np.empty(int(ptr[-1]), dtype=np.int64)
+    liker = np.empty(int(ptr[-1]), dtype=np.int32)
     for j in range(1, len(n_with)):
         rows = int(n_with[j])
         at = first[:rows] + (j - 1)

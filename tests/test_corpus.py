@@ -25,6 +25,7 @@ from askgraph.corpus import (
     tokenize,
 )
 from askgraph.data import bundled_lexicon_path
+from askgraph.synth import GenParams, generate_corpus
 from helpers import corpus_records
 
 
@@ -158,6 +159,18 @@ class TestLoadCorpus:
         error = format_error(path)
         assert "sum past the int64 range" in str(error) and error.line_no == 2
 
+    @pytest.mark.parametrize("likes", [[1, 0, 2**64], [2**62, 2**62 - 1, 1]],
+                             ids=["2**64-after-valid-questions", "past-int64-on-the-last"])
+    def test_like_total_past_int64_late_in_a_profile_reports_line(self, tmp_path, likes):
+        questions = [{"text": "hi", "likers": ["a"] * n, "like_count": n} if n < 2 else
+                     {"text": "hi", "like_count": n} for n in likes]
+        path = write_corpus_file(tmp_path, [
+            {"owner": "a", "questions": [{"text": "hi", "like_count": 2**62}]},
+            {"owner": "b", "questions": questions},
+        ])
+        error = format_error(path)
+        assert "sum past the int64 range" in str(error) and error.line_no == 2
+
     def test_absent_optional_fields_take_defaults(self, tmp_path):
         path = write_corpus_file(tmp_path, [{"owner": "a", "questions": [{"text": "hi"}]}])
         profile = profiles(load_corpus(path))["a"]
@@ -215,6 +228,86 @@ class TestLoadCorpus:
             else:
                 assert actual == expected, column
 
+
+@st.composite
+def row_inputs(draw):
+    """`Corpus.from_rows` arguments, as (ids, owner codes in save order,
+    sampled flags, rows), each row (owner code, like count, liker codes,
+    text, answer). In half the draws the rows are already in order: profile
+    by profile in sorted owner order, each profile's by descending like
+    count; in the other half they are shuffled. Like counts
+    of 0 to 2 make ties, within a profile and across a profile boundary;
+    a profile may have no rows, and a corpus none at all."""
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), max_size=6, unique=True))
+    owner_code = draw(st.permutations(range(len(ids))))[:draw(st.integers(0, len(ids)))]
+    sampled = [draw(st.booleans()) for _ in owner_code]
+    rows = []
+    for code in sorted(owner_code, key=ids.__getitem__):
+        for likes in sorted(draw(st.lists(st.integers(0, 2), max_size=4)), reverse=True):
+            listed = draw(st.booleans()) or not likes  # a like count may come without likers
+            likers = draw(st.lists(st.integers(0, len(ids) - 1), min_size=likes,
+                                   max_size=likes)) if listed else []
+            rows.append((code, likes, likers, f"t{len(rows)}", f"a{len(rows)}"))
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    return ids, owner_code, sampled, rows
+
+
+def lexsort_reference(ids, owner_code, sampled, rows):
+    """The columns `from_rows` builds, by one `lexsort` of every row on
+    (owner position, -like count) and lists."""
+    ranked = (sorted(owner_code, key=ids.__getitem__)
+              + sorted(set(range(len(ids))) - set(owner_code), key=ids.__getitem__))
+    position = {code: i for i, code in enumerate(ranked)}
+    owner = [position[row[0]] for row in rows]
+    rows = [rows[r] for r in np.lexsort(([-row[1] for row in rows], owner)).tolist()]
+    flags = [False] * len(owner_code)
+    for code, flag in zip(owner_code, sampled):
+        flags[position[code]] = flag
+    return dict(
+        owners=tuple(ids[c] for c in ranked[:len(owner_code)]),
+        strangers=tuple(ids[c] for c in ranked[len(owner_code):]),
+        order=[position[c] for c in owner_code], sampled=flags,
+        total_likes=[sum(row[1] for row in rows if position[row[0]] == i)
+                     for i in range(len(owner_code))],
+        owner=[position[row[0]] for row in rows], texts=tuple(row[3] for row in rows),
+        answers=tuple(row[4] for row in rows), like_count=[row[1] for row in rows],
+        liker_ptr=np.cumsum([0] + [len(row[2]) for row in rows]).tolist(),
+        liker=[position[c] for row in rows for c in row[2]],
+    )
+
+
+class TestFromRows:
+    @settings(max_examples=300, deadline=None)
+    @given(row_inputs(), st.sampled_from([np.int32, np.int64]))
+    def test_columns_match_a_lexsort_reference(self, inputs, liker_dtype):
+        ids, owner_code, sampled, rows = inputs
+        corp = Corpus.from_rows(
+            ids, owner_code, sampled, [row[0] for row in rows], [row[3] for row in rows],
+            [row[4] for row in rows], [row[1] for row in rows], [len(row[2]) for row in rows],
+            np.array([c for row in rows for c in row[2]], dtype=liker_dtype))
+        for name, expected in lexsort_reference(*inputs).items():
+            actual = getattr(corp, name)
+            if isinstance(actual, np.ndarray):
+                assert actual.dtype == (np.int32 if name == "liker" else
+                                        bool if name == "sampled" else np.int64), name
+                actual = actual.tolist()
+            assert actual == expected, name
+
+
+def traced(make):
+    """What `make()` returns, and the memory it retains and its peak, in
+    bytes above what was allocated when tracing started."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = make()
+        now, peak = tracemalloc.get_traced_memory()
+        return made, now - before, peak - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestLoadedCorpusMemory:
     def test_loaded_corpus_retains_under_twice_the_file_size(self, tmp_path):
         """Columns, not an object per question: the loaded synth corpus
@@ -240,19 +333,32 @@ class TestLoadedCorpusMemory:
         vocab = load_lexicon(bundled_lexicon_path("negative")) | load_lexicon(
             bundled_lexicon_path("positive"))
 
-        def retained(load):
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                corp = load()
-                return corp, tracemalloc.get_traced_memory()[0] - before
-            finally:
-                tracemalloc.stop()
-
-        text, text_bytes = retained(lambda: tag_corpus(load_corpus(path), vocab))
-        tagged, tagged_bytes = retained(lambda: load_corpus(path, vocab))
+        text, text_bytes, _ = traced(lambda: tag_corpus(load_corpus(path), vocab))
+        tagged, tagged_bytes, _ = traced(lambda: load_corpus(path, vocab))
         assert tagged.texts is None and len(tagged) == len(text) == 2000
         assert tagged_bytes < text_bytes / 2
+
+    def test_load_peaks_under_1_6_times_what_it_retains(self, tmp_path):
+        """The parse keeps its like counts and likers in typed arrays, not
+        lists of ints: loading the synth corpus (n=2000, seed 1) with its
+        text peaks under 1.6 times the memory the corpus retains."""
+        assert main(["synth", "--seed", "1", "--n-users", "2000", "--out", str(tmp_path)]) == 0
+        corp, retained, peak = traced(lambda: load_corpus(tmp_path / "corpus.jsonl"))
+        assert len(corp) == 2000
+        assert peak < 1.6 * retained
+
+    def test_generate_corpus_peaks_under_1_75_times_what_it_retains(self):
+        """The generator draws its texts one block of users at a time, in the
+        corpus's row order: generating the synth corpus (n=2000, seed 1, the
+        `synth` defaults) peaks under 1.75 times the memory it retains."""
+        lexicons = (load_lexicon(bundled_lexicon_path(p)) for p in ("negative", "positive"))
+        params = GenParams(n_users=2000, group_mix={"HN": 0.1, "HP": 0.2, "PN": 0.2, "OTHR": 0.5},
+                           questions_per_user=(5, 20), like_rate=2.0,
+                           neg_vocab=tuple(sorted(next(lexicons))),
+                           pos_vocab=tuple(sorted(next(lexicons))), rng_seed=1)
+        (corp, _), retained, peak = traced(lambda: generate_corpus(params))
+        assert len(corp) == 2000
+        assert peak < 1.75 * retained
 
 
 # Text that stresses the line format: line breaks JSON must escape, separators

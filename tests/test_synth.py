@@ -285,6 +285,25 @@ class TestScalarOracle:
         if suspect > 1 << 63:
             assert (texts_at >= 0).any() and (likes_at >= 0).any()
 
+    def test_two_blocks_match_the_scalar_loop(self):
+        # past `_CHUNK` rows the texts are drawn in two blocks of users, and
+        # the `_CHUNK`-th row falls inside a profile: in its likers' draws,
+        # and in the first block, which then holds more than `_CHUNK` rows
+        p = params(n_users=400)
+        first_rows = np.cumsum([0, *np.bincount(generate_corpus(p)[0].owner).tolist()])
+        assert first_rows[-1] > synth._CHUNK and synth._CHUNK not in first_rows
+        assert_matches_scalar_loop(p)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_small_blocks_match_the_scalar_loop(self, monkeypatch, chunk):
+        # blocks of a few rows, with users of no question and texts drawn
+        # one value at a time spread across them
+        monkeypatch.setattr(synth, "_CHUNK", chunk)
+        monkeypatch.setattr(synth, "_SUSPECT", 1 << 63)
+        assert_matches_scalar_loop(params(n_users=30, group_mix={"OTHR": 1.0},
+                                          questions_per_user=(0, 3)))
+        assert_matches_scalar_loop(params(n_users=12, like_rate=7.5))
+
     def test_rejected_draws_match_the_scalar_loop(self):
         # a like-count modulus of 2**63 + 1 rejects about half of its draws
         assert_matches_scalar_loop(params(n_users=6, like_rate=2.0**62, questions_per_user=(11, 13)))
