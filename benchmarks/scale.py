@@ -1,0 +1,163 @@
+"""Scale sweep: the seeded synth recipe's `synth`, `pipeline` and `crawl-sim`
+at large n, timed per stage, with each output tree checked against a pin.
+
+For each n in --sizes (16,000, 64,000 and 256,000 by default; 10⁶, whose
+pipeline alone takes about 5 minutes and 4.9 GB, runs only when asked for)
+it runs:
+
+- `synth --seed 1 --n-users n` with perfbench's recipe (`--questions 11-18
+  --like-rate 2.0 --mix HN:.1,HP:.2,PN:.2,OTHR:.5`);
+- `pipeline` over that corpus with the four planted label files;
+- `crawl-sim` of that corpus with budget n // 4 from seeds `u00001` and
+  `u{12345 * n // 16000:05d}` (at 16,000: `u00001,u12345`, budget 4,000).
+
+Each command runs in a fresh Python process that wraps `cli._stage`, so
+every stage reports its self seconds (the stages nested in it are taken
+out), its inclusive seconds and the process's `ru_maxrss` after it. RSS
+here is always that fresh-process peak in MB (2**20 bytes): it includes
+the interpreter, numpy and scipy, whose floor after the imports is
+reported beside it. The triangle kernel's `interaction._masked_product`
+and `interaction._row_blocks` are wrapped too: `product_nnz` is each
+product's entries (the first is M, the edges that close a triangle) and
+`product_blocks` its row blocks. A command fails, naming the attribute,
+when either function is renamed.
+
+The sha256 of the whole output tree (perfbench's `tree_digest`) is
+compared with the digest pinned for n in PINNED; an n without a pin is
+reported as `unpinned`. The record goes to stdout as one JSON object and
+progress to stderr. The script exits 1 when a command fails or a pinned
+digest differs. Run it from the repository root:
+
+    python3 benchmarks/scale.py [--sizes 16000 64000 256000] > BENCH_scale.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import GROUPS, LIKE_RATE, MIX, QUESTIONS, child_env, machine_record  # noqa: E402
+
+PINNED = {
+    16_000: "703daeb66a62728dce21adac80e3f32d90f269e9f26f35873dfd441e7216b063",
+    64_000: "18b7c72da95c237a737c16119f5e9dcfa9bbe3687741a70d38aab032f4fc51fa",
+    256_000: "70c6e4a024c84c4127a614de241636926d9df162d16918873b669cc9d24bd707",
+}
+
+# one command in a fresh interpreter; its last stdout line is its record
+CHILD = """
+import json, resource, sys, time
+from askgraph import cli, interaction
+
+def rss_mb():
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+record = {"imports_rss_mb": rss_mb(), "stages": [], "product_nnz": [], "product_blocks": []}
+stage, masked_product, row_blocks = cli._stage, interaction._masked_product, interaction._row_blocks
+nested = [0.0]  # per open stage, the inclusive seconds of the stages inside it
+
+def timed_stage(name, fn, *args, **kwargs):
+    nested.append(0.0)
+    start = time.perf_counter()
+    try:
+        return stage(name, fn, *args, **kwargs)
+    finally:
+        inclusive = time.perf_counter() - start
+        self_s = inclusive - nested.pop()
+        nested[-1] += inclusive
+        record["stages"].append({"stage": name, "self_s": round(self_s, 4),
+                                 "inclusive_s": round(inclusive, 4), "rss_mb": rss_mb()})
+
+def counted_product(*args):
+    product = masked_product(*args)
+    record["product_nnz"].append(product.nnz)
+    return product
+
+def counted_blocks(work):
+    blocks = list(row_blocks(work))
+    record["product_blocks"].append(len(blocks))
+    return iter(blocks)
+
+cli._stage, interaction._masked_product, interaction._row_blocks = (
+    timed_stage, counted_product, counted_blocks)
+start = time.perf_counter()
+code = cli.main(sys.argv[1:])
+record["seconds"] = round(time.perf_counter() - start, 4)
+record["peak_rss_mb"] = rss_mb()
+print(json.dumps(record))
+sys.exit(code)
+"""
+
+
+def commands(n: int) -> dict[str, list[str]]:
+    """The three commands at n, with paths relative to the work directory."""
+    labels = [arg for g in GROUPS for arg in ("--labels", f"synth/labels_{g}.txt")]
+    return {
+        "synth": ["synth", "--seed", "1", "--n-users", str(n), "--questions", QUESTIONS,
+                  "--like-rate", repr(LIKE_RATE), "--mix", MIX, "--out", "synth"],
+        "pipeline": ["pipeline", "--corpus", "synth/corpus.jsonl", *labels, "--out", "pipeline"],
+        "crawl-sim": ["crawl-sim", "--corpus", "synth/corpus.jsonl",
+                      "--seeds", f"u00001,u{12345 * n // 16000:05d}", "--budget", str(n // 4),
+                      "--seed", "1", "--out", "crawl"],
+    }
+
+
+def run(n: int, argv: list[str], work: Path) -> dict:
+    """Run one askgraph command in its own process and return its record."""
+    child = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=work,
+                           env=child_env(ROOT), stdout=subprocess.PIPE, text=True)
+    if child.returncode != 0:
+        raise SystemExit(f"scale: n={n} {argv[0]} failed (exit {child.returncode})")
+    record = {"argv": argv, **json.loads(child.stdout.splitlines()[-1])}
+    print(f"n={n} {argv[0]}: {record['seconds']:.1f} s, peak RSS {record['peak_rss_mb']:.0f} MB "
+          f"({record['imports_rss_mb']:.0f} MB after imports)", file=sys.stderr, flush=True)
+    return record
+
+
+def tree_digest(work: Path) -> str:
+    """perfbench's `tree_digest` of `work`, taken in a process of its own.
+    A child started by vfork, as subprocess starts them, begins its
+    `ru_maxrss` at this process's peak, which reading the outputs here would
+    raise above a child's import floor."""
+    code = "import sys, pathlib, run; print(run.tree_digest(pathlib.Path(sys.argv[1])))"
+    child = subprocess.run([sys.executable, "-c", code, str(work)], cwd=ROOT / "perfbench",
+                           stdout=subprocess.PIPE, text=True, check=True)
+    return child.stdout.strip()
+
+
+def sweep(n: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        records = {name: run(n, argv, work) for name, argv in commands(n).items()}
+        for name in ("crawl_order", "frontier"):
+            lines = (work / "crawl" / f"{name}.txt").read_text().splitlines()
+            records["crawl-sim"][name] = len(lines)
+        digest = tree_digest(work)
+    pinned = PINNED.get(n)
+    status = "unpinned" if pinned is None else "match" if digest == pinned else "differs"
+    print(f"n={n} digest {digest} ({status})", file=sys.stderr, flush=True)
+    if status == "differs":
+        print(f"n={n} pinned {pinned}", file=sys.stderr, flush=True)
+    return {"digest": digest, "pinned": status, "commands": records}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[16_000, 64_000, 256_000])
+    args = parser.parse_args()
+    machine = machine_record(ROOT)
+    del machine["note"]  # perfbench's note on its own figures
+    record = {"machine": machine, "sizes": {str(n): sweep(n) for n in args.sizes}}
+    print(json.dumps(record, indent=1))
+    return int(any(size["pinned"] == "differs" for size in record["sizes"].values()))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
