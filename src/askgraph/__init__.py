@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .corpus import (  # noqa: F401
     ContentTable, Corpus, CorpusStats, TaggedCorpus, content_table, corpus_stats,
-    lexicon_word, load_corpus, load_lexicon, save_corpus, tag_corpus, tokenize,
+    lexicon_word, load_corpus, load_lexicon, save_corpus, tokenize,
 )
 from .wordgraph import (  # noqa: F401
     BipartiteGraph, OneModeGraph, build_bipartite, cooccurrence_distribution,

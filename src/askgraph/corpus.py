@@ -6,14 +6,14 @@ with fields ``owner`` (string), ``fully_sampled`` (bool) and ``questions``
 to like_count-descending order on load.
 
 A `Corpus` is columns, one entry per question and per profile, built once
-by whatever builds the corpus: `Corpus.from_records` (which `load_corpus`
-feeds line by line), `generate_corpus` and `snowball_sample`.
-`save_corpus` is the one read-back: it writes each profile's line straight
-from the columns. Each question's vocabulary word counts are added by
-`tag_corpus`, or by `load_corpus` given the vocabulary, which then keeps
-no text: these two are the only callers of `tokenize`, and every analysis
-is a reduction over these columns. A lexicon is the frozenset of its
-words, and a run keys its two lexicons by polarity.
+by whatever builds the corpus: the record parse behind `load_corpus` (line
+by line) and `Corpus.from_records`, `generate_corpus` and
+`snowball_sample`. `save_corpus` is the one read-back: it writes each
+profile's line straight from the columns. Given a vocabulary, the parse
+tokenizes each question once and keeps only its vocabulary word counts,
+and no text: it is the one caller of `tokenize`, and its `TaggedCorpus` is
+what every analysis reduces. A lexicon is the frozenset of its words, and
+a run keys its two lexicons by polarity.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import re
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -97,11 +97,12 @@ class Corpus:
         return len(self.owners)
 
     @classmethod
-    def from_records(cls, records: Iterable[object]) -> Corpus:
+    def from_records(cls, records: Iterable[object], vocab: Iterable[str] | None = None) -> Corpus:
         """A corpus of profile records as the corpus file holds them, in
-        that order. A malformed record raises CorpusFormatError with its
-        1-based position as the line."""
-        return _parse_records(enumerate(records, start=1))
+        that order, as `load_corpus` parses them: given a `vocab`, the
+        `TaggedCorpus` over it. A malformed record raises CorpusFormatError
+        with its 1-based position as the line."""
+        return _parse_records(enumerate(records, start=1), vocab)
 
     @classmethod
     def from_rows(cls, ids: list[str], owner_code: Sequence[int], sampled: Sequence[bool],
@@ -167,18 +168,28 @@ class Corpus:
 
 @dataclass(frozen=True, eq=False)
 class TaggedCorpus(Corpus):
-    """A corpus with each question's vocabulary word counts: row r of
-    `counts` (questions x `vocab`, int64, duplicates summed) is row r of the
-    corpus. Its `texts` and `answers` are None when it was loaded tagged."""
+    """A corpus parsed over a vocabulary, holding each question's
+    vocabulary word counts and no text: row r of `counts` (questions x
+    `vocab`, int64, duplicates summed) is row r of the corpus, and `texts`
+    and `answers` are None. The analyses read `counts` through `columns`."""
 
     vocab: tuple[str, ...]  # sorted
     counts: sp.csr_matrix
 
+    def columns(self, words: Collection[str]) -> np.ndarray:
+        """The columns of `counts` that count `words`, in order. A word
+        outside `vocab` raises ValueError naming it: its counts were never kept."""
+        missing = sorted(set(words).difference(self.vocab))
+        if missing:
+            raise ValueError(f"the corpus holds no counts of {missing}")
+        return np.searchsorted(self.vocab, list(words))
+
     def word_counts(self, words: Collection[str]) -> np.ndarray:
-        """Occurrences of `words` in each question. Words outside `vocab`
-        count 0, so tag the corpus over `words` first."""
-        words = frozenset(words)
-        return self.counts @ np.array([w in words for w in self.vocab], dtype=np.int64)
+        """Occurrences of `words` in each question; a word outside `vocab`
+        raises ValueError."""
+        picked = np.zeros(len(self.vocab), dtype=np.int64)
+        picked[self.columns(words)] = 1
+        return self.counts @ picked
 
 
 @dataclass(frozen=True)
@@ -208,47 +219,24 @@ class CorpusStats:
     pct_users_with_pos_q: float
 
 
-class _WordCounts:
-    """The vocabulary word counts of texts added one at a time: each text is
-    tokenized once, and only its ids in `vocab` (sorted) are kept, in two
-    arrays: `word` holds the ids of every text, and `ends` where each text's
-    ids end. No object per text or per id is kept."""
-
-    def __init__(self, vocab: tuple[str, ...]):
-        self.vocab = vocab
-        self.index = {w: i for i, w in enumerate(vocab)}
-        self.ends, self.word = array("q"), array("q")
-
-    def add(self, text: str) -> None:
-        index = self.index
-        self.word.fromlist([index[t] for t in tokenize(text) if t in index])
-        self.ends.append(len(self.word))
-
-    def matrix(self) -> sp.csr_matrix:
-        """The texts x `vocab` int64 counts, a row per text in the order
-        added, duplicates summed."""
-        indptr = np.concatenate(([0], np.frombuffer(self.ends, dtype=np.int64)))
-        indices = np.frombuffer(self.word, dtype=np.int64)
-        counts = sp.csr_matrix((np.ones(len(indices), dtype=np.int64), indices, indptr),
-                               shape=(len(self.ends), len(self.vocab)))
-        counts.sum_duplicates()
-        return counts
-
-
 def _parse_records(numbered: Iterable[tuple[int, object]],
-                   vocab: tuple[str, ...] | None = None) -> Corpus:
+                   vocab: Iterable[str] | None = None) -> Corpus:
     """The corpus of (line number, profile record) pairs: each record is
     checked, and its owner and likers are interned as they are read.
 
-    Given a sorted `vocab`, each question is tokenized once it passes its
-    checks and only its vocabulary ids are kept: the result is the
+    Given a `vocab`, each question is tokenized once it passes its checks
+    and only its ids in the sorted vocabulary are kept, in `word`, with
+    `ends` marking where each question's ids end: the result is the
     `TaggedCorpus` over `vocab`, which holds no text."""
     code: dict[str, int] = {}  # every id read, numbered in order of first sight
     intern = code.setdefault
     seen: set[str] = set()
     owner_code, sampled, n_rows, texts, answers = [], [], [], [], []
     like_count, n_likers, liker_code = array("q"), array("q"), array("q")
-    tagger = None if vocab is None else _WordCounts(vocab)
+    if vocab is not None:
+        vocab = tuple(sorted(frozenset(vocab)))
+        index = {w: i for i, w in enumerate(vocab)}
+        word, ends = array("q"), array("q")
     for line_no, obj in numbered:
         if not isinstance(obj, dict):
             raise CorpusFormatError(line_no, "profile record must be an object")
@@ -289,11 +277,12 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
                 raise CorpusFormatError(
                     line_no, f"like_count {likes} does not match {len(likers)} likers"
                 )
-            if tagger is None:
+            if vocab is None:
                 texts.append(text)
                 answers.append(answer)
             else:
-                tagger.add(text)
+                word.fromlist([index[t] for t in tokenize(text) if t in index])
+                ends.append(len(word))
             likes_each.append(likes)
             n_likers.append(len(likers))
             liker_code.fromlist([intern(x, len(code)) for x in likers])
@@ -304,15 +293,25 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
         owner_code.append(intern(owner, len(code)))
         sampled.append(fully_sampled)
         n_rows.append(len(questions))
+    # the parse's dict, set and lists go before `from_rows` builds the columns
+    ids = list(code)
+    owner_code, sampled = np.array(owner_code, dtype=np.int64), np.array(sampled, dtype=bool)
     row_code = np.repeat(owner_code, n_rows)
+    del code, seen, intern, n_rows
     like_count, n_likers, liker_code = (
         np.frombuffer(a, dtype=np.int64) for a in (like_count, n_likers, liker_code))
-    if tagger is None:
-        texts, answers = tuple(texts), tuple(answers)  # the lists go before the columns come
-        return Corpus.from_rows(list(code), owner_code, sampled, row_code,
+    if vocab is None:
+        texts, answers = tuple(texts), tuple(answers)
+        return Corpus.from_rows(ids, owner_code, sampled, row_code,
                                 texts, answers, like_count, n_likers, liker_code)
-    return Corpus.from_rows(list(code), owner_code, sampled, row_code, None, None,
-                            like_count, n_likers, liker_code, (vocab, tagger.matrix()))
+    indptr = np.concatenate(([0], np.frombuffer(ends, dtype=np.int64)))
+    counts = sp.csr_matrix(
+        (np.ones(len(word), dtype=np.int64), np.frombuffer(word, dtype=np.int64), indptr),
+        shape=(len(ends), len(vocab)))
+    counts.sum_duplicates()  # a word repeated in a question is one entry
+    del word, ends, indptr
+    return Corpus.from_rows(ids, owner_code, sampled, row_code, None, None,
+                            like_count, n_likers, liker_code, (vocab, counts))
 
 
 def _numbered_records(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
@@ -339,19 +338,18 @@ def _numbered_records(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
 def load_corpus(path: str | Path, vocab: Iterable[str] | None = None) -> Corpus:
     """Parse a line-delimited profile file into a Corpus.
 
-    Given a `vocab`, the result is `tag_corpus(load_corpus(path), vocab)`
-    without the texts and answers: each question is tokenized as it is
-    read, and only its vocabulary word counts are kept. Such a corpus cannot
-    be saved or tagged over other words.
+    Given a `vocab`, the result is the `TaggedCorpus` over it: each
+    question is tokenized as it is read, and only its vocabulary word
+    counts are kept, not its text or answer. Such a corpus cannot be saved,
+    and an analysis over words outside `vocab` raises ValueError.
 
     Raises CorpusFormatError (with the offending line number) on malformed
     records, duplicate owners, like_count/likers mismatches, or strings
     holding a lone surrogate (which no UTF-8 output can encode), the same
     errors with or without a `vocab`.
     """
-    words = None if vocab is None else tuple(sorted(frozenset(vocab)))
     with open(path, encoding="utf-8") as fh:
-        return _parse_records(_numbered_records(fh), words)
+        return _parse_records(_numbered_records(fh), vocab)
 
 
 @contextmanager
@@ -439,46 +437,25 @@ def load_lexicon(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
-def tag_corpus(corpus: Corpus, vocab: Iterable[str]) -> TaggedCorpus:
-    """Tokenize each question once and count its tokens that are in `vocab`.
-
-    A corpus already tagged over a superset of `vocab` is returned as it is,
-    so every consumer can tag its input and a run tokenizes only once. A
-    corpus loaded without its text can be tagged over no other words: it
-    raises ValueError."""
-    vocab = frozenset(vocab)
-    if isinstance(corpus, TaggedCorpus) and vocab.issubset(corpus.vocab):
-        return corpus
-    if corpus.texts is None:
-        missing = sorted(vocab.difference(corpus.vocab))
-        raise ValueError(f"the corpus was loaded without its question text, tagged over "
-                         f"{len(corpus.vocab)} words, and cannot be tagged over {missing}")
-    tagger = _WordCounts(tuple(sorted(vocab)))
-    for text in corpus.texts:
-        tagger.add(text)
-    columns = {f.name: getattr(corpus, f.name) for f in fields(Corpus)}
-    return TaggedCorpus(**columns, vocab=tagger.vocab, counts=tagger.matrix())
-
-
-def content_table(corpus: Corpus, neg: Collection[str], pos: Collection[str]) -> ContentTable:
+def content_table(corpus: TaggedCorpus, neg: Collection[str],
+                  pos: Collection[str]) -> ContentTable:
     """Answered questions, total likes, and the questions holding and the
     occurrences of `neg` and `pos` words, per fully sampled profile."""
-    tagged = tag_corpus(corpus, {*neg, *pos})
-    users = np.flatnonzero(tagged.sampled)
-    neg_w = tagged.word_counts(neg)
-    pos_w = tagged.word_counts(pos)
+    users = np.flatnonzero(corpus.sampled)
+    neg_w = corpus.word_counts(neg)
+    pos_w = corpus.word_counts(pos)
     return ContentTable(
-        users=tuple(tagged.owners[i] for i in users),
-        total_likes=tagged.total_likes[users],
-        n_answers=np.bincount(tagged.owner, minlength=len(tagged.owners))[users],
-        n_neg_questions=tagged.per_profile(neg_w > 0)[users],
-        n_pos_questions=tagged.per_profile(pos_w > 0)[users],
-        n_neg_words=tagged.per_profile(neg_w)[users],
-        n_pos_words=tagged.per_profile(pos_w)[users],
+        users=tuple(corpus.owners[i] for i in users),
+        total_likes=corpus.total_likes[users],
+        n_answers=np.bincount(corpus.owner, minlength=len(corpus.owners))[users],
+        n_neg_questions=corpus.per_profile(neg_w > 0)[users],
+        n_pos_questions=corpus.per_profile(pos_w > 0)[users],
+        n_neg_words=corpus.per_profile(neg_w)[users],
+        n_pos_words=corpus.per_profile(pos_w)[users],
     )
 
 
-def corpus_stats(corpus: Corpus, neg: Collection[str], pos: Collection[str]) -> CorpusStats:
+def corpus_stats(corpus: TaggedCorpus, neg: Collection[str], pos: Collection[str]) -> CorpusStats:
     """Per-user averages of answer counts and tagged question/word counts,
     over fully sampled profiles (frontier stubs are not users)."""
     table = content_table(corpus, neg, pos)

@@ -16,7 +16,7 @@ from typing import Collection, Iterator, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, tag_corpus
+from .corpus import Corpus, TaggedCorpus
 
 
 # The metric battery's fixed parameters: the top-x% points of the in/out
@@ -102,7 +102,7 @@ class MetricsReport:
 
 
 def build_interaction_graph(
-    corpus: Corpus, neg_words: Collection[str], top_k: int = 15
+    corpus: TaggedCorpus, neg_words: Collection[str], top_k: int = 15
 ) -> InteractionGraph:
     """Build the directed like graph over fully-sampled users.
 
@@ -112,19 +112,18 @@ def build_interaction_graph(
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    tagged = tag_corpus(corpus, neg_words)
-    sampled = tagged.sampled
-    nodes = tuple(compress(tagged.owners, sampled))
+    sampled = corpus.sampled
+    nodes = tuple(compress(corpus.owners, sampled))
     node = np.cumsum(sampled, dtype=np.int64) - 1  # each sampled owner's node index
-    rows = np.arange(len(tagged.owner))
+    rows = np.arange(len(corpus.owner))
     # each sampled profile's first top_k rows, its most-liked questions
-    top = sampled[tagged.owner] & (rows - np.searchsorted(tagged.owner, tagged.owner) < top_k)
+    top = sampled[corpus.owner] & (rows - np.searchsorted(corpus.owner, corpus.owner) < top_k)
     # one entry per like: its question row, liker and owner; a liker without
     # a profile (a stranger) reads the False padded onto `sampled`
-    row = np.repeat(rows, np.diff(tagged.liker_ptr))
-    liker, owner = tagged.liker, tagged.owner[row]
-    keep = top[row] & np.pad(sampled, (0, len(tagged.strangers)))[liker] & (liker != owner)
-    nonneg = (tagged.word_counts(neg_words) == 0)[row[keep]]
+    row = np.repeat(rows, np.diff(corpus.liker_ptr))
+    liker, owner = corpus.liker, corpus.owner[row]
+    keep = top[row] & np.pad(sampled, (0, len(corpus.strangers)))[liker] & (liker != owner)
+    nonneg = (corpus.word_counts(neg_words) == 0)[row[keep]]
     # int64 codes: n * n overflows int32 past 46,340 nodes
     codes, edge_of_like = np.unique(
         node[liker[keep]] * len(nodes) + node[owner[keep]], return_inverse=True

@@ -66,11 +66,12 @@ def classify_corpus(content: ContentTable) -> dict[str, str]:
 
 
 def load_label_file(path: str | Path) -> LabelFile:
-    """Parse a label file: header `label: <name>`, then one UserId per line."""
+    """Parse a label file: header `label: <name>`, then one UserId per line,
+    stripped, skipping blank and `#` lines. A second header fails by line."""
     label = None
     ids: set[str] = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -81,6 +82,9 @@ def load_label_file(path: str | Path) -> LabelFile:
                 if not label:
                     raise ValueError("empty label name")
                 continue
+            if line.startswith("label:"):
+                raise ValueError(f"line {line_no}: a second 'label:' header; "
+                                 "a label file holds one label set")
             ids.add(line)
     if label is None:
         raise ValueError("label file has no header")

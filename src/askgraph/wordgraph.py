@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .corpus import Corpus, tag_corpus
+from .corpus import TaggedCorpus
 
 
 class ConvergenceError(RuntimeError):
@@ -58,15 +58,14 @@ class FrequencyVector:
     n_profiles: int
 
 
-def build_bipartite(corpus: Corpus, lexicon: Collection[str]) -> BipartiteGraph:
+def build_bipartite(corpus: TaggedCorpus, lexicon: Collection[str]) -> BipartiteGraph:
     """B[w][u] = 1 iff word w (from the lexicon) occurs in any question on
     u's profile. Words never observed keep all-zero rows."""
-    tagged = tag_corpus(corpus, lexicon)
     words = tuple(sorted(lexicon))
-    found = tagged.counts[:, np.searchsorted(tagged.vocab, words)].tocoo()
+    found = corpus.counts[:, corpus.columns(words)].tocoo()
     incidence = sp.csr_matrix(
-        (np.ones(found.nnz, dtype=np.int64), (found.col, tagged.owner[found.row])),
-        shape=(len(words), len(tagged.owners)),
+        (np.ones(found.nnz, dtype=np.int64), (found.col, corpus.owner[found.row])),
+        shape=(len(words), len(corpus.owners)),
     )
     incidence.data[:] = 1  # the conversion summed the questions sharing a word
     return BipartiteGraph(words=words, incidence=incidence)
@@ -172,19 +171,18 @@ def word_neighborhood(
 
 
 def cooccurrence_distribution(
-    corpus: Corpus, core: str, word_set: tuple[str, ...]
+    corpus: TaggedCorpus, core: str, word_set: tuple[str, ...]
 ) -> FrequencyVector:
     """Mean occurrence count of each selected word over profiles whose
     question tokens contain `core`. Entry order follows the word set's order
     so the x-axis is constant across plots."""
     if not word_set:
         raise ValueError("word set is empty")
-    tagged = tag_corpus(corpus, {core, *word_set})
-    matching = tagged.per_profile(tagged.word_counts({core})) > 0
+    columns = corpus.columns(word_set)
+    matching = corpus.per_profile(corpus.word_counts([core])) > 0
     n_matching = int(matching.sum())
     if n_matching == 0:
         raise ValueError(f"no profile contains the word {core!r}")
-    totals = tagged.counts.T @ matching[tagged.owner].astype(np.int64)
-    columns = np.searchsorted(tagged.vocab, word_set)
+    totals = corpus.counts.T @ matching[corpus.owner].astype(np.int64)
     entries = tuple(zip(word_set, (totals[columns] / n_matching).tolist()))
     return FrequencyVector(entries=entries, n_profiles=n_matching)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from bisect import insort
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from askgraph import synth
-from askgraph.corpus import Corpus
+from askgraph.corpus import Corpus, TaggedCorpus
 from askgraph.interaction import InteractionGraph, node_table, reciprocity
 from askgraph.segmentation import GROUPS, GroupRow
 from askgraph.synth import GenParams, SplitMix64
@@ -97,6 +97,12 @@ def corpus_records(corpus: Corpus) -> Iterator[dict]:
                 del question["likers"]
             questions.append(question)
         yield {"owner": ids[k], "fully_sampled": sampled[k], "questions": questions}
+
+
+def tagged(corpus: Corpus, vocab: Iterable[str]) -> TaggedCorpus:
+    """A text corpus, such as `generate_corpus` gives, parsed from its
+    records over `vocab`, as `load_corpus(path, vocab)` parses its file."""
+    return Corpus.from_records(corpus_records(corpus), vocab)
 
 
 def sample(rng: SplitMix64, population: Sequence, k: int, skip: int | None = None) -> list:

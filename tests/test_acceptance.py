@@ -38,6 +38,7 @@ from helpers import (
     graph_from_pairs,
     like_graph,
     neg_reciprocity,
+    tagged,
     triple_enumeration_oracle,
     vocab_word_set,
 )
@@ -267,7 +268,7 @@ def test_criterion_6_planted_structure_recovery(capfd):
         from askgraph.corpus import content_table
         from askgraph.segmentation import classify_corpus
 
-        predicted = classify_corpus(content_table(corp, neg_ws, pos_ws))
+        predicted = classify_corpus(content_table(tagged(corp, neg_ws + pos_ws), neg_ws, pos_ws))
         assert predicted == planted  # zero label errors
         counts = {g: sum(1 for v in planted.values() if v == g) for g in GROUPS}
         assert counts == {"HN": 100, "HP": 200, "PN": 200, "OTHR": 500}
@@ -346,7 +347,8 @@ def test_criterion_8_metric_shapes(capfd):
             corp, _ = generate_corpus(params)
             from askgraph.interaction import build_interaction_graph
 
-            graph = build_interaction_graph(corp, vocab_word_set(("ugly", "hate")))
+            neg_ws = vocab_word_set(("ugly", "hate"))
+            graph = build_interaction_graph(tagged(corp, neg_ws), neg_ws)
             t = node_table(graph)
 
             for i in range(len(graph.nodes)):  # neg + nonneg degree sums equal merged

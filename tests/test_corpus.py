@@ -21,7 +21,6 @@ from askgraph.corpus import (
     load_corpus,
     load_lexicon,
     save_corpus,
-    tag_corpus,
     tokenize,
 )
 from askgraph.data import bundled_lexicon_path
@@ -308,6 +307,10 @@ def traced(make):
         tracemalloc.stop()
 
 
+BUNDLED_VOCAB = load_lexicon(bundled_lexicon_path("negative")) | load_lexicon(
+    bundled_lexicon_path("positive"))
+
+
 class TestLoadedCorpusMemory:
     def test_loaded_corpus_retains_under_twice_the_file_size(self, tmp_path):
         """Columns, not an object per question: the loaded synth corpus
@@ -324,19 +327,26 @@ class TestLoadedCorpusMemory:
         assert len(corp) == 2000
         assert retained < 2 * path.stat().st_size
 
-    def test_tagged_load_retains_under_half_of_a_text_load_and_tag(self, tmp_path):
-        """Loading tagged keeps no text: the tagged synth corpus (n=2000,
-        seed 1) holds less than half the memory of the loaded corpus and
-        its `tag_corpus` result together."""
+    def test_tagged_load_retains_under_half_of_a_text_load(self, tmp_path):
+        """Loading tagged keeps no text: the synth corpus (n=2000, seed 1)
+        loaded over the bundled lexicons holds less than half the memory of
+        the same corpus loaded with its text."""
         assert main(["synth", "--seed", "1", "--n-users", "2000", "--out", str(tmp_path)]) == 0
         path = tmp_path / "corpus.jsonl"
-        vocab = load_lexicon(bundled_lexicon_path("negative")) | load_lexicon(
-            bundled_lexicon_path("positive"))
-
-        text, text_bytes, _ = traced(lambda: tag_corpus(load_corpus(path), vocab))
-        tagged, tagged_bytes, _ = traced(lambda: load_corpus(path, vocab))
+        text, text_bytes, _ = traced(lambda: load_corpus(path))
+        tagged, tagged_bytes, _ = traced(lambda: load_corpus(path, BUNDLED_VOCAB))
         assert tagged.texts is None and len(tagged) == len(text) == 2000
         assert tagged_bytes < text_bytes / 2
+
+    def test_tagged_load_peaks_under_2_3_times_what_it_retains(self, tmp_path):
+        """The parse frees its id dict, its lists and its word ids before the
+        columns are built: loading the synth corpus (n=2000, seed 1) over
+        the bundled lexicons peaks under 2.3 times what the corpus retains."""
+        assert main(["synth", "--seed", "1", "--n-users", "2000", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "corpus.jsonl"
+        corp, retained, peak = traced(lambda: load_corpus(path, BUNDLED_VOCAB))
+        assert len(corp) == 2000
+        assert peak < 2.3 * retained
 
     def test_load_peaks_under_1_6_times_what_it_retains(self, tmp_path):
         """The parse keeps its like counts and likers in typed arrays, not
@@ -440,29 +450,31 @@ class TestTaggedLoad:
 
     @settings(max_examples=150, deadline=None)
     @given(corpora(_TAGGED_TEXT), _VOCABS, st.randoms(use_true_random=False))
-    def test_tagged_load_is_tag_corpus_of_the_text_load(self, out_dir, records, vocab, rng):
-        """Loading over `vocab` gives every column `tag_corpus` of the text
-        load gives, `vocab` and `counts` included, with owners and like
-        counts in any order in the file."""
+    def test_tagged_load_is_the_text_load_with_its_word_counts(
+        self, out_dir, records, vocab, rng
+    ):
+        """Loading over `vocab` gives every column the text load gives but
+        the text, and as `counts` each question's tokens in `vocab`, counted,
+        with owners and like counts in any order in the file."""
         for record in records:
             rng.shuffle(record["questions"])
         path = write_corpus_file(out_dir, records)
-        expected, actual = tag_corpus(load_corpus(path), vocab), load_corpus(path, vocab)
+        text, actual = load_corpus(path), load_corpus(path, vocab)
         assert isinstance(actual, TaggedCorpus)
         assert actual.texts is None and actual.answers is None
-        assert actual.vocab == expected.vocab == tuple(sorted(vocab))
+        assert actual.vocab == tuple(sorted(vocab))
         for field in fields(Corpus):
             if field.name not in ("texts", "answers"):
-                value, want = getattr(actual, field.name), getattr(expected, field.name)
+                value, want = getattr(actual, field.name), getattr(text, field.name)
                 if isinstance(want, np.ndarray):
                     assert value.dtype == want.dtype and np.array_equal(value, want), field.name
                 else:
                     assert value == want, field.name
-        assert actual.counts.shape == expected.counts.shape
-        assert actual.counts.dtype == expected.counts.dtype == np.int64
-        assert actual.counts.has_canonical_format
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(actual.counts, part), getattr(expected.counts, part))
+        assert actual.counts.shape == (len(text.texts), len(vocab))
+        assert actual.counts.dtype == np.int64 and actual.counts.has_canonical_format
+        assert row_counts(actual) == [
+            Counter(t for t in tokenize(q) if t in vocab) for q in text.texts
+        ]
 
     def test_corpus_without_text_is_not_saved(self, tmp_path):
         path = write_corpus_file(tmp_path, [make_profile("a", ["ugly day"])])
@@ -474,10 +486,9 @@ class TestTaggedLoad:
     def test_corpus_without_text_is_tagged_over_its_vocabulary_only(self, tmp_path):
         path = write_corpus_file(tmp_path, [make_profile("a", ["ugly day", "nice"])])
         tagged = load_corpus(path, VOCAB)
-        assert tag_corpus(tagged, NEG) is tagged
-        with pytest.raises(ValueError, match=r"cannot be tagged over \['day'\]"):
-            tag_corpus(tagged, VOCAB | {"day"})
-        with pytest.raises(ValueError, match="without its question text"):
+        assert tagged.vocab == tuple(sorted(VOCAB))
+        assert corpus_stats(tagged, NEG, POS).avg_neg_words == 1.0
+        with pytest.raises(ValueError, match=r"^the corpus holds no counts of \['day'\]$"):
             corpus_stats(tagged, NEG, {"day"})
 
 
@@ -551,13 +562,13 @@ class TestLexiconEntriesMatchTokens:
     def test_accepted_entries_are_tagged_and_rejected_ones_name_their_line(
         self, lex_dir, entries, before, after
     ):
-        """An entry is accepted exactly when `tag_corpus` finds it, as written
+        """An entry is accepted exactly when the parse counts it, as written
         in the file, in a question that is that entry inside punctuation."""
 
         def found(entry):
             question = {"text": before + entry + after}
-            corp = Corpus.from_records([{"owner": "u", "questions": [question]}])
-            return row_counts(tag_corpus(corp, {entry.lower()})) == [{entry.lower(): 1}]
+            corp = Corpus.from_records([{"owner": "u", "questions": [question]}], {entry.lower()})
+            return row_counts(corp) == [{entry.lower(): 1}]
 
         path = lex_dir / "lex.txt"
         path.write_text("# header\n" + "\n".join(entries) + "\n", encoding="utf-8")
@@ -581,13 +592,12 @@ VOCAB = NEG | POS
 def tag(question):
     """The tagged words of one question record, with its negative/positive
     flags."""
-    corp = Corpus.from_records([{"owner": "a", "questions": [question]}])
-    (words,) = row_counts(tag_corpus(corp, VOCAB))
+    (words,) = row_counts(Corpus.from_records([{"owner": "a", "questions": [question]}], VOCAB))
     return words, any(w in NEG for w in words), any(w in POS for w in words)
 
 
 class TestTagQuestion:
-    """Tagging through `tag_corpus`, one question at a time."""
+    """Tagging by the parse, one question at a time."""
 
     def test_repeated_word_counts_occurrences(self):
         words, is_negative, is_positive = tag({"text": "you are ugly ugly"})
@@ -609,8 +619,8 @@ class TestTagQuestion:
 
 class TestTagCorpus:
     def test_rows_count_each_questions_words(self):
-        corp = Corpus.from_records([make_profile("a", ["Fat and UGLY, so fat", "plain", "other"])])
-        tagged = tag_corpus(corp, {"fat", "ugly"})
+        records = [make_profile("a", ["Fat and UGLY, so fat", "plain", "other"])]
+        tagged = Corpus.from_records(records, {"fat", "ugly"})
         assert row_counts(tagged) == [{"fat": 2, "ugly": 1}, {}, {}]
         assert tagged.counts.dtype == np.int64 and tagged.counts.has_canonical_format
 
@@ -619,21 +629,21 @@ class TestTagCorpus:
         monkeypatch.setattr(
             corpus_mod, "tokenize", lambda text: calls.append(text) or tokenize(text)
         )
-        corp = Corpus.from_records([
+        tagged = Corpus.from_records([
             make_profile("a", ["ugly", "nice"]), make_profile("b", ["fat"]),
-        ])
-        tagged = tag_corpus(corp, VOCAB)
+        ], VOCAB)
         assert sorted(calls) == ["fat", "nice", "ugly"]
         assert tagged.owners == ("a", "b") and tagged.owner.tolist() == [0, 0, 1]
         assert row_counts(tagged) == [{"ugly": 1}, {"nice": 1}, {"fat": 1}]
 
     def test_tagged_corpus_is_reused_for_a_smaller_vocabulary(self):
-        corp = Corpus.from_records([make_profile("a", ["ugly nice"])])
-        tagged = tag_corpus(corp, VOCAB)
-        assert tag_corpus(tagged, NEG) is tagged
-        assert tagged.texts is corp.texts and len(tagged) == 1
-        wider = tag_corpus(tagged, VOCAB | {"day"})
-        assert wider is not tagged and wider.vocab == tuple(sorted(VOCAB | {"day"}))
+        """A corpus tagged over a vocabulary counts the words of any subset
+        of it as a corpus tagged over that subset does."""
+        records = [make_profile("a", ["ugly nice fat", "nice", "day ugly"])]
+        wide = Corpus.from_records(records, VOCAB | {"day"})
+        narrow = Corpus.from_records(records, NEG)
+        assert wide.word_counts(NEG).tolist() == narrow.word_counts(NEG).tolist() == [2, 0, 1]
+        assert corpus_stats(wide, NEG, set()) == corpus_stats(narrow, NEG, set())
 
 
 def make_profile(owner, texts, likes_each=0, fully_sampled=True):
@@ -646,7 +656,7 @@ def make_profile(owner, texts, likes_each=0, fully_sampled=True):
 
 class TestCorpusStats:
     def test_single_empty_profile(self):
-        corp = Corpus.from_records([make_profile("a", [])])
+        corp = Corpus.from_records([make_profile("a", [])], VOCAB)
         stats = corpus_stats(corp, NEG, POS)
         assert stats.avg_answers_per_user == 0
         assert stats.avg_neg_questions == 0
@@ -656,7 +666,7 @@ class TestCorpusStats:
         corp = Corpus.from_records([
             make_profile("a", ["you ugly", "so fat ugly"]),
             make_profile("b", ["nice one"]),
-        ])
+        ], VOCAB)
         stats = corpus_stats(corp, NEG, POS)
         assert stats.avg_neg_questions == 1.0
         assert stats.pct_users_with_neg_q == 50.0
@@ -666,20 +676,20 @@ class TestCorpusStats:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            corpus_stats(Corpus.from_records([]), NEG, POS)
+            corpus_stats(Corpus.from_records([], VOCAB), NEG, POS)
 
     def test_frontier_stubs_are_not_users(self):
         stub = make_profile("s", [], fully_sampled=False)
-        corp = Corpus.from_records([make_profile("a", ["you ugly", "nice"]), stub])
+        corp = Corpus.from_records([make_profile("a", ["you ugly", "nice"]), stub], VOCAB)
         stats = corpus_stats(corp, NEG, POS)
         assert stats.avg_answers_per_user == 2.0
         assert stats.pct_users_with_neg_q == 100.0
         with pytest.raises(ValueError):
-            corpus_stats(Corpus.from_records([stub]), NEG, POS)
+            corpus_stats(Corpus.from_records([stub], VOCAB), NEG, POS)
 
     def test_neg_questions_bounded_by_answers(self):
         corp = Corpus.from_records([
             make_profile("a", ["ugly fat ugly", "ugly", "hello"]),
-        ])
+        ], VOCAB)
         stats = corpus_stats(corp, NEG, POS)
         assert stats.avg_neg_questions <= stats.avg_answers_per_user

@@ -37,7 +37,7 @@ NEG_WS = vocab_word_set(["ugly", "hate"])
 
 
 def corpus_of(profiles):
-    return Corpus.from_records(profiles)
+    return Corpus.from_records(profiles, NEG_WS)
 
 
 def profile(owner, questions, fully_sampled=True):
@@ -117,7 +117,7 @@ class TestBuildInteractionGraph:
 
     def test_top_k_takes_the_most_liked_of_records_in_any_order(self):
         # stored with the one-like question first: the constructor sorts
-        corp = Corpus.from_records([
+        corp = corpus_of([
             {"owner": "a", "questions": [
                 {"text": "fine", "likers": ["b"], "like_count": 1},
                 {"text": "fine too", "likers": ["c", "b"], "like_count": 2},
@@ -151,13 +151,13 @@ class TestBuildInteractionGraph:
         owners = data.draw(st.lists(st.sampled_from(USER_POOL), unique=True, max_size=7))
         likers = st.lists(st.sampled_from(USER_POOL + ("ghost",)), unique=True, max_size=5)
         questions = st.lists(st.tuples(st.sampled_from(TEXTS), likers), max_size=6)
-        corp = corpus_of([
+        records = [
             profile(u, data.draw(questions), fully_sampled=data.draw(st.booleans()))
             for u in owners
-        ])
+        ]
         top_k = data.draw(st.integers(1, 4))
-        g = build_interaction_graph(corp, NEG_WS, top_k=top_k)
-        nodes, edges = reference_build(corp, NEG_WS, top_k)
+        g = build_interaction_graph(corpus_of(records), NEG_WS, top_k=top_k)
+        nodes, edges = reference_build(Corpus.from_records(records), NEG_WS, top_k)
         assert g.nodes == nodes
         assert list(edge_map(g).items()) == list(edges.items())
         assert g.weights.shape == (len(edges), 2)
@@ -168,8 +168,8 @@ TEXTS = ("ugly one", "I hate it", "fine", "ok then", "")
 
 
 def reference_build(corpus, neg_words, top_k):
-    """The like graph as plain dicts: sorted node ids, and the edge weights
-    keyed (liker, owner) in sorted key order."""
+    """The like graph of a text corpus as plain dicts: sorted node ids, and
+    the edge weights keyed (liker, owner) in sorted key order."""
     profiles = {p["owner"]: p for p in corpus_records(corpus)}
     nodes = tuple(sorted(u for u, p in profiles.items() if p["fully_sampled"]))
     edges = {}

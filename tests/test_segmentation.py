@@ -15,7 +15,7 @@ from askgraph.segmentation import (
     labeled_report,
     load_label_file,
 )
-from helpers import corpus_records, group_row, vocab_word_set
+from helpers import group_row, vocab_word_set
 
 NEG = vocab_word_set(["ugly", "hate"])
 POS = vocab_word_set(["nice", "sweet"])
@@ -29,12 +29,17 @@ def profile(owner, texts, fully_sampled=True):
     }
 
 
+def corpus_of(records):
+    """The records parsed over both word sets, as the analyses read them."""
+    return Corpus.from_records(records, NEG + POS)
+
+
 COLUMNS = ("n_answers", "n_neg_questions", "n_pos_questions", "n_neg_words", "n_pos_words")
 
 
 def content_of(p):
     """The `content_table` row of one profile."""
-    table = content_table(Corpus.from_records([p]), NEG, POS)
+    table = content_table(corpus_of([p]), NEG, POS)
     return SimpleNamespace(**{c: int(getattr(table, c)[0]) for c in COLUMNS})
 
 
@@ -102,12 +107,14 @@ def build_tables(corp):
 
 
 class TestGroupReport:
+    RECORDS = [
+        profile("hn1", ["ugly a", "ugly b", "hate c"]),
+        profile("hp1", [f"nice {i}" for i in range(11)]),
+        profile("oth", ["hello there"]),
+    ]
+
     def make_corpus(self):
-        return Corpus.from_records([
-            profile("hn1", ["ugly a", "ugly b", "hate c"]),
-            profile("hp1", [f"nice {i}" for i in range(11)]),
-            profile("oth", ["hello there"]),
-        ])
+        return corpus_of(self.RECORDS)
 
     def test_counts_partition_corpus(self):
         corp = self.make_corpus()
@@ -130,7 +137,7 @@ class TestGroupReport:
         assert row.likes_per_answer is None
 
     def test_single_user_corpus(self):
-        corp = Corpus.from_records([profile("a", ["hello"])])
+        corp = corpus_of([profile("a", ["hello"])])
         content, table = build_tables(corp)
         labels = classify_corpus(content)
         report = group_report(labels, content, table)
@@ -142,7 +149,7 @@ class TestGroupReport:
         content, table = build_tables(corp)
         labels = classify_corpus(content)
         report = group_report(labels, content, table)
-        profiles = {p["owner"]: p for p in corpus_records(corp)}
+        profiles = {p["owner"]: p for p in self.RECORDS}
         for row in report:
             members = [u for u, g in labels.items() if g == row.name]
             if not members:
@@ -160,12 +167,12 @@ class TestGroupReport:
         total = sum(
             r.count * r.mean_answers for r in report if r.count
         )
-        assert total == pytest.approx(sum(len(p["questions"]) for p in corpus_records(corp)))
+        assert total == pytest.approx(sum(len(p["questions"]) for p in self.RECORDS))
 
 
 class TestLabeledReport:
     def test_single_known_user(self):
-        corp = Corpus.from_records([
+        corp = corpus_of([
             profile("a", ["ugly x", "nice y"]),
             profile("b", ["hello"]),
         ])
@@ -177,7 +184,7 @@ class TestLabeledReport:
         assert row.unresolved_ids == ()
 
     def test_unknown_ids_reported(self):
-        corp = Corpus.from_records([profile("a", ["ugly x"])])
+        corp = corpus_of([profile("a", ["ugly x"])])
         content, table = build_tables(corp)
         lf = LabelFile(label="cutting", user_ids=frozenset({"a", "ghost"}))
         row = labeled_report(lf, content, table)
@@ -185,7 +192,7 @@ class TestLabeledReport:
         assert row.unresolved_ids == ("ghost",)
 
     def test_frontier_stub_ids_are_unresolved(self):
-        corp = Corpus.from_records([
+        corp = corpus_of([
             profile("a", ["ugly x"]),
             profile("s", [], fully_sampled=False),
         ])
@@ -198,7 +205,7 @@ class TestLabeledReport:
         assert row.unresolved_ids == ("s",)
 
     def test_empty_intersection_rejected(self):
-        corp = Corpus.from_records([profile("a", ["hello"])])
+        corp = corpus_of([profile("a", ["hello"])])
         content, table = build_tables(corp)
         lf = LabelFile(label="cutting", user_ids=frozenset({"ghost"}))
         with pytest.raises(ValueError):
@@ -212,6 +219,19 @@ class TestLabelFileIO:
         lf = load_label_file(path)
         assert lf.label == "cutting"
         assert lf.user_ids == frozenset({"user1", "user2"})
+
+    def test_ids_are_stripped_and_comment_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("# cutters\n\nlabel:  cutting \n  user1 \n#user2\n\t\n", encoding="utf-8")
+        assert load_label_file(path) == LabelFile("cutting", frozenset({"user1"}))
+
+    def test_second_header_rejected_with_its_line(self, tmp_path):
+        """Two label files joined into one fail at the second header: its
+        ids never join the first label's set."""
+        path = tmp_path / "labels.txt"
+        path.write_text("label: HN\nuser1\n\n# HP\nlabel: HP\nuser2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 5: a second 'label:' header"):
+            load_label_file(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "labels.txt"

@@ -19,7 +19,7 @@ from askgraph.synth import (
     snowball_sample,
 )
 from helpers import (
-    corpus_records, crawl_order, frontier, sample, scalar_corpus, vocab_word_set,
+    corpus_records, crawl_order, frontier, sample, scalar_corpus, tagged, vocab_word_set,
 )
 
 NEG_VOCAB = ("ugly", "hate", "stupid", "fat")
@@ -177,7 +177,8 @@ class TestGenerateCorpus:
         p = params(n_users=10, group_mix={"HN": 1.0})
         corp, labels = generate_corpus(p)
         pred = classify_corpus(content_table(
-            corp, vocab_word_set(NEG_VOCAB), vocab_word_set(POS_VOCAB)
+            tagged(corp, NEG_VOCAB + POS_VOCAB), vocab_word_set(NEG_VOCAB),
+            vocab_word_set(POS_VOCAB)
         ))
         assert set(pred.values()) == {"HN"}
         assert pred == labels
@@ -185,7 +186,8 @@ class TestGenerateCorpus:
     def test_planted_labels_recovered(self):
         corp, labels = generate_corpus(params(n_users=100))
         pred = classify_corpus(content_table(
-            corp, vocab_word_set(NEG_VOCAB), vocab_word_set(POS_VOCAB)
+            tagged(corp, NEG_VOCAB + POS_VOCAB), vocab_word_set(NEG_VOCAB),
+            vocab_word_set(POS_VOCAB)
         ))
         assert pred == labels
 

@@ -21,7 +21,6 @@ from askgraph.corpus import (
     corpus_stats,
     load_corpus,
     save_corpus,
-    tag_corpus,
     tokenize,
 )
 from askgraph.interaction import (
@@ -62,7 +61,7 @@ def normalized(records):
 
 
 def reference_columns(records):
-    """The columns `tag_corpus` built from the object model: rows profile by
+    """The columns built from the object model: rows profile by
     profile in sorted owner order, likers as positions in `owners` or -1."""
     profiles = normalized(records)
     owners = tuple(sorted(profiles))
@@ -251,10 +250,11 @@ def corpora(draw):
     return records
 
 
-def tagged_or_plain(corpus, pretag):
-    """The corpus itself, or tagged over a superset of every vocabulary, so
-    consumers also reduce a matrix with columns they do not read."""
-    return tag_corpus(corpus, [*WORDS, "zzz"]) if pretag else corpus
+def tagged_over(records, vocab, superset):
+    """The records parsed over `vocab`, or over a superset of every
+    vocabulary, so consumers also reduce a matrix with columns they do not
+    read."""
+    return Corpus.from_records(records, [*WORDS, "zzz"] if superset else vocab)
 
 
 # --- the properties -------------------------------------------------------
@@ -302,8 +302,7 @@ def test_crawl_columns_match_the_object_built_reference(n_users, seed, budget, d
 @settings(max_examples=100, deadline=None)
 @given(corpora())
 def test_counts_rows_are_the_string_hits(records):
-    corpus = Corpus.from_records(records)
-    tagged = tag_corpus(corpus, WORDS)
+    tagged = Corpus.from_records(records, WORDS)
     hits = reference_hits(normalized(records), set(WORDS))
     assert tagged.vocab == tuple(WORDS)
     assert tagged.owners == tuple(sorted(hits))
@@ -322,10 +321,10 @@ def test_counts_rows_are_the_string_hits(records):
 
 @settings(max_examples=100, deadline=None)
 @given(corpora(), st.booleans())
-def test_content_table_and_corpus_stats_match_hit_counts(records, pretag):
-    corpus, profiles = Corpus.from_records(records), normalized(records)
+def test_content_table_and_corpus_stats_match_hit_counts(records, superset):
+    profiles = normalized(records)
     for neg, pos in ((NEG, POS), (NEG_WS, POS_WS)):
-        table = content_table(tagged_or_plain(corpus, pretag), neg, pos)
+        table = content_table(tagged_over(records, {*neg, *pos}, superset), neg, pos)
         expected = reference_content(profiles, neg, pos)
         assert table.users == tuple(expected)
         columns = (table.total_likes, table.n_answers, table.n_neg_questions,
@@ -333,19 +332,20 @@ def test_content_table_and_corpus_stats_match_hit_counts(records, pretag):
         assert all(c.dtype == np.int64 for c in columns)
         assert [tuple(r) for r in zip(*(c.tolist() for c in columns))] == list(expected.values())
     if any(p["fully_sampled"] for p in profiles.values()):
-        stats = corpus_stats(tagged_or_plain(corpus, pretag), NEG, POS)
+        stats = corpus_stats(tagged_over(records, NEG | POS, superset), NEG, POS)
         assert stats == reference_corpus_stats(profiles, NEG, POS)
     else:
         with pytest.raises(ValueError, match="fully sampled"):
-            corpus_stats(tagged_or_plain(corpus, pretag), NEG, POS)
+            corpus_stats(tagged_over(records, NEG | POS, superset), NEG, POS)
 
 
 @settings(max_examples=100, deadline=None)
 @given(corpora(), st.booleans())
-def test_bipartite_incidence_matches_string_hits(records, pretag):
-    corpus, profiles = Corpus.from_records(records), normalized(records)
+def test_bipartite_incidence_matches_string_hits(records, superset):
+    profiles = normalized(records)
     for lexicon in (NEG, POS):
-        b = build_bipartite(tagged_or_plain(corpus, pretag), lexicon)
+        corpus = tagged_over(records, lexicon, superset)
+        b = build_bipartite(corpus, lexicon)
         assert b.words == tuple(sorted(lexicon))
         assert corpus.owners == tuple(sorted(profiles))
         assert b.incidence.shape == (len(lexicon), len(corpus.owners))
@@ -359,33 +359,34 @@ def test_bipartite_incidence_matches_string_hits(records, pretag):
 
 @settings(max_examples=100, deadline=None)
 @given(corpora(), st.booleans(), st.sampled_from(WORDS + ["zzz"]))
-def test_cooccurrence_matches_the_profile_loop(records, pretag, core):
-    corpus, profiles = Corpus.from_records(records), normalized(records)
+def test_cooccurrence_matches_the_profile_loop(records, superset, core):
+    profiles = normalized(records)
     for word_set in (NEG_WS, POS_WS):
+        corpus = tagged_over(records, {core, *word_set}, superset)
         expected = reference_cooccurrence(profiles, core, word_set)
         if expected is None:
             with pytest.raises(ValueError, match="no profile contains"):
-                cooccurrence_distribution(tagged_or_plain(corpus, pretag), core, word_set)
+                cooccurrence_distribution(corpus, core, word_set)
             continue
-        vector = cooccurrence_distribution(tagged_or_plain(corpus, pretag), core, word_set)
+        vector = cooccurrence_distribution(corpus, core, word_set)
         assert (vector.entries, vector.n_profiles) == expected
         assert all(type(v) is float for _, v in vector.entries)
 
 
 @settings(max_examples=100, deadline=None)
 @given(corpora(), st.booleans(), st.integers(1, 4))
-def test_interaction_weights_match_the_question_loop(records, pretag, top_k):
-    corpus, profiles = Corpus.from_records(records), normalized(records)
-    graph = build_interaction_graph(tagged_or_plain(corpus, pretag), NEG_WS, top_k=top_k)
+def test_interaction_weights_match_the_question_loop(records, superset, top_k):
+    profiles = normalized(records)
+    graph = build_interaction_graph(tagged_over(records, NEG_WS, superset), NEG_WS, top_k=top_k)
     assert graph.nodes == tuple(sorted(u for u, p in profiles.items() if p["fully_sampled"]))
     assert dict(edge_map(graph)) == reference_weights(profiles, NEG_WS, top_k)
 
 
 @settings(max_examples=100, deadline=None)
 @given(corpora(), st.booleans(), st.integers(1, 6))
-def test_like_columns_match_the_question_loops(records, pretag, split):
-    corpus, profiles = Corpus.from_records(records), normalized(records)
-    tagged = tag_corpus(tagged_or_plain(corpus, pretag), ())
+def test_like_columns_match_the_question_loops(records, superset, split):
+    profiles = normalized(records)
+    tagged = tagged_over(records, (), superset)
     owners = sorted(profiles)
     assert tagged.sampled.tolist() == [profiles[u]["fully_sampled"] for u in owners]
     assert tagged.total_likes.dtype == np.int64
@@ -424,9 +425,10 @@ def columns(value):
 @settings(max_examples=100, deadline=None)
 @given(corpora(), st.sampled_from(WORDS + ["zzz"]), st.integers(1, 4))
 def test_analyses_read_only_the_tagged_columns(records, core, top_k):
-    """Blank text: a tagged corpus's analyses read the counts, not the
-    questions."""
-    tagged = tag_corpus(Corpus.from_records(records), [*WORDS, "zzz"])
+    """A tagged corpus holds no text, and its analyses read only the counts
+    of their own words: counts of words they do not read change nothing."""
+    wide = Corpus.from_records(records, [*WORDS, "zzz"])
+    exact = Corpus.from_records(records, {*NEG, *POS, *NEG_WS, *POS_WS, core})
 
     def results(c):
         graph = build_interaction_graph(c, NEG_WS, top_k=top_k)
@@ -441,5 +443,35 @@ def test_analyses_read_only_the_tagged_columns(records, core, top_k):
             outcome(cooccurrence_distribution, c, core, POS_WS),
         ]
 
-    blank = ("",) * len(tagged.texts)
-    assert results(dataclasses.replace(tagged, texts=blank, answers=blank)) == results(tagged)
+    assert wide.texts is None and wide.answers is None
+    assert results(wide) == results(exact)
+
+
+# Two profiles that like each other's question, holding a word of each word
+# set and lexicon, so every analysis below succeeds over all the words it reads.
+GUARD_RECORDS = [
+    {"owner": "a", "questions": [{"text": "ugly day cool hate", "likers": ["b"]}]},
+    {"owner": "b", "questions": [{"text": "nice fat movie", "likers": ["a"]}]},
+]
+
+
+@pytest.mark.parametrize("analysis, words", [
+    (lambda c: content_table(c, NEG_WS, POS_WS), {*NEG_WS, *POS_WS}),
+    (lambda c: corpus_stats(c, NEG, POS), NEG | POS),
+    (lambda c: build_bipartite(c, POS), POS),
+    (lambda c: cooccurrence_distribution(c, "ugly", POS_WS), {"ugly", *POS_WS}),
+    (lambda c: build_interaction_graph(c, NEG_WS), set(NEG_WS)),
+], ids=["content_table", "corpus_stats", "build_bipartite", "cooccurrence_distribution",
+        "build_interaction_graph"])
+def test_a_word_outside_the_vocabulary_fails_by_name(analysis, words):
+    """Each analysis reads its words' counts through one checked lookup:
+    over a vocabulary missing any word it reads (a lexicon's, a word set's
+    or the core word), it raises ValueError naming that word, and over a
+    text corpus it fails. Neither ever counts the word as absent."""
+    analysis(Corpus.from_records(GUARD_RECORDS, words))
+    for missing in sorted(words):
+        corpus = Corpus.from_records(GUARD_RECORDS, words - {missing})
+        with pytest.raises(ValueError, match=rf"^the corpus holds no counts of \['{missing}'\]$"):
+            analysis(corpus)
+    with pytest.raises(AttributeError):
+        analysis(Corpus.from_records(GUARD_RECORDS))

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from askgraph.corpus import Corpus, tag_corpus
+from askgraph.corpus import Corpus
 from askgraph.wordgraph import (
     BipartiteGraph,
     OneModeGraph,
@@ -57,7 +57,7 @@ class TestBuildBipartite:
         corp = Corpus.from_records([
             profile_with("u1", "ugly fat"),
             profile_with("u2", "ugly"),
-        ])
+        ], self.LEX)
         bip = build_bipartite(corp, self.LEX)
         dense = bip.incidence.toarray()
         row = {w: dense[i] for i, w in enumerate(bip.words)}
@@ -68,12 +68,12 @@ class TestBuildBipartite:
         assert (row["hate"] == 0).all()
 
     def test_empty_corpus(self):
-        bip = build_bipartite(Corpus.from_records([]), self.LEX)
+        bip = build_bipartite(Corpus.from_records([], self.LEX), self.LEX)
         assert bip.incidence.nnz == 0
         assert len(bip.words) == 3
 
     def test_incidence_is_binary(self):
-        corp = Corpus.from_records([profile_with("u1", "ugly ugly ugly ugly ugly")])
+        corp = Corpus.from_records([profile_with("u1", "ugly ugly ugly ugly ugly")], self.LEX)
         bip = build_bipartite(corp, self.LEX)
         assert bip.incidence.max() == 1
 
@@ -214,7 +214,7 @@ class TestCooccurrenceDistribution:
     WS = vocab_word_set(["ugly", "hate", "cut"])
 
     def test_single_profile(self):
-        corp = Corpus.from_records([profile_with("a", "cut ugly ugly hate")])
+        corp = Corpus.from_records([profile_with("a", "cut ugly ugly hate")], self.WS)
         vec = cooccurrence_distribution(corp, "cut", self.WS)
         d = dict(vec.entries)
         assert d["ugly"] == 2.0 and d["hate"] == 1.0
@@ -224,7 +224,7 @@ class TestCooccurrenceDistribution:
             profile_with("a", "cut ugly ugly"),
             profile_with("b", "cut plain"),
             profile_with("c", "ugly ugly ugly"),  # no core, excluded
-        ])
+        ], self.WS)
         vec = cooccurrence_distribution(corp, "cut", self.WS)
         assert dict(vec.entries)["ugly"] == 1.0
         assert vec.n_profiles == 2
@@ -235,9 +235,9 @@ class TestCooccurrenceDistribution:
             profile_with("b", "cut hate hate"),
             profile_with("c", "cut"),
         ]
-        va = cooccurrence_distribution(Corpus.from_records(set_a), "cut", self.WS)
-        vb = cooccurrence_distribution(Corpus.from_records(set_b), "cut", self.WS)
-        vu = cooccurrence_distribution(Corpus.from_records([*set_a, *set_b]), "cut", self.WS)
+        va, vb, vu = (
+            cooccurrence_distribution(Corpus.from_records(records, self.WS), "cut", self.WS)
+            for records in (set_a, set_b, [*set_a, *set_b]))
         for (w, mu), (_, ma), (_, mb) in zip(vu.entries, va.entries, vb.entries):
             expected = (ma * va.n_profiles + mb * vb.n_profiles) / (
                 va.n_profiles + vb.n_profiles
@@ -245,16 +245,17 @@ class TestCooccurrenceDistribution:
             assert mu == pytest.approx(expected)
 
     def test_core_outside_the_tagged_vocabulary(self):
-        corp = Corpus.from_records([
-            profile_with("a", "cut ugly ugly"),
-            profile_with("b", "hate"),
-        ])
-        tagged = tag_corpus(corp, {"ugly", "hate"})
-        vec = cooccurrence_distribution(tagged, "cut", self.WS)
+        """A core the corpus holds no counts of fails, naming the word: it
+        never reads as a word no profile holds."""
+        records = [profile_with("a", "cut ugly ugly"), profile_with("b", "hate")]
+        with pytest.raises(ValueError, match=r"no counts of \['cut'\]$"):
+            cooccurrence_distribution(Corpus.from_records(records, {"ugly", "hate"}), "cut",
+                                      vocab_word_set(["ugly", "hate"]))
+        vec = cooccurrence_distribution(Corpus.from_records(records, self.WS), "cut", self.WS)
         assert vec.n_profiles == 1
         assert dict(vec.entries)["ugly"] == 2.0
 
     def test_no_matching_profile_raises(self):
-        corp = Corpus.from_records([profile_with("a", "nothing here")])
+        corp = Corpus.from_records([profile_with("a", "nothing here")], self.WS)
         with pytest.raises(ValueError, match="no profile"):
             cooccurrence_distribution(corp, "cut", self.WS)
