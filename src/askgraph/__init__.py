@@ -16,7 +16,7 @@ from .interaction import (  # noqa: F401
     mean_reciprocity_by_outdegree, node_table, reciprocity, top_overlaps,
 )
 from .segmentation import (  # noqa: F401
-    LabelFile, classify_user, group_report, labeled_report, load_label_file,
+    LabelFile, classify_corpus, group_report, labeled_report, load_label_file,
 )
 from .synth import (  # noqa: F401
     GenParams, SplitMix64, generate_corpus, snowball_sample,

@@ -17,6 +17,7 @@ import argparse
 import functools
 import sys
 import weakref
+from itertools import compress
 from pathlib import Path
 from typing import Iterator
 
@@ -268,12 +269,12 @@ class _Run:
         )
 
     @_staged("classify")
-    def labels(self):
+    def codes(self):
         return seg_mod.classify_corpus(self.content)
 
     @_staged("group_report")
     def groups(self):
-        return seg_mod.group_report(self.labels, self.content, self.table)
+        return seg_mod.group_report(self.codes, self.content, self.table)
 
     @_staged("load_label_file")
     def label_files(self):
@@ -379,11 +380,10 @@ def _outputs(run: _Run, command: str) -> Iterator[tuple[str, object]]:
             ((args.word, *record) for record in run.neighborhood),
         )
     elif command == "synth":
-        corpus, labels = run.synthetic
+        corpus, codes = run.synthetic
         yield "corpus.jsonl", corpus
-        for group in seg_mod.GROUPS:
-            members = sorted(u for u, g in labels.items() if g == group)
-            yield f"labels_{group}.txt", [f"label: {group}", *members]
+        for k, group in enumerate(seg_mod.GROUPS):  # members in owner order, so sorted
+            yield f"labels_{group}.txt", [f"label: {group}", *compress(corpus.owners, codes == k)]
     elif command == "crawl-sim":
         sample = run.crawl
         # the sample's order is the crawl order, then the sorted frontier

@@ -3,11 +3,14 @@
 Groups: HN (>=3 negative posts, zero positive), PN (>=3 negative and >4
 positive), HP (>10 positive), OTHR (everyone else). Predicates overlap, so
 classification applies the precedence HN -> PN -> HP -> OTHR.
+
+A group assignment is an array of group codes, indices into `GROUPS`,
+aligned with the sorted users of a `ContentTable`, whose rows are also the
+rows of the like graph's `NodeTable`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -47,70 +50,59 @@ class LabelFile:
     user_ids: frozenset[str]
 
 
-def classify_user(n_neg_questions: int, n_pos_questions: int) -> str:
-    """Total partition over (n_neg_questions, n_pos_questions) with the
+def classify_corpus(content: ContentTable) -> np.ndarray:
+    """Each user's group code, by the first predicate that holds, in the
     precedence HN -> PN -> HP -> OTHR."""
-    neg, pos = n_neg_questions, n_pos_questions
-    if neg >= 3 and pos == 0:
-        return "HN"
-    if neg >= 3 and pos > 4:
-        return "PN"
-    if pos > 10:
-        return "HP"
-    return "OTHR"
-
-
-def classify_corpus(content: ContentTable) -> dict[str, str]:
-    counts = zip(content.n_neg_questions.tolist(), content.n_pos_questions.tolist())
-    return {user: classify_user(*c) for user, c in zip(content.users, counts)}
+    neg, pos = content.n_neg_questions, content.n_pos_questions
+    return np.select([(neg >= 3) & (pos == 0), (neg >= 3) & (pos > 4), pos > 10],
+                     [GROUPS.index("HN"), GROUPS.index("PN"), GROUPS.index("HP")],
+                     GROUPS.index("OTHR"))
 
 
 def load_label_file(path: str | Path) -> LabelFile:
     """Parse a label file: header `label: <name>`, then one UserId per line,
-    stripped, skipping blank and `#` lines. A second header fails by line."""
+    stripped, skipping blank and `#` lines. A second header fails by line.
+    Every error names the file."""
     label = None
     ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if label is None:
-                if not line.startswith("label:"):
-                    raise ValueError("label file must start with a 'label: <name>' header")
-                label = line[len("label:"):].strip()
-                if not label:
-                    raise ValueError("empty label name")
-                continue
-            if line.startswith("label:"):
-                raise ValueError(f"line {line_no}: a second 'label:' header; "
-                                 "a label file holds one label set")
-            ids.add(line)
-    if label is None:
-        raise ValueError("label file has no header")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if label is None:
+                    if not line.startswith("label:"):
+                        raise ValueError("label file must start with a 'label: <name>' header")
+                    label = line[len("label:"):].strip()
+                    if not label:
+                        raise ValueError("empty label name")
+                    continue
+                if line.startswith("label:"):
+                    raise ValueError(f"line {line_no}: a second 'label:' header; "
+                                     "a label file holds one label set")
+                ids.add(line)
+        if label is None:
+            raise ValueError("label file has no header")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return LabelFile(label=label, user_ids=frozenset(ids))
 
 
-def _aggregate(
-    name: str,
-    members: list[str],
-    content: ContentTable,
-    table: NodeTable,
-    unresolved: tuple[str, ...] = (),
-) -> GroupRow:
-    """Means over members, which are fully sampled users and so graph nodes:
-    content users and node ids are the same sorted list, so every column is
-    read at the members' positions in it."""
-    rows = [bisect_left(table.nodes, u) for u in members]
+def _aggregate(name: str, rows: np.ndarray, content: ContentTable, table: NodeTable,
+               unresolved: tuple[str, ...] = ()) -> GroupRow:
+    """Means over `rows`, ascending indices of fully sampled users: content
+    users and node ids are the same sorted list, so every column is read at
+    those rows, and each mean adds its values in sorted-id order."""
 
     def mean_of(column: np.ndarray) -> Optional[float]:
-        return sum(column[rows].tolist()) / len(rows) if rows else None
+        return sum(column[rows].tolist()) / len(rows) if len(rows) else None
 
     total_answers = sum(content.n_answers[rows].tolist())
     total_likes = sum(content.total_likes[rows].tolist())
     return GroupRow(
         name=name,
-        count=len(members),
+        count=len(rows),
         mean_neg_reciprocity=mean_of(table.neg.node_reciprocity),
         mean_nonneg_reciprocity=mean_of(table.nonneg.node_reciprocity),
         mean_neg_in_degree=mean_of(table.neg.in_deg),
@@ -129,15 +121,12 @@ def _aggregate(
     )
 
 
-def group_report(
-    labels: dict[str, str], content: ContentTable, table: NodeTable
-) -> tuple[GroupRow, ...]:
-    """One aggregate row per group, in `GROUPS` order. Empty groups get
-    count 0 and null means."""
-    members: dict[str, list[str]] = {g: [] for g in GROUPS}
-    for user, group in sorted(labels.items()):
-        members[group].append(user)
-    return tuple(_aggregate(g, members[g], content, table) for g in GROUPS)
+def group_report(codes: np.ndarray, content: ContentTable,
+                 table: NodeTable) -> tuple[GroupRow, ...]:
+    """One aggregate row per group, in `GROUPS` order, over the users whose
+    code is the group's. Empty groups get count 0 and null means."""
+    return tuple(_aggregate(g, np.flatnonzero(codes == k), content, table)
+                 for k, g in enumerate(GROUPS))
 
 
 def labeled_report(label_file: LabelFile, content: ContentTable, table: NodeTable) -> GroupRow:
@@ -145,15 +134,19 @@ def labeled_report(label_file: LabelFile, content: ContentTable, table: NodeTabl
     fully sampled profile are reported as unresolved, not fatal. An
     unresolved id holding ';' is an error, since group_report.csv joins the
     unresolved ids with ';'."""
-    users = set(content.users)
-    resolved = sorted(label_file.user_ids & users)
-    unresolved = tuple(sorted(label_file.user_ids - users))
+    # sorted ids against the sorted users, compared as Python strings
+    ids = np.array(sorted(label_file.user_ids), dtype=object)
+    users = np.array(content.users, dtype=object)
+    rows = np.searchsorted(users, ids)
+    found = rows < len(users)
+    found[found] = users[rows[found]] == ids[found]
+    unresolved = tuple(ids[~found].tolist())
     for user_id in unresolved:
         if ";" in user_id:
             raise ValueError(f"unresolved id {user_id!r} of label set {label_file.label!r} "
                              "holds ';', which separates the unresolved ids in group_report.csv")
-    if not resolved:
+    if not found.any():
         raise ValueError(
             f"label set {label_file.label!r} has no fully sampled users in the corpus"
         )
-    return _aggregate(label_file.label, resolved, content, table, unresolved)
+    return _aggregate(label_file.label, rows[found], content, table, unresolved)

@@ -220,12 +220,13 @@ def _question_counts(label: str, n_q: int, rng: SplitMix64) -> tuple[int, int]:
     return neg, pos
 
 
-def generate_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
+def generate_corpus(params: GenParams) -> tuple[Corpus, np.ndarray]:
     """Deterministically generate a corpus whose users classify exactly to
     their planted group labels.
 
-    Returns the corpus and the planted label per user. Group sizes follow
-    largest-remainder quotas, not sampling.
+    Returns the corpus and each user's planted group code, an index into
+    `GROUPS`, aligned with its sorted `owners` as `classify_corpus`'s are.
+    Group sizes follow largest-remainder quotas, not sampling.
 
     Each user draws, in order: a question count, its negative and positive
     question counts, then each question's text (negative, positive, then
@@ -239,7 +240,7 @@ def generate_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
     params.validate()
     counts = quota_counts(params.group_mix, params.n_users)
     user_ids = [f"u{i:05d}" for i in range(params.n_users)]
-    planted = [group for group in GROUPS for _ in range(counts[group])]
+    planted = np.repeat(np.arange(len(GROUPS)), [counts[g] for g in GROUPS])  # in draw order
     vocab_taboo = set(params.neg_vocab) | set(params.pos_vocab)
     filler = tuple(w for w in _FILLER if w not in vocab_taboo)
     vocabs = (filler, params.neg_vocab, params.pos_vocab)  # the word picks' kinds 0, 1, 2
@@ -248,7 +249,7 @@ def generate_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
         params.rng_seed, vocabs, _walk(params, planted, [len(v) for v in vocabs]), users)
     corpus = Corpus.from_rows(user_ids, range(params.n_users), [True] * params.n_users,
                               row_code, texts, ("",) * len(texts), like_count, like_count, liker)
-    return corpus, dict(zip(user_ids, planted))
+    return corpus, planted[users]
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,7 @@ class _Walk:
     liker_exact: list[int]  # their liker draws
 
 
-def _walk(params: GenParams, planted: list[str], modulus: list[int]) -> _Walk:
+def _walk(params: GenParams, planted: np.ndarray, modulus: list[int]) -> _Walk:
     """Walk the stream in draw order, drawing every count as a scalar.
 
     A text, or a question's likes, whose most draws hold no suspect output
@@ -296,7 +297,7 @@ def _walk(params: GenParams, planted: list[str], modulus: list[int]) -> _Walk:
     def exact_picks(least: int, most: int, kind: int) -> list[int]:
         return [randbelow(modulus[kind]) for _ in range(randint(least, most))]
 
-    for label in planted:
+    for label in map(GROUPS.__getitem__, planted.tolist()):
         n_q = max(randint(lo, hi), _MIN_QUESTIONS[label])
         n_neg, n_pos = _question_counts(label, n_q, rng)
         n_rows.append(n_q)

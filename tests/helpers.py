@@ -1,9 +1,10 @@
 """Test-only constructors, views and oracles of askgraph's types: a like
 graph built from an edge mapping and read back as edge rows or a mapping, a
-plain vocabulary as a word set, a group row by name, a crawl's crawl order
-and frontier, a corpus's profile records, the scalar synthetic generator
-and its sampler, and the brute-force reciprocity and clustering oracles of
-the node table."""
+plain vocabulary as a word set, the segmentation rule as a scalar oracle
+and the array rule over plain counts, a group row by name, a crawl's crawl
+order and frontier, a corpus's profile records, the scalar synthetic
+generator and its sampler, and the brute-force reciprocity and clustering
+oracles of the node table."""
 
 from __future__ import annotations
 
@@ -14,9 +15,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from askgraph import synth
-from askgraph.corpus import Corpus, TaggedCorpus
+from askgraph.corpus import ContentTable, Corpus, TaggedCorpus
 from askgraph.interaction import InteractionGraph, node_table, reciprocity
-from askgraph.segmentation import GROUPS, GroupRow
+from askgraph.segmentation import GROUPS, GroupRow, classify_corpus
 from askgraph.synth import GenParams, SplitMix64
 
 
@@ -58,6 +59,29 @@ def vocab_word_set(words: tuple[str, ...] | list[str]) -> tuple[str, ...]:
     """A plain vocabulary as a word set: its words sorted, as equal scores
     order them."""
     return tuple(sorted(set(words)))
+
+
+def classify_user(n_neg_questions: int, n_pos_questions: int) -> str:
+    """The segmentation rule as a scalar if-chain, the oracle of
+    `classify_corpus`: the precedence HN -> PN -> HP -> OTHR."""
+    neg, pos = n_neg_questions, n_pos_questions
+    if neg >= 3 and pos == 0:
+        return "HN"
+    if neg >= 3 and pos > 4:
+        return "PN"
+    if pos > 10:
+        return "HP"
+    return "OTHR"
+
+
+def classify_counts(neg: Sequence[int], pos: Sequence[int]) -> list[str]:
+    """`classify_corpus` over users with these negative and positive
+    question counts, as group names."""
+    zeros = np.zeros(len(neg), dtype=np.int64)
+    table = ContentTable(tuple(f"u{i:05d}" for i in range(len(neg))), zeros, zeros,
+                         np.array(neg, dtype=np.int64), np.array(pos, dtype=np.int64),
+                         zeros, zeros)
+    return [GROUPS[k] for k in classify_corpus(table).tolist()]
 
 
 def group_row(rows: Sequence[GroupRow], name: str) -> GroupRow:

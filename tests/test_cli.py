@@ -212,6 +212,43 @@ class TestSubcommands:
         )
         assert not out.exists()
 
+    def test_label_file_errors_name_the_file(self, tmp_path, capsys):
+        """With several --labels, the error says which file is at fault."""
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        first.write_text(LABELS.read_text(encoding="utf-8"), encoding="utf-8")
+        second.write_text("user1\n", encoding="utf-8")
+        assert run("segment", "--corpus", DEMO, "--labels", first, "--labels", second,
+                   "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            f"askgraph: error [load_label_file] {second}: label file must start with a "
+            "'label: <name>' header\n"
+        )
+
+    def test_metrics_and_graph_need_no_positive_words(self, tmp_path, capsys):
+        """Over a corpus with no positive-lexicon word, the like graph and
+        its metrics read only the negative word set; `segment` needs the
+        positive one and fails at its selection."""
+        users = [f"u{i}" for i in range(5)]
+        texts = ["you are ugly and fat", "so ugly and stupid", "fat stupid loser",
+                 "ugly loser fat", "stupid ugly"]
+        positive = corpus.load_lexicon(bundled_lexicon_path("positive"))
+        assert not {w for t in texts for w in corpus.tokenize(t)} & positive
+        path = tmp_path / "negative.jsonl"
+        path.write_text("".join(json.dumps({"owner": u, "questions": [
+            {"text": texts[(i + j) % 5], "likers": [users[(i + 1) % 5], users[(i + 2) % 5]]}
+            for j in range(2)]}) + "\n" for i, u in enumerate(users)), encoding="utf-8")
+        assert run("metrics", "--corpus", path, "--out", tmp_path / "metrics") == 0
+        assert json.loads((tmp_path / "metrics" / "metrics.json").read_text())
+        assert run("graph", "--corpus", path, "--out", tmp_path / "graph") == 0
+        edges = (tmp_path / "graph" / "interaction_edges.csv").read_text().splitlines()
+        assert edges[0] == "src,dst,n_neg,n_nonneg" and len(edges) == 1 + 10
+        capsys.readouterr()
+        assert run("segment", "--corpus", path, "--out", tmp_path / "segment") == 1
+        assert capsys.readouterr().err == (
+            "askgraph: error [select_top_words] no words with centrality > 0.5; "
+            "threshold too high for this corpus\n"
+        )
+
     def test_cooccur(self, tmp_path):
         # pick a word guaranteed present: the top selected negative word
         run("words", "--corpus", DEMO, "--out", tmp_path)

@@ -1,21 +1,21 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from askgraph.corpus import Corpus, content_table
+from askgraph.corpus import ContentTable, Corpus, content_table
 from askgraph.interaction import build_interaction_graph, node_table
 from askgraph.segmentation import (
     GROUPS,
     LabelFile,
     classify_corpus,
-    classify_user,
     group_report,
     labeled_report,
     load_label_file,
 )
-from helpers import group_row, vocab_word_set
+from helpers import classify_counts, classify_user, group_row, vocab_word_set
 
 NEG = vocab_word_set(["ugly", "hate"])
 POS = vocab_word_set(["nice", "sweet"])
@@ -64,6 +64,9 @@ class TestUserContentStats:
 
 
 class TestClassifyUser:
+    """`classify_corpus`, the rule over arrays, against the scalar if-chain
+    `classify_user`."""
+
     @pytest.mark.parametrize("neg,pos,expected", [
         (3, 0, "HN"),
         (3, 5, "PN"),
@@ -75,30 +78,33 @@ class TestClassifyUser:
         (5, 0, "HN"),
     ])
     def test_decision_table(self, neg, pos, expected):
+        assert classify_counts([neg], [pos]) == [expected]
         assert classify_user(neg, pos) == expected
 
     def test_exhaustive_sweep_total_partition(self):
-        for neg in range(13):
-            for pos in range(13):
-                label = classify_user(neg, pos)
-                assert label in GROUPS
-                # re-derive by explicit precedence
-                if neg >= 3 and pos == 0:
-                    assert label == "HN"
-                elif neg >= 3 and pos > 4:
-                    assert label == "PN"
-                elif pos > 10:
-                    assert label == "HP"
-                else:
-                    assert label == "OTHR"
+        pairs = [(neg, pos) for neg in range(13) for pos in range(13)]
+        labels = classify_counts([neg for neg, _ in pairs], [pos for _, pos in pairs])
+        for (neg, pos), label in zip(pairs, labels):
+            assert label in GROUPS
+            assert label == classify_user(neg, pos)
+            # re-derive by explicit precedence
+            if neg >= 3 and pos == 0:
+                assert label == "HN"
+            elif neg >= 3 and pos > 4:
+                assert label == "PN"
+            elif pos > 10:
+                assert label == "HP"
+            else:
+                assert label == "OTHR"
 
     def test_boundary_monotonicity(self):
-        assert classify_user(2, 0) == "OTHR"
-        assert classify_user(3, 0) == "HN"
+        assert classify_counts([2, 3], [0, 0]) == ["OTHR", "HN"]
 
-    @given(st.integers(0, 100), st.integers(0, 100))
-    def test_total_function(self, neg, pos):
-        assert classify_user(neg, pos) in GROUPS
+    @given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 100)), max_size=20))
+    def test_total_function(self, pairs):
+        labels = classify_counts([neg for neg, _ in pairs], [pos for _, pos in pairs])
+        assert labels == [classify_user(neg, pos) for neg, pos in pairs]
+        assert set(labels) <= set(GROUPS)
 
 
 def build_tables(corp):
@@ -119,8 +125,8 @@ class TestGroupReport:
     def test_counts_partition_corpus(self):
         corp = self.make_corpus()
         content, table = build_tables(corp)
-        labels = classify_corpus(content)
-        report = group_report(labels, content, table)
+        codes = classify_corpus(content)
+        report = group_report(codes, content, table)
         assert sum(r.count for r in report) == len(corp)
         assert group_row(report, "HN").count == 1
         assert group_row(report, "HP").count == 1
@@ -130,8 +136,8 @@ class TestGroupReport:
     def test_empty_group_has_null_means(self):
         corp = self.make_corpus()
         content, table = build_tables(corp)
-        labels = classify_corpus(content)
-        row = group_row(group_report(labels, content, table), "PN")
+        codes = classify_corpus(content)
+        row = group_row(group_report(codes, content, table), "PN")
         assert row.count == 0
         assert row.mean_neg_in_degree is None
         assert row.likes_per_answer is None
@@ -139,19 +145,19 @@ class TestGroupReport:
     def test_single_user_corpus(self):
         corp = corpus_of([profile("a", ["hello"])])
         content, table = build_tables(corp)
-        labels = classify_corpus(content)
-        report = group_report(labels, content, table)
+        codes = classify_corpus(content)
+        report = group_report(codes, content, table)
         assert group_row(report, "OTHR").count == 1
         assert sum(r.count for r in report) == 1
 
     def test_group_means_match_brute_force(self):
         corp = self.make_corpus()
         content, table = build_tables(corp)
-        labels = classify_corpus(content)
-        report = group_report(labels, content, table)
+        codes = classify_corpus(content)
+        report = group_report(codes, content, table)
         profiles = {p["owner"]: p for p in self.RECORDS}
         for row in report:
-            members = [u for u, g in labels.items() if g == row.name]
+            members = [u for u, k in zip(content.users, codes.tolist()) if GROUPS[k] == row.name]
             if not members:
                 continue
             expected = sum(
@@ -162,12 +168,30 @@ class TestGroupReport:
     def test_group_totals_reconstruct_corpus_totals(self):
         corp = self.make_corpus()
         content, table = build_tables(corp)
-        labels = classify_corpus(content)
-        report = group_report(labels, content, table)
+        codes = classify_corpus(content)
+        report = group_report(codes, content, table)
         total = sum(
             r.count * r.mean_answers for r in report if r.count
         )
         assert total == pytest.approx(sum(len(p["questions"]) for p in self.RECORDS))
+
+
+    def test_means_add_python_floats_left_to_right_in_id_order(self):
+        """Each mean is `sum` over the members' values in id order: past 8
+        values numpy's pairwise `np.sum` adds in another order, and here
+        keeps the small values that a left-to-right sum drops."""
+        n = 20
+        values = np.array([1.0] + [1e-16] * (n - 1))
+        assert float(np.mean(values)) != 1.0 / n  # the premise
+        ints = np.zeros(n, dtype=np.int64)
+        content = ContentTable(tuple(f"u{i:02d}" for i in range(n)), ints, ints, ints, ints,
+                               ints, ints)
+        counts = SimpleNamespace(node_reciprocity=values, in_deg=ints, out_deg=ints)
+        table = SimpleNamespace(neg=counts, nonneg=counts, local_clustering=values)
+        for row in (group_report(np.full(n, GROUPS.index("OTHR")), content, table)[-1],
+                    labeled_report(LabelFile("all", frozenset(content.users)), content, table)):
+            assert row.count == n
+            assert row.mean_neg_reciprocity == row.mean_local_clustering == 1.0 / n
 
 
 class TestLabeledReport:
@@ -198,7 +222,7 @@ class TestLabeledReport:
         ])
         content, table = build_tables(corp)
         assert content.users == ("a",)
-        assert classify_corpus(content) == {"a": "OTHR"}
+        assert classify_corpus(content).tolist() == [GROUPS.index("OTHR")]
         lf = LabelFile(label="cutting", user_ids=frozenset({"a", "s"}))
         row = labeled_report(lf, content, table)
         assert row.count == 1
@@ -230,11 +254,32 @@ class TestLabelFileIO:
         ids never join the first label's set."""
         path = tmp_path / "labels.txt"
         path.write_text("label: HN\nuser1\n\n# HP\nlabel: HP\nuser2\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="^line 5: a second 'label:' header"):
+        with pytest.raises(ValueError) as caught:
             load_label_file(path)
+        assert str(caught.value) == (f"{path}: line 5: a second 'label:' header; "
+                                     "a label file holds one label set")
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("user1\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             load_label_file(path)
+        assert str(caught.value) == (
+            f"{path}: label file must start with a 'label: <name>' header")
+
+    @pytest.mark.parametrize("text, message", [
+        ("label:  \nuser1\n", "empty label name"),
+        ("# only a comment\n\n", "label file has no header"),
+        ("", "label file has no header"),
+        (b"label: x\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 9: "
+                                "invalid start byte"),
+    ])
+    def test_every_error_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "labels.txt"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            load_label_file(path)
+        assert str(caught.value) == f"{path}: {message}"

@@ -10,7 +10,7 @@ from askgraph import synth
 from askgraph.cli import main
 from askgraph.corpus import Corpus, content_table, load_lexicon, save_corpus
 from askgraph.data import bundled_lexicon_path
-from askgraph.segmentation import classify_corpus
+from askgraph.segmentation import GROUPS, classify_corpus
 from askgraph.synth import (
     GenParams,
     SplitMix64,
@@ -175,21 +175,37 @@ class TestGenerateCorpus:
 
     def test_all_hn_mix_classifies_hn(self):
         p = params(n_users=10, group_mix={"HN": 1.0})
-        corp, labels = generate_corpus(p)
+        corp, codes = generate_corpus(p)
         pred = classify_corpus(content_table(
             tagged(corp, NEG_VOCAB + POS_VOCAB), vocab_word_set(NEG_VOCAB),
             vocab_word_set(POS_VOCAB)
         ))
-        assert set(pred.values()) == {"HN"}
-        assert pred == labels
+        assert set(pred.tolist()) == {GROUPS.index("HN")}
+        assert pred.tolist() == codes.tolist()
 
     def test_planted_labels_recovered(self):
-        corp, labels = generate_corpus(params(n_users=100))
+        corp, codes = generate_corpus(params(n_users=100))
         pred = classify_corpus(content_table(
             tagged(corp, NEG_VOCAB + POS_VOCAB), vocab_word_set(NEG_VOCAB),
             vocab_word_set(POS_VOCAB)
         ))
-        assert pred == labels
+        assert pred.tolist() == codes.tolist()
+
+    def test_planted_codes_past_u99999_follow_the_sorted_ids(self):
+        # past 100,000 users generation order and id order differ: u100000,
+        # drawn last, sorts between u10000 and u10001
+        p = params(n_users=100_001, group_mix={"HN": 0.5, "OTHR": 0.5},
+                   questions_per_user=(3, 3), like_rate=0.0)
+        corp, codes = generate_corpus(p)
+        assert codes.dtype == np.int64 and len(codes) == len(corp.owners)
+        pred = classify_corpus(content_table(
+            tagged(corp, NEG_VOCAB + POS_VOCAB), vocab_word_set(NEG_VOCAB),
+            vocab_word_set(POS_VOCAB)
+        ))
+        assert pred.tolist() == codes.tolist()
+        assert corp.owners[10_000:10_003] == ("u10000", "u100000", "u10001")
+        assert [GROUPS[k] for k in codes[10_000:10_003].tolist()] == ["HN", "OTHR", "HN"]
+        assert np.bincount(codes).tolist() == [50_001, 0, 0, 50_000]
 
     def test_infeasible_params_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -249,10 +265,10 @@ def gen_params(draw):
 
 
 def assert_matches_scalar_loop(p):
-    corpus, labels = generate_corpus(p)
+    corpus, codes = generate_corpus(p)
     expected, expected_labels = scalar_corpus(p)
     assert columns(corpus) == columns(expected)
-    assert list(labels.items()) == list(expected_labels.items())
+    assert [GROUPS[k] for k in codes.tolist()] == [expected_labels[u] for u in corpus.owners]
 
 
 class TestScalarOracle:

@@ -30,9 +30,19 @@ from askgraph.interaction import (
     likes_answers_correlation,
     node_table,
 )
+from askgraph.segmentation import (
+    GROUPS,
+    GroupRow,
+    LabelFile,
+    classify_corpus,
+    group_report,
+    labeled_report,
+)
 from askgraph.synth import GenParams, generate_corpus, snowball_sample
 from askgraph.wordgraph import build_bipartite, cooccurrence_distribution
-from helpers import corpus_records, crawl_order, edge_map, edge_rows, frontier, vocab_word_set
+from helpers import (
+    classify_user, corpus_records, crawl_order, edge_map, edge_rows, frontier, vocab_word_set,
+)
 
 NEG = frozenset({"ugly", "fat", "hate", "cool"})
 POS = frozenset({"nice", "sweet", "cool"})  # "cool" is in both
@@ -209,6 +219,43 @@ def reference_likes_answers_correlation(profiles, split=50):
             above_x.append(n_q)
             above_y.append(likes)
     return _pearson(below_x, below_y), _pearson(above_x, above_y)
+
+
+def reference_group_row(name, members, content, node, unresolved=()):
+    """A group row over `members`, user by user: each mean is a Python sum
+    in the members' order divided by their count, likes per answer a ratio
+    of int sums, and an empty group's are None. `content` and `node` map a
+    user to its `reference_content` row and its node-table values."""
+    n = len(members)
+
+    def mean(values):
+        return sum(values) / n if n else None
+
+    likes, answers, neg_q, pos_q, neg_w, pos_w = (
+        [content[u][c] for u in members] for c in range(6))
+    neg_recip, nonneg_recip, neg_in, nonneg_in, neg_out, nonneg_out, local = (
+        [node[u][c] for u in members] for c in range(7))
+    return GroupRow(
+        name=name, count=n,
+        mean_neg_reciprocity=mean(neg_recip), mean_nonneg_reciprocity=mean(nonneg_recip),
+        mean_neg_in_degree=mean(neg_in), mean_nonneg_in_degree=mean(nonneg_in),
+        mean_neg_out_degree=mean(neg_out), mean_nonneg_out_degree=mean(nonneg_out),
+        mean_total_likes=mean(likes),
+        likes_per_answer=sum(likes) / sum(answers) if sum(answers) else None,
+        mean_local_clustering=mean(local), mean_answers=mean(answers),
+        mean_neg_questions=mean(neg_q), mean_pos_questions=mean(pos_q),
+        mean_neg_words=mean(neg_w), mean_pos_words=mean(pos_w),
+        unresolved_ids=unresolved,
+    )
+
+
+def reference_labeled_row(label_file, content, node):
+    ids = label_file.user_ids
+    resolved = sorted(ids & content.keys())
+    if not resolved:
+        return f"label set {label_file.label!r} has no fully sampled users in the corpus"
+    return reference_group_row(label_file.label, resolved, content, node,
+                               tuple(sorted(ids - content.keys())))
 
 
 # --- random corpora -------------------------------------------------------
@@ -475,3 +522,35 @@ def test_a_word_outside_the_vocabulary_fails_by_name(analysis, words):
             analysis(corpus)
     with pytest.raises(AttributeError):
         analysis(Corpus.from_records(GUARD_RECORDS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora(), st.booleans(), st.integers(1, 4),
+       st.lists(st.sets(st.sampled_from(USERS + ["ghost", "u 0", "u00"])), max_size=3))
+def test_group_and_label_rows_match_the_user_loop(records, superset, top_k, label_sets):
+    """Every field of every group and label row equals the per-user loop's:
+    members by sorted id, stubs and unknown ids unresolved, empty groups
+    null. The node-table values are read per user; `test_networkx_oracle`
+    checks them."""
+    profiles = normalized(records)
+    corpus = tagged_over(records, {*NEG_WS, *POS_WS}, superset)
+    content = content_table(corpus, NEG_WS, POS_WS)
+    table = node_table(build_interaction_graph(corpus, NEG_WS, top_k=top_k))
+    expected = reference_content(profiles, NEG_WS, POS_WS)
+    columns = (table.neg.node_reciprocity, table.nonneg.node_reciprocity, table.neg.in_deg,
+               table.nonneg.in_deg, table.neg.out_deg, table.nonneg.out_deg,
+               table.local_clustering)
+    node = dict(zip(table.nodes, zip(*(c.tolist() for c in columns))))
+    assert list(node) == list(expected) == list(content.users)
+
+    codes = classify_corpus(content)
+    assert [GROUPS[k] for k in codes.tolist()] == [
+        classify_user(row[2], row[3]) for row in expected.values()]
+    assert group_report(codes, content, table) == tuple(
+        reference_group_row(g, [u for u, row in expected.items()
+                                if classify_user(row[2], row[3]) == g], expected, node)
+        for g in GROUPS)
+    for k, ids in enumerate(label_sets):
+        label_file = LabelFile(f"set{k}", frozenset(ids))
+        assert outcome(labeled_report, label_file, content, table) == (
+            reference_labeled_row(label_file, expected, node))
