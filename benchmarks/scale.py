@@ -13,7 +13,13 @@ it runs:
 
 Each command runs in a fresh Python process that wraps `cli._stage`, so
 every stage reports its self seconds (the stages nested in it are taken
-out), its inclusive seconds and the process's `ru_maxrss` after it. RSS
+out), its inclusive seconds and the process's `ru_maxrss` after it. Before
+and after each command this process runs a window of perfbench's
+calibration task (`calibrate.window()`), and every time is also given in
+reference seconds (`ref_seconds`, `ref_self_s`, `ref_inclusive_s`): wall
+seconds times `calibrate.scale` of all the sweep's windows, as perfbench
+scales a run by all of its windows, since the few next to one command are
+too few to beat the host's speed jitter. RSS
 here is always that fresh-process peak in MB (2**20 bytes): it includes
 the interpreter, numpy and scipy, whose floor after the imports is
 reported beside it. The triangle kernel's `interaction._masked_product`
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -43,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import calibrate  # noqa: E402
 from run import GROUPS, LIKE_RATE, MIX, QUESTIONS, child_env, machine_record  # noqa: E402
 
 PINNED = {
@@ -109,10 +117,13 @@ def commands(n: int) -> dict[str, list[str]]:
     }
 
 
-def run(n: int, argv: list[str], work: Path) -> dict:
-    """Run one askgraph command in its own process and return its record."""
+def run(n: int, argv: list[str], work: Path, samples: list[float]) -> dict:
+    """Run one askgraph command in its own process, between two calibration
+    windows whose samples go to `samples`, and return its record."""
+    samples += calibrate.window()
     child = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=work,
                            env=child_env(ROOT), stdout=subprocess.PIPE, text=True)
+    samples += calibrate.window()
     if child.returncode != 0:
         raise SystemExit(f"scale: n={n} {argv[0]} failed (exit {child.returncode})")
     record = {"argv": argv, **json.loads(child.stdout.splitlines()[-1])}
@@ -132,10 +143,10 @@ def tree_digest(work: Path) -> str:
     return child.stdout.strip()
 
 
-def sweep(n: int) -> dict:
+def sweep(n: int, samples: list[float]) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        records = {name: run(n, argv, work) for name, argv in commands(n).items()}
+        records = {name: run(n, argv, work, samples) for name, argv in commands(n).items()}
         for name in ("crawl_order", "frontier"):
             lines = (work / "crawl" / f"{name}.txt").read_text().splitlines()
             records["crawl-sim"][name] = len(lines)
@@ -154,7 +165,18 @@ def main() -> int:
     args = parser.parse_args()
     machine = machine_record(ROOT)
     del machine["note"]  # perfbench's note on its own figures
-    record = {"machine": machine, "sizes": {str(n): sweep(n) for n in args.sizes}}
+    calibrate.sample()  # warm-up, dropped
+    samples: list[float] = []
+    sizes = {str(n): sweep(n, samples) for n in args.sizes}
+    scale = calibrate.scale(samples)
+    for command in (c for size in sizes.values() for c in size["commands"].values()):
+        command["ref_seconds"] = round(command["seconds"] * scale, 4)
+        for stage in command["stages"]:
+            stage["ref_self_s"] = round(stage["self_s"] * scale, 4)
+            stage["ref_inclusive_s"] = round(stage["inclusive_s"] * scale, 4)
+    calibration = {"samples": len(samples), "mean_sample_s": round(statistics.mean(samples), 5),
+                   "ref_s": calibrate.REF_S, "scale": round(scale, 4)}
+    record = {"machine": machine, "calibration": calibration, "sizes": sizes}
     print(json.dumps(record, indent=1))
     return int(any(size["pinned"] == "differs" for size in record["sizes"].values()))
 

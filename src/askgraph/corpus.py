@@ -9,11 +9,18 @@ A `Corpus` is columns, one entry per question and per profile, built once
 by whatever builds the corpus: the record parse behind `load_corpus` (line
 by line) and `Corpus.from_records`, `generate_corpus` and
 `snowball_sample`. `save_corpus` is the one read-back: it writes each
-profile's line straight from the columns. Given a vocabulary, the parse
-tokenizes each question once and keeps only its vocabulary word counts,
-and no text: it is the one caller of `tokenize`, and its `TaggedCorpus` is
-what every analysis reduces. A lexicon is the frozenset of its words, and
-a run keys its two lexicons by polarity.
+profile's line straight from the columns.
+
+The parse checks each profile as soon as it is read: a profile in the
+common shape by passes over all its questions at once, any other by the
+checks one question at a time, which raise the first fault. Given a
+vocabulary, it tokenizes each question once and keeps only its vocabulary
+word counts, and no text: its texts wait in a block of `_BLOCK`, and each
+block is tokenized at once, an ASCII text by a byte translation and a
+whitespace split, any other by `_TOKEN_RE` over the block joined by NUL,
+both as `tokenize` splits each text. The parse is the one place text is
+tokenized, and its `TaggedCorpus` is what every analysis reduces. A lexicon
+is the frozenset of its words, and a run keys its two lexicons by polarity.
 """
 
 from __future__ import annotations
@@ -22,10 +29,13 @@ import json
 import os
 import re
 from array import array
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -206,6 +216,11 @@ class ContentTable:
     n_neg_words: np.ndarray
     n_pos_words: np.ndarray
 
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        """Each user's row, built on first use and kept."""
+        return dict(zip(self.users, count()))
+
 
 @dataclass(frozen=True)
 class CorpusStats:
@@ -219,24 +234,159 @@ class CorpusStats:
     pct_users_with_pos_q: float
 
 
+def _checked_questions(line_no: int, questions: list) -> tuple[list, list, list, list, list]:
+    """A profile's question texts, answers, like counts and numbers of
+    likers, and its likers one question after another, each question checked
+    in turn: the first fault raises CorpusFormatError on `line_no`. A
+    question without `likers` has none, and one without `answer` answers
+    with ""."""
+    texts, answers, likes_each, n_likers, likers_all = [], [], [], [], []
+    for question in questions:
+        if not isinstance(question, dict) or "text" not in question:
+            raise CorpusFormatError(
+                line_no, "question record must be an object with a 'text' field"
+            )
+        text = question["text"]
+        if not isinstance(text, str):
+            raise CorpusFormatError(line_no, "question text must be a string")
+        listed = question.get("likers")
+        likers = () if listed is None else listed
+        if listed is not None:
+            if not isinstance(likers, list) or not all(map(isinstance, likers, repeat(str))):
+                raise CorpusFormatError(line_no, "likers must be an array of strings")
+            if len(set(likers)) != len(likers):
+                raise CorpusFormatError(line_no, "duplicate liker ids on one question")
+        likes = question.get("like_count", len(likers))
+        if not isinstance(likes, int) or isinstance(likes, bool) or likes < 0:
+            raise CorpusFormatError(line_no, "like_count must be a nonnegative integer")
+        answer = question.get("answer", "")
+        if not isinstance(answer, str):
+            raise CorpusFormatError(line_no, "answer must be a string")
+        if listed is not None and likes != len(likers):
+            raise CorpusFormatError(
+                line_no, f"like_count {likes} does not match {len(likers)} likers"
+            )
+        texts.append(text)
+        answers.append(answer)
+        likes_each.append(likes)
+        n_likers.append(len(likers))
+        likers_all += likers
+    return texts, answers, likes_each, n_likers, likers_all
+
+
+_FIELDS = tuple(map(itemgetter, ("text", "answer", "likers", "like_count")))
+
+
+def _bulk_questions(questions: list) -> tuple[list, list, list, list, list] | None:
+    """What `_checked_questions` returns for a profile in the common shape,
+    checked by passes over the whole profile: every question an object with
+    all four fields, its text, answer and likers strings, and its like count
+    an int equal to the number of its likers, all distinct. None for any
+    other profile, which `_checked_questions` then reads or rejects."""
+    if not set(map(type, questions)) <= {dict}:
+        return None
+    try:
+        texts, answers, likers, likes = (list(map(field, questions)) for field in _FIELDS)
+        n_likers = list(map(list.__len__, likers))
+        likers_all = list(chain.from_iterable(likers))
+        # str.join takes strings alone, as isinstance(x, str) does
+        "".join(texts), "".join(answers), "".join(likers_all)
+    except (KeyError, TypeError):
+        return None
+    if not (set(map(type, likes)) <= {int} and likes == n_likers):
+        return None
+    # likers distinct over the profile are distinct on each question
+    if len(set(likers_all)) < len(likers_all) and n_likers != list(map(len, map(set, likers))):
+        return None
+    return texts, answers, likes, n_likers, likers_all
+
+
+# ASCII text as `tokenize` reads it, byte for byte: A-Z lowercased, the
+# token characters a-z, 0-9, ' and * and the NUL separator kept, and every
+# other byte a space (an ASCII text has none past 127), so that a whitespace
+# split yields `_TOKEN_RE`'s tokens: on ASCII, each is a maximal run of them
+_ASCII_TOKENS = bytes(ord(c.lower()) if c.lower() in "abcdefghijklmnopqrstuvwxyz0123456789'*\x00"
+                      else 32 for c in map(chr, range(128))).ljust(256)
+_BLOCK_RE = re.compile(f"{_TOKEN_RE.pattern}|\x00", re.UNICODE)
+_SEP = -2  # a separator's id; a token outside the vocabulary reads -1
+_BLOCK = 256  # texts tokenized at once
+
+
+def _cut(tokens: list, index: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vocabulary ids in `index` of `n` texts' tokens, which a
+    separator, read as _SEP, ends text by text, and how many each text
+    holds."""
+    ids = np.fromiter(map(index.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
+    text = np.cumsum(ids == _SEP)
+    kept = ids >= 0
+    return ids[kept], np.bincount(text[kept], minlength=n)
+
+
+def _tag_ascii(texts: list[str], index: dict[bytes, int]) -> tuple[np.ndarray, np.ndarray]:
+    tokens = " \x00 ".join(texts).encode("ascii").translate(_ASCII_TOKENS).split()
+    return _cut(tokens, index, len(texts))
+
+
+def _tag_other(texts: list[str], index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    return _cut(_BLOCK_RE.findall("\x00".join(texts).lower()), index, len(texts))
+
+
+def _tag_block(texts: list[str], ascii_index: dict[bytes, int],
+               index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The vocabulary ids of the tokens of `texts`, as `tokenize` splits
+    them, text after text, and how many each text holds. The ASCII texts
+    are joined by a NUL between spaces, each byte is translated by
+    `_ASCII_TOKENS`, and the result is split on whitespace; the others are
+    joined by NUL, lowercased and split by `_TOKEN_RE`. NUL, like a space,
+    is no token character and is neither cased nor case-ignorable, so
+    lowercasing reads it as an end of text, and a NUL inside a text is read
+    as a space. The two indexes map each token to its id and NUL to _SEP."""
+    if "\x00" in "".join(texts):
+        texts = [text.replace("\x00", " ") for text in texts]
+    if all(map(str.isascii, texts)):
+        return _tag_ascii(texts, ascii_index)
+    is_ascii = np.fromiter(map(str.isascii, texts), dtype=bool, count=len(texts))
+    rows = np.flatnonzero(is_ascii), np.flatnonzero(~is_ascii)
+    parts = (_tag_ascii([texts[k] for k in rows[0].tolist()], ascii_index),
+             _tag_other([texts[k] for k in rows[1].tolist()], index))
+    lengths = np.empty(len(texts), dtype=np.int64)
+    for r, (_, n) in zip(rows, parts):
+        lengths[r] = n
+    # each text's ids together, in text order; the order within a text is free
+    text = np.repeat(np.concatenate(rows), np.concatenate([n for _, n in parts]))
+    ids = np.concatenate([i for i, _ in parts])[np.argsort(text, kind="stable")]
+    return ids, lengths
+
+
 def _parse_records(numbered: Iterable[tuple[int, object]],
                    vocab: Iterable[str] | None = None) -> Corpus:
     """The corpus of (line number, profile record) pairs: each record is
-    checked, and its owner and likers are interned as they are read.
+    checked, and its owner and likers are interned, as soon as it is read.
 
-    Given a `vocab`, each question is tokenized once it passes its checks
-    and only its ids in the sorted vocabulary are kept, in `word`, with
-    `ends` marking where each question's ids end: the result is the
-    `TaggedCorpus` over `vocab`, which holds no text."""
-    code: dict[str, int] = {}  # every id read, numbered in order of first sight
-    intern = code.setdefault
+    A profile's questions are checked together by `_bulk_questions`, or,
+    when that fails, one by one by `_checked_questions`, which raises the
+    first fault. Given a `vocab`, the texts are tokenized a block at a time
+    by `_tag_block`, and only their ids in the sorted vocabulary are kept,
+    in `word`, with `ends` marking where each question's ids end: the
+    result is the `TaggedCorpus` over `vocab`, which holds no text."""
+    # every id read, numbered in order of first sight as it is looked up
+    code: defaultdict[str, int] = defaultdict(count().__next__)
     seen: set[str] = set()
     owner_code, sampled, n_rows, texts, answers = [], [], [], [], []
     like_count, n_likers, liker_code = array("q"), array("q"), array("q")
     if vocab is not None:
         vocab = tuple(sorted(frozenset(vocab)))
-        index = {w: i for i, w in enumerate(vocab)}
+        index = {**dict(zip(vocab, count())), "\x00": _SEP}
+        indexes = ({w.encode(): i for w, i in index.items() if w.isascii()}, index)
         word, ends = array("q"), array("q")
+
+        def tag(pending: list[str]) -> None:
+            """Tag the texts in `pending` and clear it."""
+            ids, lengths = _tag_block(pending, *indexes)
+            ends.frombytes((np.cumsum(lengths) + len(word)).tobytes())
+            word.frombytes(ids.tobytes())
+            pending.clear()
+
     for line_no, obj in numbered:
         if not isinstance(obj, dict):
             raise CorpusFormatError(line_no, "profile record must be an object")
@@ -251,59 +401,34 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
         fully_sampled = obj.get("fully_sampled", True)
         if not isinstance(fully_sampled, bool):
             raise CorpusFormatError(line_no, "'fully_sampled' must be true or false")
-        likes_each = []  # the profile's like counts, stored once their total fits int64
-        for question in questions:
-            if not isinstance(question, dict) or "text" not in question:
-                raise CorpusFormatError(
-                    line_no, "question record must be an object with a 'text' field"
-                )
-            text = question["text"]
-            if not isinstance(text, str):
-                raise CorpusFormatError(line_no, "question text must be a string")
-            listed = question.get("likers")
-            likers = () if listed is None else listed
-            if listed is not None:
-                if not isinstance(likers, list) or not all(map(isinstance, likers, repeat(str))):
-                    raise CorpusFormatError(line_no, "likers must be an array of strings")
-                if len(set(likers)) != len(likers):
-                    raise CorpusFormatError(line_no, "duplicate liker ids on one question")
-            likes = question.get("like_count", len(likers))
-            if not isinstance(likes, int) or isinstance(likes, bool) or likes < 0:
-                raise CorpusFormatError(line_no, "like_count must be a nonnegative integer")
-            answer = question.get("answer", "")
-            if not isinstance(answer, str):
-                raise CorpusFormatError(line_no, "answer must be a string")
-            if listed is not None and likes != len(likers):
-                raise CorpusFormatError(
-                    line_no, f"like_count {likes} does not match {len(likers)} likers"
-                )
-            if vocab is None:
-                texts.append(text)
-                answers.append(answer)
-            else:
-                word.fromlist([index[t] for t in tokenize(text) if t in index])
-                ends.append(len(word))
-            likes_each.append(likes)
-            n_likers.append(len(likers))
-            liker_code.fromlist([intern(x, len(code)) for x in likers])
+        q_texts, q_answers, likes_each, q_n_likers, likers = (
+            _bulk_questions(questions) or _checked_questions(line_no, questions))
         if sum(likes_each) >= 1 << 63:
             raise CorpusFormatError(line_no, "like counts sum past the int64 range")
+        texts += q_texts  # with a vocab, the texts not yet tagged
+        if vocab is None:
+            answers += q_answers
+        elif len(texts) >= _BLOCK:
+            tag(texts)
         like_count.fromlist(likes_each)
+        n_likers.fromlist(q_n_likers)
+        liker_code.fromlist(list(map(code.__getitem__, likers)))
         seen.add(owner)
-        owner_code.append(intern(owner, len(code)))
+        owner_code.append(code[owner])
         sampled.append(fully_sampled)
         n_rows.append(len(questions))
     # the parse's dict, set and lists go before `from_rows` builds the columns
     ids = list(code)
     owner_code, sampled = np.array(owner_code, dtype=np.int64), np.array(sampled, dtype=bool)
     row_code = np.repeat(owner_code, n_rows)
-    del code, seen, intern, n_rows
+    del code, seen, n_rows
     like_count, n_likers, liker_code = (
         np.frombuffer(a, dtype=np.int64) for a in (like_count, n_likers, liker_code))
     if vocab is None:
         texts, answers = tuple(texts), tuple(answers)
         return Corpus.from_rows(ids, owner_code, sampled, row_code,
                                 texts, answers, like_count, n_likers, liker_code)
+    tag(texts)
     indptr = np.concatenate(([0], np.frombuffer(ends, dtype=np.int64)))
     counts = sp.csr_matrix(
         (np.ones(len(word), dtype=np.int64), np.frombuffer(word, dtype=np.int64), indptr),
@@ -409,8 +534,8 @@ def lexicon_word(word: str, name: str = "entry") -> str:
     be a single token as `tokenize` splits text, since any other word could
     never match a question; `name` says what the word is in the error."""
     entry = word.lower()
-    # matched against the token pattern directly: `tokenize` runs once per
-    # question, and its call count is measured as such
+    # matched against the token pattern directly: every question text
+    # reaches a tokenizer once, in the parse, and tests count those texts
     if not _TOKEN_RE.fullmatch(entry):
         tokens = _TOKEN_RE.findall(entry)
         raise LexiconError(f"{name} {word!r} is not a single token (reads as {tokens})")

@@ -12,6 +12,7 @@ rows of the like graph's `NodeTable`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -134,19 +135,16 @@ def labeled_report(label_file: LabelFile, content: ContentTable, table: NodeTabl
     fully sampled profile are reported as unresolved, not fatal. An
     unresolved id holding ';' is an error, since group_report.csv joins the
     unresolved ids with ';'."""
-    # sorted ids against the sorted users, compared as Python strings
-    ids = np.array(sorted(label_file.user_ids), dtype=object)
-    users = np.array(content.users, dtype=object)
-    rows = np.searchsorted(users, ids)
-    found = rows < len(users)
-    found[found] = users[rows[found]] == ids[found]
-    unresolved = tuple(ids[~found].tolist())
+    ids = list(label_file.user_ids)
+    rows = np.fromiter(map(content.row_of.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
+    unresolved = tuple(sorted(compress(ids, (rows < 0).tolist())))
     for user_id in unresolved:
         if ";" in user_id:
             raise ValueError(f"unresolved id {user_id!r} of label set {label_file.label!r} "
                              "holds ';', which separates the unresolved ids in group_report.csv")
-    if not found.any():
+    if len(unresolved) == len(ids):
         raise ValueError(
             f"label set {label_file.label!r} has no fully sampled users in the corpus"
         )
-    return _aggregate(label_file.label, rows[found], content, table, unresolved)
+    # ascending rows are the members in sorted-id order
+    return _aggregate(label_file.label, np.sort(rows[rows >= 0]), content, table, unresolved)

@@ -4,18 +4,20 @@ plain vocabulary as a word set, the segmentation rule as a scalar oracle
 and the array rule over plain counts, a group row by name, a crawl's crawl
 order and frontier, a corpus's profile records, the scalar synthetic
 generator and its sampler, and the brute-force reciprocity and clustering
-oracles of the node table."""
+oracles of the node table, and the record checks of the corpus parse as
+one loop over each question."""
 
 from __future__ import annotations
 
 from bisect import insort
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from askgraph import synth
-from askgraph.corpus import ContentTable, Corpus, TaggedCorpus
+from askgraph.corpus import ContentTable, Corpus, CorpusFormatError, TaggedCorpus
 from askgraph.interaction import InteractionGraph, node_table, reciprocity
 from askgraph.segmentation import GROUPS, GroupRow, classify_corpus
 from askgraph.synth import GenParams, SplitMix64
@@ -82,6 +84,66 @@ def classify_counts(neg: Sequence[int], pos: Sequence[int]) -> list[str]:
                          np.array(neg, dtype=np.int64), np.array(pos, dtype=np.int64),
                          zeros, zeros)
     return [GROUPS[k] for k in classify_corpus(table).tolist()]
+
+
+def checked_records(records: Iterable[object]) -> list[dict]:
+    """The corpus parse's record checks as one loop over each question, the
+    oracle of `load_corpus`: the first fault raises CorpusFormatError with
+    the message and 1-based line the loader gives. Otherwise each profile as
+    `corpus_records` reads it back: defaults filled in and questions by
+    descending like count, ties in file order."""
+    seen: set[str] = set()
+    profiles = []
+    for line_no, obj in enumerate(records, start=1):
+        if not isinstance(obj, dict):
+            raise CorpusFormatError(line_no, "profile record must be an object")
+        owner = obj.get("owner")
+        if not isinstance(owner, str) or not owner:
+            raise CorpusFormatError(line_no, "missing or empty 'owner'")
+        if owner in seen:
+            raise CorpusFormatError(line_no, f"duplicate owner id {owner!r}")
+        questions = obj.get("questions", [])
+        if not isinstance(questions, list):
+            raise CorpusFormatError(line_no, "'questions' must be an array")
+        fully_sampled = obj.get("fully_sampled", True)
+        if not isinstance(fully_sampled, bool):
+            raise CorpusFormatError(line_no, "'fully_sampled' must be true or false")
+        read = []
+        for question in questions:
+            if not isinstance(question, dict) or "text" not in question:
+                raise CorpusFormatError(
+                    line_no, "question record must be an object with a 'text' field"
+                )
+            text = question["text"]
+            if not isinstance(text, str):
+                raise CorpusFormatError(line_no, "question text must be a string")
+            listed = question.get("likers")
+            likers = () if listed is None else listed
+            if listed is not None:
+                if not isinstance(likers, list) or not all(map(isinstance, likers, repeat(str))):
+                    raise CorpusFormatError(line_no, "likers must be an array of strings")
+                if len(set(likers)) != len(likers):
+                    raise CorpusFormatError(line_no, "duplicate liker ids on one question")
+            likes = question.get("like_count", len(likers))
+            if not isinstance(likes, int) or isinstance(likes, bool) or likes < 0:
+                raise CorpusFormatError(line_no, "like_count must be a nonnegative integer")
+            answer = question.get("answer", "")
+            if not isinstance(answer, str):
+                raise CorpusFormatError(line_no, "answer must be a string")
+            if listed is not None and likes != len(likers):
+                raise CorpusFormatError(
+                    line_no, f"like_count {likes} does not match {len(likers)} likers"
+                )
+            read.append({"text": text, "answer": answer, "likers": list(likers),
+                         "like_count": likes})
+            if likes and not likers:
+                del read[-1]["likers"]
+        if sum(q["like_count"] for q in read) >= 1 << 63:
+            raise CorpusFormatError(line_no, "like counts sum past the int64 range")
+        seen.add(owner)
+        read.sort(key=lambda q: -q["like_count"])
+        profiles.append({"owner": owner, "fully_sampled": fully_sampled, "questions": read})
+    return profiles
 
 
 def group_row(rows: Sequence[GroupRow], name: str) -> GroupRow:

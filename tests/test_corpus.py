@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from askgraph.corpus import (
 )
 from askgraph.data import bundled_lexicon_path
 from askgraph.synth import GenParams, generate_corpus
-from helpers import corpus_records
+from helpers import checked_records, corpus_records
 
 
 def write_corpus_file(tmp_path, records, name="corpus.jsonl"):
@@ -169,6 +170,13 @@ class TestLoadCorpus:
         ])
         error = format_error(path)
         assert "sum past the int64 range" in str(error) and error.line_no == 2
+
+    def test_question_that_is_a_mapping_but_no_object_is_rejected(self):
+        """A record handed to `from_records` is read as JSON would give it:
+        a question must be a dict, not any mapping."""
+        question = MappingProxyType({"text": "hi", "answer": "", "likers": [], "like_count": 0})
+        with pytest.raises(CorpusFormatError, match="^line 1: question record must be an object"):
+            Corpus.from_records([{"owner": "a", "questions": [question]}])
 
     def test_absent_optional_fields_take_defaults(self, tmp_path):
         path = write_corpus_file(tmp_path, [{"owner": "a", "questions": [{"text": "hi"}]}])
@@ -476,6 +484,31 @@ class TestTaggedLoad:
             Counter(t for t in tokenize(q) if t in vocab) for q in text.texts
         ]
 
+    @pytest.mark.parametrize("texts", [
+        ["ΟΔΟΣ", "ΣΑΣ", "Σ", "ΑΣ'", "'ΣΑ", "ὈΔΥΣΣΕΎΣ."],
+        ["snake_case ugly_fat", "été_ugly _fat_", "__"],
+        ["f**k ''' *** 'ugly' **fat** don't'' ' *", "'*'*x*'*' **", "***", "'"],
+        ["ugly\x00fat", "\x00", "nice\x00", "ΣΑΣ\x00ΣΑΣ", "fat"],
+        ["Fat DOG", "ΟΔΟΣ fat", "nice", "😀 ugly", "ÉTÉ été", "plain", "İstanbul ugly"],
+    ], ids=["final-sigma", "underscore", "quote-and-star-runs", "nul", "ascii-and-not"])
+    def test_block_tokenizer_matches_tokenize(self, tmp_path, monkeypatch, texts):
+        """Each text's counts are its `tokenize` tokens, counted, over a
+        vocabulary of all of them, and each text reaches one tokenizer once;
+        the texts share blocks, and 3 * 256 of them span several."""
+        many = texts * (3 * 256 // len(texts) + 1)
+        records = [make_profile(f"p{k:04d}", many[k:k + 7]) for k in range(0, len(many), 7)]
+        vocab = {t for text in texts for t in tokenize(text)}
+        path = write_corpus_file(tmp_path, records)
+        calls, block = [], corpus_mod._tag_block
+        monkeypatch.setattr(
+            corpus_mod, "tokenize", lambda text: calls.append(text) or tokenize(text)
+        )
+        monkeypatch.setattr(corpus_mod, "_tag_block",
+                            lambda texts, *index: calls.extend(texts) or block(texts, *index))
+        tagged = load_corpus(path, vocab)
+        assert sorted(calls) == sorted(many)
+        assert row_counts(tagged) == [Counter(tokenize(text)) for text in many]
+
     def test_corpus_without_text_is_not_saved(self, tmp_path):
         path = write_corpus_file(tmp_path, [make_profile("a", ["ugly day"])])
         out = tmp_path / "saved.jsonl"
@@ -490,6 +523,119 @@ class TestTaggedLoad:
         assert corpus_stats(tagged, NEG, POS).avg_neg_words == 1.0
         with pytest.raises(ValueError, match=r"^the corpus holds no counts of \['day'\]$"):
             corpus_stats(tagged, NEG, {"day"})
+
+
+def _drop(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+# Faults a profile or a question can carry; some are not faults but shapes
+# the per-question reading accepts (a count without likers, null likers,
+# no answer, no like count, no sampling flag).
+_PROFILE_FAULTS = {
+    "not-an-object": lambda p: [p],
+    "no-owner": lambda p: _drop(p, "owner"),
+    "empty-owner": lambda p: {**p, "owner": ""},
+    "int-owner": lambda p: {**p, "owner": 7},
+    "questions-object": lambda p: {**p, "questions": {}},
+    "sampled-int": lambda p: {**p, "fully_sampled": 1},
+    "no-sampled": lambda p: _drop(p, "fully_sampled"),
+}
+_QUESTION_FAULTS = {
+    "not-an-object": lambda q: [q],
+    "no-text": lambda q: _drop(q, "text"),
+    "int-text": lambda q: {**q, "text": 3},
+    "string-likers": lambda q: {**q, "likers": "ab", "like_count": 2},
+    "null-likers": lambda q: {**q, "likers": None},
+    "int-liker": lambda q: {**q, "likers": [*q.get("likers", []), 1],
+                            "like_count": len(q.get("likers", [])) + 1},
+    "duplicate-liker": lambda q: {**q, "likers": ["d", *q.get("likers", []), "d"],
+                                  "like_count": len(q.get("likers", [])) + 2},
+    "bool-likes": lambda q: {**q, "like_count": True},
+    "float-likes": lambda q: {**q, "like_count": float(q["like_count"])},
+    "negative-likes": lambda q: {**_drop(q, "likers"), "like_count": -1},
+    "likes-mismatch": lambda q: {**q, "like_count": q["like_count"] + 1},
+    "count-without-likers": lambda q: {**_drop(q, "likers"), "like_count": 3},
+    "likes-past-int64": lambda q: {**_drop(q, "likers"), "like_count": 2**62},
+    "no-likes": lambda q: _drop(q, "like_count"),
+    "no-answer": lambda q: _drop(q, "answer"),
+    "null-answer": lambda q: {**q, "answer": None},
+}
+
+
+_FAULT_KINDS = [*(f"q:{k}" for k in _QUESTION_FAULTS), *_PROFILE_FAULTS, "duplicate-owner"]
+
+
+@st.composite
+def faulty_corpora(draw, first=None):
+    """Profile records with a fault of kind `first` (none if None) and zero
+    or one more of any kind from `_FAULT_KINDS`, each at a drawn profile and
+    question: "q:" marks a `_QUESTION_FAULTS` kind."""
+    records = draw(corpora())
+    kinds = [first] if first else []
+    for kind in kinds + draw(st.lists(st.sampled_from(_FAULT_KINDS), max_size=1)):
+        p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        if not records or not isinstance(records[p % len(records)], dict):
+            continue
+        p %= len(records)
+        profile = records[p]
+        if kind == "duplicate-owner":
+            records.insert(p + 1, {"owner": profile.get("owner"), "questions": []})
+        elif kind in _PROFILE_FAULTS:
+            records[p] = _PROFILE_FAULTS[kind](profile)
+        elif isinstance(profile.get("questions"), list):
+            questions = profile["questions"] or [{"text": "hi", "likers": [], "like_count": 0}]
+            q %= len(questions)
+            if isinstance(questions[q], dict) and "like_count" in questions[q]:
+                questions = [*questions[:q], _QUESTION_FAULTS[kind[2:]](questions[q]),
+                             *questions[q + 1:]]
+            records[p] = {**profile, "questions": questions}
+    return records
+
+
+class TestRecordChecks:
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("record_checks")
+
+    @staticmethod
+    def assert_loads_as_the_question_loop(path, records):
+        """The text and the tagged load, from a file or from the records,
+        raise the error, with its line, of the first fault that the
+        per-question loop finds, or read the records as that loop does."""
+        try:
+            expected = checked_records(records)
+        except CorpusFormatError as exc:
+            error = format_error(path)
+            assert (str(error), error.line_no) == (str(exc), exc.line_no)
+            for vocab in (None, VOCAB):
+                with pytest.raises(CorpusFormatError) as direct:
+                    Corpus.from_records(records, vocab)
+                assert (str(direct.value), direct.value.line_no) == (str(exc), exc.line_no)
+        else:
+            assert list(corpus_records(load_corpus(path))) == expected
+            assert list(corpus_records(Corpus.from_records(records))) == expected
+            assert len(load_corpus(path, VOCAB)) == len(expected)
+
+    @pytest.mark.parametrize("kind", [None, *_FAULT_KINDS])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_loads_reject_the_first_fault_the_question_loop_finds(self, out_dir, kind, data):
+        records = data.draw(faulty_corpora(kind))
+        self.assert_loads_as_the_question_loop(write_corpus_file(out_dir, records), records)
+
+    @pytest.mark.parametrize("records", [
+        [{"owner": "a", "questions": [{"text": "hi", "likers": [1], "like_count": 1},
+                                      {"text": 2}]}],
+        [{"owner": "a", "questions": [{"text": "hi", "likers": ["b"], "like_count": 1.0,
+                                       "answer": None}]}],
+        [{"owner": "a", "questions": []},
+         {"owner": "b", "questions": [{"text": "hi", "like_count": 2**62},
+                                      {"text": "x", "likers": ["c"], "like_count": 1},
+                                      {"text": "y", "like_count": 2**62}]}],
+    ], ids=["bad-liker-then-bad-text", "float-count-and-null-answer", "past-int64-in-bulk"])
+    def test_first_fault_in_file_order_wins(self, tmp_path, records):
+        self.assert_loads_as_the_question_loop(write_corpus_file(tmp_path, records), records)
 
 
 class TestLoadLexicon:
@@ -625,13 +771,19 @@ class TestTagCorpus:
         assert tagged.counts.dtype == np.int64 and tagged.counts.has_canonical_format
 
     def test_tokenizes_each_question_once(self, monkeypatch):
+        """Every text reaches a tokenizer once, through the block tokenizer
+        or `tokenize`, and an analysis of the tagged corpus tokenizes none."""
         calls = []
+        block = corpus_mod._tag_block
         monkeypatch.setattr(
             corpus_mod, "tokenize", lambda text: calls.append(text) or tokenize(text)
         )
+        monkeypatch.setattr(corpus_mod, "_tag_block",
+                            lambda texts, *index: calls.extend(texts) or block(texts, *index))
         tagged = Corpus.from_records([
             make_profile("a", ["ugly", "nice"]), make_profile("b", ["fat"]),
         ], VOCAB)
+        corpus_stats(tagged, NEG, POS)
         assert sorted(calls) == ["fat", "nice", "ugly"]
         assert tagged.owners == ("a", "b") and tagged.owner.tolist() == [0, 0, 1]
         assert row_counts(tagged) == [{"ugly": 1}, {"nice": 1}, {"fat": 1}]

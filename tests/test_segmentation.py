@@ -195,6 +195,23 @@ class TestGroupReport:
 
 
 class TestLabeledReport:
+    def test_means_add_in_id_order_whatever_order_the_set_gives(self):
+        """A label file's ids are a set, iterated in hash order; each mean
+        still adds its members' values in id order. Per family of 1,000
+        users, only that order keeps 1.0 exact: a 1e-16 added to zero
+        before it would survive."""
+        n, families = 1000, "abc"
+        values = np.tile([1.0] + [1e-16] * (n - 1), len(families))
+        ints = np.zeros(n * len(families), dtype=np.int64)
+        users = tuple(f"{f}{i:03d}" for f in families for i in range(n))
+        content = ContentTable(users, ints, ints, ints, ints, ints, ints)
+        counts = SimpleNamespace(node_reciprocity=values, in_deg=ints, out_deg=ints)
+        table = SimpleNamespace(neg=counts, nonneg=counts, local_clustering=values)
+        for f in families:
+            label = LabelFile(f, frozenset(u for u in users if u.startswith(f)))
+            row = labeled_report(label, content, table)
+            assert row.count == n and row.mean_local_clustering == 1.0 / n
+
     def test_single_known_user(self):
         corp = corpus_of([
             profile("a", ["ugly x", "nice y"]),
