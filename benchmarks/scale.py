@@ -14,12 +14,14 @@ it runs:
 Each command runs in a fresh Python process that wraps `cli._stage`, so
 every stage reports its self seconds (the stages nested in it are taken
 out), its inclusive seconds and the process's `ru_maxrss` after it. Before
-and after each command this process runs a window of perfbench's
-calibration task (`calibrate.window()`), and every time is also given in
-reference seconds (`ref_seconds`, `ref_self_s`, `ref_inclusive_s`): wall
-seconds times `calibrate.scale` of all the sweep's windows, as perfbench
-scales a run by all of its windows, since the few next to one command are
-too few to beat the host's speed jitter. RSS
+the first command and after each one this process runs a window of
+perfbench's calibration task (`calibrate.window()`), and every time is
+also given in reference seconds (`ref_seconds`, `ref_self_s`,
+`ref_inclusive_s`): wall seconds times `calibrate.scale` of all the
+sweep's windows, as perfbench scales a run by all of its windows, since
+the few next to one command are too few to beat the host's speed jitter.
+Sweeps of one tree still differ by up to about ±17% in reference seconds,
+so these do not yet reproduce to ±15% from one sweep to the next. RSS
 here is always that fresh-process peak in MB (2**20 bytes): it includes
 the interpreter, numpy and scipy, whose floor after the imports is
 reported beside it. The triangle kernel's `interaction._masked_product`
@@ -118,9 +120,8 @@ def commands(n: int) -> dict[str, list[str]]:
 
 
 def run(n: int, argv: list[str], work: Path, samples: list[float]) -> dict:
-    """Run one askgraph command in its own process, between two calibration
-    windows whose samples go to `samples`, and return its record."""
-    samples += calibrate.window()
+    """Run one askgraph command in its own process, then a calibration
+    window whose samples go to `samples`, and return its record."""
     child = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=work,
                            env=child_env(ROOT), stdout=subprocess.PIPE, text=True)
     samples += calibrate.window()
@@ -166,7 +167,7 @@ def main() -> int:
     machine = machine_record(ROOT)
     del machine["note"]  # perfbench's note on its own figures
     calibrate.sample()  # warm-up, dropped
-    samples: list[float] = []
+    samples = calibrate.window()  # and one window after each command
     sizes = {str(n): sweep(n, samples) for n in args.sizes}
     scale = calibrate.scale(samples)
     for command in (c for size in sizes.values() for c in size["commands"].values()):

@@ -15,12 +15,9 @@ The parse checks each profile as soon as it is read: a profile in the
 common shape by passes over all its questions at once, any other by the
 checks one question at a time, which raise the first fault. Given a
 vocabulary, it tokenizes each question once and keeps only its vocabulary
-word counts, and no text: its texts wait in a block of `_BLOCK`, and each
-block is tokenized at once, an ASCII text by a byte translation and a
-whitespace split, any other by `_TOKEN_RE` over the block joined by NUL,
-both as `tokenize` splits each text. The parse is the one place text is
-tokenized, and its `TaggedCorpus` is what every analysis reduces. A lexicon
-is the frozenset of its words, and a run keys its two lexicons by polarity.
+word counts, and no text: it is the one caller of `tokenize`, and its
+`TaggedCorpus` is what every analysis reduces. A lexicon is the frozenset
+of its words, and a run keys its two lexicons by polarity.
 """
 
 from __future__ import annotations
@@ -60,8 +57,18 @@ class LexiconError(ValueError):
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['*][^\W_]*)*|['*]+[^\W_]*(?:['*][^\W_]*)*", re.UNICODE)
 
 
+# An ASCII text's bytes as `_TOKEN_RE` reads them: A-Z lowercased, the token
+# characters a-z, 0-9, ' and * kept, and every other byte a space, so that a
+# whitespace split gives the pattern's tokens, each a maximal run of them
+_ASCII_TOKENS = bytes(ord(c.lower()) if c.lower() in "abcdefghijklmnopqrstuvwxyz0123456789'*"
+                      else 32 for c in map(chr, range(128))).ljust(256)
+
+
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on any character outside [alnum ' *]."""
+    """Lowercase and split on any character outside [alnum ' *]: an ASCII
+    text by one byte translation, any other by `_TOKEN_RE`."""
+    if text.isascii():
+        return text.encode().translate(_ASCII_TOKENS).decode().split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -301,63 +308,6 @@ def _bulk_questions(questions: list) -> tuple[list, list, list, list, list] | No
     return texts, answers, likes, n_likers, likers_all
 
 
-# ASCII text as `tokenize` reads it, byte for byte: A-Z lowercased, the
-# token characters a-z, 0-9, ' and * and the NUL separator kept, and every
-# other byte a space (an ASCII text has none past 127), so that a whitespace
-# split yields `_TOKEN_RE`'s tokens: on ASCII, each is a maximal run of them
-_ASCII_TOKENS = bytes(ord(c.lower()) if c.lower() in "abcdefghijklmnopqrstuvwxyz0123456789'*\x00"
-                      else 32 for c in map(chr, range(128))).ljust(256)
-_BLOCK_RE = re.compile(f"{_TOKEN_RE.pattern}|\x00", re.UNICODE)
-_SEP = -2  # a separator's id; a token outside the vocabulary reads -1
-_BLOCK = 256  # texts tokenized at once
-
-
-def _cut(tokens: list, index: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The vocabulary ids in `index` of `n` texts' tokens, which a
-    separator, read as _SEP, ends text by text, and how many each text
-    holds."""
-    ids = np.fromiter(map(index.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
-    text = np.cumsum(ids == _SEP)
-    kept = ids >= 0
-    return ids[kept], np.bincount(text[kept], minlength=n)
-
-
-def _tag_ascii(texts: list[str], index: dict[bytes, int]) -> tuple[np.ndarray, np.ndarray]:
-    tokens = " \x00 ".join(texts).encode("ascii").translate(_ASCII_TOKENS).split()
-    return _cut(tokens, index, len(texts))
-
-
-def _tag_other(texts: list[str], index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    return _cut(_BLOCK_RE.findall("\x00".join(texts).lower()), index, len(texts))
-
-
-def _tag_block(texts: list[str], ascii_index: dict[bytes, int],
-               index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The vocabulary ids of the tokens of `texts`, as `tokenize` splits
-    them, text after text, and how many each text holds. The ASCII texts
-    are joined by a NUL between spaces, each byte is translated by
-    `_ASCII_TOKENS`, and the result is split on whitespace; the others are
-    joined by NUL, lowercased and split by `_TOKEN_RE`. NUL, like a space,
-    is no token character and is neither cased nor case-ignorable, so
-    lowercasing reads it as an end of text, and a NUL inside a text is read
-    as a space. The two indexes map each token to its id and NUL to _SEP."""
-    if "\x00" in "".join(texts):
-        texts = [text.replace("\x00", " ") for text in texts]
-    if all(map(str.isascii, texts)):
-        return _tag_ascii(texts, ascii_index)
-    is_ascii = np.fromiter(map(str.isascii, texts), dtype=bool, count=len(texts))
-    rows = np.flatnonzero(is_ascii), np.flatnonzero(~is_ascii)
-    parts = (_tag_ascii([texts[k] for k in rows[0].tolist()], ascii_index),
-             _tag_other([texts[k] for k in rows[1].tolist()], index))
-    lengths = np.empty(len(texts), dtype=np.int64)
-    for r, (_, n) in zip(rows, parts):
-        lengths[r] = n
-    # each text's ids together, in text order; the order within a text is free
-    text = np.repeat(np.concatenate(rows), np.concatenate([n for _, n in parts]))
-    ids = np.concatenate([i for i, _ in parts])[np.argsort(text, kind="stable")]
-    return ids, lengths
-
-
 def _parse_records(numbered: Iterable[tuple[int, object]],
                    vocab: Iterable[str] | None = None) -> Corpus:
     """The corpus of (line number, profile record) pairs: each record is
@@ -365,10 +315,10 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
 
     A profile's questions are checked together by `_bulk_questions`, or,
     when that fails, one by one by `_checked_questions`, which raises the
-    first fault. Given a `vocab`, the texts are tokenized a block at a time
-    by `_tag_block`, and only their ids in the sorted vocabulary are kept,
-    in `word`, with `ends` marking where each question's ids end: the
-    result is the `TaggedCorpus` over `vocab`, which holds no text."""
+    first fault. Given a `vocab`, each text is tokenized once it passes its
+    checks and only its ids in the sorted vocabulary are kept, in `word`,
+    with `ends` marking where each question's ids end: the result is the
+    `TaggedCorpus` over `vocab`, which holds no text."""
     # every id read, numbered in order of first sight as it is looked up
     code: defaultdict[str, int] = defaultdict(count().__next__)
     seen: set[str] = set()
@@ -376,17 +326,8 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
     like_count, n_likers, liker_code = array("q"), array("q"), array("q")
     if vocab is not None:
         vocab = tuple(sorted(frozenset(vocab)))
-        index = {**dict(zip(vocab, count())), "\x00": _SEP}
-        indexes = ({w.encode(): i for w, i in index.items() if w.isascii()}, index)
+        index = {w: i for i, w in enumerate(vocab)}
         word, ends = array("q"), array("q")
-
-        def tag(pending: list[str]) -> None:
-            """Tag the texts in `pending` and clear it."""
-            ids, lengths = _tag_block(pending, *indexes)
-            ends.frombytes((np.cumsum(lengths) + len(word)).tobytes())
-            word.frombytes(ids.tobytes())
-            pending.clear()
-
     for line_no, obj in numbered:
         if not isinstance(obj, dict):
             raise CorpusFormatError(line_no, "profile record must be an object")
@@ -405,11 +346,13 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
             _bulk_questions(questions) or _checked_questions(line_no, questions))
         if sum(likes_each) >= 1 << 63:
             raise CorpusFormatError(line_no, "like counts sum past the int64 range")
-        texts += q_texts  # with a vocab, the texts not yet tagged
         if vocab is None:
+            texts += q_texts
             answers += q_answers
-        elif len(texts) >= _BLOCK:
-            tag(texts)
+        else:
+            for tokens in map(tokenize, q_texts):
+                word.fromlist([index[t] for t in tokens if t in index])
+                ends.append(len(word))
         like_count.fromlist(likes_each)
         n_likers.fromlist(q_n_likers)
         liker_code.fromlist(list(map(code.__getitem__, likers)))
@@ -428,7 +371,6 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
         texts, answers = tuple(texts), tuple(answers)
         return Corpus.from_rows(ids, owner_code, sampled, row_code,
                                 texts, answers, like_count, n_likers, liker_code)
-    tag(texts)
     indptr = np.concatenate(([0], np.frombuffer(ends, dtype=np.int64)))
     counts = sp.csr_matrix(
         (np.ones(len(word), dtype=np.int64), np.frombuffer(word, dtype=np.int64), indptr),
@@ -534,8 +476,8 @@ def lexicon_word(word: str, name: str = "entry") -> str:
     be a single token as `tokenize` splits text, since any other word could
     never match a question; `name` says what the word is in the error."""
     entry = word.lower()
-    # matched against the token pattern directly: every question text
-    # reaches a tokenizer once, in the parse, and tests count those texts
+    # matched against the token pattern directly: `tokenize` runs once per
+    # question, and its call count is measured as such
     if not _TOKEN_RE.fullmatch(entry):
         tokens = _TOKEN_RE.findall(entry)
         raise LexiconError(f"{name} {word!r} is not a single token (reads as {tokens})")

@@ -560,24 +560,17 @@ class TestComputeOnce:
 
     @staticmethod
     def count_tokenize(monkeypatch):
-        """Record every text that reaches a tokenizer: each text handed to
-        the parse's block tokenizer, and each call through every askgraph
-        module binding of `tokenize`."""
+        """Count calls through every askgraph module binding of `tokenize`."""
         calls = []
-        original, block = corpus.tokenize, corpus._tag_block
+        original = corpus.tokenize
 
         def counting(text):
             calls.append(text)
             return original(text)
 
-        def counting_block(texts, *indexes):
-            calls.extend(texts)
-            return block(texts, *indexes)
-
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "askgraph" and getattr(module, "tokenize", None) is original:
                 monkeypatch.setattr(module, "tokenize", counting)
-        monkeypatch.setattr(corpus, "_tag_block", counting_block)
         return calls
 
     @pytest.mark.parametrize("argv", [

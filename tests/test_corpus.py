@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import askgraph.corpus as corpus_mod
 from askgraph.cli import main
 from askgraph.corpus import (
+    _TOKEN_RE,
     Corpus,
     CorpusFormatError,
     LexiconError,
@@ -70,6 +71,23 @@ class TestTokenize:
     def test_idempotent_on_own_output(self, text):
         tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
+
+    def test_ascii_pairs_read_as_the_token_pattern(self):
+        """Every pair of ASCII characters, alone and between token and
+        non-token characters, splits as `_TOKEN_RE` splits it."""
+        for a in map(chr, range(128)):
+            for b in map(chr, range(128)):
+                for text in (a + b, f"x{a}{b}y", f"'{a}*{b} "):
+                    assert tokenize(text) == _TOKEN_RE.findall(text.lower()), repr(text)
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.text(st.characters(max_codepoint=127), max_size=80),
+                     st.text(st.sampled_from("aZ9_'* \t\x00-.\x7f"), max_size=40),
+                     st.text(max_size=80)))
+    def test_is_the_token_pattern_over_the_lowercased_text(self, text):
+        """An ASCII text takes the byte translation and any other the
+        pattern; both give the pattern's tokens of the lowercased text."""
+        assert tokenize(text) == _TOKEN_RE.findall(text.lower())
 
 
 class TestLoadCorpus:
@@ -491,23 +509,20 @@ class TestTaggedLoad:
         ["ugly\x00fat", "\x00", "nice\x00", "ΣΑΣ\x00ΣΑΣ", "fat"],
         ["Fat DOG", "ΟΔΟΣ fat", "nice", "😀 ugly", "ÉTÉ été", "plain", "İstanbul ugly"],
     ], ids=["final-sigma", "underscore", "quote-and-star-runs", "nul", "ascii-and-not"])
-    def test_block_tokenizer_matches_tokenize(self, tmp_path, monkeypatch, texts):
-        """Each text's counts are its `tokenize` tokens, counted, over a
-        vocabulary of all of them, and each text reaches one tokenizer once;
-        the texts share blocks, and 3 * 256 of them span several."""
-        many = texts * (3 * 256 // len(texts) + 1)
-        records = [make_profile(f"p{k:04d}", many[k:k + 7]) for k in range(0, len(many), 7)]
+    def test_counts_are_the_token_pattern_s_tokens(self, tmp_path, monkeypatch, texts):
+        """Each text's counts are the tokens `_TOKEN_RE` finds in it,
+        lowercased, counted, over a vocabulary of all of them, and each text
+        is tokenized once."""
+        records = [make_profile(f"p{k}", texts[k:k + 3]) for k in range(0, len(texts), 3)]
         vocab = {t for text in texts for t in tokenize(text)}
         path = write_corpus_file(tmp_path, records)
-        calls, block = [], corpus_mod._tag_block
+        calls = []
         monkeypatch.setattr(
             corpus_mod, "tokenize", lambda text: calls.append(text) or tokenize(text)
         )
-        monkeypatch.setattr(corpus_mod, "_tag_block",
-                            lambda texts, *index: calls.extend(texts) or block(texts, *index))
         tagged = load_corpus(path, vocab)
-        assert sorted(calls) == sorted(many)
-        assert row_counts(tagged) == [Counter(tokenize(text)) for text in many]
+        assert sorted(calls) == sorted(texts)
+        assert row_counts(tagged) == [Counter(_TOKEN_RE.findall(text.lower())) for text in texts]
 
     def test_corpus_without_text_is_not_saved(self, tmp_path):
         path = write_corpus_file(tmp_path, [make_profile("a", ["ugly day"])])
@@ -771,15 +786,12 @@ class TestTagCorpus:
         assert tagged.counts.dtype == np.int64 and tagged.counts.has_canonical_format
 
     def test_tokenizes_each_question_once(self, monkeypatch):
-        """Every text reaches a tokenizer once, through the block tokenizer
-        or `tokenize`, and an analysis of the tagged corpus tokenizes none."""
+        """Every text is tokenized once, and an analysis of the tagged
+        corpus tokenizes none."""
         calls = []
-        block = corpus_mod._tag_block
         monkeypatch.setattr(
             corpus_mod, "tokenize", lambda text: calls.append(text) or tokenize(text)
         )
-        monkeypatch.setattr(corpus_mod, "_tag_block",
-                            lambda texts, *index: calls.extend(texts) or block(texts, *index))
         tagged = Corpus.from_records([
             make_profile("a", ["ugly", "nice"]), make_profile("b", ["fat"]),
         ], VOCAB)
