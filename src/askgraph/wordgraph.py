@@ -14,7 +14,6 @@ from typing import Collection
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .corpus import TaggedCorpus
 
@@ -80,6 +79,37 @@ def project_words(bipartite: BipartiteGraph) -> OneModeGraph:
     return OneModeGraph(nodes=bipartite.words, adjacency=adjacency)
 
 
+def component_roots(adjacency: sp.spmatrix) -> np.ndarray:
+    """Each node's least node index in its connected component, reading the
+    adjacency's stored structure as undirected edges (an explicit zero is an
+    edge).
+
+    Each round hooks every root onto the least root an edge offers it, then
+    shortcuts pointers until every node points at a root, and rounds repeat
+    until no edge joins two roots. Hooking whole trees, not single labels,
+    keeps a long path to a few rounds where label propagation would take
+    one per node.
+    """
+    edges = adjacency.tocoo()
+    u, v = edges.row, edges.col
+    roots = np.arange(adjacency.shape[0])
+    while True:
+        ru, rv = roots[u], roots[v]
+        cross = ru != rv
+        if not cross.any():
+            return roots
+        # an edge inside one tree stays inside it, so later rounds skip it
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        # pointers only ever move to a lesser index, so no cycle forms
+        np.minimum.at(roots, ru, rv)
+        np.minimum.at(roots, rv, ru)
+        while True:
+            hop = roots[roots]
+            if np.array_equal(hop, roots):
+                break
+            roots = hop
+
+
 def eigenvector_centrality(
     graph: OneModeGraph, tol: float = 1e-10, max_iter: int = 10000
 ) -> dict[str, float]:
@@ -102,10 +132,12 @@ def eigenvector_centrality(
     if n == 0 or graph.adjacency.nnz == 0:
         return dict.fromkeys(graph.nodes, 0.0)
 
-    n_comp, labels = connected_components(graph.adjacency, directed=False)
+    # one ascending node list per component, in order of least node
+    roots = component_roots(graph.adjacency)
+    order = np.argsort(roots, kind="stable")
+    components = np.split(order, np.flatnonzero(np.diff(roots[order])) + 1)
     results: list[tuple[float, np.ndarray, np.ndarray]] = []  # (eigenvalue, idx, vector)
-    for comp in range(n_comp):
-        idx = np.flatnonzero(labels == comp)
+    for idx in components:
         if len(idx) == 1:
             continue  # isolated node (zero diagonal => no self loop)
         sub = graph.adjacency[np.ix_(idx, idx)].tocsr().astype(np.float64)

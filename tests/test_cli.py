@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import askgraph
 from askgraph import corpus, interaction, wordgraph
 from askgraph.cli import load_config, main
 from askgraph.data import bundled_lexicon_path
@@ -744,3 +747,40 @@ class TestCrawlOracle:
 
 def outputs(out_dir):
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+class TestImports:
+    PRINT_SCIPY_MODULES = (
+        "\nprint('\\n'.join(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+
+    def scipy_modules_after(self, code):
+        """The scipy modules a fresh interpreter holds after running `code`,
+        with this askgraph first on its path."""
+        path = [str(Path(askgraph.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys\n" + code + self.PRINT_SCIPY_MODULES],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.split())
+
+    def test_commands_load_no_scipy_module_beyond_scipy_sparse(self, tmp_path):
+        """askgraph needs nothing of scipy but scipy.sparse. A module beyond
+        the ones `import scipy.sparse` loads itself (csgraph pulls in
+        scipy.sparse.linalg and scipy.linalg) adds to every command's RSS."""
+        commands = [
+            ["pipeline", "--corpus", DEMO, "--labels", LABELS, "--out", tmp_path / "p"],
+            ["crawl-sim", "--corpus", DEMO, "--seeds", "u00000", "--budget", 20,
+             "--seed", 1, "--out", tmp_path / "c"],
+        ]
+        code = "import askgraph.cli\n" + "".join(
+            f"assert askgraph.cli.main({[str(a) for a in argv]!r}) == 0\n"
+            for argv in commands
+        )
+        baseline = self.scipy_modules_after("import numpy, scipy.sparse")
+        assert "scipy.sparse" in baseline
+        assert self.scipy_modules_after(code) - baseline == set()
+        assert (tmp_path / "p" / "group_report.csv").exists()
+        assert (tmp_path / "c" / "crawl_order.txt").exists()

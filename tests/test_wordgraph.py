@@ -3,12 +3,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from askgraph.corpus import Corpus
 from askgraph.wordgraph import (
     BipartiteGraph,
     OneModeGraph,
     build_bipartite,
+    component_roots,
     cooccurrence_distribution,
     eigenvector_centrality,
     project_words,
@@ -110,6 +112,50 @@ class TestProjections:
             for j in range(10):
                 if i != j:
                     assert adj[i, j] <= min(row_sums[i], row_sums[j])
+
+
+def least_node_of_component(adjacency):
+    """Each node's least node index in its component, from scipy's csgraph:
+    the oracle of `component_roots`, imported in tests only."""
+    n = adjacency.shape[0]
+    n_comp, labels = connected_components(adjacency, directed=False)
+    least = np.full(n_comp, n)
+    np.minimum.at(least, labels, np.arange(n))
+    return least[labels]
+
+
+class TestComponentRoots:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**63 - 1))
+    def test_random_undirected_graphs_partition_as_csgraph_does(self, seed):
+        """0-60 nodes, sparse enough to leave isolated nodes, with a self loop
+        now and then. A stored zero is an edge, and so is an entry stored on
+        one side of the diagonal only, as they are to csgraph."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 61))
+        rows, cols = np.triu_indices(n)
+        keep = rng.random(len(rows)) < rng.uniform(0.0, 0.1)
+        rows, cols = rows[keep], cols[keep]
+        weights = rng.integers(0, 3, size=len(rows))  # 0: an explicit zero
+        mirror = (rows != cols) & (rng.random(len(rows)) < 0.9)
+        adjacency = sp.csr_matrix(
+            (np.concatenate([weights, weights[mirror]]),
+             (np.concatenate([rows, cols[mirror]]), np.concatenate([cols, rows[mirror]]))),
+            shape=(n, n),
+        )
+        assert adjacency.nnz == len(rows) + np.count_nonzero(mirror)
+        np.testing.assert_array_equal(
+            component_roots(adjacency), least_node_of_component(adjacency))
+
+    def test_shuffled_path_is_one_component(self):
+        n = 5000
+        path = np.random.default_rng(5).permutation(n)
+        ones = np.ones(n - 1, dtype=np.int64)
+        adjacency = sp.csr_matrix((ones, (path[:-1], path[1:])), shape=(n, n))
+        adjacency = (adjacency + adjacency.T).tocsr()
+        roots = component_roots(adjacency)
+        np.testing.assert_array_equal(roots, least_node_of_component(adjacency))
+        assert not roots.any()
 
 
 class TestEigenvectorCentrality:
