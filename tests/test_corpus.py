@@ -562,10 +562,10 @@ _QUESTION_FAULTS = {
     "int-text": lambda q: {**q, "text": 3},
     "string-likers": lambda q: {**q, "likers": "ab", "like_count": 2},
     "null-likers": lambda q: {**q, "likers": None},
-    "int-liker": lambda q: {**q, "likers": [*q.get("likers", []), 1],
-                            "like_count": len(q.get("likers", [])) + 1},
-    "duplicate-liker": lambda q: {**q, "likers": ["d", *q.get("likers", []), "d"],
-                                  "like_count": len(q.get("likers", [])) + 2},
+    "int-liker": lambda q: {**q, "likers": [*(q.get("likers") or []), 1],
+                            "like_count": len(q.get("likers") or []) + 1},
+    "duplicate-liker": lambda q: {**q, "likers": ["d", *(q.get("likers") or []), "d"],
+                                  "like_count": len(q.get("likers") or []) + 2},
     "bool-likes": lambda q: {**q, "like_count": True},
     "float-likes": lambda q: {**q, "like_count": float(q["like_count"])},
     "negative-likes": lambda q: {**_drop(q, "likers"), "like_count": -1},
