@@ -23,11 +23,11 @@ the few next to one command are too few to beat the host's speed jitter.
 Sweeps of one tree still differ by up to about ±17% in reference seconds,
 so these do not yet reproduce to ±15% from one sweep to the next. RSS
 here is always that fresh-process peak in MB (2**20 bytes): it includes
-the interpreter, numpy and scipy, whose floor after the imports is
-reported beside it. The triangle kernel's `interaction._masked_product`
-and `interaction._row_blocks` are wrapped too: `product_nnz` is each
-product's entries (the first is M, the edges that close a triangle) and
-`product_blocks` its row blocks. A command fails, naming the attribute,
+the interpreter and numpy, whose floor after the imports is reported
+beside it. The triangle kernel's `interaction.clustering` and the
+`interaction.row_blocks` it runs its wedges in are wrapped too: for each
+call, `wedges` is the wedges it enumerates, `triangles` the triangles they
+close and `blocks` its row blocks. A command fails, naming the attribute,
 when either function is renamed.
 
 The sha256 of the whole output tree (perfbench's `tree_digest`) is
@@ -69,8 +69,8 @@ from askgraph import cli, interaction
 def rss_mb():
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
-record = {"imports_rss_mb": rss_mb(), "stages": [], "product_nnz": [], "product_blocks": []}
-stage, masked_product, row_blocks = cli._stage, interaction._masked_product, interaction._row_blocks
+record = {"imports_rss_mb": rss_mb(), "stages": [], "wedges": [], "triangles": [], "blocks": []}
+stage, clustering, row_blocks = cli._stage, interaction.clustering, interaction.row_blocks
 nested = [0.0]  # per open stage, the inclusive seconds of the stages inside it
 
 def timed_stage(name, fn, *args, **kwargs):
@@ -85,18 +85,19 @@ def timed_stage(name, fn, *args, **kwargs):
         record["stages"].append({"stage": name, "self_s": round(self_s, 4),
                                  "inclusive_s": round(inclusive, 4), "rss_mb": rss_mb()})
 
-def counted_product(*args):
-    product = masked_product(*args)
-    record["product_nnz"].append(product.nnz)
-    return product
+def counted_clustering(*args):
+    local, closed, connected = clustering(*args)
+    record["triangles"].append(closed // 3)  # closed counts each triangle once per corner
+    return local, closed, connected
 
-def counted_blocks(work):
-    blocks = list(row_blocks(work))
-    record["product_blocks"].append(len(blocks))
+def counted_blocks(reach, *limits):
+    blocks = list(row_blocks(reach, *limits))
+    record["wedges"].append(int(reach[-1]))
+    record["blocks"].append(len(blocks))
     return iter(blocks)
 
-cli._stage, interaction._masked_product, interaction._row_blocks = (
-    timed_stage, counted_product, counted_blocks)
+cli._stage, interaction.clustering, interaction.row_blocks = (
+    timed_stage, counted_clustering, counted_blocks)
 start = time.perf_counter()
 code = cli.main(sys.argv[1:])
 record["seconds"] = round(time.perf_counter() - start, 4)

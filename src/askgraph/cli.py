@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+# argparse's gettext imports locale when the first parser is built: loaded
+# with the other imports, so that no command loads a module of its own
+import locale  # noqa: F401
 import sys
 import weakref
 from itertools import compress

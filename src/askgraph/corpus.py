@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class CorpusFormatError(ValueError):
@@ -74,9 +73,130 @@ def tokenize(text: str) -> list[str]:
 
 def flat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The ranges starts[i], starts[i] + 1, ..., starts[i] + lengths[i] - 1,
-    one after another, as one int64 array."""
-    ends = np.cumsum(lengths, dtype=np.int64)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+    one after another, as one int64 array: a running sum of steps of 1, but
+    at each range's first value the step from the value before it. It sums
+    in place, so no other array is as long as the result."""
+    nonempty = lengths > 0
+    starts, lengths = starts[nonempty], lengths[nonempty]
+    ends = offsets(lengths)
+    steps = np.ones(ends[-1], dtype=np.int64)
+    steps[ends[:-1]] = np.diff(starts, prepend=0) - np.append(0, lengths[:-1] - 1)
+    return np.cumsum(steps, out=steps)
+
+
+def offsets(lengths: np.ndarray) -> np.ndarray:
+    """Where each of consecutive ranges of `lengths` starts, and where the
+    last ends: 0 and the running sums, as int64, summed in place."""
+    ends = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ends[1:])
+    return ends
+
+
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """A mask of where each run of equal values of a sorted array starts."""
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, as a plain `np.unique` gives them; that
+    call imports `numpy.ma` in numpy 2.4, which askgraph does not need."""
+    values = np.sort(values)
+    return values[run_starts(values)]
+
+
+def row_blocks(reach: np.ndarray, wedges: int, rows: int) -> Iterator[tuple[int, int]]:
+    """The row ranges [lo, hi) of a sparse product taken in blocks of rows,
+    where rows lo..hi-1 enumerate `reach[hi] - reach[lo]` wedges: each block
+    at least one row, and otherwise at most `wedges` wedges and `rows` rows."""
+    lo = 0
+    while lo < len(reach) - 1:
+        hi = int(np.searchsorted(reach, reach[lo] + wedges, side="right")) - 1
+        hi = max(min(hi, lo + rows), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def wedge_budget(n: int) -> int:
+    """The most wedges of one row block of a product over n nodes or
+    profiles: 4 a node, and at least 2**13. A block's index arrays take
+    about 13 bytes a wedge, and its accumulator gets 16 bytes a wedge; a
+    budget below a few wedges a node would save no memory and cost time."""
+    return max(1 << 13, 4 * n)
+
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """A sparse matrix in compressed sparse row form, each row's columns
+    ascending and distinct: row i holds `data[indptr[i]:indptr[i + 1]]` at
+    columns `indices[indptr[i]:indptr[i + 1]]`. It carries only what
+    askgraph reads of a sparse matrix. A product over it is a `bincount` of
+    its entries in row-major order, so a float sum adds each row's terms by
+    ascending column, as a CSR matrix-vector product does."""
+
+    indptr: np.ndarray  # int64, one per row and one more
+    indices: np.ndarray  # int32
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, shape: tuple[int, int], data: np.ndarray) -> CSR:
+        """The matrix holding `data[k]` at the k-th of the sorted, distinct
+        int64 keys `row * shape[1] + column`."""
+        indices = np.empty(len(keys), dtype=np.int32)  # no int64 copy of the remainders
+        np.remainder(keys, shape[1], out=indices, casting="unsafe")
+        return cls(np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1]), indices, data, shape)
+
+    def entry_rows(self) -> np.ndarray:
+        """Each entry's row, in order."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def take(self, rows: np.ndarray) -> CSR:
+        """The matrix of `rows`, in that order."""
+        lengths = np.diff(self.indptr)[rows]
+        at = flat_ranges(self.indptr[rows], lengths)
+        return CSR(offsets(lengths), self.indices[at], self.data[at], (len(rows), self.shape[1]))
+
+    def entries(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows, columns and values of the entries in `columns`, in
+        row-major order."""
+        picked = np.zeros(self.shape[1], dtype=bool)
+        picked[columns] = True
+        at = np.flatnonzero(picked[self.indices])
+        return np.searchsorted(self.indptr, at, side="right") - 1, self.indices[at], self.data[at]
+
+    def transpose(self) -> CSR:
+        """The transpose; a stable sort keeps its rows' columns ascending."""
+        order = np.argsort(self.indices, kind="stable")
+        indptr = offsets(np.bincount(self.indices, minlength=self.shape[1]))
+        rows = self.entry_rows()[order].astype(np.int32)
+        return CSR(indptr, rows, self.data[order], self.shape[::-1])
+
+    def reach(self, right: CSR) -> np.ndarray:
+        """The wedges a -> b -> c of `self @ right` before each row a: an
+        entry (a, b) starts one for each entry of row b of `right`."""
+        wedges = np.diff(right.indptr)[self.indices]
+        np.cumsum(wedges, out=wedges)
+        reach = np.zeros(self.shape[0] + 1, dtype=np.int64)
+        ends = self.indptr[1:]
+        reach[1:][ends > 0] = wedges[ends[ends > 0] - 1]
+        return reach
+
+    def wedges(self, right: CSR, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The wedges a -> b -> c of `self @ right` that rows lo..hi-1 start,
+        by entry (a, b) in row-major order, each as its cell (a - lo) * w + c
+        of a block accumulator w = right.shape[1] wide. Also each entry's
+        own cell (a - lo) * w + b, in the same grid when `right` is square,
+        and the number of wedges it starts."""
+        b = self.indices[self.indptr[lo]:self.indptr[hi]]
+        per_entry = np.diff(right.indptr)[b]
+        c = right.indices[flat_ranges(right.indptr[b], per_entry)]
+        own = np.repeat(np.arange(hi - lo) * right.shape[1], np.diff(self.indptr[lo:hi + 1]))
+        cells = np.repeat(own, per_entry)
+        cells += c
+        own += b
+        return cells, own, per_entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +246,7 @@ class Corpus:
                   row_code: Sequence[int], texts: Sequence[str] | None,
                   answers: Sequence[str] | None, like_count: Sequence[int],
                   n_likers: Sequence[int], liker_code: Sequence[int],
-                  tags: tuple[tuple[str, ...], sp.csr_matrix] | None = None) -> Corpus:
+                  tags: tuple[tuple[str, ...], CSR] | None = None) -> Corpus:
         """A corpus of profiles in save order (owner code, an index into `ids`,
         and sampling flag) and of question rows (owner code, text, answer,
         like count, number of likers, in input order per profile), the likers'
@@ -146,7 +266,7 @@ class Corpus:
         order = position[owner_code]
         owner = position[np.asarray(row_code, dtype=np.int64)]
         like_count = np.asarray(like_count, dtype=np.int64)
-        liker_ptr = np.concatenate(([0], np.cumsum(n_likers, dtype=np.int64)))
+        liker_ptr = offsets(n_likers)
         liker = position.astype(np.int32)[liker_code]
         # a row that comes before its predecessor means the rows need sorting;
         # a stable sort keeps each profile's like-count ties in input order
@@ -158,15 +278,15 @@ class Corpus:
                 texts = tuple(map(texts.__getitem__, rows))
                 answers = tuple(map(answers.__getitem__, rows))
             else:
-                tags = (tags[0], tags[1][rows])
+                tags = (tags[0], tags[1].take(rows))
             owner, like_count = owner[rows], like_count[rows]
             lengths = np.diff(liker_ptr)[rows]
             liker = liker[flat_ranges(liker_ptr[rows], lengths)]  # each row's likers as a block
-            liker_ptr = np.concatenate(([0], np.cumsum(lengths)))
+            liker_ptr = offsets(lengths)
         n = len(order)
         flags = np.zeros(n, dtype=bool)
         flags[order] = np.asarray(sampled, dtype=bool)
-        likes = np.concatenate(([0], np.cumsum(like_count)))[np.searchsorted(owner, range(n + 1))]
+        likes = offsets(like_count)[np.searchsorted(owner, range(n + 1))]
         columns = dict(
             owners=tuple(ids[c] for c in ranked[:n]), strangers=tuple(ids[c] for c in ranked[n:]),
             order=order, sampled=flags, total_likes=np.diff(likes), owner=owner,
@@ -191,7 +311,7 @@ class TaggedCorpus(Corpus):
     and `answers` are None. The analyses read `counts` through `columns`."""
 
     vocab: tuple[str, ...]  # sorted
-    counts: sp.csr_matrix
+    counts: CSR
 
     def columns(self, words: Collection[str]) -> np.ndarray:
         """The columns of `counts` that count `words`, in order. A word
@@ -204,9 +324,8 @@ class TaggedCorpus(Corpus):
     def word_counts(self, words: Collection[str]) -> np.ndarray:
         """Occurrences of `words` in each question; a word outside `vocab`
         raises ValueError."""
-        picked = np.zeros(len(self.vocab), dtype=np.int64)
-        picked[self.columns(words)] = 1
-        return self.counts @ picked
+        rows, _, counts = self.counts.entries(self.columns(words))
+        return np.bincount(rows, weights=counts, minlength=self.counts.shape[0]).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -371,12 +490,18 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
         texts, answers = tuple(texts), tuple(answers)
         return Corpus.from_rows(ids, owner_code, sampled, row_code,
                                 texts, answers, like_count, n_likers, liker_code)
-    indptr = np.concatenate(([0], np.frombuffer(ends, dtype=np.int64)))
-    counts = sp.csr_matrix(
-        (np.ones(len(word), dtype=np.int64), np.frombuffer(word, dtype=np.int64), indptr),
-        shape=(len(ends), len(vocab)))
-    counts.sum_duplicates()  # a word repeated in a question is one entry
-    del word, ends, indptr
+    # each token's key row * len(vocab) + word; rows are in order, so the
+    # keys are nearly sorted, and a word repeated in a question is one entry
+    # counting its tokens
+    rows = len(ends)
+    keys = np.repeat(np.arange(rows, dtype=np.int64) * len(vocab),
+                     np.diff(np.frombuffer(ends, dtype=np.int64), prepend=0))
+    keys += np.frombuffer(word, dtype=np.int64)
+    del word, ends
+    keys.sort(kind="stable")
+    first = np.flatnonzero(run_starts(keys))
+    counts = CSR.from_keys(keys[first], (rows, len(vocab)), np.diff(first, append=len(keys)))
+    del keys, first
     return Corpus.from_rows(ids, owner_code, sampled, row_code, None, None,
                             like_count, n_likers, liker_code, (vocab, counts))
 

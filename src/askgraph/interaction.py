@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Collection, Iterator, Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .corpus import Corpus, TaggedCorpus
+from .corpus import CSR, Corpus, TaggedCorpus, row_blocks, run_starts, wedge_budget
 
 
 # The metric battery's fixed parameters: the top-x% points of the in/out
@@ -201,53 +200,6 @@ def _reverse_edges(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray
     return np.searchsorted(codes, twice), np.searchsorted(codes, twice % n * n + twice // n)
 
 
-def _wedge_budget(n: int) -> int:
-    """The most wedges (candidate entries of a sparse product) one row block
-    of the triangle kernel enumerates on n nodes, unless one row alone has
-    more; it bounds the memory of the block's intermediate product. Each
-    block's product also fills dense accumulators of length n, so a budget
-    below a few wedges per node would save no memory and cost time."""
-    return max(1 << 16, 4 * n)
-
-
-def _row_blocks(work: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Consecutive row ranges [lo, hi) covering `work` (each row's wedges),
-    each as long as its wedges fit the budget, and at least one row."""
-    budget = _wedge_budget(len(work))
-    ends = np.cumsum(work)
-    lo = 0
-    while lo < len(work):
-        start = int(ends[lo - 1]) if lo else 0
-        hi = max(int(np.searchsorted(ends, start + budget, side="right")), lo + 1)
-        yield lo, hi
-        lo = hi
-
-
-def _rows(m: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
-    """Rows lo..hi-1 of `m`, sharing its index and data arrays."""
-    start, end = m.indptr[lo], m.indptr[hi]
-    return sp.csr_matrix(
-        (m.data[start:end], m.indices[start:end], m.indptr[lo:hi + 1] - start),
-        shape=(hi - lo, m.shape[1]),
-    )
-
-
-def _masked_product(left: sp.csr_matrix, right: sp.csr_matrix, mask: sp.csr_matrix) -> sp.csr_matrix:
-    """`(left @ right) ∘ mask` for 0/1 CSR matrices, in blocks of rows sized
-    by the wedges `left @ right` enumerates: row i's are its entries' row
-    lengths in `right`, summed."""
-    work = left @ np.diff(right.indptr).astype(np.int64)
-    blocks = [
-        (_rows(left, lo, hi) @ right).multiply(_rows(mask, lo, hi)).tocsr()
-        for lo, hi in _row_blocks(work)
-    ]
-    return sp.vstack(blocks, format="csr") if blocks else mask  # no rows, no blocks
-
-
-def _row_sums(m: sp.csr_matrix) -> np.ndarray:
-    return np.asarray(m.sum(axis=1)).ravel()
-
-
 def clustering(src: np.ndarray, dst: np.ndarray, degree: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Triangle counts over the undirected graph whose edges are the pairs
     (src[e], dst[e]), with node degrees `degree`. There is no self-loop, and
@@ -258,57 +210,52 @@ def clustering(src: np.ndarray, dst: np.ndarray, degree: np.ndarray) -> tuple[np
 
     Nodes are ranked by (degree, index) and each edge is kept once, from its
     lower- to its higher-ranked end: the upper-triangular 0/1 matrix L in
-    rank order. Every triangle a < b < c is then one entry of
-    `M = (L @ L) ∘ L` at (a, c), found through b, which counts its lowest
-    (`rowsum(M)`) and highest (`colsum(M)`) corners. Its middle corner b is
-    one entry of `(Lᵀ @ pattern(M)) ∘ L` at (b, c), as L[a, b] and L[b, c]
-    are set and (a, c) is in M. That product expands, for each entry (a, b)
-    of L, row a of M, which is far shorter than row a of L. Ranking by
-    degree keeps the rows of L, and so the wedges `L @ L` enumerates, short.
-    Both products run in row blocks of a bounded number of wedges: the
-    row-blocked masked product of Wolf et al., "Fast Linear Algebra-Based
-    Triangle Counting with KokkosKernels" (HPEC 2017), and Davis, "Graph
-    Algorithms via SuiteSparse:GraphBLAS: Triangle Counting and K-truss"
-    (HPEC 2018).
+    rank order. Every triangle a < b < c is then one wedge a -> b -> c of
+    L (L[a, b] and L[b, c] set) closed by L[a, c], and that wedge names all
+    three of its corners. Ranking by degree keeps the rows of L, and so the
+    wedges, few. The wedges run in blocks of rows of L: a block marks its
+    rows' entries (a, b) in a reused bool marker, at (a - lo) * n + b, reads
+    the marker at (a - lo) * n + c for each of its wedges, and clears it. A
+    block holds at most `wedge_budget(n)` wedges and a marker of 16 bytes a
+    wedge. This is the row-blocked masked product of Wolf et al., "Fast
+    Linear Algebra-Based Triangle Counting with KokkosKernels" (HPEC 2017),
+    with the mask held dense per block.
     """
     n = len(degree)
     rank = np.empty(n, dtype=np.int32)
     rank[np.argsort(degree, kind="stable")] = np.arange(n, dtype=np.int32)
     upper = _upper(rank, src, dst)
-    closing = _masked_product(upper, upper, upper)
-    pattern = sp.csr_matrix(
-        (upper.data[:closing.nnz], closing.indices, closing.indptr), shape=(n, n)
-    )
-    # Lᵀ as CSR is L's CSC structure; it shares L's all-ones data
-    lower = upper.tocsc()
-    lower = sp.csr_matrix((upper.data, lower.indices, lower.indptr), shape=(n, n))
-    links = (
-        _row_sums(closing)
-        + np.bincount(closing.indices, weights=closing.data, minlength=n).astype(np.int64)
-        + _row_sums(_masked_product(lower, pattern, upper))
-    )[rank]
+    wedges = wedge_budget(n)  # and a bool marker of 16 bytes a wedge
+    blocks = list(row_blocks(upper.reach(upper), wedges, 16 * wedges // max(n, 1)))
+    marker = np.zeros(max((hi - lo for lo, hi in blocks), default=0) * n, dtype=bool)
+    links = np.zeros(n, dtype=np.int64)  # the triangles at each rank
+    for lo, hi in blocks:
+        cells, entries, per_entry = upper.wedges(upper, lo, hi)
+        marker[entries] = True
+        closed = np.flatnonzero(marker[cells])
+        marker[entries] = False
+        entry = entries[np.searchsorted(np.cumsum(per_entry), closed, side="right")]
+        for corner in (entry // n + lo, entry % n, cells[closed] % n):
+            np.add.at(links, corner, 1)
+    links = links[rank]
     pairs = degree.astype(np.int64) * (degree - 1)
     local = np.divide(2.0 * links, pairs, out=np.zeros(n), where=pairs > 0)
     return local, int(links.sum()), int(pairs.sum()) // 2
 
 
-def _upper(rank: np.ndarray, src: np.ndarray, dst: np.ndarray) -> sp.csr_matrix:
-    """The upper-triangular 0/1 CSR matrix over the ranks, with a 1 at each
-    edge {rank[src[e]], rank[dst[e]]}, int32 indices and all-ones int32
-    data."""
+def _upper(rank: np.ndarray, src: np.ndarray, dst: np.ndarray) -> CSR:
+    """The upper-triangular 0/1 matrix over the ranks, with an entry at each
+    edge {rank[src[e]], rank[dst[e]]}."""
     n = len(rank)
     a, b = rank[src], rank[dst]
     # int64 keys: n * n overflows int32 past 46,340 nodes
-    keys = np.minimum(a, b).astype(np.int64)
+    keys = np.minimum(a, b, dtype=np.int64)
     keys *= n
-    keys += np.maximum(a, b)
+    keys += np.maximum(a, b, out=a)
     del a, b
     keys.sort()
-    if len(keys):  # a reciprocated pair gives its key twice
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(np.int32)
-    indices = np.remainder(keys, n, out=keys).astype(np.int32)
-    return sp.csr_matrix((np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n))
+    keys = keys[run_starts(keys)]  # a reciprocated pair gives its key twice
+    return CSR.from_keys(keys, (n, n), np.ones(len(keys), dtype=bool))
 
 
 def _cumulative_counts(values: np.ndarray) -> tuple[list, list[int]]:

@@ -16,9 +16,8 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
-from .corpus import atomic_write, save_corpus
+from .corpus import atomic_write, distinct, save_corpus
 from .interaction import MetricsReport
 from .segmentation import GroupRow
 from .wordgraph import OneModeGraph
@@ -103,7 +102,7 @@ def _distinct(column: np.ndarray) -> np.ndarray:
     copy of a long array of small counts costs more, else by a sort."""
     if len(column) and column.max() < len(column):
         return np.flatnonzero(np.bincount(column))
-    return np.unique(column)
+    return distinct(column)
 
 
 def write_json(path: str | Path, payload) -> None:
@@ -132,11 +131,11 @@ def word_set_lines(
 def word_graph_edges(graph: OneModeGraph) -> EdgeTable:
     """(word_a, word_b, weight) per edge. The nodes are sorted, so the upper
     triangle in row-major order lists the edges in (word_a, word_b) order."""
-    upper = sp.triu(graph.adjacency, 1, format="csr")
-    upper.sort_indices()
-    rows = np.repeat(np.arange(len(graph.nodes)), np.diff(upper.indptr))
-    return EdgeTable(["word_a", "word_b", "weight"], graph.nodes, rows, upper.indices,
-                     (upper.data,))
+    adjacency = graph.adjacency
+    rows = adjacency.entry_rows()
+    upper = adjacency.indices > rows
+    return EdgeTable(["word_a", "word_b", "weight"], graph.nodes, rows[upper],
+                     adjacency.indices[upper], (adjacency.data[upper],))
 
 
 def metrics_outputs(report: MetricsReport) -> list[tuple[str, object]]:

@@ -14,10 +14,11 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .corpus import Corpus, flat_ranges
+from .corpus import Corpus, distinct, flat_ranges, offsets
 from .segmentation import GROUPS
 
 _MASK64 = (1 << 64) - 1
@@ -119,7 +120,7 @@ def _draws(seed: int, starts: np.ndarray, lengths: np.ndarray, moduli: np.ndarra
     Run r holds `lengths[r]` draws from stream position `starts[r]` on, its
     j-th being randbelow(moduli[r] - step * j). A run whose start is -1 was
     drawn one value at a time, and its values are the next ones in `exact`."""
-    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    bounds = offsets(lengths)
     out = np.empty(int(bounds[-1]), dtype=np.int64)
     exact = np.array(exact, dtype=np.int64)
     used = 0
@@ -358,8 +359,8 @@ def _corpus_rows(seed: int, vocabs: tuple[tuple[str, ...], ...], walk: _Walk,
     ordered, their texts drawn and joined in that order and their likers
     moved, so no temporary holds more than one block's words or likers."""
     like_count, liker = _likes(seed, walk)
-    first_row = np.concatenate(([0], np.cumsum(walk.n_rows)))  # per user, in draw order
-    first_liker = np.concatenate(([0], np.cumsum(like_count)))  # per row, in draw order
+    first_row = offsets(walk.n_rows)  # per user, in draw order
+    first_liker = offsets(like_count)  # per row, in draw order
     n_rows = walk.n_rows[users]
     # a block starts at each user whose first row starts a new `_CHUNK` of rows
     cuts = np.flatnonzero(np.diff((np.cumsum(n_rows) - n_rows) // _CHUNK)) + 1
@@ -441,7 +442,7 @@ def _likers(owner: np.ndarray, like_count: np.ndarray, draws: np.ndarray) -> np.
     the users other than its owner and its first j likers, mapped to the
     user's index by stepping past those, in ascending order, one column j
     at a time across all questions."""
-    ptr = np.concatenate(([0], np.cumsum(like_count)))
+    ptr = offsets(like_count)
     by_count = np.argsort(-like_count, kind="stable")  # questions with a j-th liker come first
     first = ptr[:-1][by_count]
     n_with = np.bincount(like_count, minlength=1)[::-1].cumsum()[::-1]  # [j]: count >= j
@@ -487,7 +488,7 @@ def snowball_sample(ground_truth: Corpus, seeds: list[str], budget: int) -> Corp
         if not gt.sampled[k]:
             raise ValueError(f"seed {seed!r} is not a fully sampled profile")
     # crawling a profile reveals its likers' profiles, so each must be fully sampled
-    open_ids = np.unique(gt.liker[~np.pad(gt.sampled, (0, len(gt.strangers)))[gt.liker]])
+    open_ids = distinct(gt.liker[~np.pad(gt.sampled, (0, len(gt.strangers)))[gt.liker]])
     if len(open_ids):
         first = min((gt.owners + gt.strangers)[i] for i in open_ids.tolist())
         raise ValueError(f"ground truth is not closed: liker {first!r} is not a fully sampled "
@@ -498,11 +499,11 @@ def snowball_sample(ground_truth: Corpus, seeds: list[str], budget: int) -> Corp
     likers = gt.liker_ptr[np.searchsorted(gt.owner, range(n + 1))]
     enqueued = np.zeros(n, dtype=bool)
     enqueued[starts] = True
-    level, crawl = np.unique(starts), []
+    level, crawl = distinct(starts), []
     while len(crawl) < budget and len(level):
         level = level[: budget - len(crawl)].tolist()
         crawl += level
-        found = np.unique(np.concatenate([gt.liker[likers[v]:likers[v + 1]] for v in level]))
+        found = distinct(np.concatenate([gt.liker[likers[v]:likers[v + 1]] for v in level]))
         level = found[~enqueued[found]]
         enqueued[level] = True
 
@@ -510,10 +511,9 @@ def snowball_sample(ground_truth: Corpus, seeds: list[str], budget: int) -> Corp
     frontier = np.flatnonzero(enqueued & ~crawled).tolist()
     local = np.cumsum(enqueued) - 1  # each enqueued profile's position in the sample
     keep = crawled[gt.owner]  # the crawled profiles' rows
-    rows = np.flatnonzero(keep).tolist()
     return Corpus.from_rows(
         [gt.owners[v] for v in np.flatnonzero(enqueued).tolist()], local[crawl + frontier],
         [True] * len(crawl) + [False] * len(frontier), local[gt.owner[keep]],
-        [gt.texts[r] for r in rows], [gt.answers[r] for r in rows], gt.like_count[keep],
+        [*compress(gt.texts, keep)], [*compress(gt.answers, keep)], gt.like_count[keep],
         np.diff(gt.liker_ptr)[keep], local[gt.liker[np.repeat(keep, np.diff(gt.liker_ptr))]],
     )

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Collection
 
 import numpy as np
-import scipy.sparse as sp
 
-from .corpus import TaggedCorpus
+from .corpus import CSR, TaggedCorpus, distinct, row_blocks, wedge_budget
 
 
 class ConvergenceError(RuntimeError):
@@ -34,7 +33,7 @@ class BipartiteGraph:
     the `owners` of the corpus it was built from, in order."""
 
     words: tuple[str, ...]
-    incidence: sp.csr_matrix  # shape (len(words), len(owners)), dtype int64, entries {0,1}
+    incidence: CSR  # shape (len(words), len(owners)), int64 entries, all 1
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class OneModeGraph:
     """Symmetric integer-weighted projection with zero diagonal."""
 
     nodes: tuple[str, ...]
-    adjacency: sp.csr_matrix  # square, symmetric, int64, zero diagonal
+    adjacency: CSR  # square, symmetric, int64, no diagonal entry
 
     def node_index(self, name: str) -> int:
         try:
@@ -61,25 +60,38 @@ def build_bipartite(corpus: TaggedCorpus, lexicon: Collection[str]) -> Bipartite
     """B[w][u] = 1 iff word w (from the lexicon) occurs in any question on
     u's profile. Words never observed keep all-zero rows."""
     words = tuple(sorted(lexicon))
-    found = corpus.counts[:, corpus.columns(words)].tocoo()
-    incidence = sp.csr_matrix(
-        (np.ones(found.nnz, dtype=np.int64), (found.col, corpus.owner[found.row])),
-        shape=(len(words), len(corpus.owners)),
-    )
-    incidence.data[:] = 1  # the conversion summed the questions sharing a word
+    columns = corpus.columns(words)
+    rows, found, _ = corpus.counts.entries(columns)
+    n = len(corpus.owners)
+    # one key per (word, profile) pair, however many of its questions hold the word
+    keys = distinct(np.searchsorted(columns, found) * n + corpus.owner[rows])
+    incidence = CSR.from_keys(keys, (len(words), n), np.ones(len(keys), dtype=np.int64))
     return BipartiteGraph(words=words, incidence=incidence)
 
 
 def project_words(bipartite: BipartiteGraph) -> OneModeGraph:
-    """Word-word projection: weights count profiles sharing both words."""
+    """Word-word projection: weights count profiles sharing both words.
+
+    Each entry (w, u) of the incidence meets every word w' of profile u: a
+    wedge w -> u -> w'. In blocks of rows, a `bincount` of the wedges'
+    (w, w') cells counts each pair's profiles, and its nonzero cells off
+    the diagonal are the block's entries, in row-major order."""
     incidence = bipartite.incidence
-    adjacency = (incidence @ incidence.T).tocsr()
-    adjacency.setdiag(0)
-    adjacency.eliminate_zeros()
+    n = len(bipartite.words)
+    profiles = incidence.transpose()  # each profile's words
+    keys, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    wedges = wedge_budget(incidence.shape[1])  # and int64 counts of 16 bytes a wedge
+    for lo, hi in row_blocks(incidence.reach(profiles), wedges, 2 * wedges // max(n, 1)):
+        shared = np.bincount(incidence.wedges(profiles, lo, hi)[0], minlength=(hi - lo) * n)
+        shared[np.arange(hi - lo) * (n + 1) + lo] = 0  # no self-loop
+        cells = np.flatnonzero(shared)
+        keys.append(cells + lo * n)
+        weights.append(shared[cells])
+    adjacency = CSR.from_keys(np.concatenate(keys), (n, n), np.concatenate(weights))
     return OneModeGraph(nodes=bipartite.words, adjacency=adjacency)
 
 
-def component_roots(adjacency: sp.spmatrix) -> np.ndarray:
+def component_roots(adjacency: CSR) -> np.ndarray:
     """Each node's least node index in its connected component, reading the
     adjacency's stored structure as undirected edges (an explicit zero is an
     edge).
@@ -90,8 +102,7 @@ def component_roots(adjacency: sp.spmatrix) -> np.ndarray:
     keeps a long path to a few rounds where label propagation would take
     one per node.
     """
-    edges = adjacency.tocoo()
-    u, v = edges.row, edges.col
+    u, v = adjacency.entry_rows(), adjacency.indices
     roots = np.arange(adjacency.shape[0])
     while True:
         ru, rv = roots[u], roots[v]
@@ -129,27 +140,39 @@ def eigenvector_centrality(
         raise ValueError("max_iter must be >= 1")
     n = len(graph.nodes)
     values = np.zeros(n)
-    if n == 0 or graph.adjacency.nnz == 0:
+    if n == 0 or not len(graph.adjacency.indices):
         return dict.fromkeys(graph.nodes, 0.0)
 
     # one ascending node list per component, in order of least node
     roots = component_roots(graph.adjacency)
     order = np.argsort(roots, kind="stable")
     components = np.split(order, np.flatnonzero(np.diff(roots[order])) + 1)
+    local = np.empty(n, dtype=np.int64)  # each node's index in its component
     results: list[tuple[float, np.ndarray, np.ndarray]] = []  # (eigenvalue, idx, vector)
     for idx in components:
         if len(idx) == 1:
             continue  # isolated node (zero diagonal => no self loop)
-        sub = graph.adjacency[np.ix_(idx, idx)].tocsr().astype(np.float64)
+        m = len(idx)
+        local[idx] = np.arange(m)
+        sub = graph.adjacency.take(idx)
+        rows, cols = sub.entry_rows(), local[sub.indices]  # a component holds its neighbours
         # iterate on A + I: same eigenvectors, but strictly dominant Perron
         # eigenvalue, so bipartite components (spectrum symmetric about 0)
-        # cannot oscillate
-        sub = (sub + sp.identity(len(idx), format="csr")).tocsr()
-        v = np.ones(len(idx))
+        # cannot oscillate. Row i's diagonal entry goes before its columns
+        # above i, so the entries stay in row-major order.
+        at = sub.indptr[:-1] + np.bincount(rows[cols < rows], minlength=m)
+        rows = np.insert(rows, at, np.arange(m))
+        cols = np.insert(cols, at, np.arange(m))
+        weights = np.insert(sub.data.astype(np.float64), at, 1.0)
+        del sub, at
+        terms = np.empty(len(cols))  # each entry's weight times its column's value
+        v = np.ones(m)
         eigenvalue = 0.0
         residual = np.inf
         for _ in range(max_iter):
-            w = sub @ v
+            np.take(v, cols, out=terms, mode="clip")  # unlike "raise", unbuffered
+            terms *= weights
+            w = np.bincount(rows, weights=terms, minlength=m)
             eigenvalue = float(w.max())
             w /= eigenvalue
             residual = float(np.max(np.abs(w - v)))
@@ -193,10 +216,10 @@ def word_neighborhood(
     """Edges incident to `core`: (neighbor, shared-profile weight, neighbor
     centrality), sorted by descending weight then neighbor name."""
     i = graph.node_index(core)
-    row = graph.adjacency.getrow(i)
+    row = graph.adjacency.take([i])
     records = [
-        (graph.nodes[j], int(w), scores.get(graph.nodes[j], 0.0))
-        for j, w in zip(row.indices, row.data)
+        (graph.nodes[j], w, scores.get(graph.nodes[j], 0.0))
+        for j, w in zip(row.indices.tolist(), row.data.tolist())
     ]
     records.sort(key=lambda r: (-r[1], r[0]))
     return records
@@ -215,6 +238,8 @@ def cooccurrence_distribution(
     n_matching = int(matching.sum())
     if n_matching == 0:
         raise ValueError(f"no profile contains the word {core!r}")
-    totals = corpus.counts.T @ matching[corpus.owner].astype(np.int64)
+    rows, found, counts = corpus.counts.entries(columns)
+    totals = np.bincount(found, weights=counts * matching[corpus.owner[rows]],
+                         minlength=len(corpus.vocab))
     entries = tuple(zip(word_set, (totals[columns] / n_matching).tolist()))
     return FrequencyVector(entries=entries, n_profiles=n_matching)

@@ -1,5 +1,6 @@
-"""Test-only constructors, views and oracles of askgraph's types: a like
-graph built from an edge mapping and read back as edge rows or a mapping, a
+"""Test-only constructors, views and oracles of askgraph's types: a sparse
+matrix converted to and from scipy's, which the tests use as an oracle, a
+like graph built from an edge mapping and read back as edge rows or a mapping, a
 plain vocabulary as a word set, the segmentation rule as a scalar oracle
 and the array rule over plain counts, a group row by name, a crawl's crawl
 order and frontier, a corpus's profile records, the scalar synthetic
@@ -15,12 +16,26 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from askgraph import synth
-from askgraph.corpus import ContentTable, Corpus, CorpusFormatError, TaggedCorpus
+from askgraph.corpus import CSR, ContentTable, Corpus, CorpusFormatError, TaggedCorpus
 from askgraph.interaction import InteractionGraph, node_table, reciprocity
 from askgraph.segmentation import GROUPS, GroupRow, classify_corpus
 from askgraph.synth import GenParams, SplitMix64
+
+
+def to_scipy(m: CSR) -> sp.csr_matrix:
+    """`m` as a scipy CSR matrix over the same entries, in the same order:
+    its format checks and `has_canonical_format` read `m` as it is."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def csr(m) -> CSR:
+    """A scipy sparse matrix, or a dense array, as a CSR holding the entries
+    scipy's CSR form of it stores, in its order, explicit zeros included."""
+    m = sp.csr_matrix(m)
+    return CSR(m.indptr.astype(np.int64), m.indices.astype(np.int32), m.data, m.shape)
 
 
 def like_graph(

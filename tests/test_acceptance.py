@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from askgraph.cli import main as cli_main
 from askgraph.interaction import (
@@ -34,12 +33,14 @@ from helpers import (
     brute_force_reciprocity,
     classify_counts,
     corpus_records,
+    csr,
     crawl_order,
     frontier,
     graph_from_pairs,
     like_graph,
     neg_reciprocity,
     tagged,
+    to_scipy,
     triple_enumeration_oracle,
     vocab_word_set,
 )
@@ -90,9 +91,9 @@ def test_criterion_1_projection_oracle(capfd):
             ]
             bip = BipartiteGraph(
                 words=tuple(f"w{i}" for i in range(n_words)),
-                incidence=sp.csr_matrix(np.array(dense, dtype=np.int64)),
+                incidence=csr(np.array(dense, dtype=np.int64)),
             )
-            produced = project_words(bip).adjacency.toarray()
+            produced = to_scipy(project_words(bip).adjacency).toarray()
             expected = np.array(triple_loop_projection(dense), dtype=np.int64)
             assert (produced == expected).all()
         assert time.monotonic() - start < 5.0
@@ -132,7 +133,7 @@ def random_connected_graph(rng, max_nodes=100):
 def graph_from_dense(dense):
     return OneModeGraph(
         nodes=tuple(f"n{i}" for i in range(len(dense))),
-        adjacency=sp.csr_matrix(dense),
+        adjacency=csr(dense),
     )
 
 

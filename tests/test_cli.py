@@ -750,37 +750,44 @@ def outputs(out_dir):
 
 
 class TestImports:
-    PRINT_SCIPY_MODULES = (
-        "\nprint('\\n'.join(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
-    )
+    # after `import askgraph.cli`: the scipy modules it loaded, then the
+    # modules the commands in argv (one JSON list each) loaded beyond it
+    CODE = """
+import json, sys
+import askgraph.cli
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+before = set(sys.modules)
+for argv in sys.argv[1:]:
+    assert askgraph.cli.main(json.loads(argv)) == 0, argv
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
 
-    def scipy_modules_after(self, code):
-        """The scipy modules a fresh interpreter holds after running `code`,
-        with this askgraph first on its path."""
+    def test_commands_load_nothing_beyond_the_cli_import(self, tmp_path):
+        """`import askgraph.cli` loads no scipy module, and no command then
+        loads a module: one loaded inside a command would add its code and
+        its start-up time to that command's run, which the benchmark counts
+        against the command, not against the imports."""
+        synth = tmp_path / "s"
+        commands = [
+            ["pipeline", "--corpus", DEMO, "--labels", LABELS, "--out", tmp_path / "p"],
+            ["synth", "--seed", 1, "--n-users", 40, "--out", synth],
+            ["crawl-sim", "--corpus", synth / "corpus.jsonl", "--seeds", "u00001",
+             "--budget", 20, "--seed", 1, "--out", tmp_path / "c"],
+            ["cooccur", "--corpus", DEMO, "--word", "ugly", "--out", tmp_path / "o"],
+            ["neighborhood", "--corpus", DEMO, "--word", "ugly", "--out", tmp_path / "n"],
+        ]
         path = [str(Path(askgraph.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         done = subprocess.run(
-            [sys.executable, "-c", "import sys\n" + code + self.PRINT_SCIPY_MODULES],
+            [sys.executable, "-c", self.CODE,
+             *(json.dumps([str(a) for a in argv]) for argv in commands)],
             env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        return set(done.stdout.split())
-
-    def test_commands_load_no_scipy_module_beyond_scipy_sparse(self, tmp_path):
-        """askgraph needs nothing of scipy but scipy.sparse. A module beyond
-        the ones `import scipy.sparse` loads itself (csgraph pulls in
-        scipy.sparse.linalg and scipy.linalg) adds to every command's RSS."""
-        commands = [
-            ["pipeline", "--corpus", DEMO, "--labels", LABELS, "--out", tmp_path / "p"],
-            ["crawl-sim", "--corpus", DEMO, "--seeds", "u00000", "--budget", 20,
-             "--seed", 1, "--out", tmp_path / "c"],
-        ]
-        code = "import askgraph.cli\n" + "".join(
-            f"assert askgraph.cli.main({[str(a) for a in argv]!r}) == 0\n"
-            for argv in commands
-        )
-        baseline = self.scipy_modules_after("import numpy, scipy.sparse")
-        assert "scipy.sparse" in baseline
-        assert self.scipy_modules_after(code) - baseline == set()
+        scipy_modules, loaded = map(json.loads, done.stdout.splitlines()[-2:])
+        assert scipy_modules == []
+        assert loaded == []
         assert (tmp_path / "p" / "group_report.csv").exists()
         assert (tmp_path / "c" / "crawl_order.txt").exists()
+        assert (tmp_path / "o" / "cooccur_ugly.csv").exists()
+        assert (tmp_path / "n" / "neighborhood_ugly.csv").exists()

@@ -27,7 +27,7 @@ from askgraph.corpus import (
 )
 from askgraph.data import bundled_lexicon_path
 from askgraph.synth import GenParams, generate_corpus
-from helpers import checked_records, corpus_records
+from helpers import checked_records, corpus_records, to_scipy
 
 
 def write_corpus_file(tmp_path, records, name="corpus.jsonl"):
@@ -496,8 +496,9 @@ class TestTaggedLoad:
                     assert value.dtype == want.dtype and np.array_equal(value, want), field.name
                 else:
                     assert value == want, field.name
-        assert actual.counts.shape == (len(text.texts), len(vocab))
-        assert actual.counts.dtype == np.int64 and actual.counts.has_canonical_format
+        counts = to_scipy(actual.counts)
+        assert counts.shape == (len(text.texts), len(vocab))
+        assert counts.dtype == np.int64 and counts.has_canonical_format
         assert row_counts(actual) == [
             Counter(t for t in tokenize(q) if t in vocab) for q in text.texts
         ]
@@ -699,7 +700,7 @@ def row_counts(tagged):
     """Each question's tagged words with their occurrence counts, by row."""
     return [
         Counter(dict(zip([tagged.vocab[j] for j in row.indices], row.data.tolist())))
-        for row in tagged.counts
+        for row in to_scipy(tagged.counts)
     ]
 
 
@@ -783,7 +784,8 @@ class TestTagCorpus:
         records = [make_profile("a", ["Fat and UGLY, so fat", "plain", "other"])]
         tagged = Corpus.from_records(records, {"fat", "ugly"})
         assert row_counts(tagged) == [{"fat": 2, "ugly": 1}, {}, {}]
-        assert tagged.counts.dtype == np.int64 and tagged.counts.has_canonical_format
+        counts = to_scipy(tagged.counts)
+        assert counts.dtype == np.int64 and counts.has_canonical_format
 
     def test_tokenizes_each_question_once(self, monkeypatch):
         """Every text is tokenized once, and an analysis of the tagged

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from askgraph.interaction import node_table, reciprocity
 from askgraph.wordgraph import BipartiteGraph, OneModeGraph, eigenvector_centrality, project_words
-from helpers import edge_map, like_graph
+from helpers import csr, edge_map, like_graph, to_scipy
 
 nx = pytest.importorskip("networkx")
 
@@ -116,9 +116,9 @@ def bipartite_graphs(draw):
     links = draw(st.sets(st.tuples(st.integers(0, len(words) - 1),
                                    st.integers(0, n_users - 1))))
     rows, cols = zip(*sorted(links)) if links else ((), ())
-    incidence = sp.csr_matrix(
+    incidence = csr(sp.csr_matrix(
         (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(len(words), n_users)
-    )
+    ))
     return BipartiteGraph(words=words, incidence=incidence)
 
 
@@ -127,7 +127,7 @@ def nx_bipartite(bipartite):
     b = nx.Graph()
     b.add_nodes_from(bipartite.words)
     b.add_nodes_from(range(bipartite.incidence.shape[1]))
-    coo = bipartite.incidence.tocoo()
+    coo = to_scipy(bipartite.incidence).tocoo()
     b.add_edges_from((bipartite.words[i], int(j)) for i, j in zip(coo.row, coo.col))
     return b
 
@@ -135,7 +135,7 @@ def nx_bipartite(bipartite):
 def nx_word_graph(graph):
     g = nx.Graph()
     g.add_nodes_from(graph.nodes)
-    coo = sp.triu(graph.adjacency, 1).tocoo()
+    coo = sp.triu(to_scipy(graph.adjacency), 1).tocoo()
     g.add_weighted_edges_from(
         (graph.nodes[i], graph.nodes[j], int(w)) for i, j, w in zip(coo.row, coo.col, coo.data)
     )
@@ -147,7 +147,7 @@ def nx_word_graph(graph):
 def test_projection_matches_networkx(bipartite):
     graph = project_words(bipartite)
     expected = nx.bipartite.weighted_projected_graph(nx_bipartite(bipartite), bipartite.words)
-    dense = graph.adjacency.toarray()
+    dense = to_scipy(graph.adjacency).toarray()
     for i, a in enumerate(graph.nodes):
         for j, b in enumerate(graph.nodes):
             weight = expected[a][b]["weight"] if expected.has_edge(a, b) else 0
@@ -157,7 +157,7 @@ def test_projection_matches_networkx(bipartite):
 # two word pairs on two users: tied dominant components, both kept
 TIED = BipartiteGraph(
     words=("w00", "w01", "w02", "w03"),
-    incidence=sp.csr_matrix(np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int64)),
+    incidence=csr(np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int64)),
 )
 
 
@@ -199,9 +199,9 @@ def labelled_graph(n, edges, names):
     rows = [position[a] for a, b in edges] + [position[b] for a, b in edges]
     cols = [position[b] for a, b in edges] + [position[a] for a, b in edges]
     weights = list(edges.values()) * 2
-    adjacency = sp.csr_matrix(
+    adjacency = csr(sp.csr_matrix(
         (np.array(weights, dtype=np.int64), (rows, cols)), shape=(n, n)
-    )
+    ))
     return OneModeGraph(nodes=tuple(names[v] for v in order), adjacency=adjacency)
 
 

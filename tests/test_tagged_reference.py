@@ -41,7 +41,8 @@ from askgraph.segmentation import (
 from askgraph.synth import GenParams, generate_corpus, snowball_sample
 from askgraph.wordgraph import build_bipartite, cooccurrence_distribution
 from helpers import (
-    classify_user, corpus_records, crawl_order, edge_map, edge_rows, frontier, vocab_word_set,
+    classify_user, corpus_records, crawl_order, edge_map, edge_rows, frontier, to_scipy,
+    vocab_word_set,
 )
 
 NEG = frozenset({"ugly", "fat", "hate", "cool"})
@@ -355,7 +356,7 @@ def test_counts_rows_are_the_string_hits(records):
     assert tagged.owners == tuple(sorted(hits))
     rows = [(k, words) for k, u in enumerate(tagged.owners) for words in hits[u]]
     assert tagged.owner.tolist() == [k for k, _ in rows]
-    counts = tagged.counts
+    counts = to_scipy(tagged.counts)
     assert counts.dtype == np.int64 and counts.shape == (len(rows), len(WORDS))
     # canonical: sorted columns and no duplicate entries in any row
     assert counts.has_canonical_format
@@ -396,9 +397,10 @@ def test_bipartite_incidence_matches_string_hits(records, superset):
         assert b.words == tuple(sorted(lexicon))
         assert corpus.owners == tuple(sorted(profiles))
         assert b.incidence.shape == (len(lexicon), len(corpus.owners))
-        b.incidence.check_format(full_check=True)
-        assert b.incidence.dtype == np.int64 and b.incidence.has_canonical_format
-        dense = b.incidence.toarray()
+        incidence = to_scipy(b.incidence)
+        incidence.check_format(full_check=True)
+        assert incidence.dtype == np.int64 and incidence.has_canonical_format
+        dense = incidence.toarray()
         assert set(dense.ravel().tolist()) <= {0, 1}
         linked = {(b.words[i], corpus.owners[j]) for i, j in zip(*np.nonzero(dense))}
         assert linked == reference_incidence(profiles, lexicon)
@@ -486,7 +488,7 @@ def test_analyses_read_only_the_tagged_columns(records, core, top_k):
             columns(content_table(c, NEG_WS, POS_WS)),
             outcome(corpus_stats, c, NEG, POS),
             compute_metrics(c, node_table(graph)),
-            (bipartite.words, c.owners, bipartite.incidence.toarray().tolist()),
+            (bipartite.words, c.owners, to_scipy(bipartite.incidence).toarray().tolist()),
             outcome(cooccurrence_distribution, c, core, POS_WS),
         ]
 

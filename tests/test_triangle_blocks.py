@@ -1,6 +1,7 @@
-"""The node-table oracles rerun with the triangle kernel's wedge budget at
-its minimum, so that both of its products run in many row blocks. At the
-real budget the graphs of these oracles fit in one block."""
+"""The node-table oracles rerun with the triangle kernel's row blocks at
+their smallest, one wedge and one row each, so that every row of L is a
+block of its own and reuses the marker the row before it cleared. At the
+real limits the graphs of these oracles fit in one block."""
 
 import pytest
 
@@ -11,18 +12,18 @@ from askgraph import interaction
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """Every `node_table` call's row-block counts: one list per product, in
-    the order the kernel runs them (closing wedges, then middle corners)."""
+    """Every `clustering` call's row-block count."""
     counts = []
-    row_blocks = interaction._row_blocks
+    row_blocks = interaction.row_blocks
 
-    def counted(work):
-        ranges = list(row_blocks(work))
+    def counted(reach, wedges, rows):
+        ranges = list(row_blocks(reach, wedges, rows))
         counts.append(len(ranges))
         return iter(ranges)
 
-    monkeypatch.setattr(interaction, "_wedge_budget", lambda n: 1)
-    monkeypatch.setattr(interaction, "_row_blocks", counted)
+    # a budget of 1 wedge makes the row cap 16 * 1 // n = 0: a row a block
+    monkeypatch.setattr(interaction, "wedge_budget", lambda n: 1)
+    monkeypatch.setattr(interaction, "row_blocks", counted)
     return counts
 
 
@@ -35,20 +36,18 @@ def oracle(test):
 def test_hub_graphs_match_networkx_in_many_blocks(blocks):
     for seed in range(10):
         oracle(test_networkx_oracle.test_node_table_matches_networkx_on_hub_graphs)(seed)
-    closing, middle = blocks[::2], blocks[1::2]
-    assert len(closing) == len(middle) == 10
-    assert min(closing) > 1 and min(middle) > 1
+    assert len(blocks) == 10 and min(blocks) > 1
 
 
 def test_triple_enumeration_in_many_blocks(blocks):
     cls = test_interaction.TestClustering
     for seed in range(25):
         oracle(cls.test_matches_triple_enumeration)(cls(), seed)
-    assert max(blocks[::2]) > 1 and max(blocks[1::2]) > 1
+    assert max(blocks) > 1
 
 
 def test_reductions_match_loops_in_many_blocks(blocks):
     cls = test_interaction.TestReductionsMatchLoops
     for seed in range(60):
         oracle(cls.test_equal_to_the_bit)(cls(), seed)
-    assert max(blocks[::2]) > 1 and max(blocks[1::2]) > 1
+    assert max(blocks) > 1

@@ -17,7 +17,7 @@ from askgraph.wordgraph import (
     select_top_words,
     word_neighborhood,
 )
-from helpers import vocab_word_set
+from helpers import csr, to_scipy, vocab_word_set
 
 
 def profile_with(owner, *texts):
@@ -27,7 +27,7 @@ def profile_with(owner, *texts):
 def bipartite_from_dense(matrix):
     matrix = np.asarray(matrix, dtype=np.int64)
     words = tuple(f"w{i}" for i in range(matrix.shape[0]))
-    return BipartiteGraph(words=words, incidence=sp.csr_matrix(matrix))
+    return BipartiteGraph(words=words, incidence=csr(matrix))
 
 
 def graph_from_edges(nodes, edges):
@@ -36,7 +36,7 @@ def graph_from_edges(nodes, edges):
     for a, b, w in edges:
         dense[index[a], index[b]] = w
         dense[index[b], index[a]] = w
-    return OneModeGraph(nodes=tuple(nodes), adjacency=sp.csr_matrix(dense))
+    return OneModeGraph(nodes=tuple(nodes), adjacency=csr(dense))
 
 
 def naive_projection(dense):
@@ -61,7 +61,7 @@ class TestBuildBipartite:
             profile_with("u2", "ugly"),
         ], self.LEX)
         bip = build_bipartite(corp, self.LEX)
-        dense = bip.incidence.toarray()
+        dense = to_scipy(bip.incidence).toarray()
         row = {w: dense[i] for i, w in enumerate(bip.words)}
         assert bip.incidence.shape == (3, len(corp.owners))
         u = {name: corp.owners.index(name) for name in ("u1", "u2")}
@@ -71,26 +71,26 @@ class TestBuildBipartite:
 
     def test_empty_corpus(self):
         bip = build_bipartite(Corpus.from_records([], self.LEX), self.LEX)
-        assert bip.incidence.nnz == 0
+        assert to_scipy(bip.incidence).nnz == 0
         assert len(bip.words) == 3
 
     def test_incidence_is_binary(self):
         corp = Corpus.from_records([profile_with("u1", "ugly ugly ugly ugly ugly")], self.LEX)
         bip = build_bipartite(corp, self.LEX)
-        assert bip.incidence.max() == 1
+        assert to_scipy(bip.incidence).max() == 1
 
 
 class TestProjections:
     def test_shared_profile_weight(self):
         bip = bipartite_from_dense([[1, 1, 0], [0, 1, 1]])
         wg = project_words(bip)
-        dense = wg.adjacency.toarray()
+        dense = to_scipy(wg.adjacency).toarray()
         assert dense[0, 1] == 1 and dense[1, 0] == 1
         assert dense[0, 0] == 0 and dense[1, 1] == 0
 
     def test_all_zero(self):
         bip = bipartite_from_dense(np.zeros((3, 4)))
-        assert project_words(bip).adjacency.nnz == 0
+        assert to_scipy(project_words(bip).adjacency).nnz == 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**63 - 1))
@@ -98,14 +98,14 @@ class TestProjections:
         rng = np.random.default_rng(seed)
         dense = (rng.random((12, 17)) < 0.3).astype(np.int64)
         wg = project_words(bipartite_from_dense(dense))
-        np.testing.assert_array_equal(wg.adjacency.toarray(), naive_projection(dense))
+        np.testing.assert_array_equal(to_scipy(wg.adjacency).toarray(), naive_projection(dense))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**63 - 1))
     def test_symmetry_and_bound(self, seed):
         rng = np.random.default_rng(seed)
         dense = (rng.random((10, 14)) < 0.4).astype(np.int64)
-        adj = project_words(bipartite_from_dense(dense)).adjacency.toarray()
+        adj = to_scipy(project_words(bipartite_from_dense(dense)).adjacency).toarray()
         np.testing.assert_array_equal(adj, adj.T)
         row_sums = dense.sum(axis=1)
         for i in range(10):
@@ -145,7 +145,7 @@ class TestComponentRoots:
         )
         assert adjacency.nnz == len(rows) + np.count_nonzero(mirror)
         np.testing.assert_array_equal(
-            component_roots(adjacency), least_node_of_component(adjacency))
+            component_roots(csr(adjacency)), least_node_of_component(adjacency))
 
     def test_shuffled_path_is_one_component(self):
         n = 5000
@@ -153,7 +153,7 @@ class TestComponentRoots:
         ones = np.ones(n - 1, dtype=np.int64)
         adjacency = sp.csr_matrix((ones, (path[:-1], path[1:])), shape=(n, n))
         adjacency = (adjacency + adjacency.T).tocsr()
-        roots = component_roots(adjacency)
+        roots = component_roots(csr(adjacency))
         np.testing.assert_array_equal(roots, least_node_of_component(adjacency))
         assert not roots.any()
 
