@@ -364,13 +364,11 @@ def _outputs(run: _Run, command: str) -> Iterator[tuple[str, object]]:
         for polarity, words in run.words.items():
             yield (f"wordset_{polarity}.txt", reports.word_set_lines(
                 polarity, words.word_set, words.scores, args.threshold, args.cap))
-            yield f"wordgraph_{polarity}_edges.csv", reports.word_graph_edges(words.graph)
+            yield f"wordgraph_{polarity}_edges.csv", (
+                ["word_a", "word_b", "weight"], reports.word_graph_edges(words.graph))
             yield f"wordgraph_{polarity}_nodes.csv", (["word", "centrality"], words.scores.items())
     elif command == "graph":
-        graph = run.interaction
-        yield "interaction_edges.csv", reports.EdgeTable(
-            ["src", "dst", "n_neg", "n_nonneg"], graph.nodes, graph.src, graph.dst,
-            tuple(graph.weights.T))
+        yield "interaction_edges.csv", (["src", "dst", "n_neg", "n_nonneg"], run.interaction)
     elif command == "metrics":
         yield from reports.metrics_outputs(run.metrics)
     elif command == "segment":

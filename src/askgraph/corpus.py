@@ -9,7 +9,8 @@ A `Corpus` is columns, one entry per question and per profile, built once
 by whatever builds the corpus: the record parse behind `load_corpus` (line
 by line) and `Corpus.from_records`, `generate_corpus` and
 `snowball_sample`. `save_corpus` is the one read-back: it writes each
-profile's line straight from the columns.
+profile's line straight from the columns. Every graph askgraph builds from a
+corpus is a `Graph`: node names over a `CSR` matrix.
 
 The parse checks each profile as soon as it is read: a profile in the
 common shape by passes over all its questions at once, any other by the
@@ -197,6 +198,23 @@ class CSR:
         cells += c
         own += b
         return cells, own, per_entry
+
+
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """Named rows over a sparse matrix: row i of `adjacency` is `nodes[i]`.
+    The like graph holds an (n_neg, n_nonneg) row of `data` per edge, a word
+    graph its shared-profile counts, and a word x profile incidence a 1 at
+    each of its words' profiles, whose columns are the corpus's owners."""
+
+    nodes: tuple[str, ...]
+    adjacency: CSR
+
+    def node_index(self, name: str) -> int:
+        try:
+            return self.nodes.index(name)
+        except ValueError:
+            raise ValueError(f"node {name!r} not in graph") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,10 @@
 Edges carry a weight vector (n_neg, n_nonneg): liker i -> profile owner j,
 counting how many of j's top-k most-liked questions that i liked are
 negative vs non-negative with respect to the selected negative word set.
-Only fully-sampled users participate.
+Only fully-sampled users participate. The graph is a `Graph` over the
+sorted node ids: edge i -> j is entry (i, j) of its adjacency, whose `data`
+row is the edge's weights. Its entries run in (src, dst) index order, which
+for sorted ids is their string-key order and the order they are written in.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Collection, Optional, Sequence
 
 import numpy as np
 
-from .corpus import CSR, Corpus, TaggedCorpus, row_blocks, run_starts, wedge_budget
+from .corpus import CSR, Corpus, Graph, TaggedCorpus, row_blocks, run_starts, wedge_budget
 
 
 # The metric battery's fixed parameters: the top-x% points of the in/out
@@ -23,21 +26,6 @@ from .corpus import CSR, Corpus, TaggedCorpus, row_blocks, run_starts, wedge_bud
 # likes/answers correlation.
 OVERLAP_POINTS = (1, 2, 5, 10, 20, 50, 100)
 LIKES_SPLIT = 50
-
-
-class InteractionGraph:
-    """The like graph over sorted node ids, as int edge arrays.
-
-    Edge e runs from `nodes[src[e]]` to `nodes[dst[e]]` and carries
-    `weights[e] = (n_neg, n_nonneg)`. Edges are stored sorted by
-    (src, dst) index, which for sorted ids is their string-key order and the
-    order they are written in."""
-
-    def __init__(self, nodes: tuple[str, ...], codes: np.ndarray, weights: np.ndarray):
-        """Edges from sorted, distinct int64 codes `src * n + dst` and weights."""
-        self.nodes = nodes
-        self.src, self.dst = np.divmod(codes, max(len(nodes), 1))
-        self.weights = weights  # (E, 2): n_neg, n_nonneg
 
 
 @dataclass(frozen=True)
@@ -102,7 +90,7 @@ class MetricsReport:
 
 def build_interaction_graph(
     corpus: TaggedCorpus, neg_words: Collection[str], top_k: int = 15
-) -> InteractionGraph:
+) -> Graph:
     """Build the directed like graph over fully-sampled users.
 
     For each fully-sampled profile j, only the top_k most-liked questions
@@ -128,17 +116,18 @@ def build_interaction_graph(
         node[liker[keep]] * len(nodes) + node[owner[keep]], return_inverse=True
     )
     weights = np.bincount(2 * edge_of_like + nonneg, minlength=2 * len(codes)).reshape(-1, 2)
-    return InteractionGraph(nodes, codes, weights)
+    return Graph(nodes, CSR.from_keys(codes, (len(nodes), len(nodes)), weights))
 
 
-def node_table(graph: InteractionGraph) -> NodeTable:
-    """Counts over the edge arrays and one triangle kernel give every
+def node_table(graph: Graph) -> NodeTable:
+    """Counts over the graph's entries and one triangle kernel give every
     per-node fact: per component weighted in/out-degree, out-edge and
     reciprocated out-edge counts and per-node reciprocity, then undirected
     degree and local clustering with the global triple counts."""
     nodes = graph.nodes
     n = len(nodes)
-    src, dst, weights = graph.src, graph.dst, graph.weights
+    adjacency = graph.adjacency
+    src, dst, weights = adjacency.entry_rows(), adjacency.indices, adjacency.data
     edge, back = _reverse_edges(src, dst, n)
 
     def counts(present: np.ndarray, in_deg: np.ndarray, out_deg: np.ndarray) -> EdgeCounts:
@@ -187,11 +176,12 @@ def _reverse_edges(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray
     """Each edge whose reverse is also an edge, ascending, and the index of
     that reverse. Those edges' codes are the ones that occur twice among the
     codes of all edges and of their reverses, sorted together."""
-    # int64 codes: n * n overflows int32 past 46,340 nodes
+    # int64 codes: n * n overflows int32 past 46,340 nodes, so the int32
+    # `dst` widens before it is scaled
     codes = np.empty(2 * len(src), dtype=np.int64)
     np.multiply(src, n, out=codes[:len(src)])
     codes[:len(src)] += dst
-    np.multiply(dst, n, out=codes[len(src):])
+    np.multiply(dst, n, out=codes[len(src):], dtype=np.int64)
     codes[len(src):] += src
     codes.sort()
     twice = codes[1:][codes[1:] == codes[:-1]]

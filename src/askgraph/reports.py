@@ -1,6 +1,6 @@
 """Output files: one writer per format, chosen by the file's suffix, and the
 row formatters of the outputs that need one. Edge lists are written from
-their graphs' columns by `write_edges`.
+their graphs' arrays by `write_edges`.
 
 All writes are atomic (temp file + rename); a failed write leaves a
 `.partial` file behind instead of a truncated output.
@@ -10,49 +10,33 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import atomic_write, distinct, save_corpus
+from .corpus import CSR, Graph, atomic_write, distinct, save_corpus
 from .interaction import MetricsReport
 from .segmentation import GroupRow
-from .wordgraph import OneModeGraph
 
 
 # edges per block of `write_edges`
 EDGE_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class EdgeTable:
-    """An edge list as columns: edge e runs from `names[src[e]]` to
-    `names[dst[e]]` and carries `weights[c][e]` in weight column c. Its CSV
-    has one row per edge, the names first, under `header`."""
-
-    header: list[str]
-    names: tuple[str, ...]
-    src: np.ndarray
-    dst: np.ndarray
-    weights: tuple[np.ndarray, ...]  # one array of counts per weight column, at least one
-
-
 def write_output(path: str | Path, content) -> None:
     """Write `content` in the format the file's suffix names: a corpus to
-    `.jsonl`, a JSON payload to `.json`, an edge table or a (header, rows)
+    `.jsonl`, a JSON payload to `.json`, a (header, graph) or (header, rows)
     pair to `.csv`, and lines of text to any other file."""
     suffix = Path(path).suffix
     if suffix == ".jsonl":
         save_corpus(content, path)
     elif suffix == ".json":
         write_json(path, content)
-    elif isinstance(content, EdgeTable):
-        write_edges(path, content)
     elif suffix == ".csv":
-        write_csv(path, *content)
+        (write_edges if isinstance(content[1], Graph) else write_csv)(path, *content)
     else:
         write_lines(path, content)
 
@@ -65,34 +49,39 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> 
         writer.writerows(rows)
 
 
-def write_edges(path: str | Path, table: EdgeTable) -> None:
+def write_edges(path: str | Path, header: list[str], graph: Graph) -> None:
     """The bytes `write_csv` writes for the rows (source name, target name,
-    weights...), built from the columns one block of EDGE_BLOCK edges at a
-    time, so no list holds an object per edge.
+    weights...), one per stored entry of `graph`, in order: one weight column
+    for a 1-D `data` and one per column of a 2-D one. The rows are built one
+    block of EDGE_BLOCK entries at a time, so no list holds an object per
+    edge and no array holds a row index per edge.
 
     Each name is encoded once by `csv.writer` itself, as the first field of a
     two-field row: a row of one empty field would be written as `""`. Each
     weight column is formatted once per distinct value. Every encoded cell
     ends with the separator that follows it, so a row is the join of its
     cells."""
+    adjacency = graph.adjacency
     encoded: list[str] = []
-    csv.writer(SimpleNamespace(write=encoded.append)).writerows((n, "") for n in table.names)
+    csv.writer(SimpleNamespace(write=encoded.append)).writerows((n, "") for n in graph.nodes)
     names = np.array([line[:-2] for line in encoded], dtype=object)  # 'name,' less '\r\n'
-    values = [_distinct(column) for column in table.weights]
+    weights = np.atleast_2d(adjacency.data.T)  # one row per weight column
+    values = [_distinct(column) for column in weights]
     ends = [","] * (len(values) - 1) + ["\r\n"]
     texts = [np.array([f"{v}{end}" for v in distinct.tolist()], dtype=object)
              for distinct, end in zip(values, ends)]
     cells = np.empty((2 + len(values), EDGE_BLOCK), dtype=object)  # one column per edge
+    n_entries = len(adjacency.indices)
     with atomic_write(path) as fh:
-        csv.writer(fh).writerow(table.header)
-        for start in range(0, len(table.src), EDGE_BLOCK):
-            block = slice(start, start + EDGE_BLOCK)
-            src = table.src[block]
-            rows = cells[:, : len(src)]
+        csv.writer(fh).writerow(header)
+        for start in range(0, n_entries, EDGE_BLOCK):
+            stop = min(start + EDGE_BLOCK, n_entries)
+            rows = cells[:, : stop - start]
+            src = np.searchsorted(adjacency.indptr, np.arange(start, stop), side="right") - 1
             rows[0] = names[src]
-            rows[1] = names[table.dst[block]]
-            for row, column, distinct, text in zip(rows[2:], table.weights, values, texts):
-                row[:] = text[np.searchsorted(distinct, column[block])]
+            rows[1] = names[adjacency.indices[start:stop]]
+            for row, column, distinct, text in zip(rows[2:], weights, values, texts):
+                row[:] = text[np.searchsorted(distinct, column[start:stop])]
             fh.write("".join(rows.T.ravel().tolist()))
 
 
@@ -128,14 +117,15 @@ def word_set_lines(
         yield f"{word} {scores[word]!r}"
 
 
-def word_graph_edges(graph: OneModeGraph) -> EdgeTable:
-    """(word_a, word_b, weight) per edge. The nodes are sorted, so the upper
-    triangle in row-major order lists the edges in (word_a, word_b) order."""
+def word_graph_edges(graph: Graph) -> Graph:
+    """The word graph's upper triangle: each edge once, as (word_a, word_b,
+    weight). The nodes are sorted, so its entries in row-major order list the
+    edges in (word_a, word_b) order."""
     adjacency = graph.adjacency
     rows = adjacency.entry_rows()
     upper = adjacency.indices > rows
-    return EdgeTable(["word_a", "word_b", "weight"], graph.nodes, rows[upper],
-                     adjacency.indices[upper], (adjacency.data[upper],))
+    keys = rows[upper] * len(graph.nodes) + adjacency.indices[upper]
+    return Graph(graph.nodes, CSR.from_keys(keys, adjacency.shape, adjacency.data[upper]))
 
 
 def metrics_outputs(report: MetricsReport) -> list[tuple[str, object]]:

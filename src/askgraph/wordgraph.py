@@ -14,7 +14,7 @@ from typing import Collection
 
 import numpy as np
 
-from .corpus import CSR, TaggedCorpus, distinct, row_blocks, wedge_budget
+from .corpus import CSR, Graph, TaggedCorpus, distinct, row_blocks, wedge_budget
 
 
 class ConvergenceError(RuntimeError):
@@ -28,56 +28,34 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BipartiteGraph:
-    """Binary word x user incidence matrix: rows are `words`, columns are
-    the `owners` of the corpus it was built from, in order."""
-
-    words: tuple[str, ...]
-    incidence: CSR  # shape (len(words), len(owners)), int64 entries, all 1
-
-
-@dataclass(frozen=True)
-class OneModeGraph:
-    """Symmetric integer-weighted projection with zero diagonal."""
-
-    nodes: tuple[str, ...]
-    adjacency: CSR  # square, symmetric, int64, no diagonal entry
-
-    def node_index(self, name: str) -> int:
-        try:
-            return self.nodes.index(name)
-        except ValueError:
-            raise ValueError(f"node {name!r} not in graph") from None
-
-
-@dataclass(frozen=True)
 class FrequencyVector:
     entries: tuple[tuple[str, float], ...]  # fixed to the word set's order
     n_profiles: int
 
 
-def build_bipartite(corpus: TaggedCorpus, lexicon: Collection[str]) -> BipartiteGraph:
+def build_bipartite(corpus: TaggedCorpus, lexicon: Collection[str]) -> Graph:
     """B[w][u] = 1 iff word w (from the lexicon) occurs in any question on
-    u's profile. Words never observed keep all-zero rows."""
+    u's profile: the sorted words over int64 entries, all 1, whose columns
+    are the corpus's owners. Words never observed keep all-zero rows."""
     words = tuple(sorted(lexicon))
     columns = corpus.columns(words)
     rows, found, _ = corpus.counts.entries(columns)
     n = len(corpus.owners)
     # one key per (word, profile) pair, however many of its questions hold the word
     keys = distinct(np.searchsorted(columns, found) * n + corpus.owner[rows])
-    incidence = CSR.from_keys(keys, (len(words), n), np.ones(len(keys), dtype=np.int64))
-    return BipartiteGraph(words=words, incidence=incidence)
+    return Graph(words, CSR.from_keys(keys, (len(words), n), np.ones(len(keys), dtype=np.int64)))
 
 
-def project_words(bipartite: BipartiteGraph) -> OneModeGraph:
-    """Word-word projection: weights count profiles sharing both words.
+def project_words(bipartite: Graph) -> Graph:
+    """Word-word projection: weights count profiles sharing both words, in a
+    symmetric int64 matrix with no diagonal entry.
 
     Each entry (w, u) of the incidence meets every word w' of profile u: a
     wedge w -> u -> w'. In blocks of rows, a `bincount` of the wedges'
     (w, w') cells counts each pair's profiles, and its nonzero cells off
     the diagonal are the block's entries, in row-major order."""
-    incidence = bipartite.incidence
-    n = len(bipartite.words)
+    incidence = bipartite.adjacency
+    n = len(bipartite.nodes)
     profiles = incidence.transpose()  # each profile's words
     keys, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     wedges = wedge_budget(incidence.shape[1])  # and int64 counts of 16 bytes a wedge
@@ -87,8 +65,8 @@ def project_words(bipartite: BipartiteGraph) -> OneModeGraph:
         cells = np.flatnonzero(shared)
         keys.append(cells + lo * n)
         weights.append(shared[cells])
-    adjacency = CSR.from_keys(np.concatenate(keys), (n, n), np.concatenate(weights))
-    return OneModeGraph(nodes=bipartite.words, adjacency=adjacency)
+    return Graph(bipartite.nodes,
+                 CSR.from_keys(np.concatenate(keys), (n, n), np.concatenate(weights)))
 
 
 def component_roots(adjacency: CSR) -> np.ndarray:
@@ -122,7 +100,7 @@ def component_roots(adjacency: CSR) -> np.ndarray:
 
 
 def eigenvector_centrality(
-    graph: OneModeGraph, tol: float = 1e-10, max_iter: int = 10000
+    graph: Graph, tol: float = 1e-10, max_iter: int = 10000
 ) -> dict[str, float]:
     """Power iteration from a uniform start vector, rescaled to max entry 1;
     returns each node's score, in node order.
@@ -211,7 +189,7 @@ def select_top_words(
 
 
 def word_neighborhood(
-    graph: OneModeGraph, core: str, scores: dict[str, float]
+    graph: Graph, core: str, scores: dict[str, float]
 ) -> list[tuple[str, int, float]]:
     """Edges incident to `core`: (neighbor, shared-profile weight, neighbor
     centrality), sorted by descending weight then neighbor name."""

@@ -1,12 +1,12 @@
 """Test-only constructors, views and oracles of askgraph's types: a sparse
 matrix converted to and from scipy's, which the tests use as an oracle, a
-like graph built from an edge mapping and read back as edge rows or a mapping, a
-plain vocabulary as a word set, the segmentation rule as a scalar oracle
-and the array rule over plain counts, a group row by name, a crawl's crawl
-order and frontier, a corpus's profile records, the scalar synthetic
-generator and its sampler, and the brute-force reciprocity and clustering
-oracles of the node table, and the record checks of the corpus parse as
-one loop over each question."""
+like graph built as a `Graph` from an edge mapping and read back from its
+adjacency's entries as edge rows or a mapping, a plain vocabulary as a word
+set, the segmentation rule as a scalar oracle and the array rule over plain
+counts, a group row by name, a crawl's crawl order and frontier, a corpus's
+profile records, the scalar synthetic generator and its sampler, and the
+brute-force reciprocity and clustering oracles of the node table, and the
+record checks of the corpus parse as one loop over each question."""
 
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from askgraph import synth
-from askgraph.corpus import CSR, ContentTable, Corpus, CorpusFormatError, TaggedCorpus
-from askgraph.interaction import InteractionGraph, node_table, reciprocity
+from askgraph.corpus import CSR, ContentTable, Corpus, CorpusFormatError, Graph, TaggedCorpus
+from askgraph.interaction import node_table, reciprocity
 from askgraph.segmentation import GROUPS, GroupRow, classify_corpus
 from askgraph.synth import GenParams, SplitMix64
 
@@ -40,8 +40,9 @@ def csr(m) -> CSR:
 
 def like_graph(
     nodes: Sequence[str], edges: Mapping[tuple[str, str], tuple[int, int]]
-) -> InteractionGraph:
-    """The like graph over `nodes` with `{(src_id, dst_id): (n_neg, n_nonneg)}`."""
+) -> Graph:
+    """The like graph over `nodes` with `{(src_id, dst_id): (n_neg, n_nonneg)}`:
+    entry (src, dst) of its adjacency holds the row (n_neg, n_nonneg)."""
     index = {u: k for k, u in enumerate(nodes)}
     pairs = np.array([(index[i], index[j]) for i, j in edges], dtype=np.int64).reshape(-1, 2)
     if np.any(pairs[:, 0] == pairs[:, 1]):
@@ -49,23 +50,24 @@ def like_graph(
     codes = pairs[:, 0] * len(index) + pairs[:, 1]
     weights = np.array(list(edges.values()), dtype=np.int64).reshape(-1, 2)
     order = np.argsort(codes)  # the codes are distinct
-    return InteractionGraph(tuple(nodes), codes[order], weights[order])
+    n = len(index)
+    return Graph(tuple(nodes), CSR.from_keys(codes[order], (n, n), weights[order]))
 
 
-def edge_rows(graph: InteractionGraph) -> list[tuple[str, str, int, int]]:
-    """(src_id, dst_id, n_neg, n_nonneg) per edge, in stored order: the rows
-    of `interaction_edges.csv`."""
-    names = graph.nodes
-    return [(names[i], names[j], neg, nonneg) for i, j, (neg, nonneg)
-            in zip(graph.src.tolist(), graph.dst.tolist(), graph.weights.tolist())]
+def edge_rows(graph: Graph) -> list[tuple[str, str, int, int]]:
+    """(src_id, dst_id, n_neg, n_nonneg) per stored entry, in stored order:
+    the rows of `interaction_edges.csv`."""
+    names, adjacency = graph.nodes, graph.adjacency
+    return [(names[i], names[j], neg, nonneg) for i, j, (neg, nonneg) in zip(
+        adjacency.entry_rows().tolist(), adjacency.indices.tolist(), adjacency.data.tolist())]
 
 
-def edge_map(graph: InteractionGraph) -> Mapping[tuple[str, str], tuple[int, int]]:
+def edge_map(graph: Graph) -> Mapping[tuple[str, str], tuple[int, int]]:
     """Read-only `{(src_id, dst_id): (n_neg, n_nonneg)}` in stored order."""
     return MappingProxyType({(i, j): (neg, nonneg) for i, j, neg, nonneg in edge_rows(graph)})
 
 
-def graph_from_pairs(pairs, nodes=None) -> InteractionGraph:
+def graph_from_pairs(pairs, nodes=None) -> Graph:
     """One negative edge per pair, in the given direction; the nodes are
     those of the pairs, sorted, unless given."""
     node_set = nodes or sorted({n for p in pairs for n in p})
@@ -282,11 +284,11 @@ def scalar_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
     return corpus, labels
 
 
-def neg_reciprocity(g: InteractionGraph) -> float:
+def neg_reciprocity(g: Graph) -> float:
     return reciprocity(node_table(g).neg)
 
 
-def brute_force_reciprocity(g: InteractionGraph) -> float:
+def brute_force_reciprocity(g: Graph) -> float:
     """The share of edges whose reverse is an edge, over ordered node pairs."""
     count = recip = 0
     edges = edge_map(g)

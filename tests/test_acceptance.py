@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from askgraph.cli import main as cli_main
+from askgraph.corpus import Graph
 from askgraph.interaction import (
     ccdf,
     node_table,
@@ -23,8 +24,6 @@ from askgraph.interaction import (
 from askgraph.segmentation import GROUPS
 from askgraph.synth import GenParams, generate_corpus, snowball_sample
 from askgraph.wordgraph import (
-    BipartiteGraph,
-    OneModeGraph,
     eigenvector_centrality,
     project_words,
 )
@@ -89,9 +88,9 @@ def test_criterion_1_projection_oracle(capfd):
                 [1 if rng.random() < 0.25 else 0 for _ in range(n_users)]
                 for _ in range(n_words)
             ]
-            bip = BipartiteGraph(
-                words=tuple(f"w{i}" for i in range(n_words)),
-                incidence=csr(np.array(dense, dtype=np.int64)),
+            bip = Graph(
+                nodes=tuple(f"w{i}" for i in range(n_words)),
+                adjacency=csr(np.array(dense, dtype=np.int64)),
             )
             produced = to_scipy(project_words(bip).adjacency).toarray()
             expected = np.array(triple_loop_projection(dense), dtype=np.int64)
@@ -131,7 +130,7 @@ def random_connected_graph(rng, max_nodes=100):
 
 
 def graph_from_dense(dense):
-    return OneModeGraph(
+    return Graph(
         nodes=tuple(f"n{i}" for i in range(len(dense))),
         adjacency=csr(dense),
     )

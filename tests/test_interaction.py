@@ -160,7 +160,7 @@ class TestBuildInteractionGraph:
         nodes, edges = reference_build(Corpus.from_records(records), NEG_WS, top_k)
         assert g.nodes == nodes
         assert list(edge_map(g).items()) == list(edges.items())
-        assert g.weights.shape == (len(edges), 2)
+        assert g.adjacency.data.shape == (len(edges), 2)
 
 
 USER_POOL = ("u1", "u2", "u10", "u9", "a", "B")
@@ -188,7 +188,8 @@ class TestInteractionGraphFromEdges:
             nodes=("b", "a", "c"), edges={("c", "a"): (1, 2), ("b", "c"): (0, 1)}
         )
         assert list(edge_map(g).items()) == [(("b", "c"), (0, 1)), (("c", "a"), (1, 2))]
-        assert g.src.tolist() == [0, 2] and g.dst.tolist() == [2, 1]
+        assert g.adjacency.indptr.tolist() == [0, 1, 1, 2]
+        assert g.adjacency.indices.tolist() == [2, 1]
 
     def test_edges_view_is_read_only(self):
         g = digraph({("a", "b"): 1})
@@ -523,8 +524,10 @@ class TestNodeTableAtScale:
 
     def test_transient_memory_under_two_and_a_half_graphs(self, tmp_path):
         """The like graph of synth n=2000 (seed 1, the scale recipe; 57,219
-        edges): `node_table` peaks less than 2.5 times its edge arrays'
-        bytes above where it starts."""
+        edges): `node_table` peaks less than 2.5 times the bytes of the
+        graph's own arrays above where it starts. Those are the adjacency's
+        int64 `indptr`, int32 `indices` and (E, 2) int64 weights, about 20
+        bytes an edge."""
         recipe = ["--seed", "1", "--n-users", "2000", "--questions", "11-18",
                   "--like-rate", "2.0", "--mix", "HN:.1,HP:.2,PN:.2,OTHR:.5"]
         assert main(["synth", *recipe, "--out", str(tmp_path)]) == 0
@@ -534,7 +537,7 @@ class TestNodeTableAtScale:
             rows = list(csv.reader(fh))[1:]
         edges = {(i, j): (int(neg), int(nonneg)) for i, j, neg, nonneg in rows}
         g = like_graph(load_corpus(corpus).owners, edges)
-        assert len(g.src) == 57_219
+        assert len(g.adjacency.indices) == 57_219
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -542,7 +545,9 @@ class TestNodeTableAtScale:
             transient = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert transient <= 2.5 * (g.src.nbytes + g.dst.nbytes + g.weights.nbytes)
+        adjacency = g.adjacency
+        assert transient <= 2.5 * (
+            adjacency.indptr.nbytes + adjacency.indices.nbytes + adjacency.data.nbytes)
 
 
 class TestLikesAnswersCorrelation:

@@ -7,8 +7,9 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from askgraph.corpus import Graph
 from askgraph.interaction import node_table, reciprocity
-from askgraph.wordgraph import BipartiteGraph, OneModeGraph, eigenvector_centrality, project_words
+from askgraph.wordgraph import eigenvector_centrality, project_words
 from helpers import csr, edge_map, like_graph, to_scipy
 
 nx = pytest.importorskip("networkx")
@@ -119,16 +120,16 @@ def bipartite_graphs(draw):
     incidence = csr(sp.csr_matrix(
         (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(len(words), n_users)
     ))
-    return BipartiteGraph(words=words, incidence=incidence)
+    return Graph(nodes=words, adjacency=incidence)
 
 
 def nx_bipartite(bipartite):
     """Words are named by their strings, users by their column numbers."""
     b = nx.Graph()
-    b.add_nodes_from(bipartite.words)
-    b.add_nodes_from(range(bipartite.incidence.shape[1]))
-    coo = to_scipy(bipartite.incidence).tocoo()
-    b.add_edges_from((bipartite.words[i], int(j)) for i, j in zip(coo.row, coo.col))
+    b.add_nodes_from(bipartite.nodes)
+    b.add_nodes_from(range(bipartite.adjacency.shape[1]))
+    coo = to_scipy(bipartite.adjacency).tocoo()
+    b.add_edges_from((bipartite.nodes[i], int(j)) for i, j in zip(coo.row, coo.col))
     return b
 
 
@@ -146,7 +147,7 @@ def nx_word_graph(graph):
 @given(bipartite_graphs())
 def test_projection_matches_networkx(bipartite):
     graph = project_words(bipartite)
-    expected = nx.bipartite.weighted_projected_graph(nx_bipartite(bipartite), bipartite.words)
+    expected = nx.bipartite.weighted_projected_graph(nx_bipartite(bipartite), bipartite.nodes)
     dense = to_scipy(graph.adjacency).toarray()
     for i, a in enumerate(graph.nodes):
         for j, b in enumerate(graph.nodes):
@@ -155,9 +156,9 @@ def test_projection_matches_networkx(bipartite):
 
 
 # two word pairs on two users: tied dominant components, both kept
-TIED = BipartiteGraph(
-    words=("w00", "w01", "w02", "w03"),
-    incidence=csr(np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int64)),
+TIED = Graph(
+    nodes=("w00", "w01", "w02", "w03"),
+    adjacency=csr(np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int64)),
 )
 
 
@@ -202,7 +203,7 @@ def labelled_graph(n, edges, names):
     adjacency = csr(sp.csr_matrix(
         (np.array(weights, dtype=np.int64), (rows, cols)), shape=(n, n)
     ))
-    return OneModeGraph(nodes=tuple(names[v] for v in order), adjacency=adjacency)
+    return Graph(nodes=tuple(names[v] for v in order), adjacency=adjacency)
 
 
 @st.composite

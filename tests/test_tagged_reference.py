@@ -394,15 +394,15 @@ def test_bipartite_incidence_matches_string_hits(records, superset):
     for lexicon in (NEG, POS):
         corpus = tagged_over(records, lexicon, superset)
         b = build_bipartite(corpus, lexicon)
-        assert b.words == tuple(sorted(lexicon))
+        assert b.nodes == tuple(sorted(lexicon))
         assert corpus.owners == tuple(sorted(profiles))
-        assert b.incidence.shape == (len(lexicon), len(corpus.owners))
-        incidence = to_scipy(b.incidence)
+        assert b.adjacency.shape == (len(lexicon), len(corpus.owners))
+        incidence = to_scipy(b.adjacency)
         incidence.check_format(full_check=True)
         assert incidence.dtype == np.int64 and incidence.has_canonical_format
         dense = incidence.toarray()
         assert set(dense.ravel().tolist()) <= {0, 1}
-        linked = {(b.words[i], corpus.owners[j]) for i, j in zip(*np.nonzero(dense))}
+        linked = {(b.nodes[i], corpus.owners[j]) for i, j in zip(*np.nonzero(dense))}
         assert linked == reference_incidence(profiles, lexicon)
 
 
@@ -488,7 +488,7 @@ def test_analyses_read_only_the_tagged_columns(records, core, top_k):
             columns(content_table(c, NEG_WS, POS_WS)),
             outcome(corpus_stats, c, NEG, POS),
             compute_metrics(c, node_table(graph)),
-            (bipartite.words, c.owners, to_scipy(bipartite.incidence).toarray().tolist()),
+            (bipartite.nodes, c.owners, to_scipy(bipartite.adjacency).toarray().tolist()),
             outcome(cooccurrence_distribution, c, core, POS_WS),
         ]
 

@@ -5,10 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from askgraph.corpus import Corpus
+from askgraph.corpus import Corpus, Graph
 from askgraph.wordgraph import (
-    BipartiteGraph,
-    OneModeGraph,
     build_bipartite,
     component_roots,
     cooccurrence_distribution,
@@ -27,7 +25,7 @@ def profile_with(owner, *texts):
 def bipartite_from_dense(matrix):
     matrix = np.asarray(matrix, dtype=np.int64)
     words = tuple(f"w{i}" for i in range(matrix.shape[0]))
-    return BipartiteGraph(words=words, incidence=csr(matrix))
+    return Graph(nodes=words, adjacency=csr(matrix))
 
 
 def graph_from_edges(nodes, edges):
@@ -36,7 +34,7 @@ def graph_from_edges(nodes, edges):
     for a, b, w in edges:
         dense[index[a], index[b]] = w
         dense[index[b], index[a]] = w
-    return OneModeGraph(nodes=tuple(nodes), adjacency=csr(dense))
+    return Graph(nodes=tuple(nodes), adjacency=csr(dense))
 
 
 def naive_projection(dense):
@@ -61,9 +59,9 @@ class TestBuildBipartite:
             profile_with("u2", "ugly"),
         ], self.LEX)
         bip = build_bipartite(corp, self.LEX)
-        dense = to_scipy(bip.incidence).toarray()
-        row = {w: dense[i] for i, w in enumerate(bip.words)}
-        assert bip.incidence.shape == (3, len(corp.owners))
+        dense = to_scipy(bip.adjacency).toarray()
+        row = {w: dense[i] for i, w in enumerate(bip.nodes)}
+        assert bip.adjacency.shape == (3, len(corp.owners))
         u = {name: corp.owners.index(name) for name in ("u1", "u2")}
         assert row["ugly"][u["u1"]] == 1 and row["ugly"][u["u2"]] == 1
         assert row["fat"][u["u1"]] == 1 and row["fat"][u["u2"]] == 0
@@ -71,13 +69,13 @@ class TestBuildBipartite:
 
     def test_empty_corpus(self):
         bip = build_bipartite(Corpus.from_records([], self.LEX), self.LEX)
-        assert to_scipy(bip.incidence).nnz == 0
-        assert len(bip.words) == 3
+        assert to_scipy(bip.adjacency).nnz == 0
+        assert len(bip.nodes) == 3
 
     def test_incidence_is_binary(self):
         corp = Corpus.from_records([profile_with("u1", "ugly ugly ugly ugly ugly")], self.LEX)
         bip = build_bipartite(corp, self.LEX)
-        assert to_scipy(bip.incidence).max() == 1
+        assert to_scipy(bip.adjacency).max() == 1
 
 
 class TestProjections:
