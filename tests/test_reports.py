@@ -13,7 +13,7 @@ from askgraph.corpus import CSR, Graph
 from askgraph.reports import write_csv, write_edges
 
 # characters csv quotes or splits lines on, spaces and non-ASCII text
-NAME_CHARS = [",", '"', "\r", "\n", " ", "a", "b", "é", "字", " ", "'"]
+NAME_CHARS = [",", '"', "\r", "\n", " ", "a", "b", "é", "字", "\u2028", "'"]
 SPECIAL_NAMES = [",", '"', "\r", "\n", "\r\n", " lead", "trail ", "a,b", 'say "hi"', "ünï字", "x"]
 
 
