@@ -26,7 +26,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 # randbelow(m) rejects only outputs >= 2**64 - (2**64 % m), so for every
 # modulus up to 2**32 an output below this is accepted
 _SUSPECT = (1 << 64) - (1 << 32)
-_CHUNK = 1 << 12  # runs of draws, or texts, handled per numpy pass: small temporaries
+_CHUNK = 1 << 12  # runs of draws, or rows, handled per numpy pass: small temporaries
 
 
 def _mix(seed: int, positions: np.ndarray) -> np.ndarray:
@@ -100,6 +100,8 @@ class SplitMix64:
         """Uniform integer in [0, n), unbiased via rejection."""
         if n <= 0:
             raise ValueError("n must be positive")
+        if n > 1 << 64:  # the rejection limit would be negative
+            raise ValueError("n must be at most 2**64")
         limit = _MASK64 - (_MASK64 + 1) % n
         while True:
             r = self.next_u64()
@@ -170,10 +172,15 @@ class GenParams:
         lo, hi = self.questions_per_user
         if lo < 0 or hi < lo:
             raise ValueError("invalid questions_per_user range")
+        if hi - lo >= 1 << 64:
+            raise ValueError("questions_per_user range must hold at most 2**64 counts")
         if not self.like_rate >= 0:  # NaN included
             raise ValueError("like_rate must be nonnegative")
         if self.like_rate == float("inf"):
             raise ValueError("like_rate must be finite")
+        if round(2 * self.like_rate) >= 1 << 64:
+            raise ValueError("like_rate's like-count modulus round(2 * like_rate) + 1 must be "
+                             "at most 2**64")
         for group, needed in _MIN_QUESTIONS.items():
             if self.group_mix.get(group, 0.0) > 0 and hi < needed:
                 raise ValueError(
@@ -255,8 +262,8 @@ def generate_corpus(params: GenParams) -> tuple[Corpus, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Walk:
-    """What `_walk` notes, in draw order. A text or a question's likes whose
-    position is -1 was drawn one value at a time, and its values are noted
+    """What `_walk` notes, in draw order. The texts and likes of a user
+    drawn one value at a time have position -1, and their values are noted
     instead: a text's by its index, a question's likes listed."""
 
     n_rows: np.ndarray  # per user: its question count
@@ -273,11 +280,13 @@ class _Walk:
 def _walk(params: GenParams, planted: np.ndarray, modulus: list[int]) -> _Walk:
     """Walk the stream in draw order, drawing every count as a scalar.
 
-    A text, or a question's likes, whose most draws hold no suspect output
-    is read straight from the computed outputs: only its position is noted,
-    since its counts and picks follow from it. Any other is drawn one value
-    at a time with `randint` and `randbelow`, which step past a rejected
-    output, and its counts and values are noted instead."""
+    Once its question counts are drawn, a user whose texts and likes can
+    reach no suspect output is read straight from the computed outputs:
+    only the position of each text and each question's likes is noted,
+    since their counts and picks follow from it. Any other user's texts
+    and likes are drawn one value at a time with `randint` and
+    `randbelow`, which step past a rejected output, and their counts and
+    values are noted instead."""
     lo, hi = params.questions_per_user
     n_others = params.n_users - 1
     drawn_likes = max(0, round(2 * params.like_rate))
@@ -305,43 +314,33 @@ def _walk(params: GenParams, planted: np.ndarray, modulus: list[int]) -> _Walk:
         n_negs.append(n_neg)
         n_poss.append(n_pos)
         # room for all the user's draws: a text takes at most 9 (a neutral
-        # one 7) and a question's likes at most 1 + max_likes; a text or
-        # likes whose draws could reach the next suspect output (or the end
-        # of `out`) is drawn one value at a time
-        rng.extend(n_q * (10 + max_likes))
-        out, base, i, clean = rng.out, rng.base, rng.at, rng.clean()
-        for t in range(n_neg + n_pos):
-            if i + 9 > clean:
-                rng.at = i
-                text_exact[len(text_at)] = (exact_picks(2, 5, 0),
-                                            exact_picks(1, 2, 1 if t < n_neg else 2))
+        # one 7) and a question's likes at most 1 + max_likes
+        reach = n_q * (10 + max_likes)
+        rng.extend(reach)
+        if rng.clean() - rng.at < reach:  # a suspect output within reach
+            for t in range(n_q):
+                text_exact[len(text_at)] = (
+                    (exact_picks(2, 5, 0), exact_picks(1, 2, 1 if t < n_neg else 2))
+                    if t < n_neg + n_pos else (exact_picks(3, 6, 0), []))
                 text_at.append(-1)
-                out, base, i, clean = rng.out, rng.base, rng.at, rng.clean()
-            else:
-                text_at.append(base + i)
-                i += 3 + out[i] % 4
-                i += 2 + out[i] % 2
-        for _ in range(n_q - n_neg - n_pos):
-            if i + 7 > clean:
-                rng.at = i
-                text_exact[len(text_at)] = (exact_picks(3, 6, 0), [])
-                text_at.append(-1)
-                out, base, i, clean = rng.out, rng.base, rng.at, rng.clean()
-            else:
-                text_at.append(base + i)
-                i += 4 + out[i] % 4
-        for _ in range(n_q if like_span else 0):
-            if i + 1 + max_likes > clean:
-                rng.at = i
+            for _ in range(n_q if like_span else 0):
                 k = min(randint(0, drawn_likes), n_others)
                 liker_exact.extend([randbelow(n_others - j) for j in range(k)])
                 like_exact.append(k)
                 like_at.append(-1)
-                out, base, i, clean = rng.out, rng.base, rng.at, rng.clean()
-            else:
-                like_at.append(base + i)
-                k = out[i] % like_span
-                i += 1 + (k if k < n_others else n_others)  # min() costs more
+            continue
+        out, base, i = rng.out, rng.base, rng.at
+        for _ in range(n_neg + n_pos):
+            text_at.append(base + i)
+            i += 3 + out[i] % 4
+            i += 2 + out[i] % 2
+        for _ in range(n_q - n_neg - n_pos):
+            text_at.append(base + i)
+            i += 4 + out[i] % 4
+        for _ in range(n_q if like_span else 0):
+            like_at.append(base + i)
+            k = out[i] % like_span
+            i += 1 + (k if k < n_others else n_others)  # min() costs more
         rng.at = i
     n_rows, n_negs, n_poss, text_at, like_at = (
         np.frombuffer(a, dtype=np.int64) for a in (n_rows, n_negs, n_poss, text_at, like_at))
@@ -407,20 +406,13 @@ def _texts(seed: int, vocabs: tuple[tuple[str, ...], ...], walk: _Walk, rows: np
 
 def _join(words: tuple[str, ...], ids: np.ndarray, n_words: np.ndarray) -> list[str]:
     """The texts of `n_words` (each at least 1) consecutive word ids each,
-    their words joined by spaces. Each `_CHUNK` of texts is joined as one
-    string and cut at its texts' ends."""
+    their words joined by spaces: all joined as one string, which is cut
+    at the texts' ends."""
     width = np.array([len(w) + 1 for w in words])  # a word and the space after it
-    words = np.array(words, dtype=object)
-    ends = np.cumsum(n_words)
-    texts: list[str] = []
-    for t in range(0, len(n_words), _CHUNK):
-        first = int(ends[t - 1]) if t else 0
-        piece = ids[first:ends[min(t + _CHUNK, len(ends)) - 1]]
-        line = " ".join(words[piece].tolist())
-        stops = np.cumsum(width[piece])[ends[t:t + _CHUNK] - first - 1]
-        starts = np.concatenate(([0], stops[:-1]))
-        texts += map(line.__getitem__, map(slice, starts.tolist(), (stops - 1).tolist()))
-    return texts
+    line = " ".join(np.array(words, dtype=object)[ids].tolist())
+    stops = np.cumsum(width[ids])[np.cumsum(n_words) - 1]
+    starts = np.concatenate(([0], stops[:-1]))
+    return list(map(line.__getitem__, map(slice, starts.tolist(), (stops - 1).tolist())))
 
 
 def _likes(seed: int, walk: _Walk) -> tuple[np.ndarray, np.ndarray]:

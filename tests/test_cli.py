@@ -150,6 +150,14 @@ class TestArgs:
         assert capsys.readouterr().err == f"askgraph: error {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_unconverged_centrality_is_named(self, tmp_path, capsys):
+        assert run("words", "--corpus", DEMO, "--max-iter", 1, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            "askgraph: error [eigenvector_centrality] power iteration did not converge after 1 "
+            "iterations (residual 9.259e-01)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_load_config_rejects_bad_lines(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("not a pair\n", encoding="utf-8")

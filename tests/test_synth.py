@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -87,6 +88,23 @@ class TestSplitMix64:
         new, old = SplitMix64(seed), SplitMix64(seed)
         assert sample(new, pop, k, skip) == copy_and_pop_sample(old, pop, k, skip)
         assert new.next_u64() == old.next_u64()
+
+    @pytest.mark.parametrize("n", [(1 << 64) + 1, 1 << 65])
+    def test_randbelow_past_2_64_rejected(self, monkeypatch, n):
+        # past 2**64 no output is below the rejection limit: without the
+        # check, randbelow would draw forever
+        rng, drawn = SplitMix64(1), []
+
+        def next_u64():
+            if len(drawn) == 3:
+                raise RuntimeError("randbelow kept drawing")
+            drawn.append(0)
+            return 0
+
+        monkeypatch.setattr(rng, "next_u64", next_u64)
+        with pytest.raises(ValueError, match=r"^n must be at most 2\*\*64$"):
+            rng.randbelow(n)
+        assert SplitMix64(7).randbelow(1 << 64) == SplitMix64(7).next_u64()
 
     @pytest.mark.parametrize("n,k,skip", [(0, 1, None), (3, 4, None), (3, 3, 0), (1, 1, 0)])
     def test_sample_larger_than_available_rejected(self, n, k, skip):
@@ -218,6 +236,21 @@ class TestGenerateCorpus:
         with pytest.raises(ValueError, match="sum to 1"):
             params(group_mix={"HN": 0.5, "HP": 0.4}).validate()
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"like_rate": 1e19}, "like_rate's like-count modulus"),
+        ({"like_rate": 2.0**63}, "like_rate's like-count modulus"),
+        ({"questions_per_user": (0, 1 << 64)}, "questions_per_user range"),
+        ({"questions_per_user": (11, (1 << 64) + 11)}, "questions_per_user range"),
+    ])
+    def test_moduli_past_2_64_rejected(self, overrides, message):
+        # a count drawn from a modulus past 2**64 would never be accepted
+        with pytest.raises(ValueError, match=f"^{message} .*must .*at most 2\\*\\*64"):
+            params(**overrides).validate()
+
+    def test_moduli_of_2_64_accepted(self):
+        params(like_rate=math.nextafter(2.0**63, 0), questions_per_user=(11, (1 << 64) + 10),
+               ).validate()
+
     def test_questions_sorted_by_likes(self):
         corp, _ = generate_corpus(params(n_users=10))
         for p in corpus_records(corp):
@@ -282,7 +315,7 @@ class TestScalarOracle:
     def test_columns_match_the_scalar_loop(self, p):
         assert_matches_scalar_loop(p)
 
-    @pytest.mark.parametrize("suspect", [1 << 63, (1 << 64) - (1 << 60)])
+    @pytest.mark.parametrize("suspect", [1 << 63, (1 << 64) - (1 << 56)])
     def test_exact_path_matches_the_scalar_loop(self, monkeypatch, suspect):
         # a lower threshold sends many texts and likes down the path that
         # draws one value at a time; the outputs must not change
@@ -302,6 +335,18 @@ class TestScalarOracle:
         assert (texts_at < 0).any() and (likes_at < 0).any()
         if suspect > 1 << 63:
             assert (texts_at >= 0).any() and (likes_at >= 0).any()
+
+    def test_real_walk_reads_every_user_from_the_outputs(self, monkeypatch):
+        # perfbench's recipe: no user's draws reach a suspect output, so a
+        # user drawn one value at a time means its reach is miscounted; the
+        # corpus would not change, so the scalar-loop oracles cannot see it
+        walks = []
+        walk = synth._walk
+        monkeypatch.setattr(synth, "_walk", lambda *args: walks.append(walk(*args)) or walks[-1])
+        generate_corpus(params(n_users=2000, group_mix={"HN": .1, "HP": .2, "PN": .2, "OTHR": .5},
+                               questions_per_user=(11, 18), neg_vocab=BUNDLED[0],
+                               pos_vocab=BUNDLED[1], rng_seed=1))
+        assert (walks[0].text_at >= 0).all() and (walks[0].like_at >= 0).all()
 
     def test_two_blocks_match_the_scalar_loop(self):
         # past `_CHUNK` rows the texts are drawn in two blocks of users, and

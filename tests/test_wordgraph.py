@@ -7,6 +7,7 @@ from scipy.sparse.csgraph import connected_components
 
 from askgraph.corpus import Corpus, Graph
 from askgraph.wordgraph import (
+    ConvergenceError,
     build_bipartite,
     component_roots,
     cooccurrence_distribution,
@@ -203,6 +204,15 @@ class TestEigenvectorCentrality:
             eigenvector_centrality(g, tol=0)
         with pytest.raises(ValueError):
             eigenvector_centrality(g, max_iter=0)
+
+    def test_unconverged_iteration_raises(self):
+        # from the uniform start, (A + I) v on a path of three is [2, 3, 2]:
+        # after rescaling, the ends moved by 1/3
+        g = graph_from_edges(["a", "b", "c"], [("a", "b", 1), ("b", "c", 1)])
+        with pytest.raises(ConvergenceError, match="after 1 iterations") as info:
+            eigenvector_centrality(g, max_iter=1)
+        assert info.value.iterations == 1
+        assert info.value.residual == pytest.approx(1 / 3)
 
 
 class TestSelectTopWords:
