@@ -331,13 +331,14 @@ class _Run:
     @_staged("snowball_sample")
     def crawl(self):
         seeds = [s for s in self.args.seeds.split(",") if s]
-        sample = synth_mod.snowball_sample(self.corpus, seeds, self.args.budget)
-        for owner in sample.owners:
+        crawl, frontier = synth_mod.snowball_sample(self.corpus, seeds, self.args.budget)
+        for k in sorted(crawl.tolist() + frontier.tolist()):  # the first bad id in sorted order
+            owner = self.corpus.owners[k]
             # a line break as `str.splitlines` reads one, before the '.'
             if len(f"{owner}.".splitlines()) > 1:
                 raise ValueError(f"id {owner!r} holds a line break, and crawl_order.txt and "
                                  "frontier.txt hold one id per line")
-        return sample
+        return crawl, frontier
 
 
 def _number(kind: type, where: str, part: str) -> int | float:
@@ -374,7 +375,7 @@ def _outputs(run: _Run, command: str) -> Iterator[tuple[str, object]]:
     elif command == "segment":
         yield "group_report.csv", reports.group_table(run.groups, run.label_rows)
     elif command == "cooccur":
-        yield f"cooccur_{args.word}.csv", (["word", "mean_frequency"], run.cooccurrence.entries)
+        yield f"cooccur_{args.word}.csv", (["word", "mean_frequency"], run.cooccurrence)
     elif command == "neighborhood":
         yield f"neighborhood_{args.word}.csv", (
             ["core", "neighbor", "weight", "neighbor_centrality"],
@@ -382,16 +383,15 @@ def _outputs(run: _Run, command: str) -> Iterator[tuple[str, object]]:
         )
     elif command == "synth":
         corpus, codes = run.synthetic
-        yield "corpus.jsonl", corpus
+        yield "corpus.jsonl", (corpus,)
         for k, group in enumerate(seg_mod.GROUPS):  # members in owner order, so sorted
             yield f"labels_{group}.txt", [f"label: {group}", *compress(corpus.owners, codes == k)]
     elif command == "crawl-sim":
-        sample = run.crawl
-        # the sample's order is the crawl order, then the sorted frontier
-        profiles = [(sample.owners[k], sample.sampled[k]) for k in sample.order.tolist()]
-        yield "sampled_corpus.jsonl", sample
-        yield "crawl_order.txt", [owner for owner, crawled in profiles if crawled]
-        yield "frontier.txt", [owner for owner, crawled in profiles if not crawled]
+        crawl, frontier = run.crawl
+        owners = run.corpus.owners
+        yield "sampled_corpus.jsonl", (run.corpus, crawl, frontier)
+        yield "crawl_order.txt", map(owners.__getitem__, crawl.tolist())
+        yield "frontier.txt", map(owners.__getitem__, frontier.tolist())
 
 
 def main(argv: list[str] | None = None) -> int:

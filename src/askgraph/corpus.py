@@ -7,10 +7,10 @@ to like_count-descending order on load.
 
 A `Corpus` is columns, one entry per question and per profile, built once
 by whatever builds the corpus: the record parse behind `load_corpus` (line
-by line) and `Corpus.from_records`, `generate_corpus` and
-`snowball_sample`. `save_corpus` is the one read-back: it writes each
-profile's line straight from the columns. Every graph askgraph builds from a
-corpus is a `Graph`: node names over a `CSR` matrix.
+by line) and `Corpus.from_records`, and `generate_corpus`. `save_corpus` is
+the one read-back: it writes each profile's line straight from the columns,
+and a crawl as the given profiles of its ground truth. Every graph askgraph
+builds from a corpus is a `Graph`: node names over a `CSR` matrix.
 
 The parse checks each profile as soon as it is read: a profile in the
 common shape by passes over all its questions at once, any other by the
@@ -101,8 +101,13 @@ def run_starts(ordered: np.ndarray) -> np.ndarray:
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct values, as a plain `np.unique` gives them; that
-    call imports `numpy.ma` in numpy 2.4, which askgraph does not need."""
+    """The sorted distinct values of a non-negative int array, as a plain
+    `np.unique` gives them; that call imports `numpy.ma` in numpy 2.4, which
+    askgraph does not need. They are read off a bincount when the largest
+    value is below the array's length, since sorting a copy of a long array
+    of small values costs more, else by a sort."""
+    if len(values) and values.max() < len(values):
+        return np.flatnonzero(np.bincount(values))
     values = np.sort(values)
     return values[run_starts(values)]
 
@@ -226,7 +231,7 @@ class Corpus:
     sums each owner's `like_count`s, which may exceed its listed likers.
     `order` lists the owners' positions in the order `save_corpus` writes
     them: file order for a loaded corpus, generation order for a synthetic
-    one, crawl order then the sorted frontier for a crawl.
+    one.
 
     Row r is a question of profile `owners[owner[r]]`: the rows run profile
     by profile in sorted owner order, each profile's questions by descending
@@ -575,9 +580,12 @@ def atomic_write(path: str | Path):
     os.replace(partial, path)
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write each profile in `order` as one line of the corpus file format,
-    through `atomic_write`.
+def save_corpus(corpus: Corpus, path: str | Path, order: np.ndarray | None = None,
+                frontier: Iterable[int] = ()) -> None:
+    """Write each profile in `order` (by default the corpus's) as one line
+    of the corpus file format, then each profile in `frontier` as an empty
+    stub flagged not fully sampled, through `atomic_write`: a crawl is its
+    ground truth written in crawl order, then its frontier.
 
     Output is deterministic: fixed key order, compact separators, question
     order as stored (like_count descending), and each string encoded as
@@ -598,7 +606,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     n_likers, likes = np.diff(corpus.liker_ptr).tolist(), corpus.like_count.tolist()
     texts, answers, sampled = corpus.texts, corpus.answers, corpus.sampled.tolist()
     with atomic_write(path) as fh:
-        for k in corpus.order.tolist():
+        for k in (corpus.order if order is None else order).tolist():
             questions, start = [], first[k]
             for r in range(rows[k], rows[k + 1]):
                 end = start + n_likers[r]
@@ -612,6 +620,8 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
                 start = end
             fh.write(f'{{"owner":{ids[k]},"fully_sampled":{"true" if sampled[k] else "false"},'
                      f'"questions":[{",".join(questions)}]}}\n')
+        for k in frontier:
+            fh.write(f'{{"owner":{ids[k]},"fully_sampled":false,"questions":[]}}\n')
 
 
 def lexicon_word(word: str, name: str = "entry") -> str:

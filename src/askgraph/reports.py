@@ -27,12 +27,13 @@ EDGE_BLOCK = 4096
 
 
 def write_output(path: str | Path, content) -> None:
-    """Write `content` in the format the file's suffix names: a corpus to
-    `.jsonl`, a JSON payload to `.json`, a (header, graph) or (header, rows)
-    pair to `.csv`, and lines of text to any other file."""
+    """Write `content` in the format the file's suffix names: `save_corpus`'s
+    arguments after the path, (corpus,) or a crawl's (corpus, order,
+    frontier), to `.jsonl`, a JSON payload to `.json`, a (header, graph) or
+    (header, rows) pair to `.csv`, and lines of text to any other file."""
     suffix = Path(path).suffix
     if suffix == ".jsonl":
-        save_corpus(content, path)
+        save_corpus(content[0], path, *content[1:])
     elif suffix == ".json":
         write_json(path, content)
     elif suffix == ".csv":
@@ -66,10 +67,10 @@ def write_edges(path: str | Path, header: list[str], graph: Graph) -> None:
     csv.writer(SimpleNamespace(write=encoded.append)).writerows((n, "") for n in graph.nodes)
     names = np.array([line[:-2] for line in encoded], dtype=object)  # 'name,' less '\r\n'
     weights = np.atleast_2d(adjacency.data.T)  # one row per weight column
-    values = [_distinct(column) for column in weights]
+    values = [distinct(column) for column in weights]
     ends = [","] * (len(values) - 1) + ["\r\n"]
-    texts = [np.array([f"{v}{end}" for v in distinct.tolist()], dtype=object)
-             for distinct, end in zip(values, ends)]
+    texts = [np.array([f"{v}{end}" for v in found.tolist()], dtype=object)
+             for found, end in zip(values, ends)]
     cells = np.empty((2 + len(values), EDGE_BLOCK), dtype=object)  # one column per edge
     n_entries = len(adjacency.indices)
     with atomic_write(path) as fh:
@@ -80,18 +81,9 @@ def write_edges(path: str | Path, header: list[str], graph: Graph) -> None:
             src = np.searchsorted(adjacency.indptr, np.arange(start, stop), side="right") - 1
             rows[0] = names[src]
             rows[1] = names[adjacency.indices[start:stop]]
-            for row, column, distinct, text in zip(rows[2:], weights, values, texts):
-                row[:] = text[np.searchsorted(distinct, column[start:stop])]
+            for row, column, found, text in zip(rows[2:], weights, values, texts):
+                row[:] = text[np.searchsorted(found, column[start:stop])]
             fh.write("".join(rows.T.ravel().tolist()))
-
-
-def _distinct(column: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of a non-negative int array: read off a
-    bincount when its largest value is below its length, since sorting a
-    copy of a long array of small counts costs more, else by a sort."""
-    if len(column) and column.max() < len(column):
-        return np.flatnonzero(np.bincount(column))
-    return distinct(column)
 
 
 def write_json(path: str | Path, payload) -> None:

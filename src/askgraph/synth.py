@@ -14,7 +14,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -453,15 +452,19 @@ def _likers(owner: np.ndarray, like_count: np.ndarray, draws: np.ndarray) -> np.
     return liker
 
 
-def snowball_sample(ground_truth: Corpus, seeds: list[str], budget: int) -> Corpus:
+def snowball_sample(ground_truth: Corpus, seeds: list[str],
+                    budget: int) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first crawl over the likers-of-my-questions relation.
 
     Crawling a node reveals its full profile (all questions with complete
     liker lists). The crawl stops when `budget` nodes are crawled or the
-    frontier empties. Frontier nodes are included as empty stub profiles
-    flagged not fully sampled. Each BFS level is visited in UserId order.
-    The sample's `order` lists the crawled profiles in crawl order, then
-    the frontier sorted, and `sampled` tells the two apart.
+    frontier empties; the frontier is the profiles found but not crawled.
+    Each BFS level is visited in UserId order. Returns the crawl order and
+    the sorted frontier, as int64 positions in `ground_truth.owners`:
+    `save_corpus` writes the sample from them, the crawled profiles as they
+    are and the frontier as empty stubs flagged not fully sampled. Only the
+    owner, flag and liker columns are read, so a `TaggedCorpus` crawls as
+    its text load does.
 
     The ground truth must be closed: a liker that is not a fully sampled
     profile raises ValueError, naming the first such id in sorted order.
@@ -491,21 +494,12 @@ def snowball_sample(ground_truth: Corpus, seeds: list[str], budget: int) -> Corp
     likers = gt.liker_ptr[np.searchsorted(gt.owner, range(n + 1))]
     enqueued = np.zeros(n, dtype=bool)
     enqueued[starts] = True
-    level, crawl = distinct(starts), []
+    level, crawl = distinct(np.array(starts)), []
     while len(crawl) < budget and len(level):
         level = level[: budget - len(crawl)].tolist()
         crawl += level
         found = distinct(np.concatenate([gt.liker[likers[v]:likers[v + 1]] for v in level]))
         level = found[~enqueued[found]]
         enqueued[level] = True
-
-    crawled = np.isin(np.arange(n), crawl)
-    frontier = np.flatnonzero(enqueued & ~crawled).tolist()
-    local = np.cumsum(enqueued) - 1  # each enqueued profile's position in the sample
-    keep = crawled[gt.owner]  # the crawled profiles' rows
-    return Corpus.from_rows(
-        [gt.owners[v] for v in np.flatnonzero(enqueued).tolist()], local[crawl + frontier],
-        [True] * len(crawl) + [False] * len(frontier), local[gt.owner[keep]],
-        [*compress(gt.texts, keep)], [*compress(gt.answers, keep)], gt.like_count[keep],
-        np.diff(gt.liker_ptr)[keep], local[gt.liker[np.repeat(keep, np.diff(gt.liker_ptr))]],
-    )
+    enqueued[crawl] = False  # what is left enqueued is the frontier
+    return np.array(crawl, dtype=np.int64), np.flatnonzero(enqueued)

@@ -9,7 +9,6 @@ its selected words, whose scores stay in the centrality dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection
 
 import numpy as np
@@ -25,12 +24,6 @@ class ConvergenceError(RuntimeError):
         )
         self.iterations = iterations
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class FrequencyVector:
-    entries: tuple[tuple[str, float], ...]  # fixed to the word set's order
-    n_profiles: int
 
 
 def build_bipartite(corpus: TaggedCorpus, lexicon: Collection[str]) -> Graph:
@@ -205,10 +198,10 @@ def word_neighborhood(
 
 def cooccurrence_distribution(
     corpus: TaggedCorpus, core: str, word_set: tuple[str, ...]
-) -> FrequencyVector:
+) -> tuple[tuple[str, float], ...]:
     """Mean occurrence count of each selected word over profiles whose
-    question tokens contain `core`. Entry order follows the word set's order
-    so the x-axis is constant across plots."""
+    question tokens contain `core`, as (word, mean) entries. Entry order
+    follows the word set's order so the x-axis is constant across plots."""
     if not word_set:
         raise ValueError("word set is empty")
     columns = corpus.columns(word_set)
@@ -219,5 +212,4 @@ def cooccurrence_distribution(
     rows, found, counts = corpus.counts.entries(columns)
     totals = np.bincount(found, weights=counts * matching[corpus.owner[rows]],
                          minlength=len(corpus.vocab))
-    entries = tuple(zip(word_set, (totals[columns] / n_matching).tolist()))
-    return FrequencyVector(entries=entries, n_profiles=n_matching)
+    return tuple(zip(word_set, (totals[columns] / n_matching).tolist()))

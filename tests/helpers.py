@@ -3,15 +3,18 @@ matrix converted to and from scipy's, which the tests use as an oracle, a
 like graph built as a `Graph` from an edge mapping and read back from its
 adjacency's entries as edge rows or a mapping, a plain vocabulary as a word
 set, the segmentation rule as a scalar oracle and the array rule over plain
-counts, a group row by name, a crawl's crawl order and frontier, a corpus's
-profile records, the scalar synthetic generator and its sampler, and the
-brute-force reciprocity and clustering oracles of the node table, and the
-record checks of the corpus parse as one loop over each question."""
+counts, a group row by name, a crawl's crawl order, frontier and written
+records, a corpus's profile records, the scalar synthetic generator and its
+sampler, and the brute-force reciprocity and clustering oracles of the node
+table, and the record checks of the corpus parse as one loop over each
+question."""
 
 from __future__ import annotations
 
+import json
 from bisect import insort
 from itertools import repeat
+from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -19,7 +22,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from askgraph import synth
-from askgraph.corpus import CSR, ContentTable, Corpus, CorpusFormatError, Graph, TaggedCorpus
+from askgraph.corpus import (
+    CSR, ContentTable, Corpus, CorpusFormatError, Graph, TaggedCorpus, save_corpus,
+)
 from askgraph.interaction import node_table, reciprocity
 from askgraph.segmentation import GROUPS, GroupRow, classify_corpus
 from askgraph.synth import GenParams, SplitMix64
@@ -170,14 +175,24 @@ def group_row(rows: Sequence[GroupRow], name: str) -> GroupRow:
     raise KeyError(name)
 
 
-def crawl_order(sample: Corpus) -> tuple[str, ...]:
-    """A crawl's crawled profiles, in crawl order."""
-    return tuple(sample.owners[k] for k in sample.order.tolist() if sample.sampled[k])
+def crawl_order(ground_truth: Corpus, sample: tuple[np.ndarray, np.ndarray]) -> tuple[str, ...]:
+    """A crawl's crawled profiles, in crawl order: `snowball_sample`'s first
+    array read as ids of the ground truth."""
+    return tuple(ground_truth.owners[k] for k in sample[0].tolist())
 
 
-def frontier(sample: Corpus) -> frozenset[str]:
-    """A crawl's frontier: its profiles that were not crawled."""
-    return frozenset(sample.owners[k] for k in np.flatnonzero(~sample.sampled).tolist())
+def frontier(ground_truth: Corpus, sample: tuple[np.ndarray, np.ndarray]) -> frozenset[str]:
+    """A crawl's frontier: its profiles that were not crawled, read off
+    `snowball_sample`'s second array."""
+    return frozenset(ground_truth.owners[k] for k in sample[1].tolist())
+
+
+def saved_crawl(ground_truth: Corpus, sample: tuple[np.ndarray, np.ndarray],
+                path: str | Path) -> list[dict]:
+    """The profile records `save_corpus` writes to `path` for a crawl of
+    `ground_truth`, in file order."""
+    save_corpus(ground_truth, path, *sample)
+    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
 
 
 def corpus_records(corpus: Corpus) -> Iterator[dict]:

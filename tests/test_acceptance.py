@@ -38,6 +38,7 @@ from helpers import (
     graph_from_pairs,
     like_graph,
     neg_reciprocity,
+    saved_crawl,
     tagged,
     to_scipy,
     triple_enumeration_oracle,
@@ -291,7 +292,7 @@ def ground_truth_out_edges(profiles, liker):
     }
 
 
-def test_criterion_7_snowball_properties(capfd):
+def test_criterion_7_snowball_properties(capfd, tmp_path):
     with criterion(7, "snowball properties", capfd):
         rng = random.Random(707)
         for trial in range(20):
@@ -310,13 +311,15 @@ def test_criterion_7_snowball_properties(capfd):
             seeds = rng.sample(candidates, min(2, len(candidates)))
             budget = rng.choice([3, n // 2, n])
             sampled = snowball_sample(gt, seeds, budget)
-            gt_profiles, sample_profiles = profiles(gt), profiles(sampled)
+            gt_profiles = profiles(gt)
+            sample_profiles = {record["owner"]: record for record in
+                               saved_crawl(gt, sampled, tmp_path / f"sample_{trial}.jsonl")}
 
-            for node in crawl_order(sampled):
+            for node in crawl_order(gt, sampled):
                 assert [q["likers"] for q in sample_profiles[node]["questions"]] == [
                     q["likers"] for q in gt_profiles[node]["questions"]
                 ]
-                crawled = set(crawl_order(sampled))
+                crawled = set(crawl_order(gt, sampled))
                 sample_out = {
                     p["owner"]
                     for p in sample_profiles.values()
@@ -327,7 +330,7 @@ def test_criterion_7_snowball_properties(capfd):
                 assert sample_out <= ground_truth_out_edges(gt_profiles, node)
 
             if budget >= n:
-                assert frontier(sampled) == frozenset()
+                assert frontier(gt, sampled) == frozenset()
 
 
 # --- criterion 8: metric shape properties ---------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -310,6 +311,23 @@ class TestSubcommands:
         assert (len(crawled), len(stubs)) == (120, 180)
         assert (crawl / "crawl_order.txt").read_text().splitlines() == crawled
         assert (crawl / "frontier.txt").read_text().splitlines() == stubs
+
+    def test_crawl_of_a_profile_shuffled_ground_truth(self, tmp_path):
+        """The ground truth's line order changes no crawl file: its text load
+        puts the shuffled rows back in corpus order before they are written.
+        Only profiles are shuffled, since questions with tied like counts
+        keep their file order."""
+        assert run("synth", "--seed", 3, "--n-users", 300, "--out", tmp_path) == 0
+        lines = (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines(True)
+        random.Random(27).shuffle(lines)
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_text("".join(lines), encoding="utf-8")
+        for name in ("corpus.jsonl", "shuffled.jsonl"):
+            assert run("crawl-sim", "--corpus", tmp_path / name, "--seeds", "u00001,u00005",
+                       "--budget", 120, "--seed", 1, "--out", tmp_path / f"crawl_{name}") == 0
+        for output in ("sampled_corpus.jsonl", "crawl_order.txt", "frontier.txt"):
+            original = (tmp_path / "crawl_corpus.jsonl" / output).read_bytes()
+            assert (tmp_path / "crawl_shuffled.jsonl" / output).read_bytes() == original
 
     @pytest.mark.parametrize("argv,stage", [
         (("--neg-vocab", "nope.txt"), "load_lexicon"),

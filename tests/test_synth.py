@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from askgraph import synth
 from askgraph.cli import main
-from askgraph.corpus import Corpus, content_table, load_lexicon, save_corpus
+from askgraph.corpus import Corpus, content_table, load_corpus, load_lexicon, save_corpus
 from askgraph.data import bundled_lexicon_path
 from askgraph.segmentation import GROUPS, classify_corpus
 from askgraph.synth import (
@@ -20,7 +20,8 @@ from askgraph.synth import (
     snowball_sample,
 )
 from helpers import (
-    corpus_records, crawl_order, frontier, sample, scalar_corpus, tagged, vocab_word_set,
+    corpus_records, crawl_order, frontier, sample, saved_crawl, scalar_corpus, tagged,
+    vocab_word_set,
 )
 
 NEG_VOCAB = ("ugly", "hate", "stupid", "fat")
@@ -394,28 +395,50 @@ class TestSnowballSample:
             profile(u, sorted({"a", "b", "c"} - {u})) for u in ("a", "b", "c")
         ])
         s = snowball_sample(corp, ["a"], budget=3)
-        assert set(crawl_order(s)) == {"a", "b", "c"}
-        assert frontier(s) == frozenset()
+        assert set(crawl_order(corp, s)) == {"a", "b", "c"}
+        assert frontier(corp, s) == frozenset()
 
-    def test_chain_bfs_trace(self):
-        s = snowball_sample(chain_corpus(), ["a"], budget=2)
-        assert crawl_order(s) == ("a", "b")
-        assert frontier(s) == frozenset({"c"})
-        assert not profiles(s)["c"]["fully_sampled"]
-        assert profiles(s)["a"]["fully_sampled"]
-
-    def test_budget_covers_reachable_set(self):
-        s = snowball_sample(chain_corpus(), ["a"], budget=100)
-        assert frontier(s) == frozenset()
-        assert crawl_order(s) == ("a", "b", "c")
-
-    def test_crawled_in_edges_match_ground_truth(self):
+    def test_chain_bfs_trace(self, tmp_path):
         gt = chain_corpus()
         s = snowball_sample(gt, ["a"], budget=2)
-        for node in crawl_order(s):
-            sampled_likers = [q["likers"] for q in profiles(s)[node]["questions"]]
+        assert crawl_order(gt, s) == ("a", "b")
+        assert frontier(gt, s) == frozenset({"c"})
+        written = {r["owner"]: r for r in saved_crawl(gt, s, tmp_path / "sample.jsonl")}
+        assert not written["c"]["fully_sampled"]
+        assert written["a"]["fully_sampled"]
+
+    def test_budget_covers_reachable_set(self):
+        gt = chain_corpus()
+        s = snowball_sample(gt, ["a"], budget=100)
+        assert frontier(gt, s) == frozenset()
+        assert crawl_order(gt, s) == ("a", "b", "c")
+
+    def test_returns_int64_positions(self):
+        crawl, stubs = snowball_sample(chain_corpus(), ["a"], budget=2)
+        assert (crawl.dtype, stubs.dtype) == (np.int64, np.int64)
+        assert (crawl.tolist(), stubs.tolist()) == ([0, 1], [2])
+
+    def test_crawled_in_edges_match_ground_truth(self, tmp_path):
+        gt = chain_corpus()
+        s = snowball_sample(gt, ["a"], budget=2)
+        written = {r["owner"]: r for r in saved_crawl(gt, s, tmp_path / "sample.jsonl")}
+        for node in crawl_order(gt, s):
+            sampled_likers = [q["likers"] for q in written[node]["questions"]]
             truth_likers = [q["likers"] for q in profiles(gt)[node]["questions"]]
             assert sampled_likers == truth_likers
+
+    def test_reads_no_text(self, tmp_path):
+        """The crawl reads only the owner, flag and liker columns: over the
+        tagged load of a file with an empty vocabulary it gives the arrays
+        it gives over the text load."""
+        path = tmp_path / "gt.jsonl"
+        save_corpus(generate_corpus(params(n_users=300, rng_seed=3))[0], path)
+        text, no_text = load_corpus(path), load_corpus(path, ())
+        assert no_text.texts is None
+        for seeds, budget in [(["u00001", "u00005"], 120), (["u00002"], 1), (["u00007"], 300)]:
+            crawl, stubs = snowball_sample(text, seeds, budget)
+            tagged_crawl, tagged_stubs = snowball_sample(no_text, seeds, budget)
+            assert np.array_equal(crawl, tagged_crawl) and np.array_equal(stubs, tagged_stubs)
 
     def test_seed_with_zero_likes_rejected(self):
         with pytest.raises(ValueError, match="zero liked"):
@@ -452,4 +475,4 @@ class TestSnowballSample:
             profile("s", ["z", "b", "m"]), profile("z", []), profile("b", []), profile("m", []),
         ])
         s = snowball_sample(corp, ["s"], budget=4)
-        assert crawl_order(s) == ("s", "b", "m", "z")
+        assert crawl_order(corp, s) == ("s", "b", "m", "z")

@@ -41,8 +41,8 @@ from askgraph.segmentation import (
 from askgraph.synth import GenParams, generate_corpus, snowball_sample
 from askgraph.wordgraph import build_bipartite, cooccurrence_distribution
 from helpers import (
-    classify_user, corpus_records, crawl_order, edge_map, edge_rows, frontier, to_scipy,
-    vocab_word_set,
+    classify_user, corpus_records, crawl_order, edge_map, edge_rows, frontier, saved_crawl,
+    to_scipy, vocab_word_set,
 )
 
 NEG = frozenset({"ugly", "fat", "hate", "cool"})
@@ -189,7 +189,7 @@ def reference_cooccurrence(profiles, core, word_set):
                 totals[w] += c
     if n_matching == 0:
         return None
-    return tuple((w, totals[w] / n_matching) for w in word_set), n_matching
+    return tuple((w, totals[w] / n_matching) for w in word_set)
 
 
 def reference_weights(profiles, neg_words, top_k):
@@ -327,8 +327,9 @@ def test_columns_match_the_object_built_reference(records):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 40), st.integers(0, 2**32), st.integers(1, 40), st.data())
 def test_crawl_columns_match_the_object_built_reference(n_users, seed, budget, data):
-    """A crawl's columns are those of its profile records: the crawled ground
-    truth records in crawl order, then a stub per frontier id, sorted."""
+    """A crawl is written as its profile records: the crawled ground truth
+    records in crawl order, then a stub per frontier id, sorted; the file
+    loads to the columns of those records."""
     gt, _ = generate_corpus(GenParams(
         n_users=n_users, group_mix={"OTHR": 1.0}, questions_per_user=(0, 4), like_rate=1.5,
         neg_vocab=("ugly",), pos_vocab=("nice",), rng_seed=seed,
@@ -339,12 +340,16 @@ def test_crawl_columns_match_the_object_built_reference(n_users, seed, budget, d
     seeds = data.draw(st.lists(st.sampled_from(liked), min_size=1, max_size=3))
     sample = snowball_sample(gt, seeds, budget)
     truth = {r["owner"]: r for r in corpus_records(gt)}
-    records = [truth[u] for u in crawl_order(sample)] + [
-        {"owner": u, "fully_sampled": False, "questions": []} for u in sorted(frontier(sample))
+    records = [truth[u] for u in crawl_order(gt, sample)] + [
+        {"owner": u, "fully_sampled": False, "questions": []}
+        for u in sorted(frontier(gt, sample))
     ]
-    assert list(corpus_records(sample)) == records
-    assert corpus_columns(sample) == reference_columns(records)
-    assert sample.strangers == ()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sample.jsonl"
+        assert saved_crawl(gt, sample, path) == records
+        loaded = load_corpus(path)
+    assert corpus_columns(loaded) == reference_columns(records)
+    assert loaded.strangers == ()
 
 
 @settings(max_examples=100, deadline=None)
@@ -417,9 +422,9 @@ def test_cooccurrence_matches_the_profile_loop(records, superset, core):
             with pytest.raises(ValueError, match="no profile contains"):
                 cooccurrence_distribution(corpus, core, word_set)
             continue
-        vector = cooccurrence_distribution(corpus, core, word_set)
-        assert (vector.entries, vector.n_profiles) == expected
-        assert all(type(v) is float for _, v in vector.entries)
+        entries = cooccurrence_distribution(corpus, core, word_set)
+        assert entries == expected
+        assert all(type(v) is float for _, v in entries)
 
 
 @settings(max_examples=100, deadline=None)
