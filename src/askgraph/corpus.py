@@ -2,8 +2,8 @@
 
 The corpus file format is line-delimited JSON: one profile object per line
 with fields ``owner`` (string), ``fully_sampled`` (bool) and ``questions``
-(array of ``{text, answer, likers, like_count}``). Questions are normalized
-to like_count-descending order on load.
+(array of ``{text, answer, likers, like_count}``). A load keeps the file's
+profile order, and puts each profile's questions in like_count-descending order.
 
 A `Corpus` is columns, one entry per question and per profile, built once
 by whatever builds the corpus: the record parse behind `load_corpus` (line
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring
-from operator import itemgetter
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -93,10 +93,10 @@ def offsets(lengths: np.ndarray) -> np.ndarray:
     return ends
 
 
-def run_starts(ordered: np.ndarray) -> np.ndarray:
-    """A mask of where each run of equal values of a sorted array starts."""
-    first = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """A mask of where each run of equal values of an array starts."""
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
     return first
 
 
@@ -233,9 +233,10 @@ class Corpus:
     them: file order for a loaded corpus, generation order for a synthetic
     one.
 
-    Row r is a question of profile `owners[owner[r]]`: the rows run profile
-    by profile in sorted owner order, each profile's questions by descending
-    `like_count`, ties in input order. Row r's likers are
+    Row r is a question of profile `owners[owner[r]]`, in the order the
+    corpus was built in (file order, or sorted owner order for a synthetic
+    one): profile k's rows are the `n_rows[k]` from `first_row[k]`, by
+    descending `like_count`, ties in input order. Row r's likers are
     `liker[liker_ptr[r]:liker_ptr[r + 1]]`, each an index into `owners`
     followed by `strangers`, the sorted liker ids without a profile.
     Answers are stored, never analyzed. A corpus loaded with a vocabulary
@@ -246,6 +247,8 @@ class Corpus:
     order: np.ndarray  # int64, per owner
     sampled: np.ndarray  # bool, per owner
     total_likes: np.ndarray  # int64, per owner
+    first_row: np.ndarray  # int64, per owner
+    n_rows: np.ndarray  # int64, per owner
     owner: np.ndarray  # int64, per row
     texts: tuple[str, ...] | None
     answers: tuple[str, ...] | None
@@ -272,14 +275,14 @@ class Corpus:
                   tags: tuple[tuple[str, ...], CSR] | None = None) -> Corpus:
         """A corpus of profiles in save order (owner code, an index into `ids`,
         and sampling flag) and of question rows (owner code, text, answer,
-        like count, number of likers, in input order per profile), the likers'
-        codes in `liker_code`. Rows already in `Corpus` order, as a synthetic
-        corpus's and a saved file's are, are kept as they are; others (a
-        loaded file out of order) are put in that order.
+        like count, number of likers), the likers' codes in `liker_code`.
+        The rows are kept in the order given, which must list each profile's
+        rows together, by descending like count: the record parse and
+        `generate_corpus` give them so.
 
-        `tags`, a vocabulary and the rows' counts over it in input order,
-        makes the result the `TaggedCorpus` of those counts; texts and
-        answers are then None, and the corpus holds no text."""
+        `tags`, a vocabulary and the rows' counts over it, makes the result
+        the `TaggedCorpus` of those counts; texts and answers are then None,
+        and the corpus holds no text."""
         owner_code = np.asarray(owner_code, dtype=np.int64)
         by_id = ids.__getitem__
         ranked = (sorted(owner_code.tolist(), key=by_id)
@@ -288,32 +291,21 @@ class Corpus:
         position[ranked] = np.arange(len(ids))
         order = position[owner_code]
         owner = position[np.asarray(row_code, dtype=np.int64)]
-        like_count = np.asarray(like_count, dtype=np.int64)
-        liker_ptr = offsets(n_likers)
-        liker = position.astype(np.int32)[liker_code]
-        # a row that comes before its predecessor means the rows need sorting;
-        # a stable sort keeps each profile's like-count ties in input order
-        back = owner[1:] < owner[:-1]
-        back |= (owner[1:] == owner[:-1]) & (like_count[1:] > like_count[:-1])
-        if back.any():
-            rows = np.lexsort((-like_count, owner))
-            if tags is None:
-                texts = tuple(map(texts.__getitem__, rows))
-                answers = tuple(map(answers.__getitem__, rows))
-            else:
-                tags = (tags[0], tags[1].take(rows))
-            owner, like_count = owner[rows], like_count[rows]
-            lengths = np.diff(liker_ptr)[rows]
-            liker = liker[flat_ranges(liker_ptr[rows], lengths)]  # each row's likers as a block
-            liker_ptr = offsets(lengths)
         n = len(order)
         flags = np.zeros(n, dtype=bool)
         flags[order] = np.asarray(sampled, dtype=bool)
-        likes = offsets(like_count)[np.searchsorted(owner, range(n + 1))]
+        # each profile's rows are one run of `owner`; a profile without rows starts at 0
+        starts = np.flatnonzero(run_starts(owner))
+        first_row = np.zeros(n, dtype=np.int64)
+        first_row[owner[starts]] = starts
+        n_rows = np.bincount(owner, minlength=n)
+        like_count = np.asarray(like_count, dtype=np.int64)
+        likes = offsets(like_count)
         columns = dict(
             owners=tuple(ids[c] for c in ranked[:n]), strangers=tuple(ids[c] for c in ranked[n:]),
-            order=order, sampled=flags, total_likes=np.diff(likes), owner=owner,
-            like_count=like_count, liker_ptr=liker_ptr, liker=liker,
+            order=order, sampled=flags, total_likes=likes[first_row + n_rows] - likes[first_row],
+            first_row=first_row, n_rows=n_rows, owner=owner, like_count=like_count,
+            liker_ptr=offsets(n_likers), liker=position.astype(np.int32)[liker_code],
         )
         if tags is None:
             return cls(**columns, texts=tuple(texts), answers=tuple(answers))
@@ -384,12 +376,11 @@ class CorpusStats:
 
 
 def _checked_questions(line_no: int, questions: list) -> tuple[list, list, list, list, list]:
-    """A profile's question texts, answers, like counts and numbers of
-    likers, and its likers one question after another, each question checked
-    in turn: the first fault raises CorpusFormatError on `line_no`. A
-    question without `likers` has none, and one without `answer` answers
-    with ""."""
-    texts, answers, likes_each, n_likers, likers_all = [], [], [], [], []
+    """A profile's question texts, answers, like counts, numbers of likers
+    and liker lists, one entry per question, each question checked in turn:
+    the first fault raises CorpusFormatError on `line_no`. A question
+    without `likers` has none, and one without `answer` answers with ""."""
+    texts, answers, likes_each, n_likers, likers_each = [], [], [], [], []
     for question in questions:
         if not isinstance(question, dict) or "text" not in question:
             raise CorpusFormatError(
@@ -419,8 +410,8 @@ def _checked_questions(line_no: int, questions: list) -> tuple[list, list, list,
         answers.append(answer)
         likes_each.append(likes)
         n_likers.append(len(likers))
-        likers_all += likers
-    return texts, answers, likes_each, n_likers, likers_all
+        likers_each.append(likers)
+    return texts, answers, likes_each, n_likers, likers_each
 
 
 _FIELDS = tuple(map(itemgetter, ("text", "answer", "likers", "like_count")))
@@ -447,7 +438,7 @@ def _bulk_questions(questions: list) -> tuple[list, list, list, list, list] | No
     # likers distinct over the profile are distinct on each question
     if len(set(likers_all)) < len(likers_all) and n_likers != list(map(len, map(set, likers))):
         return None
-    return texts, answers, likes, n_likers, likers_all
+    return texts, answers, likes, n_likers, likers
 
 
 def _parse_records(numbered: Iterable[tuple[int, object]],
@@ -457,8 +448,10 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
 
     A profile's questions are checked together by `_bulk_questions`, or,
     when that fails, one by one by `_checked_questions`, which raises the
-    first fault. Given a `vocab`, each text is tokenized once it passes its
-    checks and only its ids in the sorted vocabulary are kept, in `word`,
+    first fault. A checked profile whose like counts ever rise then has its
+    questions sorted by descending like count, ties in input order, so no
+    row moves later. Given a `vocab`, each text is tokenized once it passes
+    its checks and only its ids in the sorted vocabulary are kept, in `word`,
     with `ends` marking where each question's ids end: the result is the
     `TaggedCorpus` over `vocab`, which holds no text."""
     # every id read, numbered in order of first sight as it is looked up
@@ -484,10 +477,15 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
         fully_sampled = obj.get("fully_sampled", True)
         if not isinstance(fully_sampled, bool):
             raise CorpusFormatError(line_no, "'fully_sampled' must be true or false")
-        q_texts, q_answers, likes_each, q_n_likers, likers = (
-            _bulk_questions(questions) or _checked_questions(line_no, questions))
+        columns = _bulk_questions(questions) or _checked_questions(line_no, questions)
+        likes_each = columns[2]
         if sum(likes_each) >= 1 << 63:
             raise CorpusFormatError(line_no, "like counts sum past the int64 range")
+        if any(map(lt, likes_each, likes_each[1:])):
+            # by descending like count; a stable sort keeps ties in input order
+            at = sorted(range(len(questions)), key=likes_each.__getitem__, reverse=True)
+            columns = [list(map(column.__getitem__, at)) for column in columns]
+        q_texts, q_answers, likes_each, q_n_likers, likers = columns
         if vocab is None:
             texts += q_texts
             answers += q_answers
@@ -497,7 +495,7 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
                 ends.append(len(word))
         like_count.fromlist(likes_each)
         n_likers.fromlist(q_n_likers)
-        liker_code.fromlist(list(map(code.__getitem__, likers)))
+        liker_code.fromlist(list(map(code.__getitem__, chain.from_iterable(likers))))
         seen.add(owner)
         owner_code.append(code[owner])
         sampled.append(fully_sampled)
@@ -601,14 +599,14 @@ def save_corpus(corpus: Corpus, path: str | Path, order: np.ndarray | None = Non
     # each liker's encoded id, and where each profile's likers start and
     # how many each row has: no list holds an int object per liker
     names = np.array(ids, dtype=object)[corpus.liker].tolist()
-    rows = np.searchsorted(corpus.owner, range(len(corpus.owners) + 1))
-    first, rows = corpus.liker_ptr[rows].tolist(), rows.tolist()
-    n_likers, likes = np.diff(corpus.liker_ptr).tolist(), corpus.like_count.tolist()
+    first, rows = corpus.liker_ptr[corpus.first_row].tolist(), corpus.first_row.tolist()
+    n_rows, n_likers = corpus.n_rows.tolist(), np.diff(corpus.liker_ptr).tolist()
+    likes = corpus.like_count.tolist()
     texts, answers, sampled = corpus.texts, corpus.answers, corpus.sampled.tolist()
     with atomic_write(path) as fh:
         for k in (corpus.order if order is None else order).tolist():
             questions, start = [], first[k]
-            for r in range(rows[k], rows[k + 1]):
+            for r in range(rows[k], rows[k] + n_rows[k]):
                 end = start + n_likers[r]
                 text, answer = encode_basestring(texts[r]), encode_basestring(answers[r])
                 head = f'{{"text":{text},"answer":{answer}'
@@ -667,7 +665,7 @@ def content_table(corpus: TaggedCorpus, neg: Collection[str],
     return ContentTable(
         users=tuple(corpus.owners[i] for i in users),
         total_likes=corpus.total_likes[users],
-        n_answers=np.bincount(corpus.owner, minlength=len(corpus.owners))[users],
+        n_answers=corpus.n_rows[users],
         n_neg_questions=corpus.per_profile(neg_w > 0)[users],
         n_pos_questions=corpus.per_profile(pos_w > 0)[users],
         n_neg_words=corpus.per_profile(neg_w)[users],

@@ -104,7 +104,7 @@ def build_interaction_graph(
     node = np.cumsum(sampled, dtype=np.int64) - 1  # each sampled owner's node index
     rows = np.arange(len(corpus.owner))
     # each sampled profile's first top_k rows, its most-liked questions
-    top = sampled[corpus.owner] & (rows - np.searchsorted(corpus.owner, corpus.owner) < top_k)
+    top = sampled[corpus.owner] & (rows - corpus.first_row[corpus.owner] < top_k)
     # one entry per like: its question row, liker and owner; a liker without
     # a profile (a stranger) reads the False padded onto `sampled`
     row = np.repeat(rows, np.diff(corpus.liker_ptr))
@@ -367,7 +367,7 @@ def likes_answers_correlation(
 
     A side with fewer than 2 profiles or zero variance yields None.
     """
-    answers = np.bincount(corpus.owner, minlength=len(corpus.owners))[corpus.sampled]
+    answers = corpus.n_rows[corpus.sampled]
     likes = corpus.total_likes[corpus.sampled]
     below = answers < split
     return (

@@ -463,7 +463,7 @@ def snowball_sample(ground_truth: Corpus, seeds: list[str],
     the sorted frontier, as int64 positions in `ground_truth.owners`:
     `save_corpus` writes the sample from them, the crawled profiles as they
     are and the frontier as empty stubs flagged not fully sampled. Only the
-    owner, flag and liker columns are read, so a `TaggedCorpus` crawls as
+    flag, row-range and liker columns are read, so a `TaggedCorpus` crawls as
     its text load does.
 
     The ground truth must be closed: a liker that is not a fully sampled
@@ -489,16 +489,16 @@ def snowball_sample(ground_truth: Corpus, seeds: list[str],
         raise ValueError(f"ground truth is not closed: liker {first!r} is not a fully sampled "
                          "profile")
 
-    # where each profile's likers start; ids are sorted, so index order is
-    # UserId order
-    likers = gt.liker_ptr[np.searchsorted(gt.owner, range(n + 1))]
+    # where each profile's likers start and end: its rows are contiguous, so
+    # their likers are too; ids are sorted, so index order is UserId order
+    lo, hi = gt.liker_ptr[gt.first_row], gt.liker_ptr[gt.first_row + gt.n_rows]
     enqueued = np.zeros(n, dtype=bool)
     enqueued[starts] = True
     level, crawl = distinct(np.array(starts)), []
     while len(crawl) < budget and len(level):
         level = level[: budget - len(crawl)].tolist()
         crawl += level
-        found = distinct(np.concatenate([gt.liker[likers[v]:likers[v + 1]] for v in level]))
+        found = distinct(np.concatenate([gt.liker[lo[v]:hi[v]] for v in level]))
         level = found[~enqueued[found]]
         enqueued[level] = True
     enqueued[crawl] = False  # what is left enqueued is the frontier

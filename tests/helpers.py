@@ -200,13 +200,13 @@ def corpus_records(corpus: Corpus) -> Iterator[dict]:
     `json.dumps(..., ensure_ascii=False, separators=(",", ":"))` are the
     lines `save_corpus` writes."""
     ids = corpus.owners + corpus.strangers
-    rows = np.searchsorted(corpus.owner, range(len(corpus.owners) + 1)).tolist()
+    first, n_rows = corpus.first_row.tolist(), corpus.n_rows.tolist()
     texts, answers, likes = corpus.texts, corpus.answers, corpus.like_count.tolist()
     ptr, liker = corpus.liker_ptr.tolist(), corpus.liker.tolist()
     sampled = corpus.sampled.tolist()
     for k in corpus.order.tolist():
         questions = []
-        for r in range(rows[k], rows[k + 1]):
+        for r in range(first[k], first[k] + n_rows[k]):
             question = {"text": texts[r], "answer": answers[r],
                         "likers": [ids[i] for i in liker[ptr[r]:ptr[r + 1]]],
                         "like_count": likes[r]}
@@ -258,7 +258,8 @@ def _neutral_text(filler: tuple[str, ...], rng: SplitMix64) -> str:
 
 def scalar_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
     """`generate_corpus` as one scalar loop: every draw through `randbelow`,
-    in draw order."""
+    in draw order, and each user's questions then put in the corpus's row
+    order."""
     params.validate()
     rng = SplitMix64(params.rng_seed)
     counts = synth.quota_counts(params.group_mix, params.n_users)
@@ -282,16 +283,20 @@ def scalar_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
         label = labels[owner]
         n_q = max(rng.randint(lo, hi), synth._MIN_QUESTIONS[label])
         n_neg, n_pos = synth._question_counts(label, n_q, rng)
-        texts += (
+        drawn = (
             [_make_text(params.neg_vocab, filler, rng) for _ in range(n_neg)]
             + [_make_text(params.pos_vocab, filler, rng) for _ in range(n_pos)]
             + [_neutral_text(filler, rng) for _ in range(n_q - n_neg - n_pos)]
         )
+        likes = []
         for _ in range(n_q):
             n_likes = rng.randint(0, max_likes) if max_likes and n_others else 0
-            likers = sample(rng, population, min(n_likes, n_others), skip=pos)
-            like_count.append(len(likers))
-            liker_code += likers
+            likes.append(sample(rng, population, min(n_likes, n_others), skip=pos))
+        # by descending like count, ties in draw order, as `_corpus_rows` orders them
+        for q in sorted(range(n_q), key=lambda q: -len(likes[q])):
+            texts.append(drawn[q])
+            like_count.append(len(likes[q]))
+            liker_code += likes[q]
         n_rows.append(n_q)
     corpus = Corpus.from_rows(user_ids, population, [True] * len(population),
                               np.repeat(population, n_rows), texts, [""] * len(texts),

@@ -313,8 +313,8 @@ class TestSubcommands:
         assert (crawl / "frontier.txt").read_text().splitlines() == stubs
 
     def test_crawl_of_a_profile_shuffled_ground_truth(self, tmp_path):
-        """The ground truth's line order changes no crawl file: its text load
-        puts the shuffled rows back in corpus order before they are written.
+        """The ground truth's line order changes no crawl file: the crawl
+        visits profiles by sorted id, and each is written from its own rows.
         Only profiles are shuffled, since questions with tied like counts
         keep their file order."""
         assert run("synth", "--seed", 3, "--n-users", 300, "--out", tmp_path) == 0
@@ -677,6 +677,28 @@ class TestFrontierStubs:
         assert 11 <= stats["avg_answers_per_user"] <= 18
         rows = (out / "group_report.csv").read_text().splitlines()[1:]
         assert sum(int(row.split(",")[1]) for row in rows) == 100
+
+    def test_pipeline_over_a_crawl_sample_as_over_its_sorted_lines(self, tmp_path):
+        """A crawl's sample lists its profiles in crawl order, then its 180
+        frontier stubs, which have no rows: `pipeline` over it writes the
+        same files as over a copy with its lines sorted by owner."""
+        assert run("synth", "--seed", 3, "--n-users", 300, "--out", tmp_path / "synth") == 0
+        assert run("crawl-sim", "--corpus", tmp_path / "synth" / "corpus.jsonl",
+                   "--seeds", "u00001,u00005", "--budget", 120, "--seed", 1,
+                   "--out", tmp_path / "crawl") == 0
+        lines = (tmp_path / "crawl" / "sampled_corpus.jsonl").read_text(
+            encoding="utf-8").splitlines(True)
+        records = list(map(json.loads, lines))
+        assert sum(not r["fully_sampled"] and not r["questions"] for r in records) == 180
+        by_owner = sorted(zip((r["owner"] for r in records), lines))
+        assert [line for _, line in by_owner] != lines
+        (tmp_path / "sorted.jsonl").write_text("".join(line for _, line in by_owner),
+                                               encoding="utf-8")
+        for name in ("crawl/sampled_corpus.jsonl", "sorted.jsonl"):
+            assert run("pipeline", "--corpus", tmp_path / name,
+                       "--out", tmp_path / "out" / Path(name).stem) == 0
+        expected = outputs(tmp_path / "out" / "sampled_corpus")
+        assert outputs(tmp_path / "out" / "sorted") == expected
 
 
 class TestProfileOrder:

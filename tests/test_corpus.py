@@ -36,6 +36,16 @@ def write_corpus_file(tmp_path, records, name="corpus.jsonl"):
     return path
 
 
+def shuffled_copy(path, name="shuffled.jsonl"):
+    """A copy of a corpus file beside it, its profiles shuffled and each
+    listing its questions by ascending like count, ties in file order."""
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    random.Random(5).shuffle(records)
+    for record in records:
+        record["questions"].sort(key=lambda q: q["like_count"])
+    return write_corpus_file(path.parent, records, name)
+
+
 def profiles(corpus):
     """The corpus's profile records by owner."""
     return {record["owner"]: record for record in corpus_records(corpus)}
@@ -231,71 +241,100 @@ class TestLoadCorpus:
 
 
     def test_rows_in_order_load_as_a_shuffled_copy(self, tmp_path):
-        """A synth file is already in order, so its rows are kept as read. A
-        copy with the profiles shuffled, each listing its questions by
-        ascending like count (ties in file order), is permuted on load into
-        the same columns."""
+        """A copy of a synth file with the profiles shuffled, each listing
+        its questions by ascending like count (ties in file order), loads to
+        the same profiles: the same per-owner columns, and the same lines
+        when both are saved in owner order."""
         assert main(["synth", "--seed", "3", "--n-users", "150", "--out", str(tmp_path)]) == 0
-        path = tmp_path / "corpus.jsonl"
-        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        random.Random(5).shuffle(records)
-        for record in records:
-            record["questions"].sort(key=lambda q: q["like_count"])
-        in_order = load_corpus(path)
-        shuffled = load_corpus(write_corpus_file(tmp_path, records, "shuffled.jsonl"))
+        in_order = load_corpus(tmp_path / "corpus.jsonl")
+        shuffled = load_corpus(shuffled_copy(tmp_path / "corpus.jsonl"))
         assert in_order.liker_ptr[-1] > 0 and len(set(in_order.like_count.tolist())) > 1
-        for column in ("owners", "strangers", "sampled", "total_likes", "owner", "texts",
-                       "answers", "like_count", "liker_ptr", "liker"):
+        assert not np.array_equal(shuffled.owner, in_order.owner)
+        for column in ("owners", "strangers", "sampled", "total_likes", "n_rows"):
             expected, actual = getattr(in_order, column), getattr(shuffled, column)
             if isinstance(expected, np.ndarray):
                 assert actual.dtype == expected.dtype, column
                 assert np.array_equal(actual, expected), column
             else:
                 assert actual == expected, column
+        for corp, name in ((in_order, "in_order.jsonl"), (shuffled, "shuffled_saved.jsonl")):
+            save_corpus(corp, tmp_path / name, order=np.arange(len(corp)))
+        saved = (tmp_path / "in_order.jsonl").read_bytes()
+        assert (tmp_path / "shuffled_saved.jsonl").read_bytes() == saved
+
+    @pytest.mark.parametrize("checked", [False, True], ids=["bulk", "one-by-one"])
+    def test_a_profile_loads_in_like_order(self, tmp_path, checked):
+        """A profile whose like counts rise, (1, 3, 0, 3), loads as rows
+        (3, 3, 1, 0), the two 3s in input order, each with its own text,
+        answer, likers and word counts, with its text and tagged. A copy
+        that leaves out the one empty answer is checked one question at a
+        time, and loads to the same columns."""
+        words = ("ugly", "nice", "cool", "fat")
+        questions = [{"text": f"{w} q{k}", "answer": f"a{k}" if n else "",
+                      "likers": [f"v{k}{j}" for j in range(n)], "like_count": n}
+                     for k, (w, n) in enumerate(zip(words, (1, 3, 0, 3)))]
+        if checked:
+            del questions[2]["answer"]
+        assert (corpus_mod._bulk_questions(questions) is None) == checked
+        path = write_corpus_file(tmp_path, [{"owner": "a", "questions": questions}])
+        rows = [1, 3, 0, 2]
+        text, tagged = load_corpus(path), load_corpus(path, words)
+        assert text.texts == tuple(f"{words[k]} q{k}" for k in rows)
+        assert text.answers == ("a1", "a3", "a0", "")
+        for corp in (text, tagged):
+            assert corp.like_count.tolist() == [3, 3, 1, 0]
+            assert (corp.first_row.tolist(), corp.n_rows.tolist()) == ([0], [4])
+            ids, ptr = corp.owners + corp.strangers, corp.liker_ptr.tolist()
+            assert [[ids[i] for i in corp.liker[a:b].tolist()] for a, b in zip(ptr, ptr[1:])] == [
+                [f"v{k}{j}" for j in range(len(questions[k]["likers"]))] for k in rows]
+        assert tagged.counts.indptr.tolist() == [0, 1, 2, 3, 4]
+        assert [tagged.vocab[i] for i in tagged.counts.indices.tolist()] == [
+            words[k] for k in rows]
 
 
 @st.composite
 def row_inputs(draw):
     """`Corpus.from_rows` arguments, as (ids, owner codes in save order,
     sampled flags, rows), each row (owner code, like count, liker codes,
-    text, answer). In half the draws the rows are already in order: profile
-    by profile in sorted owner order, each profile's by descending like
-    count; in the other half they are shuffled. Like counts
-    of 0 to 2 make ties, within a profile and across a profile boundary;
-    a profile may have no rows, and a corpus none at all."""
+    text, answer). The rows list each profile's rows together, by
+    descending like count, as `from_rows` requires; the profiles come in
+    sorted owner order in half the draws and in any order in the other
+    half. Like counts of 0 to 2 make ties, within a profile and across a
+    profile boundary; a profile may have no rows, and a corpus none at all."""
     ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), max_size=6, unique=True))
     owner_code = draw(st.permutations(range(len(ids))))[:draw(st.integers(0, len(ids)))]
     sampled = [draw(st.booleans()) for _ in owner_code]
+    in_order = (sorted(owner_code, key=ids.__getitem__) if draw(st.booleans())
+                else draw(st.permutations(owner_code)))
     rows = []
-    for code in sorted(owner_code, key=ids.__getitem__):
+    for code in in_order:
         for likes in sorted(draw(st.lists(st.integers(0, 2), max_size=4)), reverse=True):
             listed = draw(st.booleans()) or not likes  # a like count may come without likers
             likers = draw(st.lists(st.integers(0, len(ids) - 1), min_size=likes,
                                    max_size=likes)) if listed else []
             rows.append((code, likes, likers, f"t{len(rows)}", f"a{len(rows)}"))
-    if draw(st.booleans()):
-        rows = draw(st.permutations(rows))
     return ids, owner_code, sampled, rows
 
 
-def lexsort_reference(ids, owner_code, sampled, rows):
-    """The columns `from_rows` builds, by one `lexsort` of every row on
-    (owner position, -like count) and lists."""
+def input_order_reference(ids, owner_code, sampled, rows):
+    """The columns `from_rows` builds, by lists: the rows in the order
+    given, and each profile's first row (0 if it has none) and row count."""
     ranked = (sorted(owner_code, key=ids.__getitem__)
               + sorted(set(range(len(ids))) - set(owner_code), key=ids.__getitem__))
     position = {code: i for i, code in enumerate(ranked)}
     owner = [position[row[0]] for row in rows]
-    rows = [rows[r] for r in np.lexsort(([-row[1] for row in rows], owner)).tolist()]
     flags = [False] * len(owner_code)
     for code, flag in zip(owner_code, sampled):
         flags[position[code]] = flag
+    profiles = range(len(owner_code))
     return dict(
         owners=tuple(ids[c] for c in ranked[:len(owner_code)]),
         strangers=tuple(ids[c] for c in ranked[len(owner_code):]),
         order=[position[c] for c in owner_code], sampled=flags,
-        total_likes=[sum(row[1] for row in rows if position[row[0]] == i)
-                     for i in range(len(owner_code))],
-        owner=[position[row[0]] for row in rows], texts=tuple(row[3] for row in rows),
+        total_likes=[sum(row[1] for row, k in zip(rows, owner) if k == i) for i in profiles],
+        first_row=[owner.index(i) if i in owner else 0 for i in profiles],
+        n_rows=[owner.count(i) for i in profiles],
+        owner=owner, texts=tuple(row[3] for row in rows),
         answers=tuple(row[4] for row in rows), like_count=[row[1] for row in rows],
         liker_ptr=np.cumsum([0] + [len(row[2]) for row in rows]).tolist(),
         liker=[position[c] for row in rows for c in row[2]],
@@ -305,13 +344,13 @@ def lexsort_reference(ids, owner_code, sampled, rows):
 class TestFromRows:
     @settings(max_examples=300, deadline=None)
     @given(row_inputs(), st.sampled_from([np.int32, np.int64]))
-    def test_columns_match_a_lexsort_reference(self, inputs, liker_dtype):
+    def test_columns_match_an_input_order_reference(self, inputs, liker_dtype):
         ids, owner_code, sampled, rows = inputs
         corp = Corpus.from_rows(
             ids, owner_code, sampled, [row[0] for row in rows], [row[3] for row in rows],
             [row[4] for row in rows], [row[1] for row in rows], [len(row[2]) for row in rows],
             np.array([c for row in rows for c in row[2]], dtype=liker_dtype))
-        for name, expected in lexsort_reference(*inputs).items():
+        for name, expected in input_order_reference(*inputs).items():
             actual = getattr(corp, name)
             if isinstance(actual, np.ndarray):
                 assert actual.dtype == (np.int32 if name == "liker" else
@@ -364,22 +403,31 @@ class TestLoadedCorpusMemory:
         assert tagged.texts is None and len(tagged) == len(text) == 2000
         assert tagged_bytes < text_bytes / 2
 
-    def test_tagged_load_peaks_under_2_3_times_what_it_retains(self, tmp_path):
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "shuffled"])
+    def test_tagged_load_peaks_under_2_3_times_retained(self, tmp_path, shuffled):
         """The parse frees its id dict, its lists and its word ids before the
-        columns are built: loading the synth corpus (n=2000, seed 1) over
-        the bundled lexicons peaks under 2.3 times what the corpus retains."""
+        columns are built, and no row is moved after: loading the synth
+        corpus (n=2000, seed 1) over the bundled lexicons peaks under 2.3
+        times what the corpus retains, also from a copy with its profiles
+        shuffled and each profile's questions in ascending like order."""
         assert main(["synth", "--seed", "1", "--n-users", "2000", "--out", str(tmp_path)]) == 0
         path = tmp_path / "corpus.jsonl"
+        path = shuffled_copy(path) if shuffled else path
         corp, retained, peak = traced(lambda: load_corpus(path, BUNDLED_VOCAB))
         assert len(corp) == 2000
         assert peak < 2.3 * retained
 
-    def test_load_peaks_under_1_6_times_what_it_retains(self, tmp_path):
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "shuffled"])
+    def test_load_peaks_under_1_6_times_what_it_retains(self, tmp_path, shuffled):
         """The parse keeps its like counts and likers in typed arrays, not
-        lists of ints: loading the synth corpus (n=2000, seed 1) with its
-        text peaks under 1.6 times the memory the corpus retains."""
+        lists of ints, and no text is moved after: loading the synth corpus
+        (n=2000, seed 1) with its text peaks under 1.6 times the memory the
+        corpus retains, also from a copy with its profiles shuffled and each
+        profile's questions in ascending like order."""
         assert main(["synth", "--seed", "1", "--n-users", "2000", "--out", str(tmp_path)]) == 0
-        corp, retained, peak = traced(lambda: load_corpus(tmp_path / "corpus.jsonl"))
+        path = tmp_path / "corpus.jsonl"
+        path = shuffled_copy(path) if shuffled else path
+        corp, retained, peak = traced(lambda: load_corpus(path))
         assert len(corp) == 2000
         assert peak < 1.6 * retained
 

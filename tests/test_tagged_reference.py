@@ -72,19 +72,24 @@ def normalized(records):
 
 
 def reference_columns(records):
-    """The columns built from the object model: rows profile by
-    profile in sorted owner order, likers as positions in `owners` or -1."""
+    """The columns built from the object model: rows profile by profile in
+    record order, each profile's first row (0 if it has none) and row count
+    in sorted owner order, likers as positions in `owners` or -1."""
     profiles = normalized(records)
     owners = tuple(sorted(profiles))
     position = {u: k for k, u in enumerate(owners)}
-    questions = [q for u in owners for q in profiles[u]["questions"]]
+    in_order = [r["owner"] for r in records]
+    n_rows = [len(profiles[u]["questions"]) for u in in_order]
+    first_row = dict(zip(in_order, np.cumsum([0, *n_rows]).tolist()))
+    questions = [q for u in in_order for q in profiles[u]["questions"]]
     likers = [q.get("likers", []) for q in questions]
     liker_ptr = np.cumsum([0, *map(len, likers)], dtype=np.int64)
     positions = map(position.get, chain.from_iterable(likers), repeat(-1))
     return dict(
         owners=owners,
-        owner=np.repeat(np.arange(len(owners)),
-                        [len(profiles[u]["questions"]) for u in owners]).tolist(),
+        first_row=[first_row[u] if profiles[u]["questions"] else 0 for u in owners],
+        n_rows=[len(profiles[u]["questions"]) for u in owners],
+        owner=[position[u] for u, n in zip(in_order, n_rows) for _ in range(n)],
         sampled=[profiles[u]["fully_sampled"] for u in owners],
         total_likes=[sum(like_count(q) for q in profiles[u]["questions"]) for u in owners],
         liker_ptr=liker_ptr.tolist(),
@@ -101,12 +106,15 @@ def corpus_columns(corpus):
     n = len(corpus.owners)
     assert corpus.owner.dtype == np.int64 and corpus.like_count.dtype == np.int64
     assert corpus.sampled.dtype == bool and corpus.total_likes.dtype == np.int64
+    assert corpus.first_row.dtype == np.int64 and corpus.n_rows.dtype == np.int64
     assert corpus.liker.dtype == np.int32 and corpus.liker_ptr.dtype == np.int64
     assert list(corpus.strangers) == sorted(corpus.strangers)
     assert not set(corpus.strangers) & set(corpus.owners)
     ids = corpus.owners + corpus.strangers
     return dict(
         owners=corpus.owners,
+        first_row=corpus.first_row.tolist(),
+        n_rows=corpus.n_rows.tolist(),
         owner=corpus.owner.tolist(),
         sampled=corpus.sampled.tolist(),
         total_likes=corpus.total_likes.tolist(),
@@ -359,7 +367,9 @@ def test_counts_rows_are_the_string_hits(records):
     hits = reference_hits(normalized(records), set(WORDS))
     assert tagged.vocab == tuple(WORDS)
     assert tagged.owners == tuple(sorted(hits))
-    rows = [(k, words) for k, u in enumerate(tagged.owners) for words in hits[u]]
+    # rows profile by profile in record order
+    rows = [(tagged.owners.index(r["owner"]), words) for r in records
+            for words in hits[r["owner"]]]
     assert tagged.owner.tolist() == [k for k, _ in rows]
     counts = to_scipy(tagged.counts)
     assert counts.dtype == np.int64 and counts.shape == (len(rows), len(WORDS))
@@ -453,7 +463,7 @@ def test_like_columns_match_the_question_loops(records, superset, split):
     ptr = tagged.liker_ptr.tolist()
     assert [liker[a:b].tolist() for a, b in zip(ptr, ptr[1:])] == [
         [owners.index(v) if v in profiles else -1 for v in q.get("likers", [])]
-        for u in owners for q in profiles[u]["questions"]
+        for r in records for q in profiles[r["owner"]]["questions"]
     ]
     assert likes_answers_correlation(tagged, split) == (
         reference_likes_answers_correlation(profiles, split)
