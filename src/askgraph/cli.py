@@ -54,15 +54,12 @@ def load_config(path: str | Path) -> dict[str, tuple[int, str]]:
 
     Maps each key to the line it was last set on and its value."""
     values: dict[str, tuple[int, str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = (line_no, value.strip())
+    for line_no, line in corpus_mod.numbered_lines(
+            path, lambda n, m: ValueError(f"config line {n}: {m}")):
+        if "=" not in line:
+            raise ValueError(f"config line {line_no}: expected key=value")
+        key, _, value = line.partition("=")
+        values[key.strip()] = (line_no, value.strip())
     return values
 
 

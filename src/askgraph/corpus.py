@@ -35,7 +35,7 @@ from itertools import chain, count, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter, lt
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -137,9 +137,10 @@ class CSR:
     """A sparse matrix in compressed sparse row form, each row's columns
     ascending and distinct: row i holds `data[indptr[i]:indptr[i + 1]]` at
     columns `indices[indptr[i]:indptr[i + 1]]`. It carries only what
-    askgraph reads of a sparse matrix. A product over it is a `bincount` of
-    its entries in row-major order, so a float sum adds each row's terms by
-    ascending column, as a CSR matrix-vector product does."""
+    askgraph reads of a sparse matrix; a row is read off `indptr`. A
+    product over it is a `bincount` of its entries in row-major order, so a
+    float sum adds each row's terms by ascending column, as a CSR
+    matrix-vector product does, whatever other rows the matrix holds."""
 
     indptr: np.ndarray  # int64, one per row and one more
     indices: np.ndarray  # int32
@@ -157,12 +158,6 @@ class CSR:
     def entry_rows(self) -> np.ndarray:
         """Each entry's row, in order."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
-    def take(self, rows: np.ndarray) -> CSR:
-        """The matrix of `rows`, in that order."""
-        lengths = np.diff(self.indptr)[rows]
-        at = flat_ranges(self.indptr[rows], lengths)
-        return CSR(offsets(lengths), self.indices[at], self.data[at], (len(rows), self.shape[1]))
 
     def entries(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows, columns and values of the entries in `columns`, in
@@ -527,18 +522,38 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
                             like_count, n_likers, liker_code, (vocab, counts))
 
 
-def _numbered_records(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
-    """Each non-blank line's number and decoded JSON value."""
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+def numbered_lines(path: str | Path, error: Callable[[int, str], Exception],
+                   comments: bool = True) -> Iterator[tuple[int, str]]:
+    """Each line of the UTF-8 text file at `path` with its 1-based number,
+    stripped, skipping blank lines and, with `comments`, lines starting
+    with '#'. A line holding a byte that is not UTF-8 raises
+    `error(line_no, message)`, where the decoder's message gives the byte's
+    position in its line."""
+    # a byte that is not UTF-8 reads as a lone surrogate, held only by a non-ASCII line
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise error(line_no, str(exc)) from None
+            line = line.strip()
+            if line and not (comments and line.startswith("#")):
+                yield line_no, line
+
+
+def _numbered_records(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, object]]:
+    """Each numbered line's decoded JSON value."""
+    for line_no, line in lines:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(line_no, f"invalid JSON: {exc}") from exc
-        # the file is decoded as UTF-8, so a surrogate can only come from
-        # a JSON \u escape: only lines with one need the encoding check
+        # the line is valid UTF-8, so a surrogate can only come from a JSON
+        # \u escape: only lines with one need the encoding check
         try:
             if "\\u" in line:
                 json.dumps(obj, ensure_ascii=False).encode("utf-8")
@@ -556,13 +571,13 @@ def load_corpus(path: str | Path, vocab: Iterable[str] | None = None) -> Corpus:
     counts are kept, not its text or answer. Such a corpus cannot be saved,
     and an analysis over words outside `vocab` raises ValueError.
 
-    Raises CorpusFormatError (with the offending line number) on malformed
-    records, duplicate owners, like_count/likers mismatches, or strings
-    holding a lone surrogate (which no UTF-8 output can encode), the same
-    errors with or without a `vocab`.
+    Raises CorpusFormatError (with the offending line number) on bytes that
+    are not UTF-8, malformed records, duplicate owners, like_count/likers
+    mismatches, or strings holding a lone surrogate (which no UTF-8 output
+    can encode), the same errors with or without a `vocab`.
     """
-    with open(path, encoding="utf-8") as fh:
-        return _parse_records(_numbered_records(fh), vocab)
+    lines = numbered_lines(path, CorpusFormatError, comments=False)
+    return _parse_records(_numbered_records(lines), vocab)
 
 
 @contextmanager
@@ -637,19 +652,15 @@ def lexicon_word(word: str, name: str = "entry") -> str:
 
 def load_lexicon(path: str | Path) -> frozenset[str]:
     """The words of a one-word-per-line lexicon ('#' comments, blank lines
-    ignored); each entry is read by `lexicon_word`."""
+    ignored); each entry is read by `lexicon_word`. Errors name the line."""
     words: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            word = line.strip()
-            if not word or word.startswith("#"):
-                continue
-            if any(ch.isspace() for ch in word):
-                raise LexiconError(f"line {line_no}: multi-word entry {word!r} not allowed")
-            try:
-                words.add(lexicon_word(word))
-            except LexiconError as exc:
-                raise LexiconError(f"line {line_no}: {exc}") from None
+    for line_no, word in numbered_lines(path, lambda n, m: LexiconError(f"line {n}: {m}")):
+        if any(ch.isspace() for ch in word):
+            raise LexiconError(f"line {line_no}: multi-word entry {word!r} not allowed")
+        try:
+            words.add(lexicon_word(word))
+        except LexiconError as exc:
+            raise LexiconError(f"line {line_no}: {exc}") from None
     if not words:
         raise LexiconError(f"lexicon {path} is empty after parsing")
     return frozenset(words)

@@ -358,9 +358,7 @@ def _pearson(xs: list[float], ys: list[float]) -> Optional[float]:
     return sxy / math.sqrt(sxx * syy)
 
 
-def likes_answers_correlation(
-    corpus: Corpus, split: int = LIKES_SPLIT
-) -> tuple[Optional[float], Optional[float]]:
+def likes_answers_correlation(corpus: Corpus) -> tuple[Optional[float], Optional[float]]:
     """Pearson correlation of (answered questions, total likes) per fully
     sampled profile in owner order, computed separately below and
     at-or-above the question-count split.
@@ -369,7 +367,7 @@ def likes_answers_correlation(
     """
     answers = corpus.n_rows[corpus.sampled]
     likes = corpus.total_likes[corpus.sampled]
-    below = answers < split
+    below = answers < LIKES_SPLIT
     return (
         _pearson(answers[below].tolist(), likes[below].tolist()),
         _pearson(answers[~below].tolist(), likes[~below].tolist()),

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import ContentTable
+from .corpus import ContentTable, numbered_lines
 from .interaction import NodeTable
 
 GROUPS = ("HN", "HP", "PN", "OTHR")
@@ -62,27 +62,23 @@ def classify_corpus(content: ContentTable) -> np.ndarray:
 
 def load_label_file(path: str | Path) -> LabelFile:
     """Parse a label file: header `label: <name>`, then one UserId per line,
-    stripped, skipping blank and `#` lines. A second header fails by line.
-    Every error names the file."""
+    stripped, skipping blank and `#` lines. A second header, or a byte that
+    is not UTF-8, fails by line. Every error names the file."""
     label = None
     ids: set[str] = set()
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if label is None:
-                    if not line.startswith("label:"):
-                        raise ValueError("label file must start with a 'label: <name>' header")
-                    label = line[len("label:"):].strip()
-                    if not label:
-                        raise ValueError("empty label name")
-                    continue
-                if line.startswith("label:"):
-                    raise ValueError(f"line {line_no}: a second 'label:' header; "
-                                     "a label file holds one label set")
-                ids.add(line)
+        for line_no, line in numbered_lines(path, lambda n, m: ValueError(f"line {n}: {m}")):
+            if label is None:
+                if not line.startswith("label:"):
+                    raise ValueError("label file must start with a 'label: <name>' header")
+                label = line[len("label:"):].strip()
+                if not label:
+                    raise ValueError("empty label name")
+                continue
+            if line.startswith("label:"):
+                raise ValueError(f"line {line_no}: a second 'label:' header; "
+                                 "a label file holds one label set")
+            ids.add(line)
         if label is None:
             raise ValueError("label file has no header")
     except ValueError as exc:

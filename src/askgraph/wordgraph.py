@@ -13,7 +13,7 @@ from typing import Collection
 
 import numpy as np
 
-from .corpus import CSR, Graph, TaggedCorpus, distinct, row_blocks, wedge_budget
+from .corpus import CSR, Graph, TaggedCorpus, distinct, offsets, row_blocks, wedge_budget
 
 
 class ConvergenceError(RuntimeError):
@@ -95,13 +95,14 @@ def component_roots(adjacency: CSR) -> np.ndarray:
 def eigenvector_centrality(
     graph: Graph, tol: float = 1e-10, max_iter: int = 10000
 ) -> dict[str, float]:
-    """Power iteration from a uniform start vector, rescaled to max entry 1;
-    returns each node's score, in node order.
+    """Power iteration from a uniform start vector; returns each node's
+    score, in node order.
 
-    Iteration runs per connected component so scores never mix across
-    components; only components whose dominant eigenvalue attains the global
-    maximum keep nonzero scores (ties within 1e-12 relative all survive).
-    Isolated nodes and zero-edge graphs score exactly 0.
+    All components iterate at once, each rescaled to max entry 1 and
+    stopped on its own, so scores never mix across components; only those
+    whose dominant eigenvalue attains the global maximum keep nonzero scores
+    (ties within 1e-12 relative all survive), and one-node components score
+    exactly 0. ConvergenceError reports the unconverged one of least node.
     """
     if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
@@ -109,56 +110,52 @@ def eigenvector_centrality(
         raise ValueError("tol must be finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    n = len(graph.nodes)
-    values = np.zeros(n)
-    if n == 0 or not len(graph.adjacency.indices):
+    adjacency, n = graph.adjacency, len(graph.nodes)
+    if n == 0 or not len(adjacency.indices):
         return dict.fromkeys(graph.nodes, 0.0)
 
-    # one ascending node list per component, in order of least node
-    roots = component_roots(graph.adjacency)
-    order = np.argsort(roots, kind="stable")
-    components = np.split(order, np.flatnonzero(np.diff(roots[order])) + 1)
-    local = np.empty(n, dtype=np.int64)  # each node's index in its component
-    results: list[tuple[float, np.ndarray, np.ndarray]] = []  # (eigenvalue, idx, vector)
-    for idx in components:
-        if len(idx) == 1:
-            continue  # isolated node (zero diagonal => no self loop)
-        m = len(idx)
-        local[idx] = np.arange(m)
-        sub = graph.adjacency.take(idx)
-        rows, cols = sub.entry_rows(), local[sub.indices]  # a component holds its neighbours
-        # iterate on A + I: same eigenvectors, but strictly dominant Perron
-        # eigenvalue, so bipartite components (spectrum symmetric about 0)
-        # cannot oscillate. Row i's diagonal entry goes before its columns
-        # above i, so the entries stay in row-major order.
-        at = sub.indptr[:-1] + np.bincount(rows[cols < rows], minlength=m)
-        rows = np.insert(rows, at, np.arange(m))
-        cols = np.insert(cols, at, np.arange(m))
-        weights = np.insert(sub.data.astype(np.float64), at, 1.0)
-        del sub, at
-        terms = np.empty(len(cols))  # each entry's weight times its column's value
-        v = np.ones(m)
-        eigenvalue = 0.0
-        residual = np.inf
-        for _ in range(max_iter):
-            np.take(v, cols, out=terms, mode="clip")  # unlike "raise", unbuffered
-            terms *= weights
-            w = np.bincount(rows, weights=terms, minlength=m)
-            eigenvalue = float(w.max())
-            w /= eigenvalue
-            residual = float(np.max(np.abs(w - v)))
-            v = w
-            if residual < tol:
-                break
-        else:
-            raise ConvergenceError(max_iter, residual)
-        results.append((eigenvalue, idx, v))
+    # components numbered in order of least node; `order` groups their
+    # nodes, so a per-component maximum is a `reduceat` at `starts`
+    roots = component_roots(adjacency)
+    component = np.cumsum(roots == np.arange(n))[roots] - 1
+    sizes = np.bincount(component)
+    order = np.argsort(component, kind="stable")
+    starts = offsets(sizes)[:-1]
+    # iterate on A + I: same eigenvectors, but strictly dominant Perron
+    # eigenvalue, so bipartite components (spectrum symmetric about 0)
+    # cannot oscillate. Row i's diagonal entry goes before its columns
+    # above i, so the entries stay in row-major order and each row sums
+    # its terms in the order a component of its own would.
+    rows, cols = adjacency.entry_rows(), adjacency.indices
+    at = adjacency.indptr[:-1] + np.bincount(rows[cols < rows], minlength=n)
+    rows = np.insert(rows, at, np.arange(n))
+    cols = np.insert(cols, at, np.arange(n))
+    weights = np.insert(adjacency.data.astype(np.float64), at, 1.0)
+    terms = np.empty(len(cols))  # each entry's weight times its column's value
+    v = np.ones(n)
+    eigenvalue = np.zeros(len(sizes))
+    moving = sizes > 1  # a one-node component is not iterated
+    for _ in range(max_iter):
+        np.take(v, cols, out=terms, mode="clip")  # unlike "raise", unbuffered
+        terms *= weights
+        w = np.bincount(rows, weights=terms, minlength=n)
+        top = np.maximum.reduceat(w[order], starts)
+        updated = moving[component]
+        np.divide(w, top[component], out=w, where=updated)
+        residual = np.maximum.reduceat(np.abs(w - v)[order], starts)
+        np.copyto(eigenvalue, top, where=moving)
+        np.copyto(v, w, where=updated)
+        moving &= ~(residual < tol)  # a NaN residual keeps its component moving
+        if not moving.any():
+            break
+    else:
+        raise ConvergenceError(max_iter, float(residual[moving][0]))
 
-    if results:
-        top = max(r[0] for r in results)
-        for eigenvalue, idx, v in results:
-            if eigenvalue >= top * (1.0 - 1e-12):
-                values[idx] = v / v.max()
+    iterated = sizes > 1
+    kept = iterated & (eigenvalue >= eigenvalue[iterated].max(initial=-np.inf) * (1.0 - 1e-12))
+    values = np.zeros(n)
+    np.divide(v, np.maximum.reduceat(v[order], starts)[component], out=values,
+              where=kept[component])
     return dict(zip(graph.nodes, values.tolist()))
 
 
@@ -187,10 +184,10 @@ def word_neighborhood(
     """Edges incident to `core`: (neighbor, shared-profile weight, neighbor
     centrality), sorted by descending weight then neighbor name."""
     i = graph.node_index(core)
-    row = graph.adjacency.take([i])
+    row = slice(*graph.adjacency.indptr[i:i + 2])
     records = [
         (graph.nodes[j], w, scores.get(graph.nodes[j], 0.0))
-        for j, w in zip(row.indices.tolist(), row.data.tolist())
+        for j, w in zip(graph.adjacency.indices[row].tolist(), graph.adjacency.data[row].tolist())
     ]
     records.sort(key=lambda r: (-r[1], r[0]))
     return records

@@ -5,9 +5,10 @@ adjacency's entries as edge rows or a mapping, a plain vocabulary as a word
 set, the segmentation rule as a scalar oracle and the array rule over plain
 counts, a group row by name, a crawl's crawl order, frontier and written
 records, a corpus's profile records, the scalar synthetic generator and its
-sampler, and the brute-force reciprocity and clustering oracles of the node
-table, and the record checks of the corpus parse as one loop over each
-question."""
+sampler, the brute-force reciprocity and clustering oracles of the node
+table, the record checks of the corpus parse as one loop over each
+question, and the per-component power iteration that word centrality
+matches exactly."""
 
 from __future__ import annotations
 
@@ -23,11 +24,13 @@ import scipy.sparse as sp
 
 from askgraph import synth
 from askgraph.corpus import (
-    CSR, ContentTable, Corpus, CorpusFormatError, Graph, TaggedCorpus, save_corpus,
+    CSR, ContentTable, Corpus, CorpusFormatError, Graph, TaggedCorpus, flat_ranges, offsets,
+    save_corpus,
 )
 from askgraph.interaction import node_table, reciprocity
 from askgraph.segmentation import GROUPS, GroupRow, classify_corpus
 from askgraph.synth import GenParams, SplitMix64
+from askgraph.wordgraph import ConvergenceError, component_roots
 
 
 def to_scipy(m: CSR) -> sp.csr_matrix:
@@ -366,3 +369,75 @@ def triple_enumeration_oracle(simple: SimpleView) -> tuple[float, float]:
         )
         locals_.append(2 * links / (deg * (deg - 1)))
     return global_c, sum(locals_) / len(nodes)
+
+
+def take_rows(m: CSR, rows: np.ndarray) -> CSR:
+    """The matrix of `rows` of `m`, in that order."""
+    lengths = np.diff(m.indptr)[rows]
+    at = flat_ranges(m.indptr[rows], lengths)
+    return CSR(offsets(lengths), m.indices[at], m.data[at], (len(rows), m.shape[1]))
+
+
+def reference_eigenvector_centrality(
+    graph: Graph, tol: float = 1e-10, max_iter: int = 10000
+) -> dict[str, float]:
+    """The per-component power iteration: each component cut out of the
+    graph, renumbered and iterated alone, in order of least node. The exact
+    oracle of `wordgraph.eigenvector_centrality`."""
+    if not tol > 0:  # NaN included
+        raise ValueError("tol must be positive")
+    if tol == float("inf"):
+        raise ValueError("tol must be finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    n = len(graph.nodes)
+    values = np.zeros(n)
+    if n == 0 or not len(graph.adjacency.indices):
+        return dict.fromkeys(graph.nodes, 0.0)
+
+    # one ascending node list per component, in order of least node
+    roots = component_roots(graph.adjacency)
+    order = np.argsort(roots, kind="stable")
+    components = np.split(order, np.flatnonzero(np.diff(roots[order])) + 1)
+    local = np.empty(n, dtype=np.int64)  # each node's index in its component
+    results: list[tuple[float, np.ndarray, np.ndarray]] = []  # (eigenvalue, idx, vector)
+    for idx in components:
+        if len(idx) == 1:
+            continue  # isolated node (zero diagonal => no self loop)
+        m = len(idx)
+        local[idx] = np.arange(m)
+        sub = take_rows(graph.adjacency, idx)
+        rows, cols = sub.entry_rows(), local[sub.indices]  # a component holds its neighbours
+        # iterate on A + I: same eigenvectors, but strictly dominant Perron
+        # eigenvalue, so bipartite components (spectrum symmetric about 0)
+        # cannot oscillate. Row i's diagonal entry goes before its columns
+        # above i, so the entries stay in row-major order.
+        at = sub.indptr[:-1] + np.bincount(rows[cols < rows], minlength=m)
+        rows = np.insert(rows, at, np.arange(m))
+        cols = np.insert(cols, at, np.arange(m))
+        weights = np.insert(sub.data.astype(np.float64), at, 1.0)
+        del sub, at
+        terms = np.empty(len(cols))  # each entry's weight times its column's value
+        v = np.ones(m)
+        eigenvalue = 0.0
+        residual = np.inf
+        for _ in range(max_iter):
+            np.take(v, cols, out=terms, mode="clip")  # unlike "raise", unbuffered
+            terms *= weights
+            w = np.bincount(rows, weights=terms, minlength=m)
+            eigenvalue = float(w.max())
+            w /= eigenvalue
+            residual = float(np.max(np.abs(w - v)))
+            v = w
+            if residual < tol:
+                break
+        else:
+            raise ConvergenceError(max_iter, residual)
+        results.append((eigenvalue, idx, v))
+
+    if results:
+        top = max(r[0] for r in results)
+        for eigenvalue, idx, v in results:
+            if eigenvalue >= top * (1.0 - 1e-12):
+                values[idx] = v / v.max()
+    return dict(zip(graph.nodes, values.tolist()))

@@ -79,6 +79,15 @@ class TestArgs:
         assert run("stats", "--config", cfg, "--out", tmp_path) == 1
         assert "[load_config] config line 2: threshold:" in capsys.readouterr().err
 
+    def test_config_byte_that_is_not_utf8_names_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_bytes(f"# caf\u00e9\ncorpus={DEMO}\n".encode("utf-8") + b"threshold=0.\xff\n")
+        assert run("stats", "--config", cfg, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "askgraph: error [load_config] config line 3: 'utf-8' codec can't decode byte 0xff "
+            "in position 12: invalid start byte\n"
+        )
+
     def test_config_value_outside_choices_names_line(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text(f"corpus={DEMO}\npolarity=neutral\n", encoding="utf-8")

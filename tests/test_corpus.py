@@ -178,6 +178,23 @@ class TestLoadCorpus:
         error = format_error(path)
         assert "lone surrogate" in str(error) and error.line_no == 2
 
+    @pytest.mark.parametrize("bad, message", [
+        (b"\xff", "byte 0xff in position 45: invalid start byte"),
+        (b"\xed\xa0\x80", "byte 0xed in position 45: invalid continuation byte"),  # U+D800
+    ], ids=["invalid-start", "encoded-surrogate"])
+    def test_byte_that_is_not_utf8_reports_line(self, tmp_path, bad, message):
+        """The error names the line and the byte's position in it, counted
+        in bytes, not a position in the decoder's chunk."""
+        good = '{"owner": "u%03d", "questions": [{"text": "caf\u00e9 \U0001f600 hi"}]}\n'
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes("".join(good % k for k in range(200)).encode("utf-8")
+                         + '{"owner": "b", "questions": [{"text": "caf\u00e9 '.encode("utf-8")
+                         + bad + b' hi"}]}\n')
+        assert path.stat().st_size > 8192  # past the text reader's first chunk
+        error = format_error(path)
+        assert error.line_no == 201
+        assert str(error) == f"line 201: 'utf-8' codec can't decode {message}"
+
     def test_like_total_past_int64_reports_line(self, tmp_path):
         half = {"text": "hi", "like_count": 2**62}
         path = write_corpus_file(tmp_path, [
@@ -714,6 +731,14 @@ class TestLoadLexicon:
         path.write_text("# nothing here\n\n# nope\n", encoding="utf-8")
         with pytest.raises(LexiconError, match="empty"):
             load_lexicon(path)
+
+    def test_byte_that_is_not_utf8_rejected_with_line(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_bytes("# header\nugly\ncaf\u00e9\nna".encode("utf-8") + b"\xefve\n")
+        with pytest.raises(LexiconError) as caught:
+            load_lexicon(path)
+        assert str(caught.value) == ("line 4: 'utf-8' codec can't decode byte 0xef in "
+                                     "position 2: invalid continuation byte")
 
     def test_multiword_entry_rejected(self, tmp_path):
         path = tmp_path / "lex.txt"

@@ -563,19 +563,19 @@ class TestLikesAnswersCorrelation:
 
     def test_perfectly_linear(self):
         corp = self.make_corpus([(2, 3), (5, 3), (10, 3), (60, 3), (70, 3), (80, 3)])
-        below, above = likes_answers_correlation(corp, split=50)
+        below, above = likes_answers_correlation(corp)
         assert below == pytest.approx(1.0)
         assert above == pytest.approx(1.0)
 
     def test_constant_side_undefined(self):
         corp = self.make_corpus([(2, 0), (5, 0), (60, 1), (80, 2)])
-        below, above = likes_answers_correlation(corp, split=50)
+        below, above = likes_answers_correlation(corp)
         assert below is None
         assert above is not None
 
     def test_too_few_profiles_undefined(self):
         corp = self.make_corpus([(2, 1)])
-        below, above = likes_answers_correlation(corp, split=50)
+        below, above = likes_answers_correlation(corp)
         assert below is None and above is None
 
     def test_frontier_stubs_left_out(self):

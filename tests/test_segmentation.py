@@ -288,7 +288,7 @@ class TestLabelFileIO:
         ("label:  \nuser1\n", "empty label name"),
         ("# only a comment\n\n", "label file has no header"),
         ("", "label file has no header"),
-        (b"label: x\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 9: "
+        (b"label: x\n\xff\n", "line 2: 'utf-8' codec can't decode byte 0xff in position 0: "
                                 "invalid start byte"),
     ])
     def test_every_error_names_the_file(self, tmp_path, text, message):

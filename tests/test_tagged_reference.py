@@ -8,12 +8,14 @@ import tempfile
 from collections import Counter
 from itertools import chain, repeat
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from askgraph import interaction
 from askgraph.corpus import (
     Corpus,
     CorpusStats,
@@ -465,9 +467,12 @@ def test_like_columns_match_the_question_loops(records, superset, split):
         [owners.index(v) if v in profiles else -1 for v in q.get("likers", [])]
         for r in records for q in profiles[r["owner"]]["questions"]
     ]
-    assert likes_answers_correlation(tagged, split) == (
-        reference_likes_answers_correlation(profiles, split)
-    )
+    # the drawn profiles hold a few questions each: a split of 1-6 puts
+    # some on each side of it
+    with mock.patch.object(interaction, "LIKES_SPLIT", split):
+        assert likes_answers_correlation(tagged) == (
+            reference_likes_answers_correlation(profiles, split)
+        )
 
 
 def outcome(fn, *args):

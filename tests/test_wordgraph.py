@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from askgraph.corpus import Corpus, Graph
+from askgraph.corpus import CSR, Corpus, Graph
 from askgraph.wordgraph import (
     ConvergenceError,
     build_bipartite,
@@ -16,7 +16,7 @@ from askgraph.wordgraph import (
     select_top_words,
     word_neighborhood,
 )
-from helpers import csr, to_scipy, vocab_word_set
+from helpers import csr, reference_eigenvector_centrality, to_scipy, vocab_word_set
 
 
 def profile_with(owner, *texts):
@@ -157,7 +157,78 @@ class TestComponentRoots:
         assert not roots.any()
 
 
+@st.composite
+def component_graphs(draw):
+    """0-40 nodes in components of 1-12, the nodes numbered in a random
+    order so that components interleave. A component is a random spanning
+    tree plus extra edges, symmetric, weighted 0-9 (0 is an explicit zero),
+    and an extra edge may be a self-loop, so a one-node component is an
+    isolated node or a self-loop alone."""
+    n = draw(st.integers(0, 40))
+    numbers = draw(st.permutations(range(n)))
+    weights = st.integers(0, 9)
+    entries = {}
+    start = 0
+    while start < n:
+        size = draw(st.integers(1, min(12, n - start)))
+        members = numbers[start:start + size]
+        pairs = [(members[k], members[draw(st.integers(0, k - 1))]) for k in range(1, size)]
+        member = st.sampled_from(members)
+        pairs += draw(st.lists(st.tuples(member, member), max_size=2 * size))
+        for a, b in pairs:
+            entries[a, b] = entries[b, a] = draw(weights)
+        start += size
+    keys = sorted(a * n + b for a, b in entries)
+    data = np.array([entries[divmod(k, n)] for k in keys], dtype=np.int64)
+    return Graph(tuple(f"w{i:02d}" for i in range(n)),
+                 CSR.from_keys(np.array(keys, dtype=np.int64), (n, n), data))
+
+
+def centrality_outcome(centrality, graph, tol, max_iter):
+    """Each score as its float's hex, or the ConvergenceError's iterations
+    and the hex of its residual: equal outcomes are equal to the bit."""
+    try:
+        scores = centrality(graph, tol=tol, max_iter=max_iter)
+    except ConvergenceError as exc:
+        return exc.iterations, exc.residual.hex()
+    return {node: score.hex() for node, score in scores.items()}
+
+
 class TestEigenvectorCentrality:
+    @settings(max_examples=300, deadline=None)
+    @given(component_graphs(), st.sampled_from([1e-6, 1e-10, 1e-12]),
+           st.one_of(st.just(10000), st.integers(1, 40)))
+    def test_matches_the_per_component_iteration_exactly(self, graph, tol, max_iter):
+        """Components of different sizes and weights stop at different
+        steps; each keeps its own scale, its own stopping step and its own
+        eigenvalue, so every score, or the error, is the reference's."""
+        assert (centrality_outcome(eigenvector_centrality, graph, tol, max_iter)
+                == centrality_outcome(reference_eigenvector_centrality, graph, tol, max_iter))
+
+    @pytest.mark.parametrize("edges", [
+        # {a, c} stops at step 1, the path b-d-e does not
+        [("a", "c", 1), ("b", "d", 1), ("d", "e", 1)],
+        # neither the path a-c-e nor the path b-d-f-g stops
+        [("a", "c", 1), ("c", "e", 1), ("b", "d", 1), ("d", "f", 1), ("f", "g", 1)],
+    ], ids=["second-moves", "both-move"])
+    def test_unconverged_error_names_the_least_moving_component(self, edges):
+        """After two steps a path of three has moved by 5/7 - 2/3 = 1/21 and
+        a path of four by 2/3 - 5/8 = 1/24: the error carries the residual of
+        the least-node component still moving, as the reference raises it."""
+        g = graph_from_edges(sorted({x for a, b, _ in edges for x in (a, b)}), edges)
+        with pytest.raises(ConvergenceError) as info:
+            eigenvector_centrality(g, max_iter=2)
+        assert info.value.iterations == 2
+        assert info.value.residual == pytest.approx(1 / 21)
+        assert (centrality_outcome(eigenvector_centrality, g, 1e-10, 2)
+                == centrality_outcome(reference_eigenvector_centrality, g, 1e-10, 2))
+
+    def test_self_loops_alone_score_zero(self):
+        """A node whose only entry is a self-loop is a one-node component;
+        with no larger component, every score is 0."""
+        g = Graph(("a", "b"), csr(np.diag([3, 0])))
+        assert eigenvector_centrality(g) == {"a": 0.0, "b": 0.0}
+
     def test_path_of_three_closed_form(self):
         g = graph_from_edges(["a", "b", "c"], [("a", "b", 1), ("b", "c", 1)])
         scores = eigenvector_centrality(g, tol=1e-12)
