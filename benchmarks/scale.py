@@ -30,11 +30,13 @@ call, `wedges` is the wedges it enumerates, `triangles` the triangles they
 close and `blocks` its row blocks. A command fails, naming the attribute,
 when either function is renamed.
 
-The sha256 of the whole output tree (perfbench's `tree_digest`) is
-compared with the digest pinned for n in PINNED; an n without a pin is
-reported as `unpinned`. The record goes to stdout as one JSON object and
-progress to stderr. The script exits 1 when a command fails or a pinned
-digest differs. Run it from the repository root:
+The sha256 of the whole output tree (perfbench's `tree_digest`) and the
+pipeline's `wedges` are compared with the pair pinned for n in PINNED; an
+n without a pin is reported as `unpinned`. The wedge count pins how the
+triangle kernel builds its matrix, which no output shows. The record goes
+to stdout as one JSON object and progress to stderr. The script exits 1
+when a command fails or a pinned digest or wedge count differs. Run it
+from the repository root:
 
     python3 benchmarks/scale.py [--sizes 16000 64000 256000] > BENCH_scale.json
 """
@@ -55,10 +57,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import calibrate  # noqa: E402
 from run import GROUPS, LIKE_RATE, MIX, QUESTIONS, child_env, machine_record  # noqa: E402
 
+# per n: the output tree's digest, then the wedges of the pipeline's one
+# `clustering` call
 PINNED = {
-    16_000: "703daeb66a62728dce21adac80e3f32d90f269e9f26f35873dfd441e7216b063",
-    64_000: "18b7c72da95c237a737c16119f5e9dcfa9bbe3687741a70d38aab032f4fc51fa",
-    256_000: "70c6e4a024c84c4127a614de241636926d9df162d16918873b669cc9d24bd707",
+    16_000: ("703daeb66a62728dce21adac80e3f32d90f269e9f26f35873dfd441e7216b063", 8_865_628),
+    64_000: ("18b7c72da95c237a737c16119f5e9dcfa9bbe3687741a70d38aab032f4fc51fa", 35_724_972),
+    256_000: ("70c6e4a024c84c4127a614de241636926d9df162d16918873b669cc9d24bd707", 143_390_014),
 }
 
 # one command in a fresh interpreter; its last stdout line is its record
@@ -153,9 +157,10 @@ def sweep(n: int, samples: list[float]) -> dict:
             lines = (work / "crawl" / f"{name}.txt").read_text().splitlines()
             records["crawl-sim"][name] = len(lines)
         digest = tree_digest(work)
+    found = (digest, *records["pipeline"]["wedges"])
     pinned = PINNED.get(n)
-    status = "unpinned" if pinned is None else "match" if digest == pinned else "differs"
-    print(f"n={n} digest {digest} ({status})", file=sys.stderr, flush=True)
+    status = "unpinned" if pinned is None else "match" if found == pinned else "differs"
+    print(f"n={n} digest, wedges {found} ({status})", file=sys.stderr, flush=True)
     if status == "differs":
         print(f"n={n} pinned {pinned}", file=sys.stderr, flush=True)
     return {"digest": digest, "pinned": status, "commands": records}

@@ -120,19 +120,42 @@ def build_interaction_graph(
 
 
 def node_table(graph: Graph) -> NodeTable:
-    """Counts over the graph's entries and one triangle kernel give every
-    per-node fact: per component weighted in/out-degree, out-edge and
-    reciprocated out-edge counts and per-node reciprocity, then undirected
-    degree and local clustering with the global triple counts."""
+    """One sort of the linked pairs and one triangle kernel give every
+    per-node fact: undirected degree and local clustering with the global
+    triple counts, then per component weighted in/out-degree, out-edge and
+    reciprocated out-edge counts and per-node reciprocity."""
     nodes = graph.nodes
     n = len(nodes)
     adjacency = graph.adjacency
-    src, dst, weights = adjacency.entry_rows(), adjacency.indices, adjacency.data
-    edge, back = _reverse_edges(src, dst, n)
+    dst, weights = adjacency.indices, adjacency.data
+    # each edge's pair as lesser * n + greater, sorted, so a mutual pair's
+    # key occurs twice; int64 keys: n * n overflows int32 past 46,340 nodes
+    pairs = adjacency.entry_rows()
+    greater = np.maximum(pairs, dst)
+    np.minimum(pairs, dst, out=pairs)
+    pairs *= n
+    pairs += greater
+    del greater
+    pairs.sort()
+    once = run_starts(pairs)
+    mutual = pairs[~once]
+    pairs = pairs[once]
+    del once
+    # binary undirected degree: a mutual pair is one undirected edge
+    degree = np.bincount(pairs // n, minlength=n) + np.bincount(pairs % n, minlength=n)
+    local, closed, connected = clustering(pairs, degree)
+    del pairs
+    # each mutual pair's edge from lesser to greater and back, by their codes
+    src = adjacency.entry_rows()
+    codes = src * n + dst
+    edge = np.searchsorted(codes, mutual)
+    back = np.searchsorted(codes, mutual % n * n + mutual // n)
+    del codes, mutual
 
     def counts(present: np.ndarray, in_deg: np.ndarray, out_deg: np.ndarray) -> EdgeCounts:
         out_edges = np.bincount(src[present], minlength=n)
-        recip_out = np.bincount(src[edge[present[edge] & present[back]]], minlength=n)
+        both = present[edge] & present[back]  # the pairs mutual in the component
+        recip_out = np.bincount(src[np.concatenate((edge[both], back[both]))], minlength=n)
         return EdgeCounts(
             in_deg=in_deg,
             out_deg=out_deg,
@@ -154,12 +177,6 @@ def node_table(graph: Graph) -> NodeTable:
         neg.in_deg + nonneg.in_deg,
         neg.out_deg + nonneg.out_deg,
     )
-    # binary undirected degree: a reciprocated pair is one undirected edge
-    degree = (
-        np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
-        - np.bincount(src[edge], minlength=n)
-    )
-    local, closed, connected = clustering(src, dst, degree)
     return NodeTable(
         nodes=nodes,
         neg=neg,
@@ -172,28 +189,10 @@ def node_table(graph: Graph) -> NodeTable:
     )
 
 
-def _reverse_edges(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each edge whose reverse is also an edge, ascending, and the index of
-    that reverse. Those edges' codes are the ones that occur twice among the
-    codes of all edges and of their reverses, sorted together."""
-    # int64 codes: n * n overflows int32 past 46,340 nodes, so the int32
-    # `dst` widens before it is scaled
-    codes = np.empty(2 * len(src), dtype=np.int64)
-    np.multiply(src, n, out=codes[:len(src)])
-    codes[:len(src)] += dst
-    np.multiply(dst, n, out=codes[len(src):], dtype=np.int64)
-    codes[len(src):] += src
-    codes.sort()
-    twice = codes[1:][codes[1:] == codes[:-1]]
-    del codes
-    codes = src * n + dst
-    return np.searchsorted(codes, twice), np.searchsorted(codes, twice % n * n + twice // n)
-
-
-def clustering(src: np.ndarray, dst: np.ndarray, degree: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Triangle counts over the undirected graph whose edges are the pairs
-    (src[e], dst[e]), with node degrees `degree`. There is no self-loop, and
-    a pair may be listed once in each direction.
+def clustering(pairs: np.ndarray, degree: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Triangle counts over the undirected graph whose edges are the
+    distinct int64 keys `pairs`, each lesser * n + greater for a pair of
+    distinct nodes, with node degrees `degree`.
 
     Returns local clustering per node (0 when degree < 2), the closed-triple
     count (each triangle once per corner) and the connected-triple count.
@@ -214,7 +213,7 @@ def clustering(src: np.ndarray, dst: np.ndarray, degree: np.ndarray) -> tuple[np
     n = len(degree)
     rank = np.empty(n, dtype=np.int32)
     rank[np.argsort(degree, kind="stable")] = np.arange(n, dtype=np.int32)
-    upper = _upper(rank, src, dst)
+    upper = _upper(rank, pairs)
     wedges = wedge_budget(n)  # and a bool marker of 16 bytes a wedge
     blocks = list(row_blocks(upper.reach(upper), wedges, 16 * wedges // max(n, 1)))
     marker = np.zeros(max((hi - lo for lo, hi in blocks), default=0) * n, dtype=bool)
@@ -228,23 +227,22 @@ def clustering(src: np.ndarray, dst: np.ndarray, degree: np.ndarray) -> tuple[np
         for corner in (entry // n + lo, entry % n, cells[closed] % n):
             np.add.at(links, corner, 1)
     links = links[rank]
-    pairs = degree.astype(np.int64) * (degree - 1)
-    local = np.divide(2.0 * links, pairs, out=np.zeros(n), where=pairs > 0)
-    return local, int(links.sum()), int(pairs.sum()) // 2
+    triples = degree.astype(np.int64) * (degree - 1)  # twice the connected triples at a node
+    local = np.divide(2.0 * links, triples, out=np.zeros(n), where=triples > 0)
+    return local, int(links.sum()), int(triples.sum()) // 2
 
 
-def _upper(rank: np.ndarray, src: np.ndarray, dst: np.ndarray) -> CSR:
-    """The upper-triangular 0/1 matrix over the ranks, with an entry at each
-    edge {rank[src[e]], rank[dst[e]]}."""
+def _upper(rank: np.ndarray, pairs: np.ndarray) -> CSR:
+    """The upper-triangular 0/1 matrix over the ranks, with an entry at the
+    ranks of each pair lesser * n + greater of `pairs`."""
     n = len(rank)
-    a, b = rank[src], rank[dst]
+    a, b = rank[pairs // n], rank[pairs % n]
     # int64 keys: n * n overflows int32 past 46,340 nodes
     keys = np.minimum(a, b, dtype=np.int64)
     keys *= n
     keys += np.maximum(a, b, out=a)
     del a, b
     keys.sort()
-    keys = keys[run_starts(keys)]  # a reciprocated pair gives its key twice
     return CSR.from_keys(keys, (n, n), np.ones(len(keys), dtype=bool))
 
 
