@@ -13,7 +13,11 @@ it runs:
 
 Each command runs in a fresh Python process that wraps `cli._stage`, so
 every stage reports its self seconds (the stages nested in it are taken
-out), its inclusive seconds and the process's `ru_maxrss` after it. Before
+out), its inclusive seconds and the process's `ru_maxrss` after it.
+`synth` draws its counts and likes in `generate_corpus` and its texts as
+`corpus.jsonl` is written; `crawl-sim` reads the ground truth's graph in
+`load_corpus` (its first pass) and the crawled profiles' lines as
+`sampled_corpus.jsonl` is written (its second). Before
 the first command and after each one this process runs a window of
 perfbench's calibration task (`calibrate.window()`), and every time is
 also given in reference seconds (`ref_seconds`, `ref_self_s`,

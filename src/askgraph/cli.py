@@ -20,9 +20,10 @@ import functools
 import locale  # noqa: F401
 import sys
 import weakref
+from contextlib import ExitStack
 from itertools import compress
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import __version__
 from . import corpus as corpus_mod
@@ -43,6 +44,19 @@ class StageError(RuntimeError):
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
+def _read(name: str, items: Iterable) -> Iterator:
+    """`items`, drawn one at a time, a fault in drawing one raised as a
+    fault of stage `name`: an output streamed from its input names the
+    input's stage when the input is at fault, and its own when the write
+    is."""
+    try:
+        yield from items
     except StageError:
         raise
     except Exception as exc:
@@ -221,14 +235,26 @@ class _Run:
         self.args = args
         self.out = Path(args.out)
         self.words = {polarity: _Words(self, polarity) for polarity in ("negative", "positive")}
+        self.files = ExitStack()  # closed when the command ends
+
+    def __enter__(self) -> _Run:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.files.close()
+
+    @_staged("load_corpus")
+    def ground_truth(self):
+        """`crawl-sim`'s `--corpus` file, held open after its first pass,
+        which reads it without text: the second pass reads back the lines
+        of the crawled profiles only."""
+        return self.files.enter_context(corpus_mod.CorpusFile(self.args.corpus))
 
     @_staged("load_corpus")
     def corpus(self):
         """The `--corpus` file. An analysis reads only question word counts,
         so it loads the corpus tagged over both lexicons (and `--word` for
-        `cooccur`), keeping no text; `crawl-sim` writes the text it loads."""
-        if self.args.command == "crawl-sim":
-            return corpus_mod.load_corpus(self.args.corpus)
+        `cooccur`), keeping no text."""
         vocab = self.lexicons["negative"] | self.lexicons["positive"]
         if self.args.command == "cooccur":
             vocab |= {self.args.word}
@@ -323,14 +349,16 @@ class _Run:
             pos_vocab=tuple(sorted(self.lexicons["positive"])),
             rng_seed=args.seed,
         )
-        return synth_mod.generate_corpus(params)
+        return synth_mod.draw_corpus(params)
 
     @_staged("snowball_sample")
     def crawl(self):
         seeds = [s for s in self.args.seeds.split(",") if s]
-        crawl, frontier = synth_mod.snowball_sample(self.corpus, seeds, self.args.budget)
+        owners = self.ground_truth.corpus.owners
+        crawl, frontier = synth_mod.snowball_sample(self.ground_truth.corpus, seeds,
+                                                    self.args.budget)
         for k in sorted(crawl.tolist() + frontier.tolist()):  # the first bad id in sorted order
-            owner = self.corpus.owners[k]
+            owner = owners[k]
             # a line break as `str.splitlines` reads one, before the '.'
             if len(f"{owner}.".splitlines()) > 1:
                 raise ValueError(f"id {owner!r} holds a line break, and crawl_order.txt and "
@@ -379,14 +407,15 @@ def _outputs(run: _Run, command: str) -> Iterator[tuple[str, object]]:
             ((args.word, *record) for record in run.neighborhood),
         )
     elif command == "synth":
-        corpus, codes = run.synthetic
-        yield "corpus.jsonl", (corpus,)
+        # the texts are drawn as the file is written, a block at a time
+        yield "corpus.jsonl", _read("generate_corpus", synth_mod.corpus_lines(run.synthetic))
+        owners, codes = run.synthetic.planted_codes()
         for k, group in enumerate(seg_mod.GROUPS):  # members in owner order, so sorted
-            yield f"labels_{group}.txt", [f"label: {group}", *compress(corpus.owners, codes == k)]
+            yield f"labels_{group}.txt", [f"label: {group}", *compress(owners, codes == k)]
     elif command == "crawl-sim":
         crawl, frontier = run.crawl
-        owners = run.corpus.owners
-        yield "sampled_corpus.jsonl", (run.corpus, crawl, frontier)
+        owners = run.ground_truth.corpus.owners
+        yield "sampled_corpus.jsonl", _read("load_corpus", run.ground_truth.lines(crawl, frontier))
         yield "crawl_order.txt", map(owners.__getitem__, crawl.tolist())
         yield "frontier.txt", map(owners.__getitem__, frontier.tolist())
 
@@ -397,9 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _stage("load_config", _apply_config, parser.commands[args.command], args, argv)
-        run = _Run(args)
-        for name, content in _outputs(run, args.command):
-            _stage(name, reports.write_output, run.out / name, content)
+        with _Run(args) as run:
+            for name, content in _outputs(run, args.command):
+                _stage(name, reports.write_output, run.out / name, content)
     except StageError as exc:
         print(f"askgraph: error {exc}", file=sys.stderr)
         return 1

@@ -7,18 +7,24 @@ profile order, and puts each profile's questions in like_count-descending order.
 
 A `Corpus` is columns, one entry per question and per profile, built once
 by whatever builds the corpus: the record parse behind `load_corpus` (line
-by line) and `Corpus.from_records`, and `generate_corpus`. `save_corpus` is
-the one read-back: it writes each profile's line straight from the columns,
-and a crawl as the given profiles of its ground truth. Every graph askgraph
-builds from a corpus is a `Graph`: node names over a `CSR` matrix.
+by line) and `Corpus.from_records`, and `generate_corpus`. Every profile
+line askgraph writes is `encode_profile`'s, from a checked profile's lists:
+`save_corpus` writes a corpus's lines straight from its columns, `synth`
+each line as its block is drawn, and a crawl its profiles as it reads them
+back. Every graph askgraph builds from a corpus is a `Graph`: node names
+over a `CSR` matrix.
 
 The parse checks each profile as soon as it is read: a profile in the
 common shape by passes over all its questions at once, any other by the
 checks one question at a time, which raise the first fault. Given a
 vocabulary, it tokenizes each question once and keeps only its vocabulary
 word counts, and no text: it is the one caller of `tokenize`, and its
-`TaggedCorpus` is what every analysis reduces. A lexicon is the frozenset
-of its words, and a run keys its two lexicons by polarity.
+`TaggedCorpus` is what every analysis reduces. An empty vocabulary
+tokenizes nothing. A crawl reads its ground truth twice through one
+`CorpusFile`: pass 1 parses it all over no vocabulary, and pass 2 reads
+back, checks and encodes only the crawled profiles' lines, so it never
+holds the text of the whole file. A lexicon is the frozenset of its words,
+and a run keys its two lexicons by polarity.
 """
 
 from __future__ import annotations
@@ -31,11 +37,11 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter, lt
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -229,8 +235,8 @@ class Corpus:
     one.
 
     Row r is a question of profile `owners[owner[r]]`, in the order the
-    corpus was built in (file order, or sorted owner order for a synthetic
-    one): profile k's rows are the `n_rows[k]` from `first_row[k]`, by
+    corpus was built in: file order for a loaded corpus, and draw order,
+    which is the order `synth` writes, for a synthetic one. Profile k's rows are the `n_rows[k]` from `first_row[k]`, by
     descending `like_count`, ties in input order. Row r's likers are
     `liker[liker_ptr[r]:liker_ptr[r + 1]]`, each an index into `owners`
     followed by `strangers`, the sorted liker ids without a profile.
@@ -436,55 +442,67 @@ def _bulk_questions(questions: list) -> tuple[list, list, list, list, list] | No
     return texts, answers, likes, n_likers, likers
 
 
+def _checked_profile(line_no: int, obj: object,
+                     seen: Collection[str] = ()) -> tuple[str, bool, list]:
+    """A profile record's owner, its `fully_sampled` flag, and the five
+    lists `_checked_questions` returns, its questions in like order: by
+    descending like count, ties in input order. The first fault raises
+    CorpusFormatError on `line_no`; an owner in `seen` is a duplicate.
+
+    The questions are checked together by `_bulk_questions`, or, when that
+    fails, one by one by `_checked_questions`. They are sorted only if a
+    like count ever rises."""
+    if not isinstance(obj, dict):
+        raise CorpusFormatError(line_no, "profile record must be an object")
+    owner = obj.get("owner")
+    if not isinstance(owner, str) or not owner:
+        raise CorpusFormatError(line_no, "missing or empty 'owner'")
+    if owner in seen:
+        raise CorpusFormatError(line_no, f"duplicate owner id {owner!r}")
+    questions = obj.get("questions", [])
+    if not isinstance(questions, list):
+        raise CorpusFormatError(line_no, "'questions' must be an array")
+    fully_sampled = obj.get("fully_sampled", True)
+    if not isinstance(fully_sampled, bool):
+        raise CorpusFormatError(line_no, "'fully_sampled' must be true or false")
+    columns = _bulk_questions(questions) or _checked_questions(line_no, questions)
+    likes_each = columns[2]
+    if sum(likes_each) >= 1 << 63:
+        raise CorpusFormatError(line_no, "like counts sum past the int64 range")
+    if any(map(lt, likes_each, likes_each[1:])):
+        # a stable sort keeps ties in input order
+        at = sorted(range(len(questions)), key=likes_each.__getitem__, reverse=True)
+        columns = [list(map(column.__getitem__, at)) for column in columns]
+    return owner, fully_sampled, columns
+
+
 def _parse_records(numbered: Iterable[tuple[int, object]],
                    vocab: Iterable[str] | None = None) -> Corpus:
     """The corpus of (line number, profile record) pairs: each record is
-    checked, and its owner and likers are interned, as soon as it is read.
-
-    A profile's questions are checked together by `_bulk_questions`, or,
-    when that fails, one by one by `_checked_questions`, which raises the
-    first fault. A checked profile whose like counts ever rise then has its
-    questions sorted by descending like count, ties in input order, so no
-    row moves later. Given a `vocab`, each text is tokenized once it passes
-    its checks and only its ids in the sorted vocabulary are kept, in `word`,
-    with `ends` marking where each question's ids end: the result is the
-    `TaggedCorpus` over `vocab`, which holds no text."""
+    checked by `_checked_profile`, and its owner and likers are interned,
+    as soon as it is read, so no row moves later. Given a `vocab`, each text
+    is tokenized once it passes its checks and only its ids in the sorted
+    vocabulary are kept, in `word`, with `ends` marking where each
+    question's ids end: the result is the `TaggedCorpus` over `vocab`,
+    which holds no text. An empty `vocab` counts no word, so no text is
+    tokenized at all."""
     # every id read, numbered in order of first sight as it is looked up
     code: defaultdict[str, int] = defaultdict(count().__next__)
     seen: set[str] = set()
     owner_code, sampled, n_rows, texts, answers = [], [], [], [], []
-    like_count, n_likers, liker_code = array("q"), array("q"), array("q")
+    # a question's likers, and an id's code, fit in a C int
+    like_count, n_likers, liker_code = array("q"), array("i"), array("i")
     if vocab is not None:
         vocab = tuple(sorted(frozenset(vocab)))
         index = {w: i for i, w in enumerate(vocab)}
         word, ends = array("q"), array("q")
     for line_no, obj in numbered:
-        if not isinstance(obj, dict):
-            raise CorpusFormatError(line_no, "profile record must be an object")
-        owner = obj.get("owner")
-        if not isinstance(owner, str) or not owner:
-            raise CorpusFormatError(line_no, "missing or empty 'owner'")
-        if owner in seen:
-            raise CorpusFormatError(line_no, f"duplicate owner id {owner!r}")
-        questions = obj.get("questions", [])
-        if not isinstance(questions, list):
-            raise CorpusFormatError(line_no, "'questions' must be an array")
-        fully_sampled = obj.get("fully_sampled", True)
-        if not isinstance(fully_sampled, bool):
-            raise CorpusFormatError(line_no, "'fully_sampled' must be true or false")
-        columns = _bulk_questions(questions) or _checked_questions(line_no, questions)
-        likes_each = columns[2]
-        if sum(likes_each) >= 1 << 63:
-            raise CorpusFormatError(line_no, "like counts sum past the int64 range")
-        if any(map(lt, likes_each, likes_each[1:])):
-            # by descending like count; a stable sort keeps ties in input order
-            at = sorted(range(len(questions)), key=likes_each.__getitem__, reverse=True)
-            columns = [list(map(column.__getitem__, at)) for column in columns]
+        owner, fully_sampled, columns = _checked_profile(line_no, obj, seen)
         q_texts, q_answers, likes_each, q_n_likers, likers = columns
         if vocab is None:
             texts += q_texts
             answers += q_answers
-        else:
+        elif vocab:
             for tokens in map(tokenize, q_texts):
                 word.fromlist([index[t] for t in tokens if t in index])
                 ends.append(len(word))
@@ -494,14 +512,14 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
         seen.add(owner)
         owner_code.append(code[owner])
         sampled.append(fully_sampled)
-        n_rows.append(len(questions))
+        n_rows.append(len(q_texts))
     # the parse's dict, set and lists go before `from_rows` builds the columns
     ids = list(code)
     owner_code, sampled = np.array(owner_code, dtype=np.int64), np.array(sampled, dtype=bool)
     row_code = np.repeat(owner_code, n_rows)
     del code, seen, n_rows
-    like_count, n_likers, liker_code = (
-        np.frombuffer(a, dtype=np.int64) for a in (like_count, n_likers, liker_code))
+    like_count = np.frombuffer(like_count, dtype=np.int64)
+    n_likers, liker_code = (np.frombuffer(a, dtype=np.int32) for a in (n_likers, liker_code))
     if vocab is None:
         texts, answers = tuple(texts), tuple(answers)
         return Corpus.from_rows(ids, owner_code, sampled, row_code,
@@ -509,9 +527,9 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
     # each token's key row * len(vocab) + word; rows are in order, so the
     # keys are nearly sorted, and a word repeated in a question is one entry
     # counting its tokens
-    rows = len(ends)
+    rows = len(like_count)
     keys = np.repeat(np.arange(rows, dtype=np.int64) * len(vocab),
-                     np.diff(np.frombuffer(ends, dtype=np.int64), prepend=0))
+                     np.diff(np.frombuffer(ends, dtype=np.int64), prepend=0) if vocab else 0)
     keys += np.frombuffer(word, dtype=np.int64)
     del word, ends
     keys.sort(kind="stable")
@@ -545,22 +563,33 @@ def numbered_lines(path: str | Path, error: Callable[[int, str], Exception],
                 yield line_no, line
 
 
-def _numbered_records(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, object]]:
-    """Each numbered line's decoded JSON value."""
-    for line_no, line in lines:
+# the scanner `json.loads` reads a value with, after skipping white space
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decoded(line_no: int, line: str) -> object:
+    """The JSON value of a stripped line. It is read by the scanner that
+    `json.loads` calls; a line the scanner does not read whole goes to
+    `json.loads` itself, so that its error is the one `json.loads` raises."""
+    try:
+        obj, end = _scan_once(line, 0)
+        if end != len(line):
+            raise ValueError("extra data")
+    except (StopIteration, ValueError):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(line_no, f"invalid JSON: {exc}") from exc
-        # the line is valid UTF-8, so a surrogate can only come from a JSON
-        # \u escape: only lines with one need the encoding check
-        try:
-            if "\\u" in line:
-                json.dumps(obj, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError as exc:
-            surrogate = exc.object[exc.start:exc.end]
-            raise CorpusFormatError(line_no, f"lone surrogate {surrogate!r} in a string") from exc
-        yield line_no, obj
+    # the line is valid UTF-8, so a surrogate can only come from a JSON
+    # \u escape: only lines with one need the encoding check (a search for
+    # one character first, since few lines hold a backslash at all)
+    try:
+        if "\\" in line and "\\u" in line:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        surrogate = exc.object[exc.start:exc.end]
+        raise CorpusFormatError(line_no, f"lone surrogate {surrogate!r} in a string") from exc
+    return obj
 
 
 def load_corpus(path: str | Path, vocab: Iterable[str] | None = None) -> Corpus:
@@ -577,7 +606,131 @@ def load_corpus(path: str | Path, vocab: Iterable[str] | None = None) -> Corpus:
     can encode), the same errors with or without a `vocab`.
     """
     lines = numbered_lines(path, CorpusFormatError, comments=False)
-    return _parse_records(_numbered_records(lines), vocab)
+    return _parse_records(((n, _decoded(n, line)) for n, line in lines), vocab)
+
+
+def _records_at(fh: BinaryIO, line_nos: array, starts: array) -> Iterator[tuple[int, object]]:
+    """Each record of the corpus file open at its start in binary `fh`,
+    with its line's number, as `load_corpus` reads them; each record's line
+    number and the byte offset where its line starts are appended to
+    `line_nos` and `starts`. Lines end where text mode ends them: at '\\n',
+    '\\r\\n' or a lone '\\r', and a line that is not UTF-8 fails with the
+    message and line `numbered_lines` gives it."""
+    line_no = start = 0
+    for read in fh:
+        # a binary line ends at '\n' alone, so one holding a '\r' is split
+        # again; `bytes.splitlines` breaks at '\n', '\r\n' and '\r' only
+        for raw in read.splitlines(keepends=True) if b"\r" in read else (read,):
+            line_no += 1
+            at, start = start, start + len(raw)
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(line_no, str(exc)) from None
+            if line:
+                line_nos.append(line_no)
+                starts.append(at)
+                yield line_no, _decoded(line_no, line)
+
+
+class CorpusFile:
+    """A corpus file read twice through one open handle, so that a crawl
+    holds the text of no profile it does not write.
+
+    Pass 1, on opening, parses the whole file over an empty vocabulary, as
+    `load_corpus(path, ())` does, and notes where each profile's line
+    starts: `corpus` is the result, which holds no text. Pass 2, `lines`,
+    reads back only the lines of the profiles it is given, checks each
+    again as pass 1 did, and gives each as `save_corpus` writes it. The
+    file must not change in between: pass 2 fails, before its first line
+    and after its last, if the file's size or modification time is not what
+    it was when the file was opened."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self.fh = open(path, "rb")
+        try:
+            self.stamp = self._stamp()
+            line_no, start = array("q"), array("q")
+            self.corpus = _parse_records(_records_at(self.fh, line_no, start), ())
+        except BaseException:
+            self.fh.close()
+            raise
+        # per owner: its line's number, where its line starts, and where the
+        # next profile's starts (the file's end after the last), so that only
+        # blank lines lie between its line's end and that bound
+        order = self.corpus.order
+        self.line_no = np.empty(len(order), dtype=np.int64)
+        self.line_no[order] = np.frombuffer(line_no, dtype=np.int64)
+        bounds = np.append(np.frombuffer(start, dtype=np.int64), self.stamp[0])
+        self.start, self.stop = np.empty_like(self.line_no), np.empty_like(self.line_no)
+        self.start[order], self.stop[order] = bounds[:-1], bounds[1:]
+
+    def __enter__(self) -> CorpusFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+    def _stamp(self) -> tuple[int, int]:
+        stat = os.fstat(self.fh.fileno())
+        return stat.st_size, stat.st_mtime_ns
+
+    def _check(self) -> None:
+        if self._stamp() != self.stamp:
+            raise ValueError(f"{self.path} changed while it was read (size and modification "
+                             f"time {self.stamp} when opened, {self._stamp()} now)")
+
+    def lines(self, crawl: np.ndarray, frontier: np.ndarray) -> Iterator[str]:
+        """Pass 2: the lines of a crawl of the file's corpus, without their
+        line ends, as `save_corpus(corpus, path, crawl, frontier)` writes
+        them, given the text load of the file: each profile of `crawl` as
+        the file holds it, in that order, then an empty stub flagged not
+        fully sampled per profile of `frontier`."""
+        self._check()
+        fh = self.fh
+        for line_no, start, stop in zip(*(a[crawl].tolist() for a in (self.line_no, self.start,
+                                                                       self.stop))):
+            fh.seek(start)
+            line = fh.read(stop - start).decode("utf-8").strip()
+            owner, sampled, (texts, answers, likes, n_likers, likers) = _checked_profile(
+                line_no, _decoded(line_no, line))
+            yield encode_profile(encode_basestring(owner), sampled, map(encode_basestring, texts),
+                                 map(encode_basestring, answers), likes, n_likers,
+                                 map(encode_basestring, chain.from_iterable(likers)))
+        self._check()
+        owners = self.corpus.owners
+        for k in frontier.tolist():
+            yield encode_profile(encode_basestring(owners[k]), False, (), (), (), (), ())
+
+
+def encode_profile(owner: str, sampled: bool, texts: Iterable[str], answers: Iterable[str],
+                   likes: Iterable[int], n_likers: Iterable[int], likers: Iterable[str]) -> str:
+    """A profile's line of the corpus file format, without its line end.
+    One entry of `texts`, `answers`, `likes` and `n_likers` describes each
+    question, in the order written, and each question takes the next of
+    its `n_likers` ids from `likers`; an iterator given as `likers` is left
+    past the profile's ids. Every string given is already encoded by
+    `encode_basestring`: an id recurs as a liker, and a caller may know a
+    string's encoding without encoding it again.
+
+    The line is `json.dumps(record, ensure_ascii=False)` of the record
+    object, with compact separators, which it never builds: fixed key
+    order, and each string encoded as `json.dumps` encodes it. A question
+    with a like count but no liker ids is written without `likers`, since
+    an empty list would contradict its count."""
+    questions, likers = [], iter(likers)
+    for text, answer, k, n in zip(texts, answers, likes, n_likers):
+        if n:
+            listed = ",".join(islice(likers, n))
+            questions.append(f'{{"text":{text},"answer":{answer},"likers":[{listed}],'
+                             f'"like_count":{k}}}')
+        elif k:
+            questions.append(f'{{"text":{text},"answer":{answer},"like_count":{k}}}')
+        else:
+            questions.append(f'{{"text":{text},"answer":{answer},"likers":[],"like_count":0}}')
+    return (f'{{"owner":{owner},"fully_sampled":{"true" if sampled else "false"},'
+            f'"questions":[{",".join(questions)}]}}')
 
 
 @contextmanager
@@ -600,41 +753,28 @@ def save_corpus(corpus: Corpus, path: str | Path, order: np.ndarray | None = Non
     stub flagged not fully sampled, through `atomic_write`: a crawl is its
     ground truth written in crawl order, then its frontier.
 
-    Output is deterministic: fixed key order, compact separators, question
-    order as stored (like_count descending), and each string encoded as
-    `json.dumps(..., ensure_ascii=False)` encodes it. A question read with a
-    like count but no liker ids is written without `likers`, since an empty
-    list would contradict its count. load_corpus(save_corpus(c)) round-trips
-    byte-identically. Each line is built from the columns as it is written.
-    A corpus loaded without its text raises ValueError.
+    Each line is `encode_profile`'s, built from the columns as it is
+    written, with questions in the order stored (like_count descending), so
+    load_corpus(save_corpus(c)) round-trips byte-identically. A corpus
+    loaded without its text raises ValueError.
     """
     if corpus.texts is None:
         raise ValueError("the corpus was loaded without its question text, so it cannot be saved")
     ids = [encode_basestring(x) for x in corpus.owners + corpus.strangers]
-    # each liker's encoded id, and where each profile's likers start and
-    # how many each row has: no list holds an int object per liker
-    names = np.array(ids, dtype=object)[corpus.liker].tolist()
-    first, rows = corpus.liker_ptr[corpus.first_row].tolist(), corpus.first_row.tolist()
-    n_rows, n_likers = corpus.n_rows.tolist(), np.diff(corpus.liker_ptr).tolist()
-    likes = corpus.like_count.tolist()
-    texts, answers, sampled = corpus.texts, corpus.answers, corpus.sampled.tolist()
+    names = np.array(ids, dtype=object)
+    first, n_rows = corpus.first_row.tolist(), corpus.n_rows.tolist()
+    ptr, texts, answers, sampled = corpus.liker_ptr, corpus.texts, corpus.answers, corpus.sampled
     with atomic_write(path) as fh:
         for k in (corpus.order if order is None else order).tolist():
-            questions, start = [], first[k]
-            for r in range(rows[k], rows[k] + n_rows[k]):
-                end = start + n_likers[r]
-                text, answer = encode_basestring(texts[r]), encode_basestring(answers[r])
-                head = f'{{"text":{text},"answer":{answer}'
-                if likes[r] and start == end:
-                    questions.append(f'{head},"like_count":{likes[r]}}}')
-                else:
-                    listed = ",".join(names[start:end])
-                    questions.append(f'{head},"likers":[{listed}],"like_count":{likes[r]}}}')
-                start = end
-            fh.write(f'{{"owner":{ids[k]},"fully_sampled":{"true" if sampled[k] else "false"},'
-                     f'"questions":[{",".join(questions)}]}}\n')
+            rows = slice(first[k], first[k] + n_rows[k])
+            likes = corpus.like_count[rows].tolist()
+            likers = names[corpus.liker[ptr[rows.start]:ptr[rows.stop]]].tolist()
+            fh.write(encode_profile(ids[k], bool(sampled[k]), map(encode_basestring, texts[rows]),
+                                    map(encode_basestring, answers[rows]), likes,
+                                    np.diff(ptr[rows.start:rows.stop + 1]).tolist(), likers)
+                     + "\n")
         for k in frontier:
-            fh.write(f'{{"owner":{ids[k]},"fully_sampled":false,"questions":[]}}\n')
+            fh.write(encode_profile(ids[k], False, (), (), (), (), ()) + "\n")
 
 
 def lexicon_word(word: str, name: str = "entry") -> str:

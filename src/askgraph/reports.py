@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import CSR, Graph, atomic_write, distinct, save_corpus
+from .corpus import CSR, Graph, atomic_write, distinct
 from .interaction import MetricsReport
 from .segmentation import GroupRow
 
@@ -27,14 +27,11 @@ EDGE_BLOCK = 4096
 
 
 def write_output(path: str | Path, content) -> None:
-    """Write `content` in the format the file's suffix names: `save_corpus`'s
-    arguments after the path, (corpus,) or a crawl's (corpus, order,
-    frontier), to `.jsonl`, a JSON payload to `.json`, a (header, graph) or
-    (header, rows) pair to `.csv`, and lines of text to any other file."""
+    """Write `content` in the format the file's suffix names: a JSON payload
+    to `.json`, a (header, graph) or (header, rows) pair to `.csv`, and
+    lines of text to any other file, a corpus's `.jsonl` lines included."""
     suffix = Path(path).suffix
-    if suffix == ".jsonl":
-        save_corpus(content[0], path, *content[1:])
-    elif suffix == ".json":
+    if suffix == ".json":
         write_json(path, content)
     elif suffix == ".csv":
         (write_edges if isinstance(content[1], Graph) else write_csv)(path, *content)

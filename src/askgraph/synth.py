@@ -4,9 +4,13 @@ snowball-crawl simulator over ground-truth corpora.
 All randomness flows through a splitmix64 generator (state advance by the
 golden-gamma constant, two xor-multiply finalizer rounds) so corpora are
 reproducible bit-for-bit across platforms and implementations. Output i of
-the stream is a pure function of seed + (i + 1) * gamma, so `generate_corpus`
+the stream is a pure function of seed + (i + 1) * gamma, so `draw_corpus`
 draws as scalars only the counts that decide where later draws lie, and
-computes every other draw from its stream position, in numpy passes.
+computes every other draw from its stream position, in numpy passes. The
+texts are drawn last, one block of users at a time in file order:
+`corpus_lines` encodes each block as it is drawn, which is how `synth`
+writes a corpus without holding its text, and `generate_corpus` collects
+the same blocks into a `Corpus`.
 """
 
 from __future__ import annotations
@@ -14,10 +18,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, repeat
+from json.encoder import encode_basestring
+from typing import Iterator
 
 import numpy as np
 
-from .corpus import Corpus, distinct, flat_ranges, offsets
+from .corpus import Corpus, distinct, encode_profile, flat_ranges, offsets
 from .segmentation import GROUPS
 
 _MASK64 = (1 << 64) - 1
@@ -25,7 +32,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 # randbelow(m) rejects only outputs >= 2**64 - (2**64 % m), so for every
 # modulus up to 2**32 an output below this is accepted
 _SUSPECT = (1 << 64) - (1 << 32)
-_CHUNK = 1 << 12  # runs of draws, or rows, handled per numpy pass: small temporaries
+_CHUNK = 1 << 11  # runs of draws, or rows, handled per numpy pass: small temporaries
 
 
 def _mix(seed: int, positions: np.ndarray) -> np.ndarray:
@@ -233,7 +240,43 @@ def generate_corpus(params: GenParams) -> tuple[Corpus, np.ndarray]:
 
     Returns the corpus and each user's planted group code, an index into
     `GROUPS`, aligned with its sorted `owners` as `classify_corpus`'s are.
-    Group sizes follow largest-remainder quotas, not sampling.
+    Group sizes follow largest-remainder quotas, not sampling. The corpus
+    collects the blocks `corpus_lines` encodes, in the same order, so
+    `save_corpus` writes it as the lines `corpus_lines` gives.
+    """
+    draws = draw_corpus(params)
+    n_users = len(draws.ids)
+    _, _, texts, like_count, liker = zip(*_blocks(draws))
+    texts, like_count = tuple(chain.from_iterable(texts)), np.concatenate(like_count)
+    corpus = Corpus.from_rows(draws.ids, range(n_users), [True] * n_users,
+                              np.repeat(np.arange(n_users), draws.walk.n_rows), texts,
+                              ("",) * len(texts), like_count, like_count, np.concatenate(liker))
+    return corpus, draws.planted_codes()[1]
+
+
+@dataclass(frozen=True)
+class Draws:
+    """What `draw_corpus` draws of a synthetic corpus before its texts: its
+    users' ids and planted group codes, in draw order, the draw positions
+    `_walk` notes, and each question's like count and likers (flat, indices
+    into the users), in draw order."""
+
+    seed: int
+    vocabs: tuple[tuple[str, ...], ...]  # the word picks' kinds 0, 1, 2
+    ids: list[str]
+    planted: np.ndarray
+    walk: _Walk
+    like_count: np.ndarray
+    liker: np.ndarray
+
+    def planted_codes(self) -> tuple[list[str], np.ndarray]:
+        """The user ids, sorted, and each one's planted group code."""
+        users = sorted(range(len(self.ids)), key=self.ids.__getitem__)
+        return [self.ids[u] for u in users], self.planted[users]
+
+
+def draw_corpus(params: GenParams) -> Draws:
+    """The draws of the corpus `params` describe, all but its texts.
 
     Each user draws, in order: a question count, its negative and positive
     question counts, then each question's text (negative, positive, then
@@ -241,22 +284,35 @@ def generate_corpus(params: GenParams) -> tuple[Corpus, np.ndarray]:
     tagged text a count of vocabulary words and their picks), then for each
     question a like count and that many distinct likers other than itself.
     `_walk` draws the counts and notes where each text and each question's
-    likes start; the rest is computed from those positions, the likes
-    first, then the texts in the corpus's row order.
+    likes start; the likes are computed from those positions here, and the
+    texts by `_blocks`, block by block.
     """
     params.validate()
     counts = quota_counts(params.group_mix, params.n_users)
-    user_ids = [f"u{i:05d}" for i in range(params.n_users)]
     planted = np.repeat(np.arange(len(GROUPS)), [counts[g] for g in GROUPS])  # in draw order
     vocab_taboo = set(params.neg_vocab) | set(params.pos_vocab)
     filler = tuple(w for w in _FILLER if w not in vocab_taboo)
-    vocabs = (filler, params.neg_vocab, params.pos_vocab)  # the word picks' kinds 0, 1, 2
-    users = np.array(sorted(range(params.n_users), key=user_ids.__getitem__))  # by id
-    row_code, texts, like_count, liker = _corpus_rows(
-        params.rng_seed, vocabs, _walk(params, planted, [len(v) for v in vocabs]), users)
-    corpus = Corpus.from_rows(user_ids, range(params.n_users), [True] * params.n_users,
-                              row_code, texts, ("",) * len(texts), like_count, like_count, liker)
-    return corpus, planted[users]
+    vocabs = (filler, params.neg_vocab, params.pos_vocab)
+    walk = _walk(params, planted, [len(v) for v in vocabs])
+    like_count, liker = _likes(params.rng_seed, walk)
+    return Draws(params.rng_seed, vocabs, [f"u{i:05d}" for i in range(params.n_users)], planted,
+                 walk, like_count, liker)
+
+
+def corpus_lines(draws: Draws) -> Iterator[str]:
+    """Each profile's line of the corpus file, without its line end, in
+    draw order, which is file order: the lines `save_corpus` writes for
+    `generate_corpus`'s corpus. Each block of `_blocks` is encoded by
+    `encode_profile` as soon as it is drawn, so no list holds more than one
+    block's texts."""
+    names = np.array(list(map(encode_basestring, draws.ids)), dtype=object)
+    for users, n_rows, texts, like_count, liker in _blocks(draws):
+        # one iterator over the block's likers, which each profile advances
+        likes, likers, row = like_count.tolist(), iter(names[liker].tolist()), 0
+        for user, n in zip(users.tolist(), n_rows.tolist()):
+            yield encode_profile(names[user], True, map(encode_basestring, texts[row:row + n]),
+                                 repeat('""', n), likes[row:row + n], likes[row:row + n], likers)
+            row += n
 
 
 @dataclass(frozen=True)
@@ -347,37 +403,30 @@ def _walk(params: GenParams, planted: np.ndarray, modulus: list[int]) -> _Walk:
                  liker_exact)
 
 
-def _corpus_rows(seed: int, vocabs: tuple[tuple[str, ...], ...], walk: _Walk,
-                 users: np.ndarray) -> tuple[np.ndarray, tuple[str, ...], np.ndarray, np.ndarray]:
-    """The questions of `users` in the corpus's row order: user by user,
-    each user's by descending like count, ties in draw order. Returns each
-    row's user, text and like count, and the rows' likers (flat, indices
-    into the users). The likes are drawn first. Then, block by block, the
-    users whose first rows fall in one `_CHUNK` of rows have their rows
-    ordered, their texts drawn and joined in that order and their likers
-    moved, so no temporary holds more than one block's words or likers."""
-    like_count, liker = _likes(seed, walk)
-    first_row = offsets(walk.n_rows)  # per user, in draw order
-    first_liker = offsets(like_count)  # per row, in draw order
-    n_rows = walk.n_rows[users]
+def _blocks(draws: Draws) -> Iterator[tuple[np.ndarray, np.ndarray, list[str], np.ndarray,
+                                            np.ndarray]]:
+    """The questions block by block, in draw order, a block being the users
+    whose first rows fall in one `_CHUNK` of rows: per block, its users,
+    their question counts, and their questions' texts, like counts and
+    likers (flat, indices into the users), each user's questions by
+    descending like count, ties in draw order. A block's rows are ordered,
+    its texts drawn and joined in that order and its likers moved, so no
+    temporary holds more than one block's words or likers."""
+    walk, like_count, liker = draws.walk, draws.like_count, draws.liker
+    first_row = offsets(walk.n_rows)  # per user
+    first_liker = offsets(like_count)  # per row
     # a block starts at each user whose first row starts a new `_CHUNK` of rows
-    cuts = np.flatnonzero(np.diff((np.cumsum(n_rows) - n_rows) // _CHUNK)) + 1
-    row_count, row_liker = np.empty_like(like_count), np.empty_like(liker)
-    texts: list[str] = []
-    likers_done = 0
-    for block, count in zip(np.split(users, cuts), np.split(n_rows, cuts)):
-        rows = flat_ranges(first_row[block], count)  # the block's rows, in draw order
-        kind = np.repeat(np.tile([1, 2, 0], len(block)),  # 0 neutral, 1 negative, 2 positive
-                         np.column_stack((walk.n_neg[block], walk.n_pos[block],
-                                          count - walk.n_neg[block] - walk.n_pos[block])).ravel())
-        by_likes = np.lexsort((-like_count[rows], np.repeat(np.arange(len(block)), count)))
+    cuts = np.flatnonzero(np.diff(first_row[:-1] // _CHUNK)) + 1
+    for users, count in zip(np.split(np.arange(len(walk.n_rows)), cuts),
+                            np.split(walk.n_rows, cuts)):
+        rows = flat_ranges(first_row[users], count)
+        kind = np.repeat(np.tile([1, 2, 0], len(users)),  # 0 neutral, 1 negative, 2 positive
+                         np.column_stack((walk.n_neg[users], walk.n_pos[users],
+                                          count - walk.n_neg[users] - walk.n_pos[users])).ravel())
+        by_likes = np.lexsort((-like_count[rows], np.repeat(np.arange(len(users)), count)))
         rows, kind = rows[by_likes], kind[by_likes]
-        row_count[len(texts):len(texts) + len(rows)] = like_count[rows]
-        texts += _texts(seed, vocabs, walk, rows, kind)
-        moved = liker[flat_ranges(first_liker[rows], like_count[rows])]
-        row_liker[likers_done:likers_done + len(moved)] = moved
-        likers_done += len(moved)
-    return np.repeat(users, n_rows), tuple(texts), row_count, row_liker
+        yield (users, count, _texts(draws.seed, draws.vocabs, walk, rows, kind), like_count[rows],
+               liker[flat_ranges(first_liker[rows], like_count[rows])])
 
 
 def _texts(seed: int, vocabs: tuple[tuple[str, ...], ...], walk: _Walk, rows: np.ndarray,
@@ -424,22 +473,23 @@ def _likes(seed: int, walk: _Walk) -> tuple[np.ndarray, np.ndarray]:
     like_count[at < 0] = walk.like_exact
     draws = _draws(seed, np.where(at < 0, -1, at + 1), like_count,
                    np.full(len(at), n_others), walk.liker_exact, step=1)
-    owner = np.repeat(np.arange(len(walk.n_rows)), walk.n_rows)
-    return like_count, _likers(owner, like_count, draws)
+    return like_count, _likers(walk.n_rows, like_count, draws)
 
 
-def _likers(owner: np.ndarray, like_count: np.ndarray, draws: np.ndarray) -> np.ndarray:
+def _likers(n_rows: np.ndarray, like_count: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Each question's likers, flat: its j-th draw is the position among
     the users other than its owner and its first j likers, mapped to the
     user's index by stepping past those, in ascending order, one column j
-    at a time across all questions."""
-    ptr = offsets(like_count)
-    by_count = np.argsort(-like_count, kind="stable")  # questions with a j-th liker come first
-    first = ptr[:-1][by_count]
+    at a time across all questions. `n_rows` gives each user's questions,
+    in order. Only the questions with a like have a row of `taken`."""
     n_with = np.bincount(like_count, minlength=1)[::-1].cumsum()[::-1]  # [j]: count >= j
-    taken = np.empty((int(n_with[1]) if len(n_with) > 1 else 0, len(n_with)), dtype=np.int32)
-    taken[:, 0] = owner[by_count[:len(taken)]]
-    liker = np.empty(int(ptr[-1]), dtype=np.int32)
+    liked = np.flatnonzero(like_count)
+    by_count = liked[np.argsort(-like_count[liked], kind="stable")]  # a j-th liker's come first
+    first = offsets(like_count)[by_count]
+    taken = np.empty((len(liked), len(n_with)), dtype=np.int32)
+    taken[:, 0] = np.searchsorted(offsets(n_rows), by_count, side="right") - 1  # the owners
+    del liked, by_count
+    liker = np.empty(len(draws), dtype=np.int32)
     for j in range(1, len(n_with)):
         rows = int(n_with[j])
         at = first[:rows] + (j - 1)
@@ -460,11 +510,12 @@ def snowball_sample(ground_truth: Corpus, seeds: list[str],
     liker lists). The crawl stops when `budget` nodes are crawled or the
     frontier empties; the frontier is the profiles found but not crawled.
     Each BFS level is visited in UserId order. Returns the crawl order and
-    the sorted frontier, as int64 positions in `ground_truth.owners`:
-    `save_corpus` writes the sample from them, the crawled profiles as they
-    are and the frontier as empty stubs flagged not fully sampled. Only the
-    flag, row-range and liker columns are read, so a `TaggedCorpus` crawls as
-    its text load does.
+    the sorted frontier, as int64 positions in `ground_truth.owners`: the
+    sample is written from them (`CorpusFile.lines`, or `save_corpus` of a
+    text corpus), the crawled profiles as they are and the frontier as empty
+    stubs flagged not fully sampled. Only the flag, row-range and liker
+    columns are read, so a `TaggedCorpus`, such as a `CorpusFile`'s first
+    pass, crawls as its text load does.
 
     The ground truth must be closed: a liker that is not a fully sampled
     profile raises ValueError, naming the first such id in sorted order.

@@ -15,7 +15,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import askgraph
-from askgraph import corpus, interaction, wordgraph
+from askgraph import corpus, interaction, synth, wordgraph
 from askgraph.cli import load_config, main
 from askgraph.data import bundled_lexicon_path
 from helpers import corpus_records
@@ -337,6 +337,71 @@ class TestSubcommands:
         for output in ("sampled_corpus.jsonl", "crawl_order.txt", "frontier.txt"):
             original = (tmp_path / "crawl_corpus.jsonl" / output).read_bytes()
             assert (tmp_path / "crawl_shuffled.jsonl" / output).read_bytes() == original
+
+    def test_crawl_sim_tokenizes_nothing(self, tmp_path, monkeypatch):
+        """The crawl's first pass parses the ground truth over no vocabulary,
+        and its second pass reads back the crawled lines: no text is ever
+        tokenized."""
+        assert run("synth", "--seed", 3, "--n-users", 300, "--out", tmp_path) == 0
+        calls = []
+        monkeypatch.setattr(corpus, "tokenize", lambda text: calls.append(text) or [])
+        assert run("crawl-sim", "--corpus", tmp_path / "corpus.jsonl", "--seeds", "u00001",
+                   "--budget", 120, "--seed", 1, "--out", tmp_path / "crawl") == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("change", ["appended", "touched"])
+    def test_crawl_sim_fails_when_the_corpus_changes_between_its_passes(
+        self, tmp_path, capsys, monkeypatch, change
+    ):
+        """The ground truth is read twice through one handle; a file whose
+        size or modification time changed after the first read fails the
+        second under `[load_corpus]`, and no sampled corpus is written."""
+        assert run("synth", "--seed", 3, "--n-users", 300, "--out", tmp_path) == 0
+        ground_truth = tmp_path / "corpus.jsonl"
+        crawl = synth.snowball_sample
+
+        def changing_crawl(*args):
+            if change == "appended":
+                with open(ground_truth, "a", encoding="utf-8") as fh:
+                    fh.write("\n")
+            else:
+                stat = ground_truth.stat()
+                os.utime(ground_truth, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+            return crawl(*args)
+
+        monkeypatch.setattr(synth, "snowball_sample", changing_crawl)
+        out = tmp_path / "crawl"
+        assert run("crawl-sim", "--corpus", ground_truth, "--seeds", "u00001", "--budget", 120,
+                   "--seed", 1, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"askgraph: error [load_corpus] {ground_truth} changed while it "
+                              "was read")
+        assert not (out / "sampled_corpus.jsonl").exists()
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_crawl_sim_reads_lines_as_text_mode_ends_them(self, tmp_path, capsys, end):
+        """The second pass finds each crawled line where the first pass
+        found it, whatever ends the lines: a crawl of a CRLF or CR copy
+        writes the bytes a crawl of the LF file writes, and a fault on line
+        k is reported on line k."""
+        assert run("synth", "--seed", 3, "--n-users", 300, "--out", tmp_path) == 0
+        lf = tmp_path / "corpus.jsonl"
+        copy = tmp_path / "ends.jsonl"
+        copy.write_bytes(lf.read_bytes().replace(b"\n", end))
+        for name in ("corpus.jsonl", "ends.jsonl"):
+            assert run("crawl-sim", "--corpus", tmp_path / name, "--seeds", "u00001,u00005",
+                       "--budget", 120, "--seed", 1, "--out", tmp_path / f"crawl_{name}") == 0
+        for output in ("sampled_corpus.jsonl", "crawl_order.txt", "frontier.txt"):
+            original = (tmp_path / "crawl_corpus.jsonl" / output).read_bytes()
+            assert (tmp_path / "crawl_ends.jsonl" / output).read_bytes() == original
+        lines = lf.read_bytes().split(b"\n")
+        lines[40] = b'{"owner":"u00040","questions":7}'
+        for ending in (b"\n", end):
+            copy.write_bytes(ending.join(lines[:20] + [b""] + lines[20:]))  # the fault on line 42
+            assert run("crawl-sim", "--corpus", copy, "--seeds", "u00001", "--budget", 120,
+                       "--seed", 1, "--out", tmp_path / "faulty") == 1
+            assert capsys.readouterr().err == (
+                "askgraph: error [load_corpus] line 42: 'questions' must be an array\n")
 
     @pytest.mark.parametrize("argv,stage", [
         (("--neg-vocab", "nope.txt"), "load_lexicon"),

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 import tracemalloc
@@ -16,6 +17,7 @@ from askgraph.cli import main
 from askgraph.corpus import (
     _TOKEN_RE,
     Corpus,
+    CorpusFile,
     CorpusFormatError,
     LexiconError,
     TaggedCorpus,
@@ -53,15 +55,25 @@ def profiles(corpus):
 
 def format_error(path):
     """The CorpusFormatError that loading `path` raises: the same message
-    and line whether the corpus is loaded with its text or tagged."""
+    and line whether the corpus is loaded with its text, tagged, or by a
+    crawl's first pass over it."""
     errors = []
-    for vocab in (None, {"hi", "x", "ugly"}):
+    for load in (load_corpus, lambda p: load_corpus(p, {"hi", "x", "ugly"}), CorpusFile):
         with pytest.raises(CorpusFormatError) as exc:
-            load_corpus(path, vocab)
+            load(path)
         errors.append(exc.value)
-    text, tagged = errors
-    assert (str(tagged), tagged.line_no) == (str(text), text.line_no)
+    text = errors[0]
+    for other in errors[1:]:
+        assert (str(other), other.line_no) == (str(text), text.line_no)
     return text
+
+
+def line_ends(path, end, name):
+    """A copy of the corpus file at `path` beside it, each of its line ends
+    replaced by `end`."""
+    copy = path.with_name(name)
+    copy.write_bytes(path.read_bytes().replace(b"\n", end))
+    return copy
 
 
 class TestTokenize:
@@ -151,6 +163,40 @@ class TestLoadCorpus:
         path.write_text('{"owner": "a", "questions": []}\nnot json\n', encoding="utf-8")
         assert format_error(path).line_no == 2
 
+    @pytest.mark.parametrize("line,message", [
+        ('{"owner": "b"} {"owner": "c"}', "Extra data: line 1 column 16 (char 15)"),
+        ('{"owner": "b"}]', "Extra data: line 1 column 15 (char 14)"),
+        ('\ufeff{"owner": "b"}',
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ('{"owner": "b", "questions": [', "Expecting value: line 1 column 30 (char 29)"),
+        ('{"owner": "b" "questions": []}',
+         "Expecting ',' delimiter: line 1 column 15 (char 14)"),
+    ], ids=["extra-object", "extra-bracket", "bom-led", "truncated", "no-comma"])
+    def test_invalid_json_reports_what_json_loads_reports(self, tmp_path, line, message):
+        """A line is read by the decoder's scanner, but a line it does not
+        read whole fails with the message `json.loads` gives, on its line."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"owner": "a"}\n\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as loads:
+            json.loads(line)
+        assert str(loads.value) == message
+        assert str(format_error(path)) == f"line 3: invalid JSON: {message}"
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_lines_end_as_text_mode_ends_them(self, tmp_path, end):
+        """A file whose lines end in CRLF or a lone CR loads as the same
+        file with LF ends, and a fault on line k is reported on line k."""
+        assert main(["synth", "--seed", "3", "--n-users", "40", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "corpus.jsonl"
+        copy = line_ends(path, end, "ends.jsonl")
+        assert list(corpus_records(load_corpus(copy))) == list(corpus_records(load_corpus(path)))
+        lines = path.read_bytes().split(b"\n")
+        lines[7] = lines[7].replace(b'"like_count":', b'"like_count":-', 1)
+        path.write_bytes(b"\n".join(lines[:5] + [b""] + lines[5:]))  # the fault on line 9
+        for faulty in (path, line_ends(path, end, "faulty.jsonl")):
+            error = format_error(faulty)
+            assert error.line_no == 9 and "like_count must be a nonnegative integer" in str(error)
+
     @pytest.mark.parametrize("profile_fields,question_fields", [
         ({"fully_sampled": "false"}, {}),
         ({"fully_sampled": 0}, {}),
@@ -184,16 +230,19 @@ class TestLoadCorpus:
     ], ids=["invalid-start", "encoded-surrogate"])
     def test_byte_that_is_not_utf8_reports_line(self, tmp_path, bad, message):
         """The error names the line and the byte's position in it, counted
-        in bytes, not a position in the decoder's chunk."""
+        in bytes, not a position in the decoder's chunk, whatever ends the
+        lines."""
         good = '{"owner": "u%03d", "questions": [{"text": "caf\u00e9 \U0001f600 hi"}]}\n'
         path = tmp_path / "bad.jsonl"
-        path.write_bytes("".join(good % k for k in range(200)).encode("utf-8")
-                         + '{"owner": "b", "questions": [{"text": "caf\u00e9 '.encode("utf-8")
-                         + bad + b' hi"}]}\n')
-        assert path.stat().st_size > 8192  # past the text reader's first chunk
-        error = format_error(path)
-        assert error.line_no == 201
-        assert str(error) == f"line 201: 'utf-8' codec can't decode {message}"
+        data = ("".join(good % k for k in range(200)).encode("utf-8")
+                + '{"owner": "b", "questions": [{"text": "caf\u00e9 '.encode("utf-8")
+                + bad + b' hi"}]}\n')
+        for end in (b"\n", b"\r\n", b"\r"):
+            path.write_bytes(data.replace(b"\n", end))
+            assert path.stat().st_size > 8192  # past the text reader's first chunk
+            error = format_error(path)
+            assert error.line_no == 201
+            assert str(error) == f"line 201: 'utf-8' codec can't decode {message}"
 
     def test_like_total_past_int64_reports_line(self, tmp_path):
         half = {"text": "hi", "like_count": 2**62}
@@ -462,6 +511,46 @@ class TestLoadedCorpusMemory:
         assert peak < 1.75 * retained
 
 
+class TestStreamedMemory:
+    def test_synth_peaks_under_1_6_times_the_file_it_writes(self, tmp_path):
+        """`synth` writes each block of profiles as it draws the block's
+        texts, and holds no corpus of text: writing the synth corpus
+        (n=2000, seed 1, the defaults) peaks under 1.6 times the bytes of
+        `corpus.jsonl`. A synth that drew every text before writing any
+        would peak at about twice the file."""
+        code, _, peak = traced(lambda: main(["synth", "--seed", "1", "--n-users", "2000",
+                                             "--out", str(tmp_path)]))
+        assert code == 0
+        assert peak < 1.6 * (tmp_path / "corpus.jsonl").stat().st_size
+
+    def test_crawl_sim_holds_no_text(self, tmp_path):
+        """`crawl-sim` reads the ground truth's graph first and then the
+        lines of the crawled profiles one at a time, so its peak does not
+        grow with the ground truth's text: over a copy of the synth corpus
+        (n=2000, seed 1) in which every question's text is 200 characters
+        longer, about 5 MB more text, a crawl of 700 profiles peaks less
+        than 1% of that text higher. A crawl that held the text would peak
+        higher by more than all of it."""
+        assert main(["synth", "--seed", "1", "--n-users", "2000", "--out", str(tmp_path)]) == 0
+        path, padded = tmp_path / "corpus.jsonl", tmp_path / "padded.jsonl"
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        added = 0
+        for question in (q for record in records for q in record["questions"]):
+            question["text"] += " " + "x" * 199
+            added += 200
+        padded.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records),
+                          encoding="utf-8")
+        peaks = []
+        for source in (path, padded):
+            code, _, peak = traced(lambda: main([
+                "crawl-sim", "--corpus", str(source), "--seeds", "u00001", "--budget", "700",
+                "--seed", "1", "--out", str(tmp_path / source.stem)]))
+            assert code == 0
+            peaks.append(peak)
+        assert added > 5 * 10**6
+        assert peaks[1] - peaks[0] < added / 100
+
+
 # Text that stresses the line format: line breaks JSON must escape, separators
 # a reader might split on (U+2028, U+2029, U+0085), and edge whitespace.
 _TRICKY = st.sampled_from("\r\n\u2028\u2029\x85 \t\ufeff")
@@ -525,6 +614,108 @@ class TestSaveLoadRoundTrip:
         expected = [json.dumps(r, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
                     for r in corpus_records(corpus)]
         assert path.read_bytes().split(b"\n") == [*expected, b""]
+
+
+def non_canonical(record, rng):
+    """`record` as `json.dumps` writes it by default (ASCII only, with
+    spaces after separators), with its keys and its questions, and each
+    question's keys, in a drawn order."""
+    questions = [dict(rng.sample(sorted(q.items()), len(q))) for q in record["questions"]]
+    rng.shuffle(questions)
+    items = [("owner", record["owner"]), ("fully_sampled", record["fully_sampled"]),
+             ("questions", questions)]
+    rng.shuffle(items)
+    return json.dumps(dict(items))
+
+
+class TestCorpusFile:
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("corpus_file")
+
+    def test_first_pass_is_the_text_load_without_text(self, tmp_path, monkeypatch):
+        """The first pass tokenizes nothing and keeps the columns of the
+        text load but the text."""
+        assert main(["synth", "--seed", "3", "--n-users", "300", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "corpus.jsonl"
+        calls = []
+        monkeypatch.setattr(corpus_mod, "tokenize", lambda text: calls.append(text) or [])
+        with CorpusFile(path) as held:
+            first = held.corpus
+        assert calls == [] and load_corpus(path, ()).texts is None and calls == []
+        text = load_corpus(path)
+        assert isinstance(first, TaggedCorpus) and first.texts is None and first.vocab == ()
+        assert first.counts.shape == (len(text.texts), 0)
+        for field in fields(Corpus):
+            if field.name not in ("texts", "answers"):
+                value, want = getattr(first, field.name), getattr(text, field.name)
+                if isinstance(want, np.ndarray):
+                    assert value.dtype == want.dtype and np.array_equal(value, want), field.name
+                else:
+                    assert value == want, field.name
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora(), st.randoms(use_true_random=False))
+    def test_second_pass_writes_what_save_corpus_writes(self, out_dir, records, rng):
+        """Over a file whose keys and questions come in any order, whose
+        strings are escaped as they need not be, and whose lines end in LF,
+        CRLF or a lone CR with blank lines between, the second pass gives
+        the lines `save_corpus` writes for the text load, for any crawl
+        order and frontier."""
+        path = out_dir / "truth.jsonl"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            for record in records:
+                fh.write(non_canonical(record, rng) + rng.choice(["\n", "\r\n", "\r", "\n \t\n"]))
+        positions = list(range(len(records)))
+        rng.shuffle(positions)
+        cut = rng.randint(0, len(positions))
+        crawl = np.array(positions[:cut], dtype=np.int64)
+        stubs = np.array(sorted(positions[cut:]), dtype=np.int64)
+        save_corpus(load_corpus(path), out_dir / "saved.jsonl", crawl, stubs)
+        with CorpusFile(path) as held:
+            lines = list(held.lines(crawl, stubs))
+        assert "".join(line + "\n" for line in lines).encode("utf-8") == (
+            out_dir / "saved.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("change", ["appended", "touched", "rewritten-as-it-was"])
+    def test_a_file_changed_after_the_first_pass_fails_the_second(self, tmp_path, change):
+        path = write_corpus_file(tmp_path, [make_profile("a", ["hi"], 1), make_profile("b", [])])
+        before = path.stat()
+        with CorpusFile(path) as held:
+            if change == "appended":
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write("\n")
+            elif change == "touched":
+                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+            else:
+                data = path.read_bytes()
+                with open(path, "r+b") as fh:  # the same bytes, in place
+                    fh.write(data)
+                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+            lines = held.lines(np.array([0]), np.array([1]))
+            with pytest.raises(ValueError, match="changed while it was read"):
+                next(lines)
+
+    def test_a_file_changed_during_the_second_pass_fails_it(self, tmp_path):
+        path = write_corpus_file(tmp_path, [make_profile("a", ["hi"], 1), make_profile("b", [])])
+        with CorpusFile(path) as held:
+            lines = held.lines(np.array([0, 1]), np.array([], dtype=np.int64))
+            next(lines)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("\n")
+            with pytest.raises(ValueError, match="changed while it was read"):
+                list(lines)
+
+    def test_a_replaced_file_is_read_as_it_was_opened(self, tmp_path):
+        """The file is held open: a file renamed over its path after the
+        first pass is not the file the second pass reads."""
+        path = write_corpus_file(tmp_path, [make_profile("a", ["hi"], 1), make_profile("b", [])])
+        other = write_corpus_file(tmp_path, [make_profile("z", ["other"])], "other.jsonl")
+        expected = list(corpus_records(load_corpus(path)))
+        with CorpusFile(path) as held:
+            os.replace(other, path)
+            lines = list(held.lines(np.array([0, 1]), np.array([], dtype=np.int64)))
+        assert [json.loads(line) for line in lines] == expected
 
 
 # Question text holding vocabulary words, in any case and next to other text.

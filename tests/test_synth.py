@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -48,6 +49,12 @@ def corpus_bytes(corpus):
         path = pathlib.Path(d) / "c.jsonl"
         save_corpus(corpus, path)
         return path.read_bytes()
+
+
+def streamed_bytes(p):
+    """The bytes `synth` writes for `p`: each profile's line as its block
+    is drawn."""
+    return "".join(line + "\n" for line in synth.corpus_lines(synth.draw_corpus(p))).encode()
 
 
 class TestSplitMix64:
@@ -226,6 +233,19 @@ class TestGenerateCorpus:
         assert [GROUPS[k] for k in codes[10_000:10_003].tolist()] == ["HN", "OTHR", "HN"]
         assert np.bincount(codes).tolist() == [50_001, 0, 0, 50_000]
 
+    def test_streamed_file_past_u99999_is_the_saved_corpus(self):
+        """`synth` draws and writes its blocks in draw order, which is file
+        order; past 100,000 users that is not the sorted-id order, and the
+        streamed file is still the in-memory corpus saved."""
+        p = params(n_users=100_001, group_mix={"HN": 0.5, "OTHR": 0.5},
+                   questions_per_user=(3, 3), like_rate=0.0)
+        corp, _ = generate_corpus(p)
+        streamed = streamed_bytes(p)
+        assert streamed == corpus_bytes(corp)
+        owners = [json.loads(line)["owner"] for line in streamed.splitlines()]
+        assert owners[10_000:10_002] == ["u10000", "u10001"] and owners[-1] == "u100000"
+        assert list(corp.owners) == sorted(owners) != owners
+
     def test_infeasible_params_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
             GenParams(
@@ -299,10 +319,13 @@ def gen_params(draw):
 
 
 def assert_matches_scalar_loop(p):
+    """`generate_corpus` gives the scalar loop's columns and labels, and
+    `synth` streams the file that saving it writes."""
     corpus, codes = generate_corpus(p)
     expected, expected_labels = scalar_corpus(p)
     assert columns(corpus) == columns(expected)
     assert [GROUPS[k] for k in codes.tolist()] == [expected_labels[u] for u in corpus.owners]
+    assert streamed_bytes(p) == corpus_bytes(corpus)
 
 
 class TestScalarOracle:
