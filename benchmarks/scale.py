@@ -14,7 +14,7 @@ it runs:
 Each command runs in a fresh Python process that wraps `cli._stage`, so
 every stage reports its self seconds (the stages nested in it are taken
 out), its inclusive seconds and the process's `ru_maxrss` after it.
-`synth` draws its counts and likes in `generate_corpus` and its texts as
+`synth` draws its counts and likes in the `generate_corpus` stage and its texts as
 `corpus.jsonl` is written; `crawl-sim` reads the ground truth's graph in
 `load_corpus` (its first pass) and the crawled profiles' lines as
 `sampled_corpus.jsonl` is written (its second). Before

@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .corpus import (  # noqa: F401
-    ContentTable, Corpus, CorpusStats, Graph, TaggedCorpus, content_table, corpus_stats,
-    lexicon_word, load_corpus, load_lexicon, save_corpus, tokenize,
+    ContentTable, Corpus, CorpusStats, Graph, content_table, corpus_stats, lexicon_word,
+    load_corpus, load_lexicon, tokenize,
 )
 from .wordgraph import (  # noqa: F401
     build_bipartite, cooccurrence_distribution, eigenvector_centrality, project_words,
@@ -19,5 +19,5 @@ from .segmentation import (  # noqa: F401
     LabelFile, classify_corpus, group_report, labeled_report, load_label_file,
 )
 from .synth import (  # noqa: F401
-    GenParams, SplitMix64, generate_corpus, snowball_sample,
+    GenParams, SplitMix64, snowball_sample,
 )

@@ -1,30 +1,28 @@
-"""Corpus and lexicon loading, tokenization, and the tagged corpus.
+"""Corpus and lexicon loading, tokenization, and the corpus columns.
 
 The corpus file format is line-delimited JSON: one profile object per line
 with fields ``owner`` (string), ``fully_sampled`` (bool) and ``questions``
 (array of ``{text, answer, likers, like_count}``). A load keeps the file's
 profile order, and puts each profile's questions in like_count-descending order.
 
-A `Corpus` is columns, one entry per question and per profile, built once
-by whatever builds the corpus: the record parse behind `load_corpus` (line
-by line) and `Corpus.from_records`, and `generate_corpus`. Every profile
-line askgraph writes is `encode_profile`'s, from a checked profile's lists:
-`save_corpus` writes a corpus's lines straight from its columns, `synth`
-each line as its block is drawn, and a crawl its profiles as it reads them
-back. Every graph askgraph builds from a corpus is a `Graph`: node names
-over a `CSR` matrix.
+A `Corpus` is columns, one entry per question and per profile, built once,
+line by line, by the record parse behind `load_corpus`. It holds no text:
+the parse tokenizes each question once, over the vocabulary it is given,
+and keeps only its vocabulary word counts. It is the one caller of
+`tokenize`, and its corpus is what every analysis reduces; an empty
+vocabulary tokenizes nothing. Every graph askgraph builds from a corpus is
+a `Graph`: node names over a `CSR` matrix.
 
 The parse checks each profile as soon as it is read: a profile in the
 common shape by passes over all its questions at once, any other by the
-checks one question at a time, which raise the first fault. Given a
-vocabulary, it tokenizes each question once and keeps only its vocabulary
-word counts, and no text: it is the one caller of `tokenize`, and its
-`TaggedCorpus` is what every analysis reduces. An empty vocabulary
-tokenizes nothing. A crawl reads its ground truth twice through one
-`CorpusFile`: pass 1 parses it all over no vocabulary, and pass 2 reads
-back, checks and encodes only the crawled profiles' lines, so it never
-holds the text of the whole file. A lexicon is the frozenset of its words,
-and a run keys its two lexicons by polarity.
+checks one question at a time, which raise the first fault. Every profile
+line askgraph writes is `encode_profile`'s, from a checked profile's
+lists: `synth` writes each line as its block is drawn, and a crawl its
+profiles as it reads them back. A crawl reads its ground truth twice
+through one `CorpusFile`: pass 1 parses it all over no vocabulary, and
+pass 2 reads back, checks and encodes only the crawled profiles' lines, so
+it never holds the text of the whole file. A lexicon is the frozenset of
+its words, and a run keys its two lexicons by polarity.
 """
 
 from __future__ import annotations
@@ -225,23 +223,21 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """Profiles and their questions as columns.
+    """Profiles and their questions as columns, with each question's
+    vocabulary word counts and no text.
 
     `owners` are the profile owners, sorted. A user is an owner whose
     `sampled` flag is set (frontier stubs are not users), and `total_likes`
     sums each owner's `like_count`s, which may exceed its listed likers.
-    `order` lists the owners' positions in the order `save_corpus` writes
-    them: file order for a loaded corpus, generation order for a synthetic
-    one.
+    `order` lists the owners' positions in file order.
 
-    Row r is a question of profile `owners[owner[r]]`, in the order the
-    corpus was built in: file order for a loaded corpus, and draw order,
-    which is the order `synth` writes, for a synthetic one. Profile k's rows are the `n_rows[k]` from `first_row[k]`, by
-    descending `like_count`, ties in input order. Row r's likers are
+    Row r is a question of profile `owners[owner[r]]`, in file order.
+    Profile k's rows are the `n_rows[k]` from `first_row[k]`, by descending
+    `like_count`, ties in input order. Row r's likers are
     `liker[liker_ptr[r]:liker_ptr[r + 1]]`, each an index into `owners`
-    followed by `strangers`, the sorted liker ids without a profile.
-    Answers are stored, never analyzed. A corpus loaded with a vocabulary
-    is a `TaggedCorpus` whose `texts` and `answers` are None."""
+    followed by `strangers`, the sorted liker ids without a profile. Row r
+    of `counts` (questions x `vocab`, int64, duplicates summed) counts the
+    words of `vocab` in question r; the analyses read it through `columns`."""
 
     owners: tuple[str, ...]
     strangers: tuple[str, ...]
@@ -251,39 +247,25 @@ class Corpus:
     first_row: np.ndarray  # int64, per owner
     n_rows: np.ndarray  # int64, per owner
     owner: np.ndarray  # int64, per row
-    texts: tuple[str, ...] | None
-    answers: tuple[str, ...] | None
     like_count: np.ndarray  # int64, per row
     liker_ptr: np.ndarray  # int64, per row plus one
     liker: np.ndarray  # int32
+    vocab: tuple[str, ...]  # sorted
+    counts: CSR
 
     def __len__(self) -> int:
         return len(self.owners)
 
     @classmethod
-    def from_records(cls, records: Iterable[object], vocab: Iterable[str] | None = None) -> Corpus:
-        """A corpus of profile records as the corpus file holds them, in
-        that order, as `load_corpus` parses them: given a `vocab`, the
-        `TaggedCorpus` over it. A malformed record raises CorpusFormatError
-        with its 1-based position as the line."""
-        return _parse_records(enumerate(records, start=1), vocab)
-
-    @classmethod
     def from_rows(cls, ids: list[str], owner_code: Sequence[int], sampled: Sequence[bool],
-                  row_code: Sequence[int], texts: Sequence[str] | None,
-                  answers: Sequence[str] | None, like_count: Sequence[int],
-                  n_likers: Sequence[int], liker_code: Sequence[int],
-                  tags: tuple[tuple[str, ...], CSR] | None = None) -> Corpus:
-        """A corpus of profiles in save order (owner code, an index into `ids`,
-        and sampling flag) and of question rows (owner code, text, answer,
-        like count, number of likers), the likers' codes in `liker_code`.
-        The rows are kept in the order given, which must list each profile's
-        rows together, by descending like count: the record parse and
-        `generate_corpus` give them so.
-
-        `tags`, a vocabulary and the rows' counts over it, makes the result
-        the `TaggedCorpus` of those counts; texts and answers are then None,
-        and the corpus holds no text."""
+                  row_code: Sequence[int], like_count: Sequence[int], n_likers: Sequence[int],
+                  liker_code: Sequence[int], vocab: tuple[str, ...], counts: CSR) -> Corpus:
+        """A corpus of profiles in file order (owner code, an index into
+        `ids`, and sampling flag) and of question rows (owner code, like
+        count, number of likers), the likers' codes in `liker_code`, and the
+        rows' counts over the sorted `vocab`. The rows are kept in the order
+        given, which must list each profile's rows together, by descending
+        like count, as the record parse gives them."""
         owner_code = np.asarray(owner_code, dtype=np.int64)
         by_id = ids.__getitem__
         ranked = (sorted(owner_code.tolist(), key=by_id)
@@ -302,32 +284,18 @@ class Corpus:
         n_rows = np.bincount(owner, minlength=n)
         like_count = np.asarray(like_count, dtype=np.int64)
         likes = offsets(like_count)
-        columns = dict(
+        return cls(
             owners=tuple(ids[c] for c in ranked[:n]), strangers=tuple(ids[c] for c in ranked[n:]),
             order=order, sampled=flags, total_likes=likes[first_row + n_rows] - likes[first_row],
             first_row=first_row, n_rows=n_rows, owner=owner, like_count=like_count,
             liker_ptr=offsets(n_likers), liker=position.astype(np.int32)[liker_code],
+            vocab=vocab, counts=counts,
         )
-        if tags is None:
-            return cls(**columns, texts=tuple(texts), answers=tuple(answers))
-        vocab, counts = tags
-        return TaggedCorpus(**columns, texts=None, answers=None, vocab=vocab, counts=counts)
 
     def per_profile(self, values: np.ndarray) -> np.ndarray:
         """Sum of a per-question int array over each profile's questions,
         aligned with `owners`."""
         return np.bincount(self.owner, weights=values, minlength=len(self.owners)).astype(np.int64)
-
-
-@dataclass(frozen=True, eq=False)
-class TaggedCorpus(Corpus):
-    """A corpus parsed over a vocabulary, holding each question's
-    vocabulary word counts and no text: row r of `counts` (questions x
-    `vocab`, int64, duplicates summed) is row r of the corpus, and `texts`
-    and `answers` are None. The analyses read `counts` through `columns`."""
-
-    vocab: tuple[str, ...]  # sorted
-    counts: CSR
 
     def columns(self, words: Collection[str]) -> np.ndarray:
         """The columns of `counts` that count `words`, in order. A word
@@ -476,33 +444,27 @@ def _checked_profile(line_no: int, obj: object,
     return owner, fully_sampled, columns
 
 
-def _parse_records(numbered: Iterable[tuple[int, object]],
-                   vocab: Iterable[str] | None = None) -> Corpus:
-    """The corpus of (line number, profile record) pairs: each record is
-    checked by `_checked_profile`, and its owner and likers are interned,
-    as soon as it is read, so no row moves later. Given a `vocab`, each text
-    is tokenized once it passes its checks and only its ids in the sorted
+def _parse_records(numbered: Iterable[tuple[int, object]], vocab: Iterable[str]) -> Corpus:
+    """The corpus of (line number, profile record) pairs over `vocab`: each
+    record is checked by `_checked_profile`, and its owner and likers are
+    interned, as soon as it is read, so no row moves later. Each text is
+    tokenized once it passes its checks and only its ids in the sorted
     vocabulary are kept, in `word`, with `ends` marking where each
-    question's ids end: the result is the `TaggedCorpus` over `vocab`,
-    which holds no text. An empty `vocab` counts no word, so no text is
+    question's ids end. An empty `vocab` counts no word, so no text is
     tokenized at all."""
     # every id read, numbered in order of first sight as it is looked up
     code: defaultdict[str, int] = defaultdict(count().__next__)
     seen: set[str] = set()
-    owner_code, sampled, n_rows, texts, answers = [], [], [], [], []
+    owner_code, sampled, n_rows = [], [], []
     # a question's likers, and an id's code, fit in a C int
     like_count, n_likers, liker_code = array("q"), array("i"), array("i")
-    if vocab is not None:
-        vocab = tuple(sorted(frozenset(vocab)))
-        index = {w: i for i, w in enumerate(vocab)}
-        word, ends = array("q"), array("q")
+    vocab = tuple(sorted(frozenset(vocab)))
+    index = {w: i for i, w in enumerate(vocab)}
+    word, ends = array("q"), array("q")
     for line_no, obj in numbered:
         owner, fully_sampled, columns = _checked_profile(line_no, obj, seen)
-        q_texts, q_answers, likes_each, q_n_likers, likers = columns
-        if vocab is None:
-            texts += q_texts
-            answers += q_answers
-        elif vocab:
+        q_texts, _, likes_each, q_n_likers, likers = columns
+        if vocab:
             for tokens in map(tokenize, q_texts):
                 word.fromlist([index[t] for t in tokens if t in index])
                 ends.append(len(word))
@@ -520,10 +482,6 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
     del code, seen, n_rows
     like_count = np.frombuffer(like_count, dtype=np.int64)
     n_likers, liker_code = (np.frombuffer(a, dtype=np.int32) for a in (n_likers, liker_code))
-    if vocab is None:
-        texts, answers = tuple(texts), tuple(answers)
-        return Corpus.from_rows(ids, owner_code, sampled, row_code,
-                                texts, answers, like_count, n_likers, liker_code)
     # each token's key row * len(vocab) + word; rows are in order, so the
     # keys are nearly sorted, and a word repeated in a question is one entry
     # counting its tokens
@@ -536,8 +494,8 @@ def _parse_records(numbered: Iterable[tuple[int, object]],
     first = np.flatnonzero(run_starts(keys))
     counts = CSR.from_keys(keys[first], (rows, len(vocab)), np.diff(first, append=len(keys)))
     del keys, first
-    return Corpus.from_rows(ids, owner_code, sampled, row_code, None, None,
-                            like_count, n_likers, liker_code, (vocab, counts))
+    return Corpus.from_rows(ids, owner_code, sampled, row_code, like_count, n_likers,
+                            liker_code, vocab, counts)
 
 
 def numbered_lines(path: str | Path, error: Callable[[int, str], Exception],
@@ -592,18 +550,16 @@ def _decoded(line_no: int, line: str) -> object:
     return obj
 
 
-def load_corpus(path: str | Path, vocab: Iterable[str] | None = None) -> Corpus:
-    """Parse a line-delimited profile file into a Corpus.
-
-    Given a `vocab`, the result is the `TaggedCorpus` over it: each
-    question is tokenized as it is read, and only its vocabulary word
-    counts are kept, not its text or answer. Such a corpus cannot be saved,
-    and an analysis over words outside `vocab` raises ValueError.
+def load_corpus(path: str | Path, vocab: Iterable[str]) -> Corpus:
+    """Parse a line-delimited profile file into the Corpus over `vocab`:
+    each question is tokenized as it is read, and only its vocabulary word
+    counts are kept, not its text or answer. An analysis over words outside
+    `vocab` raises ValueError.
 
     Raises CorpusFormatError (with the offending line number) on bytes that
     are not UTF-8, malformed records, duplicate owners, like_count/likers
     mismatches, or strings holding a lone surrogate (which no UTF-8 output
-    can encode), the same errors with or without a `vocab`.
+    can encode), the same errors whatever the `vocab`.
     """
     lines = numbered_lines(path, CorpusFormatError, comments=False)
     return _parse_records(((n, _decoded(n, line)) for n, line in lines), vocab)
@@ -639,12 +595,12 @@ class CorpusFile:
 
     Pass 1, on opening, parses the whole file over an empty vocabulary, as
     `load_corpus(path, ())` does, and notes where each profile's line
-    starts: `corpus` is the result, which holds no text. Pass 2, `lines`,
-    reads back only the lines of the profiles it is given, checks each
-    again as pass 1 did, and gives each as `save_corpus` writes it. The
-    file must not change in between: pass 2 fails, before its first line
-    and after its last, if the file's size or modification time is not what
-    it was when the file was opened."""
+    starts: `corpus` is the result. Pass 2, `lines`, reads back only the
+    lines of the profiles it is given, checks each again as pass 1 did, and
+    gives each as `encode_profile` writes it. The file must not change in
+    between: pass 2 fails, before its first line and after its last, if the
+    file's size or modification time is not what it was when the file was
+    opened."""
 
     def __init__(self, path: str | Path):
         self.path = path
@@ -683,10 +639,13 @@ class CorpusFile:
 
     def lines(self, crawl: np.ndarray, frontier: np.ndarray) -> Iterator[str]:
         """Pass 2: the lines of a crawl of the file's corpus, without their
-        line ends, as `save_corpus(corpus, path, crawl, frontier)` writes
-        them, given the text load of the file: each profile of `crawl` as
-        the file holds it, in that order, then an empty stub flagged not
-        fully sampled per profile of `frontier`."""
+        line ends: each profile of `crawl`, positions in `corpus.owners`, in
+        that order, as the file holds it with its questions in like order,
+        then an empty stub flagged not fully sampled per profile of
+        `frontier`. Each line is the compact `json.dumps` of its record, with
+        the defaults of absent fields filled in, so a file rewritten from
+        the lines of all its profiles in `corpus.order` reads back to the
+        same lines."""
         self._check()
         fh = self.fh
         for line_no, start, stop in zip(*(a[crawl].tolist() for a in (self.line_no, self.start,
@@ -746,37 +705,6 @@ def atomic_write(path: str | Path):
     os.replace(partial, path)
 
 
-def save_corpus(corpus: Corpus, path: str | Path, order: np.ndarray | None = None,
-                frontier: Iterable[int] = ()) -> None:
-    """Write each profile in `order` (by default the corpus's) as one line
-    of the corpus file format, then each profile in `frontier` as an empty
-    stub flagged not fully sampled, through `atomic_write`: a crawl is its
-    ground truth written in crawl order, then its frontier.
-
-    Each line is `encode_profile`'s, built from the columns as it is
-    written, with questions in the order stored (like_count descending), so
-    load_corpus(save_corpus(c)) round-trips byte-identically. A corpus
-    loaded without its text raises ValueError.
-    """
-    if corpus.texts is None:
-        raise ValueError("the corpus was loaded without its question text, so it cannot be saved")
-    ids = [encode_basestring(x) for x in corpus.owners + corpus.strangers]
-    names = np.array(ids, dtype=object)
-    first, n_rows = corpus.first_row.tolist(), corpus.n_rows.tolist()
-    ptr, texts, answers, sampled = corpus.liker_ptr, corpus.texts, corpus.answers, corpus.sampled
-    with atomic_write(path) as fh:
-        for k in (corpus.order if order is None else order).tolist():
-            rows = slice(first[k], first[k] + n_rows[k])
-            likes = corpus.like_count[rows].tolist()
-            likers = names[corpus.liker[ptr[rows.start]:ptr[rows.stop]]].tolist()
-            fh.write(encode_profile(ids[k], bool(sampled[k]), map(encode_basestring, texts[rows]),
-                                    map(encode_basestring, answers[rows]), likes,
-                                    np.diff(ptr[rows.start:rows.stop + 1]).tolist(), likers)
-                     + "\n")
-        for k in frontier:
-            fh.write(encode_profile(ids[k], False, (), (), (), (), ()) + "\n")
-
-
 def lexicon_word(word: str, name: str = "entry") -> str:
     """`word` lowercased, as a lexicon entry or a core word is read. It must
     be a single token as `tokenize` splits text, since any other word could
@@ -806,7 +734,7 @@ def load_lexicon(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
-def content_table(corpus: TaggedCorpus, neg: Collection[str],
+def content_table(corpus: Corpus, neg: Collection[str],
                   pos: Collection[str]) -> ContentTable:
     """Answered questions, total likes, and the questions holding and the
     occurrences of `neg` and `pos` words, per fully sampled profile."""
@@ -824,7 +752,7 @@ def content_table(corpus: TaggedCorpus, neg: Collection[str],
     )
 
 
-def corpus_stats(corpus: TaggedCorpus, neg: Collection[str], pos: Collection[str]) -> CorpusStats:
+def corpus_stats(corpus: Corpus, neg: Collection[str], pos: Collection[str]) -> CorpusStats:
     """Per-user averages of answer counts and tagged question/word counts,
     over fully sampled profiles (frontier stubs are not users)."""
     table = content_table(corpus, neg, pos)

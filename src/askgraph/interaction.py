@@ -18,7 +18,7 @@ from typing import Collection, Optional, Sequence
 
 import numpy as np
 
-from .corpus import CSR, Corpus, Graph, TaggedCorpus, row_blocks, run_starts, wedge_budget
+from .corpus import CSR, Corpus, Graph, row_blocks, run_starts, wedge_budget
 
 
 # The metric battery's fixed parameters: the top-x% points of the in/out
@@ -89,7 +89,7 @@ class MetricsReport:
 
 
 def build_interaction_graph(
-    corpus: TaggedCorpus, neg_words: Collection[str], top_k: int = 15
+    corpus: Corpus, neg_words: Collection[str], top_k: int = 15
 ) -> Graph:
     """Build the directed like graph over fully-sampled users.
 

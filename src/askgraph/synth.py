@@ -9,8 +9,7 @@ draws as scalars only the counts that decide where later draws lie, and
 computes every other draw from its stream position, in numpy passes. The
 texts are drawn last, one block of users at a time in file order:
 `corpus_lines` encodes each block as it is drawn, which is how `synth`
-writes a corpus without holding its text, and `generate_corpus` collects
-the same blocks into a `Corpus`.
+writes a corpus without holding its text.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring
 from typing import Iterator
 
@@ -234,26 +233,6 @@ def _question_counts(label: str, n_q: int, rng: SplitMix64) -> tuple[int, int]:
     return neg, pos
 
 
-def generate_corpus(params: GenParams) -> tuple[Corpus, np.ndarray]:
-    """Deterministically generate a corpus whose users classify exactly to
-    their planted group labels.
-
-    Returns the corpus and each user's planted group code, an index into
-    `GROUPS`, aligned with its sorted `owners` as `classify_corpus`'s are.
-    Group sizes follow largest-remainder quotas, not sampling. The corpus
-    collects the blocks `corpus_lines` encodes, in the same order, so
-    `save_corpus` writes it as the lines `corpus_lines` gives.
-    """
-    draws = draw_corpus(params)
-    n_users = len(draws.ids)
-    _, _, texts, like_count, liker = zip(*_blocks(draws))
-    texts, like_count = tuple(chain.from_iterable(texts)), np.concatenate(like_count)
-    corpus = Corpus.from_rows(draws.ids, range(n_users), [True] * n_users,
-                              np.repeat(np.arange(n_users), draws.walk.n_rows), texts,
-                              ("",) * len(texts), like_count, like_count, np.concatenate(liker))
-    return corpus, draws.planted_codes()[1]
-
-
 @dataclass(frozen=True)
 class Draws:
     """What `draw_corpus` draws of a synthetic corpus before its texts: its
@@ -301,10 +280,10 @@ def draw_corpus(params: GenParams) -> Draws:
 
 def corpus_lines(draws: Draws) -> Iterator[str]:
     """Each profile's line of the corpus file, without its line end, in
-    draw order, which is file order: the lines `save_corpus` writes for
-    `generate_corpus`'s corpus. Each block of `_blocks` is encoded by
-    `encode_profile` as soon as it is drawn, so no list holds more than one
-    block's texts."""
+    draw order, which is file order: the user's questions by descending
+    like count, ties in draw order, each with an empty answer. Each block
+    of `_blocks` is encoded by `encode_profile` as soon as it is drawn, so
+    no list holds more than one block's texts."""
     names = np.array(list(map(encode_basestring, draws.ids)), dtype=object)
     for users, n_rows, texts, like_count, liker in _blocks(draws):
         # one iterator over the block's likers, which each profile advances
@@ -511,11 +490,10 @@ def snowball_sample(ground_truth: Corpus, seeds: list[str],
     frontier empties; the frontier is the profiles found but not crawled.
     Each BFS level is visited in UserId order. Returns the crawl order and
     the sorted frontier, as int64 positions in `ground_truth.owners`: the
-    sample is written from them (`CorpusFile.lines`, or `save_corpus` of a
-    text corpus), the crawled profiles as they are and the frontier as empty
-    stubs flagged not fully sampled. Only the flag, row-range and liker
-    columns are read, so a `TaggedCorpus`, such as a `CorpusFile`'s first
-    pass, crawls as its text load does.
+    sample is written from them by `CorpusFile.lines`, the crawled profiles
+    as they are and the frontier as empty stubs flagged not fully sampled.
+    Only the flag, row-range and liker columns are read, so a corpus over
+    any vocabulary, such as a `CorpusFile`'s first pass, crawls alike.
 
     The ground truth must be closed: a liker that is not a fully sampled
     profile raises ValueError, naming the first such id in sorted order.

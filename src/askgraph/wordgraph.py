@@ -13,7 +13,7 @@ from typing import Collection
 
 import numpy as np
 
-from .corpus import CSR, Graph, TaggedCorpus, distinct, offsets, row_blocks, wedge_budget
+from .corpus import CSR, Corpus, Graph, distinct, offsets, row_blocks, wedge_budget
 
 
 class ConvergenceError(RuntimeError):
@@ -26,7 +26,7 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def build_bipartite(corpus: TaggedCorpus, lexicon: Collection[str]) -> Graph:
+def build_bipartite(corpus: Corpus, lexicon: Collection[str]) -> Graph:
     """B[w][u] = 1 iff word w (from the lexicon) occurs in any question on
     u's profile: the sorted words over int64 entries, all 1, whose columns
     are the corpus's owners. Words never observed keep all-zero rows."""
@@ -194,7 +194,7 @@ def word_neighborhood(
 
 
 def cooccurrence_distribution(
-    corpus: TaggedCorpus, core: str, word_set: tuple[str, ...]
+    corpus: Corpus, core: str, word_set: tuple[str, ...]
 ) -> tuple[tuple[str, float], ...]:
     """Mean occurrence count of each selected word over profiles whose
     question tokens contain `core`, as (word, mean) entries. Entry order

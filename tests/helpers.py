@@ -3,12 +3,13 @@ matrix converted to and from scipy's, which the tests use as an oracle, a
 like graph built as a `Graph` from an edge mapping and read back from its
 adjacency's entries as edge rows or a mapping, a plain vocabulary as a word
 set, the segmentation rule as a scalar oracle and the array rule over plain
-counts, a group row by name, a crawl's crawl order, frontier and written
-records, a corpus's profile records, the scalar synthetic generator and its
-sampler, the brute-force reciprocity and clustering oracles of the node
-table, the record checks of the corpus parse as one loop over each
-question, and the per-component power iteration that word centrality
-matches exactly."""
+counts, a group row by name, a corpus parsed from profile records, the
+records of a synthetic corpus, a file of lines, a corpus file's records as
+a crawl's second pass writes them back, a crawl's crawl order, frontier
+and expected lines, the scalar synthetic generator and its sampler, the
+brute-force reciprocity and clustering oracles of the node table, the
+record checks of the corpus parse as one loop over each question, and the
+per-component power iteration that word centrality matches exactly."""
 
 from __future__ import annotations
 
@@ -17,15 +18,15 @@ from bisect import insort
 from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from askgraph import synth
 from askgraph.corpus import (
-    CSR, ContentTable, Corpus, CorpusFormatError, Graph, TaggedCorpus, flat_ranges, offsets,
-    save_corpus,
+    CSR, ContentTable, Corpus, CorpusFile, CorpusFormatError, Graph, _parse_records, flat_ranges,
+    offsets,
 )
 from askgraph.interaction import node_table, reciprocity
 from askgraph.segmentation import GROUPS, GroupRow, classify_corpus
@@ -111,11 +112,55 @@ def classify_counts(neg: Sequence[int], pos: Sequence[int]) -> list[str]:
     return [GROUPS[k] for k in classify_corpus(table).tolist()]
 
 
+def from_records(records: Iterable[object], vocab: Iterable[str] = ()) -> Corpus:
+    """The corpus over `vocab` of profile records as the corpus file holds
+    them, in that order, as `load_corpus` parses them. A malformed record
+    raises CorpusFormatError with its 1-based position as the line."""
+    return _parse_records(enumerate(records, start=1), vocab)
+
+
+def synthetic(params: GenParams,
+              vocab: Iterable[str] = ()) -> tuple[list[dict], Corpus, np.ndarray]:
+    """The synthetic corpus `params` describe: the records of the lines
+    `synth` writes, in file order, their parse over `vocab`, and each
+    user's planted group code, aligned with the parse's sorted owners."""
+    draws = synth.draw_corpus(params)
+    records = [json.loads(line) for line in synth.corpus_lines(draws)]
+    return records, from_records(records, vocab), draws.planted_codes()[1]
+
+
+def compact(record: dict) -> str:
+    """A record as a corpus file line: `json.dumps` with compact separators,
+    non-ASCII text as is."""
+    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+
+
+def write_lines(path: Path, lines: Iterable[str]) -> Path:
+    """A UTF-8 file at `path` of `lines`, each ended by LF."""
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def rewritten(path: str | Path) -> list[str]:
+    """The lines of the corpus file at `path` as a crawl's second pass
+    writes them back: every profile, in file order, and no stub."""
+    with CorpusFile(path) as held:
+        return list(held.lines(held.corpus.order, held.corpus.order[:0]))
+
+
+def file_records(path: str | Path) -> list[dict]:
+    """The records of the corpus file at `path`, in file order, as the
+    second pass writes them back: defaults filled in, questions in like
+    order."""
+    return list(map(json.loads, rewritten(path)))
+
+
 def checked_records(records: Iterable[object]) -> list[dict]:
     """The corpus parse's record checks as one loop over each question, the
     oracle of `load_corpus`: the first fault raises CorpusFormatError with
     the message and 1-based line the loader gives. Otherwise each profile as
-    `corpus_records` reads it back: defaults filled in and questions by
+    a crawl's second pass writes it back: defaults filled in, `likers` left
+    out of a question with a like count and no liker ids, and questions by
     descending like count, ties in file order."""
     seen: set[str] = set()
     profiles = []
@@ -190,40 +235,16 @@ def frontier(ground_truth: Corpus, sample: tuple[np.ndarray, np.ndarray]) -> fro
     return frozenset(ground_truth.owners[k] for k in sample[1].tolist())
 
 
-def saved_crawl(ground_truth: Corpus, sample: tuple[np.ndarray, np.ndarray],
-                path: str | Path) -> list[dict]:
-    """The profile records `save_corpus` writes to `path` for a crawl of
-    `ground_truth`, in file order."""
-    save_corpus(ground_truth, path, *sample)
-    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
-
-
-def corpus_records(corpus: Corpus) -> Iterator[dict]:
-    """Each profile as a corpus file record, in `order`: the objects whose
-    `json.dumps(..., ensure_ascii=False, separators=(",", ":"))` are the
-    lines `save_corpus` writes."""
-    ids = corpus.owners + corpus.strangers
-    first, n_rows = corpus.first_row.tolist(), corpus.n_rows.tolist()
-    texts, answers, likes = corpus.texts, corpus.answers, corpus.like_count.tolist()
-    ptr, liker = corpus.liker_ptr.tolist(), corpus.liker.tolist()
-    sampled = corpus.sampled.tolist()
-    for k in corpus.order.tolist():
-        questions = []
-        for r in range(first[k], first[k] + n_rows[k]):
-            question = {"text": texts[r], "answer": answers[r],
-                        "likers": [ids[i] for i in liker[ptr[r]:ptr[r + 1]]],
-                        "like_count": likes[r]}
-            if likes[r] and ptr[r] == ptr[r + 1]:
-                # a count read without liker ids: an empty list would contradict it
-                del question["likers"]
-            questions.append(question)
-        yield {"owner": ids[k], "fully_sampled": sampled[k], "questions": questions}
-
-
-def tagged(corpus: Corpus, vocab: Iterable[str]) -> TaggedCorpus:
-    """A text corpus, such as `generate_corpus` gives, parsed from its
-    records over `vocab`, as `load_corpus(path, vocab)` parses its file."""
-    return Corpus.from_records(corpus_records(corpus), vocab)
+def crawl_lines(records: Iterable[object], ground_truth: Corpus,
+                sample: tuple[np.ndarray, np.ndarray]) -> list[str]:
+    """The lines of a crawl of the ground truth `records`, whose parse is
+    `ground_truth`: each crawled profile as `checked_records` reads it, in
+    crawl order, then an empty stub flagged not fully sampled per frontier
+    profile, each as `compact` writes it."""
+    by_owner = {r["owner"]: r for r in checked_records(records)}
+    return [compact(by_owner[u]) for u in crawl_order(ground_truth, sample)] + [
+        compact({"owner": ground_truth.owners[k], "fully_sampled": False, "questions": []})
+        for k in sample[1].tolist()]
 
 
 def sample(rng: SplitMix64, population: Sequence, k: int, skip: int | None = None) -> list:
@@ -259,10 +280,11 @@ def _neutral_text(filler: tuple[str, ...], rng: SplitMix64) -> str:
     return " ".join(filler[rng.randbelow(len(filler))] for _ in range(rng.randint(3, 6)))
 
 
-def scalar_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
-    """`generate_corpus` as one scalar loop: every draw through `randbelow`,
-    in draw order, and each user's questions then put in the corpus's row
-    order."""
+def scalar_corpus(params: GenParams) -> tuple[list[dict], dict[str, str]]:
+    """The synthetic corpus as one scalar loop: every draw through
+    `randbelow`, in draw order, and each user's questions then put in like
+    order. Returns its profile records, in draw order, and each user's
+    planted label."""
     params.validate()
     rng = SplitMix64(params.rng_seed)
     counts = synth.quota_counts(params.group_mix, params.n_users)
@@ -279,8 +301,7 @@ def scalar_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
     lo, hi = params.questions_per_user
     max_likes = max(0, round(2 * params.like_rate))
 
-    texts, n_rows, like_count, liker_code = [], [], [], []
-    population = range(params.n_users)
+    records = []
     n_others = params.n_users - 1
     for pos, owner in enumerate(user_ids):
         label = labels[owner]
@@ -294,17 +315,13 @@ def scalar_corpus(params: GenParams) -> tuple[Corpus, dict[str, str]]:
         likes = []
         for _ in range(n_q):
             n_likes = rng.randint(0, max_likes) if max_likes and n_others else 0
-            likes.append(sample(rng, population, min(n_likes, n_others), skip=pos))
-        # by descending like count, ties in draw order, as `_corpus_rows` orders them
-        for q in sorted(range(n_q), key=lambda q: -len(likes[q])):
-            texts.append(drawn[q])
-            like_count.append(len(likes[q]))
-            liker_code += likes[q]
-        n_rows.append(n_q)
-    corpus = Corpus.from_rows(user_ids, population, [True] * len(population),
-                              np.repeat(population, n_rows), texts, [""] * len(texts),
-                              like_count, like_count, liker_code)
-    return corpus, labels
+            likes.append(sample(rng, user_ids, min(n_likes, n_others), skip=pos))
+        # by descending like count, ties in draw order
+        questions = [{"text": drawn[q], "answer": "", "likers": likes[q],
+                      "like_count": len(likes[q])}
+                     for q in sorted(range(n_q), key=lambda q: -len(likes[q]))]
+        records.append({"owner": owner, "fully_sampled": True, "questions": questions})
+    return records, labels
 
 
 def neg_reciprocity(g: Graph) -> float:

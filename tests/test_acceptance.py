@@ -6,6 +6,7 @@ loops, dense power iteration, brute-force enumeration) in this module and
 in `helpers`.
 """
 
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -15,14 +16,14 @@ import numpy as np
 import pytest
 
 from askgraph.cli import main as cli_main
-from askgraph.corpus import Graph
+from askgraph.corpus import CorpusFile, Graph
 from askgraph.interaction import (
     ccdf,
     node_table,
     top_overlaps,
 )
 from askgraph.segmentation import GROUPS
-from askgraph.synth import GenParams, generate_corpus, snowball_sample
+from askgraph.synth import GenParams, snowball_sample
 from askgraph.wordgraph import (
     eigenvector_centrality,
     project_words,
@@ -31,18 +32,17 @@ from helpers import (
     SimpleView,
     brute_force_reciprocity,
     classify_counts,
-    corpus_records,
     csr,
     crawl_order,
     frontier,
     graph_from_pairs,
     like_graph,
     neg_reciprocity,
-    saved_crawl,
-    tagged,
+    synthetic,
     to_scipy,
     triple_enumeration_oracle,
     vocab_word_set,
+    write_lines,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -264,13 +264,13 @@ def test_criterion_6_planted_structure_recovery(capfd):
             pos_vocab=("nice", "sweet", "lovely", "cool", "great"),
             rng_seed=600,
         )
-        corp, planted = generate_corpus(params)
         neg_ws = vocab_word_set(params.neg_vocab)
         pos_ws = vocab_word_set(params.pos_vocab)
+        _, corp, planted = synthetic(params, neg_ws + pos_ws)
         from askgraph.corpus import content_table
         from askgraph.segmentation import classify_corpus
 
-        predicted = classify_corpus(content_table(tagged(corp, neg_ws + pos_ws), neg_ws, pos_ws))
+        predicted = classify_corpus(content_table(corp, neg_ws, pos_ws))
         assert predicted.tolist() == planted.tolist()  # zero label errors
         counts = dict(zip(GROUPS, np.bincount(planted, minlength=len(GROUPS)).tolist()))
         assert counts == {"HN": 100, "HP": 200, "PN": 200, "OTHR": 500}
@@ -278,10 +278,6 @@ def test_criterion_6_planted_structure_recovery(capfd):
 
 
 # --- criterion 7: snowball properties -------------------------------------
-
-def profiles(corpus):
-    return {record["owner"]: record for record in corpus_records(corpus)}
-
 
 def ground_truth_out_edges(profiles, liker):
     return {
@@ -306,14 +302,16 @@ def test_criterion_7_snowball_properties(capfd, tmp_path):
                 pos_vocab=("nice",),
                 rng_seed=7000 + trial,
             )
-            gt, _ = generate_corpus(params)
-            candidates = [u for u, likes in zip(gt.owners, gt.total_likes) if likes > 0]
-            seeds = rng.sample(candidates, min(2, len(candidates)))
-            budget = rng.choice([3, n // 2, n])
-            sampled = snowball_sample(gt, seeds, budget)
-            gt_profiles = profiles(gt)
-            sample_profiles = {record["owner"]: record for record in
-                               saved_crawl(gt, sampled, tmp_path / f"sample_{trial}.jsonl")}
+            records, _, _ = synthetic(params)
+            path = tmp_path / f"truth_{trial}.jsonl"
+            with CorpusFile(write_lines(path, map(json.dumps, records))) as held:
+                gt = held.corpus
+                candidates = [u for u, likes in zip(gt.owners, gt.total_likes) if likes > 0]
+                seeds = rng.sample(candidates, min(2, len(candidates)))
+                budget = rng.choice([3, n // 2, n])
+                sampled = snowball_sample(gt, seeds, budget)
+                sample_profiles = {r["owner"]: r for r in map(json.loads, held.lines(*sampled))}
+            gt_profiles = {r["owner"]: r for r in records}
 
             for node in crawl_order(gt, sampled):
                 assert [q["likers"] for q in sample_profiles[node]["questions"]] == [
@@ -348,11 +346,11 @@ def test_criterion_8_metric_shapes(capfd):
                 pos_vocab=("nice", "sweet"),
                 rng_seed=8000 + trial,
             )
-            corp, _ = generate_corpus(params)
+            neg_ws = vocab_word_set(("ugly", "hate"))
+            _, corp, _ = synthetic(params, neg_ws)
             from askgraph.interaction import build_interaction_graph
 
-            neg_ws = vocab_word_set(("ugly", "hate"))
-            graph = build_interaction_graph(tagged(corp, neg_ws), neg_ws)
+            graph = build_interaction_graph(corp, neg_ws)
             t = node_table(graph)
 
             for i in range(len(graph.nodes)):  # neg + nonneg degree sums equal merged

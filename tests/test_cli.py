@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -18,11 +17,11 @@ import askgraph
 from askgraph import corpus, interaction, synth, wordgraph
 from askgraph.cli import load_config, main
 from askgraph.data import bundled_lexicon_path
-from helpers import corpus_records
+from helpers import compact, write_lines
 
 DATA = Path(__file__).parent / "data"
 DEMO = DATA / "demo_corpus.jsonl"
-DEMO_QUESTIONS = sum(len(p["questions"]) for p in corpus_records(corpus.load_corpus(DEMO)))
+DEMO_QUESTIONS = len(corpus.load_corpus(DEMO, ()).like_count)
 LABELS = DATA / "demo_labels_cutting.txt"
 
 
@@ -403,6 +402,39 @@ class TestSubcommands:
             assert capsys.readouterr().err == (
                 "askgraph: error [load_corpus] line 42: 'questions' must be an array\n")
 
+    def test_crawl_of_a_non_canonical_ground_truth_is_pinned(self, tmp_path):
+        """A crawl of a ground truth that no askgraph command writes: its
+        profiles shuffled, keys in a seeded order, each profile's questions
+        reversed out of like order, `likers` left out of zero-like questions,
+        CRLF line ends and blank lines. Its files are pinned by sha256."""
+        assert run("synth", "--seed", 3, "--n-users", 300, "--out", tmp_path) == 0
+        rng = random.Random(11)
+        lines = []
+        for line in (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            questions = []
+            for question in reversed(record["questions"]):
+                if not question["like_count"]:
+                    del question["likers"]
+                questions.append(dict(rng.sample(list(question.items()), len(question))))
+            record["questions"] = questions
+            lines.append(json.dumps(dict(rng.sample(list(record.items()), len(record)))))
+            if rng.random() < 0.1:
+                lines.append("")
+        rng.shuffle(lines)
+        rewritten = tmp_path / "rewritten.jsonl"
+        rewritten.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n\r\n")
+        out = tmp_path / "crawl"
+        assert run("crawl-sim", "--corpus", rewritten, "--seeds", "u00001,u00005",
+                   "--budget", 120, "--seed", 1, "--out", out) == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("sampled_corpus.jsonl", "crawl_order.txt", "frontier.txt")} == {
+            "sampled_corpus.jsonl":
+                "295ba2d47759a9e3147e39735202abb4187e62bd542c0f8515c567e400e55217",
+            "crawl_order.txt": "59d127f151fcb62dc5c595aea7ac9067be30ddedda4f50edeb2499b23f29eaca",
+            "frontier.txt": "c04dc941d7532d0fa5fe58367023cdc8a04ae70608920b79afb247c59460ad09",
+        }
+
     @pytest.mark.parametrize("argv,stage", [
         (("--neg-vocab", "nope.txt"), "load_lexicon"),
         (("--mix", "HN:x"), "generate_corpus"),
@@ -694,21 +726,20 @@ class TestComputeOnce:
         loaded = []
         original = corpus.load_corpus
 
-        def recording(path, vocab=None):
+        def recording(path, vocab):
             loaded.append(original(path, vocab))
             return loaded[-1]
 
         monkeypatch.setattr(corpus, "load_corpus", recording)
         assert run(*argv, "--corpus", DEMO, "--out", tmp_path) == 0
         (tagged,) = loaded
-        assert tagged.texts is None and tagged.answers is None
         vocab = corpus.load_lexicon(bundled_lexicon_path("negative")) | corpus.load_lexicon(
             bundled_lexicon_path("positive"))
         assert set(tagged.vocab) == (vocab | {"movie"} if argv[0] == "cooccur" else vocab)
 
     def test_likes_answers_correlation_tokenizes_nothing(self, monkeypatch):
         calls = self.count_tokenize(monkeypatch)
-        interaction.likes_answers_correlation(corpus.load_corpus(DEMO))
+        interaction.likes_answers_correlation(corpus.load_corpus(DEMO, ()))
         assert calls == []
 
     def test_pipeline_builds_each_graph_once(self, tmp_path, monkeypatch):
@@ -740,8 +771,8 @@ class TestFrontierStubs:
         assert run("crawl-sim", "--corpus", tmp_path / "synth" / "corpus.jsonl",
                    "--seeds", "u00000", "--budget", 100, "--seed", 1,
                    "--out", tmp_path / "crawl") == 0
-        sampled = corpus.load_corpus(tmp_path / "crawl" / "sampled_corpus.jsonl")
-        stubs = sum(not p["fully_sampled"] for p in corpus_records(sampled))
+        sampled = corpus.load_corpus(tmp_path / "crawl" / "sampled_corpus.jsonl", ())
+        stubs = int((~sampled.sampled).sum())
         assert (len(sampled), stubs) == (951, 851)
 
         out = tmp_path / "out"
@@ -811,18 +842,20 @@ class TestRenamedOwners:
     def synth_run(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("renamed")
         assert run("synth", "--seed", 4, "--n-users", 300, "--out", root / "synth") == 0
-        source = corpus.load_corpus(root / "synth" / "corpus.jsonl")
+        lines = (root / "synth" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
         assert run("pipeline", "--corpus", root / "synth" / "corpus.jsonl",
                    "--out", root / "out") == 0
-        return source, outputs(root / "out")
+        return list(map(json.loads, lines)), outputs(root / "out")
 
     def test_renamed_owners_give_the_same_rows(self, tmp_path, synth_run):
-        source, expected = synth_run
+        records, expected = synth_run
         # a common prefix and suffix around ids of one length keeps their order
-        rename = {u: f' "{u}", ü字 ' for u in source.owners}
-        renamed = tuple(rename[u] for u in source.owners)
-        assert list(renamed) == sorted(renamed)
-        corpus.save_corpus(dataclasses.replace(source, owners=renamed), tmp_path / "c.jsonl")
+        rename = {r["owner"]: f' "{r["owner"]}", ü字 ' for r in records}
+        assert [rename[u] for u in sorted(rename)] == sorted(rename.values())
+        write_lines(tmp_path / "c.jsonl", (compact({
+            **r, "owner": rename[r["owner"]],
+            "questions": [{**q, "likers": [rename[u] for u in q["likers"]]}
+                          for q in r["questions"]]}) for r in records))
         assert run("pipeline", "--corpus", tmp_path / "c.jsonl", "--out", tmp_path / "out") == 0
         written = outputs(tmp_path / "out")
         back = {v: u for u, v in rename.items()}
@@ -840,9 +873,10 @@ class TestRenamedOwners:
         assert written == {k: v for k, v in expected.items() if k != "interaction_edges.csv"}
 
     def test_answers_equal_to_questions_change_no_output(self, tmp_path, synth_run):
-        source, expected = synth_run
-        copy = dataclasses.replace(source, answers=source.texts)
-        corpus.save_corpus(copy, tmp_path / "c.jsonl")
+        records, expected = synth_run
+        write_lines(tmp_path / "c.jsonl", (compact(
+            {**r, "questions": [{**q, "answer": q["text"]} for q in r["questions"]]})
+            for r in records))
         assert run("pipeline", "--corpus", tmp_path / "c.jsonl", "--out", tmp_path / "out") == 0
         assert outputs(tmp_path / "out") == expected
 

@@ -16,20 +16,21 @@ import askgraph.corpus as corpus_mod
 from askgraph.cli import main
 from askgraph.corpus import (
     _TOKEN_RE,
+    CSR,
     Corpus,
     CorpusFile,
     CorpusFormatError,
     LexiconError,
-    TaggedCorpus,
     corpus_stats,
     load_corpus,
     load_lexicon,
-    save_corpus,
     tokenize,
 )
 from askgraph.data import bundled_lexicon_path
-from askgraph.synth import GenParams, generate_corpus
-from helpers import checked_records, corpus_records, to_scipy
+from helpers import (
+    checked_records, compact, crawl_lines, file_records, from_records, rewritten, to_scipy,
+    write_lines,
+)
 
 
 def write_corpus_file(tmp_path, records, name="corpus.jsonl"):
@@ -48,17 +49,34 @@ def shuffled_copy(path, name="shuffled.jsonl"):
     return write_corpus_file(path.parent, records, name)
 
 
-def profiles(corpus):
-    """The corpus's profile records by owner."""
-    return {record["owner"]: record for record in corpus_records(corpus)}
+def profiles(path):
+    """The corpus file's profile records by owner, as a crawl's second pass
+    writes them back."""
+    return {record["owner"]: record for record in file_records(path)}
+
+
+def columns(corpus, leave_out=()):
+    """Every column of a corpus but those named in `leave_out`, each array
+    as its dtype and values and `counts` as its shape and arrays, so that
+    two corpora compare by `==`."""
+    def plain(value):
+        if isinstance(value, CSR):
+            return value.shape, [plain(a) for a in (value.indptr, value.indices, value.data)]
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.tolist()
+        return value
+
+    return {f.name: plain(getattr(corpus, f.name)) for f in fields(Corpus)
+            if f.name not in leave_out}
 
 
 def format_error(path):
     """The CorpusFormatError that loading `path` raises: the same message
-    and line whether the corpus is loaded with its text, tagged, or by a
-    crawl's first pass over it."""
+    and line whether the corpus is loaded over no vocabulary, over some
+    words, or by a crawl's first pass over it."""
     errors = []
-    for load in (load_corpus, lambda p: load_corpus(p, {"hi", "x", "ugly"}), CorpusFile):
+    for load in (lambda p: load_corpus(p, ()), lambda p: load_corpus(p, {"hi", "x", "ugly"}),
+                 CorpusFile):
         with pytest.raises(CorpusFormatError) as exc:
             load(path)
         errors.append(exc.value)
@@ -122,9 +140,8 @@ class TestLoadCorpus:
                 {"text": "second", "likers": ["b", "c", "d"], "like_count": 3},
             ],
         }])
-        corp = load_corpus(path)
-        assert len(corp) == 1
-        texts = [q["text"] for q in profiles(corp)["alice"]["questions"]]
+        assert len(load_corpus(path, ())) == 1
+        texts = [q["text"] for q in profiles(path)["alice"]["questions"]]
         assert texts == ["second", "first"]
 
     def test_tie_keeps_input_order(self, tmp_path):
@@ -135,12 +152,12 @@ class TestLoadCorpus:
                 {"text": "y", "likers": ["c"], "like_count": 1},
             ],
         }])
-        assert [q["text"] for q in profiles(load_corpus(path))["a"]["questions"]] == ["x", "y"]
+        assert [q["text"] for q in profiles(path)["a"]["questions"]] == ["x", "y"]
 
     def test_empty_file_is_valid(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
-        assert len(load_corpus(path)) == 0
+        assert len(load_corpus(path, ())) == 0
 
     def test_like_count_mismatch_reports_line(self, tmp_path):
         path = write_corpus_file(tmp_path, [
@@ -189,7 +206,8 @@ class TestLoadCorpus:
         assert main(["synth", "--seed", "3", "--n-users", "40", "--out", str(tmp_path)]) == 0
         path = tmp_path / "corpus.jsonl"
         copy = line_ends(path, end, "ends.jsonl")
-        assert list(corpus_records(load_corpus(copy))) == list(corpus_records(load_corpus(path)))
+        assert file_records(copy) == file_records(path)
+        assert columns(load_corpus(copy, VOCAB)) == columns(load_corpus(path, VOCAB))
         lines = path.read_bytes().split(b"\n")
         lines[7] = lines[7].replace(b'"like_count":', b'"like_count":-', 1)
         path.write_bytes(b"\n".join(lines[:5] + [b""] + lines[5:]))  # the fault on line 9
@@ -266,54 +284,54 @@ class TestLoadCorpus:
         assert "sum past the int64 range" in str(error) and error.line_no == 2
 
     def test_question_that_is_a_mapping_but_no_object_is_rejected(self):
-        """A record handed to `from_records` is read as JSON would give it:
-        a question must be a dict, not any mapping."""
+        """A record handed to the parse is read as JSON would give it: a
+        question must be a dict, not any mapping."""
         question = MappingProxyType({"text": "hi", "answer": "", "likers": [], "like_count": 0})
         with pytest.raises(CorpusFormatError, match="^line 1: question record must be an object"):
-            Corpus.from_records([{"owner": "a", "questions": [question]}])
+            from_records([{"owner": "a", "questions": [question]}])
 
     def test_absent_optional_fields_take_defaults(self, tmp_path):
         path = write_corpus_file(tmp_path, [{"owner": "a", "questions": [{"text": "hi"}]}])
-        profile = profiles(load_corpus(path))["a"]
+        profile = profiles(path)["a"]
         assert profile["fully_sampled"] is True
         assert profile["questions"][0]["answer"] == ""
         assert profile["questions"][0]["like_count"] == 0
 
     def test_save_load_round_trip_bytes(self, tmp_path):
-        path = write_corpus_file(tmp_path, [{
+        """A file rewritten from its second pass's lines is the JSON of its
+        checked records, and a rewrite of that is the same bytes."""
+        records = [{
             "owner": "a",
             "fully_sampled": False,
             "questions": [
                 {"text": "hey", "answer": "yo", "likers": ["b"], "like_count": 1},
                 {"text": "top", "likers": ["b", "c"], "like_count": 2},
             ],
-        }])
-        corp = load_corpus(path)
-        first = tmp_path / "first.jsonl"
-        save_corpus(corp, first)
-        second = tmp_path / "second.jsonl"
-        save_corpus(load_corpus(first), second)
+        }]
+        path = write_corpus_file(tmp_path, records)
+        first = write_lines(tmp_path / "first.jsonl", rewritten(path))
+        assert first.read_text(encoding="utf-8").splitlines() == list(
+            map(compact, checked_records(records)))
+        second = write_lines(tmp_path / "second.jsonl", rewritten(first))
         assert first.read_bytes() == second.read_bytes()
 
     def test_like_count_without_likers_round_trips(self, tmp_path):
         path = write_corpus_file(tmp_path, [{"owner": "a", "questions": [
             {"text": "hi", "like_count": 3},
         ]}])
-        out = tmp_path / "saved.jsonl"
-        save_corpus(load_corpus(path), out)
-        assert profiles(load_corpus(out))["a"]["questions"] == [
-            {"text": "hi", "answer": "", "like_count": 3}
-        ]
+        out = write_lines(tmp_path / "saved.jsonl", rewritten(path))
+        assert profiles(out)["a"]["questions"] == [{"text": "hi", "answer": "", "like_count": 3}]
+        assert load_corpus(out, ()).like_count.tolist() == [3]
 
 
     def test_rows_in_order_load_as_a_shuffled_copy(self, tmp_path):
         """A copy of a synth file with the profiles shuffled, each listing
         its questions by ascending like count (ties in file order), loads to
         the same profiles: the same per-owner columns, and the same lines
-        when both are saved in owner order."""
+        when both are written back in owner order."""
         assert main(["synth", "--seed", "3", "--n-users", "150", "--out", str(tmp_path)]) == 0
-        in_order = load_corpus(tmp_path / "corpus.jsonl")
-        shuffled = load_corpus(shuffled_copy(tmp_path / "corpus.jsonl"))
+        paths = tmp_path / "corpus.jsonl", shuffled_copy(tmp_path / "corpus.jsonl")
+        in_order, shuffled = (load_corpus(path, ()) for path in paths)
         assert in_order.liker_ptr[-1] > 0 and len(set(in_order.like_count.tolist())) > 1
         assert not np.array_equal(shuffled.owner, in_order.owner)
         for column in ("owners", "strangers", "sampled", "total_likes", "n_rows"):
@@ -323,18 +341,20 @@ class TestLoadCorpus:
                 assert np.array_equal(actual, expected), column
             else:
                 assert actual == expected, column
-        for corp, name in ((in_order, "in_order.jsonl"), (shuffled, "shuffled_saved.jsonl")):
-            save_corpus(corp, tmp_path / name, order=np.arange(len(corp)))
-        saved = (tmp_path / "in_order.jsonl").read_bytes()
-        assert (tmp_path / "shuffled_saved.jsonl").read_bytes() == saved
+        saved = []
+        for path in paths:
+            with CorpusFile(path) as held:
+                saved.append(list(held.lines(np.arange(len(held.corpus)), np.arange(0))))
+        assert saved[1] == saved[0]
 
     @pytest.mark.parametrize("checked", [False, True], ids=["bulk", "one-by-one"])
     def test_a_profile_loads_in_like_order(self, tmp_path, checked):
         """A profile whose like counts rise, (1, 3, 0, 3), loads as rows
         (3, 3, 1, 0), the two 3s in input order, each with its own text,
-        answer, likers and word counts, with its text and tagged. A copy
-        that leaves out the one empty answer is checked one question at a
-        time, and loads to the same columns."""
+        answer, likers and word counts, over no vocabulary and over its
+        words, and is written back so. A copy that leaves out the one empty
+        answer is checked one question at a time, and loads to the same
+        columns."""
         words = ("ugly", "nice", "cool", "fat")
         questions = [{"text": f"{w} q{k}", "answer": f"a{k}" if n else "",
                       "likers": [f"v{k}{j}" for j in range(n)], "like_count": n}
@@ -344,10 +364,11 @@ class TestLoadCorpus:
         assert (corpus_mod._bulk_questions(questions) is None) == checked
         path = write_corpus_file(tmp_path, [{"owner": "a", "questions": questions}])
         rows = [1, 3, 0, 2]
-        text, tagged = load_corpus(path), load_corpus(path, words)
-        assert text.texts == tuple(f"{words[k]} q{k}" for k in rows)
-        assert text.answers == ("a1", "a3", "a0", "")
-        for corp in (text, tagged):
+        bare, tagged = load_corpus(path, ()), load_corpus(path, words)
+        (written,) = file_records(path)
+        assert [q["text"] for q in written["questions"]] == [f"{words[k]} q{k}" for k in rows]
+        assert [q["answer"] for q in written["questions"]] == ["a1", "a3", "a0", ""]
+        for corp in (bare, tagged):
             assert corp.like_count.tolist() == [3, 3, 1, 0]
             assert (corp.first_row.tolist(), corp.n_rows.tolist()) == ([0], [4])
             ids, ptr = corp.owners + corp.strangers, corp.liker_ptr.tolist()
@@ -360,9 +381,9 @@ class TestLoadCorpus:
 
 @st.composite
 def row_inputs(draw):
-    """`Corpus.from_rows` arguments, as (ids, owner codes in save order,
-    sampled flags, rows), each row (owner code, like count, liker codes,
-    text, answer). The rows list each profile's rows together, by
+    """`Corpus.from_rows` arguments, as (ids, owner codes in file order,
+    sampled flags, rows), each row (owner code, like count, liker codes).
+    The rows list each profile's rows together, by
     descending like count, as `from_rows` requires; the profiles come in
     sorted owner order in half the draws and in any order in the other
     half. Like counts of 0 to 2 make ties, within a profile and across a
@@ -378,7 +399,7 @@ def row_inputs(draw):
             listed = draw(st.booleans()) or not likes  # a like count may come without likers
             likers = draw(st.lists(st.integers(0, len(ids) - 1), min_size=likes,
                                    max_size=likes)) if listed else []
-            rows.append((code, likes, likers, f"t{len(rows)}", f"a{len(rows)}"))
+            rows.append((code, likes, likers))
     return ids, owner_code, sampled, rows
 
 
@@ -400,8 +421,7 @@ def input_order_reference(ids, owner_code, sampled, rows):
         total_likes=[sum(row[1] for row, k in zip(rows, owner) if k == i) for i in profiles],
         first_row=[owner.index(i) if i in owner else 0 for i in profiles],
         n_rows=[owner.count(i) for i in profiles],
-        owner=owner, texts=tuple(row[3] for row in rows),
-        answers=tuple(row[4] for row in rows), like_count=[row[1] for row in rows],
+        owner=owner, like_count=[row[1] for row in rows],
         liker_ptr=np.cumsum([0] + [len(row[2]) for row in rows]).tolist(),
         liker=[position[c] for row in rows for c in row[2]],
     )
@@ -412,10 +432,13 @@ class TestFromRows:
     @given(row_inputs(), st.sampled_from([np.int32, np.int64]))
     def test_columns_match_an_input_order_reference(self, inputs, liker_dtype):
         ids, owner_code, sampled, rows = inputs
+        no_words = CSR(np.zeros(len(rows) + 1, dtype=np.int64), np.zeros(0, dtype=np.int32),
+                       np.zeros(0, dtype=np.int64), (len(rows), 0))
         corp = Corpus.from_rows(
-            ids, owner_code, sampled, [row[0] for row in rows], [row[3] for row in rows],
-            [row[4] for row in rows], [row[1] for row in rows], [len(row[2]) for row in rows],
-            np.array([c for row in rows for c in row[2]], dtype=liker_dtype))
+            ids, owner_code, sampled, [row[0] for row in rows], [row[1] for row in rows],
+            [len(row[2]) for row in rows],
+            np.array([c for row in rows for c in row[2]], dtype=liker_dtype), (), no_words)
+        assert corp.vocab == () and corp.counts is no_words
         for name, expected in input_order_reference(*inputs).items():
             actual = getattr(corp, name)
             if isinstance(actual, np.ndarray):
@@ -443,31 +466,16 @@ BUNDLED_VOCAB = load_lexicon(bundled_lexicon_path("negative")) | load_lexicon(
 
 
 class TestLoadedCorpusMemory:
-    def test_loaded_corpus_retains_under_twice_the_file_size(self, tmp_path):
-        """Columns, not an object per question: the loaded synth corpus
-        (n=2000, seed 1) holds less memory than twice its file's bytes."""
+    def test_tagged_load_retains_under_three_quarters_of_the_file_size(self, tmp_path):
+        """Loading keeps no text, only columns: the synth corpus (n=2000,
+        seed 1) loaded over the bundled lexicons retains less memory than
+        three quarters of its file's bytes. A load that kept each question's
+        text would retain more than the file."""
         assert main(["synth", "--seed", "1", "--n-users", "2000", "--out", str(tmp_path)]) == 0
         path = tmp_path / "corpus.jsonl"
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            corp = load_corpus(path)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        corp, retained, _ = traced(lambda: load_corpus(path, BUNDLED_VOCAB))
         assert len(corp) == 2000
-        assert retained < 2 * path.stat().st_size
-
-    def test_tagged_load_retains_under_half_of_a_text_load(self, tmp_path):
-        """Loading tagged keeps no text: the synth corpus (n=2000, seed 1)
-        loaded over the bundled lexicons holds less than half the memory of
-        the same corpus loaded with its text."""
-        assert main(["synth", "--seed", "1", "--n-users", "2000", "--out", str(tmp_path)]) == 0
-        path = tmp_path / "corpus.jsonl"
-        text, text_bytes, _ = traced(lambda: load_corpus(path))
-        tagged, tagged_bytes, _ = traced(lambda: load_corpus(path, BUNDLED_VOCAB))
-        assert tagged.texts is None and len(tagged) == len(text) == 2000
-        assert tagged_bytes < text_bytes / 2
+        assert retained < 0.75 * path.stat().st_size
 
     @pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "shuffled"])
     def test_tagged_load_peaks_under_2_3_times_retained(self, tmp_path, shuffled):
@@ -482,33 +490,6 @@ class TestLoadedCorpusMemory:
         corp, retained, peak = traced(lambda: load_corpus(path, BUNDLED_VOCAB))
         assert len(corp) == 2000
         assert peak < 2.3 * retained
-
-    @pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "shuffled"])
-    def test_load_peaks_under_1_6_times_what_it_retains(self, tmp_path, shuffled):
-        """The parse keeps its like counts and likers in typed arrays, not
-        lists of ints, and no text is moved after: loading the synth corpus
-        (n=2000, seed 1) with its text peaks under 1.6 times the memory the
-        corpus retains, also from a copy with its profiles shuffled and each
-        profile's questions in ascending like order."""
-        assert main(["synth", "--seed", "1", "--n-users", "2000", "--out", str(tmp_path)]) == 0
-        path = tmp_path / "corpus.jsonl"
-        path = shuffled_copy(path) if shuffled else path
-        corp, retained, peak = traced(lambda: load_corpus(path))
-        assert len(corp) == 2000
-        assert peak < 1.6 * retained
-
-    def test_generate_corpus_peaks_under_1_75_times_what_it_retains(self):
-        """The generator draws its texts one block of users at a time, in the
-        corpus's row order: generating the synth corpus (n=2000, seed 1, the
-        `synth` defaults) peaks under 1.75 times the memory it retains."""
-        lexicons = (load_lexicon(bundled_lexicon_path(p)) for p in ("negative", "positive"))
-        params = GenParams(n_users=2000, group_mix={"HN": 0.1, "HP": 0.2, "PN": 0.2, "OTHR": 0.5},
-                           questions_per_user=(5, 20), like_rate=2.0,
-                           neg_vocab=tuple(sorted(next(lexicons))),
-                           pos_vocab=tuple(sorted(next(lexicons))), rng_seed=1)
-        (corp, _), retained, peak = traced(lambda: generate_corpus(params))
-        assert len(corp) == 2000
-        assert peak < 1.75 * retained
 
 
 class TestStreamedMemory:
@@ -568,15 +549,15 @@ def questions(draw, text=_TEXT):
     question = {"text": draw(text), "answer": draw(_TEXT), "likers": likers,
                 "like_count": like_count}
     if like_count and not likers:
-        del question["likers"]  # as `corpus_records` reads such a question back
+        del question["likers"]  # as a crawl's second pass writes such a question back
     return question
 
 
 @st.composite
 def corpora(draw, text=_TEXT):
-    """Profile records as `corpus_records` reads them back, with unsorted owners
-    and questions in the order the loader normalizes to, their texts drawn
-    from `text`."""
+    """Profile records as a crawl's second pass writes them back, with
+    unsorted owners and questions in the order the loader normalizes to,
+    their texts drawn from `text`."""
     owners = draw(st.lists(_TEXT.filter(bool), unique=True, max_size=5))
     records = []
     for owner in owners:
@@ -587,6 +568,10 @@ def corpora(draw, text=_TEXT):
 
 
 class TestSaveLoadRoundTrip:
+    """A corpus file rewritten from the lines a crawl's second pass gives
+    for all its profiles, in file order, which is how `crawl-sim` writes
+    the profiles it crawls."""
+
     @pytest.fixture(scope="class")
     def out_dir(self, tmp_path_factory):
         return tmp_path_factory.mktemp("round_trip")
@@ -594,26 +579,22 @@ class TestSaveLoadRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(corpora())
     def test_round_trip(self, out_dir, records):
-        corpus = Corpus.from_records(records)
-        assert list(corpus_records(corpus)) == records
-        first, second = out_dir / "first.jsonl", out_dir / "second.jsonl"
-        save_corpus(corpus, first)
-        loaded = load_corpus(first)
-        assert list(corpus_records(loaded)) == records
-        save_corpus(loaded, second)
+        """A rewrite reads back to the records it was written from, and a
+        rewrite of the rewrite is the same bytes."""
+        assert checked_records(records) == records
+        path = write_corpus_file(out_dir, records)
+        first = write_lines(out_dir / "first.jsonl", rewritten(path))
+        assert file_records(first) == records
+        second = write_lines(out_dir / "second.jsonl", rewritten(first))
         assert second.read_bytes() == first.read_bytes()
 
     @settings(max_examples=150, deadline=None)
     @given(corpora())
     def test_each_line_is_the_json_of_its_record(self, out_dir, records):
-        """`save_corpus` encodes from the columns what `json.dumps` encodes
-        from the record objects."""
-        corpus = Corpus.from_records(records)
-        path = out_dir / "lines.jsonl"
-        save_corpus(corpus, path)
-        expected = [json.dumps(r, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-                    for r in corpus_records(corpus)]
-        assert path.read_bytes().split(b"\n") == [*expected, b""]
+        """The second pass encodes from each profile's checked lists what
+        `json.dumps` encodes from its record object."""
+        path = write_corpus_file(out_dir, records, "lines.jsonl")
+        assert rewritten(path) == list(map(compact, records))
 
 
 def non_canonical(record, rng):
@@ -634,25 +615,21 @@ class TestCorpusFile:
         return tmp_path_factory.mktemp("corpus_file")
 
     def test_first_pass_is_the_text_load_without_text(self, tmp_path, monkeypatch):
-        """The first pass tokenizes nothing and keeps the columns of the
-        text load but the text."""
+        """The first pass tokenizes nothing and keeps the columns of a load
+        over any vocabulary but the word counts: those of the load over no
+        vocabulary."""
         assert main(["synth", "--seed", "3", "--n-users", "300", "--out", str(tmp_path)]) == 0
         path = tmp_path / "corpus.jsonl"
         calls = []
         monkeypatch.setattr(corpus_mod, "tokenize", lambda text: calls.append(text) or [])
         with CorpusFile(path) as held:
             first = held.corpus
-        assert calls == [] and load_corpus(path, ()).texts is None and calls == []
-        text = load_corpus(path)
-        assert isinstance(first, TaggedCorpus) and first.texts is None and first.vocab == ()
-        assert first.counts.shape == (len(text.texts), 0)
-        for field in fields(Corpus):
-            if field.name not in ("texts", "answers"):
-                value, want = getattr(first, field.name), getattr(text, field.name)
-                if isinstance(want, np.ndarray):
-                    assert value.dtype == want.dtype and np.array_equal(value, want), field.name
-                else:
-                    assert value == want, field.name
+        assert calls == []
+        assert first.vocab == () and first.counts.shape == (len(first.like_count), 0)
+        assert columns(first) == columns(load_corpus(path, ()))
+        monkeypatch.undo()
+        assert columns(first, ("vocab", "counts")) == columns(load_corpus(path, BUNDLED_VOCAB),
+                                                              ("vocab", "counts"))
 
     @settings(max_examples=100, deadline=None)
     @given(corpora(), st.randoms(use_true_random=False))
@@ -660,22 +637,21 @@ class TestCorpusFile:
         """Over a file whose keys and questions come in any order, whose
         strings are escaped as they need not be, and whose lines end in LF,
         CRLF or a lone CR with blank lines between, the second pass gives
-        the lines `save_corpus` writes for the text load, for any crawl
-        order and frontier."""
+        the compact JSON of the checked records in crawl order, then a stub
+        per frontier profile, for any crawl order and frontier."""
         path = out_dir / "truth.jsonl"
+        written = [non_canonical(record, rng) for record in records]
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            for record in records:
-                fh.write(non_canonical(record, rng) + rng.choice(["\n", "\r\n", "\r", "\n \t\n"]))
+            for line in written:
+                fh.write(line + rng.choice(["\n", "\r\n", "\r", "\n \t\n"]))
         positions = list(range(len(records)))
         rng.shuffle(positions)
         cut = rng.randint(0, len(positions))
         crawl = np.array(positions[:cut], dtype=np.int64)
         stubs = np.array(sorted(positions[cut:]), dtype=np.int64)
-        save_corpus(load_corpus(path), out_dir / "saved.jsonl", crawl, stubs)
         with CorpusFile(path) as held:
             lines = list(held.lines(crawl, stubs))
-        assert "".join(line + "\n" for line in lines).encode("utf-8") == (
-            out_dir / "saved.jsonl").read_bytes()
+            assert lines == crawl_lines(map(json.loads, written), held.corpus, (crawl, stubs))
 
     @pytest.mark.parametrize("change", ["appended", "touched", "rewritten-as-it-was"])
     def test_a_file_changed_after_the_first_pass_fails_the_second(self, tmp_path, change):
@@ -709,13 +685,13 @@ class TestCorpusFile:
     def test_a_replaced_file_is_read_as_it_was_opened(self, tmp_path):
         """The file is held open: a file renamed over its path after the
         first pass is not the file the second pass reads."""
-        path = write_corpus_file(tmp_path, [make_profile("a", ["hi"], 1), make_profile("b", [])])
+        records = [make_profile("a", ["hi"], 1), make_profile("b", [])]
+        path = write_corpus_file(tmp_path, records)
         other = write_corpus_file(tmp_path, [make_profile("z", ["other"])], "other.jsonl")
-        expected = list(corpus_records(load_corpus(path)))
         with CorpusFile(path) as held:
             os.replace(other, path)
             lines = list(held.lines(np.array([0, 1]), np.array([], dtype=np.int64)))
-        assert [json.loads(line) for line in lines] == expected
+        assert lines == list(map(compact, checked_records(records)))
 
 
 # Question text holding vocabulary words, in any case and next to other text.
@@ -735,29 +711,21 @@ class TestTaggedLoad:
     def test_tagged_load_is_the_text_load_with_its_word_counts(
         self, out_dir, records, vocab, rng
     ):
-        """Loading over `vocab` gives every column the text load gives but
-        the text, and as `counts` each question's tokens in `vocab`, counted,
-        with owners and like counts in any order in the file."""
+        """Loading over `vocab` gives every column the load over no
+        vocabulary gives but the counts, and as `counts` each question's
+        tokens in `vocab`, counted, row by row in the order of the checked
+        records, with owners and like counts in any order in the file."""
         for record in records:
             rng.shuffle(record["questions"])
         path = write_corpus_file(out_dir, records)
-        text, actual = load_corpus(path), load_corpus(path, vocab)
-        assert isinstance(actual, TaggedCorpus)
-        assert actual.texts is None and actual.answers is None
+        bare, actual = load_corpus(path, ()), load_corpus(path, vocab)
         assert actual.vocab == tuple(sorted(vocab))
-        for field in fields(Corpus):
-            if field.name not in ("texts", "answers"):
-                value, want = getattr(actual, field.name), getattr(text, field.name)
-                if isinstance(want, np.ndarray):
-                    assert value.dtype == want.dtype and np.array_equal(value, want), field.name
-                else:
-                    assert value == want, field.name
+        assert columns(actual, ("vocab", "counts")) == columns(bare, ("vocab", "counts"))
+        texts = [q["text"] for record in checked_records(records) for q in record["questions"]]
         counts = to_scipy(actual.counts)
-        assert counts.shape == (len(text.texts), len(vocab))
+        assert counts.shape == (len(texts), len(vocab))
         assert counts.dtype == np.int64 and counts.has_canonical_format
-        assert row_counts(actual) == [
-            Counter(t for t in tokenize(q) if t in vocab) for q in text.texts
-        ]
+        assert row_counts(actual) == [Counter(t for t in tokenize(q) if t in vocab) for q in texts]
 
     @pytest.mark.parametrize("texts", [
         ["ΟΔΟΣ", "ΣΑΣ", "Σ", "ΑΣ'", "'ΣΑ", "ὈΔΥΣΣΕΎΣ."],
@@ -780,13 +748,6 @@ class TestTaggedLoad:
         tagged = load_corpus(path, vocab)
         assert sorted(calls) == sorted(texts)
         assert row_counts(tagged) == [Counter(_TOKEN_RE.findall(text.lower())) for text in texts]
-
-    def test_corpus_without_text_is_not_saved(self, tmp_path):
-        path = write_corpus_file(tmp_path, [make_profile("a", ["ugly day"])])
-        out = tmp_path / "saved.jsonl"
-        with pytest.raises(ValueError, match="without its question text"):
-            save_corpus(load_corpus(path, VOCAB), out)
-        assert list(tmp_path.iterdir()) == [path]
 
     def test_corpus_without_text_is_tagged_over_its_vocabulary_only(self, tmp_path):
         path = write_corpus_file(tmp_path, [make_profile("a", ["ugly day", "nice"])])
@@ -872,21 +833,23 @@ class TestRecordChecks:
 
     @staticmethod
     def assert_loads_as_the_question_loop(path, records):
-        """The text and the tagged load, from a file or from the records,
-        raise the error, with its line, of the first fault that the
-        per-question loop finds, or read the records as that loop does."""
+        """The loads over no vocabulary and over `VOCAB`, from a file or
+        from the records, and a crawl's first pass raise the error, with its
+        line, of the first fault that the per-question loop finds, or read
+        the records as that loop does: the second pass writes them back so,
+        and the parse of the records has the columns of the file's."""
         try:
             expected = checked_records(records)
         except CorpusFormatError as exc:
             error = format_error(path)
             assert (str(error), error.line_no) == (str(exc), exc.line_no)
-            for vocab in (None, VOCAB):
+            for vocab in ((), VOCAB):
                 with pytest.raises(CorpusFormatError) as direct:
-                    Corpus.from_records(records, vocab)
+                    from_records(records, vocab)
                 assert (str(direct.value), direct.value.line_no) == (str(exc), exc.line_no)
         else:
-            assert list(corpus_records(load_corpus(path))) == expected
-            assert list(corpus_records(Corpus.from_records(records))) == expected
+            assert file_records(path) == expected
+            assert columns(from_records(records)) == columns(load_corpus(path, ()))
             assert len(load_corpus(path, VOCAB)) == len(expected)
 
     @pytest.mark.parametrize("kind", [None, *_FAULT_KINDS])
@@ -993,7 +956,7 @@ class TestLexiconEntriesMatchTokens:
 
         def found(entry):
             question = {"text": before + entry + after}
-            corp = Corpus.from_records([{"owner": "u", "questions": [question]}], {entry.lower()})
+            corp = from_records([{"owner": "u", "questions": [question]}], {entry.lower()})
             return row_counts(corp) == [{entry.lower(): 1}]
 
         path = lex_dir / "lex.txt"
@@ -1018,7 +981,7 @@ VOCAB = NEG | POS
 def tag(question):
     """The tagged words of one question record, with its negative/positive
     flags."""
-    (words,) = row_counts(Corpus.from_records([{"owner": "a", "questions": [question]}], VOCAB))
+    (words,) = row_counts(from_records([{"owner": "a", "questions": [question]}], VOCAB))
     return words, any(w in NEG for w in words), any(w in POS for w in words)
 
 
@@ -1046,7 +1009,7 @@ class TestTagQuestion:
 class TestTagCorpus:
     def test_rows_count_each_questions_words(self):
         records = [make_profile("a", ["Fat and UGLY, so fat", "plain", "other"])]
-        tagged = Corpus.from_records(records, {"fat", "ugly"})
+        tagged = from_records(records, {"fat", "ugly"})
         assert row_counts(tagged) == [{"fat": 2, "ugly": 1}, {}, {}]
         counts = to_scipy(tagged.counts)
         assert counts.dtype == np.int64 and counts.has_canonical_format
@@ -1058,7 +1021,7 @@ class TestTagCorpus:
         monkeypatch.setattr(
             corpus_mod, "tokenize", lambda text: calls.append(text) or tokenize(text)
         )
-        tagged = Corpus.from_records([
+        tagged = from_records([
             make_profile("a", ["ugly", "nice"]), make_profile("b", ["fat"]),
         ], VOCAB)
         corpus_stats(tagged, NEG, POS)
@@ -1070,8 +1033,8 @@ class TestTagCorpus:
         """A corpus tagged over a vocabulary counts the words of any subset
         of it as a corpus tagged over that subset does."""
         records = [make_profile("a", ["ugly nice fat", "nice", "day ugly"])]
-        wide = Corpus.from_records(records, VOCAB | {"day"})
-        narrow = Corpus.from_records(records, NEG)
+        wide = from_records(records, VOCAB | {"day"})
+        narrow = from_records(records, NEG)
         assert wide.word_counts(NEG).tolist() == narrow.word_counts(NEG).tolist() == [2, 0, 1]
         assert corpus_stats(wide, NEG, set()) == corpus_stats(narrow, NEG, set())
 
@@ -1086,14 +1049,14 @@ def make_profile(owner, texts, likes_each=0, fully_sampled=True):
 
 class TestCorpusStats:
     def test_single_empty_profile(self):
-        corp = Corpus.from_records([make_profile("a", [])], VOCAB)
+        corp = from_records([make_profile("a", [])], VOCAB)
         stats = corpus_stats(corp, NEG, POS)
         assert stats.avg_answers_per_user == 0
         assert stats.avg_neg_questions == 0
         assert stats.pct_users_with_pos_q == 0
 
     def test_hand_counted_averages(self):
-        corp = Corpus.from_records([
+        corp = from_records([
             make_profile("a", ["you ugly", "so fat ugly"]),
             make_profile("b", ["nice one"]),
         ], VOCAB)
@@ -1106,19 +1069,19 @@ class TestCorpusStats:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            corpus_stats(Corpus.from_records([], VOCAB), NEG, POS)
+            corpus_stats(from_records([], VOCAB), NEG, POS)
 
     def test_frontier_stubs_are_not_users(self):
         stub = make_profile("s", [], fully_sampled=False)
-        corp = Corpus.from_records([make_profile("a", ["you ugly", "nice"]), stub], VOCAB)
+        corp = from_records([make_profile("a", ["you ugly", "nice"]), stub], VOCAB)
         stats = corpus_stats(corp, NEG, POS)
         assert stats.avg_answers_per_user == 2.0
         assert stats.pct_users_with_neg_q == 100.0
         with pytest.raises(ValueError):
-            corpus_stats(Corpus.from_records([stub], VOCAB), NEG, POS)
+            corpus_stats(from_records([stub], VOCAB), NEG, POS)
 
     def test_neg_questions_bounded_by_answers(self):
-        corp = Corpus.from_records([
+        corp = from_records([
             make_profile("a", ["ugly fat ugly", "ugly", "hello"]),
         ], VOCAB)
         stats = corpus_stats(corp, NEG, POS)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from askgraph.cli import main
-from askgraph.corpus import Corpus, load_corpus, tokenize
+from askgraph.corpus import load_corpus, tokenize
 from askgraph.interaction import (
     build_interaction_graph,
     ccdf,
@@ -23,9 +23,10 @@ from askgraph.interaction import (
 from helpers import (
     SimpleView,
     brute_force_reciprocity,
-    corpus_records,
+    checked_records,
     edge_map,
     edge_rows,
+    from_records,
     graph_from_pairs,
     like_graph,
     neg_reciprocity,
@@ -37,7 +38,7 @@ NEG_WS = vocab_word_set(["ugly", "hate"])
 
 
 def corpus_of(profiles):
-    return Corpus.from_records(profiles, NEG_WS)
+    return from_records(profiles, NEG_WS)
 
 
 def profile(owner, questions, fully_sampled=True):
@@ -157,7 +158,7 @@ class TestBuildInteractionGraph:
         ]
         top_k = data.draw(st.integers(1, 4))
         g = build_interaction_graph(corpus_of(records), NEG_WS, top_k=top_k)
-        nodes, edges = reference_build(Corpus.from_records(records), NEG_WS, top_k)
+        nodes, edges = reference_build(checked_records(records), NEG_WS, top_k)
         assert g.nodes == nodes
         assert list(edge_map(g).items()) == list(edges.items())
         assert g.adjacency.data.shape == (len(edges), 2)
@@ -167,10 +168,11 @@ USER_POOL = ("u1", "u2", "u10", "u9", "a", "B")
 TEXTS = ("ugly one", "I hate it", "fine", "ok then", "")
 
 
-def reference_build(corpus, neg_words, top_k):
-    """The like graph of a text corpus as plain dicts: sorted node ids, and
-    the edge weights keyed (liker, owner) in sorted key order."""
-    profiles = {p["owner"]: p for p in corpus_records(corpus)}
+def reference_build(records, neg_words, top_k):
+    """The like graph of checked profile records as plain dicts: sorted
+    node ids, and the edge weights keyed (liker, owner) in sorted key
+    order."""
+    profiles = {p["owner"]: p for p in records}
     nodes = tuple(sorted(u for u, p in profiles.items() if p["fully_sampled"]))
     edges = {}
     for j in nodes:
@@ -543,7 +545,7 @@ class TestNodeTableAtScale:
         with open(tmp_path / "interaction_edges.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         edges = {(i, j): (int(neg), int(nonneg)) for i, j, neg, nonneg in rows}
-        g = like_graph(load_corpus(corpus).owners, edges)
+        g = like_graph(load_corpus(corpus, ()).owners, edges)
         assert len(g.adjacency.indices) == 57_219
         tracemalloc.start()
         try:
@@ -577,7 +579,7 @@ class TestLikesAnswersCorrelation:
         ]
 
     def make_corpus(self, counts_likes):
-        return Corpus.from_records(self.records(counts_likes))
+        return from_records(self.records(counts_likes))
 
     def test_perfectly_linear(self):
         corp = self.make_corpus([(2, 3), (5, 3), (10, 3), (60, 3), (70, 3), (80, 3)])
@@ -599,7 +601,7 @@ class TestLikesAnswersCorrelation:
     def test_frontier_stubs_left_out(self):
         corp = self.make_corpus([(2, 3), (5, 3)])
         stub = {"owner": "s", "fully_sampled": False, "questions": []}
-        with_stub = Corpus.from_records([*self.records([(2, 3), (5, 3)]), stub])
+        with_stub = from_records([*self.records([(2, 3), (5, 3)]), stub])
         assert likes_answers_correlation(with_stub) == likes_answers_correlation(corp)
 
 

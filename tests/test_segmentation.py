@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from askgraph.corpus import ContentTable, Corpus, content_table
+from askgraph.corpus import ContentTable, content_table
 from askgraph.interaction import build_interaction_graph, node_table
 from askgraph.segmentation import (
     GROUPS,
@@ -15,7 +15,7 @@ from askgraph.segmentation import (
     labeled_report,
     load_label_file,
 )
-from helpers import classify_counts, classify_user, group_row, vocab_word_set
+from helpers import classify_counts, classify_user, from_records, group_row, vocab_word_set
 
 NEG = vocab_word_set(["ugly", "hate"])
 POS = vocab_word_set(["nice", "sweet"])
@@ -31,7 +31,7 @@ def profile(owner, texts, fully_sampled=True):
 
 def corpus_of(records):
     """The records parsed over both word sets, as the analyses read them."""
-    return Corpus.from_records(records, NEG + POS)
+    return from_records(records, NEG + POS)
 
 
 COLUMNS = ("n_answers", "n_neg_questions", "n_pos_questions", "n_neg_words", "n_pos_words")

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -10,19 +9,18 @@ from hypothesis import strategies as st
 
 from askgraph import synth
 from askgraph.cli import main
-from askgraph.corpus import Corpus, content_table, load_corpus, load_lexicon, save_corpus
+from askgraph.corpus import CorpusFile, content_table, load_corpus, load_lexicon
 from askgraph.data import bundled_lexicon_path
 from askgraph.segmentation import GROUPS, classify_corpus
 from askgraph.synth import (
     GenParams,
     SplitMix64,
-    generate_corpus,
     quota_counts,
     snowball_sample,
 )
 from helpers import (
-    corpus_records, crawl_order, frontier, sample, saved_crawl, scalar_corpus, tagged,
-    vocab_word_set,
+    compact, crawl_lines, crawl_order, file_records, from_records, frontier, rewritten, sample,
+    scalar_corpus, synthetic, vocab_word_set, write_lines,
 )
 
 NEG_VOCAB = ("ugly", "hate", "stupid", "fat")
@@ -43,18 +41,18 @@ def params(**overrides):
     return GenParams(**base)
 
 
-def corpus_bytes(corpus):
-    import tempfile, pathlib
-    with tempfile.TemporaryDirectory() as d:
-        path = pathlib.Path(d) / "c.jsonl"
-        save_corpus(corpus, path)
-        return path.read_bytes()
-
-
 def streamed_bytes(p):
     """The bytes `synth` writes for `p`: each profile's line as its block
     is drawn."""
     return "".join(line + "\n" for line in synth.corpus_lines(synth.draw_corpus(p))).encode()
+
+
+def planted_groups(p):
+    """`classify_corpus` over the corpus `p` describes, and the planted
+    group codes, both aligned with its sorted owners."""
+    _, corpus, codes = synthetic(p, NEG_VOCAB + POS_VOCAB)
+    return classify_corpus(content_table(corpus, vocab_word_set(NEG_VOCAB),
+                                         vocab_word_set(POS_VOCAB))), codes
 
 
 class TestSplitMix64:
@@ -190,31 +188,18 @@ class TestQuota:
 
 class TestGenerateCorpus:
     def test_same_seed_byte_identical(self):
-        c1, _ = generate_corpus(params())
-        c2, _ = generate_corpus(params())
-        assert corpus_bytes(c1) == corpus_bytes(c2)
+        assert streamed_bytes(params()) == streamed_bytes(params())
 
     def test_different_seeds_differ(self):
-        c1, _ = generate_corpus(params(rng_seed=1))
-        c2, _ = generate_corpus(params(rng_seed=2))
-        assert corpus_bytes(c1) != corpus_bytes(c2)
+        assert streamed_bytes(params(rng_seed=1)) != streamed_bytes(params(rng_seed=2))
 
     def test_all_hn_mix_classifies_hn(self):
-        p = params(n_users=10, group_mix={"HN": 1.0})
-        corp, codes = generate_corpus(p)
-        pred = classify_corpus(content_table(
-            tagged(corp, NEG_VOCAB + POS_VOCAB), vocab_word_set(NEG_VOCAB),
-            vocab_word_set(POS_VOCAB)
-        ))
+        pred, codes = planted_groups(params(n_users=10, group_mix={"HN": 1.0}))
         assert set(pred.tolist()) == {GROUPS.index("HN")}
         assert pred.tolist() == codes.tolist()
 
     def test_planted_labels_recovered(self):
-        corp, codes = generate_corpus(params(n_users=100))
-        pred = classify_corpus(content_table(
-            tagged(corp, NEG_VOCAB + POS_VOCAB), vocab_word_set(NEG_VOCAB),
-            vocab_word_set(POS_VOCAB)
-        ))
+        pred, codes = planted_groups(params(n_users=100))
         assert pred.tolist() == codes.tolist()
 
     def test_planted_codes_past_u99999_follow_the_sorted_ids(self):
@@ -222,29 +207,29 @@ class TestGenerateCorpus:
         # drawn last, sorts between u10000 and u10001
         p = params(n_users=100_001, group_mix={"HN": 0.5, "OTHR": 0.5},
                    questions_per_user=(3, 3), like_rate=0.0)
-        corp, codes = generate_corpus(p)
+        _, corp, codes = synthetic(p, NEG_VOCAB + POS_VOCAB)
         assert codes.dtype == np.int64 and len(codes) == len(corp.owners)
-        pred = classify_corpus(content_table(
-            tagged(corp, NEG_VOCAB + POS_VOCAB), vocab_word_set(NEG_VOCAB),
-            vocab_word_set(POS_VOCAB)
-        ))
+        pred = classify_corpus(content_table(corp, vocab_word_set(NEG_VOCAB),
+                                             vocab_word_set(POS_VOCAB)))
         assert pred.tolist() == codes.tolist()
         assert corp.owners[10_000:10_003] == ("u10000", "u100000", "u10001")
         assert [GROUPS[k] for k in codes[10_000:10_003].tolist()] == ["HN", "OTHR", "HN"]
         assert np.bincount(codes).tolist() == [50_001, 0, 0, 50_000]
 
-    def test_streamed_file_past_u99999_is_the_saved_corpus(self):
+    def test_streamed_file_past_u99999_is_the_saved_corpus(self, tmp_path):
         """`synth` draws and writes its blocks in draw order, which is file
         order; past 100,000 users that is not the sorted-id order, and the
-        streamed file is still the in-memory corpus saved."""
+        streamed file is still canonical: a crawl's second pass writes each
+        of its lines back as it is."""
         p = params(n_users=100_001, group_mix={"HN": 0.5, "OTHR": 0.5},
                    questions_per_user=(3, 3), like_rate=0.0)
-        corp, _ = generate_corpus(p)
-        streamed = streamed_bytes(p)
-        assert streamed == corpus_bytes(corp)
-        owners = [json.loads(line)["owner"] for line in streamed.splitlines()]
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(streamed_bytes(p))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert rewritten(path) == lines
+        owners = [json.loads(line)["owner"] for line in lines]
         assert owners[10_000:10_002] == ["u10000", "u10001"] and owners[-1] == "u100000"
-        assert list(corp.owners) == sorted(owners) != owners
+        assert synth.draw_corpus(p).planted_codes()[0] == sorted(owners) != owners
 
     def test_infeasible_params_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -273,19 +258,9 @@ class TestGenerateCorpus:
                ).validate()
 
     def test_questions_sorted_by_likes(self):
-        corp, _ = generate_corpus(params(n_users=10))
-        for p in corpus_records(corp):
-            likes = [q["like_count"] for q in p["questions"]]
+        for line in synth.corpus_lines(synth.draw_corpus(params(n_users=10))):
+            likes = [q["like_count"] for q in json.loads(line)["questions"]]
             assert likes == sorted(likes, reverse=True)
-
-
-def columns(corpus):
-    """Every column of a corpus; arrays with their dtype."""
-    out = {}
-    for f in dataclasses.fields(Corpus):
-        value = getattr(corpus, f.name)
-        out[f.name] = (value.dtype.str, value.tolist()) if isinstance(value, np.ndarray) else value
-    return out
 
 
 BUNDLED = tuple(
@@ -319,17 +294,17 @@ def gen_params(draw):
 
 
 def assert_matches_scalar_loop(p):
-    """`generate_corpus` gives the scalar loop's columns and labels, and
-    `synth` streams the file that saving it writes."""
-    corpus, codes = generate_corpus(p)
-    expected, expected_labels = scalar_corpus(p)
-    assert columns(corpus) == columns(expected)
-    assert [GROUPS[k] for k in codes.tolist()] == [expected_labels[u] for u in corpus.owners]
-    assert streamed_bytes(p) == corpus_bytes(corpus)
+    """`synth` streams the lines of the scalar loop's records, in draw
+    order, and plants its labels."""
+    draws = synth.draw_corpus(p)
+    records, labels = scalar_corpus(p)
+    assert list(synth.corpus_lines(draws)) == list(map(compact, records))
+    owners, codes = draws.planted_codes()
+    assert [GROUPS[k] for k in codes.tolist()] == [labels[u] for u in owners]
 
 
 class TestScalarOracle:
-    """`generate_corpus` against the scalar loop it replaced, which draws
+    """The generator against the scalar loop it replaced, which draws
     every value through `randbelow` in draw order."""
 
     @settings(max_examples=200, deadline=None)
@@ -367,9 +342,9 @@ class TestScalarOracle:
         walks = []
         walk = synth._walk
         monkeypatch.setattr(synth, "_walk", lambda *args: walks.append(walk(*args)) or walks[-1])
-        generate_corpus(params(n_users=2000, group_mix={"HN": .1, "HP": .2, "PN": .2, "OTHR": .5},
-                               questions_per_user=(11, 18), neg_vocab=BUNDLED[0],
-                               pos_vocab=BUNDLED[1], rng_seed=1))
+        synth.draw_corpus(params(
+            n_users=2000, group_mix={"HN": .1, "HP": .2, "PN": .2, "OTHR": .5},
+            questions_per_user=(11, 18), neg_vocab=BUNDLED[0], pos_vocab=BUNDLED[1], rng_seed=1))
         assert (walks[0].text_at >= 0).all() and (walks[0].like_at >= 0).all()
 
     def test_two_blocks_match_the_scalar_loop(self):
@@ -377,7 +352,7 @@ class TestScalarOracle:
         # the `_CHUNK`-th row falls inside a profile: in its likers' draws,
         # and in the first block, which then holds more than `_CHUNK` rows
         p = params(n_users=400)
-        first_rows = np.cumsum([0, *np.bincount(generate_corpus(p)[0].owner).tolist()])
+        first_rows = np.cumsum([0, *synth.draw_corpus(p).walk.n_rows.tolist()])
         assert first_rows[-1] > synth._CHUNK and synth._CHUNK not in first_rows
         assert_matches_scalar_loop(p)
 
@@ -402,31 +377,29 @@ def profile(owner, *likers):
             "questions": [{"text": f"q on {owner}", "likers": list(q)} for q in likers]}
 
 
-def profiles(corpus):
-    """The corpus's profile records by owner."""
-    return {record["owner"]: record for record in corpus_records(corpus)}
+CHAIN = [profile("a", ["b"]), profile("b", ["c"]), profile("c", [])]
 
 
 def chain_corpus():
     """b likes a's question; c likes b's question."""
-    return Corpus.from_records([profile("a", ["b"]), profile("b", ["c"]), profile("c", [])])
+    return from_records(CHAIN)
 
 
 class TestSnowballSample:
     def test_full_clique_crawled(self):
-        corp = Corpus.from_records([
+        corp = from_records([
             profile(u, sorted({"a", "b", "c"} - {u})) for u in ("a", "b", "c")
         ])
         s = snowball_sample(corp, ["a"], budget=3)
         assert set(crawl_order(corp, s)) == {"a", "b", "c"}
         assert frontier(corp, s) == frozenset()
 
-    def test_chain_bfs_trace(self, tmp_path):
+    def test_chain_bfs_trace(self):
         gt = chain_corpus()
         s = snowball_sample(gt, ["a"], budget=2)
         assert crawl_order(gt, s) == ("a", "b")
         assert frontier(gt, s) == frozenset({"c"})
-        written = {r["owner"]: r for r in saved_crawl(gt, s, tmp_path / "sample.jsonl")}
+        written = {r["owner"]: r for r in map(json.loads, crawl_lines(CHAIN, gt, s))}
         assert not written["c"]["fully_sampled"]
         assert written["a"]["fully_sampled"]
 
@@ -442,26 +415,32 @@ class TestSnowballSample:
         assert (crawl.tolist(), stubs.tolist()) == ([0, 1], [2])
 
     def test_crawled_in_edges_match_ground_truth(self, tmp_path):
-        gt = chain_corpus()
-        s = snowball_sample(gt, ["a"], budget=2)
-        written = {r["owner"]: r for r in saved_crawl(gt, s, tmp_path / "sample.jsonl")}
+        """A crawl written by the second pass over the ground truth's file
+        lists each crawled profile's likers as the file does."""
+        path = tmp_path / "gt.jsonl"
+        write_lines(path, map(json.dumps, CHAIN))
+        truth = {r["owner"]: r for r in file_records(path)}
+        with CorpusFile(path) as held:
+            gt = held.corpus
+            s = snowball_sample(gt, ["a"], budget=2)
+            written = {r["owner"]: r for r in map(json.loads, held.lines(*s))}
         for node in crawl_order(gt, s):
             sampled_likers = [q["likers"] for q in written[node]["questions"]]
-            truth_likers = [q["likers"] for q in profiles(gt)[node]["questions"]]
+            truth_likers = [q["likers"] for q in truth[node]["questions"]]
             assert sampled_likers == truth_likers
 
     def test_reads_no_text(self, tmp_path):
         """The crawl reads only the owner, flag and liker columns: over the
-        tagged load of a file with an empty vocabulary it gives the arrays
-        it gives over the text load."""
+        load of a file with an empty vocabulary it gives the arrays it gives
+        over the load with both vocabularies."""
         path = tmp_path / "gt.jsonl"
-        save_corpus(generate_corpus(params(n_users=300, rng_seed=3))[0], path)
-        text, no_text = load_corpus(path), load_corpus(path, ())
-        assert no_text.texts is None
+        path.write_bytes(streamed_bytes(params(n_users=300, rng_seed=3)))
+        tagged, no_words = load_corpus(path, NEG_VOCAB + POS_VOCAB), load_corpus(path, ())
+        assert no_words.counts.shape == (len(tagged.like_count), 0)
         for seeds, budget in [(["u00001", "u00005"], 120), (["u00002"], 1), (["u00007"], 300)]:
-            crawl, stubs = snowball_sample(text, seeds, budget)
-            tagged_crawl, tagged_stubs = snowball_sample(no_text, seeds, budget)
-            assert np.array_equal(crawl, tagged_crawl) and np.array_equal(stubs, tagged_stubs)
+            crawl, stubs = snowball_sample(tagged, seeds, budget)
+            bare_crawl, bare_stubs = snowball_sample(no_words, seeds, budget)
+            assert np.array_equal(crawl, bare_crawl) and np.array_equal(stubs, bare_stubs)
 
     def test_seed_with_zero_likes_rejected(self):
         with pytest.raises(ValueError, match="zero liked"):
@@ -478,7 +457,7 @@ class TestSnowballSample:
     @pytest.mark.parametrize("budget", [1, 2, 100])
     def test_open_ground_truth_rejected_whatever_the_budget(self, budget):
         # "m" has no profile and "d" is a stub; "d" comes first in sorted order
-        corp = Corpus.from_records([
+        corp = from_records([
             profile("a", ["b"]), profile("b", ["m"], ["d"]),
             {"owner": "d", "fully_sampled": False},
         ])
@@ -486,7 +465,7 @@ class TestSnowballSample:
             snowball_sample(corp, ["a"], budget)
 
     def test_stub_seed_rejected(self):
-        corp = Corpus.from_records([
+        corp = from_records([
             {"owner": "a", "fully_sampled": False, "questions": [{"text": "q", "likers": ["b"]}]},
             profile("b", []),
         ])
@@ -494,7 +473,7 @@ class TestSnowballSample:
             snowball_sample(corp, ["a"], budget=2)
 
     def test_levels_visited_in_userid_order(self):
-        corp = Corpus.from_records([
+        corp = from_records([
             profile("s", ["z", "b", "m"]), profile("z", []), profile("b", []), profile("m", []),
         ])
         s = snowball_sample(corp, ["s"], budget=4)

@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 
 from askgraph import interaction
 from askgraph.corpus import (
-    Corpus,
+    CorpusFile,
     CorpusStats,
     content_table,
     corpus_stats,
     load_corpus,
-    save_corpus,
     tokenize,
 )
 from askgraph.interaction import (
@@ -40,11 +39,11 @@ from askgraph.segmentation import (
     group_report,
     labeled_report,
 )
-from askgraph.synth import GenParams, generate_corpus, snowball_sample
+from askgraph.synth import GenParams, snowball_sample
 from askgraph.wordgraph import build_bipartite, cooccurrence_distribution
 from helpers import (
-    classify_user, corpus_records, crawl_order, edge_map, edge_rows, frontier, saved_crawl,
-    to_scipy, vocab_word_set,
+    checked_records, classify_user, crawl_lines, crawl_order, edge_map, edge_rows, file_records,
+    from_records, frontier, rewritten, synthetic, to_scipy, vocab_word_set, write_lines,
 )
 
 NEG = frozenset({"ugly", "fat", "hate", "cool"})
@@ -97,8 +96,6 @@ def reference_columns(records):
         liker_ptr=liker_ptr.tolist(),
         liker=np.fromiter(positions, np.int32, int(liker_ptr[-1])).tolist(),
         liker_ids=list(chain.from_iterable(likers)),
-        texts=[q["text"] for q in questions],
-        answers=[q.get("answer", "") for q in questions],
         like_count=[like_count(q) for q in questions],
     )
 
@@ -123,8 +120,6 @@ def corpus_columns(corpus):
         liker_ptr=corpus.liker_ptr.tolist(),
         liker=np.where(corpus.liker < n, corpus.liker, -1).tolist(),
         liker_ids=[ids[i] for i in corpus.liker.tolist()],
-        texts=list(corpus.texts),
-        answers=list(corpus.answers),
         like_count=corpus.like_count.tolist(),
     )
 
@@ -312,7 +307,7 @@ def tagged_over(records, vocab, superset):
     """The records parsed over `vocab`, or over a superset of every
     vocabulary, so consumers also reduce a matrix with columns they do not
     read."""
-    return Corpus.from_records(records, [*WORDS, "zzz"] if superset else vocab)
+    return from_records(records, [*WORDS, "zzz"] if superset else vocab)
 
 
 # --- the properties -------------------------------------------------------
@@ -320,44 +315,45 @@ def tagged_over(records, vocab, superset):
 @settings(max_examples=100, deadline=None)
 @given(corpora())
 def test_columns_match_the_object_built_reference(records):
-    """`from_records` builds the columns the object model did; they survive a
-    save and load, and `records` reads the records back as saved."""
+    """The parse builds the columns the object model did; they survive a
+    rewrite of the file by a crawl's second pass and a load, and the
+    rewrite reads back as the checked records, texts and answers too."""
     expected = reference_columns(records)
-    corpus = Corpus.from_records(records)
-    assert corpus_columns(corpus) == expected
-    assert [p["owner"] for p in corpus_records(corpus)] == [r["owner"] for r in records]
+    assert corpus_columns(from_records(records)) == expected
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "corpus.jsonl"
-        save_corpus(corpus, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line) for line in lines] == list(corpus_records(corpus))
-        assert corpus_columns(load_corpus(path)) == expected
+        path, rewrite = Path(tmp) / "corpus.jsonl", Path(tmp) / "rewritten.jsonl"
+        write_lines(path, map(json.dumps, records))
+        write_lines(rewrite, rewritten(path))
+        assert file_records(rewrite) == checked_records(records)
+        assert corpus_columns(load_corpus(rewrite, ())) == expected
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 40), st.integers(0, 2**32), st.integers(1, 40), st.data())
 def test_crawl_columns_match_the_object_built_reference(n_users, seed, budget, data):
     """A crawl is written as its profile records: the crawled ground truth
-    records in crawl order, then a stub per frontier id, sorted; the file
-    loads to the columns of those records."""
-    gt, _ = generate_corpus(GenParams(
+    records in crawl order, then a stub per frontier id, sorted; the crawl
+    parses to the columns of those records."""
+    truth, _, _ = synthetic(GenParams(
         n_users=n_users, group_mix={"OTHR": 1.0}, questions_per_user=(0, 4), like_rate=1.5,
         neg_vocab=("ugly",), pos_vocab=("nice",), rng_seed=seed,
     ))
-    liked = [u for u, likes in zip(gt.owners, gt.total_likes.tolist()) if likes]
-    if not liked:
-        return
-    seeds = data.draw(st.lists(st.sampled_from(liked), min_size=1, max_size=3))
-    sample = snowball_sample(gt, seeds, budget)
-    truth = {r["owner"]: r for r in corpus_records(gt)}
-    records = [truth[u] for u in crawl_order(gt, sample)] + [
-        {"owner": u, "fully_sampled": False, "questions": []}
-        for u in sorted(frontier(gt, sample))
-    ]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "sample.jsonl"
-        assert saved_crawl(gt, sample, path) == records
-        loaded = load_corpus(path)
+        path = Path(tmp) / "truth.jsonl"
+        write_lines(path, map(json.dumps, truth))
+        with CorpusFile(path) as held:
+            gt = held.corpus
+            liked = [u for u, likes in zip(gt.owners, gt.total_likes.tolist()) if likes]
+            if not liked:
+                return
+            seeds = data.draw(st.lists(st.sampled_from(liked), min_size=1, max_size=3))
+            sample = snowball_sample(gt, seeds, budget)
+            written = list(held.lines(*sample))
+    assert written == crawl_lines(truth, gt, sample)
+    records = [json.loads(line) for line in written]
+    assert [r["owner"] for r in records] == [*crawl_order(gt, sample),
+                                             *sorted(frontier(gt, sample))]
+    loaded = from_records(records)
     assert corpus_columns(loaded) == reference_columns(records)
     assert loaded.strangers == ()
 
@@ -365,7 +361,7 @@ def test_crawl_columns_match_the_object_built_reference(n_users, seed, budget, d
 @settings(max_examples=100, deadline=None)
 @given(corpora())
 def test_counts_rows_are_the_string_hits(records):
-    tagged = Corpus.from_records(records, WORDS)
+    tagged = from_records(records, WORDS)
     hits = reference_hits(normalized(records), set(WORDS))
     assert tagged.vocab == tuple(WORDS)
     assert tagged.owners == tuple(sorted(hits))
@@ -494,10 +490,10 @@ def columns(value):
 @settings(max_examples=100, deadline=None)
 @given(corpora(), st.sampled_from(WORDS + ["zzz"]), st.integers(1, 4))
 def test_analyses_read_only_the_tagged_columns(records, core, top_k):
-    """A tagged corpus holds no text, and its analyses read only the counts
-    of their own words: counts of words they do not read change nothing."""
-    wide = Corpus.from_records(records, [*WORDS, "zzz"])
-    exact = Corpus.from_records(records, {*NEG, *POS, *NEG_WS, *POS_WS, core})
+    """The analyses read only the counts of their own words: counts of
+    words they do not read change nothing."""
+    wide = from_records(records, [*WORDS, "zzz"])
+    exact = from_records(records, {*NEG, *POS, *NEG_WS, *POS_WS, core})
 
     def results(c):
         graph = build_interaction_graph(c, NEG_WS, top_k=top_k)
@@ -512,7 +508,6 @@ def test_analyses_read_only_the_tagged_columns(records, core, top_k):
             outcome(cooccurrence_distribution, c, core, POS_WS),
         ]
 
-    assert wide.texts is None and wide.answers is None
     assert results(wide) == results(exact)
 
 
@@ -535,15 +530,15 @@ GUARD_RECORDS = [
 def test_a_word_outside_the_vocabulary_fails_by_name(analysis, words):
     """Each analysis reads its words' counts through one checked lookup:
     over a vocabulary missing any word it reads (a lexicon's, a word set's
-    or the core word), it raises ValueError naming that word, and over a
-    text corpus it fails. Neither ever counts the word as absent."""
-    analysis(Corpus.from_records(GUARD_RECORDS, words))
+    or the core word), it raises ValueError naming that word, and over no
+    vocabulary it raises ValueError too. It never counts a word as absent."""
+    analysis(from_records(GUARD_RECORDS, words))
     for missing in sorted(words):
-        corpus = Corpus.from_records(GUARD_RECORDS, words - {missing})
+        corpus = from_records(GUARD_RECORDS, words - {missing})
         with pytest.raises(ValueError, match=rf"^the corpus holds no counts of \['{missing}'\]$"):
             analysis(corpus)
-    with pytest.raises(AttributeError):
-        analysis(Corpus.from_records(GUARD_RECORDS))
+    with pytest.raises(ValueError, match=r"^the corpus holds no counts of \['"):
+        analysis(from_records(GUARD_RECORDS))
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from askgraph.corpus import CSR, Corpus, Graph
+from askgraph.corpus import CSR, Graph
 from askgraph.wordgraph import (
     ConvergenceError,
     build_bipartite,
@@ -16,7 +16,9 @@ from askgraph.wordgraph import (
     select_top_words,
     word_neighborhood,
 )
-from helpers import csr, reference_eigenvector_centrality, to_scipy, vocab_word_set
+from helpers import (
+    csr, from_records, reference_eigenvector_centrality, to_scipy, vocab_word_set,
+)
 
 
 def profile_with(owner, *texts):
@@ -55,7 +57,7 @@ class TestBuildBipartite:
     LEX = frozenset({"ugly", "fat", "hate"})
 
     def test_hand_construction(self):
-        corp = Corpus.from_records([
+        corp = from_records([
             profile_with("u1", "ugly fat"),
             profile_with("u2", "ugly"),
         ], self.LEX)
@@ -69,12 +71,12 @@ class TestBuildBipartite:
         assert (row["hate"] == 0).all()
 
     def test_empty_corpus(self):
-        bip = build_bipartite(Corpus.from_records([], self.LEX), self.LEX)
+        bip = build_bipartite(from_records([], self.LEX), self.LEX)
         assert to_scipy(bip.adjacency).nnz == 0
         assert len(bip.nodes) == 3
 
     def test_incidence_is_binary(self):
-        corp = Corpus.from_records([profile_with("u1", "ugly ugly ugly ugly ugly")], self.LEX)
+        corp = from_records([profile_with("u1", "ugly ugly ugly ugly ugly")], self.LEX)
         bip = build_bipartite(corp, self.LEX)
         assert to_scipy(bip.adjacency).max() == 1
 
@@ -339,12 +341,12 @@ class TestCooccurrenceDistribution:
     WS = vocab_word_set(["ugly", "hate", "cut"])
 
     def test_single_profile(self):
-        corp = Corpus.from_records([profile_with("a", "cut ugly ugly hate")], self.WS)
+        corp = from_records([profile_with("a", "cut ugly ugly hate")], self.WS)
         d = dict(cooccurrence_distribution(corp, "cut", self.WS))
         assert d["ugly"] == 2.0 and d["hate"] == 1.0
 
     def test_average_over_matching_profiles(self):
-        corp = Corpus.from_records([
+        corp = from_records([
             profile_with("a", "cut ugly ugly"),
             profile_with("b", "cut plain"),
             profile_with("c", "ugly ugly ugly"),  # no core, excluded
@@ -359,7 +361,7 @@ class TestCooccurrenceDistribution:
             profile_with("c", "cut"),
         ]
         va, vb, vu = (
-            cooccurrence_distribution(Corpus.from_records(records, self.WS), "cut", self.WS)
+            cooccurrence_distribution(from_records(records, self.WS), "cut", self.WS)
             for records in (set_a, set_b, [*set_a, *set_b]))
         # set_a has 1 profile holding "cut" and set_b 2
         for (w, mu), (_, ma), (_, mb) in zip(vu, va, vb):
@@ -370,12 +372,12 @@ class TestCooccurrenceDistribution:
         never reads as a word no profile holds."""
         records = [profile_with("a", "cut ugly ugly"), profile_with("b", "hate")]
         with pytest.raises(ValueError, match=r"no counts of \['cut'\]$"):
-            cooccurrence_distribution(Corpus.from_records(records, {"ugly", "hate"}), "cut",
+            cooccurrence_distribution(from_records(records, {"ugly", "hate"}), "cut",
                                       vocab_word_set(["ugly", "hate"]))
-        vec = cooccurrence_distribution(Corpus.from_records(records, self.WS), "cut", self.WS)
+        vec = cooccurrence_distribution(from_records(records, self.WS), "cut", self.WS)
         assert dict(vec)["ugly"] == 2.0  # 2 ugly over the 1 profile holding "cut"
 
     def test_no_matching_profile_raises(self):
-        corp = Corpus.from_records([profile_with("a", "nothing here")], self.WS)
+        corp = from_records([profile_with("a", "nothing here")], self.WS)
         with pytest.raises(ValueError, match="no profile"):
             cooccurrence_distribution(corp, "cut", self.WS)
